@@ -105,6 +105,17 @@ _NONZERO_RESULT_REJECTS = frozenset(
 )
 
 
+#: Received commands that allocate or release a target CID.
+_CID_LEARNING_CODES = frozenset(
+    {
+        int(CommandCode.CONNECTION_RSP),
+        int(CommandCode.CREATE_CHANNEL_RSP),
+        int(CommandCode.DISCONNECTION_RSP),
+        int(CommandCode.DISCONNECTION_REQ),
+    }
+)
+
+
 def is_rejection(packet: L2capPacket) -> bool:
     """Classify a received packet as a rejection (PR-Ratio numerator)."""
     code = packet.code
@@ -171,6 +182,7 @@ class PacketSniffer:
         self._received = 0
         self._rejections = 0
         self._coverage = _analyzer_cls()()
+        self._visited = self._coverage.visited
         self._coverage_unlocks: list[tuple[int, int]] = []
         self._last_coverage_count = self._coverage.coverage_count
         self._first_observation_sent: int | None = None
@@ -196,7 +208,10 @@ class PacketSniffer:
         if self._sent % self.sample_every == 0:
             self._mp_samples.append((self._sent, self._malformed))
         self._coverage.observe_sent(packet)
-        self._record_coverage()
+        if self._first_observation_sent is None:
+            self._first_observation_sent = self._sent
+        if len(self._visited) > self._last_coverage_count:
+            self._record_coverage()
         return entry
 
     def observe_received(
@@ -213,21 +228,23 @@ class PacketSniffer:
             self._rejections += 1
         if self._received % self.sample_every == 0:
             self._pr_samples.append((self._received, self._rejections))
-        self._learn_from_received(packet)
+        if packet.code in _CID_LEARNING_CODES:
+            self._learn_from_received(packet)
         self._coverage.observe_received(packet)
-        self._record_coverage()
+        if self._first_observation_sent is None:
+            self._first_observation_sent = self._sent
+        if len(self._visited) > self._last_coverage_count:
+            self._record_coverage()
         return entry
 
     def _record_coverage(self) -> None:
-        """Track coverage unlocks as (state count, sent packets so far)."""
-        if self._first_observation_sent is None:
-            self._first_observation_sent = self._sent
-        count = len(self._coverage.visited)
-        if count > self._last_coverage_count:
-            self._last_coverage_count = count
-            self._coverage_unlocks.append((count, self._sent))
+        """Record a coverage unlock as (state count, sent packets so far)."""
+        count = len(self._visited)
+        self._last_coverage_count = count
+        self._coverage_unlocks.append((count, self._sent))
 
     def _learn_from_received(self, packet: L2capPacket) -> None:
+        # Only the codes in _CID_LEARNING_CODES change the CID set.
         code = packet.code
         result = packet.fields.get("result")
         cids = self._target_cids
@@ -372,6 +389,7 @@ class PacketSniffer:
         self._received = 0
         self._rejections = 0
         self._coverage = _analyzer_cls()()
+        self._visited = self._coverage.visited
         self._coverage_unlocks.clear()
         self._last_coverage_count = self._coverage.coverage_count
         self._first_observation_sent = None

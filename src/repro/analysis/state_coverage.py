@@ -57,17 +57,9 @@ class StateCoverageAnalyzer:
     def feed(self, entry: TracedPacket) -> None:
         """Consume one trace entry in order."""
         if entry.direction is Direction.SENT:
-            self._on_sent(entry.packet)
+            self.observe_sent(entry.packet)
         else:
-            self._on_received(entry.packet)
-
-    def observe_sent(self, packet) -> None:
-        """Streaming entry point: one fuzzer→target packet, in order."""
-        self._on_sent(packet)
-
-    def observe_received(self, packet) -> None:
-        """Streaming entry point: one target→fuzzer packet, in order."""
-        self._on_received(packet)
+            self.observe_received(entry.packet)
 
     def analyze(self, sniffer: PacketSniffer) -> frozenset[ChannelState]:
         """Replay a whole sniffer trace and return the states covered."""
@@ -87,7 +79,8 @@ class StateCoverageAnalyzer:
 
     # -- sent-side inference -------------------------------------------------------
 
-    def _on_sent(self, packet) -> None:
+    def observe_sent(self, packet) -> None:
+        """Streaming entry point: one fuzzer→target packet, in order."""
         # Dispatch through a value-keyed table: most fuzz packets touch
         # no inference rule, and one dict miss beats seven comparisons.
         handler = self._SENT_HANDLERS.get(packet.code)
@@ -153,7 +146,8 @@ class StateCoverageAnalyzer:
 
     # -- received-side inference -----------------------------------------------------
 
-    def _on_received(self, packet) -> None:
+    def observe_received(self, packet) -> None:
+        """Streaming entry point: one target→fuzzer packet, in order."""
         handler = self._RECEIVED_HANDLERS.get(packet.code)
         if handler is not None:
             handler(self, packet)

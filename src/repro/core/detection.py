@@ -27,6 +27,7 @@ from repro.l2cap.packets import (
     echo_request,
     information_request,
 )
+from repro.l2cap.validation import CLEAN_FACTS
 
 
 class VulnerabilityClass(enum.Enum):
@@ -169,6 +170,7 @@ class VulnerabilityDetector:
     ) -> L2capPacket:
         wire = bytearray(base)
         wire[5] = identifier
+        # Probes are spec-clean: every field present, nothing appended.
         return L2capPacket.from_wire_parts(
             code=code,
             identifier=identifier,
@@ -177,6 +179,8 @@ class VulnerabilityDetector:
             garbage=b"",
             wire=bytes(wire),
             spec=spec,
+            intrinsic=CLEAN_FACTS,
+            loopback=tail.__class__ is bytes,
         )
 
     def ping_test(self, payload: bytes = b"l2fuzz-ping") -> bool:

@@ -216,11 +216,17 @@ class L2Fuzz:
             if self.config.wire_fast_path
             else None
         )
+        transmitted = self.sniffer.transmitted_count
+        max_packets = self.config.max_packets
         batches_since_ping = 0
         for code in commands:
-            if self._budget_exhausted():
+            # Every send below puts exactly one packet on the wire, so the
+            # batch is cut to the budget left instead of re-checking it
+            # per packet.
+            left = max_packets - transmitted()
+            if left <= 0:
                 break
-            for _ in range(packets_per_command):
+            for _ in range(min(packets_per_command, left)):
                 identifier = take_identifier()
                 packet = None
                 if mutate_wire is not None:
@@ -235,8 +241,6 @@ class L2Fuzz:
                     drain()
                 except TransportError as error:
                     return self._on_transport_error(error, state_name)
-                if self._budget_exhausted():
-                    break
             batches_since_ping += 1
             if batches_since_ping >= self.config.ping_every_commands:
                 batches_since_ping = 0

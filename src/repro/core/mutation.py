@@ -25,13 +25,19 @@ import random
 from collections.abc import Iterable, Iterator
 
 from repro.core.config import FuzzConfig
-from repro.l2cap.constants import CommandCode, MIN_SIGNALING_MTU
+from repro.l2cap.constants import (
+    ABNORMAL_PSM_RANGES,
+    CIDP_MUTATION_RANGE,
+    CommandCode,
+    MIN_SIGNALING_MTU,
+)
 from repro.l2cap.fields import (
     CIDP_FIELD_NAMES,
     random_abnormal_psm,
     random_normal_cidp,
 )
 from repro.l2cap.packets import COMMAND_SPECS, CommandSpec, L2capPacket
+from repro.l2cap.validation import Violation
 
 #: Offset of the identifier byte inside an encoded signaling frame
 #: (Payload Length 2 | Header CID 2 | Code 1 | *Identifier* | ...).
@@ -40,22 +46,61 @@ _IDENTIFIER_OFFSET = 4 + 1
 #: Offset of the first fixed data field (after the 2-byte Data Length).
 _FIELDS_OFFSET = 4 + 4
 
+# The wire path inlines the ``random.Random`` draws of the object path.
+# ``randrange(low, low + width)`` (and ``randint``, and ``choice`` over
+# *width* items) is ``low + r`` where r is the first ``getrandbits(k)``
+# below *width*, ``k = width.bit_length()`` — CPython's
+# ``_randbelow_with_getrandbits``. Repeating that loop here consumes the
+# RNG stream exactly as the methods do; the RNG identity property tests
+# pin value and ``getstate()`` equality for every range below.
+
+#: ``choice(ABNORMAL_PSM_RANGES)``: index width and bits.
+_PSM_RANGE_COUNT = len(ABNORMAL_PSM_RANGES)
+_PSM_RANGE_BITS = _PSM_RANGE_COUNT.bit_length()
+#: ``randrange(start, end + 1)`` per abnormal range: (start, width, bits).
+_PSM_RANGE_DRAWS = tuple(
+    (start, end + 1 - start, (end + 1 - start).bit_length())
+    for start, end in ABNORMAL_PSM_RANGES
+)
+#: ``randrange(0x0000, 0x10000, 2)``: an index over the 0x8000 even PSMs.
+_EVEN_PSM_COUNT = 0x8000
+_EVEN_PSM_BITS = _EVEN_PSM_COUNT.bit_length()
+
+
+def _draw_range(low: int, high: int) -> tuple[int, int, int]:
+    """``randrange(low, high + 1)`` as (low, width, bits)."""
+    width = high + 1 - low
+    return low, width, width.bit_length()
+
+
+#: CIDP draws: 2-byte fields from Table IV, 1-byte CONT_ID from 0..0xFF.
+_CIDP_DRAWS = {2: _draw_range(*CIDP_MUTATION_RANGE), 1: _draw_range(0x00, 0xFF)}
+
 
 @dataclasses.dataclass(frozen=True)
 class _WireTemplate:
     """Precomputed bytes-level mutation plan for one command code.
 
-    ``base`` is the full encoded frame with default field values and
-    identifier 0; ``mutations`` lists the core fields Algorithm 1
-    touches as ``(name, wire offset, size, is_psm)`` in spec order —
-    the same order the object path draws its random values in, so both
-    paths consume the RNG stream identically.
+    ``base`` is the full encoded frame (``length`` bytes) with default
+    field values and identifier 0; ``mutations`` lists the core fields
+    Algorithm 1 touches as ``(name, wire offset, size, low, width,
+    bits)`` in spec order — the same order the object path draws its
+    random values in, so both paths consume the RNG stream identically.
+    ``width`` 0 marks the PSM (drawn from the abnormal pool); the others
+    are CIDP draws of ``low + randrange(width)``.
+
+    ``facts`` are the packets' structural validation facts without and
+    with a garbage tail (see :mod:`repro.l2cap.validation`): every
+    field present, lengths derived, and the PSM — when the command has
+    one — always invalid, since every Table IV abnormal value is.
     """
 
     spec: CommandSpec
     base: bytes
-    mutations: tuple[tuple[str, int, int, bool], ...]
+    length: int
+    mutations: tuple[tuple[str, int, int, int, int, int], ...]
     defaults: dict[str, int]
+    facts: tuple[tuple, tuple]
 
 
 class CoreFieldMutator:
@@ -121,21 +166,36 @@ class CoreFieldMutator:
 
         Draw order and RNG consumption are part of the campaign's
         deterministic contract: both paths call this with the same
-        pre-garbage frame length, so seeded streams stay identical.
+        pre-garbage frame length, so seeded streams stay identical. The
+        draws are the inlined equivalents of ``rng.random()``,
+        ``rng.randrange(len(dictionary))``, ``rng.randint(1, limit)`` and
+        one ``rng.getrandbits(8)`` per byte.
         """
         headroom = self.signaling_mtu - wire_length
         if headroom <= 0:
             return b""
         rng = self.rng
-        if self.dictionary and rng.random() < self.SPLICE_RATE:
-            token = self.dictionary[rng.randrange(len(self.dictionary))]
-            return token[: min(headroom, self.config.max_garbage)]
-        length = rng.randint(1, min(self.config.max_garbage, headroom))
         getrandbits = rng.getrandbits
-        # One draw per byte, exactly like the historical generator
-        # expression (bytes(getrandbits(8) for ...)), minus the
-        # generator frame per byte.
-        return bytes([getrandbits(8) for _ in range(length)])
+        max_garbage = self.config.max_garbage
+        limit = headroom if headroom < max_garbage else max_garbage
+        dictionary = self.dictionary
+        if dictionary and rng.random() < self.SPLICE_RATE:
+            count = len(dictionary)
+            bits = count.bit_length()
+            index = getrandbits(bits)
+            while index >= count:
+                index = getrandbits(bits)
+            return dictionary[index][:limit]
+        bits = limit.bit_length()
+        length = getrandbits(bits)
+        while length >= limit:
+            length = getrandbits(bits)
+        length += 1
+        # ``getrandbits(8)`` is the top byte of one 32-bit Mersenne
+        # Twister output, and ``getrandbits(32 * n)`` packs n outputs
+        # little-endian: byte 3 of every 4-byte word is the per-byte
+        # draw, from the same n outputs.
+        return getrandbits(32 * length).to_bytes(4 * length, "little")[3::4]
 
     # -- bytes-level fast path ------------------------------------------------------
 
@@ -146,7 +206,8 @@ class CoreFieldMutator:
         assembled by patching a per-code template: identifier byte and
         mutated core fields written straight into the wire image, garbage
         appended, and the packet object built around the finished bytes
-        with its encode cache primed (:meth:`L2capPacket.from_wire_parts`).
+        with its encode cache, structural validation facts and loopback
+        eligibility primed (:meth:`L2capPacket.from_wire_parts`).
 
         Structural safety gate: the fast path only covers the paper's
         default mutation plan (``MC`` only). The BFuzz-style ablation
@@ -164,22 +225,43 @@ class CoreFieldMutator:
         if template is None:
             return None
         rng = self.rng
+        getrandbits = rng.getrandbits
         values = dict(template.defaults)
         frame = bytearray(template.base)
         frame[_IDENTIFIER_OFFSET] = identifier & 0xFF
-        for name, offset, size, is_psm in template.mutations:
-            if is_psm:
-                value = random_abnormal_psm(rng)
+        for name, offset, size, low, width, bits in template.mutations:
+            if width:
+                # random_normal_cidp: randrange(low, low + width).
+                value = getrandbits(bits)
+                while value >= width:
+                    value = getrandbits(bits)
+                value += low
+            elif rng.random() < 0.5:
+                # random_abnormal_psm, odd-MSB family: choice(ranges),
+                # then randrange(start, end + 1).
+                index = getrandbits(_PSM_RANGE_BITS)
+                while index >= _PSM_RANGE_COUNT:
+                    index = getrandbits(_PSM_RANGE_BITS)
+                start, span, span_bits = _PSM_RANGE_DRAWS[index]
+                value = getrandbits(span_bits)
+                while value >= span:
+                    value = getrandbits(span_bits)
+                value += start
             else:
-                value = random_normal_cidp(rng, field_size=size)
+                # random_abnormal_psm, even family: randrange(0, 0x10000, 2).
+                value = getrandbits(_EVEN_PSM_BITS)
+                while value >= _EVEN_PSM_COUNT:
+                    value = getrandbits(_EVEN_PSM_BITS)
+                value *= 2
             values[name] = value
             frame[offset] = value & 0xFF
             if size == 2:
                 frame[offset + 1] = value >> 8
-        if self.config.append_garbage:
-            garbage = self._garbage_for_length(len(frame))
-        else:
-            garbage = b""
+        garbage = (
+            self._garbage_for_length(template.length)
+            if self.config.append_garbage
+            else b""
+        )
         return L2capPacket.from_wire_parts(
             code=code,
             identifier=identifier,
@@ -188,6 +270,8 @@ class CoreFieldMutator:
             garbage=garbage,
             wire=bytes(frame) + garbage,
             spec=template.spec,
+            intrinsic=template.facts[1 if garbage else 0],
+            loopback=0 <= identifier <= 0xFF,
         )
 
     def _build_template(self, code: CommandCode) -> _WireTemplate | None:
@@ -200,15 +284,19 @@ class CoreFieldMutator:
         offset = _FIELDS_OFFSET
         for field in spec.fields:
             if field.name == "psm":
-                mutations.append((field.name, offset, field.size, True))
+                mutations.append((field.name, offset, field.size, 0, 0, 0))
             elif field.name in CIDP_FIELD_NAMES:
-                mutations.append((field.name, offset, field.size, False))
+                draw = _CIDP_DRAWS[field.size]
+                mutations.append((field.name, offset, field.size, *draw))
             offset += field.size
+        invalid_psm = spec.has_field("psm")
         return _WireTemplate(
             spec=spec,
             base=base,
+            length=len(base),
             mutations=tuple(mutations),
             defaults=dict(spec.defaults),
+            facts=(((), invalid_psm), ((Violation.GARBAGE_TAIL,), invalid_psm)),
         )
 
     def generate(

@@ -1,10 +1,21 @@
 """The packet queue between the fuzzer and the target (paper Fig. 5).
 
 Both normal packets (state transition) and malformed packets (fuzz tests)
-flow through :class:`PacketQueue`, which frames them as HCI ACL packets,
-pushes them down the virtual link, parses the target's responses, and
-feeds everything to the sniffer so the evaluation metrics can be computed
-from the same trace a Wireshark capture would give.
+flow through :class:`PacketQueue`, which pushes them down the virtual
+link, collects the target's responses, and feeds everything to the
+sniffer so the evaluation metrics can be computed from the same trace a
+Wireshark capture would give. A packet crosses the link (see
+:mod:`repro.hci.transport`) by
+
+* the **direct hop**, as the packet object itself, when it is its own
+  loopback view, the queue does not fragment (``acl_mtu`` 0), the link
+  is loss-free and the remote attached a packet handler;
+* the **bytes path** otherwise: one HCI ACL frame, or continuation
+  fragments past ``acl_mtu``. Lossy links, bytes-only remotes and
+  packets that would not survive a decode round trip (length lies,
+  unknown codes, missing fields) take it.
+
+Responses come back as packet objects or as raw frames to reassemble.
 """
 
 from __future__ import annotations
@@ -78,48 +89,50 @@ class PacketQueue:
         """Transmit one L2CAP packet.
 
         The packet is recorded in the trace *before* transmission so a
-        send that kills the target still counts as transmitted. The
-        single :meth:`~repro.l2cap.packets.L2capPacket.encode` here is
-        the only serialisation of the packet on the whole wire path —
-        the sniffer works from the cached bytes and the virtual device
-        receives the decoded object when it round-trips cleanly.
+        send that kills the target still counts as transmitted.
 
         :raises TransportError: when the link is (or goes) down.
         """
         self.sniffer.observe_sent(packet, self.clock.now)
+        link = self.link
+        if (
+            (packet._loopback or packet.loopback_view() is not None)
+            and not self.acl_mtu
+            and not link.loss_rate
+            and link.packet_remote is not None
+        ):
+            link.deliver(packet, self.handle)
+            return
         payload = packet.encode()
         if self.acl_mtu and len(payload) > self.acl_mtu:
             for fragment_pkt in fragment(payload, self.handle, self.acl_mtu):
-                self.link.send_frame(fragment_pkt.encode())
+                link.send_frame(fragment_pkt.encode())
             return
-        self.link.send_frame(
-            self._acl_prefix + _PACK_U16(len(payload)) + payload,
-            l2cap=packet.loopback_view(),
-        )
+        link.send_frame(self._acl_prefix + _PACK_U16(len(payload)) + payload)
 
     def drain(self) -> list[L2capPacket]:
         """Collect and trace every response currently queued.
 
-        Frames tagged by the virtual device with their decoded packet
-        (see :class:`~repro.hci.transport.TaggedFrame`) skip the parse;
-        plain frames take the full decode path.
+        Direct-hop responses arrive as packet objects; raw ACL frames
+        are reassembled and parsed (undecodable ones are dropped).
         """
+        inbound = self.link.inbound
+        if not inbound:
+            return []
         responses: list[L2capPacket] = []
-        for frame in self.link.drain():
-            packet = getattr(frame, "l2cap", None)
-            if packet is None:
+        observe = self.sniffer.observe_received
+        now = self.clock.now
+        while inbound:
+            packet = inbound.popleft()
+            if packet.__class__ is not L2capPacket:
                 try:
-                    acl = AclPacket.decode(frame)
-                except PacketDecodeError:
-                    continue
-                payload = self._reassembler.feed(acl)
-                if payload is None:
-                    continue
-                try:
+                    payload = self._reassembler.feed(AclPacket.decode(packet))
+                    if payload is None:
+                        continue  # waiting for more fragments
                     packet = L2capPacket.decode(payload)
                 except PacketDecodeError:
                     continue
-            self.sniffer.observe_received(packet, self.clock.now)
+            observe(packet, now)
             responses.append(packet)
         return responses
 

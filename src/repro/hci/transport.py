@@ -2,8 +2,21 @@
 
 This is the reproduction's stand-in for the Bluetooth dongle and the air
 interface. It is a synchronous, deterministic simulation: the initiator
-pushes one ACL frame, the attached remote endpoint (a virtual device)
-processes it immediately and may enqueue response frames.
+pushes one frame, the attached remote endpoint (a virtual device)
+processes it immediately and may queue responses.
+
+Two ways across, with identical clock, counter and crash semantics:
+
+* **direct hop** (:meth:`VirtualLink.deliver`) — an in-process sender
+  hands over an L2CAP packet *object* that survives a decode round trip
+  unchanged, and the remote's packet handler answers with packet objects.
+  Nothing is serialised. The packet queue sends every such packet this
+  way when it does not fragment, the link is loss-free and the remote
+  attached a packet handler — the default fuzzing session;
+* **bytes path** (:meth:`VirtualLink.send_frame`) — raw HCI ACL frames
+  both ways, for fragmented sends (``acl_mtu``), lossy links
+  (``loss_rate``), bytes-only remotes, packets that would not survive
+  the round trip, and raw-frame callers (triage replay).
 
 The link also owns the campaign's *simulated clock*. Real Bluetooth
 fuzzing throughput is dominated by radio turnaround and target processing
@@ -29,6 +42,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.hci.packets import AclPacket
+from repro.l2cap.packets import L2capPacket
 
 
 class SimClock:
@@ -62,57 +76,6 @@ class LinkStats:
     frames_dropped: int = 0
 
 
-class PacketFrame:
-    """An in-flight ACL frame kept as its decoded L2CAP packet.
-
-    The step past :class:`TaggedFrame`: where a tagged frame carries the
-    wire bytes *plus* the decoded object, a packet frame defers the byte
-    image entirely — the virtual device hands its response back as the
-    packet object it just built, and neither the L2CAP nor the ACL
-    serialisation ever happens unless someone asks for the bytes.
-
-    Only emitted on the hinted loopback path (the sender passed its
-    decoded packet down, proving the consumer is an in-process
-    :class:`~repro.core.packet_queue.PacketQueue` that reads the
-    ``l2cap`` attribute), and only for packets whose
-    ``loopback_view()`` is the packet itself — anything else still
-    travels as real bytes, so byte-reading consumers never meet one.
-    """
-
-    __slots__ = ("handle", "l2cap")
-
-    def __init__(self, handle: int, l2cap) -> None:
-        self.handle = handle
-        self.l2cap = l2cap
-
-    def to_bytes(self) -> bytes:
-        """Materialise the wire image (offline export, debugging)."""
-        from repro.hci.packets import encode_acl
-
-        return encode_acl(self.handle, self.l2cap.encode())
-
-
-class TaggedFrame(bytes):
-    """ACL frame bytes carrying their already-decoded L2CAP packet.
-
-    The in-process link is both wire and dongle: when the sending side
-    already holds the decoded packet object — and the packet survives a
-    decode round trip unchanged — the tag lets the receiving side skip
-    re-parsing the bytes it just produced. The frame still *is* the wire
-    bytes; anything that ignores the tag behaves exactly as before.
-    """
-
-    # bytes subclasses cannot carry __slots__; the implicit instance
-    # __dict__ holds the single ``l2cap`` attribute.
-
-    @classmethod
-    def tag(cls, frame: bytes, l2cap) -> "TaggedFrame":
-        """Wrap *frame* with its decoded L2CAP payload *l2cap*."""
-        tagged = cls(frame)
-        tagged.l2cap = l2cap
-        return tagged
-
-
 class VirtualLink:
     """Duplex frame pipe with crash propagation and a per-frame time cost.
 
@@ -139,9 +102,13 @@ class VirtualLink:
         self.tx_cost = tx_cost
         self.loss_rate = loss_rate
         self._rng = rng
-        self._remote: Callable[..., list[bytes]] | None = None
-        self._remote_accepts_l2cap = False
-        self._inbound: deque[bytes] = deque()
+        self._remote: Callable[[bytes], list[bytes]] | None = None
+        #: The remote's packet handler for the direct hop (None for a
+        #: bytes-only remote).
+        self.packet_remote: Callable[[L2capPacket, int], list] | None = None
+        #: Responses waiting to be received, oldest first: raw ACL frames
+        #: from the bytes path, packet objects from the direct hop.
+        self.inbound: deque = deque()
         self._down_error: type[TransportError] | None = None
         self.stats = LinkStats()
 
@@ -149,19 +116,20 @@ class VirtualLink:
 
     def attach(
         self,
-        handler: Callable[..., list[bytes]],
-        accepts_l2cap: bool = False,
+        handler: Callable[[bytes], list[bytes]],
+        packet_handler: Callable[[L2capPacket, int], list] | None = None,
     ) -> None:
-        """Register the remote endpoint's frame handler.
+        """Register the remote endpoint.
 
-        The handler takes raw ACL bytes and returns the list of raw ACL
-        response frames the remote produces. With *accepts_l2cap* the
-        handler is called as ``handler(frame, l2cap)`` where *l2cap* is
-        the sender's already-decoded packet (or None) — the loopback fast
-        path that spares the virtual device a re-parse.
+        *handler* takes one raw ACL frame and returns the raw ACL
+        response frames the remote produces. *packet_handler*, when
+        given, enables the direct hop: it is called as
+        ``packet_handler(packet, handle)`` with a loopback-eligible L2CAP
+        packet and returns the responses to queue (packet objects, or
+        ACL frames for responses that must cross as bytes).
         """
         self._remote = handler
-        self._remote_accepts_l2cap = accepts_l2cap
+        self.packet_remote = packet_handler
 
     @property
     def is_up(self) -> bool:
@@ -180,19 +148,15 @@ class VirtualLink:
     def restore(self) -> None:
         """Bring a downed link back up (device reset in the testbed)."""
         self._down_error = None
-        self._inbound.clear()
+        self.inbound.clear()
 
     # -- data path ------------------------------------------------------------
 
-    def send_frame(self, frame: bytes, l2cap=None) -> None:
-        """Transmit one raw ACL frame to the remote endpoint.
+    def send_frame(self, frame: bytes) -> None:
+        """Transmit one raw ACL frame to the remote endpoint (bytes path).
 
         Charges :attr:`tx_cost` on the clock, then delivers synchronously.
         Responses the remote produces are queued for :meth:`receive_frame`.
-
-        :param l2cap: the sender's already-decoded L2CAP packet, passed
-            through to a handler attached with ``accepts_l2cap=True`` so
-            the remote can skip re-parsing (loopback fast path).
 
         :raises TransportError: (a subclass) once the link is down.
         """
@@ -207,30 +171,55 @@ class VirtualLink:
                 return
         self.stats.frames_sent += 1
         try:
-            if self._remote_accepts_l2cap:
-                responses = self._remote(frame, l2cap)
-            else:
-                responses = self._remote(frame)
+            responses = self._remote(frame)
         except TargetCrashedError as crash_exc:
-            self._down_error = crash_exc.crash.transport_error
-            raise self._down_error() from crash_exc
-        for response in responses:
-            self._inbound.append(response)
-            self.stats.frames_received += 1
+            raise self._crashed(crash_exc) from crash_exc
+        if responses:
+            self.inbound.extend(responses)
+            self.stats.frames_received += len(responses)
+
+    def deliver(self, packet: L2capPacket, handle: int) -> None:
+        """Hand one L2CAP packet object to the remote (the direct hop).
+
+        Same clock charge, counters and crash mapping as
+        :meth:`send_frame`, minus the serialisation: the remote's packet
+        handler receives *packet* itself. Callers guarantee the packet is
+        its own :meth:`~repro.l2cap.packets.L2capPacket.loopback_view`,
+        the remote attached a packet handler, and the link is loss-free
+        (lossy links draw their drop decisions on the bytes path).
+
+        :raises TransportError: (a subclass) once the link is down.
+        """
+        self.clock.advance(self.tx_cost)
+        if self._down_error is not None:
+            raise self._down_error()
+        self.stats.frames_sent += 1
+        try:
+            responses = self.packet_remote(packet, handle)
+        except TargetCrashedError as crash_exc:
+            raise self._crashed(crash_exc) from crash_exc
+        if responses:
+            self.inbound.extend(responses)
+            self.stats.frames_received += len(responses)
+
+    def _crashed(self, crash_exc: TargetCrashedError) -> TransportError:
+        """Take the link down with the crash's transport error."""
+        self._down_error = crash_exc.crash.transport_error
+        return self._down_error()
 
     def send_packet(self, packet: AclPacket) -> None:
         """Convenience: encode and transmit an :class:`AclPacket`."""
         self.send_frame(packet.encode())
 
     def receive_frame(self) -> bytes | None:
-        """Pop the next queued response frame (None if the queue is empty).
+        """Pop the next queued response (None if the queue is empty).
 
         :raises TransportError: once the link is down and drained — a
             downed target cannot answer, which the fuzzer observes as the
             crash's error condition.
         """
-        if self._inbound:
-            return self._inbound.popleft()
+        if self.inbound:
+            return self.inbound.popleft()
         if self._down_error is not None:
             raise self._down_error()
         return None
@@ -243,11 +232,11 @@ class VirtualLink:
         return AclPacket.decode(frame)
 
     def drain(self) -> list[bytes]:
-        """Pop every currently queued response frame."""
-        frames = list(self._inbound)
-        self._inbound.clear()
+        """Pop every currently queued response."""
+        frames = list(self.inbound)
+        self.inbound.clear()
         return frames
 
     def pending(self) -> int:
-        """Number of response frames waiting to be received."""
-        return len(self._inbound)
+        """Number of responses waiting to be received."""
+        return len(self.inbound)

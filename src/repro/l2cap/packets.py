@@ -89,6 +89,11 @@ class CommandSpec:
         return {field.name: field.default for field in self.fields}
 
     @functools.cached_property
+    def bounds(self) -> tuple[tuple[str, int], ...]:
+        """``(name, largest value)`` per field, in layout order."""
+        return tuple((field.name, field.max_value) for field in self.fields)
+
+    @functools.cached_property
     def pack_format(self) -> str:
         """``struct`` format encoding all fixed fields in one call."""
         return "<" + "".join("B" if field.size == 1 else "H" for field in self.fields)
@@ -313,6 +318,7 @@ class _FieldMap(dict):
             cache = owner.__dict__
             cache["_wire"] = None
             cache["_intrinsic"] = None
+            cache["_loopback"] = None
 
     def __setitem__(self, key, value) -> None:
         dict.__setitem__(self, key, value)
@@ -351,6 +357,27 @@ class _FieldMap(dict):
     def update(self, *args, **kwargs) -> None:
         dict.update(self, *args, **kwargs)
         self._touch()
+
+
+def _round_trips(spec, identifier, fields, tail, garbage) -> bool:
+    """Whether a signaling frame of these parts, lengths derived, decodes
+    back to the same parts (see :meth:`L2capPacket.loopback_view`)."""
+    if spec is None or tail.__class__ is not bytes or garbage.__class__ is not bytes:
+        return False
+    try:
+        if identifier & 0xFF != identifier or len(fields) != len(spec.bounds):
+            return False
+        # ``v & high == v`` holds exactly for the ints (and int enums)
+        # that pack into the field's width; any other value fails it or
+        # raises TypeError.
+        for name, high in spec.bounds:
+            if fields[name] & high != fields[name]:
+                return False
+    except (KeyError, TypeError):
+        return False
+    return not tail or (
+        COMMAND_HEADER_LEN + spec.fixed_size + len(tail) <= MAX_L2CAP_PAYLOAD
+    )
 
 
 @dataclasses.dataclass
@@ -400,6 +427,8 @@ class L2capPacket:
     _spec_cache = _UNSET
     # Structural validation facts memoized by repro.l2cap.validation.
     _intrinsic = None
+    # Memoized loopback eligibility (see loopback_view): None = unknown.
+    _loopback = None
 
     def __init__(
         self,
@@ -437,6 +466,17 @@ class L2capPacket:
         instance["declared_payload_len"] = declared_payload_len
         instance["declared_data_len"] = declared_data_len
         instance["_spec_cache"] = spec
+        if (
+            fill_defaults
+            and header_cid == SIGNALING_CID
+            and declared_payload_len is None
+            and declared_data_len is None
+        ):
+            # Prime the loopback verdict for builder-made packets (route
+            # commands, engine responses): the direct hop reads it.
+            instance["_loopback"] = _round_trips(
+                spec, identifier, field_map, tail, garbage
+            )
 
     def __setattr__(self, name: str, value) -> None:
         cache = self.__dict__
@@ -444,10 +484,12 @@ class L2capPacket:
             cache[name] = value
             cache["_wire"] = None
             cache["_intrinsic"] = None
+            cache["_loopback"] = None
         elif name == "code":
             cache[name] = value
             cache["_wire"] = None
             cache["_intrinsic"] = None
+            cache["_loopback"] = None
             cache["_spec_cache"] = _UNSET
         elif name == "fields":
             fields = _FieldMap(value)
@@ -455,6 +497,7 @@ class L2capPacket:
             cache["fields"] = fields
             cache["_wire"] = None
             cache["_intrinsic"] = None
+            cache["_loopback"] = None
         else:
             cache[name] = value
 
@@ -766,6 +809,7 @@ class L2capPacket:
         state = dict(self.__dict__)
         state.pop("_wire", None)
         state.pop("_intrinsic", None)
+        state.pop("_loopback", None)
         state.pop("_spec_cache", None)
         return state
 
@@ -773,31 +817,43 @@ class L2capPacket:
         """Return self when ``decode(encode(self))`` is logically identical.
 
         The in-process virtual link uses this to hand the receiving stack
-        the already-decoded packet object instead of re-parsing the wire
-        bytes it just serialised. None means the packet does not survive
-        a decode round trip unchanged (length lies, missing or extra
-        fields, unknown codes, out-of-range identifiers) and the receiver
-        must parse the real bytes to see what a conformant stack sees.
+        the packet object itself instead of serialising it and parsing
+        the bytes back. None means the packet does not survive a decode
+        round trip unchanged (length lies, missing or extra fields,
+        unknown codes, values that do not fit their width or would not
+        encode at all) and must cross as real bytes, so the receiver
+        sees what a conformant stack sees.
+
+        The verdict is memoized on the packet (dropped on any mutation,
+        like the encode cache); template builders prime it at
+        construction so the hot path never recomputes it.
         """
-        if self.declared_payload_len is not None or self.declared_data_len is not None:
-            return None
-        if self.header_cid != SIGNALING_CID:
-            # B-frame: decode yields code=0, identifier=0, empty fields.
-            if self.code == 0 and self.identifier == 0 and not self.fields:
-                return self
-            return None
-        spec = self.spec
-        if spec is None:
-            return None
-        if not 0 <= self.identifier <= 0xFF:
-            return None
-        fields = self.fields
-        if len(fields) != len(spec.fields):
-            return None
-        for field in spec.fields:
-            if field.name not in fields:
-                return None
-        return self
+        eligible = self._loopback
+        if eligible is None:
+            header_cid = self.header_cid
+            if (
+                self.declared_payload_len is not None
+                or self.declared_data_len is not None
+            ):
+                eligible = False
+            elif header_cid == SIGNALING_CID:
+                eligible = _round_trips(
+                    self.spec, self.identifier, self.fields, self.tail, self.garbage
+                )
+            else:
+                # B-frame: decode yields code=0, identifier=0, empty fields.
+                eligible = (
+                    self.code == 0
+                    and self.identifier == 0
+                    and not self.fields
+                    and header_cid.__class__ is int
+                    and 0 <= header_cid <= 0xFFFF
+                    and self.tail.__class__ is bytes
+                    and self.garbage.__class__ is bytes
+                    and len(self.tail) <= MAX_L2CAP_PAYLOAD
+                )
+            self.__dict__["_loopback"] = eligible
+        return self if eligible else None
 
     @classmethod
     def from_wire_parts(
@@ -810,6 +866,8 @@ class L2capPacket:
         wire: bytes,
         spec: CommandSpec | None,
         header_cid: int = SIGNALING_CID,
+        intrinsic: tuple | None = None,
+        loopback: bool | None = None,
     ) -> "L2capPacket":
         """Build a packet around already-assembled *wire* bytes.
 
@@ -821,6 +879,13 @@ class L2capPacket:
         primes a parsed packet. The caller guarantees that *wire* is what
         :meth:`encode` would produce for these parts — the wire-fast-path
         equivalence tests pin that contract per target.
+
+        A template builder that also knows the packet's structural
+        validation facts (*intrinsic*, see
+        :mod:`repro.l2cap.validation`) and its loopback eligibility
+        (*loopback*, see :meth:`loopback_view`) primes them here; None
+        leaves them to be computed on first use. The parity tests pin
+        primed values to the freshly computed ones.
         """
         packet = cls.__new__(cls)
         fields = _FieldMap(field_values)
@@ -836,6 +901,8 @@ class L2capPacket:
         instance["declared_data_len"] = None
         instance["_spec_cache"] = spec
         instance["_wire"] = wire
+        instance["_intrinsic"] = intrinsic
+        instance["_loopback"] = loopback
         return packet
 
     def describe(self) -> str:

@@ -71,6 +71,10 @@ class ValidationReport:
 #: Shared empty report: the clean-packet fast path allocates nothing.
 _CLEAN_REPORT = ValidationReport(())
 
+#: Structural facts (see :func:`_structural_facts`) of a spec-clean
+#: signaling frame without a PSM at fault, for template builders to prime.
+CLEAN_FACTS: tuple[tuple[Violation, ...], bool] = ((), False)
+
 
 def _structural_facts(packet: L2capPacket) -> tuple[tuple[Violation, ...], bool]:
     """Packet-intrinsic validation facts, memoized on the packet.
@@ -168,7 +172,8 @@ def structural_reject_reason(
     memoized structural pass without building a report. One call per
     accepted signaling frame on the stack engine's hot path.
     """
-    if packet.wire_length > signaling_mtu:
+    wire = packet._wire
+    if (packet.wire_length if wire is None else len(wire)) > signaling_mtu:
         return RejectReason.SIGNALING_MTU_EXCEEDED
     facts = packet._intrinsic
     if facts is None:

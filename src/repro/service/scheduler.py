@@ -164,9 +164,12 @@ class JobScheduler:
                 kind="interrupted_job",
             )
         self._started = True
-        self._spawn_dispatcher()
+        # Scan for aborted chain tails before the dispatcher runs: a job
+        # the dispatcher aborts (and queues its own resume for) must not
+        # also be picked up here as a second resume of the same tail.
         if self.auto_resume:
             self._schedule_startup_resumes()
+        self._spawn_dispatcher()
 
     def _spawn_dispatcher(self) -> None:
         self._thread = threading.Thread(

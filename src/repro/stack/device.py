@@ -3,8 +3,15 @@
 A :class:`VirtualDevice` bundles the meta-information the paper's
 target-scanning phase collects (MAC address, device name, class of
 device, OUI), a vendor-flavoured :class:`~repro.stack.engine.HostStackEngine`,
-and the ACL framing glue that plugs into a
-:class:`~repro.hci.transport.VirtualLink`.
+and the link-endpoint glue that plugs into a
+:class:`~repro.hci.transport.VirtualLink`. The endpoint takes traffic
+two ways (see :mod:`repro.hci.transport`):
+
+* :meth:`VirtualDevice.handle_packet` — the direct hop: a packet object
+  in, the engine's response objects out;
+* :meth:`VirtualDevice.handle_acl_frame` — the bytes path: raw ACL
+  frames (fragmented, lossy-link or replayed traffic) are reassembled
+  and parsed, and every response goes back as a raw ACL frame.
 
 Crash handling: when the engine's injected bug fires, the device records
 the :class:`~repro.stack.crash.CrashReport`, renders the crash-dump
@@ -19,8 +26,8 @@ import re
 
 from repro.errors import PacketDecodeError, TargetCrashedError
 from repro.hci.fragmentation import Reassembler
-from repro.hci.packets import ACL_HEADER_LEN, AclPacket, HCI_ACL_DATA_PKT, encode_acl
-from repro.hci.transport import PacketFrame, SimClock, TaggedFrame, VirtualLink
+from repro.hci.packets import AclPacket, encode_acl
+from repro.hci.transport import SimClock, VirtualLink
 from repro.l2cap.constants import Psm
 from repro.l2cap.packets import L2capPacket
 from repro.stack.crash import CrashReport
@@ -141,72 +148,61 @@ class VirtualDevice:
     # -- link glue -----------------------------------------------------------------
 
     def attach_to(self, link: VirtualLink) -> None:
-        """Register this device as the remote endpoint of *link*."""
-        link.attach(self.handle_acl_frame, accepts_l2cap=True)
+        """Register this device as the remote endpoint of *link*, taking
+        the direct hop as well as raw frames."""
+        link.attach(self.handle_acl_frame, self.handle_packet)
 
-    def handle_acl_frame(
-        self, frame: bytes, l2cap: L2capPacket | None = None
-    ) -> list[bytes]:
-        """Process one raw ACL frame; return raw ACL responses.
+    def handle_packet(self, packet: L2capPacket, handle: int) -> list:
+        """Process one L2CAP packet object; return the responses.
 
-        Continuation fragments are recombined per connection handle; an
-        incomplete frame produces no response yet.
-
-        :param l2cap: the sender's already-decoded packet (loopback fast
-            path). It is trusted only when its cached encoding matches
-            the reassembled payload byte-for-byte, so the stack always
-            behaves exactly as if it had parsed the wire bytes.
+        This is the direct hop's endpoint. Responses that are their own
+        loopback view go back as packet objects; any other response is
+        serialised to the raw ACL frame the bytes path would carry on
+        *handle*, so the receiver parses what a conformant stack sees.
 
         :raises TargetCrashedError: when an injected bug fires (after the
             crash dump has been recorded on-device).
         """
-        hinted = False
-        if (
-            l2cap is not None
-            and len(frame) - ACL_HEADER_LEN == len(wire := l2cap.encode())
-            and frame[0] == HCI_ACL_DATA_PKT
-            and frame.endswith(wire)
-        ):
-            # Loopback fast path: a complete, unfragmented frame whose
-            # payload is byte-identical to the sender's decoded packet —
-            # skip the ACL parse and reassembly entirely. Hinted frames
-            # are never fragments, so the reassembler state is untouched.
-            handle = int.from_bytes(frame[1:3], "little") & 0x0FFF
-            packet = l2cap
-            hinted = True
-        else:
-            try:
-                acl = AclPacket.decode(frame)
-            except PacketDecodeError:
-                return []  # undecodable radio noise is dropped silently
-            payload = self._reassembler.feed(acl)
-            if payload is None:
-                return []  # waiting for more fragments
-            handle = acl.handle
-            if l2cap is not None and payload == l2cap.encode():
-                packet = l2cap
-            else:
-                try:
-                    packet = L2capPacket.decode(payload)
-                except PacketDecodeError:
-                    return []
         try:
             responses = self.engine.handle_l2cap(packet)
         except TargetCrashedError as crash_exc:
             self._record_crash(crash_exc.crash)
             raise
-        frames: list = []
         for response in responses:
-            view = response.loopback_view()
-            if view is not None and hinted:
-                # The sender proved it reads decoded packets (it hinted
-                # one down); hand the response back as an object and
-                # skip both serialisations entirely.
-                frames.append(PacketFrame(handle, view))
-                continue
-            raw = encode_acl(handle, response.encode())
-            frames.append(TaggedFrame.tag(raw, view) if view is not None else raw)
-        return frames
+            if not (response._loopback or response.loopback_view() is not None):
+                return [
+                    item if item.loopback_view() is not None
+                    else encode_acl(handle, item.encode())
+                    for item in responses
+                ]
+        return responses
+
+    def handle_acl_frame(self, frame: bytes) -> list[bytes]:
+        """Process one raw ACL frame; return raw ACL responses (bytes path).
+
+        Continuation fragments are recombined per connection handle; an
+        incomplete frame produces no response yet, and undecodable bytes
+        are dropped silently like radio noise.
+
+        :raises TargetCrashedError: when an injected bug fires.
+        """
+        try:
+            acl = AclPacket.decode(frame)
+        except PacketDecodeError:
+            return []
+        payload = self._reassembler.feed(acl)
+        if payload is None:
+            return []  # waiting for more fragments
+        try:
+            packet = L2capPacket.decode(payload)
+        except PacketDecodeError:
+            return []
+        return [
+            response
+            if response.__class__ is bytes
+            else encode_acl(acl.handle, response.encode())
+            for response in self.handle_packet(packet, acl.handle)
+        ]
 
     def _record_crash(self, crash: CrashReport) -> None:
         # Upper-layer handlers (SDP/RFCOMM) raise crashes past the

@@ -89,7 +89,7 @@ class HostStackEngine:
         self.personality = personality
         self.services = services
         self.clock = clock if clock is not None else SimClock()
-        self.vulnerabilities = tuple(vulnerabilities)
+        self._vulnerabilities = tuple(vulnerabilities)
         self.armed = armed
         self.data_handlers = dict(data_handlers or {})
         self.channels = ChannelManager(personality.max_channels)
@@ -117,6 +117,33 @@ class HostStackEngine:
         #: dispatcher of a real stack.
         self.transition_hits: Counter = Counter()
 
+    # -- bug arming -------------------------------------------------------------
+
+    @property
+    def armed(self) -> bool:
+        """Whether the injected bug models are live."""
+        return self._armed
+
+    @armed.setter
+    def armed(self, value: bool) -> None:
+        self._armed = value
+        self._rearm()
+
+    @property
+    def vulnerabilities(self) -> tuple[VulnerabilityModel, ...]:
+        """The injected bug models (evaluated only while :attr:`armed`)."""
+        return self._vulnerabilities
+
+    @vulnerabilities.setter
+    def vulnerabilities(self, models) -> None:
+        self._vulnerabilities = tuple(models)
+        self._rearm()
+
+    def _rearm(self) -> None:
+        # The live models, empty when disarmed: command handlers skip
+        # the bug-check call entirely on an empty tuple.
+        self._bug_models = self._vulnerabilities if self._armed else ()
+
     # -- public surface --------------------------------------------------------
 
     def handle_l2cap(self, packet: L2capPacket) -> list[L2capPacket]:
@@ -126,7 +153,8 @@ class HostStackEngine:
         """
         if self.crash is not None:
             return []
-        self.clock.advance(self._response_latency)
+        if self._response_latency:
+            self.clock.advance(self._response_latency)
 
         if packet.header_cid != SIGNALING_CID:
             return self._handle_data_frame(packet)
@@ -143,7 +171,14 @@ class HostStackEngine:
             self._record_transition(packet, "structural-reject")
             return [command_reject(RejectReason.COMMAND_NOT_UNDERSTOOD, packet.identifier)]
         responses = self._dispatch(packet)
-        self._record_transition(packet, self._outcome_of(responses))
+        self._record_transition(
+            packet,
+            "silent"
+            if not responses
+            else "reject"
+            if responses[0].code == CommandCode.COMMAND_REJECT
+            else "handled",
+        )
         return responses
 
     def reset(self) -> None:
@@ -178,14 +213,6 @@ class HostStackEngine:
         if cache[0] != self.channels.version:
             cache = self._refresh_ambient()
         self.transition_hits[(command, cache[2], outcome)] += 1
-
-    @staticmethod
-    def _outcome_of(responses: list[L2capPacket]) -> str:
-        if not responses:
-            return "silent"
-        if responses[0].code == CommandCode.COMMAND_REJECT:
-            return "reject"
-        return "handled"
 
     # -- helpers ---------------------------------------------------------------
 
@@ -267,7 +294,7 @@ class HostStackEngine:
 
         :raises TargetCrashedError: when a predicate matches (armed only).
         """
-        if not self.armed or not self.vulnerabilities or self.crash is not None:
+        if self.crash is not None:
             return
         effective_state = state if state is not None else self._ambient_state()
         context = TriggerContext(
@@ -279,7 +306,7 @@ class HostStackEngine:
                 block.state for block in self.channels.live_channels()
             ),
         )
-        for model in self.vulnerabilities:
+        for model in self._bug_models:
             if model.check(context):
                 self.crash = model.fire(context, self.clock.now)
                 raise TargetCrashedError(self.crash)
@@ -287,7 +314,8 @@ class HostStackEngine:
     def _unsolicited_response(self, packet: L2capPacket) -> list[L2capPacket]:
         """Handle a response command that answers nothing we sent."""
         if self.personality.accepts_unsolicited_responses:
-            self._check_bugs(packet, None)
+            if self._bug_models:
+                self._check_bugs(packet, None)
             return []  # the Android quirk of paper §III.C: silently eaten
         return [command_reject(RejectReason.COMMAND_NOT_UNDERSTOOD, packet.identifier)]
 
@@ -310,7 +338,8 @@ class HostStackEngine:
         return []  # rejects are terminal; never answered
 
     def _on_connection_req(self, packet: L2capPacket) -> list[L2capPacket]:
-        self._check_bugs(packet, ChannelState.CLOSED)
+        if self._bug_models:
+            self._check_bugs(packet, ChannelState.CLOSED)
         psm = packet.fields.get("psm", 0)
         scid = packet.fields.get("scid", 0)
 
@@ -364,7 +393,8 @@ class HostStackEngine:
         return responses
 
     def _on_create_channel_req(self, packet: L2capPacket) -> list[L2capPacket]:
-        self._check_bugs(packet, ChannelState.WAIT_CREATE)
+        if self._bug_models:
+            self._check_bugs(packet, ChannelState.WAIT_CREATE)
         psm = packet.fields.get("psm", 0)
         scid = packet.fields.get("scid", 0)
         cont_id = packet.fields.get("cont_id", 0)
@@ -455,7 +485,8 @@ class HostStackEngine:
             if self.personality.accepts_unallocated_cidp:
                 # The BlueDroid quirk: the CSM executes with whatever the
                 # lookup returned — the D1/D2 bug path.
-                self._check_bugs(packet, None)
+                if self._bug_models:
+                    self._check_bugs(packet, None)
                 return [
                     L2capPacket(
                         CommandCode.CONFIGURATION_RSP,
@@ -468,7 +499,8 @@ class HostStackEngine:
         if block.state not in CONFIGURATION_STATES and block.state is not ChannelState.OPEN:
             return [command_reject(RejectReason.COMMAND_NOT_UNDERSTOOD, packet.identifier)]
 
-        self._check_bugs(packet, block.state)
+        if self._bug_models:
+            self._check_bugs(packet, block.state)
         option_result = self._evaluate_config_options(packet)
         if option_result is not ConfigResult.SUCCESS:
             # Negotiation failure: the channel stays where it was and the
@@ -518,7 +550,8 @@ class HostStackEngine:
         if block is None or not block.local_config_sent or block.local_config_done:
             return self._unsolicited_response(packet)
 
-        self._check_bugs(packet, block.state)
+        if self._bug_models:
+            self._check_bugs(packet, block.state)
         result = packet.fields.get("result", 0)
         if result == ConfigResult.PENDING and self.personality.config_pending_supported:
             self._set_state(block, ChannelState.WAIT_IND_FINAL_RSP)
@@ -545,9 +578,11 @@ class HostStackEngine:
         scid = packet.fields.get("scid", 0)
         block = self.channels.get(dcid)
         if block is None or (block.remote_cid != scid and scid != 0):
-            self._check_bugs(packet, None)
+            if self._bug_models:
+                self._check_bugs(packet, None)
             return [command_reject(RejectReason.INVALID_CID, packet.identifier)]
-        self._check_bugs(packet, block.state)
+        if self._bug_models:
+            self._check_bugs(packet, block.state)
         self.channels.release(block.local_cid)
         self._visit(block.local_cid, ChannelState.CLOSED)
         return [
@@ -563,19 +598,22 @@ class HostStackEngine:
         block = self.channels.get(scid)
         if block is None or block.state is not ChannelState.WAIT_DISCONNECT:
             return self._unsolicited_response(packet)
-        self._check_bugs(packet, block.state)
+        if self._bug_models:
+            self._check_bugs(packet, block.state)
         self.channels.release(block.local_cid)
         self._visit(block.local_cid, ChannelState.CLOSED)
         return []
 
     def _on_echo_req(self, packet: L2capPacket) -> list[L2capPacket]:
-        self._check_bugs(packet, None)
+        if self._bug_models:
+            self._check_bugs(packet, None)
         return [
             L2capPacket(CommandCode.ECHO_RSP, packet.identifier, tail=packet.tail)
         ]
 
     def _on_information_req(self, packet: L2capPacket) -> list[L2capPacket]:
-        self._check_bugs(packet, None)
+        if self._bug_models:
+            self._check_bugs(packet, None)
         info_type = packet.fields.get("info_type", 0)
         payload = _INFO_PAYLOADS.get(info_type)
         if payload is None:
@@ -611,11 +649,13 @@ class HostStackEngine:
             return respond(MoveResult.REFUSED_NOT_ALLOWED)
         block = self.channels.get(icid)
         if block is None:
-            self._check_bugs(packet, None)
+            if self._bug_models:
+                self._check_bugs(packet, None)
             return [command_reject(RejectReason.INVALID_CID, packet.identifier)]
         if block.state is not ChannelState.OPEN:
             return respond(MoveResult.REFUSED_COLLISION)
-        self._check_bugs(packet, block.state)
+        if self._bug_models:
+            self._check_bugs(packet, block.state)
         self._visit(block.local_cid, ChannelState.WAIT_MOVE)
         self._set_state(block, ChannelState.WAIT_MOVE_CONFIRM)
         return respond(MoveResult.SUCCESS)
@@ -624,11 +664,13 @@ class HostStackEngine:
         icid = packet.fields.get("icid", 0)
         block = self.channels.get(icid)
         if not self.personality.supports_amp or block is None:
-            self._check_bugs(packet, None)
+            if self._bug_models:
+                self._check_bugs(packet, None)
             return [command_reject(RejectReason.INVALID_CID, packet.identifier)]
         if block.state is not ChannelState.WAIT_MOVE_CONFIRM:
             return [command_reject(RejectReason.COMMAND_NOT_UNDERSTOOD, packet.identifier)]
-        self._check_bugs(packet, block.state)
+        if self._bug_models:
+            self._check_bugs(packet, block.state)
         self._set_state(block, ChannelState.OPEN)
         return [
             L2capPacket(
@@ -646,7 +688,8 @@ class HostStackEngine:
         """
         if not self.personality.supports_le_signaling:
             return [command_reject(RejectReason.COMMAND_NOT_UNDERSTOOD, packet.identifier)]
-        self._check_bugs(packet, None)
+        if self._bug_models:
+            self._check_bugs(packet, None)
         code = packet.code
         if code == CommandCode.CONNECTION_PARAMETER_UPDATE_REQ:
             return [
