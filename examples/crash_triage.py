@@ -15,7 +15,7 @@ Run with::
 from __future__ import annotations
 
 from repro import FuzzConfig
-from repro.core.triage import minimize_trigger, replay, sent_packets, triage_report
+from repro.core.triage import replay, sent_packets, shrink_trigger, triage_report
 from repro.hci.transport import VirtualLink
 from repro.testbed import D2
 from repro.testbed.session import FuzzSession
@@ -46,8 +46,7 @@ def main() -> None:
     )
 
     print("\nStep 3 — delta-debug the trace to a minimal reproducer...")
-    minimal = minimize_trigger(packets, fresh_target)
-    final = replay(minimal, fresh_target)
+    minimal, final = shrink_trigger(packets, fresh_target, outcome)
     print(triage_report(minimal, final))
     print(
         f"\n{len(packets)} packets -> {len(minimal)}: the root cause is the "

@@ -376,10 +376,10 @@ def cmd_replay(args) -> int:
     """
     from repro.analysis.traceio import load_trace
     from repro.core.triage import (
-        minimize_trigger,
         profile_target_factory,
         replay,
         sent_packets,
+        shrink_trigger,
         triage_report,
     )
 
@@ -405,8 +405,7 @@ def cmd_replay(args) -> int:
         if not outcome.crashed:
             _echo("nothing to minimise (sequence does not crash the target)")
         else:
-            minimal = minimize_trigger(packets, factory)
-            _echo(triage_report(minimal, replay(minimal, factory)))
+            _echo(triage_report(*shrink_trigger(packets, factory, outcome)))
     return 0 if outcome.crashed else 1
 
 

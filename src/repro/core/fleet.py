@@ -1070,10 +1070,15 @@ class FleetOrchestrator:
         the interrupted run's write-back would seed resumed campaigns
         differently and break resume's byte-identity. The first run
         snapshots exactly what it used into the run directory; a resume
-        loads the snapshot instead of re-reading the corpus.
+        loads the snapshot instead of re-reading the corpus. The write
+        is atomic, so a kill mid-write leaves the whole snapshot or
+        none (and a resume without one re-reads the corpus, like the
+        first run did).
         """
         if self._recorder is None:
             return
+        from repro.telemetry.recorder import _atomic_write
+
         path = self._recorder.run_dir / CONTEXT_SNAPSHOT_FILENAME
         if self.resume_run_id is not None and path.exists():
             data = json.loads(path.read_text(encoding="utf-8"))
@@ -1084,7 +1089,8 @@ class FleetOrchestrator:
                 bytes.fromhex(chunk) for chunk in data["dictionary"]
             )
             return
-        path.write_text(
+        _atomic_write(
+            path,
             json.dumps(
                 {
                     "prior_visits": sorted(self._prior_visits.items()),
@@ -1094,7 +1100,6 @@ class FleetOrchestrator:
                 }
             )
             + "\n",
-            encoding="utf-8",
         )
 
     def _load_resume_checkpoints(self, specs) -> dict[int, CampaignSummary]:

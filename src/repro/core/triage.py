@@ -6,11 +6,18 @@ determined immediately." With saved traces (``repro.analysis.traceio``)
 and resettable virtual targets, we can do better than log hooking:
 
 * :func:`replay` re-sends a trace's transmitted packets against a fresh
-  target and reports whether (and where) the crash reproduces;
-* :func:`minimize_trigger` shrinks a crashing packet sequence to a
+  target and reports whether (and where) the crash reproduces. Packets
+  cross the link the way a campaign sends them (see
+  :mod:`repro.core.packet_queue`): as objects over the direct hop when
+  they are loopback-eligible, the link is loss-free and the device
+  attached a packet handler, as raw ACL frames otherwise;
+* :func:`shrink_trigger` shrinks a crashing packet sequence to a
   minimal reproducer with delta debugging (ddmin-style chunk removal),
   typically isolating the state-transition packets plus the single
-  malformed trigger.
+  malformed trigger. It starts from the crashing outcome the caller
+  already has and returns the minimal sequence's own outcome, so a
+  caller never replays a sequence just to learn what it already knows;
+  :func:`minimize_trigger` is the check-then-shrink convenience.
 """
 
 from __future__ import annotations
@@ -85,15 +92,23 @@ def replay(
 ) -> ReplayOutcome:
     """Re-send *packets* in order against a fresh target.
 
-    Responses are drained and discarded — replay only cares whether the
-    target survives the stimulus.
+    Responses are dropped — replay only cares whether the target
+    survives the stimulus. Each packet takes the same route
+    :meth:`repro.core.packet_queue.PacketQueue.send` would give it, so
+    the outcome matches the bytes path packet for packet.
     """
     device, link = target_factory()
+    direct = not link.loss_rate and link.packet_remote is not None
+    inbound = link.inbound
     for index, packet in enumerate(packets):
-        frame = AclPacket(handle=handle, payload=packet.encode()).encode()
         try:
-            link.send_frame(frame)
-            link.drain()
+            if direct and (packet._loopback or packet.loopback_view() is not None):
+                link.deliver(packet, handle)
+            else:
+                link.send_frame(
+                    AclPacket(handle=handle, payload=packet.encode()).encode()
+                )
+            inbound.clear()
         except TransportError as error:
             crash = getattr(device, "crash", None)
             return ReplayOutcome(
@@ -112,24 +127,25 @@ def replay(
     )
 
 
-def minimize_trigger(
+def shrink_trigger(
     packets: Sequence[L2capPacket],
     target_factory: TargetFactory,
+    outcome: ReplayOutcome,
     max_rounds: int = 16,
-) -> list[L2capPacket]:
-    """Delta-debug *packets* down to a minimal crashing subsequence.
+) -> tuple[list[L2capPacket], ReplayOutcome]:
+    """Delta-debug crashing *packets* down to a minimal subsequence.
 
     Classic ddmin shape: try dropping chunks at decreasing granularity,
     keeping any removal that still reproduces the crash. Each attempt
     uses a fresh target from *target_factory*, so the search is sound
     for deterministic triggers.
 
-    :raises ValueError: if the full sequence does not crash the target.
+    *outcome* is the crashing replay of *packets* the caller already
+    holds. Returns the minimal sequence with its own crashing outcome
+    (the last successful attempt's, or *outcome* when nothing could be
+    dropped) — replaying the result again would only repeat it.
     """
     current = list(packets)
-    if not replay(current, target_factory).crashed:
-        raise ValueError("the supplied packet sequence does not crash the target")
-
     chunk = max(1, len(current) // 2)
     rounds = 0
     while chunk >= 1 and rounds < max_rounds:
@@ -138,8 +154,9 @@ def minimize_trigger(
         index = 0
         while index < len(current):
             candidate = current[:index] + current[index + chunk :]
-            if candidate and replay(candidate, target_factory).crashed:
-                current = candidate
+            attempt = replay(candidate, target_factory) if candidate else None
+            if attempt is not None and attempt.crashed:
+                current, outcome = candidate, attempt
                 reduced_this_pass = True
                 # stay at the same index: the next chunk shifted into place
             else:
@@ -148,7 +165,22 @@ def minimize_trigger(
             if chunk == 1:
                 break
             chunk = max(1, chunk // 2)
-    return current
+    return current, outcome
+
+
+def minimize_trigger(
+    packets: Sequence[L2capPacket],
+    target_factory: TargetFactory,
+    max_rounds: int = 16,
+) -> list[L2capPacket]:
+    """Check that *packets* crash the target, then :func:`shrink_trigger` them.
+
+    :raises ValueError: if the full sequence does not crash the target.
+    """
+    outcome = replay(packets, target_factory)
+    if not outcome.crashed:
+        raise ValueError("the supplied packet sequence does not crash the target")
+    return shrink_trigger(packets, target_factory, outcome, max_rounds)[0]
 
 
 def triage_report(

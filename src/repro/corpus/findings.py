@@ -30,7 +30,7 @@ from pathlib import Path
 
 from repro.analysis.traceio import packets_from_hex, packets_to_hex
 from repro.core.detection import Finding, finding_key
-from repro.core.triage import minimize_trigger, profile_target_factory, replay
+from repro.core.triage import profile_target_factory, replay, shrink_trigger
 from repro.corpus.backend import CorpusBackend, open_backend
 from repro.l2cap.packets import L2capPacket
 
@@ -217,11 +217,14 @@ def record_from_campaign(
     """Minimise a campaign finding and store it in *database*.
 
     *packets* is the fuzzer→target prefix up to the detection; it is
-    delta-debugged down to the essential trigger (unless *minimize* is
-    off), replayed once to confirm and to harvest the crash ID, and
-    bucketed under the minimised-trigger hash. Reproducers always
-    minimise to the *earliest* trigger in the prefix, so auto-reset
-    campaigns that re-hit the same bug collapse into one bucket.
+    replayed once to confirm the crash, delta-debugged down to the
+    essential trigger (unless *minimize* is off), and bucketed under the
+    minimised-trigger hash. The crash ID comes from the minimal
+    sequence's own crashing replay — the last ddmin attempt that kept
+    it, or the confirming replay — so no sequence is replayed twice.
+    Reproducers always minimise to the *earliest* trigger in the prefix,
+    so auto-reset campaigns that re-hit the same bug collapse into one
+    bucket.
 
     Returns the database status, or ``"not-reproducible"`` when the
     prefix does not crash a fresh target (nothing is stored).
@@ -229,11 +232,11 @@ def record_from_campaign(
     fuzz_target = getattr(finding, "target", "l2cap")
     factory = profile_target_factory(profile, armed=True, fuzz_target=fuzz_target)
     sequence = list(packets)
-    if not replay(sequence, factory).crashed:
+    outcome = replay(sequence, factory)
+    if not outcome.crashed:
         return "not-reproducible"
     if minimize:
-        sequence = minimize_trigger(sequence, factory)
-    outcome = replay(sequence, factory)
+        sequence, outcome = shrink_trigger(sequence, factory, outcome)
     record = FindingRecord(
         vendor=profile.vendor,
         vulnerability_class=finding.vulnerability_class.value,

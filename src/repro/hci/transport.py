@@ -16,7 +16,9 @@ Two ways across, with identical clock, counter and crash semantics:
 * **bytes path** (:meth:`VirtualLink.send_frame`) — raw HCI ACL frames
   both ways, for fragmented sends (``acl_mtu``), lossy links
   (``loss_rate``), bytes-only remotes, packets that would not survive
-  the round trip, and raw-frame callers (triage replay).
+  the round trip, and raw-frame callers. Triage replay
+  (:func:`repro.core.triage.replay`) picks per packet by the same rule
+  as the packet queue.
 
 The link also owns the campaign's *simulated clock*. Real Bluetooth
 fuzzing throughput is dominated by radio turnaround and target processing

@@ -8,6 +8,8 @@ L2Fuzz methodology extends to SDP).
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import PacketDecodeError
 from repro.sdp.constants import ErrorCode, PduId
 from repro.sdp.data_elements import DataElement, ElementType, sequence
@@ -50,6 +52,21 @@ def _attribute_ranges(id_list: DataElement) -> list[tuple[int, int]]:
         else:
             ranges.append((int(child.value), int(child.value)))
     return ranges
+
+
+@functools.lru_cache(maxsize=256)
+def _search_attribute_body(
+    matches: tuple[SdpRecord, ...], ranges: tuple[tuple[int, int], ...]
+) -> bytes:
+    """Encoded ServiceSearchAttributeResponse parameters.
+
+    The body depends only on the matched records and the requested
+    ranges — both immutable, and equal across fresh devices of one
+    profile — so every server in the process shares one bounded memo
+    and a repeated browse costs a dict lookup instead of a re-encode.
+    """
+    lists = sequence(*(record.attribute_list(list(ranges)) for record in matches))
+    return ServiceSearchAttributeResponse(lists).encode()
 
 
 class SdpServer:
@@ -116,12 +133,10 @@ class SdpServer:
         req = ServiceSearchAttributeRequest.decode(pdu.parameters)
         matches = self._matching_records(req.search_pattern)
         ranges = _attribute_ranges(req.attribute_id_list)
-        lists = sequence(*(record.attribute_list(ranges) for record in matches))
-        response = ServiceSearchAttributeResponse(lists)
         return SdpPdu(
             PduId.SERVICE_SEARCH_ATTRIBUTE_RESPONSE,
             pdu.transaction_id,
-            response.encode(),
+            _search_attribute_body(tuple(matches), tuple(ranges)),
         ).encode()
 
     def _error(self, transaction_id: int, code: ErrorCode) -> bytes:

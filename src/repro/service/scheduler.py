@@ -342,8 +342,17 @@ class JobScheduler:
         self._update_queue_gauge()
         return record, True
 
-    def resume(self, job_id: str, tenant: str, auto: bool = False) -> JobRecord:
-        """Submit a continuation of a cancelled/aborted job."""
+    def resume(
+        self, job_id: str, tenant: str, auto: bool = False
+    ) -> JobRecord | None:
+        """Submit a continuation of a cancelled/aborted job.
+
+        A job has at most one continuation: the check and the create
+        share one lock, so a manual resume racing an automatic one
+        cannot fork the chain. A manual resume of an already-resumed
+        job raises :class:`JobStateError` naming the existing child; an
+        automatic one returns None and creates nothing.
+        """
         original = self.registry.get(job_id)
         if original.spec.tenant != tenant:
             raise UnknownJobError(job_id)
@@ -354,6 +363,20 @@ class JobScheduler:
                 "cancelled/aborted jobs with a run can be resumed"
             )
         with self._lock:
+            child = next(
+                (
+                    record
+                    for record in self.registry.jobs()
+                    if record.resume_of == job_id
+                ),
+                None,
+            )
+            if child is not None:
+                if auto:
+                    return None
+                raise JobStateError(
+                    f"job {job_id} was already resumed as {child.job_id}"
+                )
             self._check_admission(original.spec, charge_packets=False)
             record = self.registry.create(
                 original.spec,
@@ -494,6 +517,8 @@ class JobScheduler:
                     ServiceSaturatedError, UnknownJobError) as error:
                 _log.warning("auto-resume of %s skipped: %s", job_id, error)
                 continue
+            if replacement is None:
+                continue  # already resumed (manually) — nothing to do
             fired += 1
             _log.info(
                 "auto-resumed job %s as %s (attempt %d/%d)",

@@ -8,10 +8,12 @@ and the link-endpoint glue that plugs into a
 two ways (see :mod:`repro.hci.transport`):
 
 * :meth:`VirtualDevice.handle_packet` — the direct hop: a packet object
-  in, the engine's response objects out;
+  in, the engine's response objects out (campaign and replayed traffic
+  alike);
 * :meth:`VirtualDevice.handle_acl_frame` — the bytes path: raw ACL
-  frames (fragmented, lossy-link or replayed traffic) are reassembled
-  and parsed, and every response goes back as a raw ACL frame.
+  frames (fragmented, lossy-link or not round-trip-safe traffic) are
+  reassembled and parsed, and every response goes back as a raw ACL
+  frame.
 
 Crash handling: when the engine's injected bug fires, the device records
 the :class:`~repro.stack.crash.CrashReport`, renders the crash-dump

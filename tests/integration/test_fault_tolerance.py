@@ -259,6 +259,56 @@ class TestCheckpointResume:
         assert manifest["status"] == "finished"
         assert manifest["resumed"] is True
 
+    @pytest.mark.parametrize("kill_point", ["mid-write", "before-publish"])
+    def test_interrupted_context_snapshot_write_leaves_none(
+        self, tmp_path, monkeypatch, kill_point
+    ):
+        """A kill while the context snapshot is written leaves the whole
+        snapshot or none — never a torn file that resume dies on."""
+        import os
+        from pathlib import Path
+
+        from repro.core.fleet import CONTEXT_SNAPSHOT_FILENAME
+
+        reference = FleetOrchestrator(
+            **dict(self._params(tmp_path), telemetry_dir=None)
+        )
+        with reference:
+            expected = _rendered(reference.run())
+
+        real_write_text, real_replace = Path.write_text, os.replace
+
+        def torn_write(path, text, *args, **kwargs):
+            if CONTEXT_SNAPSHOT_FILENAME in path.name:
+                real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+                raise OSError("killed mid-write")
+            return real_write_text(path, text, *args, **kwargs)
+
+        def failed_publish(src, dst, *args, **kwargs):
+            if os.path.basename(dst) == CONTEXT_SNAPSHOT_FILENAME:
+                raise OSError("killed before publishing")
+            return real_replace(src, dst, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            if kill_point == "mid-write":
+                patch.setattr(Path, "write_text", torn_write)
+            else:
+                patch.setattr(os, "replace", failed_publish)
+            with pytest.raises(OSError, match="killed"):
+                FleetOrchestrator(**self._params(tmp_path))
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert not (run_dir / CONTEXT_SNAPSHOT_FILENAME).exists()
+
+        resumed = FleetOrchestrator(
+            **self._params(tmp_path, resume_run_id=run_dir.name)
+        )
+        with resumed:
+            assert _rendered(resumed.run()) == expected
+        snapshot = json.loads(
+            (run_dir / CONTEXT_SNAPSHOT_FILENAME).read_text(encoding="utf-8")
+        )
+        assert set(snapshot) == {"prior_visits", "dictionary"}
+
     def test_resume_requires_matching_fleet(self, tmp_path):
         plan = _plan(tmp_path, FaultSpec(kind="crash", spec_index=3))
         aborted = FleetOrchestrator(**self._params(tmp_path, fault_plan=plan))

@@ -282,6 +282,76 @@ class TestCancelAndResume:
             scheduler.cancel(record.job_id, "mallory")
 
 
+class TestOneContinuationPerJob:
+    """A job is resumed at most once: the chain never forks."""
+
+    def _aborted(self, scheduler) -> str:
+        record = scheduler.submit(spec())
+        scheduler.registry.update(
+            record.job_id, status="aborted", run_id="r1"
+        )
+        return record.job_id
+
+    def _children(self, scheduler, job_id: str) -> list:
+        return [
+            record
+            for record in scheduler.registry.jobs()
+            if record.resume_of == job_id
+        ]
+
+    def test_second_manual_resume_names_the_existing_child(self, tmp_path):
+        scheduler = make_scheduler(tmp_path)
+        job_id = self._aborted(scheduler)
+        child = scheduler.resume(job_id, "alpha")
+        with pytest.raises(JobStateError, match=child.job_id):
+            scheduler.resume(job_id, "alpha")
+        assert [record.job_id for record in self._children(scheduler, job_id)] == [
+            child.job_id
+        ]
+
+    def test_racing_manual_resumes_create_one_child(self, tmp_path):
+        scheduler = make_scheduler(tmp_path)
+        job_id = self._aborted(scheduler)
+        outcomes: list[str] = []
+        barrier = threading.Barrier(2)
+
+        def resume() -> None:
+            barrier.wait()
+            try:
+                scheduler.resume(job_id, "alpha")
+                outcomes.append("resumed")
+            except JobStateError:
+                outcomes.append("refused")
+
+        threads = [threading.Thread(target=resume) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert sorted(outcomes) == ["refused", "resumed"]
+        assert len(self._children(scheduler, job_id)) == 1
+
+    def test_pending_auto_resume_after_manual_resume_is_dropped(
+        self, tmp_path, caplog
+    ):
+        registry = SessionRegistry(tmp_path)
+        scheduler = JobScheduler(
+            registry,
+            TenantManager(tmp_path),
+            pool_workers=2,
+            auto_resume=True,
+        )
+        job_id = self._aborted(scheduler)
+        scheduler._queue_auto_resume(job_id)
+        manual = scheduler.resume(job_id, "alpha")
+        with caplog.at_level("WARNING", logger="repro.service.scheduler"):
+            assert scheduler.service_auto_resume() == 0
+        assert not caplog.records
+        assert [record.job_id for record in self._children(scheduler, job_id)] == [
+            manual.job_id
+        ]
+
+
 class TestRecovery:
     def test_restart_requeues_queued_and_aborts_running(self, tmp_path):
         registry = SessionRegistry(tmp_path)
