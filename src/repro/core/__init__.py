@@ -3,7 +3,6 @@
 from repro.core.config import FuzzConfig
 from repro.core.detection import Finding, VulnerabilityClass, VulnerabilityDetector
 from repro.core.fleet import (
-    CampaignRun,
     CampaignSpec,
     FleetFinding,
     FleetOrchestrator,
@@ -33,7 +32,6 @@ from repro.core.triage import ReplayOutcome, minimize_trigger, replay, sent_pack
 __all__ = [
     "BreadthFirstStrategy",
     "CampaignReport",
-    "CampaignRun",
     "CampaignSpec",
     "ChannelContext",
     "CoreFieldMutator",

@@ -11,8 +11,8 @@ Fault kinds (:data:`FAULT_KINDS`):
 
 * ``crash`` — the worker dies mid-shard. In a process-pool worker this
   is a hard ``os._exit`` (the orchestrator observes
-  ``BrokenProcessPool``); in a thread worker or the inline path it
-  raises :class:`WorkerCrashError`.
+  ``BrokenProcessPool``); on the inline path it raises
+  :class:`WorkerCrashError`.
 * ``hang`` — the worker sleeps for :attr:`FaultSpec.hang_seconds`
   before running the shard, exercising the supervisor's deadline and
   pool-restart path.

@@ -20,10 +20,10 @@ campaign context once, consume shards of campaign coordinates, and
 stream back compact binary summaries the merge works from directly
 (full reports are only reconstructed when export asks). Because every
 campaign owns its simulated clock, results are independent of worker
-count, batch size and completion order. Custom profile or strategy
-objects cannot ship to processes and fall back to a thread pool — which
-on CPython's GIL only overlaps I/O — announced by a single warning at
-construction. Scaling is *measured* in simulated wall-clock: each
+count, batch size and completion order. Workers rebuild every
+campaign from the testbed and strategy registries, so a fleet takes
+registry profiles and strategy names only — anything else is refused
+at construction. Scaling is *measured* in simulated wall-clock: each
 campaign occupies one worker (one dongle, in the paper's setup) for its
 simulated duration, and the fleet makespan is the greedy least-loaded
 schedule of those durations over the pool.
@@ -37,15 +37,13 @@ one vendor does.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import time
-import warnings
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.core.config import FuzzConfig
@@ -53,7 +51,6 @@ from repro.core.faults import FaultPlan
 from repro.core.report import CampaignReport, format_elapsed
 from repro.core.runtime import (
     CampaignSummary,
-    FindingSummary,
     FleetContext,
     FleetRuntime,
     SupervisionPolicy,
@@ -61,10 +58,10 @@ from repro.core.runtime import (
     iter_shard_specs,
     load_checkpoints,
 )
-from repro.core.strategies import ExplorationStrategy, make_strategy
+from repro.core.strategies import STRATEGY_NAMES
+from repro.durability import atomic_write
 from repro.l2cap.states import ChannelState
-from repro.testbed.profiles import DeviceProfile
-from repro.testbed.session import run_campaign
+from repro.testbed.profiles import PROFILES_BY_ID, DeviceProfile
 
 _log = logging.getLogger(__name__)
 
@@ -117,14 +114,6 @@ class CampaignSpec:
     target: str = "l2cap"
 
 
-@dataclasses.dataclass(frozen=True)
-class CampaignRun:
-    """A spec together with the report its campaign produced."""
-
-    spec: CampaignSpec
-    report: CampaignReport
-
-
 class SummaryRun:
     """A spec with its compact summary; the report materialises lazily.
 
@@ -133,7 +122,6 @@ class SummaryRun:
     the full :class:`~repro.core.report.CampaignReport` object graph is
     only rebuilt — once, cached — when something actually reads
     :attr:`report` (markdown/JSON export, the per-campaign tables).
-    Quacks like :class:`CampaignRun` everywhere a report consumer looks.
     """
 
     __slots__ = ("spec", "summary", "_report")
@@ -216,7 +204,7 @@ class FleetReport:
 
     fleet_seed: int
     workers: int
-    campaigns: tuple[CampaignRun, ...]
+    campaigns: tuple[SummaryRun, ...]
     findings: tuple[FleetFinding, ...]
     coverage_map: tuple[tuple[str, str, int], ...]
     state_spaces: tuple[tuple[str, int], ...]
@@ -271,7 +259,7 @@ class FleetReport:
 
     def strategy_table(self) -> list[dict]:
         """Per-strategy efficiency rows, in first-appearance order."""
-        grouped: dict[str, list[CampaignRun]] = {}
+        grouped: dict[str, list[SummaryRun]] = {}
         for run in self.campaigns:
             grouped.setdefault(run.spec.strategy, []).append(run)
         rows = []
@@ -437,7 +425,7 @@ class FleetReport:
         return "\n".join(lines)
 
 
-def _campaign_dict(run: CampaignRun) -> dict:
+def _campaign_dict(run: SummaryRun) -> dict:
     report = run.report
     return {
         "index": run.spec.index,
@@ -468,36 +456,8 @@ def _campaign_dict(run: CampaignRun) -> dict:
     }
 
 
-def _merge_facts(
-    run,
-) -> tuple[tuple[str, ...], int, float, tuple[FindingSummary, ...]]:
-    """Merge-relevant slice of one run, without materialising reports.
-
-    A :class:`SummaryRun` serves everything straight from its summary;
-    a plain :class:`CampaignRun` derives the same plain-data view from
-    its report, so both kinds merge through one code path.
-    """
-    summary = getattr(run, "summary", None)
-    if summary is not None:
-        return (
-            summary.covered_states,
-            summary.state_space,
-            summary.elapsed_seconds,
-            summary.findings,
-        )
-    report = run.report
-    return (
-        tuple(sorted(state.value for state in report.covered_states)),
-        report.state_space,
-        report.elapsed_seconds,
-        tuple(
-            FindingSummary.from_finding(finding) for finding in report.findings
-        ),
-    )
-
-
 def merge_reports(
-    runs: Sequence[CampaignRun],
+    runs: Sequence[SummaryRun],
     profiles_by_id: dict[str, DeviceProfile],
     fleet_seed: int,
     workers: int,
@@ -510,9 +470,7 @@ def merge_reports(
     ``(target, vendor, vulnerability_class, trigger)`` — keeping the
     first detection and counting the rest. Coverage is merged per
     (target, state) pair so protocols never pollute each other's maps.
-
-    Accepts :class:`CampaignRun` and :class:`SummaryRun` alike; runs
-    carrying summaries merge without reconstructing a single report.
+    The merge reads each run's summary; no report is reconstructed.
     """
     coverage_counts: dict[tuple[str, str], int] = {}
     state_spaces: dict[str, int] = {}
@@ -520,15 +478,15 @@ def merge_reports(
     # Insertion order = first-detection order (dicts preserve it).
     deduped: dict[tuple[str, str, str, str], FleetFinding] = {}
     for run in runs:
-        covered, state_space, elapsed, findings = _merge_facts(run)
+        summary = run.summary
         target = run.spec.target
-        state_spaces.setdefault(target, state_space)
-        durations.append(elapsed)
-        for token in covered:
+        state_spaces.setdefault(target, summary.state_space)
+        durations.append(summary.elapsed_seconds)
+        for token in summary.covered_states:
             key = (target, token)
             coverage_counts[key] = coverage_counts.get(key, 0) + 1
         vendor = profiles_by_id[run.spec.device_id].vendor
-        for finding in findings:
+        for finding in summary.findings:
             # The shared finding_key, spelled on plain data: the class
             # value string is what finding_key normalises enums to.
             key = (
@@ -574,9 +532,11 @@ def merge_reports(
 class FleetOrchestrator:
     """Runs the profile × strategy × target matrix and merges the results.
 
-    :param profiles: testbed profiles to fuzz.
-    :param strategies: strategy registry names (or instances), applied
-        to every profile.
+    :param profiles: testbed profiles to fuzz — registry entries
+        (:data:`~repro.testbed.profiles.PROFILES_BY_ID`) only.
+    :param strategies: strategy registry names
+        (:data:`~repro.core.strategies.STRATEGY_NAMES`), applied to
+        every profile.
     :param fleet_seed: master seed; per-campaign seeds derive from it.
     :param workers: worker-pool size for dispatch and for the simulated
         schedule.
@@ -609,8 +569,7 @@ class FleetOrchestrator:
         run's ``profiles/`` directory (requires *telemetry_dir*).
     :param fault_plan: deterministic fault injection
         (:class:`~repro.core.faults.FaultPlan`) shipped to the workers —
-        chaos runs and recovery tests only; requires a process-safe
-        fleet.
+        chaos runs and recovery tests only.
     :param resume_run_id: resume an interrupted telemetry run: its
         shard checkpoints are loaded, only the missing campaigns are
         dispatched, and the merged report is byte-identical to the
@@ -625,21 +584,24 @@ class FleetOrchestrator:
         serves every job. The fleet's context ships with each dispatch
         call (so the pool's initialised context is irrelevant), the
         orchestrator never closes the runtime, and its supervision
-        policy governs (*supervision* here is ignored). Requires a
-        process-safe fleet whose *workers* matches the runtime's pool
-        size (``workers`` is recorded in the merged report, so a job
-        must be attributed to the pool that actually ran it).
+        policy governs (*supervision* here is ignored). *workers* must
+        match the runtime's pool size (``workers`` is recorded in the
+        merged report, so a job must be attributed to the pool that
+        actually ran it).
     :param abort_check: polled between dispatch steps; when it returns
         True the run raises
         :class:`~repro.core.runtime.AbortRequested` after recording the
         failure on the manifest — completed shards keep their
         checkpoints, so the aborted run is resumable.
+    :raises ValueError: at construction — before any telemetry run
+        directory exists — for a profile that is not its registry
+        entry or a strategy that is not a registry name.
     """
 
     def __init__(
         self,
         profiles: Sequence[DeviceProfile],
-        strategies: Sequence[str | ExplorationStrategy],
+        strategies: Sequence[str],
         fleet_seed: int = 7,
         workers: int = 1,
         base_config: FuzzConfig | None = None,
@@ -674,6 +636,20 @@ class FleetOrchestrator:
             )
         for name in targets:
             make_target(name)  # fail fast on unknown targets
+        # Workers rebuild each campaign from the registries, so only
+        # registry inputs can ship to them.
+        for profile in profiles:
+            if PROFILES_BY_ID.get(profile.device_id) is not profile:
+                raise ValueError(
+                    f"profile {profile.device_id!r} is not a registry "
+                    "profile; fleets take PROFILES_BY_ID entries only"
+                )
+        for strategy in strategies:
+            if strategy not in STRATEGY_NAMES:
+                raise ValueError(
+                    f"unknown strategy {strategy!r}; fleets take registry "
+                    f"names only: {', '.join(STRATEGY_NAMES)}"
+                )
         self.profiles = tuple(profiles)
         self.strategies = tuple(strategies)
         self.targets = tuple(targets)
@@ -700,58 +676,21 @@ class FleetOrchestrator:
         self.resume_run_id = resume_run_id
         self.supervision = supervision
         #: Supervision stats from the most recent :meth:`run` (None
-        #: before any run, and on the thread-fallback path).
+        #: before any run).
         self.last_supervision: SupervisionStats | None = None
-        self._profiles_by_id = {
-            profile.device_id: profile for profile in self.profiles
-        }
-        # Picklability is a static property of the inputs: decide once,
-        # here, instead of re-deriving (or discovering via pickling
-        # errors) on every run. A fleet that cannot ship to worker
-        # processes silently loses real parallelism, so say so — once.
-        self._process_safe = self._compute_process_safe()
-        if self.workers > 1 and not self._process_safe:
-            warnings.warn(
-                "fleet inputs are not process-pool safe (custom profile "
-                "or strategy objects); campaigns will run on a thread "
-                "pool, which only overlaps I/O. Use registry profile and "
-                "strategy names for real CPU parallelism.",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        if fault_plan is not None and not self._process_safe:
+        if resume_run_id is not None and telemetry_dir is None:
             raise ValueError(
-                "fault injection hooks live in the shard workers; use "
-                "registry profiles and strategy names (a process-safe "
-                "fleet) with fault_plan"
+                "resume_run_id needs telemetry_dir — shard checkpoints "
+                "live in the telemetry run directory"
             )
-        if resume_run_id is not None:
-            if telemetry_dir is None:
-                raise ValueError(
-                    "resume_run_id needs telemetry_dir — shard "
-                    "checkpoints live in the telemetry run directory"
-                )
-            if not self._process_safe:
-                raise ValueError(
-                    "resume requires a process-safe fleet (registry "
-                    "profiles and strategy names): only shard workers "
-                    "write checkpoints"
-                )
         self._external_runtime = runtime
         self.abort_check = abort_check
-        if runtime is not None:
-            if not self._process_safe:
-                raise ValueError(
-                    "an external runtime ships the fleet context with "
-                    "every shard; use registry profiles and strategy "
-                    "names (a process-safe fleet)"
-                )
-            if runtime.workers != workers:
-                raise ValueError(
-                    f"external runtime has {runtime.workers} worker(s) "
-                    f"but the fleet declares {workers}; the report "
-                    "records the pool that actually ran it"
-                )
+        if runtime is not None and runtime.workers != workers:
+            raise ValueError(
+                f"external runtime has {runtime.workers} worker(s) but "
+                f"the fleet declares {workers}; the report records the "
+                "pool that actually ran it"
+            )
         self._signature = self._fleet_signature()
         if resume_run_id is not None:
             self._validate_resume()
@@ -827,7 +766,6 @@ class FleetOrchestrator:
             self._runtime = FleetRuntime(
                 context=self._build_context(),
                 workers=self.workers,
-                use_processes=self.workers > 1,
                 policy=self.supervision,
                 on_event=recorder.emit if recorder is not None else None,
             )
@@ -857,112 +795,96 @@ class FleetOrchestrator:
 
     def specs(self) -> tuple[CampaignSpec, ...]:
         """The fleet matrix in dispatch order (profile-major)."""
-        return tuple(spec for spec, _ in self._matrix())
+        return tuple(
+            CampaignSpec(
+                index=index,
+                device_id=profile.device_id,
+                strategy=strategy,
+                seed=derive_campaign_seed(self.fleet_seed, index),
+                target=target,
+            )
+            for index, (profile, strategy, target) in enumerate(
+                itertools.product(self.profiles, self.strategies, self.targets)
+            )
+        )
 
     def run(self) -> FleetReport:
         """Run every campaign and merge the results.
 
-        Results are ordered by spec index, so the merged report does not
-        depend on completion order (or on :attr:`workers` or
-        :attr:`batch` at all).
-
-        Process-safe fleets (registry profiles, strategy names) execute
-        on the persistent batched runtime and merge from compact
-        summaries; fleets built from in-process objects fall back to a
-        thread pool over full campaign objects (announced once, at
-        construction).
+        Campaigns execute on the persistent batched runtime and merge
+        from compact summaries. Results are ordered by spec index, so
+        the merged report does not depend on completion order (or on
+        :attr:`workers` or :attr:`batch` at all).
         """
-        matrix = self._matrix()
+        specs = self.specs()
         recorder = self._recorder
         wall_started = time.perf_counter()
         if recorder is not None:
-            recorder.run_started(
-                [spec for spec, _ in matrix], self.workers, self.batch
-            )
+            recorder.run_started(specs, self.workers, self.batch)
         _log.debug(
             "fleet run: %d campaign(s) over %d worker(s)%s",
-            len(matrix),
+            len(specs),
             self.workers,
             f" [telemetry run {self.run_id}]" if recorder is not None else "",
         )
-        quarantined: list[QuarantinedCampaign] = []
         try:
-            if self._process_safe:
-                specs = [spec for spec, _ in matrix]
-                by_index: dict[int, CampaignSummary] = (
-                    self._load_resume_checkpoints(specs)
-                    if self.resume_run_id is not None
-                    else {}
+            by_index: dict[int, CampaignSummary] = (
+                self._load_resume_checkpoints(specs)
+                if self.resume_run_id is not None
+                else {}
+            )
+            missing = [spec for spec in specs if spec.index not in by_index]
+            runtime = self._ensure_runtime()
+            dispatch_kwargs: dict = {}
+            if self.abort_check is not None:
+                dispatch_kwargs["should_abort"] = self.abort_check
+            if self._external_runtime is not None:
+                # A shared pool was initialised with someone else's
+                # context: ship this fleet's own with every shard, and
+                # route supervision events to this run's journal for
+                # the duration of the call.
+                dispatch_kwargs["context"] = self._build_context()
+                if recorder is not None:
+                    dispatch_kwargs["on_event"] = recorder.emit
+            try:
+                summaries = runtime.run_specs(
+                    iter_shard_specs(missing),
+                    batch=self.batch,
+                    **dispatch_kwargs,
                 )
-                missing = [
-                    spec for spec in specs if spec.index not in by_index
-                ]
-                runtime = self._ensure_runtime()
-                dispatch_kwargs: dict = {}
-                if self.abort_check is not None:
-                    dispatch_kwargs["should_abort"] = self.abort_check
-                if self._external_runtime is not None:
-                    # A shared pool was initialised with someone else's
-                    # context: ship this fleet's own with every shard,
-                    # and route supervision events to this run's
-                    # journal for the duration of the call.
-                    dispatch_kwargs["context"] = self._build_context()
-                    if recorder is not None:
-                        dispatch_kwargs["on_event"] = recorder.emit
-                try:
-                    summaries = runtime.run_specs(
-                        iter_shard_specs(missing),
-                        batch=self.batch,
-                        **dispatch_kwargs,
+            finally:
+                self.last_supervision = runtime.last_supervision
+                if not self._keep_runtime and self._runtime is not None:
+                    self._runtime.close()
+                    self._runtime = None
+            for spec, summary in zip(missing, summaries):
+                if summary is not None:
+                    by_index[spec.index] = summary
+            quarantined = []
+            for item in self.last_supervision.quarantined:
+                index, device_id, strategy, seed, target = item.spec
+                quarantined.append(
+                    QuarantinedCampaign(
+                        index=index,
+                        device_id=device_id,
+                        strategy=strategy,
+                        target=target,
+                        seed=seed,
+                        attempts=item.attempts,
+                        reason=item.reason,
                     )
-                finally:
-                    self.last_supervision = runtime.last_supervision
-                    if not self._keep_runtime and self._runtime is not None:
-                        self._runtime.close()
-                        self._runtime = None
-                for spec, summary in zip(missing, summaries):
-                    if summary is not None:
-                        by_index[spec.index] = summary
-                if self.last_supervision is not None:
-                    for item in self.last_supervision.quarantined:
-                        index, device_id, strategy, seed, target = item.spec
-                        quarantined.append(
-                            QuarantinedCampaign(
-                                index=index,
-                                device_id=device_id,
-                                strategy=strategy,
-                                target=target,
-                                seed=seed,
-                                attempts=item.attempts,
-                                reason=item.reason,
-                            )
-                        )
-                runs: list = [
-                    SummaryRun(spec, by_index[spec.index])
-                    for spec in specs
-                    if spec.index in by_index
-                ]
-            elif self.workers == 1:
-                self.last_supervision = None
-                runs = [
-                    self._run_spec(spec, strategy_input)
-                    for spec, strategy_input in matrix
-                ]
-            else:
-                self.last_supervision = None
-                with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                    runs = [
-                        run
-                        for run in pool.map(
-                            lambda job: self._run_spec(*job), matrix
-                        )
-                    ]
+                )
+            runs = [
+                SummaryRun(spec, by_index[spec.index])
+                for spec in specs
+                if spec.index in by_index
+            ]
             report = merge_reports(
                 runs,
-                self._profiles_by_id,
+                PROFILES_BY_ID,
                 self.fleet_seed,
                 self.workers,
-                quarantined=tuple(quarantined),
+                quarantined=quarantined,
             )
         except BaseException as error:
             # Abort path (includes KeyboardInterrupt — a killed run must
@@ -976,47 +898,12 @@ class FleetOrchestrator:
                 runs,
                 report,
                 wall_seconds=time.perf_counter() - wall_started,
-                profiles_by_id=self._profiles_by_id,
-                emit_campaign_events=not self._process_safe,
+                profiles_by_id=PROFILES_BY_ID,
                 supervision=self.last_supervision,
             )
             if not self._keep_runtime:
                 recorder.close()
         return report
-
-    def _matrix(self) -> tuple[tuple[CampaignSpec, str | ExplorationStrategy], ...]:
-        """Each spec paired with the strategy input that produced it."""
-        matrix = []
-        index = 0
-        for profile in self.profiles:
-            for strategy in self.strategies:
-                name = strategy if isinstance(strategy, str) else strategy.name
-                for target in self.targets:
-                    spec = CampaignSpec(
-                        index=index,
-                        device_id=profile.device_id,
-                        strategy=name,
-                        seed=derive_campaign_seed(self.fleet_seed, index),
-                        target=target,
-                    )
-                    matrix.append((spec, strategy))
-                    index += 1
-        return tuple(matrix)
-
-    def _compute_process_safe(self) -> bool:
-        """Whether the fleet can ship to worker processes.
-
-        A child process rebuilds each campaign from the testbed and
-        target registries, so every profile must be a registry profile
-        and every strategy a registry name (targets are always names).
-        Decided once at construction; see the warning emitted there.
-        """
-        from repro.testbed.profiles import PROFILES_BY_ID
-
-        return all(
-            PROFILES_BY_ID.get(profile.device_id) is profile
-            for profile in self.profiles
-        ) and all(isinstance(strategy, str) for strategy in self.strategies)
 
     # -- resume ---------------------------------------------------------------------
 
@@ -1077,8 +964,6 @@ class FleetOrchestrator:
         """
         if self._recorder is None:
             return
-        from repro.telemetry.recorder import _atomic_write
-
         path = self._recorder.run_dir / CONTEXT_SNAPSHOT_FILENAME
         if self.resume_run_id is not None and path.exists():
             data = json.loads(path.read_text(encoding="utf-8"))
@@ -1089,7 +974,7 @@ class FleetOrchestrator:
                 bytes.fromhex(chunk) for chunk in data["dictionary"]
             )
             return
-        _atomic_write(
+        atomic_write(
             path,
             json.dumps(
                 {
@@ -1125,33 +1010,6 @@ class FleetOrchestrator:
             len(specs),
         )
         return restored
-
-    def _run_spec(
-        self, spec: CampaignSpec, strategy_input: str | ExplorationStrategy
-    ) -> CampaignRun:
-        if isinstance(strategy_input, str):
-            strategy = make_strategy(
-                strategy_input,
-                target=self.target_state,
-                prior_visits=self._prior_visits or None,
-            )
-        else:
-            # Object strategies dispatch onto the thread pool, where one
-            # shared instance would leak per-campaign scheduling state
-            # (e.g. EnergyScheduler's live visit view) across concurrent
-            # campaigns; give every campaign its own copy.
-            strategy = copy.copy(strategy_input)
-        report = run_campaign(
-            self._profiles_by_id[spec.device_id],
-            config=dataclasses.replace(self.base_config, seed=spec.seed),
-            armed=self.armed,
-            strategy=strategy,
-            corpus_dir=self.corpus_dir,
-            dictionary=self._dictionary,
-            retain_trace=self.retain_trace,
-            target=spec.target,
-        )
-        return CampaignRun(spec=spec, report=report)
 
 
 def load_corpus_seeds(

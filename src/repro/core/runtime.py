@@ -34,6 +34,12 @@ re-ordered by spec index — the merged fleet report is byte-identical
 for any worker count and any batch size (pinned by the
 worker-independence tests).
 
+Dispatch has two paths: one worker runs every shard inline, in the
+calling process; more workers run shards over a supervised process
+pool. (``run_specs(supervised=False)`` — a bare ``pool.map`` — remains
+only as the reference the supervision-overhead benchmark compares
+against.)
+
 **Supervision** (the multi-worker default) dispatches shards as
 individual futures instead of one ``pool.map``: each in-flight shard
 carries a deadline derived from observed shard latency, worker death
@@ -63,7 +69,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from pathlib import Path
@@ -72,8 +77,9 @@ from statistics import median
 from repro.analysis.metrics import MutationEfficiency, measure
 from repro.core.config import FuzzConfig
 from repro.core.detection import Finding, VulnerabilityClass
-from repro.core.faults import FaultPlan, WorkerCrashError
+from repro.core.faults import FaultPlan
 from repro.core.report import CampaignReport
+from repro.durability import atomic_write
 from repro.errors import ReproError
 
 _log = logging.getLogger(__name__)
@@ -810,19 +816,17 @@ def write_checkpoints(
 ) -> None:
     """Persist a completed shard's summary blobs, one file per campaign.
 
-    Writes are atomic (pid-unique temp file + ``os.replace``): a reader
-    — or a resumed run — sees either a whole blob or no file, never a
-    torn one; a worker killed mid-write leaves at worst a stale temp
-    file. A retried shard simply overwrites its campaigns' files with
-    the identical bytes (campaigns are pure functions of their seeds).
+    Writes are atomic (:func:`~repro.durability.atomic_write`): a
+    reader — or a resumed run — sees either a whole blob or no file,
+    never a torn one; a worker killed mid-write leaves at worst a stale
+    temp file the ``campaign-*.bin`` glob never matches. A retried
+    shard simply overwrites its campaigns' files with the identical
+    bytes (campaigns are pure functions of their seeds).
     """
     checkpoint_dir = run_dir / CHECKPOINTS_DIRNAME
     checkpoint_dir.mkdir(parents=True, exist_ok=True)
     for spec, blob in zip(shard, blobs):
-        final = _checkpoint_path(run_dir, spec[0])
-        scratch = final.with_suffix(f".{os.getpid()}.tmp")
-        scratch.write_bytes(blob)
-        os.replace(scratch, final)
+        atomic_write(_checkpoint_path(run_dir, spec[0]), blob)
 
 
 def load_checkpoints(run_dir: Path) -> dict[int, CampaignSummary]:
@@ -957,9 +961,8 @@ class FleetRuntime:
     after :meth:`close` — because the pool is rebuilt on demand.
 
     :param context: the per-worker campaign context.
-    :param workers: pool size.
-    :param use_processes: real process parallelism (registry-only
-        fleets); False uses threads (custom in-process objects).
+    :param workers: pool size. One worker runs every shard inline, in
+        the calling process; more dispatch over a process pool.
     :param policy: supervision knobs; None takes the defaults.
     :param on_event: optional callable ``(event, **fields)`` receiving
         supervision events (``worker_crash``, ``shard_retry``,
@@ -971,7 +974,6 @@ class FleetRuntime:
         self,
         context: FleetContext,
         workers: int,
-        use_processes: bool = True,
         policy: SupervisionPolicy | None = None,
         on_event: Callable | None = None,
     ) -> None:
@@ -979,7 +981,6 @@ class FleetRuntime:
             raise ValueError("workers must be >= 1")
         self.context = context
         self.workers = workers
-        self.use_processes = use_processes
         self.policy = policy if policy is not None else SupervisionPolicy()
         self.on_event = on_event
         #: Stats from the most recent :meth:`run_specs` call.
@@ -995,19 +996,12 @@ class FleetRuntime:
 
     def _ensure_pool(self):
         if self._pool is None:
-            _log.debug(
-                "starting %s pool with %d worker(s)",
-                "process" if self.use_processes else "thread",
-                self.workers,
+            _log.debug("starting process pool with %d worker(s)", self.workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_worker_init,
+                initargs=(self.context,),
             )
-            if self.use_processes:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_worker_init,
-                    initargs=(self.context,),
-                )
-            else:
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def _restart_pool(self, stats: SupervisionStats | None = None) -> None:
@@ -1130,17 +1124,12 @@ class FleetRuntime:
             return [decode_summary(blob) for blob in blobs]
         if not supervised:
             pool = self._ensure_pool()
-            if self.use_processes:
-                if context is not None:
-                    shard_results = pool.map(
-                        _run_shard, shards, [active] * len(shards)
-                    )
-                else:
-                    shard_results = pool.map(_run_shard, shards)
-            else:
+            if context is not None:
                 shard_results = pool.map(
-                    lambda shard: run_shard(active, shard), shards
+                    _run_shard, shards, [active] * len(shards)
                 )
+            else:
+                shard_results = pool.map(_run_shard, shards)
             return [
                 decode_summary(blob)
                 for shard_blobs in shard_results
@@ -1170,15 +1159,9 @@ class FleetRuntime:
 
     def _submit(self, job: _ShardJob, context: FleetContext | None = None):
         pool = self._ensure_pool()
-        if self.use_processes:
-            if context is not None:
-                return pool.submit(_run_shard, job.shard, context)
-            return pool.submit(_run_shard, job.shard)
-        return pool.submit(
-            run_shard,
-            context if context is not None else self.context,
-            job.shard,
-        )
+        if context is not None:
+            return pool.submit(_run_shard, job.shard, context)
+        return pool.submit(_run_shard, job.shard)
 
     def _emit(self, event: str, **fields) -> None:
         _log.info(
@@ -1205,7 +1188,7 @@ class FleetRuntime:
         * **success** — decode, record, feed the latency estimator;
         * **decode failure** — the shard ran but returned garbage
           (truncated blob, wrong count): requeue with backoff;
-        * **worker exception** (thread pool) — requeue with backoff;
+        * **worker exception** — requeue with backoff;
         * **broken pool** (process worker died) — restart the pool,
           requeue the shard that surfaced the break with a bumped
           attempt count, requeue innocent in-flight shards unbumped;
@@ -1365,13 +1348,6 @@ class FleetRuntime:
                         victims.append(job)
                     continue
                 except Exception as error:  # noqa: BLE001 — worker raised
-                    if isinstance(error, WorkerCrashError):
-                        stats.worker_crashes += 1
-                        self._emit(
-                            "worker_crash",
-                            specs=[spec[0] for spec in job.shard],
-                            reason=str(error),
-                        )
                     requeue_failed(
                         job, f"{type(error).__name__}: {error}", now
                     )

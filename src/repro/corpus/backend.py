@@ -37,9 +37,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-import os
 import re
-import threading
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -59,20 +57,6 @@ SQLITE_FILE = "corpus.sqlite3"
 #: and a leading dot are excluded by construction, so a namespace can
 #: never escape its root or shadow the root's own layout files.
 NAMESPACE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """Publish *text* at *path* atomically (same-directory rename).
-
-    The temp name carries both pid and thread id: fleet workers may be
-    threads of one process, and two writers racing on one bucket must
-    never share a temp file (the loser's rename would raise).
-    """
-    tmp = path.with_name(
-        f".tmp-{os.getpid()}-{threading.get_ident()}-{path.name}"
-    )
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -38,13 +38,14 @@ import os
 import threading
 from pathlib import Path
 
-from repro.corpus.backend import CorpusBackend, _atomic_write, cmin_update
+from repro.corpus.backend import CorpusBackend, cmin_update
 from repro.corpus.entry import CorpusEntry, dict_to_entry, entry_to_dict
 from repro.corpus.findings import (
     FindingRecord,
     dict_to_record,
     record_to_dict,
 )
+from repro.durability import atomic_write
 
 try:  # pragma: no cover - fcntl is always present on the target platform
     import fcntl
@@ -133,7 +134,7 @@ class FileCorpusBackend(CorpusBackend):
         path = self.entries_dir / f"{entry.entry_id}.json"
         if path.exists():
             return False
-        _atomic_write(path, entry_line(entry))
+        atomic_write(path, entry_line(entry))
         return True
 
     def entries(self) -> list[CorpusEntry]:
@@ -184,12 +185,12 @@ class FileCorpusBackend(CorpusBackend):
         )
         if write:
             self.root.mkdir(parents=True, exist_ok=True)
-            _atomic_write(
+            atomic_write(
                 self.canonical_path,
                 "".join(entry_line(entry) for entry in canonical),
             )
             count, max_id = self._census(entries)
-            _atomic_write(
+            atomic_write(
                 self.canonical_meta_path,
                 json.dumps(
                     {"entry_count": count, "max_entry_id": max_id},
@@ -248,12 +249,12 @@ class FileCorpusBackend(CorpusBackend):
                 updated = dataclasses.replace(
                     seen, occurrences=seen.occurrences + record.occurrences
                 )
-                _atomic_write(
+                atomic_write(
                     path,
                     json.dumps(record_to_dict(updated), sort_keys=True) + "\n",
                 )
                 return "duplicate"
-            _atomic_write(
+            atomic_write(
                 path, json.dumps(record_to_dict(record), sort_keys=True) + "\n"
             )
             return "new"

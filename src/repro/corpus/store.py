@@ -25,7 +25,6 @@ from pathlib import Path
 from repro.corpus.backend import (
     CorpusBackend,
     CorpusStats,
-    _atomic_write,
     open_backend,
 )
 from repro.corpus.entry import (
@@ -33,6 +32,7 @@ from repro.corpus.entry import (
     entry_from_packets,
     transition_token,
 )
+from repro.durability import atomic_write
 
 ENTRIES_DIR = "entries"
 CANONICAL_FILE = "corpus.jsonl"
@@ -165,7 +165,7 @@ class CorpusStore:
         from repro.corpus.file_backend import entry_line
 
         entries = self.entries()
-        _atomic_write(
+        atomic_write(
             Path(path), "".join(entry_line(entry) for entry in entries)
         )
         return len(entries)

@@ -1,8 +1,8 @@
 """Session registry: every job's lifecycle, persisted and recoverable.
 
 One JSON manifest per job under ``<data_dir>/jobs/``, written
-atomically (same tmp + ``os.replace`` discipline as the telemetry
-manifests) so a poll or a crashed service never reads a torn record.
+atomically (:func:`repro.durability.atomic_write`, like every other
+store) so a poll or a crashed service never reads a torn record.
 The in-memory map is the hot path; disk is the durability story.
 
 **Write-ahead intents.** Every persist is two steps: the full new
@@ -40,6 +40,7 @@ import time
 from pathlib import Path
 
 from repro.core.faults import service_fault
+from repro.durability import atomic_write, temp_path
 from repro.errors import JournalWriteError
 from repro.service.jobs import JobRecord, JobSpec, UnknownJobError, new_job_id
 
@@ -47,12 +48,6 @@ _log = logging.getLogger(__name__)
 
 JOBS_DIRNAME = "jobs"
 WAL_DIRNAME = "wal"
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(f".tmp-{os.getpid()}-{path.name}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 class SessionRegistry:
@@ -95,7 +90,7 @@ class SessionRegistry:
         intent = self._intent_path(record.job_id)
         try:
             service_fault("registry.intent")
-            _atomic_write(intent, text)
+            atomic_write(intent, text)
             tear = service_fault("registry.manifest.pre")
             if tear is not None:
                 # Injected torn write: truncated bytes land on the real
@@ -104,9 +99,7 @@ class SessionRegistry:
                 # intent above.
                 manifest.write_text(text[: len(text) // 3], encoding="utf-8")
                 raise OSError(5, "injected torn manifest write")
-            tmp = manifest.with_name(
-                f".tmp-{os.getpid()}-{manifest.name}"
-            )
+            tmp = temp_path(manifest)
             tmp.write_text(text, encoding="utf-8")
             service_fault("registry.manifest.mid")
             os.replace(tmp, manifest)
@@ -142,7 +135,7 @@ class SessionRegistry:
                 _log.warning("discarding torn write-ahead intent %s", path)
                 path.unlink(missing_ok=True)
                 continue
-            _atomic_write(
+            atomic_write(
                 self._manifest_path(record.job_id),
                 json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n",
             )
@@ -299,7 +292,7 @@ class SessionRegistry:
     def save_report(self, job_id: str, report_json: str) -> None:
         """Persist the merged fleet report verbatim (byte-exact)."""
         try:
-            _atomic_write(self._report_path(job_id), report_json)
+            atomic_write(self._report_path(job_id), report_json)
         except OSError as error:
             raise JournalWriteError(self._report_path(job_id), error) from error
 

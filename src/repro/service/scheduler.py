@@ -247,7 +247,6 @@ class JobScheduler:
             self._runtime = FleetRuntime(
                 context=_bootstrap_context(),
                 workers=self.pool_workers,
-                use_processes=self.pool_workers > 1,
                 policy=self.supervision,
             )
         return self._runtime

@@ -35,6 +35,7 @@ import time
 import weakref
 from pathlib import Path
 
+from repro.durability import atomic_write
 from repro.errors import JournalWriteError
 from repro.telemetry.journal import (
     EVENTS_FILENAME,
@@ -73,12 +74,6 @@ def _utc_now() -> str:
     )
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def read_manifest(run_dir: str | Path) -> dict | None:
     """Parse a run directory's manifest; None when absent/unreadable."""
     path = Path(run_dir) / MANIFEST_FILENAME
@@ -114,7 +109,7 @@ def _finalize_abandoned(run_dir_text: str) -> None:
         writer.close()
         manifest["status"] = "aborted"
         manifest["finished"] = _utc_now()
-        _atomic_write(
+        atomic_write(
             run_dir / MANIFEST_FILENAME, json.dumps(manifest, indent=2) + "\n"
         )
     except OSError:  # pragma: no cover - telemetry must never mask exits
@@ -264,24 +259,19 @@ class RunRecorder:
         fleet_report,
         wall_seconds: float,
         profiles_by_id: dict,
-        emit_campaign_events: bool = False,
         supervision=None,
     ) -> None:
         """Fold one finished fleet run into journal + metrics.
 
-        :param emit_campaign_events: synthesize per-campaign events
-            orchestrator-side — used by the thread-fallback path, where
-            no worker segments exist. The process path's campaign events
-            come from the workers' own journal segments.
+        Per-campaign events come from the workers' own journal
+        segments; *runs* (``SummaryRun`` objects) feed the counters.
+
         :param supervision: the runtime's
             :class:`~repro.core.runtime.SupervisionStats` for this run,
             folded into retry/requeue counters. Deliberately *not* part
             of the fleet report — supervision activity varies with
             faults, the report must not.
         """
-        if emit_campaign_events:
-            for run in runs:
-                self._emit_synthesized_campaign(run, profiles_by_id)
         merged = merge_segments(self.run_dir)
         self._fold_worker_events(merged)
         for run in runs:
@@ -312,154 +302,68 @@ class RunRecorder:
 
     def write_exposition(self) -> None:
         """Write the JSON and Prometheus metric snapshots (atomic)."""
-        _atomic_write(
+        atomic_write(
             self.run_dir / METRICS_JSON_FILENAME, self.metrics.to_json() + "\n"
         )
-        _atomic_write(
+        atomic_write(
             self.run_dir / METRICS_PROM_FILENAME, self.metrics.to_prometheus()
         )
 
     # -- internals -------------------------------------------------------------------
 
     def _write_manifest(self) -> None:
-        _atomic_write(
+        atomic_write(
             self.run_dir / MANIFEST_FILENAME,
             json.dumps(self._manifest, indent=2) + "\n",
         )
 
-    @staticmethod
-    def _campaign_facts(run) -> dict:
-        """Merge-relevant campaign counters, off summary or report.
-
-        Duck-typed like :func:`repro.core.fleet._merge_facts`: a
-        ``SummaryRun`` serves plain data, a ``CampaignRun`` derives the
-        same view from its report.
-        """
-        summary = getattr(run, "summary", None)
-        if summary is not None:
-            return {
-                "packets_sent": summary.packets_sent,
-                "elapsed_sim_seconds": summary.elapsed_seconds,
-                "sent": summary.transmitted,
-                "malformed": summary.malformed,
-                "received": summary.received,
-                "rejections": summary.rejections,
-                "covered_states": list(summary.covered_states),
-                "state_space": summary.state_space,
-                "findings": len(summary.findings),
-                "coverage_unlocks": len(summary.coverage_samples),
-                "corpus_entries_added": summary.corpus_entries_added,
-                "corpus_findings_new": summary.corpus_findings_new,
-                "corpus_findings_duplicate": summary.corpus_findings_duplicate,
-                "sweeps": summary.sweeps_completed,
-            }
-        report = run.report
-        return {
-            "packets_sent": report.packets_sent,
-            "elapsed_sim_seconds": report.elapsed_seconds,
-            "sent": report.efficiency.transmitted,
-            "malformed": report.efficiency.malformed,
-            "received": report.efficiency.received,
-            "rejections": report.efficiency.rejections,
-            "covered_states": sorted(
-                state.value for state in report.covered_states
-            ),
-            "state_space": report.state_space,
-            "findings": len(report.findings),
-            "coverage_unlocks": None,
-            "corpus_entries_added": 0,
-            "corpus_findings_new": 0,
-            "corpus_findings_duplicate": 0,
-            "sweeps": report.sweeps_completed,
-        }
-
-    def _emit_synthesized_campaign(self, run, profiles_by_id: dict) -> None:
-        """Thread-fallback campaign events, from the run's report."""
-        spec = run.spec
-        facts = self._campaign_facts(run)
-        self.emit(
-            "campaign_start",
-            campaign=spec.index,
-            device=spec.device_id,
-            strategy=spec.strategy,
-            target=spec.target,
-            seed=spec.seed,
-        )
-        for ordinal, finding in enumerate(run.report.findings):
-            self.emit(
-                "finding",
-                campaign=spec.index,
-                finding=ordinal,
-                vulnerability_class=finding.vulnerability_class.value,
-                state=finding.state,
-                trigger=finding.trigger,
-                target=finding.target,
-                vendor=profiles_by_id[spec.device_id].vendor,
-                sim_time=round(finding.sim_time, 6),
-            )
-        self.emit(
-            "campaign_end",
-            campaign=spec.index,
-            device=spec.device_id,
-            strategy=spec.strategy,
-            target=spec.target,
-            packets_sent=facts["packets_sent"],
-            sweeps=facts["sweeps"],
-            elapsed_sim_seconds=round(facts["elapsed_sim_seconds"], 6),
-            sent=facts["sent"],
-            malformed=facts["malformed"],
-            received=facts["received"],
-            rejections=facts["rejections"],
-            covered_states=facts["covered_states"],
-            state_space=facts["state_space"],
-            findings=facts["findings"],
-        )
-
     def _fold_campaign(self, run, profiles_by_id: dict) -> None:
         spec = run.spec
-        facts = self._campaign_facts(run)
+        summary = run.summary
         metrics = self.metrics
         metrics.inc(
             "repro_campaigns_total", target=spec.target, strategy=spec.strategy
         )
         metrics.inc(
             "repro_packets_sent_total",
-            facts["packets_sent"],
+            summary.packets_sent,
             target=spec.target,
             strategy=spec.strategy,
         )
         metrics.inc(
-            "repro_packets_malformed_total", facts["malformed"], target=spec.target
+            "repro_packets_malformed_total", summary.malformed, target=spec.target
         )
         metrics.inc(
-            "repro_packets_received_total", facts["received"], target=spec.target
+            "repro_packets_received_total", summary.received, target=spec.target
         )
         metrics.inc(
-            "repro_rejections_total", facts["rejections"], target=spec.target
+            "repro_rejections_total", summary.rejections, target=spec.target
         )
-        if facts["findings"]:
+        if summary.findings:
             metrics.inc(
                 "repro_findings_total",
-                facts["findings"],
+                len(summary.findings),
                 target=spec.target,
                 vendor=profiles_by_id[spec.device_id].vendor,
             )
-        if facts["coverage_unlocks"] is not None:
-            metrics.inc(
-                "repro_coverage_unlocks_total",
-                facts["coverage_unlocks"],
-                target=spec.target,
-            )
-        for name, key in (
-            ("repro_corpus_entries_added_total", "corpus_entries_added"),
-            ("repro_corpus_findings_new_total", "corpus_findings_new"),
-            ("repro_corpus_findings_duplicate_total", "corpus_findings_duplicate"),
+        metrics.inc(
+            "repro_coverage_unlocks_total",
+            len(summary.coverage_samples),
+            target=spec.target,
+        )
+        for name, value in (
+            ("repro_corpus_entries_added_total", summary.corpus_entries_added),
+            ("repro_corpus_findings_new_total", summary.corpus_findings_new),
+            (
+                "repro_corpus_findings_duplicate_total",
+                summary.corpus_findings_duplicate,
+            ),
         ):
-            if facts[key]:
-                metrics.inc(name, facts[key])
+            if value:
+                metrics.inc(name, value)
         metrics.observe(
             "repro_campaign_sim_seconds",
-            facts["elapsed_sim_seconds"],
+            summary.elapsed_seconds,
             buckets=CAMPAIGN_SIM_BUCKETS,
         )
 

@@ -304,6 +304,68 @@ class TestFileStalenessMetadata:
         assert backend.canonical_is_stale()
 
 
+class TestFileLeftoverTempFiles:
+    """A writer killed between write and rename leaves a temp file that
+    no reader may pick up — whether the kill tore it or not."""
+
+    @staticmethod
+    def _kill_writes(patch, mode: str) -> None:
+        import os
+        from pathlib import Path
+
+        real_write_text = Path.write_text
+
+        def torn_write(path, text, *args, **kwargs):
+            real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("killed mid-write")
+
+        def never_published(src, dst, *args, **kwargs):
+            raise OSError("killed before publishing")
+
+        if mode == "torn":
+            patch.setattr(Path, "write_text", torn_write)
+        else:
+            patch.setattr(os, "replace", never_published)
+
+    def test_leftovers_change_no_read(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        root = tmp_path / "corpus"
+        backend = FileCorpusBackend(root)
+        _populate(backend)
+
+        def observed():
+            assert main(["corpus", "stats", str(root)]) == 0
+            return (
+                backend.entries(),
+                backend.finding_records(),
+                backend.entry_count(),
+                backend.finding_count(),
+                capsys.readouterr().out,
+            )
+
+        def files():
+            return {
+                path.name
+                for directory in (backend.entries_dir, backend.findings_dir)
+                for path in directory.iterdir()
+                if path.suffix != ".lock"
+            }
+
+        before, files_before = observed(), files()
+        for ident, mode in ((40, "torn"), (50, "whole")):
+            with monkeypatch.context() as patch:
+                self._kill_writes(patch, mode)
+                with pytest.raises(OSError, match="killed"):
+                    backend.add_entry(_entry(["OPEN>CLOSED"], ident=ident))
+                with pytest.raises(OSError, match="killed"):
+                    backend.record_finding(_record(trigger_hash=f"killed-{mode}"))
+        assert observed() == before
+        # One leftover per killed write: an entry and a bucket, each torn
+        # once and left whole once.
+        assert len(files() - files_before) == 4
+
+
 class TestSqliteIncrementalMinimize:
     def test_incremental_matches_full_scan(self, tmp_path):
         sqlite = SqliteCorpusBackend(tmp_path / "sqlite")

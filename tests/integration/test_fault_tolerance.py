@@ -388,7 +388,7 @@ class TestSummaryDecodeError:
 
 
 class TestBothPoolPaths:
-    """Worker failure mid-shard recovers on process *and* thread pools."""
+    """Worker failure mid-shard recovers on the process pool."""
 
     def _context(self, plan: FaultPlan | None = None) -> FleetContext:
         return FleetContext(
@@ -406,30 +406,13 @@ class TestBothPoolPaths:
         with _orchestrator() as orchestrator:
             return iter_shard_specs(orchestrator.specs())
 
-    def test_thread_pool_worker_failure_recovers(self, tmp_path):
-        specs = self._specs()
-        plan = _plan(tmp_path, FaultSpec(kind="crash", spec_index=0))
-        clean = FleetRuntime(self._context(), workers=2, use_processes=False)
-        with clean:
-            expected = clean.run_specs(specs)
-        runtime = FleetRuntime(
-            self._context(plan), workers=2, use_processes=False
-        )
-        with runtime:
-            summaries = runtime.run_specs(specs)
-        assert summaries == expected
-        assert runtime.last_supervision.worker_crashes >= 1
-        assert runtime.last_supervision.retries >= 1
-
     def test_process_pool_worker_failure_recovers(self, tmp_path):
         specs = self._specs()
         plan = _plan(tmp_path, FaultSpec(kind="crash", spec_index=0))
-        clean = FleetRuntime(self._context(), workers=2, use_processes=True)
+        clean = FleetRuntime(self._context(), workers=2)
         with clean:
             expected = clean.run_specs(specs)
-        runtime = FleetRuntime(
-            self._context(plan), workers=2, use_processes=True
-        )
+        runtime = FleetRuntime(self._context(plan), workers=2)
         with runtime:
             summaries = runtime.run_specs(specs)
         assert summaries == expected

@@ -6,19 +6,17 @@ import json
 
 import pytest
 
-from repro.analysis.metrics import MutationEfficiency
 from repro.core.config import FuzzConfig
-from repro.core.detection import Finding, VulnerabilityClass
+from repro.core.detection import VulnerabilityClass
 from repro.core.fleet import (
-    CampaignRun,
     CampaignSpec,
     FleetOrchestrator,
+    SummaryRun,
     derive_campaign_seed,
     merge_reports,
     simulated_makespan,
 )
-from repro.core.report import CampaignReport
-from repro.l2cap.states import ChannelState
+from repro.core.runtime import CampaignSummary, FindingSummary
 from repro.testbed.profiles import ALL_PROFILES, D1, D2, D3
 
 FLEET_PROFILES = ALL_PROFILES[:4]
@@ -105,24 +103,60 @@ class TestFleetShape:
             FleetOrchestrator([D2], ["sequential"], workers=0)
 
 
+class TestRegistryInputsOnly:
+    """Fleets take registry profiles and strategy names, nothing else."""
+
+    def test_object_strategy_rejected(self):
+        from repro.core.strategies import make_strategy
+
+        with pytest.raises(ValueError, match="registry names"):
+            FleetOrchestrator([D2], [make_strategy("sequential")])
+
+    def test_unknown_strategy_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            FleetOrchestrator([D2], ["sequential", "depth_breadth_first"])
+
+    def test_non_registry_profile_rejected_before_telemetry(self, tmp_path):
+        import dataclasses
+
+        custom = dataclasses.replace(D2, name="Custom D2")
+        telemetry_dir = tmp_path / "runs"
+        with pytest.raises(ValueError, match="not a registry profile"):
+            FleetOrchestrator(
+                [custom], ["sequential"], telemetry_dir=str(telemetry_dir)
+            )
+        # Refused before the recorder existed: no run directory at all.
+        assert not telemetry_dir.exists()
+
+
 def _synthetic_run(index, device_id, strategy, trigger, vuln=VulnerabilityClass.DOS):
-    finding = Finding(
-        vulnerability_class=vuln,
+    finding = FindingSummary(
+        vulnerability_class=vuln.value,
         error_message="Connection Failed",
         state="WAIT_CONFIG",
         trigger=trigger,
         sim_time=10.0 + index,
         ping_failed=True,
+        crash_dump="",
+        target="l2cap",
     )
-    report = CampaignReport(
+    summary = CampaignSummary(
         target_name=device_id,
-        findings=(finding,),
-        elapsed_seconds=100.0 + index,
+        fuzz_target="l2cap",
+        strategy=strategy,
+        state_space=19,
         packets_sent=500,
         sweeps_completed=1,
-        efficiency=MutationEfficiency(500, 300, 400, 100, 100.0 + index),
-        covered_states=frozenset({ChannelState.CLOSED, ChannelState.WAIT_CONFIG}),
-        strategy=strategy,
+        elapsed_seconds=100.0 + index,
+        transmitted=500,
+        malformed=300,
+        received=400,
+        rejections=100,
+        covered_states=("CLOSED", "WAIT_CONFIG"),
+        state_visits=(),
+        transition_visits=(),
+        findings=(finding,),
+        coverage_samples=(),
     )
     spec = CampaignSpec(
         index=index,
@@ -130,7 +164,7 @@ def _synthetic_run(index, device_id, strategy, trigger, vuln=VulnerabilityClass.
         strategy=strategy,
         seed=derive_campaign_seed(7, index),
     )
-    return CampaignRun(spec=spec, report=report)
+    return SummaryRun(spec, summary)
 
 
 class TestFindingDedup:

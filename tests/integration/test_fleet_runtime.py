@@ -1,14 +1,12 @@
 """Integration tests for fleets on the persistent batched runtime.
 
 The contract under test: execution topology — worker count, shard
-granularity, pool reuse, process vs. thread fallback — must never
+granularity, pool reuse, inline vs. process pool — must never
 change what a fleet computes. Only the schedule-derived summary fields
 may vary with the worker count.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -110,66 +108,6 @@ class TestPersistentRuntime:
         persistent.run()
         assert persistent._runtime is not None
         persistent.close()
-
-
-class TestThreadFallback:
-    @staticmethod
-    def _custom_strategy():
-        class EchoStrategy:
-            name = "custom-echo"
-
-            def plan(self, base_plan, visits):
-                return base_plan
-
-            def packets_per_command(self, state, default):
-                return default
-
-        return EchoStrategy()
-
-    def test_single_warning_at_construction(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            orchestrator = FleetOrchestrator(
-                profiles=ALL_PROFILES[:1],
-                strategies=(self._custom_strategy(),),
-                workers=2,
-                base_config=FuzzConfig(max_packets=400),
-            )
-            orchestrator.run()
-            orchestrator.run()
-        fallback = [
-            entry
-            for entry in caught
-            if issubclass(entry.category, RuntimeWarning)
-            and "thread" in str(entry.message)
-        ]
-        assert len(fallback) == 1
-
-    def test_no_warning_for_registry_fleet(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with _orchestrator(workers=2) as orchestrator:
-                orchestrator.run()
-        assert not [
-            entry
-            for entry in caught
-            if issubclass(entry.category, RuntimeWarning)
-        ]
-
-    def test_single_worker_object_fleet_never_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            FleetOrchestrator(
-                profiles=ALL_PROFILES[:1],
-                strategies=(self._custom_strategy(),),
-                workers=1,
-                base_config=FuzzConfig(max_packets=300),
-            ).run()
-        assert not [
-            entry
-            for entry in caught
-            if issubclass(entry.category, RuntimeWarning)
-        ]
 
 
 class TestBatchedCorpusWriteBack:

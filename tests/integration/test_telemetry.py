@@ -176,30 +176,6 @@ class TestTelemetryParity:
         assert report.vulnerability_found
 
 
-class TestThreadFallbackPath:
-    def test_synthesized_campaign_events(self, tmp_path):
-        # A custom (non-registry) profile forces the thread pool; the
-        # orchestrator synthesizes campaign events from the reports.
-        import dataclasses as dc
-
-        custom = dc.replace(ALL_PROFILES[0], device_id="DX", name="Custom")
-        with pytest.warns(RuntimeWarning, match="not process-pool safe"):
-            orchestrator = _fleet(
-                tmp_path,
-                profiles=[custom],
-                strategies=["sequential"],
-                targets=("l2cap",),
-                workers=2,
-            )
-        with orchestrator:
-            report = orchestrator.run()
-        events = read_events(orchestrator.run_dir / EVENTS_FILENAME)
-        ends = [e for e in events if e["event"] == "campaign_end"]
-        assert len(ends) == len(report.campaigns)
-        assert ends[0]["packets_sent"] == report.campaigns[0].report.packets_sent
-        assert all(e["worker"] == "orchestrator" for e in ends)
-
-
 class TestCrashSafety:
     def test_finalize_abandoned_merges_and_marks_aborted(self, tmp_path):
         recorder = RunRecorder(tmp_path / "runs", workers=2)

@@ -14,18 +14,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.metrics import MutationEfficiency
 from repro.core.config import FuzzConfig
-from repro.core.detection import Finding, VulnerabilityClass
+from repro.core.detection import VulnerabilityClass
 from repro.core.fleet import (
-    CampaignRun,
     CampaignSpec,
     FleetOrchestrator,
+    SummaryRun,
     derive_campaign_seed,
     merge_reports,
 )
-from repro.core.report import CampaignReport
-from repro.l2cap.states import ChannelState
+from repro.core.runtime import CampaignSummary, FindingSummary
 from repro.targets import TARGET_NAMES, make_target
 from repro.testbed.profiles import D1, D2, D5, PROFILES_BY_ID
 from repro.testbed.session import FuzzSession, run_campaign
@@ -209,24 +207,33 @@ class TestConfirmedCoverage:
 
 
 def _synthetic_run(index, device_id, trigger, target):
-    finding = Finding(
-        vulnerability_class=VulnerabilityClass.DOS,
+    finding = FindingSummary(
+        vulnerability_class=VulnerabilityClass.DOS.value,
         error_message="Connection Failed",
         state="WAIT_CONFIG",
         trigger=trigger,
         sim_time=10.0 + index,
         ping_failed=True,
+        crash_dump="",
         target=target,
     )
-    report = CampaignReport(
+    summary = CampaignSummary(
         target_name=device_id,
-        findings=(finding,),
-        elapsed_seconds=100.0,
+        fuzz_target=target,
+        strategy="sequential",
+        state_space=19,
         packets_sent=500,
         sweeps_completed=1,
-        efficiency=MutationEfficiency(500, 300, 400, 100, 100.0),
-        covered_states=frozenset({ChannelState.CLOSED}),
-        fuzz_target=target,
+        elapsed_seconds=100.0,
+        transmitted=500,
+        malformed=300,
+        received=400,
+        rejections=100,
+        covered_states=("CLOSED",),
+        state_visits=(),
+        transition_visits=(),
+        findings=(finding,),
+        coverage_samples=(),
     )
     spec = CampaignSpec(
         index=index,
@@ -235,7 +242,7 @@ def _synthetic_run(index, device_id, trigger, target):
         seed=derive_campaign_seed(7, index),
         target=target,
     )
-    return CampaignRun(spec=spec, report=report)
+    return SummaryRun(spec, summary)
 
 
 class TestCrossProtocolDedup:
