@@ -1,21 +1,17 @@
-"""Storage-backend benchmark: ingest and query throughput, both backends.
+"""Corpus storage benchmark: SQLite ingest, stats and query throughput.
 
 Ingests one synthetic corpus (entries plus finding buckets, duplicates
-included) into a fresh file-layout corpus and a fresh SQLite (WAL)
-corpus, then times the two read paths every consumer hammers: the
-aggregate ``stats()`` pass and filtered ``query_findings`` lookups.
+included) into a fresh corpus database the way fleet shards write back
+— one transaction per :data:`SHARD_ENTRIES` entries, one for the new
+buckets, one for the duplicate pass — then times the two read paths
+every consumer hammers: the aggregate ``stats()`` pass and filtered
+``query_findings`` lookups (each the best of :data:`READ_TRIALS`
+trials).
 
-Every run appends to ``benchmarks/BENCH_storage.json``. Two gates:
-
-* **SQLite speedup** — in full mode (a ≥10k-entry corpus) the SQLite
-  backend must answer stats and filtered queries at least
-  :data:`SPEEDUP_FLOOR_FULL` times faster than the file layout; the
-  ``--quick`` smoke corpus is far too small to show the real gap, so it
-  only enforces :data:`SPEEDUP_FLOOR_QUICK`.
-* **file-backend ingest** — ingest throughput on the *file* backend
-  must not drop more than :data:`REGRESSION_TOLERANCE` below the median
-  of the last three recorded same-mode runs (the backend rework must
-  not tax the default path).
+Every run appends to ``benchmarks/BENCH_storage.json``. Three gates,
+one per metric: ingest throughput, ``stats()`` time and filtered-query
+time must each stay within :data:`REGRESSION_TOLERANCE` of the median
+of the last three recorded runs of the same mode and shard size.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ import time
 from pathlib import Path
 
 from repro.corpus.entry import entry_from_packets
-from repro.corpus.file_backend import FileCorpusBackend
 from repro.corpus.findings import FindingRecord
 from repro.corpus.sqlite_backend import SqliteCorpusBackend
 from repro.l2cap.packets import echo_request
@@ -39,21 +34,30 @@ QUICK_ENTRIES = 400
 BUCKETS = 200
 QUICK_BUCKETS = 30
 QUERY_REPS = 20
-QUICK_QUERY_REPS = 5
+QUICK_QUERY_REPS = 20
 
-#: Full-corpus gate: SQLite must win stat/query by at least this factor.
-SPEEDUP_FLOOR_FULL = 5.0
-#: Smoke-corpus gate: the tiny corpus only has to keep SQLite ahead.
-SPEEDUP_FLOOR_QUICK = 1.2
+#: Entries per ingest transaction (a fleet shard's write-back).
+SHARD_ENTRIES = 100
 
-#: Fail when file-backend ingest drops more than this below the median
-#: of the last three same-mode runs.
+#: Timed repetitions of each read path; the fastest one is recorded.
+READ_TRIALS = 3
+
+#: Fail when a metric is more than this worse than the median of the
+#: last three same-mode runs (ingest rate lower, read time higher by
+#: the same factor).
 REGRESSION_TOLERANCE = 0.35
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_storage.json"
 
 STATES = ("CLOSED", "WAIT_CONNECT", "WAIT_CONFIG", "OPEN", "WAIT_DISCONNECT")
 VENDORS = ("Google", "Apple", "Samsung", "Murata")
+
+#: (metric, True when higher is better) — one gate each.
+GATED = (
+    ("ingest_eps", True),
+    ("stat_seconds", False),
+    ("query_seconds", False),
+)
 
 
 def _load_results() -> dict:
@@ -62,9 +66,18 @@ def _load_results() -> dict:
     return {"baseline": {}, "runs": []}
 
 
-def _reference_eps(runs: list[dict], mode: str) -> float | None:
-    """Median file-backend ingest rate of the last 3 *mode* runs."""
-    history = [run["file"]["ingest_eps"] for run in runs if run["mode"] == mode]
+def _reference(runs: list[dict], mode: str, metric: str) -> float | None:
+    """Median *metric* of the last 3 comparable *mode* runs.
+
+    Comparable means the same mode and the same shard-sized ingest
+    transactions; runs recorded before batched ingest carry no
+    ``shard_entries`` field and never vote.
+    """
+    history = [
+        run["sqlite"][metric]
+        for run in runs
+        if run["mode"] == mode and run.get("shard_entries") == SHARD_ENTRIES
+    ]
     if not history:
         return None
     tail = sorted(history[-3:])
@@ -114,128 +127,113 @@ def _synthetic_records(count: int) -> list[FindingRecord]:
     ]
 
 
-def _measure_backend(backend, entries, records, query_reps: int) -> dict:
+def _best_of(trials: int, func) -> float:
+    best = float("inf")
+    for _ in range(trials):
+        start = time.perf_counter()
+        func()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _measure(backend, entries, records, query_reps: int) -> dict:
     start = time.perf_counter()
-    for entry in entries:
-        backend.add_entry(entry)
-    for record in records:
-        backend.record_finding(record)
-    for record in records:  # duplicate pass: the occurrence-bump path
-        backend.record_finding(record)
+    for first in range(0, len(entries), SHARD_ENTRIES):
+        backend.ingest([(entries[first : first + SHARD_ENTRIES], ())])
+    backend.ingest([((), records)])
+    backend.ingest([((), records)])  # duplicate pass: the occurrence bump
     ingest = time.perf_counter() - start
 
-    start = time.perf_counter()
-    for _ in range(query_reps):
-        stats = backend.stats()
-    stat_seconds = time.perf_counter() - start
+    def stats_pass():
+        for _ in range(query_reps):
+            backend.stats()
 
-    start = time.perf_counter()
-    for _ in range(query_reps):
-        for vendor in VENDORS:
-            backend.query_findings(vendor=vendor, vulnerability_class="DoS")
-    query_seconds = time.perf_counter() - start
+    def query_pass():
+        for _ in range(query_reps):
+            for vendor in VENDORS:
+                backend.query_findings(vendor=vendor, vulnerability_class="DoS")
 
+    stat_seconds = _best_of(READ_TRIALS, stats_pass)
+    query_seconds = _best_of(READ_TRIALS, query_pass)
+
+    stats = backend.stats()
     assert stats.entry_count == len(entries)
     assert stats.finding_count == len(records)
     assert stats.occurrence_total == 2 * len(records)
     operations = len(entries) + 2 * len(records)
     return {
-        "ingest_seconds": round(ingest, 4),
+        "ingest_seconds": round(ingest, 6),
         "ingest_eps": round(operations / ingest, 1),
-        "stat_seconds": round(stat_seconds, 4),
-        "query_seconds": round(query_seconds, 4),
+        "stat_seconds": round(stat_seconds, 6),
+        "query_seconds": round(query_seconds, 6),
     }
 
 
-def _run_comparison(entry_count: int, bucket_count: int, query_reps: int):
+def _run(entry_count: int, bucket_count: int, query_reps: int) -> dict:
     entries = _synthetic_entries(entry_count)
     records = _synthetic_records(bucket_count)
-    results = {}
     scratch = Path("benchmarks") / ".bench_storage_scratch"
     shutil.rmtree(scratch, ignore_errors=True)
+    backend = SqliteCorpusBackend(scratch)
     try:
-        for name, factory in (
-            ("file", FileCorpusBackend),
-            ("sqlite", SqliteCorpusBackend),
-        ):
-            backend = factory(scratch / name)
-            results[name] = _measure_backend(
-                backend, entries, records, query_reps
-            )
-            backend.close()
+        return _measure(backend, entries, records, query_reps)
     finally:
+        backend.close()
         shutil.rmtree(scratch, ignore_errors=True)
-    return results
 
 
 def bench_storage(benchmark, quick):
     entry_count = scaled(quick, ENTRIES, QUICK_ENTRIES)
     bucket_count = scaled(quick, BUCKETS, QUICK_BUCKETS)
     query_reps = scaled(quick, QUERY_REPS, QUICK_QUERY_REPS)
-    results = run_once(
-        benchmark,
-        lambda: _run_comparison(entry_count, bucket_count, query_reps),
+    result = run_once(
+        benchmark, lambda: _run(entry_count, bucket_count, query_reps)
     )
-    stat_speedup = results["file"]["stat_seconds"] / results["sqlite"][
-        "stat_seconds"
-    ]
-    query_speedup = results["file"]["query_seconds"] / results["sqlite"][
-        "query_seconds"
-    ]
     mode = "quick" if quick else "full"
     entry = {
         "mode": mode,
         "entries": entry_count,
         "buckets": bucket_count,
-        "file": results["file"],
-        "sqlite": results["sqlite"],
-        "stat_speedup": round(stat_speedup, 1),
-        "query_speedup": round(query_speedup, 1),
+        "shard_entries": SHARD_ENTRIES,
+        "sqlite": result,
         "recorded": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         ),
     }
 
     data = _load_results()
-    # The reference is computed over the runs recorded *before* this
-    # one: a run must not vote on its own gate.
-    reference = _reference_eps(data.get("runs", []), mode)
+    # References are computed over the runs recorded *before* this one:
+    # a run must not vote on its own gate.
+    references = {
+        metric: _reference(data.get("runs", []), mode, metric)
+        for metric, _ in GATED
+    }
     data.setdefault("runs", []).append(entry)
     data["runs"] = data["runs"][-50:]
-    baseline = data.setdefault("baseline", {}).get(mode)
-    if baseline is None:
+    if data.setdefault("baseline", {}).get(mode) is None:
         data["baseline"][mode] = entry
     RESULTS_PATH.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
-    rows = [
-        {"backend": name, **results[name]}
-        for name in ("file", "sqlite")
-    ]
-    rows.append(
-        {
-            "backend": "sqlite speedup",
-            "stat_seconds": f"{stat_speedup:.1f}x",
-            "query_seconds": f"{query_speedup:.1f}x",
-        }
+    print_table(
+        f"corpus storage — {entry_count} entries ({mode})",
+        [{"backend": "sqlite", **result}],
     )
-    print_table(f"storage backends — {entry_count} entries ({mode})", rows)
 
-    floor = SPEEDUP_FLOOR_QUICK if quick else SPEEDUP_FLOOR_FULL
-    assert stat_speedup >= floor, (
-        f"SQLite stats() only {stat_speedup:.1f}x faster than the file"
-        f" backend on {entry_count} entries (floor {floor}x)"
-    )
-    assert query_speedup >= floor, (
-        f"SQLite query_findings() only {query_speedup:.1f}x faster than"
-        f" the file backend on {entry_count} entries (floor {floor}x)"
-    )
-    if reference is not None:
-        ingest_floor = reference * (1.0 - REGRESSION_TOLERANCE)
-        assert results["file"]["ingest_eps"] >= ingest_floor, (
-            f"file-backend ingest regression:"
-            f" {results['file']['ingest_eps']:.0f} ops/s is more than"
-            f" {REGRESSION_TOLERANCE:.0%} below the median of the last 3"
-            f" {mode} runs ({reference:.0f} ops/s, floor"
-            f" {ingest_floor:.0f}); if this slowdown is intended, prune"
-            " the runs list in benchmarks/BENCH_storage.json"
+    for metric, higher_is_better in GATED:
+        reference = references[metric]
+        if reference is None:
+            continue
+        value = result[metric]
+        if higher_is_better:
+            bound = reference * (1.0 - REGRESSION_TOLERANCE)
+            ok = value >= bound
+        else:
+            bound = reference / (1.0 - REGRESSION_TOLERANCE)
+            ok = value <= bound
+        assert ok, (
+            f"corpus storage regression: {metric} {value} is more than"
+            f" {REGRESSION_TOLERANCE:.0%} worse than the median of the last"
+            f" 3 {mode} runs ({reference}, bound {bound:.4g}); if this"
+            " slowdown is intended, prune the runs list in"
+            " benchmarks/BENCH_storage.json"
         )

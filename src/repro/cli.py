@@ -89,6 +89,7 @@ from repro.core.packet_queue import PacketQueue
 from repro.core.runtime import CHECKPOINTS_DIRNAME, SupervisionPolicy
 from repro.core.strategies import STRATEGY_NAMES, make_strategy
 from repro.core.target_scanning import TargetScanner
+from repro.errors import LegacyCorpusError
 from repro.hci.transport import VirtualLink
 from repro.l2cap.states import ChannelState
 from repro.targets import make_target, target_names
@@ -410,12 +411,11 @@ def cmd_replay(args) -> int:
 
 
 def _corpus_handles(args):
-    from repro.corpus import CorpusStore, FindingDatabase, open_backend
+    from repro.corpus import CorpusStore, FindingDatabase
 
-    backend = open_backend(args.dir)
-    store = CorpusStore(args.dir, backend=backend)
-    database = FindingDatabase(args.dir, backend=backend)
-    if not store.exists() and not len(database):
+    store = CorpusStore(args.dir)
+    database = FindingDatabase(args.dir)
+    if not store.exists():
         raise SystemExit(f"no corpus at {args.dir!r}")
     return store, database
 
@@ -423,11 +423,9 @@ def _corpus_handles(args):
 def cmd_corpus_stats(args) -> int:
     """Summarise a corpus directory."""
     store, database = _corpus_handles(args)
-    # One aggregate pass through the backend: a directory scan on the
-    # file layout, indexed queries on SQLite.
-    stats = store.stats()
+    stats = store.stats()  # indexed aggregate queries, no entry parsing
     canonical_note = " STALE" if stats.canonical_stale else ""
-    _echo(f"corpus: {args.dir} [{store.backend.name} backend]")
+    _echo(f"corpus: {args.dir}")
     _echo(
         f"entries: {stats.entry_count}"
         f" ({stats.packet_total} packets,"
@@ -511,7 +509,7 @@ def cmd_corpus_export(args) -> int:
 
 
 def cmd_corpus_migrate(args) -> int:
-    """Convert a file-layout corpus to the SQLite (WAL) backend in place."""
+    """Import a legacy JSON-file corpus into the directory's database."""
     from repro.corpus.migrate import MigrationError, migrate_to_sqlite
 
     try:
@@ -992,7 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     corpus_migrate = corpus_commands.add_parser(
         "migrate",
-        help="convert a file-layout corpus to the SQLite (WAL) backend",
+        help="import a legacy JSON-file corpus into corpus.sqlite3",
     )
     corpus_migrate.add_argument("dir", help="corpus directory")
     corpus_migrate.set_defaults(func=cmd_corpus_migrate)
@@ -1230,7 +1228,10 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
     _configure_logging(verbose=args.verbose, quiet=args.quiet)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LegacyCorpusError as error:
+        raise SystemExit(str(error)) from None
 
 
 if __name__ == "__main__":

@@ -1025,11 +1025,13 @@ def load_corpus_seeds(
         return {}, ()
     from repro.corpus.backend import open_backend
 
-    # One backend handle (autodetected from the directory layout: JSON
-    # files or SQLite) serves both reads. A cold, partial
+    # One database handle serves both reads. A cold, partial
     # (findings-only) or pruned corpus degrades gracefully to an empty
     # prior/dictionary instead of being skipped wholesale.
     backend = open_backend(corpus_dir)
-    return (backend.state_frequencies(), backend.garbage_dictionary())
+    try:
+        return (backend.state_frequencies(), backend.garbage_dictionary())
+    finally:
+        backend.close()
 
 

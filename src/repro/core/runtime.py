@@ -652,12 +652,11 @@ def run_shard(
     """Run every campaign of *shard* back to back; return summary blobs.
 
     Campaigns run with corpus write-back deferred: sessions execute
-    without a corpus directory, and the whole shard is recorded through
-    one storage-backend handle at the end (
-    :func:`repro.corpus.store.record_campaigns`, which autodetects the
-    directory's backend — JSON files or SQLite) — one batched
-    write-back per shard instead of one open/scan/write cycle per
-    campaign.
+    without a corpus directory, and the whole shard is recorded at the
+    end by :func:`repro.corpus.store.record_campaigns` — every finding
+    shrunk first, then one database transaction for the shard, so a
+    failed write-back leaves the corpus as it was and a requeued shard
+    writes it exactly once.
 
     With telemetry enabled on the context, the shard writes its own
     journal segment — shard span events, per-campaign start/end events

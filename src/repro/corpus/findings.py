@@ -7,13 +7,13 @@ content hash of the *minimised* reproducer rather than a human-readable
 rendering, so cosmetic differences between campaigns (identifiers,
 garbage-tail noise that minimisation strips) collapse into one bucket.
 
-Storage is delegated to the corpus directory's pluggable backend (see
-:mod:`repro.corpus.backend`): one JSON file per bucket under
-``findings/`` on the file layout, one indexed row per bucket on SQLite.
-Recording an already-known bucket increments its occurrence count —
-that is the cross-run duplicate detection, and the count is **exact**
-under concurrent workers on both backends (a per-bucket exclusive lock
-around the file rewrite; a transactional ``UPDATE`` on SQLite).
+Each bucket is one indexed row of the corpus database (see
+:mod:`repro.corpus.sqlite_backend`). Recording an already-known bucket
+adds to its occurrence count — that is the cross-run duplicate
+detection, and the count is **exact** under concurrent workers (a
+transactional ``UPDATE``). The bucket keeps the lowest-ranked record by
+``(sim_time, device_id, packets)``, so the stored reproducer does not
+depend on which worker wrote first.
 :func:`repro.corpus.replay.replay_finding` re-fires stored reproducers
 against a fresh target, which is the regression half: a bucket that no
 longer reproduces (or reproduces differently) is flagged instead of
@@ -31,10 +31,7 @@ from pathlib import Path
 from repro.analysis.traceio import packets_from_hex, packets_to_hex
 from repro.core.detection import Finding, finding_key
 from repro.core.triage import profile_target_factory, replay, shrink_trigger
-from repro.corpus.backend import CorpusBackend, open_backend
 from repro.l2cap.packets import L2capPacket
-
-FINDINGS_DIR = "findings"
 
 
 def trigger_hash(packets: Sequence[L2capPacket]) -> str:
@@ -143,31 +140,26 @@ def dict_to_record(data: dict) -> FindingRecord:
 
 
 class FindingDatabase:
-    """Finding-side facade over a corpus directory's storage backend.
+    """Finding-side facade over a corpus directory's database.
 
     :param root: the corpus directory.
-    :param backend: ``None`` autodetects from the directory layout; a
-        registry name forces one; a backend instance is shared as-is
-        (see :class:`~repro.corpus.store.CorpusStore`).
     """
 
-    def __init__(self, root, backend: str | CorpusBackend | None = None) -> None:
-        self.root = Path(root)
-        self.backend = open_backend(self.root, backend)
+    def __init__(self, root) -> None:
+        # Imported here: the database module imports this one.
+        from repro.corpus.backend import open_backend
 
-    @property
-    def findings_dir(self) -> Path:
-        """File-layout findings directory (file backend only)."""
-        return self.root / FINDINGS_DIR
+        self.root = Path(root)
+        self.backend = open_backend(self.root)
 
     def record(self, record: FindingRecord) -> str:
         """Store *record*; returns ``"new"`` or ``"duplicate"``.
 
         A duplicate (same bucket key, possibly from an earlier run)
-        keeps the first-seen record and bumps its occurrence count —
-        that is the cross-run deduplication. The bump is transactional
-        on both backends, so occurrence counts stay exact under
-        arbitrarily parallel ingestion.
+        bumps the bucket's occurrence count — that is the cross-run
+        deduplication — and the bucket keeps the lower-ranked of the
+        two records. The bump is transactional, so occurrence counts
+        stay exact under arbitrarily parallel ingestion.
         """
         return self.backend.record_finding(record)
 
@@ -184,8 +176,7 @@ class FindingDatabase:
     ) -> list[FindingRecord]:
         """Buckets matching every given filter, sorted by bucket ID.
 
-        Served by the ``(target, vendor, class, state)`` index on the
-        SQLite backend; a filtered scan on the file layout.
+        Served by the ``(target, vendor, class, state)`` index.
         """
         return self.backend.query_findings(
             target=target,
@@ -207,14 +198,13 @@ class FindingDatabase:
         return self.backend.garbage_dictionary()
 
 
-def record_from_campaign(
-    database: FindingDatabase,
+def shrink_finding(
     finding: Finding,
     profile,
     packets: Sequence[L2capPacket],
     minimize: bool = True,
-) -> str:
-    """Minimise a campaign finding and store it in *database*.
+) -> FindingRecord | None:
+    """Confirm and minimise a campaign finding into a storable record.
 
     *packets* is the fuzzer→target prefix up to the detection; it is
     replayed once to confirm the crash, delta-debugged down to the
@@ -226,18 +216,17 @@ def record_from_campaign(
     so auto-reset campaigns that re-hit the same bug collapse into one
     bucket.
 
-    Returns the database status, or ``"not-reproducible"`` when the
-    prefix does not crash a fresh target (nothing is stored).
+    Returns ``None`` when the prefix does not crash a fresh target.
     """
     fuzz_target = getattr(finding, "target", "l2cap")
     factory = profile_target_factory(profile, armed=True, fuzz_target=fuzz_target)
     sequence = list(packets)
     outcome = replay(sequence, factory)
     if not outcome.crashed:
-        return "not-reproducible"
+        return None
     if minimize:
         sequence, outcome = shrink_trigger(sequence, factory, outcome)
-    record = FindingRecord(
+    return FindingRecord(
         vendor=profile.vendor,
         vulnerability_class=finding.vulnerability_class.value,
         trigger=finding.trigger,
@@ -250,4 +239,21 @@ def record_from_campaign(
         sim_time=finding.sim_time,
         target=fuzz_target,
     )
+
+
+def record_from_campaign(
+    database: FindingDatabase,
+    finding: Finding,
+    profile,
+    packets: Sequence[L2capPacket],
+    minimize: bool = True,
+) -> str:
+    """:func:`shrink_finding`, then store the record in *database*.
+
+    Returns the database status, or ``"not-reproducible"`` when the
+    prefix does not crash a fresh target (nothing is stored).
+    """
+    record = shrink_finding(finding, profile, packets, minimize)
+    if record is None:
+        return "not-reproducible"
     return database.record(record)

@@ -1,19 +1,27 @@
-"""In-place corpus migration between storage backends.
+"""One-way import of the legacy JSON-file corpus layout.
 
-``repro corpus migrate DIR`` converts a file-layout corpus into the
-SQLite (WAL) backend. The conversion is verification-gated: entries and
-finding buckets are copied, re-read from the database and compared —
-entry content byte-for-byte (the database stores the exact JSON line
-the file layout held), finding buckets record-for-record including
+Older releases stored a corpus as JSON files::
+
+    corpus/
+    ├── entries/<content-hash>.json   one canonical entry line each
+    ├── findings/<bucket>.json        one finding bucket each
+    ├── corpus.jsonl                  canonical minimised corpus (cmin)
+    └── corpus.meta.json              canonical freshness census
+
+``repro corpus migrate DIR`` reads that layout and writes it into the
+directory's ``corpus.sqlite3``. The import is verification-gated:
+entries and finding buckets are copied, re-read from the database and
+compared — entry content byte-for-byte (the database stores the same
+canonical JSON line), finding buckets record-for-record including
 occurrence counts — before a single source file is removed. A failed
-verification leaves the directory untouched except for a dangling
-``corpus.sqlite3`` that autodetection will shadow the moment it is
-deleted; a crashed migration never deletes source files.
+import deletes the new database again and leaves the JSON files in
+place; a crashed import never deletes source files.
 
-The canonical corpus (and its freshness metadata, when present) is
-carried over as-is: a stale canonical set stays stale, a fresh one
-stays fresh. The stored cmin cursor starts at zero, so the first
-``minimize`` after migration performs one full scan and is incremental
+The canonical corpus (and its freshness census, when present and
+readable) is carried over as-is: a stale canonical set stays stale, a
+fresh one stays fresh, and one without a readable census is treated as
+stale. The stored cmin cursor starts at zero, so the first
+``minimize`` after the import performs one full scan and is incremental
 from then on.
 """
 
@@ -23,10 +31,14 @@ import dataclasses
 import json
 from pathlib import Path
 
-from repro.corpus.backend import detect_backend_name
-from repro.corpus.file_backend import FileCorpusBackend, entry_line
-from repro.corpus.findings import record_to_dict
+from repro.corpus.entry import CorpusEntry, dict_to_entry, entry_line
+from repro.corpus.findings import FindingRecord, dict_to_record, record_to_dict
 from repro.corpus.sqlite_backend import SqliteCorpusBackend
+
+ENTRIES_DIR = "entries"
+FINDINGS_DIR = "findings"
+CANONICAL_FILE = "corpus.jsonl"
+CANONICAL_META_FILE = "corpus.meta.json"
 
 
 class MigrationError(RuntimeError):
@@ -52,91 +64,115 @@ class MigrationReport:
         )
 
 
-def migrate_to_sqlite(root) -> MigrationReport:
-    """Convert the file corpus at *root* to the SQLite backend, in place.
+@dataclasses.dataclass(frozen=True)
+class LegacyCorpus:
+    """Everything a legacy JSON-file corpus directory holds."""
 
-    Safe on an empty or missing directory (creates an empty database,
-    so subsequent writers autodetect SQLite). Idempotent-ish: running
-    it on an already-SQLite corpus raises instead of double-converting.
+    entries: list[CorpusEntry]
+    records: list[FindingRecord]
+    canonical: list[CorpusEntry]
+    #: ``(entry count, max entry ID)`` at minimise time, if readable.
+    census: tuple[int, str] | None
 
-    :raises MigrationError: when the directory is already
-        SQLite-backed, or when post-copy verification fails (source
-        files are then left untouched).
-    """
+
+def read_legacy_corpus(root) -> LegacyCorpus:
+    """Read the legacy layout at *root* (missing parts read as empty)."""
     root = Path(root)
-    if detect_backend_name(root) == "sqlite":
-        raise MigrationError(f"{root} is already an SQLite corpus")
-    source = FileCorpusBackend(root)
-    target = SqliteCorpusBackend(root)
 
-    entries = source.entries()
-    records = source.finding_records()
-    canonical = source.canonical_entries()
+    def documents(directory: str) -> list[dict]:
+        return [
+            json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted((root / directory).glob("*.json"))
+        ]
+
+    canonical_path = root / CANONICAL_FILE
+    canonical = []
+    if canonical_path.is_file():
+        canonical = [
+            dict_to_entry(json.loads(line))
+            for line in canonical_path.read_text(encoding="utf-8").splitlines()
+            if line.strip()
+        ]
+    census = None
     try:
-        # Create the database even for an empty source: its presence is
-        # what flips autodetection for every subsequent writer.
-        target._connect(create=True)
-        for entry in entries:
-            target.add_entry(entry)
-        for record in records:
-            target.record_finding(record)
-        _copy_canonical(source, target, canonical)
-        _verify(source, target, entries, records, canonical)
-    except Exception:
-        # Any failure — verification or an unexpected copy error — must
-        # not leave a partial database behind: autodetection would
-        # prefer it and silently shadow the intact file layout.
-        target.close()
-        target.database_path.unlink(missing_ok=True)
-        raise
-    removed = _remove_source_files(source)
-    target.close()
-    return MigrationReport(
-        backend="sqlite",
-        entries=len(entries),
-        findings=len(records),
-        canonical=len(canonical),
-        removed_files=removed,
+        meta = json.loads((root / CANONICAL_META_FILE).read_text(encoding="utf-8"))
+        census = (int(meta["entry_count"]), str(meta["max_entry_id"]))
+    except (OSError, ValueError, KeyError, TypeError):
+        pass
+    return LegacyCorpus(
+        entries=[dict_to_entry(data) for data in documents(ENTRIES_DIR)],
+        records=[dict_to_record(data) for data in documents(FINDINGS_DIR)],
+        canonical=canonical,
+        census=census,
     )
 
 
-def _copy_canonical(
-    source: FileCorpusBackend, target: SqliteCorpusBackend, canonical
-) -> None:
-    """Carry over canonical membership and its freshness marker."""
-    if not canonical:
+def migrate_to_sqlite(root) -> MigrationReport:
+    """Import the legacy JSON-file corpus at *root* into its database.
+
+    Safe on an empty or missing directory (creates an empty database).
+    Running it on a directory that already has a database raises
+    instead of importing twice.
+
+    :raises MigrationError: when the directory already has a database,
+        or when post-copy verification fails (source files are then
+        left untouched).
+    """
+    root = Path(root)
+    target = SqliteCorpusBackend(root)
+    if target.exists():
+        raise MigrationError(f"{root} is already an SQLite corpus")
+    source = read_legacy_corpus(root)
+    try:
+        target.ingest([(source.entries, source.records)])
+        _copy_canonical(target, source)
+        _verify(target, source)
+    except Exception:
+        # Any failure — verification or an unexpected copy error — must
+        # not leave a partial database next to the intact JSON files.
+        target.close()
+        target.database_path.unlink(missing_ok=True)
+        raise
+    target.close()
+    return MigrationReport(
+        backend="sqlite",
+        entries=len(source.entries),
+        findings=len(source.records),
+        canonical=len(source.canonical),
+        removed_files=_remove_source_files(root),
+    )
+
+
+def _copy_canonical(target: SqliteCorpusBackend, source: LegacyCorpus) -> None:
+    """Carry over canonical membership and its freshness census."""
+    if not source.canonical:
         return
     connection = target._connect(create=True)
-    with connection:
+    with target._transaction(connection):
         connection.executemany(
             "INSERT OR IGNORE INTO canonical (entry_id) VALUES (?)",
-            [(entry.entry_id,) for entry in canonical],
+            [(entry.entry_id,) for entry in source.canonical],
         )
-        if source.canonical_meta_path.is_file():
-            try:
-                meta = json.loads(
-                    source.canonical_meta_path.read_text(encoding="utf-8")
-                )
-                rows = [
-                    ("cmin_entry_count", str(int(meta["entry_count"]))),
-                    ("cmin_max_entry_id", str(meta["max_entry_id"])),
-                ]
-            except (ValueError, KeyError, TypeError):
-                rows = []
+        if source.census is not None:
+            count, max_id = source.census
             connection.executemany(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)", rows
+                "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
+                [
+                    ("cmin_entry_count", str(count)),
+                    ("cmin_max_entry_id", max_id),
+                ],
             )
 
 
-def _verify(source, target, entries, records, canonical) -> None:
+def _verify(target: SqliteCorpusBackend, source: LegacyCorpus) -> None:
     """Byte-equal entries, identical finding buckets, same canonical set."""
     migrated = {entry.entry_id: entry for entry in target.entries()}
-    if len(migrated) != len(entries):
+    if len(migrated) != len(source.entries):
         raise MigrationError(
             f"entry count mismatch after copy:"
-            f" {len(entries)} source, {len(migrated)} migrated"
+            f" {len(source.entries)} source, {len(migrated)} migrated"
         )
-    for entry in entries:
+    for entry in source.entries:
         twin = migrated.get(entry.entry_id)
         if twin is None or entry_line(twin) != entry_line(entry):
             raise MigrationError(
@@ -145,31 +181,31 @@ def _verify(source, target, entries, records, canonical) -> None:
     migrated_records = {
         record.bucket_id: record for record in target.finding_records()
     }
-    if len(migrated_records) != len(records):
+    if len(migrated_records) != len(source.records):
         raise MigrationError("finding bucket count mismatch after copy")
-    for record in records:
+    for record in source.records:
         twin = migrated_records.get(record.bucket_id)
         if twin is None or record_to_dict(twin) != record_to_dict(record):
             raise MigrationError(
                 f"finding bucket {record.bucket_id} did not survive migration"
             )
     if [e.entry_id for e in target.canonical_entries()] != sorted(
-        entry.entry_id for entry in canonical
+        entry.entry_id for entry in source.canonical
     ):
         raise MigrationError("canonical set mismatch after copy")
 
 
-def _remove_source_files(source: FileCorpusBackend) -> int:
-    """Delete the migrated JSON layout (entries, findings, canonical)."""
+def _remove_source_files(root: Path) -> int:
+    """Delete the imported JSON layout (entries, findings, canonical)."""
     removed = 0
-    for directory in (source.entries_dir, source.findings_dir):
+    for directory in (root / ENTRIES_DIR, root / FINDINGS_DIR):
         if not directory.is_dir():
             continue
         for path in directory.iterdir():
             path.unlink()
             removed += 1
         directory.rmdir()
-    for path in (source.canonical_path, source.canonical_meta_path):
+    for path in (root / CANONICAL_FILE, root / CANONICAL_META_FILE):
         if path.is_file():
             path.unlink()
             removed += 1
@@ -177,7 +213,9 @@ def _remove_source_files(source: FileCorpusBackend) -> int:
 
 
 __all__ = [
+    "LegacyCorpus",
     "MigrationError",
     "MigrationReport",
     "migrate_to_sqlite",
+    "read_legacy_corpus",
 ]

@@ -1,51 +1,56 @@
-"""SQLite (WAL) corpus backend: one database, indexed, transactional.
+"""The corpus store: one SQLite (WAL) database per corpus directory.
 
-Everything the file layout spreads over thousands of JSON files lives
-in one ``corpus.sqlite3`` database in the corpus directory:
+Everything a corpus holds lives in one ``corpus.sqlite3`` database in
+the corpus directory:
 
 * ``entries`` — one row per content-addressed entry. The ``data``
-  column stores the exact canonical JSON line the file backend would
-  have written, so migration and export are byte-equal by construction;
-  the indexed metadata columns (target, device, strategy, packet count)
-  make the hot queries index scans instead of full-directory reads.
+  column stores the entry's canonical JSON line
+  (:func:`repro.corpus.entry.entry_line`), so export and the legacy
+  importer are byte-equal by construction; the indexed metadata
+  columns (target, device, strategy, packet count) make the hot
+  queries index scans.
 * ``coverage`` — one row per (entry, coverage token), indexed by token:
   per-state frequencies and coverage unions are ``GROUP BY`` queries.
 * ``findings`` — one row per crash bucket, indexed by
-  (target, vendor, class, state). An occurrence bump is a transactional
-  ``UPDATE … SET occurrences = occurrences + ?`` — O(1), exact under
-  any number of concurrent writers, no read-modify-write to lose.
+  (target, vendor, class, state). A duplicate adds its occurrences in
+  an ``UPDATE … SET occurrences = occurrences + ?`` — exact under any
+  number of concurrent writers — and keeps whichever of the two records
+  ranks lower by ``(sim_time, device_id, packets, data)``, so the
+  stored reproducer does not depend on write order.
 * ``canonical`` + ``cmin_winners`` + ``meta`` — the minimised corpus,
   the per-token cheapest-witness map and the last-minimised cursor.
   ``minimize`` only scans entries inserted since the previous run and
   folds them into the stored winner map (the fold is associative, see
-  :func:`repro.corpus.backend.cmin_update`), so repeated cmin on a
-  growing corpus is O(new entries), not O(corpus).
+  :func:`cmin_update`), so repeated cmin on a growing corpus is
+  O(new entries), not O(corpus).
 
+Every write is one ``BEGIN IMMEDIATE`` transaction, retried as a unit
+on lock contention (:func:`_write_with_retry`); :meth:`ingest` writes a
+whole fleet shard — every campaign's entries and findings — in one.
 Concurrency model: WAL journal with a generous busy timeout, one
-connection per (process, thread) via thread-local storage — fleet
-workers of either pool flavour write concurrently; readers never block
-writers and vice versa.
+connection per (process, thread) via thread-local storage; readers
+never block writers and vice versa.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import logging
 import sqlite3
 import threading
 import time
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from repro.corpus.backend import (
-    SQLITE_FILE,
-    CorpusBackend,
-    CorpusStats,
-    cmin_update,
-)
-from repro.corpus.entry import CorpusEntry, dict_to_entry
+from repro.corpus.entry import CorpusEntry, dict_to_entry, entry_line
 from repro.corpus.findings import FindingRecord, dict_to_record, record_to_dict
 
 _log = logging.getLogger(__name__)
+
+#: Database file of a corpus directory.
+SQLITE_FILE = "corpus.sqlite3"
 
 #: Schema version stamped into ``meta`` on creation.
 SCHEMA_VERSION = 1
@@ -61,6 +66,43 @@ WRITE_RETRY_BASE_SECONDS = 0.02
 WRITE_RETRY_CAP_SECONDS = 0.5
 
 
+@dataclasses.dataclass(frozen=True)
+class CorpusStats:
+    """One-shot aggregate view of a corpus (the CLI ``stats`` payload)."""
+
+    entry_count: int
+    packet_total: int
+    canonical_count: int
+    canonical_stale: bool
+    state_tokens: tuple[str, ...]
+    transition_tokens: tuple[str, ...]
+    state_frequencies: dict[str, int]
+    finding_count: int
+    occurrence_total: int
+
+
+def cmin_update(
+    winners: dict[str, tuple[int, str]], entries: Iterable[CorpusEntry]
+) -> dict[str, CorpusEntry]:
+    """Fold *entries* into a token → cheapest-witness winner map.
+
+    *winners* maps coverage token → ``(packet_count, entry_id)`` of the
+    cheapest entry seen so far; the fold is associative, which is what
+    makes incremental minimisation (old winners + only-new entries)
+    produce exactly the full-scan answer. Returns the entries (keyed by
+    ID) that won or retained at least one token this round, for callers
+    that need the objects.
+    """
+    touched: dict[str, CorpusEntry] = {}
+    for entry in entries:
+        cost = (entry.packet_count, entry.entry_id)
+        for token in entry.covered:
+            if token not in winners or cost < winners[token]:
+                winners[token] = cost
+                touched[entry.entry_id] = entry
+    return touched
+
+
 def _is_lock_error(error: sqlite3.OperationalError) -> bool:
     message = str(error).lower()
     return "locked" in message or "busy" in message
@@ -70,12 +112,13 @@ def _write_with_retry(operation, describe: str):
     """Run a write transaction, retrying lock contention with backoff.
 
     The busy timeout already absorbs waits *within* a statement, but a
-    writer can still surface ``database is locked`` when it loses the
-    upgrade race for the write lock (or the timeout elapses under
-    pathological contention). Shard corpus write-back must survive
-    that transient instead of failing a whole shard, so locked/busy
-    errors are retried with capped exponential backoff; any other
-    operational error propagates untouched.
+    writer can still surface ``database is locked`` when the timeout
+    elapses under pathological contention. Shard corpus write-back must
+    survive that transient instead of failing a whole shard, so
+    locked/busy errors are retried with capped exponential backoff; any
+    other operational error propagates untouched. *operation* must be a
+    whole transaction: a failed attempt has rolled back, so the retry
+    starts from the committed state.
     """
     for attempt in range(1, WRITE_RETRY_ATTEMPTS + 1):
         try:
@@ -95,6 +138,7 @@ def _write_with_retry(operation, describe: str):
                 delay,
             )
             time.sleep(delay)
+
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -143,14 +187,53 @@ CREATE TABLE IF NOT EXISTS cmin_winners (
 );
 """
 
+_INSERT_ENTRY = (
+    "INSERT OR IGNORE INTO entries"
+    " (id, target, device_id, strategy, seed, armed, packet_count, data)"
+    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
+)
 
-class SqliteCorpusBackend(CorpusBackend):
-    """WAL-mode SQLite backend for heavy parallel ingestion."""
+_INSERT_FINDING = (
+    "INSERT OR IGNORE INTO findings"
+    " (bucket_id, target, vendor, class, state, occurrences, data)"
+    " VALUES (:bucket_id, :target, :vendor, :class, :state, :occurrences,"
+    " :data)"
+)
+
+
+def _rank(data: str) -> str:
+    """SQL rank of a stored finding record: lower is kept."""
+    return (
+        f"(json_extract({data}, '$.sim_time'), json_extract({data}, '$.device_id'),"
+        f" json_extract({data}, '$.packets'), {data})"
+    )
+
+
+_KEEPS_INCOMING = f"{_rank(':data')} < {_rank('data')}"
+
+#: A duplicate bucket: add the occurrences exactly, and keep the
+#: lower-ranked of the stored and the incoming record (``state`` and
+#: ``data`` move together; SET expressions all see the old row).
+_BUMP_FINDING = (
+    "UPDATE findings SET occurrences = occurrences + :occurrences,"
+    f" state = CASE WHEN {_KEEPS_INCOMING} THEN :state ELSE state END,"
+    f" data = CASE WHEN {_KEEPS_INCOMING} THEN :data ELSE data END"
+    " WHERE bucket_id = :bucket_id"
+)
+
+
+class SqliteCorpusBackend:
+    """The corpus directory's database: entries, findings, canonical set.
+
+    Every method is safe on a corpus that does not exist yet (reads
+    return empty, writes create the database), and every write method
+    is safe under concurrent fleet workers.
+    """
 
     name = "sqlite"
 
     def __init__(self, root) -> None:
-        super().__init__(root)
+        self.root = Path(root)
         self._local = threading.local()
 
     # -- connection management ----------------------------------------------------
@@ -168,8 +251,12 @@ class SqliteCorpusBackend(CorpusBackend):
             if not create:
                 return None
             self.root.mkdir(parents=True, exist_ok=True)
+        # isolation_level=None: transactions are opened explicitly by
+        # _transaction, never implicitly by the driver.
         connection = sqlite3.connect(
-            self.database_path, timeout=BUSY_TIMEOUT_MS / 1000
+            self.database_path,
+            timeout=BUSY_TIMEOUT_MS / 1000,
+            isolation_level=None,
         )
         connection.execute(f"PRAGMA busy_timeout = {BUSY_TIMEOUT_MS}")
         connection.execute("PRAGMA journal_mode = WAL")
@@ -179,22 +266,29 @@ class SqliteCorpusBackend(CorpusBackend):
             "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
             ("schema_version", str(SCHEMA_VERSION)),
         )
-        connection.commit()
         self._local.connection = connection
         return connection
 
-    def initialize(self) -> None:
-        """Create the database (and schema) eagerly.
+    @staticmethod
+    @contextlib.contextmanager
+    def _transaction(connection: sqlite3.Connection, write: bool = True):
+        """One transaction: committed on success, rolled back on error.
 
-        The connection path creates lazily, on first write — fine for a
-        solo corpus, wrong for a tenant namespace whose later writers
-        autodetect the backend from the directory layout: without the
-        database file they would land on the file backend. Namespace
-        creation calls this to pin the layout up front.
+        Writers take the write lock up front (``BEGIN IMMEDIATE``), so
+        a transaction never fails halfway on a lock upgrade; readers
+        get one consistent snapshot across their statements.
         """
-        self._connect(create=True)
+        connection.execute("BEGIN IMMEDIATE" if write else "BEGIN")
+        try:
+            yield connection
+            connection.execute("COMMIT")
+        except BaseException:
+            if connection.in_transaction:
+                connection.rollback()
+            raise
 
     def close(self) -> None:
+        """Close this thread's connection, if one is open."""
         connection = getattr(self._local, "connection", None)
         if connection is not None:
             connection.close()
@@ -206,49 +300,103 @@ class SqliteCorpusBackend(CorpusBackend):
         ).fetchone()
         return row[0] if row else None
 
-    # -- entries ------------------------------------------------------------------
+    # -- writing ------------------------------------------------------------------
+
+    def ingest(
+        self,
+        batches: Sequence[
+            tuple[Sequence[CorpusEntry], Sequence[FindingRecord]]
+        ],
+    ) -> list[dict]:
+        """Write every ``(entries, records)`` batch in one transaction.
+
+        All of it lands or none of it does, and the transaction is
+        retried as a unit on lock contention. Batches are applied in
+        order, so a repeat inside the call counts exactly as it would
+        in separate calls. Returns one dict per batch:
+        ``{"entries_added", "findings_new", "findings_duplicate"}``.
+        """
+        return _write_with_retry(lambda: self._ingest_once(batches), "ingest")
+
+    def _ingest_once(self, batches) -> list[dict]:
+        connection = self._connect(create=True)
+        results = []
+        with self._transaction(connection):
+            for entries, records in batches:
+                added = new = duplicate = 0
+                for entry in entries:
+                    added += self._insert_entry(connection, entry)
+                for record in records:
+                    row = {
+                        "bucket_id": record.bucket_id,
+                        "target": record.target,
+                        "vendor": record.vendor,
+                        "class": record.vulnerability_class,
+                        "state": record.state,
+                        "occurrences": record.occurrences,
+                        "data": json.dumps(record_to_dict(record), sort_keys=True),
+                    }
+                    if connection.execute(_INSERT_FINDING, row).rowcount:
+                        new += 1
+                    else:
+                        connection.execute(_BUMP_FINDING, row)
+                        duplicate += 1
+                results.append(
+                    {
+                        "entries_added": added,
+                        "findings_new": new,
+                        "findings_duplicate": duplicate,
+                    }
+                )
+        return results
+
+    @staticmethod
+    def _insert_entry(connection: sqlite3.Connection, entry: CorpusEntry) -> int:
+        cursor = connection.execute(
+            _INSERT_ENTRY,
+            (
+                entry.entry_id,
+                entry.target,
+                entry.device_id,
+                entry.strategy,
+                # TEXT: fleet campaign seeds are SHA-256-derived and
+                # overflow SQLite's 64-bit INTEGER.
+                str(entry.seed),
+                int(entry.armed),
+                entry.packet_count,
+                entry_line(entry),
+            ),
+        )
+        if cursor.rowcount == 0:
+            return 0
+        connection.executemany(
+            "INSERT INTO coverage (entry_seq, token, is_transition)"
+            " VALUES (?, ?, ?)",
+            [
+                (cursor.lastrowid, token, int(">" in token))
+                for token in entry.covered
+            ],
+        )
+        return 1
 
     def add_entry(self, entry: CorpusEntry) -> bool:
-        return _write_with_retry(
-            lambda: self._add_entry_once(entry), "add_entry"
-        )
+        """Persist *entry*; False when it was already stored."""
+        return self.ingest([([entry], ())])[0]["entries_added"] == 1
 
-    def _add_entry_once(self, entry: CorpusEntry) -> bool:
-        from repro.corpus.file_backend import entry_line
+    def record_finding(self, record: FindingRecord) -> str:
+        """Store *record*; returns ``"new"`` or ``"duplicate"``.
 
-        connection = self._connect(create=True)
-        with connection:
-            cursor = connection.execute(
-                "INSERT OR IGNORE INTO entries"
-                " (id, target, device_id, strategy, seed, armed,"
-                "  packet_count, data)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    entry.entry_id,
-                    entry.target,
-                    entry.device_id,
-                    entry.strategy,
-                    # TEXT: fleet campaign seeds are SHA-256-derived and
-                    # overflow SQLite's 64-bit INTEGER.
-                    str(entry.seed),
-                    int(entry.armed),
-                    entry.packet_count,
-                    entry_line(entry),
-                ),
-            )
-            if cursor.rowcount == 0:
-                return False
-            connection.executemany(
-                "INSERT INTO coverage (entry_seq, token, is_transition)"
-                " VALUES (?, ?, ?)",
-                [
-                    (cursor.lastrowid, token, int(">" in token))
-                    for token in entry.covered
-                ],
-            )
-        return True
+        A duplicate adds its occurrence count to the bucket's — exactly,
+        under any number of concurrent workers — and the bucket keeps
+        the lower-ranked of the two records (see :data:`_BUMP_FINDING`).
+        """
+        counts = self.ingest([((), [record])])[0]
+        return "new" if counts["findings_new"] else "duplicate"
+
+    # -- entries ------------------------------------------------------------------
 
     def entries(self) -> list[CorpusEntry]:
+        """Every stored entry, sorted by ID (deterministic order)."""
         connection = self._connect(create=False)
         if connection is None:
             return []
@@ -266,6 +414,7 @@ class SqliteCorpusBackend(CorpusBackend):
         return connection.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
 
     def coverage(self) -> frozenset[str]:
+        """Union of every entry's coverage tokens."""
         connection = self._connect(create=False)
         if connection is None:
             return frozenset()
@@ -277,6 +426,7 @@ class SqliteCorpusBackend(CorpusBackend):
         )
 
     def state_frequencies(self) -> dict[str, int]:
+        """Per-state entry counts (transition tokens excluded)."""
         connection = self._connect(create=False)
         if connection is None:
             return {}
@@ -308,12 +458,13 @@ class SqliteCorpusBackend(CorpusBackend):
     def minimize(self, write: bool = True) -> list[CorpusEntry]:
         """Incremental ``cmin``: fold only entries newer than the last run.
 
-        The stored winner map is the fold state; merging it with the
-        entries inserted since ``cmin_last_seq`` yields exactly the
-        full-scan answer (associativity — entries are never deleted).
-        ``write=False`` computes the same canonical set without
-        persisting the fold, so it re-scans from the stored cursor but
-        leaves the cursor untouched.
+        For every coverage token keep the cheapest entry covering it
+        (fewest packets, ties by entry ID); the canonical corpus is the
+        deduplicated union, sorted by ID. The stored winner map is the
+        fold state; merging it with the entries inserted since
+        ``cmin_last_seq`` yields exactly the full-scan answer
+        (associativity — entries are never deleted). ``write=False``
+        computes the same canonical set without persisting the fold.
         """
         # Retried as a unit: the fold is associative and the entries
         # table is append-only, so a rerun after a lock error computes
@@ -326,7 +477,7 @@ class SqliteCorpusBackend(CorpusBackend):
         connection = self._connect(create=write)
         if connection is None:
             return []
-        with connection:
+        with self._transaction(connection, write=write):
             last_seq = int(self._meta(connection, "cmin_last_seq") or 0)
             winners = self._stored_winners(connection)
             new_rows = connection.execute(
@@ -375,6 +526,7 @@ class SqliteCorpusBackend(CorpusBackend):
             ]
 
     def canonical_entries(self) -> list[CorpusEntry]:
+        """The minimised corpus, if one has been written."""
         connection = self._connect(create=False)
         if connection is None:
             return []
@@ -387,6 +539,14 @@ class SqliteCorpusBackend(CorpusBackend):
         ]
 
     def canonical_is_stale(self) -> bool:
+        """Whether entries were added after the last ``minimize``.
+
+        False when no canonical corpus exists at all; True when one
+        exists but the live entry set has since changed, or when its
+        freshness cannot be established (a canonical set imported
+        without freshness metadata). Callers seeding from the canonical
+        set must fall back to :meth:`entries` when this is True.
+        """
         connection = self._connect(create=False)
         if connection is None:
             return False
@@ -398,63 +558,27 @@ class SqliteCorpusBackend(CorpusBackend):
         count = self._meta(connection, "cmin_entry_count")
         max_id = self._meta(connection, "cmin_max_entry_id")
         if count is None or max_id is None:
-            # Migrated canonical without freshness metadata.
             return True
         return (int(count), max_id) != self._census(connection)
 
     def describe_canonical(self) -> str:
+        """Human-readable location of the canonical corpus."""
         return f"{self.database_path} (canonical table)"
 
     # -- findings -----------------------------------------------------------------
 
-    def record_finding(self, record: FindingRecord) -> str:
-        """Transactional upsert: insert the bucket or bump its count.
-
-        Both statements run inside one transaction, so the
-        count-or-create decision and the increment are atomic — exact
-        occurrence totals under arbitrarily parallel ingestion.
-        """
-        return _write_with_retry(
-            lambda: self._record_finding_once(record), "record_finding"
-        )
-
-    def _record_finding_once(self, record: FindingRecord) -> str:
-        connection = self._connect(create=True)
-        with connection:
-            cursor = connection.execute(
-                "INSERT OR IGNORE INTO findings"
-                " (bucket_id, target, vendor, class, state, occurrences, data)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    record.bucket_id,
-                    record.target,
-                    record.vendor,
-                    record.vulnerability_class,
-                    record.state,
-                    record.occurrences,
-                    json.dumps(record_to_dict(record), sort_keys=True),
-                ),
-            )
-            if cursor.rowcount:
-                return "new"
-            connection.execute(
-                "UPDATE findings SET occurrences = occurrences + ?"
-                " WHERE bucket_id = ?",
-                (record.occurrences, record.bucket_id),
-            )
-        return "duplicate"
-
     def _records_from_rows(self, rows) -> list[FindingRecord]:
         records = []
         for data, occurrences in rows:
-            # The data column keeps the first-seen record; the
-            # occurrences column is the transactional truth.
+            # The data column keeps the bucket's representative record;
+            # the occurrences column is the transactional truth.
             payload = json.loads(data)
             payload["occurrences"] = occurrences
             records.append(dict_to_record(payload))
         return records
 
     def finding_records(self) -> list[FindingRecord]:
+        """Every bucket, sorted by bucket ID (deterministic order)."""
         connection = self._connect(create=False)
         if connection is None:
             return []
@@ -477,6 +601,11 @@ class SqliteCorpusBackend(CorpusBackend):
         vulnerability_class: str | None = None,
         state: str | None = None,
     ) -> list[FindingRecord]:
+        """Buckets matching every given filter, sorted by bucket ID.
+
+        Served by the ``(target, vendor, class, state)`` index; ``None``
+        filters match everything.
+        """
         connection = self._connect(create=False)
         if connection is None:
             return []
@@ -499,16 +628,26 @@ class SqliteCorpusBackend(CorpusBackend):
             )
         )
 
+    def garbage_dictionary(self) -> tuple[bytes, ...]:
+        """Known-crashing garbage tails across all stored reproducers."""
+        tails: set[bytes] = set()
+        for record in self.finding_records():
+            for packet in record.decode_packets():
+                if packet.garbage:
+                    tails.add(bytes(packet.garbage))
+        return tuple(sorted(tails))
+
     # -- aggregates / lifecycle ---------------------------------------------------
 
     def exists(self) -> bool:
+        """Whether anything has ever been written to this corpus."""
         return self.database_path.is_file()
 
     def stats(self) -> CorpusStats:
         """All aggregates straight from the indexes — no entry parsing."""
         connection = self._connect(create=False)
         if connection is None:
-            return super().stats()
+            return CorpusStats(0, 0, 0, False, (), (), {}, 0, 0)
         entry_count, packet_total = connection.execute(
             "SELECT COUNT(*), COALESCE(SUM(packet_count), 0) FROM entries"
         ).fetchone()
@@ -541,6 +680,9 @@ class SqliteCorpusBackend(CorpusBackend):
 __all__ = [
     "BUSY_TIMEOUT_MS",
     "SCHEMA_VERSION",
+    "SQLITE_FILE",
     "WRITE_RETRY_ATTEMPTS",
+    "CorpusStats",
     "SqliteCorpusBackend",
+    "cmin_update",
 ]

@@ -1,13 +1,9 @@
-"""The persistent, shareable corpus store (backend facade).
+"""The persistent, shareable corpus store and the campaign write-back.
 
-:class:`CorpusStore` is the entry-side view over a pluggable
-:class:`~repro.corpus.backend.CorpusBackend` — the file layout by
-default, SQLite (WAL) when the directory holds a ``corpus.sqlite3``
-database (see :func:`~repro.corpus.backend.open_backend` for the
-autodetection rules and ``repro corpus migrate`` for conversion). Every
-consumer — campaign write-back, the fleet runtime's batched shards, the
-scheduler prior, replay, the CLI — talks to this facade and works
-against whichever backend owns the directory.
+:class:`CorpusStore` is the entry-side view of a corpus directory's
+database (see :mod:`repro.corpus.sqlite_backend`). Every consumer —
+campaign write-back, the fleet runtime's shards, the scheduler prior,
+replay, the CLI — goes through :func:`~repro.corpus.backend.open_backend`.
 
 :meth:`CorpusStore.minimize` is the ``afl-cmin`` equivalent: for every
 coverage token pick the cheapest entry (fewest packets, then lowest ID)
@@ -16,26 +12,27 @@ a minimal-ish seed set that still reaches everything the fleet reached.
 :meth:`CorpusStore.seed_entries` is the safe way to consume it: the
 canonical set when it is still fresh, the live entry set once new
 entries have been recorded past the last ``minimize``.
+
+:func:`record_campaigns` writes a whole fleet shard back: it first
+builds every entry and shrinks every finding of the shard (all the
+replay work), then writes everything in one transaction, so the
+database write lock is never held across a replay and a failed
+write-back leaves the corpus untouched.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.corpus.backend import (
-    CorpusBackend,
-    CorpusStats,
-    open_backend,
-)
+from repro.corpus.backend import open_backend
 from repro.corpus.entry import (
     CorpusEntry,
     entry_from_packets,
+    entry_line,
     transition_token,
 )
+from repro.corpus.sqlite_backend import CorpusStats
 from repro.durability import atomic_write
-
-ENTRIES_DIR = "entries"
-CANONICAL_FILE = "corpus.jsonl"
 
 
 def state_frequencies_of(entries: list[CorpusEntry]) -> dict[str, int]:
@@ -50,30 +47,14 @@ def state_frequencies_of(entries: list[CorpusEntry]) -> dict[str, int]:
 
 
 class CorpusStore:
-    """Entry-side facade over a corpus directory's storage backend.
+    """Entry-side facade over a corpus directory's database.
 
     :param root: corpus directory (created lazily on first write).
-    :param backend: ``None`` autodetects from the directory layout; a
-        registry name ("file"/"sqlite") forces one; a
-        :class:`~repro.corpus.backend.CorpusBackend` instance is used
-        directly (shared-handle batching).
     """
 
-    def __init__(self, root, backend: str | CorpusBackend | None = None) -> None:
+    def __init__(self, root) -> None:
         self.root = Path(root)
-        self.backend = open_backend(self.root, backend)
-
-    # -- paths --------------------------------------------------------------------
-
-    @property
-    def entries_dir(self) -> Path:
-        """File-layout entries directory (file backend only)."""
-        return self.root / ENTRIES_DIR
-
-    @property
-    def canonical_path(self) -> Path:
-        """File-layout canonical corpus path (file backend only)."""
-        return self.root / CANONICAL_FILE
+        self.backend = open_backend(self.root)
 
     def exists(self) -> bool:
         """Whether anything has ever been written to this corpus."""
@@ -84,8 +65,8 @@ class CorpusStore:
     def add(self, entry: CorpusEntry) -> bool:
         """Persist *entry*; returns False when it was already stored.
 
-        Content-addressed and atomic on either backend: concurrent
-        adders of the same sequence converge on one stored row/file.
+        Content-addressed and atomic: concurrent adders of the same
+        sequence converge on one stored row.
         """
         return self.backend.add_entry(entry)
 
@@ -108,12 +89,12 @@ class CorpusStore:
         How many stored entries exercise each state token; rare states
         score low, which is exactly what the
         :class:`~repro.corpus.scheduler.EnergyScheduler` boosts. An
-        indexed ``GROUP BY`` on the SQLite backend.
+        indexed ``GROUP BY``.
         """
         return self.backend.state_frequencies()
 
     def stats(self) -> CorpusStats:
-        """One-shot aggregate view (single pass / single query)."""
+        """One-shot aggregate view (indexed queries, no entry parsing)."""
         return self.backend.stats()
 
     # -- minimisation -------------------------------------------------------------
@@ -124,9 +105,8 @@ class CorpusStore:
         For every coverage token keep the cheapest entry covering it
         (fewest packets, ties by entry ID); the canonical corpus is the
         deduplicated union, sorted by ID. When *write* is set the result
-        is persisted (``corpus.jsonl`` plus a freshness marker on the
-        file backend; the ``canonical`` table on SQLite, where the scan
-        is incremental over entries added since the previous cmin).
+        is persisted to the ``canonical`` table; the scan is incremental
+        over entries added since the previous cmin.
         """
         return self.backend.minimize(write=write)
 
@@ -162,8 +142,6 @@ class CorpusStore:
         Published atomically: a crash mid-export can never leave a
         truncated document at *path*.
         """
-        from repro.corpus.file_backend import entry_line
-
         entries = self.entries()
         atomic_write(
             Path(path), "".join(entry_line(entry) for entry in entries)
@@ -179,40 +157,29 @@ def record_campaign(root, profile, fuzzer, report, armed: bool = True) -> dict:
     essential trigger). Returns a small summary dict
     ``{"entries_added", "findings_new", "findings_duplicate"}``.
     """
-    from repro.corpus.findings import FindingDatabase
-
-    backend = open_backend(root)
-    return _record_into(
-        CorpusStore(root, backend=backend),
-        FindingDatabase(root, backend=backend),
-        profile,
-        fuzzer,
-        report,
-        armed,
-    )
+    return record_campaigns(root, [(profile, fuzzer, report)], armed)[0]
 
 
 def record_campaigns(root, campaigns, armed: bool = True) -> list[dict]:
-    """Batched write-back: many campaigns through one backend handle.
+    """Shard write-back: many campaigns, one transaction.
 
     *campaigns* is an iterable of ``(profile, fuzzer, report)`` triples.
-    One backend is opened for the whole batch — a fleet worker records
-    its entire shard this way instead of paying a handle per campaign.
-    Writes stay safe under parallel workers on either backend (atomic
-    content-addressed publishes on the file layout, WAL transactions on
-    SQLite), so batches from concurrent shards interleave exactly as
-    safely as individual campaigns always did. Returns one stats dict
-    per campaign, in input order.
+    Every entry and every shrunk finding record of the batch is built
+    first — all replays happen before the database is touched — and
+    then written in one transaction, retried as a unit on lock
+    contention. Counts are per campaign and exactly what campaign-by-
+    campaign writes would report, repeats inside the batch included.
+    Returns one stats dict per campaign, in input order.
     """
-    from repro.corpus.findings import FindingDatabase
-
     backend = open_backend(root)
-    store = CorpusStore(root, backend=backend)
-    database = FindingDatabase(root, backend=backend)
-    return [
-        _record_into(store, database, profile, fuzzer, report, armed)
-        for profile, fuzzer, report in campaigns
-    ]
+    try:
+        batches = [
+            _campaign_batch(profile, fuzzer, report, armed)
+            for profile, fuzzer, report in campaigns
+        ]
+        return backend.ingest(batches)
+    finally:
+        backend.close()
 
 
 def _detection_prefix(sent_entries, finding) -> list:
@@ -235,46 +202,40 @@ def _detection_prefix(sent_entries, finding) -> list:
     return [traced.packet for traced in sent_entries[:cut]]
 
 
-def _record_into(
-    store: CorpusStore, database, profile, fuzzer, report, armed: bool
-) -> dict:
-    """One campaign's write-back through already-open handles."""
-    from repro.corpus.findings import record_from_campaign
+def _campaign_batch(profile, fuzzer, report, armed: bool):
+    """One campaign's ``(entries, finding records)``, replays done."""
+    from repro.corpus import findings
 
     target_name = getattr(getattr(fuzzer, "target", None), "name", "l2cap")
     sent_entries = fuzzer.sniffer.sent()
     cumulative: set[str] = set()
-    added = 0
+    entries = []
     for tokens, prefix_len in fuzzer.coverage_log:
         cumulative.update(tokens)
         if prefix_len == 0:
             # Coverage unlocked before anything was sent (the plan's
             # entry posture): nothing to replay, nothing worth storing.
             continue
-        entry = entry_from_packets(
-            packets=[traced.packet for traced in sent_entries[:prefix_len]],
-            unlocked=tokens,
-            covered=cumulative,
-            device_id=profile.device_id,
-            strategy=report.strategy,
-            seed=fuzzer.config.seed,
-            armed=armed,
-            target=target_name,
+        entries.append(
+            entry_from_packets(
+                packets=[traced.packet for traced in sent_entries[:prefix_len]],
+                unlocked=tokens,
+                covered=cumulative,
+                device_id=profile.device_id,
+                strategy=report.strategy,
+                seed=fuzzer.config.seed,
+                armed=armed,
+                target=target_name,
+            )
         )
-        if store.add(entry):
-            added += 1
-
-    statuses = {"new": 0, "duplicate": 0}
+    records = []
     for finding in report.findings:
-        prefix = _detection_prefix(sent_entries, finding)
-        status = record_from_campaign(database, finding, profile, prefix)
-        if status in statuses:
-            statuses[status] += 1
-    return {
-        "entries_added": added,
-        "findings_new": statuses["new"],
-        "findings_duplicate": statuses["duplicate"],
-    }
+        record = findings.shrink_finding(
+            finding, profile, _detection_prefix(sent_entries, finding)
+        )
+        if record is not None:
+            records.append(record)
+    return entries, records
 
 
 __all__ = [

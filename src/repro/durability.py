@@ -1,9 +1,9 @@
 """Atomic file publication: the one write-then-rename every store uses.
 
-Corpus entries and finding buckets, telemetry manifests and metric
-snapshots, shard checkpoints and service job manifests are all
-published the same way: write a private temp file in the target's
-directory, then ``os.replace`` it over the final name. A reader sees
+Corpus exports, telemetry manifests and metric snapshots, shard
+checkpoints and service job manifests are all published the same way:
+write a private temp file in the target's directory, then
+``os.replace`` it over the final name. A reader sees
 the old file or the new one, never a torn mix.
 
 The guarantee is *process-crash* durability. A writer killed at any
@@ -16,7 +16,7 @@ Temp names start with a dot and end in ``.tmp``
 (``.<name>.<pid>.<thread>.tmp``), so no reader glob — ``*.json``,
 ``job-*.json``, ``campaign-*.bin``, ``*.jsonl`` — can pick up a
 leftover. The pid and thread id keep concurrent writers of one file
-(shard workers racing on a corpus bucket) off each other's temp files.
+off each other's temp files.
 """
 
 from __future__ import annotations

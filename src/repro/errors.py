@@ -123,3 +123,8 @@ class FuzzingError(ReproError):
 
 class ScanError(ReproError):
     """Target-scanning phase failure (no reachable device or port)."""
+
+
+class LegacyCorpusError(ReproError):
+    """A corpus directory holds the legacy JSON-file layout and no
+    database; ``repro corpus migrate`` imports it."""

@@ -8,10 +8,9 @@ Each tenant owns a subtree of the service data directory::
 
 Tenant names are validated with the corpus namespace rules
 (:data:`repro.corpus.backend.NAMESPACE_RE` — one path-safe segment),
-so a tenant can never resolve outside the tenants root. Corpus
-namespaces are materialised eagerly as SQLite backends via
-:func:`repro.corpus.backend.open_namespace`, which pins the backend
-before the first fleet worker autodetects the directory layout.
+so a tenant can never resolve outside the tenants root. The corpus
+namespace is opened with :func:`repro.corpus.backend.open_namespace`;
+its database is created by the first write.
 
 Quotas are **admission control**, enforced exactly at submit time
 under the scheduler's lock:
@@ -27,7 +26,8 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
-from repro.corpus.backend import CorpusBackend, namespace_root, open_namespace
+from repro.corpus.backend import namespace_root, open_namespace
+from repro.corpus.sqlite_backend import SqliteCorpusBackend
 
 TENANTS_DIRNAME = "tenants"
 RUNS_DIRNAME = "runs"
@@ -75,12 +75,11 @@ class TenantManager:
         return runs
 
     def corpus_dir(self, tenant: str) -> Path:
-        """The tenant's corpus namespace path (backend materialised)."""
-        self.open_corpus(tenant).close()
-        return self.home(tenant) / CORPUS_DIRNAME
+        """The tenant's corpus namespace path."""
+        return namespace_root(self.home(tenant), CORPUS_DIRNAME)
 
-    def open_corpus(self, tenant: str) -> CorpusBackend:
-        """Open (creating as SQLite on first use) the tenant's corpus."""
+    def open_corpus(self, tenant: str) -> SqliteCorpusBackend:
+        """Open the tenant's corpus (created by its first write)."""
         return open_namespace(self.home(tenant), CORPUS_DIRNAME)
 
     def exists(self, tenant: str) -> bool:

@@ -1,22 +1,26 @@
-"""Backend parity, concurrency and migration tests.
+"""Corpus database tests: model parity, concurrency, import, layout.
 
-The contract under test: both storage backends answer every query
-identically for the same operation history, occurrence counts stay
-exact under concurrent writers, and ``migrate_to_sqlite`` converts a
-file corpus without changing a byte of what it answers.
+The contract under test: the database answers every query exactly as an
+in-memory reference model of the same operation history does,
+occurrence counts stay exact under concurrent writers, a duplicate
+bucket keeps the same record whatever the write order, and
+``migrate_to_sqlite`` imports a legacy JSON-file corpus without
+changing a byte of what it answers. Tests parametrised by ``origin``
+run twice: on a fresh database (``sqlite``) and on one imported from
+the legacy JSON-file layout (``file``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sqlite3
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.corpus.backend import detect_backend_name, open_backend
-from repro.corpus.entry import entry_from_packets
-from repro.corpus.file_backend import FileCorpusBackend, entry_line
+from repro.corpus.backend import open_backend
+from repro.corpus.entry import entry_from_packets, entry_line
 from repro.corpus.findings import (
     FindingDatabase,
     FindingRecord,
@@ -24,15 +28,21 @@ from repro.corpus.findings import (
     trigger_hash,
 )
 from repro.corpus.migrate import MigrationError, migrate_to_sqlite
-from repro.corpus.sqlite_backend import SqliteCorpusBackend
-from repro.corpus.store import CorpusStore
+from repro.corpus.sqlite_backend import (
+    SQLITE_FILE,
+    CorpusStats,
+    SqliteCorpusBackend,
+)
+from repro.corpus.store import CorpusStore, state_frequencies_of
+from repro.errors import LegacyCorpusError
 from repro.l2cap.packets import (
     configuration_request,
     connection_request,
     echo_request,
 )
+from tests.corpus.legacy_layout import legacy_canonical, write_legacy_corpus
 
-BACKENDS = ("file", "sqlite")
+ORIGINS = ("file", "sqlite")
 
 
 def _entry(tokens, packet_count=1, ident=1, device_id="D2", target="l2cap"):
@@ -72,8 +82,115 @@ def _record(**overrides) -> FindingRecord:
     return FindingRecord(**fields)
 
 
+def _open(root, origin: str) -> SqliteCorpusBackend:
+    """A corpus at *root*: fresh, or imported from an empty legacy one."""
+    if origin == "file":
+        migrate_to_sqlite(write_legacy_corpus(root))
+    return open_backend(root)
+
+
+def _findings_table(root) -> list[tuple]:
+    with sqlite3.connect(root / SQLITE_FILE) as connection:
+        return connection.execute(
+            "SELECT bucket_id, occurrences, state, data FROM findings"
+            " ORDER BY bucket_id"
+        ).fetchall()
+
+
+class Model:
+    """In-memory reference: what every query must answer."""
+
+    def __init__(self) -> None:
+        self.entries_by_id: dict = {}
+        self.buckets: dict = {}
+
+    def add_entry(self, entry) -> bool:
+        if entry.entry_id in self.entries_by_id:
+            return False
+        self.entries_by_id[entry.entry_id] = entry
+        return True
+
+    @staticmethod
+    def rank(record) -> tuple:
+        data = record_to_dict(record)
+        return (
+            data["sim_time"],
+            data["device_id"],
+            json.dumps(data["packets"], separators=(",", ":")),
+            json.dumps(data, sort_keys=True),
+        )
+
+    def record_finding(self, record) -> str:
+        seen = self.buckets.get(record.bucket_id)
+        if seen is None:
+            self.buckets[record.bucket_id] = record
+            return "new"
+        kept = record if self.rank(record) < self.rank(seen) else seen
+        self.buckets[record.bucket_id] = dataclasses.replace(
+            kept, occurrences=seen.occurrences + record.occurrences
+        )
+        return "duplicate"
+
+    def entries(self) -> list:
+        return [self.entries_by_id[key] for key in sorted(self.entries_by_id)]
+
+    def coverage(self) -> frozenset:
+        return frozenset(
+            token for entry in self.entries() for token in entry.covered
+        )
+
+    def state_frequencies(self) -> dict:
+        return state_frequencies_of(self.entries())
+
+    def finding_records(self) -> list:
+        return [self.buckets[key] for key in sorted(self.buckets)]
+
+    def query_findings(
+        self, target=None, vendor=None, vulnerability_class=None, state=None
+    ) -> list:
+        return [
+            record
+            for record in self.finding_records()
+            if target in (None, record.target)
+            and vendor in (None, record.vendor)
+            and vulnerability_class in (None, record.vulnerability_class)
+            and state in (None, record.state)
+        ]
+
+    def minimize(self) -> list:
+        return legacy_canonical(self.entries())
+
+    def garbage_dictionary(self) -> tuple:
+        return tuple(
+            sorted(
+                {
+                    bytes(packet.garbage)
+                    for record in self.finding_records()
+                    for packet in record.decode_packets()
+                    if packet.garbage
+                }
+            )
+        )
+
+    def stats(self, canonical_count: int) -> CorpusStats:
+        entries = self.entries()
+        tokens = self.coverage()
+        records = self.finding_records()
+        return CorpusStats(
+            entry_count=len(entries),
+            packet_total=sum(entry.packet_count for entry in entries),
+            canonical_count=canonical_count,
+            canonical_stale=False,
+            state_tokens=tuple(sorted(t for t in tokens if ">" not in t)),
+            transition_tokens=tuple(sorted(t for t in tokens if ">" in t)),
+            state_frequencies=self.state_frequencies(),
+            finding_count=len(records),
+            occurrence_total=sum(record.occurrences for record in records),
+        )
+
+
 def _populate(backend) -> None:
-    """One scripted operation history, applied to any backend."""
+    """One scripted operation history, applied to the model or the store."""
     backend.add_entry(_entry(["CLOSED", "CLOSED>OPEN"], packet_count=3))
     backend.add_entry(_entry(["CLOSED"], packet_count=1, ident=20))
     backend.add_entry(_entry(["OPEN"], packet_count=2, ident=30))
@@ -86,39 +203,37 @@ def _populate(backend) -> None:
 
 
 class TestParity:
-    """Same history in, same answers out — on every backend pair."""
+    """Same history in, the reference model's answers out."""
 
     @pytest.fixture()
     def pair(self, tmp_path):
-        backends = {
-            name: open_backend(tmp_path / name, name) for name in BACKENDS
-        }
-        for backend in backends.values():
+        pair = {"model": Model(), "sqlite": open_backend(tmp_path)}
+        for backend in pair.values():
             _populate(backend)
-        return backends
+        return pair
 
     def test_entries_identical(self, pair):
-        file_entries = pair["file"].entries()
-        assert file_entries == pair["sqlite"].entries()
-        assert len(file_entries) == 3
+        model_entries = pair["model"].entries()
+        assert model_entries == pair["sqlite"].entries()
+        assert len(model_entries) == 3
 
     def test_entries_byte_identical(self, pair):
-        file_lines = [entry_line(e) for e in pair["file"].entries()]
+        model_lines = [entry_line(e) for e in pair["model"].entries()]
         sqlite_lines = [entry_line(e) for e in pair["sqlite"].entries()]
-        assert file_lines == sqlite_lines
+        assert model_lines == sqlite_lines
 
     def test_coverage_and_frequencies_identical(self, pair):
-        assert pair["file"].coverage() == pair["sqlite"].coverage()
+        assert pair["model"].coverage() == pair["sqlite"].coverage()
         assert (
-            pair["file"].state_frequencies()
+            pair["model"].state_frequencies()
             == pair["sqlite"].state_frequencies()
         )
 
     def test_finding_records_identical(self, pair):
-        file_records = pair["file"].finding_records()
-        assert file_records == pair["sqlite"].finding_records()
-        assert len(file_records) == 3
-        by_vendor = {record.vendor: record for record in file_records}
+        model_records = pair["model"].finding_records()
+        assert model_records == pair["sqlite"].finding_records()
+        assert len(model_records) == 3
+        by_vendor = {record.vendor: record for record in model_records}
         assert by_vendor["Google"].occurrences == 2
 
     def test_query_findings_identical(self, pair):
@@ -131,22 +246,18 @@ class TestParity:
             {"vendor": "Google", "vulnerability_class": "DoS"},
             {"vendor": "Nokia"},
         ):
-            file_hits = pair["file"].query_findings(**filters)
-            assert file_hits == pair["sqlite"].query_findings(**filters), filters
+            model_hits = pair["model"].query_findings(**filters)
+            assert model_hits == pair["sqlite"].query_findings(**filters), filters
 
     def test_minimize_and_canonical_identical(self, pair):
-        file_canonical = pair["file"].minimize()
-        sqlite_canonical = pair["sqlite"].minimize()
-        assert file_canonical == sqlite_canonical
-        assert pair["file"].canonical_entries() == pair[
-            "sqlite"
-        ].canonical_entries()
+        model_canonical = pair["model"].minimize()
+        assert pair["sqlite"].minimize() == model_canonical
+        assert pair["sqlite"].canonical_entries() == model_canonical
 
     def test_stats_identical(self, pair):
-        for backend in pair.values():
-            backend.minimize()
-        assert pair["file"].stats() == pair["sqlite"].stats()
-        stats = pair["file"].stats()
+        canonical = pair["sqlite"].minimize()
+        stats = pair["sqlite"].stats()
+        assert stats == pair["model"].stats(len(canonical))
         assert stats.entry_count == 3
         assert stats.packet_total == 6
         assert stats.finding_count == 3
@@ -162,17 +273,18 @@ class TestParity:
         for backend in pair.values():
             backend.record_finding(record)
         assert (
-            pair["file"].garbage_dictionary()
+            pair["model"].garbage_dictionary()
             == pair["sqlite"].garbage_dictionary()
             == (b"\xd2\x3a\x91\x0e",)
         )
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+@pytest.mark.parametrize("origin", ORIGINS)
 class TestBackendBasics:
-    def test_cold_corpus_reads_empty(self, tmp_path, name):
-        backend = open_backend(tmp_path / "corpus", name)
-        assert not backend.exists()
+    def test_cold_corpus_reads_empty(self, tmp_path, origin):
+        backend = _open(tmp_path / "corpus", origin)
+        # An import creates the (empty) database; a fresh corpus has none.
+        assert backend.exists() == (origin == "file")
         assert backend.entries() == []
         assert backend.entry_count() == 0
         assert backend.coverage() == frozenset()
@@ -181,30 +293,30 @@ class TestBackendBasics:
         assert not backend.canonical_is_stale()
         assert backend.stats().entry_count == 0
 
-    def test_add_entry_idempotent(self, tmp_path, name):
-        backend = open_backend(tmp_path, name)
+    def test_add_entry_idempotent(self, tmp_path, origin):
+        backend = _open(tmp_path, origin)
         entry = _entry(["CLOSED"])
         assert backend.add_entry(entry)
         assert not backend.add_entry(entry)
         assert backend.entry_count() == 1
 
-    def test_sha256_sized_seed_round_trips(self, tmp_path, name):
+    def test_sha256_sized_seed_round_trips(self, tmp_path, origin):
         """Fleet campaign seeds are SHA-256-derived integers, far past
-        64 bits — both backends must store them losslessly."""
-        backend = open_backend(tmp_path, name)
+        64 bits — they must be stored losslessly."""
+        backend = _open(tmp_path, origin)
         entry = dataclasses.replace(_entry(["CLOSED"]), seed=2**255 + 19)
         assert backend.add_entry(entry)
         assert backend.entries() == [entry]
 
-    def test_new_then_duplicate(self, tmp_path, name):
-        backend = open_backend(tmp_path, name)
+    def test_new_then_duplicate(self, tmp_path, origin):
+        backend = _open(tmp_path, origin)
         assert backend.record_finding(_record()) == "new"
         assert backend.record_finding(_record()) == "duplicate"
         assert backend.finding_count() == 1
         assert backend.finding_records()[0].occurrences == 2
 
-    def test_duplicate_keeps_first_record(self, tmp_path, name):
-        backend = open_backend(tmp_path, name)
+    def test_duplicate_keeps_first_record(self, tmp_path, origin):
+        backend = _open(tmp_path, origin)
         backend.record_finding(_record(sim_time=1.0))
         backend.record_finding(
             dataclasses.replace(_record(), sim_time=99.0, device_id="D4")
@@ -215,17 +327,66 @@ class TestBackendBasics:
         assert record.occurrences == 2
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+class TestDeterministicFinding:
+    """A bucket keeps its lowest-ranked record, whatever the write order."""
+
+    RECORDS = (
+        _record(sim_time=40.0, device_id="D1", state="OPEN"),
+        _record(sim_time=12.5, device_id="D2", crash_id=None),
+        _record(sim_time=12.5, device_id="D1", occurrences=3),
+    )
+
+    def test_same_row_in_every_order(self, tmp_path):
+        orders = (
+            self.RECORDS,
+            tuple(reversed(self.RECORDS)),
+            self.RECORDS[1:] + self.RECORDS[:1],
+        )
+        tables = []
+        for number, order in enumerate(orders):
+            root = tmp_path / str(number)
+            backend = open_backend(root)
+            statuses = [backend.record_finding(record) for record in order]
+            backend.close()
+            assert statuses == ["new", "duplicate", "duplicate"]
+            tables.append(_findings_table(root))
+        assert tables[0] == tables[1] == tables[2]
+        ((_, occurrences, state, data),) = tables[0]
+        assert occurrences == 5
+        # (sim_time, device_id, ...) ranks D1 at 12.5 first; its state
+        # column moves with its data.
+        assert json.loads(data)["device_id"] == "D1"
+        assert json.loads(data)["sim_time"] == 12.5
+        assert state == "WAIT_CONFIG"
+
+    def test_batched_and_single_writes_agree(self, tmp_path):
+        single = open_backend(tmp_path / "single")
+        for record in self.RECORDS:
+            single.record_finding(record)
+        batched = open_backend(tmp_path / "batched")
+        counts = batched.ingest(
+            [((), self.RECORDS[:2]), ((), self.RECORDS[2:])]
+        )
+        assert counts == [
+            {"entries_added": 0, "findings_new": 1, "findings_duplicate": 1},
+            {"entries_added": 0, "findings_new": 0, "findings_duplicate": 1},
+        ]
+        assert _findings_table(tmp_path / "single") == _findings_table(
+            tmp_path / "batched"
+        )
+
+
+@pytest.mark.parametrize("origin", ORIGINS)
 class TestConcurrency:
     """Exact counts and no lost writes under a thread-pool hammer."""
 
-    def test_concurrent_bucket_bumps_count_exactly(self, tmp_path, name):
-        backend = open_backend(tmp_path, name)
+    def test_concurrent_bucket_bumps_count_exactly(self, tmp_path, origin):
+        backend = _open(tmp_path, origin)
         workers, per_worker = 8, 25
 
         def hammer(_worker: int) -> None:
             # A fresh handle per worker, like separate fleet shards.
-            local = open_backend(tmp_path, name)
+            local = open_backend(tmp_path)
             try:
                 for _ in range(per_worker):
                     local.record_finding(_record())
@@ -238,15 +399,15 @@ class TestConcurrency:
         assert len(records) == 1
         assert records[0].occurrences == workers * per_worker
 
-    def test_concurrent_entry_adds_lose_nothing(self, tmp_path, name):
-        backend = open_backend(tmp_path, name)
+    def test_concurrent_entry_adds_lose_nothing(self, tmp_path, origin):
+        backend = _open(tmp_path, origin)
         entries = [
             _entry(["CLOSED"], packet_count=1 + (i % 4), ident=10 * i + 1)
             for i in range(40)
         ]
 
         def add_all(offset: int) -> None:
-            local = open_backend(tmp_path, name)
+            local = open_backend(tmp_path)
             try:
                 # Every worker adds every entry, rotated: maximal races
                 # on the same content-addressed IDs.
@@ -263,17 +424,19 @@ class TestConcurrency:
         )
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+@pytest.mark.parametrize("origin", ORIGINS)
 class TestStaleness:
-    def test_fresh_after_minimize(self, tmp_path, name):
-        store = CorpusStore(tmp_path, backend=name)
+    def test_fresh_after_minimize(self, tmp_path, origin):
+        _open(tmp_path, origin).close()
+        store = CorpusStore(tmp_path)
         store.add(_entry(["CLOSED"]))
         canonical = store.minimize()
         assert not store.canonical_is_stale()
         assert store.seed_entries() == canonical
 
-    def test_stale_after_new_entry(self, tmp_path, name):
-        store = CorpusStore(tmp_path, backend=name)
+    def test_stale_after_new_entry(self, tmp_path, origin):
+        _open(tmp_path, origin).close()
+        store = CorpusStore(tmp_path)
         store.add(_entry(["CLOSED"], packet_count=2))
         store.minimize()
         store.add(_entry(["OPEN"], ident=40))
@@ -281,103 +444,83 @@ class TestStaleness:
         # Guided seeding must fall back to the live entry set.
         assert store.seed_entries() == store.entries()
 
-    def test_no_canonical_is_not_stale(self, tmp_path, name):
-        store = CorpusStore(tmp_path, backend=name)
+    def test_no_canonical_is_not_stale(self, tmp_path, origin):
+        _open(tmp_path, origin).close()
+        store = CorpusStore(tmp_path)
         store.add(_entry(["CLOSED"]))
         assert not store.canonical_is_stale()
         assert store.seed_entries() == store.entries()
 
 
 class TestFileStalenessMetadata:
+    """A legacy canonical set whose census is missing or unreadable
+    imports as stale: its freshness cannot be established."""
+
     def test_missing_meta_is_conservatively_stale(self, tmp_path):
-        backend = FileCorpusBackend(tmp_path)
-        backend.add_entry(_entry(["CLOSED"]))
-        backend.minimize()
-        backend.canonical_meta_path.unlink()
-        assert backend.canonical_is_stale()
+        write_legacy_corpus(
+            tmp_path, [_entry(["CLOSED"])], minimize=True, census=False
+        )
+        migrate_to_sqlite(tmp_path)
+        assert open_backend(tmp_path).canonical_is_stale()
 
     def test_corrupt_meta_is_conservatively_stale(self, tmp_path):
-        backend = FileCorpusBackend(tmp_path)
-        backend.add_entry(_entry(["CLOSED"]))
-        backend.minimize()
-        backend.canonical_meta_path.write_text("{]", encoding="utf-8")
-        assert backend.canonical_is_stale()
+        write_legacy_corpus(tmp_path, [_entry(["CLOSED"])], minimize=True)
+        (tmp_path / "corpus.meta.json").write_text("{]", encoding="utf-8")
+        migrate_to_sqlite(tmp_path)
+        assert open_backend(tmp_path).canonical_is_stale()
 
 
 class TestFileLeftoverTempFiles:
-    """A writer killed between write and rename leaves a temp file that
-    no reader may pick up — whether the kill tore it or not."""
+    """Writers of the legacy layout killed between write and rename left
+    temp files (and per-bucket lock files) behind; the importer must
+    read none of them, whether the kill tore them or not, and removes
+    them with the rest of the layout."""
 
-    @staticmethod
-    def _kill_writes(patch, mode: str) -> None:
-        import os
-        from pathlib import Path
+    def test_leftovers_change_no_read(self, tmp_path):
+        from repro.durability import temp_path
 
-        real_write_text = Path.write_text
+        history = Model()
+        _populate(history)
 
-        def torn_write(path, text, *args, **kwargs):
-            real_write_text(path, text[: len(text) // 2], *args, **kwargs)
-            raise OSError("killed mid-write")
-
-        def never_published(src, dst, *args, **kwargs):
-            raise OSError("killed before publishing")
-
-        if mode == "torn":
-            patch.setattr(Path, "write_text", torn_write)
-        else:
-            patch.setattr(os, "replace", never_published)
-
-    def test_leftovers_change_no_read(self, tmp_path, monkeypatch, capsys):
-        from repro.cli import main
-
-        root = tmp_path / "corpus"
-        backend = FileCorpusBackend(root)
-        _populate(backend)
-
-        def observed():
-            assert main(["corpus", "stats", str(root)]) == 0
-            return (
-                backend.entries(),
-                backend.finding_records(),
-                backend.entry_count(),
-                backend.finding_count(),
-                capsys.readouterr().out,
+        def imported(root):
+            write_legacy_corpus(
+                root, history.entries(), history.finding_records()
             )
+            return root
 
-        def files():
-            return {
-                path.name
-                for directory in (backend.entries_dir, backend.findings_dir)
-                for path in directory.iterdir()
-                if path.suffix != ".lock"
-            }
-
-        before, files_before = observed(), files()
+        clean = imported(tmp_path / "clean")
+        dirty = imported(tmp_path / "dirty")
         for ident, mode in ((40, "torn"), (50, "whole")):
-            with monkeypatch.context() as patch:
-                self._kill_writes(patch, mode)
-                with pytest.raises(OSError, match="killed"):
-                    backend.add_entry(_entry(["OPEN>CLOSED"], ident=ident))
-                with pytest.raises(OSError, match="killed"):
-                    backend.record_finding(_record(trigger_hash=f"killed-{mode}"))
-        assert observed() == before
-        # One leftover per killed write: an entry and a bucket, each torn
-        # once and left whole once.
-        assert len(files() - files_before) == 4
+            line = entry_line(_entry(["OPEN>CLOSED"], ident=ident))
+            bucket = json.dumps(
+                record_to_dict(_record(trigger_hash=f"killed-{mode}"))
+            )
+            for directory, text in (("entries", line), ("findings", bucket)):
+                leftover = temp_path(dirty / directory / f"{mode}.json")
+                leftover.write_text(
+                    text[: len(text) // 2] if mode == "torn" else text,
+                    encoding="utf-8",
+                )
+        (dirty / "findings" / "bucket.lock").write_text("", encoding="utf-8")
+        for root in (clean, dirty):
+            migrate_to_sqlite(root)
+        assert not (dirty / "entries").exists()
+        assert not (dirty / "findings").exists()
+        assert _findings_table(clean) == _findings_table(dirty)
+        assert open_backend(clean).entries() == open_backend(dirty).entries()
+        assert open_backend(dirty).stats() == open_backend(clean).stats()
 
 
 class TestSqliteIncrementalMinimize:
     def test_incremental_matches_full_scan(self, tmp_path):
         sqlite = SqliteCorpusBackend(tmp_path / "sqlite")
-        file = FileCorpusBackend(tmp_path / "file")
         first = [
             _entry(["CLOSED", "OPEN"], packet_count=5),
             _entry(["CLOSED"], packet_count=2, ident=20),
         ]
         for entry in first:
             sqlite.add_entry(entry)
-            file.add_entry(entry)
-        assert sqlite.minimize() == file.minimize()
+        assert sqlite.minimize() == legacy_canonical(first)
         # Grow the corpus: a cheaper CLOSED witness and a new token.
         second = [
             _entry(["CLOSED"], packet_count=1, ident=40),
@@ -385,10 +528,9 @@ class TestSqliteIncrementalMinimize:
         ]
         for entry in second:
             sqlite.add_entry(entry)
-            file.add_entry(entry)
         # SQLite folds only the two new rows into its stored winner map;
-        # the answer must still equal the file backend's full re-scan.
-        assert sqlite.minimize() == file.minimize()
+        # the answer must still equal a full re-scan.
+        assert sqlite.minimize() == legacy_canonical(first + second)
         canonical = sqlite.canonical_entries()
         # The new 1-packet CLOSED witness must have displaced the old
         # 2-packet one in the stored winner map.
@@ -422,42 +564,54 @@ class TestSqliteIncrementalMinimize:
 
 
 class TestMigration:
-    def _file_corpus(self, root):
-        backend = FileCorpusBackend(root)
-        _populate(backend)
-        backend.minimize()
-        return backend
+    def _legacy_corpus(self, root):
+        history = Model()
+        _populate(history)
+        write_legacy_corpus(
+            root, history.entries(), history.finding_records(), minimize=True
+        )
+        return history
 
     def test_migrate_round_trips_byte_equal(self, tmp_path):
-        source = self._file_corpus(tmp_path)
-        before_lines = [entry_line(e) for e in source.entries()]
-        before_records = [record_to_dict(r) for r in source.finding_records()]
-        before_canonical = [e.entry_id for e in source.canonical_entries()]
+        history = self._legacy_corpus(tmp_path)
+        before_lines = [
+            path.read_text(encoding="utf-8")
+            for path in sorted((tmp_path / "entries").glob("*.json"))
+        ]
+        before_records = [
+            json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted((tmp_path / "findings").glob("*.json"))
+        ]
+        before_canonical = [
+            json.loads(line)["id"]
+            for line in (tmp_path / "corpus.jsonl").read_text().splitlines()
+        ]
 
         report = migrate_to_sqlite(tmp_path)
-        assert detect_backend_name(tmp_path) == "sqlite"
+        assert (tmp_path / SQLITE_FILE).is_file()
         assert report.entries == 3
         assert report.findings == 3
         migrated = open_backend(tmp_path)
-        assert migrated.name == "sqlite"
         assert [entry_line(e) for e in migrated.entries()] == before_lines
         assert [
             record_to_dict(r) for r in migrated.finding_records()
         ] == before_records
+        assert migrated.finding_records() == history.finding_records()
         assert [
             e.entry_id for e in migrated.canonical_entries()
         ] == before_canonical
         assert not migrated.canonical_is_stale()
 
     def test_migrate_removes_source_layout(self, tmp_path):
-        self._file_corpus(tmp_path)
+        self._legacy_corpus(tmp_path)
         migrate_to_sqlite(tmp_path)
         assert not (tmp_path / "entries").exists()
         assert not (tmp_path / "findings").exists()
         assert not (tmp_path / "corpus.jsonl").exists()
+        assert not (tmp_path / "corpus.meta.json").exists()
 
     def test_migrate_twice_raises(self, tmp_path):
-        self._file_corpus(tmp_path)
+        self._legacy_corpus(tmp_path)
         migrate_to_sqlite(tmp_path)
         with pytest.raises(MigrationError, match="already"):
             migrate_to_sqlite(tmp_path)
@@ -465,85 +619,95 @@ class TestMigration:
     def test_migrate_empty_directory_creates_database(self, tmp_path):
         report = migrate_to_sqlite(tmp_path / "fresh")
         assert report.entries == 0
-        assert detect_backend_name(tmp_path / "fresh") == "sqlite"
+        assert (tmp_path / "fresh" / SQLITE_FILE).is_file()
 
     def test_facades_work_identically_after_migration(self, tmp_path):
-        self._file_corpus(tmp_path)
-        before_store = CorpusStore(tmp_path)
-        before = (
-            before_store.entries(),
-            before_store.stats(),
-            FindingDatabase(tmp_path).records(),
-        )
-        migrate_to_sqlite(tmp_path)
-        after_store = CorpusStore(tmp_path)
-        after = (
-            after_store.entries(),
-            after_store.stats(),
-            FindingDatabase(tmp_path).records(),
-        )
-        assert before == after
+        """An imported corpus answers like one written natively."""
+        native = tmp_path / "native"
+        _populate(open_backend(native))
+        CorpusStore(native).minimize()
+        self._legacy_corpus(tmp_path / "legacy")
+        migrate_to_sqlite(tmp_path / "legacy")
+        answers = [
+            (
+                CorpusStore(root).entries(),
+                CorpusStore(root).stats(),
+                FindingDatabase(root).records(),
+            )
+            for root in (native, tmp_path / "legacy")
+        ]
+        assert answers[0] == answers[1]
 
     def test_preserves_stale_flag(self, tmp_path):
-        backend = FileCorpusBackend(tmp_path)
-        backend.add_entry(_entry(["CLOSED"]))
-        backend.minimize()
-        backend.add_entry(_entry(["OPEN"], ident=20))
-        assert backend.canonical_is_stale()
+        stale = [_entry(["CLOSED"])]
+        write_legacy_corpus(tmp_path, stale, minimize=True)
+        (tmp_path / "entries" / "late.json").write_text(
+            entry_line(_entry(["OPEN"], ident=20)), encoding="utf-8"
+        )
         migrate_to_sqlite(tmp_path)
         assert open_backend(tmp_path).canonical_is_stale()
+
+    def test_failed_verification_keeps_source(self, tmp_path, monkeypatch):
+        import repro.corpus.migrate as migrate
+
+        self._legacy_corpus(tmp_path)
+
+        def broken(target, source):
+            raise MigrationError("verification failed")
+
+        monkeypatch.setattr(migrate, "_verify", broken)
+        with pytest.raises(MigrationError, match="verification"):
+            migrate_to_sqlite(tmp_path)
+        assert not (tmp_path / SQLITE_FILE).exists()
+        assert len(list((tmp_path / "entries").glob("*.json"))) == 3
+        with pytest.raises(LegacyCorpusError):
+            open_backend(tmp_path)
 
 
 class TestCampaignWriteBackParity:
     def test_identical_campaign_writes_identical_corpora(self, tmp_path):
-        """The campaign write-back path works unchanged on either
-        backend and produces the same corpus either way."""
+        """The session write-back (one campaign) and the shard write-back
+        (``record_campaigns``) store the same campaign identically."""
         from repro.core.config import FuzzConfig
+        from repro.corpus.store import record_campaigns
         from repro.testbed.profiles import D2
         from repro.testbed.session import FuzzSession
 
-        file_dir = tmp_path / "file"
-        sqlite_dir = tmp_path / "sqlite"
-        # Flip autodetection for the second directory up front; the
-        # session itself is backend-oblivious.
-        migrate_to_sqlite(sqlite_dir)
-        for root in (file_dir, sqlite_dir):
-            report = FuzzSession(
-                D2, FuzzConfig(max_packets=50_000), corpus_dir=str(root)
-            ).run()
-            assert report.vulnerability_found
-        file_store = CorpusStore(file_dir)
-        sqlite_store = CorpusStore(sqlite_dir)
-        assert file_store.backend.name == "file"
-        assert sqlite_store.backend.name == "sqlite"
-        assert file_store.entries() == sqlite_store.entries()
-        assert (
-            FindingDatabase(file_dir).records()
-            == FindingDatabase(sqlite_dir).records()
+        session_dir = tmp_path / "session"
+        shard_dir = tmp_path / "shard"
+        report = FuzzSession(
+            D2, FuzzConfig(max_packets=50_000), corpus_dir=str(session_dir)
+        ).run()
+        assert report.vulnerability_found
+        session = FuzzSession(D2, FuzzConfig(max_packets=50_000))
+        (counts,) = record_campaigns(
+            shard_dir, [(D2, session.fuzzer, session.run())]
         )
+        assert counts["findings_new"] == 1
+        assert CorpusStore(session_dir).entries() == CorpusStore(
+            shard_dir
+        ).entries()
+        assert counts["entries_added"] == len(CorpusStore(shard_dir))
+        assert _findings_table(session_dir) == _findings_table(shard_dir)
 
 
 class TestAutodetection:
-    def test_default_is_file(self, tmp_path):
-        assert detect_backend_name(tmp_path / "nope") == "file"
-        assert open_backend(tmp_path).name == "file"
+    """The directory layout decides how a corpus opens: a database
+    always wins; the legacy JSON layout alone is refused."""
+
+    @pytest.mark.parametrize("legacy_dir", ["entries", "findings"])
+    def test_legacy_layout_without_database_raises(self, tmp_path, legacy_dir):
+        (tmp_path / legacy_dir).mkdir()
+        for opener in (open_backend, CorpusStore, FindingDatabase):
+            with pytest.raises(LegacyCorpusError, match="repro corpus migrate"):
+                opener(tmp_path)
+        assert not (tmp_path / SQLITE_FILE).exists()
 
     def test_sqlite_database_wins(self, tmp_path):
         SqliteCorpusBackend(tmp_path).add_entry(_entry(["CLOSED"]))
-        assert detect_backend_name(tmp_path) == "sqlite"
-        assert CorpusStore(tmp_path).backend.name == "sqlite"
-        assert FindingDatabase(tmp_path).backend.name == "sqlite"
-
-    def test_unknown_name_raises(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown corpus backend"):
-            open_backend(tmp_path, "parquet")
-
-    def test_backend_instance_passes_through(self, tmp_path):
-        backend = FileCorpusBackend(tmp_path)
-        store = CorpusStore(tmp_path, backend=backend)
-        database = FindingDatabase(tmp_path, backend=backend)
-        assert store.backend is backend
-        assert database.backend is backend
+        (tmp_path / "entries").mkdir()
+        assert len(CorpusStore(tmp_path)) == 1
+        assert len(FindingDatabase(tmp_path)) == 0
 
 
 class TestSqliteQueriesUseIndex:
@@ -562,15 +726,24 @@ class TestSqliteQueriesUseIndex:
         assert "idx_findings_query" in plan
 
     def test_export_matches_file_backend(self, tmp_path):
-        """CorpusStore.export_jsonl is backend-independent and atomic."""
-        for name in BACKENDS:
-            store = CorpusStore(tmp_path / name, backend=name)
-            store.add(_entry(["CLOSED", "OPEN"], packet_count=2))
-            store.add(_entry(["CLOSED"], ident=20))
+        """CorpusStore.export_jsonl writes exactly the lines the legacy
+        file layout held, whether the corpus was imported or native."""
+        entries = [
+            _entry(["CLOSED", "OPEN"], packet_count=2),
+            _entry(["CLOSED"], ident=20),
+        ]
+        legacy = write_legacy_corpus(tmp_path / "file", entries)
+        file_lines = "".join(
+            path.read_text(encoding="utf-8")
+            for path in sorted((legacy / "entries").glob("*.json"))
+        )
+        migrate_to_sqlite(legacy)
+        native = CorpusStore(tmp_path / "sqlite")
+        for entry in entries:
+            native.add(entry)
+        for name in ORIGINS:
             out = tmp_path / f"{name}.jsonl"
-            assert store.export_jsonl(out) == 2
-        file_dump = (tmp_path / "file.jsonl").read_text(encoding="utf-8")
-        sqlite_dump = (tmp_path / "sqlite.jsonl").read_text(encoding="utf-8")
-        assert file_dump == sqlite_dump
-        for line in file_dump.splitlines():
+            assert CorpusStore(tmp_path / name).export_jsonl(out) == 2
+            assert out.read_text(encoding="utf-8") == file_lines
+        for line in file_lines.splitlines():
             json.loads(line)

@@ -8,6 +8,8 @@ coverage with fewer mutated packets.
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.analysis.state_coverage import (
@@ -19,9 +21,13 @@ from repro.core.fleet import FleetOrchestrator
 from repro.corpus import (
     CorpusStore,
     FindingDatabase,
+    SqliteCorpusBackend,
+    open_backend,
+    record_campaign,
     replay_entry,
     replay_finding,
 )
+from repro.corpus.store import record_campaigns
 from repro.testbed.profiles import ALL_PROFILES, D2, PROFILES_BY_ID
 from repro.testbed.session import FuzzSession
 
@@ -186,4 +192,114 @@ class TestSessionWriteBack:
         assert not any(
             entry.packet.garbage == b"\xd2\x3a\x91\x0e"
             for entry in plain.fuzzer.sniffer.sent()
+        )
+
+
+class _FailingConnection:
+    """A database connection whose *fail_at*-th finding write raises.
+
+    Each finding starts with one ``INSERT OR IGNORE INTO findings``, so
+    counting those counts findings.
+    """
+
+    def __init__(self, connection, writes: list, fail_at: int, error) -> None:
+        self._connection = connection
+        self._writes = writes
+        self._fail_at = fail_at
+        self._error = error
+
+    def execute(self, sql, *args):
+        if sql.startswith("INSERT OR IGNORE INTO findings"):
+            self._writes.append(sql)
+            if len(self._writes) == self._fail_at:
+                raise self._error
+        return self._connection.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+
+class TestShardWriteBack:
+    """``record_campaigns`` writes a shard in one all-or-nothing transaction."""
+
+    @pytest.fixture(scope="class")
+    def shard(self):
+        """Three finished D2 campaigns hitting one bug; the third repeats
+        the first, so the shard carries duplicates of its own."""
+        campaigns = []
+        for seed in (0x1202, 0x0707, 0x1202):
+            session = FuzzSession(D2, FuzzConfig(max_packets=50_000, seed=seed))
+            campaigns.append((D2, session.fuzzer, session.run()))
+        return campaigns
+
+    @staticmethod
+    def _snapshot(root):
+        backend = open_backend(root)
+        try:
+            return (
+                backend.entries(),
+                backend.finding_records(),
+                backend.stats(),
+            )
+        finally:
+            backend.close()
+
+    @staticmethod
+    def _fail_finding_write(monkeypatch, fail_at: int, error) -> list:
+        writes: list = []
+        connect = SqliteCorpusBackend._connect
+
+        def failing(self, create):
+            connection = connect(self, create)
+            return _FailingConnection(connection, writes, fail_at, error)
+
+        monkeypatch.setattr(SqliteCorpusBackend, "_connect", failing)
+        return writes
+
+    def test_counts_match_campaign_by_campaign(self, shard, tmp_path):
+        batched = record_campaigns(tmp_path / "shard", shard)
+        single = [
+            record_campaign(tmp_path / "single", profile, fuzzer, report)
+            for profile, fuzzer, report in shard
+        ]
+        assert batched == single
+        assert [counts["findings_new"] for counts in batched] == [1, 0, 0]
+        assert [counts["findings_duplicate"] for counts in batched] == [0, 1, 1]
+        assert batched[0]["entries_added"] > 0
+        assert batched[2]["entries_added"] == 0
+        assert self._snapshot(tmp_path / "shard") == self._snapshot(
+            tmp_path / "single"
+        )
+
+    def test_failed_write_back_changes_nothing(self, shard, tmp_path, monkeypatch):
+        root = tmp_path / "corpus"
+        record_campaigns(root, shard[:1])
+        before = self._snapshot(root)
+        with monkeypatch.context() as patch:
+            writes = self._fail_finding_write(
+                patch, 2, sqlite3.OperationalError("disk I/O error")
+            )
+            with pytest.raises(sqlite3.OperationalError, match="disk I/O"):
+                record_campaigns(root, shard)
+        assert len(writes) == 2
+        assert self._snapshot(root) == before
+        # The requeued shard writes everything exactly once.
+        counts = record_campaigns(root, shard)
+        assert [c["findings_duplicate"] for c in counts] == [1, 1, 1]
+        (record,) = FindingDatabase(root).records()
+        assert record.occurrences == 1 + len(shard)
+
+    def test_lock_error_retries_the_whole_shard(self, shard, tmp_path, monkeypatch):
+        from repro.corpus import sqlite_backend
+
+        monkeypatch.setattr(sqlite_backend.time, "sleep", lambda _s: None)
+        expected = record_campaigns(tmp_path / "clean", shard)
+        with monkeypatch.context() as patch:
+            self._fail_finding_write(
+                patch, 3, sqlite3.OperationalError("database is locked")
+            )
+            counts = record_campaigns(tmp_path / "retried", shard)
+        assert counts == expected
+        assert self._snapshot(tmp_path / "retried") == self._snapshot(
+            tmp_path / "clean"
         )

@@ -1,4 +1,4 @@
-"""Tests for the directory-backed corpus store and cmin minimisation."""
+"""Tests for the database-backed corpus store and cmin minimisation."""
 
 from __future__ import annotations
 
@@ -99,14 +99,14 @@ class TestMinimize:
         store.add(_entry(["CLOSED"], packet_count=1))
         store.add(_entry(["OPEN"], packet_count=2))
         canonical = store.minimize()
-        assert store.canonical_path.is_file()
+        assert store.stats().canonical_count == len(canonical) == 2
         assert CorpusStore(tmp_path).canonical_entries() == canonical
 
     def test_minimize_without_write(self, tmp_path):
         store = CorpusStore(tmp_path)
         store.add(_entry(["CLOSED"]))
-        store.minimize(write=False)
-        assert not store.canonical_path.is_file()
+        assert store.minimize(write=False) == store.entries()
+        assert CorpusStore(tmp_path).canonical_entries() == []
 
 
 class TestDetectionPrefix:

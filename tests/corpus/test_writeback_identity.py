@@ -1,6 +1,6 @@
 """The corpus write-back stores exactly what the bytes-path reference would.
 
-``record_from_campaign`` replays findings over the direct hop, shrinks
+``shrink_finding`` replays findings over the direct hop, shrinks
 them starting from the confirming replay's outcome, and takes the crash
 ID from the last crashing ddmin attempt instead of a final replay. This
 module keeps a reference implementation of the older write-back — every
@@ -99,14 +99,14 @@ def _reference_record(finding, profile, packets, minimize, counter):
 def finding_prefixes(tmp_path_factory):
     """(finding, profile, prefix) of every write-back in one armed sweep."""
     captured = []
-    original = findings.record_from_campaign
+    original = findings.shrink_finding
 
-    def spy(database, finding, profile, packets, minimize=True):
+    def spy(finding, profile, packets, minimize=True):
         captured.append((finding, profile, list(packets)))
-        return original(database, finding, profile, packets, minimize)
+        return original(finding, profile, packets, minimize)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(findings, "record_from_campaign", spy)
+        patch.setattr(findings, "shrink_finding", spy)
         orchestrator = FleetOrchestrator(
             profiles=ALL_PROFILES,
             strategies=("sequential", "targeted"),

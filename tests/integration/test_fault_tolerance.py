@@ -483,17 +483,17 @@ class TestSqliteWriteRetry:
 
         monkeypatch.setattr(sqlite_backend.time, "sleep", lambda _s: None)
         backend = sqlite_backend.SqliteCorpusBackend(tmp_path)
-        original = sqlite_backend.SqliteCorpusBackend._add_entry_once
+        original = sqlite_backend.SqliteCorpusBackend._ingest_once
         failures = iter([self._locked(), self._locked()])
 
-        def flaky(self, entry):
+        def flaky(self, batches):
             error = next(failures, None)
             if error is not None:
                 raise error
-            return original(self, entry)
+            return original(self, batches)
 
         monkeypatch.setattr(
-            sqlite_backend.SqliteCorpusBackend, "_add_entry_once", flaky
+            sqlite_backend.SqliteCorpusBackend, "_ingest_once", flaky
         )
         entry = entry_from_packets(
             packets=[echo_request(b"x", identifier=1)],

@@ -327,8 +327,9 @@ class TestCorpusCommands:
 
     def test_minimize(self, corpus_dir, capsys):
         assert main(["corpus", "minimize", str(corpus_dir)]) == 0
-        assert "canonical" in capsys.readouterr().out
-        assert (corpus_dir / "corpus.jsonl").is_file()
+        assert "canonical table" in capsys.readouterr().out
+        assert main(["corpus", "stats", str(corpus_dir)]) == 0
+        assert "canonical: 0" not in capsys.readouterr().out
 
     def test_replay_reports_no_regressions(self, corpus_dir, capsys):
         assert main(["corpus", "replay", str(corpus_dir)]) == 0
@@ -352,40 +353,57 @@ class TestCorpusCommands:
         with pytest.raises(SystemExit, match="no corpus"):
             main(["corpus", "stats", str(tmp_path / "empty")])
 
+    @staticmethod
+    def _legacy_copy(corpus_dir, root):
+        """*corpus_dir*'s content, rewritten in the legacy JSON layout."""
+        from repro.corpus import CorpusStore, FindingDatabase
+        from tests.corpus.legacy_layout import write_legacy_corpus
+
+        return write_legacy_corpus(
+            root,
+            CorpusStore(corpus_dir).entries(),
+            FindingDatabase(corpus_dir).records(),
+        )
+
     def test_migrate_then_all_commands_work(self, corpus_dir, tmp_path, capsys):
         before = capsys.readouterr()  # noqa: F841 - drain fixture output
+        legacy = self._legacy_copy(corpus_dir, tmp_path / "legacy")
         assert main(["corpus", "stats", str(corpus_dir)]) == 0
-        stats_before = capsys.readouterr().out
-        assert "[file backend]" in stats_before
+        stats_native = capsys.readouterr().out
+        # Until it is imported, the legacy layout is refused, never
+        # shadowed by a fresh empty database.
+        for command in (["corpus", "stats", str(legacy)],
+                        ["fleet", "--profiles", "1", "--corpus", str(legacy)]):
+            with pytest.raises(SystemExit, match="repro corpus migrate"):
+                main(command)
+        assert not (legacy / "corpus.sqlite3").exists()
 
-        assert main(["corpus", "migrate", str(corpus_dir)]) == 0
+        assert main(["corpus", "migrate", str(legacy)]) == 0
         assert "migrated to sqlite" in capsys.readouterr().out
-        assert (corpus_dir / "corpus.sqlite3").is_file()
-        assert not (corpus_dir / "entries").exists()
+        assert (legacy / "corpus.sqlite3").is_file()
+        assert not (legacy / "entries").exists()
 
-        # Every corpus command keeps working on the migrated directory,
-        # and stats answers identically (modulo the backend tag).
-        assert main(["corpus", "stats", str(corpus_dir)]) == 0
+        # Every corpus command works on the imported directory, and
+        # stats answers as it does for the corpus it was copied from.
+        assert main(["corpus", "stats", str(legacy)]) == 0
         stats_after = capsys.readouterr().out
-        assert "[sqlite backend]" in stats_after
-        assert stats_after.replace("[sqlite backend]", "[file backend]") == (
-            stats_before
-        )
-        assert main(["corpus", "minimize", str(corpus_dir)]) == 0
+        assert stats_after.replace(str(legacy), str(corpus_dir)) == stats_native
+        assert main(["corpus", "minimize", str(legacy)]) == 0
         assert "canonical" in capsys.readouterr().out
-        assert main(["corpus", "replay", str(corpus_dir)]) == 0
+        assert main(["corpus", "replay", str(legacy)]) == 0
         assert "0 regression(s)" in capsys.readouterr().out
         out_path = tmp_path / "migrated.jsonl"
         assert main(
-            ["corpus", "export", str(corpus_dir), "--output", str(out_path)]
+            ["corpus", "export", str(legacy), "--output", str(out_path)]
         ) == 0
         assert out_path.is_file()
 
-    def test_migrate_twice_exits(self, corpus_dir, capsys):
-        assert main(["corpus", "migrate", str(corpus_dir)]) == 0
+    def test_migrate_twice_exits(self, corpus_dir, tmp_path, capsys):
+        legacy = self._legacy_copy(corpus_dir, tmp_path / "legacy")
+        assert main(["corpus", "migrate", str(legacy)]) == 0
         capsys.readouterr()
         with pytest.raises(SystemExit, match="already an SQLite corpus"):
-            main(["corpus", "migrate", str(corpus_dir)])
+            main(["corpus", "migrate", str(legacy)])
 
     def test_fleet_corpus_flag(self, tmp_path, capsys):
         root = tmp_path / "fleet-corpus"
