@@ -83,7 +83,9 @@ class TargetScanner:
     ) -> None:
         self.queue = queue
         self.inquiry = inquiry
-        self.browse = browse if browse is not None else self._browse_over_air
+        # None, not a bound ``self._browse_over_air``: that would make
+        # the scanner reference itself.
+        self.browse = browse
 
     def _browse_over_air(self) -> Sequence:
         from repro.sdp.client import SdpClient
@@ -108,7 +110,8 @@ class TargetScanner:
             raise ScanError(f"target inquiry failed: {exc}") from exc
 
         try:
-            records = list(self.browse())
+            browse = self.browse
+            records = list(browse() if browse is not None else self._browse_over_air())
         except ScanError:
             # Browse failed (e.g. no SDP data channel): fall through to
             # the blind SDP probe below.

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import struct
+import weakref
 from collections.abc import Iterator, Mapping
 
 from repro.errors import PacketDecodeError, PacketEncodeError
@@ -302,23 +303,30 @@ class _FieldMap(dict):
     dict operation drops the owning packet's cached wire bytes and
     validation facts.
 
-    ``_owner`` is a deliberate strong back-reference: a weakref would
-    avoid the packet↔fields reference cycle, but weakrefs neither pickle
-    (fleet process-pool jobs) nor deepcopy to the copied owner — both
-    would silently detach invalidation. The cycle is collected by the
-    generational GC; the million-packet bounded-memory test pins that
-    this keeps up at campaign rates.
+    ``_owner`` is a weak reference to the packet, so a packet and its
+    field map form no reference cycle and are freed by reference
+    counting the moment the last owner lets go (a campaign makes tens of
+    thousands of them). A weakref neither pickles nor deep-copies to the
+    copied packet, so the map reduces to its plain items and
+    :meth:`L2capPacket.__setstate__` re-links the restored map to the
+    restored packet: in-place mutation of a copy invalidates the copy's
+    caches, never the original's.
     """
 
     _owner = None
 
+    def __reduce__(self):
+        return (_FieldMap, (dict(self),))
+
     def _touch(self) -> None:
         owner = self._owner
         if owner is not None:
-            cache = owner.__dict__
-            cache["_wire"] = None
-            cache["_intrinsic"] = None
-            cache["_loopback"] = None
+            packet = owner()
+            if packet is not None:
+                cache = packet.__dict__
+                cache["_wire"] = None
+                cache["_intrinsic"] = None
+                cache["_loopback"] = None
 
     def __setitem__(self, key, value) -> None:
         dict.__setitem__(self, key, value)
@@ -447,7 +455,7 @@ class L2capPacket:
         # into the instance dict (there is no cache to invalidate during
         # construction) and spec defaults come from a precomputed map.
         field_map = _FieldMap() if fields is None else _FieldMap(fields)
-        field_map._owner = self
+        field_map._owner = weakref.ref(self)
         spec = SPEC_BY_CODE.get(code)
         if spec is not None and fill_defaults:
             if field_map:
@@ -493,7 +501,7 @@ class L2capPacket:
             cache["_spec_cache"] = _UNSET
         elif name == "fields":
             fields = _FieldMap(value)
-            fields._owner = self
+            fields._owner = weakref.ref(self)
             cache["fields"] = fields
             cache["_wire"] = None
             cache["_intrinsic"] = None
@@ -796,8 +804,10 @@ class L2capPacket:
         )
 
     def __copy__(self) -> "L2capPacket":
-        # A shallow copy must not share the _FieldMap (its owner back-ref
-        # would invalidate the wrong packet's caches); reuse copy().
+        # A shallow copy must not share the _FieldMap: its weak owner
+        # reference names the original, so in-place field mutation on
+        # the copy would drop the original's caches and keep the copy's
+        # stale. copy() builds a fresh map linked to the new packet.
         return self.copy()
 
     def __getstate__(self) -> dict:
@@ -812,6 +822,14 @@ class L2capPacket:
         state.pop("_loopback", None)
         state.pop("_spec_cache", None)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        # The restored _FieldMap comes back unowned (a weakref does not
+        # serialise): link it to this packet so in-place field mutation
+        # keeps invalidating the copy's caches.
+        instance = self.__dict__
+        instance.update(state)
+        instance["fields"]._owner = weakref.ref(self)
 
     def loopback_view(self) -> "L2capPacket | None":
         """Return self when ``decode(encode(self))`` is logically identical.
@@ -889,7 +907,7 @@ class L2capPacket:
         """
         packet = cls.__new__(cls)
         fields = _FieldMap(field_values)
-        fields._owner = packet
+        fields._owner = weakref.ref(packet)
         instance = packet.__dict__
         instance["code"] = code
         instance["identifier"] = identifier

@@ -110,11 +110,12 @@ class HostStackEngine:
         self._response_latency = personality.response_latency
         self._signaling_mtu = personality.signaling_mtu
         self._rejects_garbage_tail = personality.rejects_garbage_tail
-        #: Transition-coverage counters: (command, state, outcome) →
-        #: hits. A black-box stand-in for the code coverage the paper
-        #: cannot measure (§V cites Frankenstein's firmware-emulation
+        #: Transition-coverage counters: (code, state, outcome) → hits.
+        #: A black-box stand-in for the code coverage the paper cannot
+        #: measure (§V cites Frankenstein's firmware-emulation
         #: approach); each key approximates one branch of the command
-        #: dispatcher of a real stack.
+        #: dispatcher of a real stack. Keys hold the raw command code;
+        #: the readers below attach command names.
         self.transition_hits: Counter = Counter()
 
     # -- bug arming -------------------------------------------------------------
@@ -191,13 +192,21 @@ class HostStackEngine:
         return frozenset(visit.state for visit in self.state_history)
 
     def transition_coverage(self) -> frozenset[tuple[str, str, str]]:
-        """Distinct (command, state, outcome) branches exercised so far."""
-        return frozenset(self.transition_hits)
+        """Distinct (command, state, outcome) branches exercised so far.
+
+        Every code outside the 26 commands counts as one ``UNKNOWN``
+        command.
+        """
+        names = COMMAND_NAME_BY_VALUE
+        return frozenset(
+            (names.get(code, "UNKNOWN"), state, outcome)
+            for code, state, outcome in self.transition_hits
+        )
 
     def outcome_totals(self) -> dict[str, int]:
         """Per-outcome totals of the transition tallies (telemetry view).
 
-        Aggregates the ``(command, state, outcome)`` counters the engine
+        Aggregates the ``(code, state, outcome)`` counters the engine
         already maintains — ``structural-reject``, ``reject``,
         ``handled``, ``silent`` — so the telemetry flush reads finished
         numbers instead of adding anything to the dispatch hot path.
@@ -208,11 +217,10 @@ class HostStackEngine:
         return totals
 
     def _record_transition(self, packet: L2capPacket, outcome: str) -> None:
-        command = COMMAND_NAME_BY_VALUE.get(packet.code, "UNKNOWN")
         cache = self._ambient_cache
         if cache[0] != self.channels.version:
             cache = self._refresh_ambient()
-        self.transition_hits[(command, cache[2], outcome)] += 1
+        self.transition_hits[(packet.code, cache[2], outcome)] += 1
 
     # -- helpers ---------------------------------------------------------------
 

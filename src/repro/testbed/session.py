@@ -11,6 +11,7 @@ machinery).
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.core.config import FuzzConfig
 from repro.core.fuzzer import L2Fuzz
@@ -98,8 +99,11 @@ class FuzzSession:
             inquiry=self.device.inquiry,
             browse=None,  # browse over the air via the real SDP exchange
             config=config,
-            dump_probe=lambda: self.device.crash_dumps,
-            reset_hook=self._reset_target,
+            # Hooks bind the device and link, never the session: a
+            # session the fuzzer pointed back to would form a cycle that
+            # keeps the finished campaign alive until the cyclic GC runs.
+            dump_probe=lambda device=self.device: device.crash_dumps,
+            reset_hook=functools.partial(self.device.reset, self.link),
             target_name=f"{self.profile.device_id} ({self.profile.name})",
             strategy=strategy,
             dictionary=self.dictionary,
@@ -107,9 +111,6 @@ class FuzzSession:
             sample_every=self.sample_every,
             target=self.target,
         )
-
-    def _reset_target(self) -> None:
-        self.device.reset(self.link)
 
     def run(self) -> CampaignReport:
         """Run the campaign to completion and return the report.

@@ -210,6 +210,70 @@ class TestSerialisationDropsCaches:
         assert packet.encode() == pickle.loads(pickle.dumps(packet)).encode()
 
 
+_COPIERS = {
+    "pickle": lambda packet: pickle.loads(pickle.dumps(packet)),
+    "deepcopy": copy.deepcopy,
+    "copy.copy": copy.copy,
+    "method": L2capPacket.copy,
+}
+
+
+def _prime(packet: L2capPacket, mtu: int):
+    """Fill every codec cache; return what they hold."""
+    return (
+        packet.encode(),
+        packet.loopback_view() is packet,
+        structural_reject_reason(packet, mtu),
+    )
+
+
+class TestCopiesOwnTheirFieldMap:
+    """Each copy's field map invalidates the copy's caches, never another's.
+
+    The map's back-reference to its packet is weak, so copying re-links
+    it: pickle and deepcopy restore through ``__setstate__``, the shallow
+    copies build a fresh map.
+    """
+
+    @given(
+        _packet_strategy(),
+        st.sampled_from(sorted(_COPIERS)),
+        st.sampled_from([48, 1 << 30]),
+    )
+    @settings(max_examples=200)
+    def test_in_place_field_write_on_copy(self, packet, copier, mtu):
+        names = packet.field_names()
+        if not names:
+            return
+        name = names[0]
+        spec_default = packet.spec.field(name).default
+        # A truncated original: loopback off, a structural reject within
+        # the MTU, and the absent field encoded as its default.
+        del packet.fields[name]
+        original = _prime(packet, mtu)
+        wire = packet.__dict__["_wire"]
+        clone = _COPIERS[copier](packet)
+        assert _prime(clone, mtu) == original
+
+        value = (spec_default + 1) & packet.spec.field(name).max_value
+        clone.fields[name] = value
+        assert clone.encode() != original[0]
+        assert clone.encode() == _clone(clone).encode()
+        assert clone.loopback_view() is clone
+        assert structural_reject_reason(clone, mtu) == structural_reject_reason(
+            _clone(clone), mtu
+        )
+        assert (clone.loopback_view() is clone) != original[1]
+        if original[2] is not RejectReason.SIGNALING_MTU_EXCEEDED:
+            assert original[2] is RejectReason.COMMAND_NOT_UNDERSTOOD
+            assert structural_reject_reason(clone, mtu) is None
+
+        # The original keeps its (still correct) caches.
+        assert packet.__dict__["_wire"] is wire
+        assert _prime(packet, mtu) == original
+        assert name not in packet.fields
+
+
 class TestRoundTripWithCaching:
     @given(_packet_strategy())
     @settings(max_examples=200)
