@@ -12,11 +12,18 @@ and resettable virtual targets, we can do better than log hooking:
   they are loopback-eligible, the link is loss-free and the device
   attached a packet handler, as raw ACL frames otherwise;
 * :func:`shrink_trigger` shrinks a crashing packet sequence to a
-  minimal reproducer with delta debugging (ddmin-style chunk removal),
-  typically isolating the state-transition packets plus the single
-  malformed trigger. It starts from the crashing outcome the caller
-  already has and returns the minimal sequence's own outcome, so a
-  caller never replays a sequence just to learn what it already knows;
+  minimal reproducer with delta debugging (ddmin, Zeller & Hildebrandt,
+  TSE 2002), typically isolating the state-transition packets plus the
+  single malformed trigger. Every verdict equals a fresh
+  :func:`replay` of the candidate, but is reached incrementally: the
+  candidates of one pass share the prefix before the removed chunk, so
+  one base target per pass is sent that prefix once and each candidate
+  forks it (:meth:`repro.stack.device.VirtualDevice.fork`) and sends
+  only the packets after the chunk; a prefix that crashes by itself
+  answers the rest of the pass, and a memo answers candidates ddmin
+  tries twice. It starts from the crashing outcome the caller already
+  has and returns the minimal sequence's own outcome, so a caller never
+  replays a sequence just to learn what it already knows;
   :func:`minimize_trigger` is the check-then-shrink convenience.
 """
 
@@ -30,8 +37,12 @@ from repro.errors import TransportError
 from repro.hci.packets import AclPacket
 from repro.l2cap.packets import L2capPacket
 
-#: A target factory returns a fresh (device, link) pair per attempt.
+#: A target factory returns a fresh (device, link) pair: one per replay,
+#: one per ddmin pass (whose candidates run on forks of it).
 TargetFactory = Callable[[], tuple[object, object]]
+
+#: ACL connection handle replayed packets are sent on.
+_HANDLE = 0x000B
 
 
 def profile_target_factory(
@@ -85,22 +96,15 @@ def sent_packets(entries: Sequence[TracedPacket]) -> list[L2capPacket]:
     ]
 
 
-def replay(
-    packets: Sequence[L2capPacket],
-    target_factory: TargetFactory,
-    handle: int = 0x000B,
-) -> ReplayOutcome:
-    """Re-send *packets* in order against a fresh target.
-
-    Responses are dropped — replay only cares whether the target
-    survives the stimulus. Each packet takes the same route
-    :meth:`repro.core.packet_queue.PacketQueue.send` would give it, so
-    the outcome matches the bytes path packet for packet.
-    """
-    device, link = target_factory()
+def _send(
+    device, link, packets: Sequence[L2capPacket], start: int, handle: int
+) -> ReplayOutcome | None:
+    """Send *packets* over *link*; the crash outcome, or None if the target
+    survives. *start* packets were sent before, so trigger indices count
+    from it."""
     direct = not link.loss_rate and link.packet_remote is not None
     inbound = link.inbound
-    for index, packet in enumerate(packets):
+    for index, packet in enumerate(packets, start):
         try:
             if direct and (packet._loopback or packet.loopback_view() is not None):
                 link.deliver(packet, handle)
@@ -118,13 +122,74 @@ def replay(
                 error_message=error.message,
                 crash_id=crash.vulnerability_id if crash else None,
             )
+    return None
+
+
+def _survived(length: int) -> ReplayOutcome:
     return ReplayOutcome(
         crashed=False,
-        frames_replayed=len(packets),
+        frames_replayed=length,
         trigger_index=None,
         error_message=None,
         crash_id=None,
     )
+
+
+def replay(
+    packets: Sequence[L2capPacket],
+    target_factory: TargetFactory,
+    handle: int = _HANDLE,
+) -> ReplayOutcome:
+    """Re-send *packets* in order against a fresh target.
+
+    Responses are dropped — replay only cares whether the target
+    survives the stimulus. Each packet takes the same route
+    :meth:`repro.core.packet_queue.PacketQueue.send` would give it, so
+    the outcome matches the bytes path packet for packet.
+    """
+    device, link = target_factory()
+    crash = _send(device, link, packets, 0, handle)
+    return crash if crash is not None else _survived(len(packets))
+
+
+class _PassBase:
+    """One ddmin pass's base target, sent its shared prefix lazily.
+
+    Every candidate of a pass is ``current[:index] + current[resume:]``
+    with a non-decreasing *index*, and a kept removal leaves
+    ``current[:index]`` as it was; so the base only ever moves forward
+    along the prefix, and each candidate costs a fork plus its suffix.
+    """
+
+    def __init__(self, target_factory: TargetFactory) -> None:
+        self._factory = target_factory
+        self._target = None
+        self._sent = 0  # prefix packets the base has received
+        self._crash: ReplayOutcome | None = None  # the prefix's own crash
+
+    def attempt(
+        self, current: list[L2capPacket], index: int, resume: int
+    ) -> ReplayOutcome:
+        """The outcome :func:`replay` gives ``current[:index] + current[resume:]``."""
+        if self._target is None:
+            self._target = self._factory()
+        device, link = self._target
+        if self._crash is None and index > self._sent:
+            self._crash = _send(
+                device, link, current[self._sent : index], self._sent, _HANDLE
+            )
+            self._sent = index
+        if self._crash is not None:
+            # The prefix crashed at k < index, and every candidate of this
+            # pass from here on shares current[:k + 1]: a full replay
+            # stops at the same packet.
+            return self._crash
+        suffix = current[resume:]
+        if not suffix:
+            return _survived(index)
+        device, link = device.fork(link)
+        crash = _send(device, link, suffix, index, _HANDLE)
+        return crash if crash is not None else _survived(index + len(suffix))
 
 
 def shrink_trigger(
@@ -136,9 +201,20 @@ def shrink_trigger(
     """Delta-debug crashing *packets* down to a minimal subsequence.
 
     Classic ddmin shape: try dropping chunks at decreasing granularity,
-    keeping any removal that still reproduces the crash. Each attempt
-    uses a fresh target from *target_factory*, so the search is sound
-    for deterministic triggers.
+    keeping any removal that still reproduces the crash. Each attempt's
+    verdict is the one :func:`replay` on a fresh target from
+    *target_factory* would give, so the search is sound for
+    deterministic triggers — but it is reached incrementally:
+
+    * all candidates of one pass share the prefix before the removed
+      chunk, so one base target per pass is sent that prefix once, and
+      each candidate forks the base (``device.fork(link)``, so the
+      factory's devices must offer it) and sends only what follows the
+      chunk. A prefix that crashes by itself answers every later
+      candidate of the pass, and a candidate with nothing after the
+      chunk is the prefix itself: neither needs a fork;
+    * ddmin retries some candidates; a memo keyed by the candidate's
+      packet identities answers a repeat without any send.
 
     *outcome* is the crashing replay of *packets* the caller already
     holds. Returns the minimal sequence with its own crashing outcome
@@ -146,15 +222,22 @@ def shrink_trigger(
     dropped) — replaying the result again would only repeat it.
     """
     current = list(packets)
+    tried: dict[tuple[int, ...], ReplayOutcome] = {}
     chunk = max(1, len(current) // 2)
     rounds = 0
     while chunk >= 1 and rounds < max_rounds:
         rounds += 1
         reduced_this_pass = False
+        base = _PassBase(target_factory)
         index = 0
         while index < len(current):
             candidate = current[:index] + current[index + chunk :]
-            attempt = replay(candidate, target_factory) if candidate else None
+            attempt = None
+            if candidate:
+                key = tuple(map(id, candidate))
+                attempt = tried.get(key)
+                if attempt is None:
+                    attempt = tried[key] = base.attempt(current, index, index + chunk)
             if attempt is not None and attempt.crashed:
                 current, outcome = candidate, attempt
                 reduced_this_pass = True

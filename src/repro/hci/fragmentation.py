@@ -52,6 +52,16 @@ class Reassembler:
         self._expected: dict[int, int] = {}
         self.dropped_fragments = 0
 
+    def fork(self) -> Reassembler:
+        """An independent copy, half-built frames included."""
+        clone = Reassembler.__new__(Reassembler)
+        clone._pending = {
+            handle: bytearray(buffer) for handle, buffer in self._pending.items()
+        }
+        clone._expected = dict(self._expected)
+        clone.dropped_fragments = self.dropped_fragments
+        return clone
+
     def feed(self, packet: AclPacket) -> bytes | None:
         """Consume one ACL packet; return a completed L2CAP frame or None."""
         handle = packet.handle

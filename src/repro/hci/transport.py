@@ -34,6 +34,7 @@ detection phase matches on.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from collections import deque
 from collections.abc import Callable
@@ -58,6 +59,10 @@ class SimClock:
     def __init__(self, start: float = 0.0) -> None:
         #: Current simulated time in seconds.
         self.now = float(start)
+
+    def fork(self) -> SimClock:
+        """An independent clock reading the same time."""
+        return SimClock(self.now)
 
     def advance(self, seconds: float) -> None:
         """Move the clock forward.
@@ -113,6 +118,29 @@ class VirtualLink:
         self.inbound: deque = deque()
         self._down_error: type[TransportError] | None = None
         self.stats = LinkStats()
+
+    def fork(self, clock: SimClock) -> VirtualLink:
+        """An independent copy of this link, running on *clock*.
+
+        Queued responses, counters, the down state and the drop RNG's
+        position are copied; the copy has no remote attached (the forked
+        endpoint attaches itself, see
+        :meth:`repro.stack.device.VirtualDevice.fork`).
+        """
+        clone = VirtualLink.__new__(VirtualLink)
+        clone.clock = clock
+        clone.tx_cost = self.tx_cost
+        clone.loss_rate = self.loss_rate
+        clone._rng = copy.copy(self._rng)
+        clone._remote = None
+        clone.packet_remote = None
+        clone.inbound = self.inbound.copy()
+        clone._down_error = self._down_error
+        stats = self.stats
+        clone.stats = LinkStats(
+            stats.frames_sent, stats.frames_received, stats.frames_dropped
+        )
+        return clone
 
     # -- wiring ---------------------------------------------------------------
 

@@ -57,9 +57,15 @@ class HeaderLayout(enum.IntEnum):
     FOUR_BYTES = 0xC0
 
 
+#: Header layouts indexed by a header id's top two bits.
+_LAYOUT_BY_TOP_BITS: tuple[HeaderLayout, ...] = tuple(
+    HeaderLayout(bits << 6) for bits in range(4)
+)
+
+
 def layout_of(header_id: int) -> HeaderLayout:
     """Value layout encoded in a header id's top two bits."""
-    return HeaderLayout(header_id & 0xC0)
+    return _LAYOUT_BY_TOP_BITS[(header_id & 0xC0) >> 6]
 
 
 #: OBEX protocol version 1.0 (the on-air value for IrOBEX 1.3).

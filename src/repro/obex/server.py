@@ -29,6 +29,15 @@ class ObexServer:
         self.inbox: dict[str, bytes] = {}
         self.requests_seen = 0
 
+    def fork(self) -> ObexServer:
+        """An independent copy of the session state and the inbox."""
+        clone = ObexServer.__new__(ObexServer)
+        clone.max_packet = self.max_packet
+        clone.connected = self.connected
+        clone.inbox = dict(self.inbox)
+        clone.requests_seen = self.requests_seen
+        return clone
+
     def handle_request(self, raw: bytes) -> bytes:
         """Process one OBEX request; always returns a response packet."""
         self.requests_seen += 1
@@ -36,17 +45,10 @@ class ObexServer:
             packet = ObexPacket.decode(raw)
         except PacketDecodeError:
             return ObexPacket(ResponseCode.BAD_REQUEST).encode()
-        handler = {
-            Opcode.CONNECT: self._on_connect,
-            Opcode.DISCONNECT: self._on_disconnect,
-            Opcode.PUT: self._on_put,
-            Opcode.PUT_FINAL: self._on_put,
-            Opcode.GET: self._on_get,
-            Opcode.GET_FINAL: self._on_get,
-        }.get(packet.code)
+        handler = _HANDLERS.get(packet.code)
         if handler is None:
             return ObexPacket(ResponseCode.BAD_REQUEST).encode()
-        return handler(packet).encode()
+        return handler(self, packet).encode()
 
     # -- handlers -----------------------------------------------------------------
 
@@ -93,3 +95,14 @@ class ObexServer:
                 ObexHeader(HeaderId.END_OF_BODY, body),
             ),
         )
+
+
+#: Request dispatch, resolved once rather than per request.
+_HANDLERS = {
+    Opcode.CONNECT: ObexServer._on_connect,
+    Opcode.DISCONNECT: ObexServer._on_disconnect,
+    Opcode.PUT: ObexServer._on_put,
+    Opcode.PUT_FINAL: ObexServer._on_put,
+    Opcode.GET: ObexServer._on_get,
+    Opcode.GET_FINAL: ObexServer._on_get,
+}

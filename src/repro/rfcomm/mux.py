@@ -20,6 +20,7 @@ from repro.errors import PacketDecodeError, TargetCrashedError
 from repro.rfcomm.constants import CONTROL_DLCI, FrameType, MAX_DLCI
 from repro.rfcomm.frames import RfcommFrame, dm, ua
 from repro.stack.crash import CrashKind, CrashReport, DumpKind
+from repro.stack.engine import fork_handlers
 
 
 class DlciState(enum.Enum):
@@ -68,6 +69,22 @@ class RfcommMux:
         self.state_history: list[tuple[int, DlciState]] = []
         self.frames_rejected = 0
         self.frames_accepted = 0
+
+    def fork(self) -> RfcommMux:
+        """An independent copy: DLCI states, history, counters and any
+        stateful per-DLCI service are copied."""
+        clone = RfcommMux.__new__(RfcommMux)
+        clone.vulnerable = self.vulnerable
+        clone.strict_fcs = self.strict_fcs
+        clone.service_handlers = fork_handlers(self.service_handlers, {})
+        clone._dlcis = {
+            dlci: DlciEntry(entry.dlci, entry.state)
+            for dlci, entry in self._dlcis.items()
+        }
+        clone.state_history = list(self.state_history)
+        clone.frames_rejected = self.frames_rejected
+        clone.frames_accepted = self.frames_accepted
+        return clone
 
     # -- public ---------------------------------------------------------------------
 

@@ -29,8 +29,19 @@ class ElementType(enum.IntEnum):
     URL = 8
 
 
+#: 5-bit type descriptor → element type (None for the reserved values).
+_TYPE_BY_DESCRIPTOR: tuple[ElementType | None, ...] = tuple(
+    {kind.value: kind for kind in ElementType}.get(value) for value in range(32)
+)
+
 #: Size-index → fixed byte count (indexes 5-7 use an explicit length).
 _FIXED_SIZES = {0: 1, 1: 2, 2: 4, 3: 8, 4: 16}
+
+#: Numeric byte width → size index (the inverse of :data:`_FIXED_SIZES`).
+_SIZE_INDEX_BY_WIDTH = {width: index for index, width in _FIXED_SIZES.items()}
+
+#: Size-index → byte width of the explicit length that follows (5-7).
+_LENGTH_WIDTHS = {5: 1, 6: 2, 7: 4}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,9 +79,7 @@ class DataElement:
         raise PacketEncodeError(f"unsupported element type {kind}")
 
     def _encode_numeric(self) -> bytes:
-        size_index = {2: 1, 4: 2, 8: 3, 16: 4}.get(self.width)
-        if self.width == 1:
-            size_index = 0
+        size_index = _SIZE_INDEX_BY_WIDTH.get(self.width)
         if size_index is None:
             raise PacketEncodeError(f"unsupported numeric width {self.width}")
         header = bytes([(self.element_type << 3) | size_index])
@@ -111,10 +120,9 @@ class DataElement:
         if offset >= len(raw):
             raise PacketDecodeError("empty data element")
         descriptor = raw[offset]
-        try:
-            kind = ElementType(descriptor >> 3)
-        except ValueError as exc:
-            raise PacketDecodeError(f"unknown element type {descriptor >> 3}") from exc
+        kind = _TYPE_BY_DESCRIPTOR[descriptor >> 3]
+        if kind is None:
+            raise PacketDecodeError(f"unknown element type {descriptor >> 3}")
         size_index = descriptor & 0x07
         offset += 1
 
@@ -153,7 +161,7 @@ class DataElement:
     ) -> tuple[int, int]:
         if size_index in _FIXED_SIZES:
             return _FIXED_SIZES[size_index], offset
-        width = {5: 1, 6: 2, 7: 4}[size_index]
+        width = _LENGTH_WIDTHS[size_index]
         if offset + width > len(raw):
             raise PacketDecodeError("truncated data element length")
         length = int.from_bytes(raw[offset : offset + width], "big")

@@ -58,11 +58,20 @@ class SdpRecord:
             AttributeId.SERVICE_NAME: text(self.service.name),
         }
 
+    @property
+    def uuids(self) -> tuple[int, ...]:
+        """Every UUID a search can match this record by: its class, the
+        public browse root, and its protocols (L2CAP and the PSM)."""
+        return (
+            self.service_class,
+            ServiceClass.PUBLIC_BROWSE_ROOT,
+            ProtocolUuid.L2CAP,
+            self.service.psm,
+        )
+
     def matches_uuid(self, uuid: int) -> bool:
         """True when *uuid* appears in this record's class or protocols."""
-        if uuid in (self.service_class, ServiceClass.PUBLIC_BROWSE_ROOT):
-            return True
-        return uuid in (ProtocolUuid.L2CAP, self.service.psm)
+        return uuid in self.uuids
 
     def attribute_list(self, attribute_ids: list[tuple[int, int]]) -> DataElement:
         """Build the (id, value) attribute list for the requested ranges."""

@@ -75,6 +75,11 @@ class SdpServer:
     def __init__(self, directory: ServiceDirectory) -> None:
         self.records: tuple[SdpRecord, ...] = build_records(directory)
         self._by_handle = {record.handle: record for record in self.records}
+        #: Every UUID some record matches: a search naming any other UUID
+        #: matches nothing, without a scan.
+        self._uuids = frozenset(
+            uuid for record in self.records for uuid in record.uuids
+        )
 
     # -- dispatch ------------------------------------------------------------------
 
@@ -99,7 +104,7 @@ class SdpServer:
 
     def _matching_records(self, pattern: DataElement) -> list[SdpRecord]:
         uuids = _uuids_in(pattern)
-        if not uuids:
+        if not uuids or not self._uuids.issuperset(uuids):
             return []
         return [
             record

@@ -46,6 +46,12 @@ class ChannelControlBlock:
         """True once both configuration directions completed."""
         return self.state is ChannelState.OPEN
 
+    def copy(self) -> ChannelControlBlock:
+        """An independent copy of this block."""
+        clone = ChannelControlBlock.__new__(ChannelControlBlock)
+        clone.__dict__.update(self.__dict__)
+        return clone
+
     def reset_config(self) -> None:
         """Forget configuration progress (re-configuration from OPEN)."""
         self.local_config_done = False
@@ -74,6 +80,18 @@ class ChannelManager:
         #: derived views — the engine's ambient-state guess — can be
         #: cached until something actually changed.
         self.version = 0
+
+    def fork(self) -> ChannelManager:
+        """An independent copy: every block is copied, and the CID
+        cursor and version carry over."""
+        clone = ChannelManager.__new__(ChannelManager)
+        clone.max_channels = self.max_channels
+        clone._channels = {
+            cid: block.copy() for cid, block in self._channels.items()
+        }
+        clone._next_cid = self._next_cid
+        clone.version = self.version
+        return clone
 
     def allocate(self, psm: int, remote_cid: int, initiates_config: bool = False) -> ChannelControlBlock:
         """Create a control block with a freshly allocated local CID.

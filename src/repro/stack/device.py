@@ -33,7 +33,7 @@ from repro.hci.transport import SimClock, VirtualLink
 from repro.l2cap.constants import Psm
 from repro.l2cap.packets import L2capPacket
 from repro.stack.crash import CrashReport
-from repro.stack.engine import HostStackEngine
+from repro.stack.engine import HostStackEngine, fork_handlers
 from repro.stack.services import ServiceDirectory, standard_services
 from repro.stack.vendors import VendorPersonality
 from repro.stack.vulnerabilities import VulnerabilityModel
@@ -216,6 +216,41 @@ class VirtualDevice:
                 device_name=self.meta.name, build=self.build_fingerprint
             )
             self.crash_dumps.append(dump)
+
+    # -- forking -------------------------------------------------------------------
+
+    def fork(self, link: VirtualLink) -> tuple[VirtualDevice, VirtualLink]:
+        """An independent copy of this device and of *link*, its attached link.
+
+        The copy answers every later packet exactly as this device would,
+        and sending to either leaves the other untouched. Mutable state
+        is copied by each owner's own ``fork``: the stack engine (channel
+        blocks, state history, transition tallies), the clock, the
+        reassembler, the link (queue, counters, down state) and stateful
+        upper-layer servers (RFCOMM mux, OBEX server). Frozen or
+        stateless parts are shared: identity, personality, bug models,
+        the service directory and the SDP server. The forked link is
+        attached the way *link* was (direct hop or bytes only).
+        """
+        clone = VirtualDevice.__new__(VirtualDevice)
+        clone.__dict__.update(self.__dict__)
+        clone.clock = self.clock.fork()
+        forks: dict[int, object] = {}
+        clone.engine = self.engine.fork(
+            clone.clock, fork_handlers(self.engine.data_handlers, forks)
+        )
+        for name, value in self.__dict__.items():
+            forked = forks.get(id(value))
+            if forked is not None:
+                setattr(clone, name, forked)  # e.g. rfcomm_mux, obex_server
+        clone.crash_dumps = list(self.crash_dumps)
+        clone._reassembler = self._reassembler.fork()
+        forked_link = link.fork(clone.clock)
+        forked_link.attach(
+            clone.handle_acl_frame,
+            clone.handle_packet if link.packet_remote is not None else None,
+        )
+        return clone, forked_link
 
     # -- lifecycle -------------------------------------------------------------------
 

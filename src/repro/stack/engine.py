@@ -102,6 +102,13 @@ class HostStackEngine:
             ChannelState.CLOSED,
             ChannelState.CLOSED.value,
         )
+        # Bug-predicate facts: (channel-table version, allocated CIDs,
+        # live channel states), refreshed under the same invalidation.
+        self._bug_facts: tuple[int, frozenset[int], frozenset[ChannelState]] = (
+            -1,
+            frozenset(),
+            frozenset(),
+        )
         self.state_history: list[StateVisit] = []
         self.crash: CrashReport | None = None
         self._next_identifier = 0x70
@@ -117,6 +124,24 @@ class HostStackEngine:
         #: dispatcher of a real stack. Keys hold the raw command code;
         #: the readers below attach command names.
         self.transition_hits: Counter = Counter()
+
+    def fork(self, clock: SimClock, data_handlers: dict) -> HostStackEngine:
+        """An independent copy of this stack, running on *clock*.
+
+        The channel table, state history, transition tallies, crash and
+        identifier cursor are copied; the frozen personality, the bug
+        models and the service directory are shared. *data_handlers*
+        replaces the upper-layer handlers (the caller forks the stateful
+        ones, see :func:`fork_handlers`).
+        """
+        clone = HostStackEngine.__new__(HostStackEngine)
+        clone.__dict__.update(self.__dict__)
+        clone.clock = clock
+        clone.data_handlers = data_handlers
+        clone.channels = self.channels.fork()
+        clone.state_history = list(self.state_history)
+        clone.transition_hits = self.transition_hits.copy()
+        return clone
 
     # -- bug arming -------------------------------------------------------------
 
@@ -305,14 +330,20 @@ class HostStackEngine:
         if self.crash is not None:
             return
         effective_state = state if state is not None else self._ambient_state()
+        facts = self._bug_facts
+        channels = self.channels
+        if facts[0] != channels.version:
+            facts = self._bug_facts = (
+                channels.version,
+                channels.allocated_cids(),
+                frozenset(block.state for block in channels.blocks()),
+            )
         context = TriggerContext(
             packet=packet,
             state=effective_state,
             job=job_of(effective_state),
-            allocated_cids=self.channels.allocated_cids(),
-            live_states=frozenset(
-                block.state for block in self.channels.live_channels()
-            ),
+            allocated_cids=facts[1],
+            live_states=facts[2],
         )
         for model in self._bug_models:
             if model.check(context):
@@ -734,6 +765,28 @@ class HostStackEngine:
         if code == CommandCode.FLOW_CONTROL_CREDIT_IND:
             return []  # credits for an unknown channel are silently dropped
         return []  # stray LE responses are ignored
+
+
+def fork_handlers(handlers: dict, forks: dict) -> dict:
+    """Copy of *handlers* rebound onto forked owners.
+
+    A handler bound to an object with a ``fork()`` method — a stateful
+    upper-layer server such as the RFCOMM mux or an OBEX server — is
+    rebound to that owner's fork, made once per owner and recorded in
+    *forks* (``id(owner)`` → fork). Any other handler (the stateless SDP
+    server, a plain function) is shared.
+    """
+    forked = {}
+    for key, handler in handlers.items():
+        owner = getattr(handler, "__self__", None)
+        fork = getattr(owner, "fork", None)
+        if fork is not None:
+            clone = forks.get(id(owner))
+            if clone is None:
+                clone = forks[id(owner)] = fork()
+            handler = getattr(clone, handler.__name__)
+        forked[key] = handler
+    return forked
 
 
 #: Information Response payloads keyed by InfoType value (Core 5.2

@@ -10,7 +10,13 @@ from repro.errors import PacketDecodeError
 from repro.hci.transport import VirtualLink
 from repro.l2cap.constants import CommandCode, ConnectionResult, Psm
 from repro.l2cap.packets import L2capPacket, connection_request
-from repro.obex.constants import HeaderId, Opcode, ResponseCode
+from repro.obex.constants import (
+    HeaderId,
+    HeaderLayout,
+    Opcode,
+    ResponseCode,
+    layout_of,
+)
 from repro.obex.packets import (
     ObexHeader,
     ObexPacket,
@@ -49,6 +55,10 @@ class TestHeaderCodec:
     def test_truncated_header_raises(self):
         with pytest.raises(PacketDecodeError):
             decode_headers(bytes([HeaderId.NAME, 0x00]))
+
+    def test_layout_is_the_top_two_bits(self):
+        for header_id in range(256):
+            assert layout_of(header_id) is HeaderLayout(header_id & 0xC0)
 
     @given(st.text(max_size=20), st.binary(max_size=40))
     @settings(max_examples=100)

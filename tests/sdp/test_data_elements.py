@@ -138,3 +138,9 @@ class TestProperties:
             DataElement.decode(raw)
         except PacketDecodeError:
             pass
+
+    @given(st.integers(9, 31), st.integers(0, 7), st.binary(max_size=8))
+    def test_reserved_type_is_named_in_the_error(self, type_value, size, rest):
+        raw = bytes([type_value << 3 | size]) + rest
+        with pytest.raises(PacketDecodeError, match=f"^unknown element type {type_value}$"):
+            DataElement.decode(raw)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.target_scanning import TargetScanner
 from repro.errors import ScanError
@@ -14,7 +15,7 @@ from repro.sdp.constants import (
     PduId,
     ServiceClass,
 )
-from repro.sdp.data_elements import sequence, uint32, uuid16
+from repro.sdp.data_elements import ElementType, sequence, uint, uint32, uuid16
 from repro.sdp.pdu import (
     ErrorResponse,
     SdpPdu,
@@ -27,6 +28,7 @@ from repro.sdp.pdu import (
 from repro.sdp.records import build_records
 from repro.sdp.server import SdpServer
 from repro.stack.services import ServiceDirectory, ServiceRecord
+from repro.testbed.profiles import ALL_PROFILES
 
 from tests.conftest import make_rig, make_services
 
@@ -130,6 +132,48 @@ class TestServer:
         server = _server()
         raw = server.handle_request(SdpPdu(0x7E, 5, b"").encode())
         assert SdpPdu.decode(raw).pdu_id == PduId.ERROR_RESPONSE
+
+
+_PROFILE_SERVERS = tuple(
+    SdpServer(ServiceDirectory(list(profile.services))) for profile in ALL_PROFILES
+)
+_LIVE_UUIDS = sorted(
+    {
+        uuid
+        for server in _PROFILE_SERVERS
+        for record in server.records
+        for uuid in record.uuids
+    }
+)
+
+
+class TestMatchingPrefilter:
+    """Skipping the scan when a searched UUID is in no record changes nothing."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        server=st.sampled_from(_PROFILE_SERVERS),
+        children=st.lists(
+            st.one_of(
+                st.sampled_from(_LIVE_UUIDS).map(uuid16),
+                st.integers(0, 0xFFFF).map(uuid16),
+                st.integers(0, 0xFFFF).map(uint),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_prefiltered_match_equals_full_scan(self, server, children):
+        pattern = sequence(*children)
+        uuids = [
+            child.value for child in children
+            if child.element_type is ElementType.UUID
+        ]
+        full_scan = [
+            record
+            for record in server.records
+            if uuids and all(record.matches_uuid(uuid) for uuid in uuids)
+        ]
+        assert server._matching_records(pattern) == full_scan
 
 
 class TestOverAirBrowse:

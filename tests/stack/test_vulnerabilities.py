@@ -7,6 +7,7 @@ import pytest
 from repro.l2cap.constants import CommandCode
 from repro.l2cap.jobs import Job
 from repro.l2cap.packets import (
+    echo_request,
     L2capPacket,
     configuration_request,
     connection_request,
@@ -14,7 +15,7 @@ from repro.l2cap.packets import (
     disconnection_request,
 )
 from repro.l2cap.states import ChannelState
-from repro.stack.crash import CrashKind
+from repro.stack.crash import CrashKind, DumpKind
 from repro.stack.vulnerabilities import (
     BLUEDROID_CIDP_NULL_DEREF,
     BLUEDROID_CREATE_CHANNEL_DOS,
@@ -22,7 +23,9 @@ from repro.stack.vulnerabilities import (
     KNOWN_VULNERABILITIES,
     RTKIT_PSM_SHUTDOWN,
     TriggerContext,
+    VulnerabilityModel,
 )
+from tests.stack.engine_helpers import make_engine, open_channel
 
 
 def _context(
@@ -194,3 +197,64 @@ class TestRegistry:
     def test_ids_match_keys(self):
         for key, model in KNOWN_VULNERABILITIES.items():
             assert key == model.vulnerability_id
+
+
+class TestEngineBugFacts:
+    """The engine caches a check's allocated CIDs and live states against
+    the channel table's version; every table change must still show."""
+
+    @staticmethod
+    def _recording_engine():
+        seen = []
+
+        def record(context: TriggerContext) -> bool:
+            seen.append((context.allocated_cids, context.live_states))
+            return False
+
+        recorder = VulnerabilityModel(
+            vulnerability_id="recorder",
+            description="never fires",
+            predicate=record,
+            kind=CrashKind.DOS,
+            dump_kind=DumpKind.NONE,
+            function="record",
+        )
+        return make_engine(vulnerabilities=(recorder,)), seen
+
+    @staticmethod
+    def _facts_now(engine):
+        return (
+            frozenset(block.local_cid for block in engine.channels.blocks()),
+            frozenset(block.state for block in engine.channels.blocks()),
+        )
+
+    def _probe(self, engine, seen):
+        engine.handle_l2cap(echo_request(b"probe"))
+        assert seen[-1] == self._facts_now(engine)
+        return seen[-1]
+
+    def test_allocate_state_change_and_release_show(self):
+        engine, seen = self._recording_engine()
+        assert self._probe(engine, seen) == (frozenset(), frozenset())
+
+        cid, _ = open_channel(engine)
+        assert self._probe(engine, seen) == (
+            frozenset({cid}),
+            frozenset({ChannelState.WAIT_CONFIG}),
+        )
+
+        engine.handle_l2cap(configuration_request(dcid=cid))
+        assert self._probe(engine, seen) == (
+            frozenset({cid}),
+            frozenset({ChannelState.WAIT_CONFIG_RSP}),
+        )
+
+        engine.handle_l2cap(disconnection_request(dcid=cid, scid=0x0060))
+        assert self._probe(engine, seen) == (frozenset(), frozenset())
+
+    def test_unchanged_table_reuses_the_facts(self):
+        engine, seen = self._recording_engine()
+        open_channel(engine)
+        first = self._probe(engine, seen)
+        second = self._probe(engine, seen)
+        assert first[0] is second[0] and first[1] is second[1]
