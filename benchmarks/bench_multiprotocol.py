@@ -6,10 +6,11 @@ redesign must not cost: wall-clock packets per second through the
 shared engine, and full state-plan coverage for every protocol.
 
 Every run appends to ``benchmarks/BENCH_multiprotocol.json`` so the
-per-target perf trajectory accumulates across PRs, alongside the
-hot-path gate's ``BENCH_hotpath.json``. The CI benchmark-smoke job runs
-the ``--quick`` mode; the L2CAP row doubles as a sanity echo of the
-dedicated hot-path gate (the >30% regression floor lives there).
+per-target perf trajectory accumulates across PRs. The CI
+benchmark-smoke job runs the ``--quick`` mode. The L2CAP packet path
+is gated elsewhere: exactly, by the per-layer work budget
+(``benchmarks/WORK_BUDGET.json``) on the ``perfbench`` stream workload,
+and in wall time by the ``perfbench`` A/B bounds.
 """
 
 from __future__ import annotations

@@ -79,7 +79,7 @@ from repro.core.config import FuzzConfig
 from repro.core.detection import Finding, VulnerabilityClass
 from repro.core.faults import FaultPlan
 from repro.core.report import CampaignReport
-from repro.durability import atomic_write
+from repro.durability import atomic_write, backoff_delay
 from repro.errors import ReproError
 
 _log = logging.getLogger(__name__)
@@ -886,9 +886,7 @@ class SupervisionPolicy:
 
     def backoff(self, attempts: int) -> float:
         """Capped exponential delay before attempt *attempts* + 1."""
-        return min(
-            self.backoff_cap, self.backoff_base * (2 ** max(0, attempts - 1))
-        )
+        return backoff_delay(attempts - 1, self.backoff_base, self.backoff_cap)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1253,25 +1251,18 @@ class FleetRuntime:
                 # campaign is the poison, not a crashed neighbour.
                 quarantine(job, reason)
                 return
-            if job.attempts >= policy.max_attempts:
-                if len(job.shard) > 1:
-                    # Bisect: halve the blast radius each round until
-                    # the poison campaign stands alone.
-                    stats.bisections += 1
-                    mid = len(job.shard) // 2
-                    pending.append(
-                        _ShardJob(job.shard[:mid], not_before=now)
-                    )
-                    pending.append(
-                        _ShardJob(job.shard[mid:], not_before=now)
-                    )
-                else:
-                    job.require_solo = True
-                    job.not_before = now + policy.backoff(job.attempts)
-                    pending.append(job)
-            else:
-                job.not_before = now + policy.backoff(job.attempts)
-                pending.append(job)
+            if job.attempts >= policy.max_attempts and len(job.shard) > 1:
+                # Bisect: halve the blast radius each round until the
+                # poison campaign stands alone.
+                stats.bisections += 1
+                mid = len(job.shard) // 2
+                pending.append(_ShardJob(job.shard[:mid], not_before=now))
+                pending.append(_ShardJob(job.shard[mid:], not_before=now))
+                return
+            # A singleton out of attempts gets one solo confirmation run.
+            job.require_solo = job.attempts >= policy.max_attempts
+            job.not_before = now + policy.backoff(job.attempts)
+            pending.append(job)
 
         def requeue_victims(jobs, now: float) -> None:
             """Innocent in-flight shards lost to a restart: no bump."""

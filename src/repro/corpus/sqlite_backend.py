@@ -46,6 +46,7 @@ from pathlib import Path
 
 from repro.corpus.entry import CorpusEntry, dict_to_entry, entry_line
 from repro.corpus.findings import FindingRecord, dict_to_record, record_to_dict
+from repro.durability import backoff_delay
 
 _log = logging.getLogger(__name__)
 
@@ -126,9 +127,8 @@ def _write_with_retry(operation, describe: str):
         except sqlite3.OperationalError as error:
             if not _is_lock_error(error) or attempt == WRITE_RETRY_ATTEMPTS:
                 raise
-            delay = min(
-                WRITE_RETRY_CAP_SECONDS,
-                WRITE_RETRY_BASE_SECONDS * (2 ** (attempt - 1)),
+            delay = backoff_delay(
+                attempt - 1, WRITE_RETRY_BASE_SECONDS, WRITE_RETRY_CAP_SECONDS
             )
             _log.debug(
                 "%s hit a locked database (attempt %d/%d); retrying in %.3fs",

@@ -1,4 +1,4 @@
-"""Atomic file publication: the one write-then-rename every store uses.
+"""Atomic file publication and retry backoff: one primitive each.
 
 Corpus exports, telemetry manifests and metric snapshots, shard
 checkpoints and service job manifests are all published the same way:
@@ -45,3 +45,8 @@ def atomic_write(path: Path, data: str | bytes) -> None:
     else:
         tmp.write_text(data, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def backoff_delay(retry: int, base: float, cap: float) -> float:
+    """Capped ``base * 2**retry`` for every retry loop; *retry* is 0-based."""
+    return min(cap, base * (2 ** max(0, retry)))

@@ -24,6 +24,7 @@ import time
 from collections.abc import Iterator
 from urllib.parse import urlencode, urlsplit
 
+from repro.durability import backoff_delay
 from repro.errors import ReproError
 from repro.service.jobs import JOB_STATUSES
 
@@ -77,7 +78,7 @@ class ServiceClient:
 
     def _sleep_before_retry(self, attempt: int, floor: float = 0.0) -> None:
         """Capped exponential backoff with full jitter (attempt is 0-based)."""
-        ceiling = min(self.backoff_cap, self.backoff * (2**attempt))
+        ceiling = backoff_delay(attempt, self.backoff, self.backoff_cap)
         time.sleep(max(floor, random.uniform(0, ceiling)))
 
     def _once(

@@ -65,6 +65,7 @@ from repro.core.runtime import (
     FleetRuntime,
     SupervisionPolicy,
 )
+from repro.durability import backoff_delay
 from repro.errors import JournalWriteError
 from repro.l2cap.states import ChannelState
 from repro.service.jobs import (
@@ -446,9 +447,8 @@ class JobScheduler:
         """Capped exponential backoff for the Nth automatic resume."""
         if attempts <= 0:
             return 0.0
-        return min(
-            self.auto_resume_backoff_cap,
-            self.auto_resume_backoff * (2 ** (attempts - 1)),
+        return backoff_delay(
+            attempts - 1, self.auto_resume_backoff, self.auto_resume_backoff_cap
         )
 
     def _queue_auto_resume(self, job_id: str) -> None:

@@ -7,9 +7,9 @@ summary codec's corpus stats — so metrics are folded in **batched
 flushes at campaign/run boundaries** (one
 :meth:`MetricsRegistry.inc`/:meth:`~MetricsRegistry.observe` call per
 campaign or shard, never per packet). The hot path pays nothing: no
-locks, no allocations, no callbacks — which is how the telemetry
-overhead gate (``benchmarks/bench_telemetry.py``) stays under 3% of the
-``bench_hotpath`` wall-pps baseline.
+locks, no allocations, no callbacks. ``tests/telemetry/test_off_packet_path.py``
+pins it exactly: a shard's journal events and registry calls do not
+grow with its packet budget.
 
 Snapshots are versioned (:data:`METRICS_SCHEMA_VERSION`) like the fleet
 summary codec, so the future control plane can consume them across
