@@ -21,8 +21,8 @@ turn it off and a million-packet campaign runs in bounded memory.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
+from typing import NamedTuple
 
 from repro.l2cap.constants import (
     CommandCode,
@@ -42,15 +42,27 @@ class Direction(enum.Enum):
     RECEIVED = "received"
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class TracedPacket:
-    """One classified trace entry."""
+class TracedPacket(NamedTuple):
+    """One classified trace entry (immutable).
+
+    A named tuple rather than a frozen dataclass: a retained-trace
+    campaign builds one per packet in each direction, and the sniffer
+    builds them with one ``tuple.__new__`` call (:data:`_entry`) instead
+    of an ``__init__`` that writes five frozen slots.
+    """
 
     sim_time: float
     direction: Direction
     packet: L2capPacket
     malformed: bool
     rejection: bool
+
+
+#: ``TracedPacket(*fields)`` without the named-tuple constructor's
+#: argument handling: ``_entry(TracedPacket, (sim_time, ...))``.
+_entry = tuple.__new__
+_SENT = Direction.SENT
+_RECEIVED = Direction.RECEIVED
 
 
 #: Result values in a Connection/Create-Channel Response that constitute a
@@ -200,7 +212,7 @@ class PacketSniffer:
         malformed = is_malformed(packet, allocated_cids=self._target_cids_view)
         entry = None
         if self.retain_trace:
-            entry = TracedPacket(sim_time, Direction.SENT, packet, malformed, False)
+            entry = _entry(TracedPacket, (sim_time, _SENT, packet, malformed, False))
             self.trace.append(entry)
         self._sent += 1
         if malformed:
@@ -221,7 +233,9 @@ class PacketSniffer:
         rejection = is_rejection(packet)
         entry = None
         if self.retain_trace:
-            entry = TracedPacket(sim_time, Direction.RECEIVED, packet, False, rejection)
+            entry = _entry(
+                TracedPacket, (sim_time, _RECEIVED, packet, False, rejection)
+            )
             self.trace.append(entry)
         self._received += 1
         if rejection:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.core.config import FuzzConfig
 from repro.l2cap.constants import (
@@ -76,6 +76,63 @@ def _draw_range(low: int, high: int) -> tuple[int, int, int]:
 #: CIDP draws: 2-byte fields from Table IV, 1-byte CONT_ID from 0..0xFF.
 _CIDP_DRAWS = {2: _draw_range(*CIDP_MUTATION_RANGE), 1: _draw_range(0x00, 0xFF)}
 
+#: Probability that a garbage tail is spliced from the corpus dictionary
+#: instead of drawn fresh.
+SPLICE_RATE = 0.25
+
+
+def draw_garbage(
+    rng: random.Random,
+    max_garbage: int,
+    dictionary: Sequence[bytes] = (),
+    headroom: int | None = None,
+) -> bytes:
+    """Draw a Fig.-7 garbage tail: the one tail draw of every mutator.
+
+    With a non-empty *dictionary*, a quarter of the tails splice a
+    harvested token (cut to the limit); the rest are fresh random bytes
+    of 1..``max_garbage``, clamped to *headroom* when set (the L2CAP
+    mutator passes the room left under the signaling MTU). No room, no
+    draw: the RNG is left untouched.
+
+    Draw order and RNG consumption are part of the campaign's
+    deterministic contract. The draws are the inlined equivalents of
+    ``rng.random()``, ``rng.randrange(len(dictionary))``,
+    ``rng.randint(1, limit)`` and one ``rng.getrandbits(8)`` per byte;
+    the RNG identity property tests pin value and ``getstate()``
+    equality against those methods.
+    """
+    limit = max_garbage if headroom is None or max_garbage < headroom else headroom
+    if limit <= 0:
+        return b""
+    getrandbits = rng.getrandbits
+    if dictionary and rng.random() < SPLICE_RATE:
+        count = len(dictionary)
+        bits = count.bit_length()
+        index = getrandbits(bits)
+        while index >= count:
+            index = getrandbits(bits)
+        return dictionary[index][:limit]
+    bits = limit.bit_length()
+    length = getrandbits(bits)
+    while length >= limit:
+        length = getrandbits(bits)
+    length += 1
+    # random_bytes(getrandbits, length), inlined: this runs per packet.
+    return getrandbits(32 * length).to_bytes(4 * length, "little")[3::4]
+
+
+def random_bytes(getrandbits, count: int) -> bytes:
+    """*count* bytes of ``getrandbits(8)`` draws, in one call.
+
+    ``getrandbits(8)`` is the top byte of one 32-bit Mersenne Twister
+    output, and ``getrandbits(32 * n)`` packs n outputs little-endian:
+    byte 3 of every 4-byte word is the per-byte draw, from the same n
+    outputs. ``getrandbits(0)`` draws nothing, so a zero *count*
+    leaves the RNG untouched, as the generator expression would.
+    """
+    return getrandbits(32 * count).to_bytes(4 * count, "little")[3::4]
+
 
 @dataclasses.dataclass(frozen=True)
 class _WireTemplate:
@@ -118,9 +175,6 @@ class CoreFieldMutator:
         seeded campaigns without a corpus stay byte-identical.
     """
 
-    #: Probability that a garbage tail is spliced from the dictionary.
-    SPLICE_RATE = 0.25
-
     def __init__(
         self,
         config: FuzzConfig,
@@ -154,48 +208,14 @@ class CoreFieldMutator:
             if self.rng.random() < 0.5:
                 packet.declared_data_len = self.rng.randrange(0, 4)
         if self.config.append_garbage:
-            packet.garbage = self._garbage_tail(packet)
+            # The tail never pushes the frame past the signaling MTU.
+            packet.garbage = draw_garbage(
+                self.rng,
+                self.config.max_garbage,
+                self.dictionary,
+                self.signaling_mtu - packet.wire_length,
+            )
         return packet
-
-    def _garbage_tail(self, packet: L2capPacket) -> bytes:
-        """Draw a garbage tail that keeps the frame within the MTU."""
-        return self._garbage_for_length(packet.wire_length)
-
-    def _garbage_for_length(self, wire_length: int) -> bytes:
-        """The tail draw itself, shared by the object and wire paths.
-
-        Draw order and RNG consumption are part of the campaign's
-        deterministic contract: both paths call this with the same
-        pre-garbage frame length, so seeded streams stay identical. The
-        draws are the inlined equivalents of ``rng.random()``,
-        ``rng.randrange(len(dictionary))``, ``rng.randint(1, limit)`` and
-        one ``rng.getrandbits(8)`` per byte.
-        """
-        headroom = self.signaling_mtu - wire_length
-        if headroom <= 0:
-            return b""
-        rng = self.rng
-        getrandbits = rng.getrandbits
-        max_garbage = self.config.max_garbage
-        limit = headroom if headroom < max_garbage else max_garbage
-        dictionary = self.dictionary
-        if dictionary and rng.random() < self.SPLICE_RATE:
-            count = len(dictionary)
-            bits = count.bit_length()
-            index = getrandbits(bits)
-            while index >= count:
-                index = getrandbits(bits)
-            return dictionary[index][:limit]
-        bits = limit.bit_length()
-        length = getrandbits(bits)
-        while length >= limit:
-            length = getrandbits(bits)
-        length += 1
-        # ``getrandbits(8)`` is the top byte of one 32-bit Mersenne
-        # Twister output, and ``getrandbits(32 * n)`` packs n outputs
-        # little-endian: byte 3 of every 4-byte word is the per-byte
-        # draw, from the same n outputs.
-        return getrandbits(32 * length).to_bytes(4 * length, "little")[3::4]
 
     # -- bytes-level fast path ------------------------------------------------------
 
@@ -258,7 +278,12 @@ class CoreFieldMutator:
             if size == 2:
                 frame[offset + 1] = value >> 8
         garbage = (
-            self._garbage_for_length(template.length)
+            draw_garbage(
+                rng,
+                self.config.max_garbage,
+                self.dictionary,
+                self.signaling_mtu - template.length,
+            )
             if self.config.append_garbage
             else b""
         )

@@ -295,6 +295,9 @@ _WIRE_ATTRS = frozenset(
 )
 
 
+_new_instance = object.__new__
+
+
 class _FieldMap(dict):
     """Field dict that invalidates its packet's codec caches on mutation.
 
@@ -313,13 +316,20 @@ class _FieldMap(dict):
     caches, never the original's.
     """
 
-    _owner = None
+    # One slot instead of an instance dict: a campaign builds a field map
+    # per packet, and a slotted map is built faster and is a fifth the
+    # size. An unset slot (a map not yet linked to a packet) reads as
+    # "no owner".
+    __slots__ = ("_owner",)
 
     def __reduce__(self):
         return (_FieldMap, (dict(self),))
 
     def _touch(self) -> None:
-        owner = self._owner
+        try:
+            owner = self._owner
+        except AttributeError:
+            return
         if owner is not None:
             packet = owner()
             if packet is not None:
@@ -921,6 +931,44 @@ class L2capPacket:
         instance["_wire"] = wire
         instance["_intrinsic"] = intrinsic
         instance["_loopback"] = loopback
+        return packet
+
+    @classmethod
+    def data_frame(
+        cls, header_cid: int, payload: bytes, wire: bytes | None = None
+    ) -> "L2capPacket":
+        """A B-frame carrying *payload* to *header_cid*, built for the hop.
+
+        Equal to ``L2capPacket(code=0, identifier=0, header_cid=header_cid,
+        tail=payload, fill_defaults=False)``, but the instance dict is
+        populated directly and the loopback verdict is set at build time
+        (the B-frame rule of :meth:`loopback_view`), so neither the
+        sender's nor the device's hop recomputes it. *wire*, when given,
+        primes the encode cache; the caller guarantees it is the frame's
+        encoding. Every data frame a protocol target sends and every
+        upper-layer server response is built here.
+        """
+        packet = _new_instance(cls)
+        fields = _FieldMap()
+        fields._owner = weakref.ref(packet)
+        instance = packet.__dict__
+        instance["code"] = 0
+        instance["identifier"] = 0
+        instance["fields"] = fields
+        instance["tail"] = payload
+        instance["garbage"] = b""
+        instance["header_cid"] = header_cid
+        instance["declared_payload_len"] = None
+        instance["declared_data_len"] = None
+        instance["_spec_cache"] = None
+        instance["_wire"] = wire
+        instance["_intrinsic"] = None
+        instance["_loopback"] = (
+            header_cid.__class__ is int
+            and 0 <= header_cid <= 0xFFFF
+            and payload.__class__ is bytes
+            and len(payload) <= MAX_L2CAP_PAYLOAD
+        )
         return packet
 
     def describe(self) -> str:

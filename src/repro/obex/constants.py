@@ -57,15 +57,16 @@ class HeaderLayout(enum.IntEnum):
     FOUR_BYTES = 0xC0
 
 
-#: Header layouts indexed by a header id's top two bits.
-_LAYOUT_BY_TOP_BITS: tuple[HeaderLayout, ...] = tuple(
-    HeaderLayout(bits << 6) for bits in range(4)
+#: The value layout of every header id (its top two bits), indexed by
+#: the id: the one table the codec reads, encoding and decoding.
+LAYOUT_BY_ID: tuple[HeaderLayout, ...] = tuple(
+    HeaderLayout(header_id & 0xC0) for header_id in range(256)
 )
 
 
 def layout_of(header_id: int) -> HeaderLayout:
     """Value layout encoded in a header id's top two bits."""
-    return _LAYOUT_BY_TOP_BITS[(header_id & 0xC0) >> 6]
+    return LAYOUT_BY_ID[header_id & 0xFF]
 
 
 #: OBEX protocol version 1.0 (the on-air value for IrOBEX 1.3).

@@ -15,14 +15,20 @@ from __future__ import annotations
 import dataclasses
 import struct
 
+from repro.codec import frozen_instance
 from repro.errors import PacketDecodeError, PacketEncodeError
 from repro.obex.constants import (
     DEFAULT_MAX_PACKET,
+    LAYOUT_BY_ID,
     HeaderLayout,
     OBEX_VERSION,
     Opcode,
     layout_of,
 )
+
+#: Opcode/response code and packet length; CONNECT's extras.
+_UNPACK_PREFIX = struct.Struct(">BH").unpack_from
+_UNPACK_EXTRAS = struct.Struct(">BBH").unpack_from
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,35 +61,35 @@ def decode_headers(raw: bytes) -> list[ObexHeader]:
     """
     headers = []
     offset = 0
-    while offset < len(raw):
+    size = len(raw)
+    while offset < size:
         header_id = raw[offset]
-        layout = layout_of(header_id)
+        layout = LAYOUT_BY_ID[header_id]
         if layout is HeaderLayout.ONE_BYTE:
-            if offset + 2 > len(raw):
+            if offset + 2 > size:
                 raise PacketDecodeError("truncated 1-byte OBEX header")
-            headers.append(ObexHeader(header_id, raw[offset + 1]))
+            value = raw[offset + 1]
             offset += 2
         elif layout is HeaderLayout.FOUR_BYTES:
-            if offset + 5 > len(raw):
+            if offset + 5 > size:
                 raise PacketDecodeError("truncated 4-byte OBEX header")
-            (value,) = struct.unpack_from(">I", raw, offset + 1)
-            headers.append(ObexHeader(header_id, value))
+            value = int.from_bytes(raw[offset + 1 : offset + 5], "big")
             offset += 5
         else:
-            if offset + 3 > len(raw):
+            if offset + 3 > size:
                 raise PacketDecodeError("truncated OBEX header length")
-            (total,) = struct.unpack_from(">H", raw, offset + 1)
-            if total < 3 or offset + total > len(raw):
+            total = (raw[offset + 1] << 8) | raw[offset + 2]
+            if total < 3 or offset + total > size:
                 raise PacketDecodeError("OBEX header length out of bounds")
-            body = raw[offset + 3 : offset + total]
+            value = raw[offset + 3 : offset + total]
             if layout is HeaderLayout.UNICODE:
-                if body.endswith(b"\x00\x00"):
-                    body = body[:-2]  # exactly one UTF-16 null terminator
-                text = body.decode("utf-16-be", errors="replace")
-                headers.append(ObexHeader(header_id, text))
-            else:
-                headers.append(ObexHeader(header_id, body))
+                if value.endswith(b"\x00\x00"):
+                    value = value[:-2]  # exactly one UTF-16 null terminator
+                value = value.decode("utf-16-be", errors="replace")
             offset += total
+        headers.append(
+            frozen_instance(ObexHeader, {"header_id": header_id, "value": value})
+        )
     return headers
 
 
@@ -124,7 +130,7 @@ class ObexPacket:
         """
         if len(raw) < 3:
             raise PacketDecodeError(f"OBEX packet too short: {len(raw)} bytes")
-        code, total = struct.unpack_from(">BH", raw, 0)
+        code, total = _UNPACK_PREFIX(raw)
         if total != len(raw):
             raise PacketDecodeError(
                 f"OBEX length {total} disagrees with {len(raw)} bytes"
@@ -139,10 +145,16 @@ class ObexPacket:
         if wants_extras:
             if len(body) < 4:
                 raise PacketDecodeError("truncated OBEX connect extras")
-            version, flags, max_packet = struct.unpack_from(">BBH", body, 0)
-            extras = (version, flags, max_packet)
+            extras = _UNPACK_EXTRAS(body)
             body = body[4:]
-        return cls(code, tuple(decode_headers(body)), extras)
+        return frozen_instance(
+            cls,
+            {
+                "code": code,
+                "headers": tuple(decode_headers(body)),
+                "connect_extras": extras,
+            },
+        )
 
     def header(self, header_id: int) -> object | None:
         """First header value with *header_id* (None when absent)."""

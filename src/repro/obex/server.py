@@ -9,6 +9,8 @@ codes — making the server a well-defined fuzzing surface of its own.
 
 from __future__ import annotations
 
+import functools
+
 from repro.errors import PacketDecodeError
 from repro.obex.constants import (
     DEFAULT_MAX_PACKET,
@@ -44,49 +46,46 @@ class ObexServer:
         try:
             packet = ObexPacket.decode(raw)
         except PacketDecodeError:
-            return ObexPacket(ResponseCode.BAD_REQUEST).encode()
+            return _BAD_REQUEST
         handler = _HANDLERS.get(packet.code)
         if handler is None:
-            return ObexPacket(ResponseCode.BAD_REQUEST).encode()
-        return handler(self, packet).encode()
+            return _BAD_REQUEST
+        return handler(self, packet)
 
-    # -- handlers -----------------------------------------------------------------
+    # -- handlers (each returns the encoded response) ------------------------------
 
-    def _on_connect(self, packet: ObexPacket) -> ObexPacket:
+    def _on_connect(self, packet: ObexPacket) -> bytes:
         if packet.connect_extras is None:
-            return ObexPacket(ResponseCode.BAD_REQUEST)
+            return _BAD_REQUEST
         self.connected = True
-        return ObexPacket(
-            ResponseCode.SUCCESS,
-            connect_extras=(OBEX_VERSION, 0x00, self.max_packet),
-        )
+        return _connect_success(self.max_packet)
 
-    def _on_disconnect(self, _packet: ObexPacket) -> ObexPacket:
+    def _on_disconnect(self, _packet: ObexPacket) -> bytes:
         if not self.connected:
-            return ObexPacket(ResponseCode.FORBIDDEN)
+            return _FORBIDDEN
         self.connected = False
-        return ObexPacket(ResponseCode.SUCCESS)
+        return _SUCCESS
 
-    def _on_put(self, packet: ObexPacket) -> ObexPacket:
+    def _on_put(self, packet: ObexPacket) -> bytes:
         if not self.connected:
-            return ObexPacket(ResponseCode.FORBIDDEN)
+            return _FORBIDDEN
         name = packet.header(HeaderId.NAME)
         if not name:
-            return ObexPacket(ResponseCode.BAD_REQUEST)
+            return _BAD_REQUEST
         body = packet.header(HeaderId.END_OF_BODY)
         if body is None:
             body = packet.header(HeaderId.BODY)
         if body is None:
-            return ObexPacket(ResponseCode.LENGTH_REQUIRED)
+            return _LENGTH_REQUIRED
         self.inbox[str(name)] = bytes(body)
-        return ObexPacket(ResponseCode.SUCCESS)
+        return _SUCCESS
 
-    def _on_get(self, packet: ObexPacket) -> ObexPacket:
+    def _on_get(self, packet: ObexPacket) -> bytes:
         if not self.connected:
-            return ObexPacket(ResponseCode.FORBIDDEN)
+            return _FORBIDDEN
         name = packet.header(HeaderId.NAME)
         if not name or str(name) not in self.inbox:
-            return ObexPacket(ResponseCode.NOT_FOUND)
+            return _NOT_FOUND
         body = self.inbox[str(name)]
         return ObexPacket(
             ResponseCode.SUCCESS,
@@ -94,7 +93,23 @@ class ObexServer:
                 ObexHeader(HeaderId.LENGTH, len(body)),
                 ObexHeader(HeaderId.END_OF_BODY, body),
             ),
-        )
+        ).encode()
+
+
+#: The header-less responses, pre-encoded.
+_BAD_REQUEST = ObexPacket(ResponseCode.BAD_REQUEST).encode()
+_FORBIDDEN = ObexPacket(ResponseCode.FORBIDDEN).encode()
+_LENGTH_REQUIRED = ObexPacket(ResponseCode.LENGTH_REQUIRED).encode()
+_NOT_FOUND = ObexPacket(ResponseCode.NOT_FOUND).encode()
+_SUCCESS = ObexPacket(ResponseCode.SUCCESS).encode()
+
+
+@functools.lru_cache(maxsize=16)
+def _connect_success(max_packet: int) -> bytes:
+    """The encoded CONNECT success response advertising *max_packet*."""
+    return ObexPacket(
+        ResponseCode.SUCCESS, connect_extras=(OBEX_VERSION, 0x00, max_packet)
+    ).encode()
 
 
 #: Request dispatch, resolved once rather than per request.

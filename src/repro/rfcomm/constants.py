@@ -62,14 +62,16 @@ def _build_fcs_table() -> tuple[int, ...]:
     return tuple(table)
 
 
-_FCS_TABLE = _build_fcs_table()
+#: CRC-8 lookup: the FCS of bytes b0..bn is ``0xFF - crc`` after
+#: ``crc = FCS_TABLE[crc ^ b]`` for each byte, from ``crc = 0xFF``.
+FCS_TABLE = _build_fcs_table()
 
 
 def fcs(data: bytes) -> int:
     """Compute the RFCOMM frame check sequence over *data*."""
     crc = 0xFF
     for byte in data:
-        crc = _FCS_TABLE[crc ^ byte]
+        crc = FCS_TABLE[crc ^ byte]
     return 0xFF - crc
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.errors import PacketDecodeError, PacketEncodeError
-from repro.rfcomm.constants import FrameType, POLL_FINAL, fcs, fcs_ok
+from repro.rfcomm.constants import FCS_TABLE, FrameType, POLL_FINAL, fcs
 
 
 @dataclasses.dataclass
@@ -83,39 +83,57 @@ class RfcommFrame:
         :raises PacketDecodeError: on truncation, length mismatch or a
             bad frame check sequence.
         """
-        if len(raw) < 4:
-            raise PacketDecodeError(f"RFCOMM frame too short: {len(raw)} bytes")
-        address, control = raw[0], raw[1]
-        if not address & 0x01:
-            raise PacketDecodeError("address EA bit not set (extended addresses unsupported)")
-        offset = 2
-        length_byte = raw[offset]
-        if length_byte & 0x01:
-            length = length_byte >> 1
-            offset += 1
-        else:
-            if len(raw) < 5:
-                raise PacketDecodeError("truncated two-byte length")
-            length = (length_byte >> 1) | (raw[offset + 1] << 7)
-            offset += 2
-        header = raw[:offset]
-        payload = raw[offset : offset + length]
-        if len(payload) != length or offset + length + 1 > len(raw):
-            raise PacketDecodeError("RFCOMM length disagrees with frame size")
-        received_fcs = raw[offset + length]
-
-        frame_type = control & 0xEF
-        checked = header[:2] if frame_type == FrameType.UIH else header
-        if not fcs_ok(checked, received_fcs):
-            raise PacketDecodeError("RFCOMM FCS check failed")
-
+        address, control, offset, length = decode_framing(raw)
         return cls(
             dlci=(address >> 2) & 0x3F,
-            frame_type=frame_type,
-            payload=payload,
+            frame_type=control & 0xEF,
+            payload=raw[offset : offset + length],
             poll_final=bool(control & POLL_FINAL),
             command=bool(address & 0x02),
         )
+
+
+def decode_framing(raw: bytes) -> tuple[int, int, int, int]:
+    """Check a frame's framing; return (address, control, payload offset,
+    payload length).
+
+    The whole of :meth:`RfcommFrame.decode` but the frame object: the EA
+    bit, the EA-extended length against the bytes present, and the FCS
+    (over address+control for UIH, over the whole header otherwise).
+    Bytes after the FCS are not the frame's; the caller decides what a
+    trailing tail means. The RFCOMM mux parses every frame with this.
+
+    :raises PacketDecodeError: on truncation, length mismatch or a bad
+        frame check sequence.
+    """
+    if len(raw) < 4:
+        raise PacketDecodeError(f"RFCOMM frame too short: {len(raw)} bytes")
+    address = raw[0]
+    control = raw[1]
+    if not address & 0x01:
+        raise PacketDecodeError("address EA bit not set (extended addresses unsupported)")
+    length = raw[2]
+    if length & 0x01:
+        length >>= 1
+        offset = 3
+    else:
+        if len(raw) < 5:
+            raise PacketDecodeError("truncated two-byte length")
+        length = (length >> 1) | (raw[3] << 7)
+        offset = 4
+    end = offset + length
+    if end >= len(raw):
+        raise PacketDecodeError("RFCOMM length disagrees with frame size")
+    # fcs() over the checked header bytes, unrolled.
+    table = FCS_TABLE
+    crc = table[table[0xFF ^ address] ^ control]
+    if control & 0xEF != FrameType.UIH:
+        crc = table[crc ^ raw[2]]
+        if offset == 4:
+            crc = table[crc ^ raw[3]]
+    if 0xFF - crc != raw[end]:
+        raise PacketDecodeError("RFCOMM FCS check failed")
+    return address, control, offset, length
 
 
 def sabm(dlci: int) -> RfcommFrame:

@@ -18,7 +18,7 @@ import enum
 
 from repro.errors import PacketDecodeError, TargetCrashedError
 from repro.rfcomm.constants import CONTROL_DLCI, FrameType, MAX_DLCI
-from repro.rfcomm.frames import RfcommFrame, dm, ua
+from repro.rfcomm.frames import decode_framing, dm, ua, uih
 from repro.stack.crash import CrashKind, CrashReport, DumpKind
 from repro.stack.engine import fork_handlers
 
@@ -91,14 +91,22 @@ class RfcommMux:
     def handle_payload(self, payload: bytes) -> bytes:
         """L2CAP data-handler entry point: one frame in, one frame out."""
         try:
-            frame = RfcommFrame.decode(payload)
+            address, control, offset, length = decode_framing(payload)
         except PacketDecodeError:
             self.frames_rejected += 1
             return b""  # undecodable frames are dropped (no DLCI to answer on)
-        response = self._dispatch(frame, raw=payload)
-        if response is None:
-            return b""
-        return response.encode()
+        dlci = (address >> 2) & 0x3F
+        entry = self._dlcis.get(dlci)
+        frame_type = control & 0xEF
+        if frame_type == FrameType.SABM:
+            return self._on_sabm(dlci, entry)
+        if frame_type == FrameType.DISC:
+            return self._on_disc(dlci, entry)
+        if frame_type == FrameType.UIH:
+            return self._on_uih(dlci, entry, payload, offset, length)
+        # Unsolicited UA/DM from a peer: ignored.
+        self.frames_rejected += 1
+        return b""
 
     def dlci_state(self, dlci: int) -> DlciState:
         """Current state of *dlci* (DISCONNECTED when unknown)."""
@@ -115,69 +123,63 @@ class RfcommMux:
         entry.state = state
         self.state_history.append((entry.dlci, state))
 
-    def _dispatch(self, frame: RfcommFrame, raw: bytes) -> RfcommFrame | None:
-        entry = self._dlcis.get(frame.dlci)
-        if frame.frame_type == FrameType.SABM:
-            return self._on_sabm(frame, entry)
-        if frame.frame_type == FrameType.DISC:
-            return self._on_disc(frame, entry)
-        if frame.frame_type == FrameType.UIH:
-            return self._on_uih(frame, entry, raw)
-        # Unsolicited UA/DM from a peer: ignored.
-        self.frames_rejected += 1
-        return None
-
-    def _on_sabm(self, frame: RfcommFrame, entry: DlciEntry | None) -> RfcommFrame:
+    def _on_sabm(self, dlci: int, entry: DlciEntry | None) -> bytes:
         if entry is None:
             self.frames_rejected += 1
-            return dm(frame.dlci)
-        if frame.dlci != CONTROL_DLCI and (
+            return _DM[dlci]
+        if dlci != CONTROL_DLCI and (
             self.dlci_state(CONTROL_DLCI) is not DlciState.CONNECTED
         ):
             # Data DLCIs require the control channel first.
             self.frames_rejected += 1
-            return dm(frame.dlci)
+            return _DM[dlci]
         self.frames_accepted += 1
         self._set_state(entry, DlciState.CONNECTED)
-        return ua(frame.dlci)
+        return _UA[dlci]
 
-    def _on_disc(self, frame: RfcommFrame, entry: DlciEntry | None) -> RfcommFrame:
+    def _on_disc(self, dlci: int, entry: DlciEntry | None) -> bytes:
         if entry is None or entry.state is not DlciState.CONNECTED:
             self.frames_rejected += 1
-            return dm(frame.dlci)
+            return _DM[dlci]
         self.frames_accepted += 1
         self._set_state(entry, DlciState.DISCONNECTED)
-        return ua(frame.dlci)
+        return _UA[dlci]
 
     def _on_uih(
-        self, frame: RfcommFrame, entry: DlciEntry | None, raw: bytes
-    ) -> RfcommFrame | None:
+        self,
+        dlci: int,
+        entry: DlciEntry | None,
+        raw: bytes,
+        offset: int,
+        length: int,
+    ) -> bytes:
         if entry is None or entry.state is not DlciState.CONNECTED:
             self.frames_rejected += 1
-            return dm(frame.dlci)
+            return _DM[dlci]
         self.frames_accepted += 1
-        self._check_bug(frame, raw)
-        if frame.dlci == CONTROL_DLCI:
-            return None  # mux control messages are absorbed
-        from repro.rfcomm.frames import uih
-
-        handler = self.service_handlers.get(frame.dlci)
+        self._check_bug(dlci, raw, length)
+        if dlci == CONTROL_DLCI:
+            return b""  # mux control messages are absorbed
+        payload = raw[offset : offset + length]
+        handler = self.service_handlers.get(dlci)
         if handler is not None:
-            response_payload = handler(frame.payload)
-            if not response_payload:
-                return None
-            return uih(frame.dlci, response_payload)
-        # Serial-port loopback service: echo the payload.
-        return uih(frame.dlci, frame.payload)
+            payload = handler(payload)
+            if not payload:
+                return b""
+        # A service's response, or the serial-port loopback echo.
+        return uih(dlci, payload).encode()
 
-    def _check_bug(self, frame: RfcommFrame, raw: bytes) -> None:
+    def _check_bug(self, dlci: int, raw: bytes, length: int) -> None:
         """The injected UIH overflow: declared length shorter than the
         frame, with at least four bytes of uncovered tail."""
         if not self.vulnerable:
             return
         # Bytes beyond the declared frame (header + payload + FCS) are the
-        # garbage tail; four or more overrun the reassembly buffer.
-        uncovered = len(raw) - (3 + len(frame.payload) + 1)
+        # garbage tail; four or more overrun the reassembly buffer. The
+        # header is 3 bytes, or 4 with a two-byte length (EA bit of the
+        # first length byte clear).
+        header = 3 if raw[2] & 0x01 else 4
+        uncovered = len(raw) - (header + length + 1)
         if uncovered >= 4:
             crash = CrashReport(
                 vulnerability_id="rfcomm-uih-overflow",
@@ -186,6 +188,12 @@ class RfcommMux:
                 summary="heap overflow in RFCOMM UIH reassembly",
                 function="rfc_process_mx_message",
                 fault_address=0x41414141,
-                trigger_description=f"UIH dlci={frame.dlci} raw={raw.hex()}",
+                trigger_description=f"UIH dlci={dlci} raw={raw.hex()}",
             )
             raise TargetCrashedError(crash)
+
+
+#: The mux's static replies, pre-encoded per DLCI: UA (accept) and DM
+#: (reject) carry nothing but the DLCI, so each has at most 64 forms.
+_UA = tuple(ua(dlci).encode() for dlci in range(MAX_DLCI + 1))
+_DM = tuple(dm(dlci).encode() for dlci in range(MAX_DLCI + 1))

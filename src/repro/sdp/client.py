@@ -10,6 +10,7 @@ the attribute lists.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.core.packet_queue import PacketQueue
 from repro.errors import PacketDecodeError, ScanError
@@ -65,10 +66,10 @@ class SdpClient:
         """
         target_cid = self._connect()
         try:
-            response = self._query(target_cid)
+            parameters = self._query(target_cid)
         finally:
             self._disconnect(target_cid)
-        return self._parse(response)
+        return _services_in(bytes(parameters))
 
     # -- steps ----------------------------------------------------------------------
 
@@ -86,7 +87,8 @@ class SdpClient:
                 return response.fields.get("dcid", 0)
         raise ScanError("SDP port did not accept a connection")
 
-    def _query(self, target_cid: int) -> ServiceSearchAttributeResponse:
+    def _query(self, target_cid: int) -> bytes:
+        """Send the browse request; the response PDU's parameters."""
         request = ServiceSearchAttributeRequest(
             search_pattern=sequence(uuid16(ServiceClass.PUBLIC_BROWSE_ROOT)),
             max_attribute_bytes=DEFAULT_MAX_ATTRIBUTE_BYTES,
@@ -109,7 +111,7 @@ class SdpClient:
                 except PacketDecodeError as exc:
                     raise ScanError(f"undecodable SDP reply: {exc}") from exc
                 if reply.pdu_id == PduId.SERVICE_SEARCH_ATTRIBUTE_RESPONSE:
-                    return ServiceSearchAttributeResponse.decode(reply.parameters)
+                    return reply.parameters
                 raise ScanError(f"SDP error reply (pdu id {reply.pdu_id:#x})")
         raise ScanError("no SDP reply received")
 
@@ -122,37 +124,49 @@ class SdpClient:
             )
         )
 
-    # -- parsing --------------------------------------------------------------------
 
-    def _parse(
-        self, response: ServiceSearchAttributeResponse
-    ) -> tuple[BrowsedService, ...]:
-        lists = response.attribute_lists
-        if lists.element_type is not ElementType.SEQUENCE:
-            raise ScanError("attribute lists are not a sequence")
-        services = []
-        for record_list in lists.value:
-            service = self._parse_record(record_list)
-            if service is not None:
-                services.append(service)
-        return tuple(services)
+# -- parsing ------------------------------------------------------------------------
 
-    def _parse_record(self, record_list: DataElement) -> BrowsedService | None:
-        if record_list.element_type is not ElementType.SEQUENCE:
-            return None
-        attributes = _pairs(record_list)
-        psm = _psm_from_protocol_list(
-            attributes.get(AttributeId.PROTOCOL_DESCRIPTOR_LIST)
-        )
-        if psm is None:
-            return None
-        name_element = attributes.get(AttributeId.SERVICE_NAME)
-        name = str(name_element.value) if name_element is not None else f"psm-{psm:#x}"
-        class_element = attributes.get(AttributeId.SERVICE_CLASS_ID_LIST)
-        service_class = 0
-        if class_element is not None and class_element.value:
-            service_class = int(class_element.value[0].value)
-        return BrowsedService(psm=psm, name=name, service_class=service_class)
+
+@functools.lru_cache(maxsize=64)
+def _services_in(parameters: bytes) -> tuple[BrowsedService, ...]:
+    """The services a ServiceSearchAttributeResponse lists.
+
+    Memoized on the response bytes: every campaign against a device
+    browses it once, and the devices of one profile answer with the
+    same bytes, so a bounded memo skips re-decoding the attribute tree
+    (the exchange itself still goes over the air).
+
+    :raises PacketDecodeError: when the attribute lists do not decode.
+    :raises ScanError: when they are not a sequence.
+    """
+    lists = ServiceSearchAttributeResponse.decode(parameters).attribute_lists
+    if lists.element_type is not ElementType.SEQUENCE:
+        raise ScanError("attribute lists are not a sequence")
+    services = []
+    for record_list in lists.value:
+        service = _parse_record(record_list)
+        if service is not None:
+            services.append(service)
+    return tuple(services)
+
+
+def _parse_record(record_list: DataElement) -> BrowsedService | None:
+    if record_list.element_type is not ElementType.SEQUENCE:
+        return None
+    attributes = _pairs(record_list)
+    psm = _psm_from_protocol_list(
+        attributes.get(AttributeId.PROTOCOL_DESCRIPTOR_LIST)
+    )
+    if psm is None:
+        return None
+    name_element = attributes.get(AttributeId.SERVICE_NAME)
+    name = str(name_element.value) if name_element is not None else f"psm-{psm:#x}"
+    class_element = attributes.get(AttributeId.SERVICE_CLASS_ID_LIST)
+    service_class = 0
+    if class_element is not None and class_element.value:
+        service_class = int(class_element.value[0].value)
+    return BrowsedService(psm=psm, name=name, service_class=service_class)
 
 
 def _pairs(record_list: DataElement) -> dict[int, DataElement]:

@@ -12,6 +12,7 @@ import dataclasses
 import enum
 import struct
 
+from repro.codec import frozen_instance
 from repro.errors import PacketDecodeError, PacketEncodeError
 
 
@@ -35,10 +36,10 @@ _TYPE_BY_DESCRIPTOR: tuple[ElementType | None, ...] = tuple(
 )
 
 #: Size-index → fixed byte count (indexes 5-7 use an explicit length).
-_FIXED_SIZES = {0: 1, 1: 2, 2: 4, 3: 8, 4: 16}
+_FIXED_WIDTHS = (1, 2, 4, 8, 16)
 
-#: Numeric byte width → size index (the inverse of :data:`_FIXED_SIZES`).
-_SIZE_INDEX_BY_WIDTH = {width: index for index, width in _FIXED_SIZES.items()}
+#: Numeric byte width → size index (the inverse of :data:`_FIXED_WIDTHS`).
+_SIZE_INDEX_BY_WIDTH = {width: index for index, width in enumerate(_FIXED_WIDTHS)}
 
 #: Size-index → byte width of the explicit length that follows (5-7).
 _LENGTH_WIDTHS = {5: 1, 6: 2, 7: 4}
@@ -117,55 +118,89 @@ class DataElement:
 
         :raises PacketDecodeError: on malformed input.
         """
-        if offset >= len(raw):
-            raise PacketDecodeError("empty data element")
-        descriptor = raw[offset]
-        kind = _TYPE_BY_DESCRIPTOR[descriptor >> 3]
-        if kind is None:
-            raise PacketDecodeError(f"unknown element type {descriptor >> 3}")
-        size_index = descriptor & 0x07
-        offset += 1
+        return _decode(raw, offset, len(raw))
 
-        if kind is ElementType.NIL:
-            if size_index != 0:
-                raise PacketDecodeError("nil element with nonzero size")
-            return cls(ElementType.NIL, None, 0), offset
 
-        length, offset = cls._decode_length(raw, offset, size_index, kind)
-        if offset + length > len(raw):
-            raise PacketDecodeError("truncated data element value")
-        body = raw[offset : offset + length]
-        end = offset + length
+_UNSIGNED_INT = ElementType.UNSIGNED_INT
+_UUID = ElementType.UUID
 
-        if kind is ElementType.UNSIGNED_INT or kind is ElementType.UUID:
-            return cls(kind, int.from_bytes(body, "big"), length), end
-        if kind is ElementType.SIGNED_INT:
-            return cls(kind, int.from_bytes(body, "big", signed=True), length), end
-        if kind is ElementType.BOOL:
-            if length != 1:
-                raise PacketDecodeError(f"bool element of {length} bytes")
-            return cls(kind, bool(body[0]), 1), end
-        if kind in (ElementType.TEXT, ElementType.URL):
-            return cls(kind, body.decode("utf-8", errors="replace"), len(body)), end
-        # sequence / alternative: decode children until the region ends
-        children = []
-        child_offset = 0
-        while child_offset < len(body):
-            child, child_offset = cls.decode_prefix(body, child_offset)
-            children.append(child)
-        return cls(kind, tuple(children), len(body)), end
 
-    @staticmethod
-    def _decode_length(
-        raw: bytes, offset: int, size_index: int, kind: ElementType
-    ) -> tuple[int, int]:
-        if size_index in _FIXED_SIZES:
-            return _FIXED_SIZES[size_index], offset
+def _decode(raw: bytes, offset: int, limit: int) -> tuple[DataElement, int]:
+    """Decode the element at *offset* of ``raw[:limit]``; (element, end).
+
+    Children are decoded in place (no slice per sequence), and a
+    sequence's fixed-width numeric children — a UUID search pattern,
+    an attribute-id list — without a recursive call.
+    """
+    if offset >= limit:
+        raise PacketDecodeError("empty data element")
+    descriptor = raw[offset]
+    kind = _TYPE_BY_DESCRIPTOR[descriptor >> 3]
+    if kind is None:
+        raise PacketDecodeError(f"unknown element type {descriptor >> 3}")
+    size_index = descriptor & 0x07
+    offset += 1
+
+    if kind is ElementType.NIL:
+        if size_index != 0:
+            raise PacketDecodeError("nil element with nonzero size")
+        return frozen_instance(
+            DataElement, {"element_type": kind, "value": None, "width": 0}
+        ), offset
+
+    if size_index < 5:
+        length = _FIXED_WIDTHS[size_index]
+    else:
         width = _LENGTH_WIDTHS[size_index]
-        if offset + width > len(raw):
+        if offset + width > limit:
             raise PacketDecodeError("truncated data element length")
         length = int.from_bytes(raw[offset : offset + width], "big")
-        return length, offset + width
+        offset += width
+    end = offset + length
+    if end > limit:
+        raise PacketDecodeError("truncated data element value")
+
+    if kind is _UNSIGNED_INT or kind is _UUID:
+        value = int.from_bytes(raw[offset:end], "big")
+    elif kind is ElementType.SIGNED_INT:
+        value = int.from_bytes(raw[offset:end], "big", signed=True)
+    elif kind is ElementType.BOOL:
+        if length != 1:
+            raise PacketDecodeError(f"bool element of {length} bytes")
+        value = bool(raw[offset])
+    elif kind is ElementType.SEQUENCE or kind is ElementType.ALTERNATIVE:
+        # decode children until the region ends
+        children = []
+        child = offset
+        while child < end:
+            descriptor = raw[child]
+            child_kind = _TYPE_BY_DESCRIPTOR[descriptor >> 3]
+            size_index = descriptor & 0x07
+            if size_index < 5 and (child_kind is _UNSIGNED_INT or child_kind is _UUID):
+                width = _FIXED_WIDTHS[size_index]
+                stop = child + 1 + width
+                if stop > end:
+                    raise PacketDecodeError("truncated data element value")
+                children.append(
+                    frozen_instance(
+                        DataElement,
+                        {
+                            "element_type": child_kind,
+                            "value": int.from_bytes(raw[child + 1 : stop], "big"),
+                            "width": width,
+                        },
+                    )
+                )
+                child = stop
+            else:
+                element, child = _decode(raw, child, end)
+                children.append(element)
+        value = tuple(children)
+    else:  # text / url
+        value = raw[offset:end].decode("utf-8", errors="replace")
+    return frozen_instance(
+        DataElement, {"element_type": kind, "value": value, "width": length}
+    ), end
 
 
 # -- convenience constructors ----------------------------------------------------

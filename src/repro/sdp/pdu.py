@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 
+from repro.codec import frozen_instance
 from repro.errors import PacketDecodeError
 from repro.sdp.constants import PduId
 from repro.sdp.data_elements import DataElement
@@ -19,6 +20,21 @@ PDU_HEADER_LEN = 5
 
 #: The empty continuation state (no continuation).
 NO_CONTINUATION = b"\x00"
+
+
+#: The PDU header: pdu_id, transaction_id, parameter_length (big-endian).
+_HEADER = struct.Struct(">BHH")
+_HALFWORD = struct.Struct(">H")
+_UNPACK_HEADER = _HEADER.unpack_from
+_PACK_HEADER = _HEADER.pack
+
+
+def encode_pdu(pdu_id: int, transaction_id: int, parameters: bytes) -> bytes:
+    """Serialise one PDU: header + parameters (see :meth:`SdpPdu.encode`)."""
+    return (
+        _PACK_HEADER(pdu_id & 0xFF, transaction_id & 0xFFFF, len(parameters))
+        + parameters
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -31,11 +47,7 @@ class SdpPdu:
 
     def encode(self) -> bytes:
         """Serialise header + parameters."""
-        return (
-            struct.pack(">BHH", self.pdu_id & 0xFF, self.transaction_id & 0xFFFF,
-                        len(self.parameters))
-            + self.parameters
-        )
+        return encode_pdu(self.pdu_id, self.transaction_id, self.parameters)
 
     @classmethod
     def decode(cls, raw: bytes) -> "SdpPdu":
@@ -45,14 +57,21 @@ class SdpPdu:
         """
         if len(raw) < PDU_HEADER_LEN:
             raise PacketDecodeError(f"SDP PDU too short: {len(raw)} bytes")
-        pdu_id, transaction_id, param_len = struct.unpack_from(">BHH", raw, 0)
+        pdu_id, transaction_id, param_len = _UNPACK_HEADER(raw)
         parameters = raw[PDU_HEADER_LEN:]
         if param_len != len(parameters):
             raise PacketDecodeError(
                 f"SDP parameter length {param_len} disagrees with "
                 f"{len(parameters)} bytes present"
             )
-        return cls(pdu_id, transaction_id, parameters)
+        return frozen_instance(
+            cls,
+            {
+                "pdu_id": pdu_id,
+                "transaction_id": transaction_id,
+                "parameters": parameters,
+            },
+        )
 
 
 # -- parameter codecs --------------------------------------------------------------
@@ -79,12 +98,19 @@ class ServiceSearchAttributeRequest:
         pattern, offset = DataElement.decode_prefix(raw)
         if offset + 2 > len(raw):
             raise PacketDecodeError("truncated max-attribute-bytes")
-        (max_bytes,) = struct.unpack_from(">H", raw, offset)
+        (max_bytes,) = _HALFWORD.unpack_from(raw, offset)
         offset += 2
         id_list, offset = DataElement.decode_prefix(raw, offset)
         if offset >= len(raw):
             raise PacketDecodeError("missing continuation state")
-        return cls(pattern, max_bytes, id_list)
+        return frozen_instance(
+            cls,
+            {
+                "search_pattern": pattern,
+                "max_attribute_bytes": max_bytes,
+                "attribute_id_list": id_list,
+            },
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,8 +153,10 @@ class ServiceSearchRequest:
         pattern, offset = DataElement.decode_prefix(raw)
         if offset + 2 > len(raw):
             raise PacketDecodeError("truncated max-record-count")
-        (max_count,) = struct.unpack_from(">H", raw, offset)
-        return cls(pattern, max_count)
+        (max_count,) = _HALFWORD.unpack_from(raw, offset)
+        return frozen_instance(
+            cls, {"search_pattern": pattern, "max_record_count": max_count}
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,7 +210,14 @@ class ServiceAttributeRequest:
             raise PacketDecodeError("truncated ServiceAttributeRequest")
         handle, max_bytes = struct.unpack_from(">IH", raw, 0)
         id_list, _offset = DataElement.decode_prefix(raw, 6)
-        return cls(handle, max_bytes, id_list)
+        return frozen_instance(
+            cls,
+            {
+                "record_handle": handle,
+                "max_attribute_bytes": max_bytes,
+                "attribute_id_list": id_list,
+            },
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -225,4 +260,4 @@ class ErrorResponse:
 
 def request(pdu_id: PduId, transaction_id: int, params) -> bytes:
     """Frame *params* (a parameter dataclass) as a full PDU."""
-    return SdpPdu(pdu_id, transaction_id, params.encode()).encode()
+    return encode_pdu(pdu_id, transaction_id, params.encode())

@@ -254,7 +254,8 @@ class HostStackEngine:
 
         Data frames never elicit *signaling* responses; a frame addressed
         to a live channel whose PSM has an upper-layer handler (the SDP
-        server) is answered with a data frame on the same channel.
+        server) is answered with a data frame on the same channel, built
+        with its loopback verdict already set (the direct hop reads it).
         """
         block = self.channels.get(packet.header_cid)
         if block is None:
@@ -265,15 +266,7 @@ class HostStackEngine:
         response_payload = handler(packet.tail)
         if not response_payload:
             return []
-        return [
-            L2capPacket(
-                code=0,
-                identifier=0,
-                header_cid=block.remote_cid,
-                tail=response_payload,
-                fill_defaults=False,
-            )
-        ]
+        return [L2capPacket.data_frame(block.remote_cid, response_payload)]
 
     def _visit(self, local_cid: int, state: ChannelState) -> None:
         self.state_history.append(StateVisit(self.clock.now, local_cid, state))

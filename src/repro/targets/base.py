@@ -29,38 +29,12 @@ hook fails at import/registration time, not mid-campaign.
 from __future__ import annotations
 
 import dataclasses
-import random
 import struct
-from collections.abc import Sequence
 from typing import Protocol, runtime_checkable
 
-#: Probability that a protocol mutator's garbage tail is spliced from the
-#: corpus dictionary instead of drawn fresh (matches
-#: :attr:`repro.core.mutation.CoreFieldMutator.SPLICE_RATE`).
-SPLICE_RATE = 0.25
-
-
-def draw_garbage(
-    rng: random.Random,
-    max_garbage: int,
-    dictionary: Sequence[bytes] = (),
-    headroom: int | None = None,
-) -> bytes:
-    """Draw a Fig.-7-style garbage tail for a protocol mutator.
-
-    Mirrors the L2CAP core mutator's tail discipline so every target
-    shares the corpus splice behaviour: with a non-empty *dictionary* a
-    quarter of the tails splice a harvested token, the rest are fresh
-    random bytes of 1..``max_garbage`` (clamped to *headroom* when set).
-    """
-    limit = max_garbage if headroom is None else min(max_garbage, headroom)
-    if limit <= 0:
-        return b""
-    if dictionary and rng.random() < SPLICE_RATE:
-        token = dictionary[rng.randrange(len(dictionary))]
-        return token[:limit]
-    length = rng.randint(1, limit)
-    return bytes(rng.getrandbits(8) for _ in range(length))
+# The Fig.-7 garbage tail every mutator appends is drawn in one place.
+from repro.core.mutation import draw_garbage  # noqa: F401
+from repro.l2cap.packets import L2capPacket
 
 
 def wire_data_frame(target_cid: int, payload: bytes):
@@ -68,17 +42,12 @@ def wire_data_frame(target_cid: int, payload: bytes):
 
     Every non-L2CAP target ships its frames this way, exactly as on a
     real link, so the transport, sniffer, corpus and replay machinery
-    is shared unchanged.
+    is shared unchanged. The frame is
+    ``L2capPacket(code=0, identifier=0, header_cid=target_cid,
+    tail=payload, fill_defaults=False)``, built with its loopback
+    verdict set (:meth:`~repro.l2cap.packets.L2capPacket.data_frame`).
     """
-    from repro.l2cap.packets import L2capPacket
-
-    return L2capPacket(
-        code=0,
-        identifier=0,
-        header_cid=target_cid,
-        tail=payload,
-        fill_defaults=False,
-    )
+    return L2capPacket.data_frame(target_cid, payload)
 
 
 def wire_data_frame_fast(target_cid: int, payload: bytes):
@@ -86,24 +55,18 @@ def wire_data_frame_fast(target_cid: int, payload: bytes):
 
     Produces a packet indistinguishable from
     ``wire_data_frame(target_cid, payload)`` — same fields, same wire
-    image — but assembles the 4-byte B-frame header itself and hands the
-    finished bytes to :meth:`~repro.l2cap.packets.L2capPacket.from_wire_parts`,
-    skipping the constructor's field machinery and the later
-    ``encode()`` pass. This is the ``mutate_wire`` building block for
+    image — but assembles the 4-byte B-frame header itself and primes
+    the encode cache with the finished bytes, so the later ``encode()``
+    pass is a cache hit. This is the ``mutate_wire`` building block for
     every target whose fuzz frames ride as data frames.
     """
-    from repro.l2cap.packets import L2capPacket
-
-    return L2capPacket.from_wire_parts(
-        code=0,
-        identifier=0,
-        field_values={},
-        tail=payload,
-        garbage=b"",
-        wire=struct.pack("<HH", len(payload), target_cid) + payload,
-        spec=None,
-        header_cid=target_cid,
+    return L2capPacket.data_frame(
+        target_cid, payload, _B_FRAME_HEADER(len(payload), target_cid) + payload
     )
+
+
+#: The B-frame header: Payload Length, Header CID (little-endian).
+_B_FRAME_HEADER = struct.Struct("<HH").pack
 
 
 def open_l2cap_channel(queue, psm: int, our_cid: int, failure_message: str) -> int:

@@ -20,17 +20,14 @@ from __future__ import annotations
 import dataclasses
 import enum
 import random
+import struct
 from collections.abc import Iterable
 
 from repro.core.config import FuzzConfig
+from repro.core.mutation import random_bytes
 from repro.l2cap.packets import L2capPacket
 from repro.obex.constants import HeaderId, Opcode, ResponseCode
-from repro.obex.packets import (
-    ObexHeader,
-    ObexPacket,
-    connect_request,
-    put_request,
-)
+from repro.obex.packets import ObexPacket, connect_request, put_request
 from repro.targets.base import (
     FuzzTarget,
     GuidedPosition,
@@ -193,36 +190,49 @@ class _ObexMutator:
         self.dictionary = tuple(tail for tail in dictionary if tail)
 
     def _fuzz_payload(self, command: Opcode) -> bytes:
-        """One mutated request as raw channel payload (shared by both paths)."""
-        headers: list[ObexHeader] = []
-        extras = None
+        """One mutated request as raw channel payload (shared by both paths).
+
+        The packet is assembled as bytes, header by header in the
+        layout the OBEX codec writes; every draw is the inlined
+        ``getrandbits`` equivalent of the ``random.Random`` call named
+        beside it (the RNG identity tests pin value and stream).
+        """
+        rng = self.rng
+        getrandbits = rng.getrandbits
+        body = b""
         if command == Opcode.CONNECT:
             # Poisoned session parameters: wild version/flags/MTU claims.
-            extras = (
-                self.rng.getrandbits(8),
-                self.rng.getrandbits(8),
-                self.rng.getrandbits(16),
-            )
-        if command in (Opcode.PUT_FINAL, Opcode.GET_FINAL):
-            headers.append(ObexHeader(HeaderId.NAME, self._random_name()))
-        if command == Opcode.PUT_FINAL:
-            body = bytes(
-                self.rng.getrandbits(8) for _ in range(self.rng.randint(0, 8))
-            )
-            headers.append(ObexHeader(HeaderId.LENGTH, self.rng.getrandbits(32)))
-            headers.append(ObexHeader(HeaderId.END_OF_BODY, body))
-        if self.rng.random() < 0.5:
+            body = _CONNECT_EXTRAS(getrandbits(8), getrandbits(8), getrandbits(16))
+        elif command == Opcode.PUT_FINAL or command == Opcode.GET_FINAL:
+            # NAME: randint(0, 12) characters of randrange(0x20, 0x7F),
+            # UTF-16BE with one null terminator.
+            length = getrandbits(4)
+            while length >= 13:
+                length = getrandbits(4)
+            name = bytearray(2 * length + 2)
+            for index in range(1, 2 * length, 2):
+                char = getrandbits(7)
+                while char >= 0x5F:
+                    char = getrandbits(7)
+                name[index] = char + 0x20
+            body = _LENGTH_PREFIXED(HeaderId.NAME, 2 * length + 5) + name
+            if command == Opcode.PUT_FINAL:
+                # randint(0, 8) body bytes, then a LENGTH header claiming
+                # any size at all, then the END_OF_BODY header.
+                size = getrandbits(4)
+                while size >= 9:
+                    size = getrandbits(4)
+                payload = random_bytes(getrandbits, size)
+                body += _FOUR_BYTE(HeaderId.LENGTH, getrandbits(32))
+                body += _LENGTH_PREFIXED(HeaderId.END_OF_BODY, size + 3) + payload
+        if rng.random() < 0.5:
             # A connection id the server never issued (CIDP analogue).
-            headers.append(
-                ObexHeader(HeaderId.CONNECTION_ID, self.rng.getrandbits(32))
-            )
+            body += _FOUR_BYTE(HeaderId.CONNECTION_ID, getrandbits(32))
         if self.config.append_garbage:
-            garbage = draw_garbage(
-                self.rng, self.config.max_garbage, self.dictionary
-            )
+            garbage = draw_garbage(rng, self.config.max_garbage, self.dictionary)
             if garbage:
-                headers.append(ObexHeader(GARBAGE_HEADER_ID, garbage))
-        return ObexPacket(command, tuple(headers), connect_extras=extras).encode()
+                body += _LENGTH_PREFIXED(GARBAGE_HEADER_ID, len(garbage) + 3) + garbage
+        return _LENGTH_PREFIXED(command, len(body) + 3) + body
 
     def mutate(
         self, position: GuidedPosition, command: Opcode, identifier: int
@@ -239,11 +249,13 @@ class _ObexMutator:
             position.context.target_cid, self._fuzz_payload(command)
         )
 
-    def _random_name(self) -> str:
-        length = self.rng.randint(0, 12)
-        return "".join(
-            chr(self.rng.randrange(0x20, 0x7F)) for _ in range(length)
-        )
+
+#: The encodings the OBEX mutator assembles, as the OBEX codec writes
+#: them: an id (or opcode) with a 2-byte total length, an id with a
+#: 4-byte value, and CONNECT's version/flags/max-packet extras.
+_LENGTH_PREFIXED = struct.Struct(">BH").pack
+_FOUR_BYTE = struct.Struct(">BI").pack
+_CONNECT_EXTRAS = struct.Struct(">BBH").pack
 
 
 @register_target

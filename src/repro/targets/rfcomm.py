@@ -22,6 +22,7 @@ import random
 from collections.abc import Iterable
 
 from repro.core.config import FuzzConfig
+from repro.core.mutation import random_bytes
 from repro.l2cap.constants import Psm
 from repro.l2cap.packets import L2capPacket
 from repro.rfcomm.constants import CONTROL_DLCI, FrameType, MAX_DLCI
@@ -194,19 +195,22 @@ class _RfcommMutator:
         """One mutated mux frame plus garbage, as raw channel payload.
 
         Shared by both mutation paths so their RNG draws are identical.
+        The DLCI is ``randrange(0, 64)`` inlined; the frame around it
+        comes pre-encoded from :data:`_FUZZ_FRAMES`, and a UIH frame
+        carries four ``getrandbits(8)`` payload bytes.
         """
-        dlci = self.rng.randrange(0, MAX_DLCI + 1)
+        getrandbits = self.rng.getrandbits
+        dlci = getrandbits(7)
+        while dlci > MAX_DLCI:
+            dlci = getrandbits(7)
+        head, check = _FUZZ_FRAMES[command][dlci]
         if command == FrameType.UIH:
-            payload = bytes(self.rng.getrandbits(8) for _ in range(4))
-            frame = uih(dlci, payload)
+            frame = head + random_bytes(getrandbits, 4) + check
         else:
-            frame = RfcommFrame(dlci, command)
-        garbage = b""
+            frame = head
         if self.config.append_garbage:
-            garbage = draw_garbage(
-                self.rng, self.config.max_garbage, self.dictionary
-            )
-        return frame.encode() + garbage
+            frame += draw_garbage(self.rng, self.config.max_garbage, self.dictionary)
+        return frame
 
     def mutate(
         self, position: GuidedPosition, command: FrameType, identifier: int
@@ -222,6 +226,30 @@ class _RfcommMutator:
         return wire_data_frame_fast(
             position.context.target_cid, self._fuzz_payload(command)
         )
+
+
+def _fuzz_frame_parts() -> dict:
+    """The mutator's frames, encoded once by the codec.
+
+    Per frame type the mutator sends, one ``(head, check)`` per DLCI: a
+    UIH frame with a 4-byte payload is ``head + payload + check`` (its
+    FCS covers address and control only); any other frame is ``head``
+    whole, FCS included. At most 3 x 64 entries.
+    """
+    parts = {}
+    for frame_type in {kind for kinds in STATE_FRAME_TYPES.values() for kind in kinds}:
+        rows = []
+        for dlci in range(MAX_DLCI + 1):
+            if frame_type == FrameType.UIH:
+                encoded = uih(dlci, bytes(4)).encode()
+                rows.append((encoded[:3], encoded[-1:]))
+            else:
+                rows.append((RfcommFrame(dlci, frame_type).encode(), b""))
+        parts[frame_type] = tuple(rows)
+    return parts
+
+
+_FUZZ_FRAMES = _fuzz_frame_parts()
 
 
 @register_target

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import random
 import struct
 from collections.abc import Iterable
@@ -36,6 +37,7 @@ from repro.sdp.pdu import (
     ServiceAttributeRequest,
     ServiceSearchRequest,
     ServiceSearchResponse,
+    encode_pdu,
 )
 from repro.targets.base import (
     FuzzTarget,
@@ -230,15 +232,51 @@ class _SdpMutator:
         self._transaction = 0x4000
 
     def _fuzz_payload(self, position: GuidedPosition, command: PduId) -> bytes:
-        """One mutated PDU as raw channel payload (shared by both paths)."""
-        session = position.context
-        self._transaction = (self._transaction + 1) & 0xFFFF
-        parameters = self._parameters_for(command, session)
-        if self.config.append_garbage:
-            parameters += draw_garbage(
-                self.rng, self.config.max_garbage, self.dictionary
+        """One mutated PDU as raw channel payload (shared by both paths).
+
+        The PDU is assembled as bytes; every draw is the inlined
+        ``getrandbits`` equivalent of the ``random.Random`` call named
+        beside it (the RNG identity tests pin value and stream).
+        """
+        rng = self.rng
+        getrandbits = rng.getrandbits
+        self._transaction = transaction = (self._transaction + 1) & 0xFFFF
+        if command == PduId.SERVICE_ATTRIBUTE_REQUEST:
+            handles = position.context.handles
+            if handles and rng.random() < 0.25:
+                # Off-by-noise around a live handle: the nastiest
+                # neighbours. randrange(len(handles)), randrange(16).
+                count = len(handles)
+                bits = count.bit_length()
+                index = getrandbits(bits)
+                while index >= count:
+                    index = getrandbits(bits)
+                flip = getrandbits(5)
+                while flip >= 16:
+                    flip = getrandbits(5)
+                handle = (handles[index] ^ (1 << flip)) & 0xFFFFFFFF
+            else:
+                # A record handle ignoring the server's actual allocation.
+                handle = getrandbits(32)
+            parameters = _HANDLE_AND_MAX(handle, getrandbits(16))
+        else:
+            # A random UUID pattern: randint(1, 3) uuid16 elements.
+            count = getrandbits(2)
+            while count >= 3:
+                count = getrandbits(2)
+            count += 1
+            parameters = _PATTERN_HEADS[count] + b"".join(
+                [_ELEMENT16(0x19, getrandbits(16)) for _ in range(count)]
             )
-        return SdpPdu(command, self._transaction, parameters).encode()
+            parameters += _U16(getrandbits(16))
+            if command == PduId.SERVICE_SEARCH_REQUEST:
+                parameters += NO_CONTINUATION
+        if command != PduId.SERVICE_SEARCH_REQUEST:
+            # A one-range attribute-id list: sequence(uint32(random)).
+            parameters += _RANGE_LIST(getrandbits(32)) + NO_CONTINUATION
+        if self.config.append_garbage:
+            parameters += draw_garbage(rng, self.config.max_garbage, self.dictionary)
+        return encode_pdu(command, transaction, parameters)
 
     def mutate(
         self, position: GuidedPosition, command: PduId, identifier: int
@@ -255,46 +293,16 @@ class _SdpMutator:
             position.context.target_cid, self._fuzz_payload(position, command)
         )
 
-    # -- parameter builders ---------------------------------------------------------
 
-    def _random_handle(self, session: SdpSession) -> int:
-        """A record handle ignoring the server's actual allocation."""
-        if session.handles and self.rng.random() < 0.25:
-            # Off-by-noise around a live handle: the nastiest neighbours.
-            return (
-                session.handles[self.rng.randrange(len(session.handles))]
-                ^ (1 << self.rng.randrange(16))
-            ) & 0xFFFFFFFF
-        return self.rng.getrandbits(32)
-
-    def _random_pattern(self):
-        uuids = [uuid16(self.rng.getrandbits(16)) for _ in range(self.rng.randint(1, 3))]
-        return sequence(*uuids)
-
-    def _parameters_for(self, command: PduId, session: SdpSession) -> bytes:
-        if command == PduId.SERVICE_SEARCH_REQUEST:
-            return (
-                self._random_pattern().encode()
-                + struct.pack(">H", self.rng.getrandbits(16))
-                + NO_CONTINUATION
-            )
-        if command == PduId.SERVICE_ATTRIBUTE_REQUEST:
-            return (
-                struct.pack(
-                    ">IH",
-                    self._random_handle(session),
-                    self.rng.getrandbits(16),
-                )
-                + sequence(uint32(self.rng.getrandbits(32))).encode()
-                + NO_CONTINUATION
-            )
-        # SERVICE_SEARCH_ATTRIBUTE_REQUEST
-        return (
-            self._random_pattern().encode()
-            + struct.pack(">H", self.rng.getrandbits(16))
-            + sequence(uint32(self.rng.getrandbits(32))).encode()
-            + NO_CONTINUATION
-        )
+#: The encodings the SDP mutator assembles, as the data-element codec
+#: writes them: a uuid16 element (0x19), a sequence of n of them (0x35,
+#: 3n), a one-element sequence of a uint32 (0x35 0x05 0x0A), and the
+#: request's fixed fields.
+_ELEMENT16 = struct.Struct(">BH").pack
+_PATTERN_HEADS = {count: bytes([0x35, 3 * count]) for count in (1, 2, 3)}
+_RANGE_LIST = functools.partial(struct.Struct(">BBBI").pack, 0x35, 0x05, 0x0A)
+_U16 = struct.Struct(">H").pack
+_HANDLE_AND_MAX = struct.Struct(">IH").pack
 
 
 @register_target

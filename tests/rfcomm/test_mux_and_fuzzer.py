@@ -9,8 +9,11 @@ pin the mux itself plus the RFCOMM-specific campaign behaviour the old
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.config import FuzzConfig
 from repro.core.detection import VulnerabilityClass, finding_key
+from repro.errors import TargetCrashedError
 from repro.rfcomm.constants import CONTROL_DLCI, FrameType
 from repro.rfcomm.frames import RfcommFrame, disc, sabm, uih
 from repro.rfcomm.mux import DlciState, RfcommMux
@@ -69,6 +72,40 @@ class TestMux:
         raw[-1] ^= 0xFF
         assert mux.handle_payload(bytes(raw)) == b""
         assert mux.frames_rejected == 1
+
+
+class TestUihOverflowCheck:
+    """The injected overflow fires on four or more bytes past the FCS.
+
+    The frame's own header is 3 bytes, or 4 when the payload needs the
+    two-byte length (over 127 bytes); the check must count that fourth
+    header byte as the frame's, not as tail.
+    """
+
+    @pytest.mark.parametrize("payload_len", [4, 128])
+    @pytest.mark.parametrize("trailing, crashes", [(3, False), (4, True)])
+    def test_trailing_bytes_past_the_frame(self, payload_len, trailing, crashes):
+        mux = RfcommMux(server_channels=(1,), vulnerable=True)
+        mux.handle_payload(sabm(CONTROL_DLCI).encode())
+        mux.handle_payload(sabm(3).encode())
+        frame = uih(3, bytes(range(payload_len))).encode()
+        assert len(frame) == (3 if payload_len <= 0x7F else 4) + payload_len + 1
+        raw = frame + b"\xa5" * trailing
+        if crashes:
+            with pytest.raises(TargetCrashedError) as crash:
+                mux.handle_payload(raw)
+            assert crash.value.crash.vulnerability_id == "rfcomm-uih-overflow"
+        else:
+            assert RfcommFrame.decode(mux.handle_payload(raw)).payload == bytes(
+                range(payload_len)
+            )
+
+    def test_disarmed_mux_never_fires(self):
+        mux = RfcommMux(server_channels=(1,), vulnerable=False)
+        mux.handle_payload(sabm(CONTROL_DLCI).encode())
+        mux.handle_payload(sabm(3).encode())
+        raw = uih(3, b"data").encode() + b"\xa5" * 16
+        assert RfcommFrame.decode(mux.handle_payload(raw)).payload == b"data"
 
 
 def _rfcomm_session(armed: bool, budget: int = 3000, seed: int = 7) -> FuzzSession:

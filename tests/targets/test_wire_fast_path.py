@@ -6,6 +6,13 @@ wire bytes, same simulated timestamps, same RNG stream, same report —
 to the field-object reference path. These tests replay campaigns under
 both configurations across all four protocol targets and diff the full
 traces, and pin the golden D2 sequential campaign of the seed suite.
+
+On rfcomm, sdp and obex both paths share the mutator's payload builder,
+so fast-vs-reference parity cannot catch a builder that changes bytes.
+The golden trace pins below can: SHA-256 digests of whole armed D2
+campaigns (every frame, both directions, with its simulated time and
+its malformed and rejection flags), recorded before the data-frame
+mutators, codecs and servers were rewritten to assemble bytes directly.
 """
 
 from __future__ import annotations
@@ -36,6 +43,45 @@ def _trace_digest(config: FuzzConfig, target: str, armed: bool) -> str:
         digest.update(traced.packet.encode())
         digest.update(repr(round(traced.sim_time, 9)).encode())
     return digest.hexdigest()
+
+
+def _pinned_digest(config: FuzzConfig, target: str, armed: bool) -> str:
+    """SHA-256 of a D2 campaign's trace: per entry, direction, wire
+    bytes, simulated time and the malformed and rejection flags."""
+    session = FuzzSession(profile=D2, config=config, armed=armed, target=target)
+    session.run()
+    digest = hashlib.sha256()
+    for traced in session.fuzzer.sniffer.trace:
+        digest.update(traced.direction.value.encode())
+        digest.update(traced.packet.encode())
+        digest.update(repr(round(traced.sim_time, 9)).encode())
+        digest.update(b"M" if traced.malformed else b"-")
+        digest.update(b"R" if traced.rejection else b"-")
+    return digest.hexdigest()
+
+
+#: (target, armed) → digest of the 1,500-packet D2 campaign. Armed
+#: l2cap and rfcomm campaigns end at their injected bug (226 packets),
+#: so rfcomm is pinned disarmed too, for a full 1,500-packet mux run.
+GOLDEN_TRACE_PINS = {
+    ("l2cap", True): "d438ce60d9d74eb78ee15ba548f7aea8f13839599fd48120e3e07ec3ae138bef",
+    ("rfcomm", True): "e37d64940e4c6c3c6692aa7ca82d98439a9067dc5e7a02cdf1b045b5a3e1f1e4",
+    ("sdp", True): "cba6c83e3b293f8b933ffaf35b5d7736dc5705a4ebfa96852c7a00d803f96cb9",
+    ("obex", True): "34f8bb1ce021dc2ee86143625e9562ffea6529184a0764b3f385e4783ed2500e",
+    ("rfcomm", False): "6fd85012ae8198077cee7705ce2ed152649f16042c6941ae29b2ea57e6f2c6fc",
+}
+
+
+class TestGoldenTracePins:
+    @pytest.mark.parametrize("wire_fast_path", [True, False], ids=["fast", "reference"])
+    @pytest.mark.parametrize(
+        "target, armed",
+        sorted(GOLDEN_TRACE_PINS),
+        ids=lambda value: value if isinstance(value, str) else ("armed" if value else "disarmed"),
+    )
+    def test_trace_matches_pin(self, target, armed, wire_fast_path):
+        config = FuzzConfig(max_packets=1_500, wire_fast_path=wire_fast_path)
+        assert _pinned_digest(config, target, armed) == GOLDEN_TRACE_PINS[(target, armed)]
 
 
 class TestCampaignEquivalence:
