@@ -117,9 +117,7 @@ def draw_garbage(
     length = getrandbits(bits)
     while length >= limit:
         length = getrandbits(bits)
-    length += 1
-    # random_bytes(getrandbits, length), inlined: this runs per packet.
-    return getrandbits(32 * length).to_bytes(4 * length, "little")[3::4]
+    return random_bytes(getrandbits, length + 1)
 
 
 def random_bytes(getrandbits, count: int) -> bytes:

@@ -298,6 +298,18 @@ _WIRE_ATTRS = frozenset(
 _new_instance = object.__new__
 
 
+def _b_frame_loops_back(header_cid: object, payload: object) -> bool:
+    """Whether a B-frame to *header_cid* carrying *payload* (code 0,
+    identifier 0, no fields, no garbage) survives a decode round trip
+    unchanged: the data-frame rule of :meth:`L2capPacket.loopback_view`."""
+    return (
+        header_cid.__class__ is int
+        and 0 <= header_cid <= 0xFFFF
+        and payload.__class__ is bytes
+        and len(payload) <= MAX_L2CAP_PAYLOAD
+    )
+
+
 class _FieldMap(dict):
     """Field dict that invalidates its packet's codec caches on mutation.
 
@@ -874,11 +886,8 @@ class L2capPacket:
                     self.code == 0
                     and self.identifier == 0
                     and not self.fields
-                    and header_cid.__class__ is int
-                    and 0 <= header_cid <= 0xFFFF
-                    and self.tail.__class__ is bytes
                     and self.garbage.__class__ is bytes
-                    and len(self.tail) <= MAX_L2CAP_PAYLOAD
+                    and _b_frame_loops_back(header_cid, self.tail)
                 )
             self.__dict__["_loopback"] = eligible
         return self if eligible else None
@@ -963,11 +972,10 @@ class L2capPacket:
         instance["_spec_cache"] = None
         instance["_wire"] = wire
         instance["_intrinsic"] = None
-        instance["_loopback"] = (
-            header_cid.__class__ is int
-            and 0 <= header_cid <= 0xFFFF
-            and payload.__class__ is bytes
-            and len(payload) <= MAX_L2CAP_PAYLOAD
+        # On the signalling CID a code-0 frame has no command layout, so
+        # it never survives the round trip (see :func:`_round_trips`).
+        instance["_loopback"] = header_cid != SIGNALING_CID and _b_frame_loops_back(
+            header_cid, payload
         )
         return packet
 

@@ -26,9 +26,21 @@ from repro.obex.constants import (
     layout_of,
 )
 
-#: Opcode/response code and packet length; CONNECT's extras.
-_UNPACK_PREFIX = struct.Struct(">BH").unpack_from
-_UNPACK_EXTRAS = struct.Struct(">BBH").unpack_from
+_LENGTH_PREFIXED = struct.Struct(">BH")
+_CONNECT_EXTRAS = struct.Struct(">BBH")
+_UNPACK_PREFIX = _LENGTH_PREFIXED.unpack_from
+_UNPACK_EXTRAS = _CONNECT_EXTRAS.unpack_from
+
+#: The byte layouts of a packet: an opcode (or response code, or header
+#: id) with a 2-byte total length — the packet prefix and every unicode
+#: or byte-sequence header — an id with a 1-byte or a 4-byte value, and
+#: CONNECT's version/flags/max-packet extras. The codec writes with
+#: these, and so does the OBEX mutator, which assembles requests as
+#: bytes.
+pack_length_prefixed = _LENGTH_PREFIXED.pack
+pack_one_byte = struct.Struct(">BB").pack
+pack_four_byte = struct.Struct(">BI").pack
+pack_connect_extras = _CONNECT_EXTRAS.pack
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,13 +57,13 @@ class ObexHeader:
             encoded = str(self.value).encode("utf-16-be") + b"\x00\x00"
             if len(encoded) + 3 > 0xFFFF:
                 raise PacketEncodeError("unicode header too long")
-            return struct.pack(">BH", self.header_id, len(encoded) + 3) + encoded
+            return pack_length_prefixed(self.header_id, len(encoded) + 3) + encoded
         if layout is HeaderLayout.BYTES:
             value = bytes(self.value)
-            return struct.pack(">BH", self.header_id, len(value) + 3) + value
+            return pack_length_prefixed(self.header_id, len(value) + 3) + value
         if layout is HeaderLayout.ONE_BYTE:
-            return struct.pack(">BB", self.header_id, int(self.value) & 0xFF)
-        return struct.pack(">BI", self.header_id, int(self.value) & 0xFFFFFFFF)
+            return pack_one_byte(self.header_id, int(self.value) & 0xFF)
+        return pack_four_byte(self.header_id, int(self.value) & 0xFFFFFFFF)
 
 
 def decode_headers(raw: bytes) -> list[ObexHeader]:
@@ -111,13 +123,12 @@ class ObexPacket:
         """Serialise the packet."""
         body = b""
         if self.connect_extras is not None:
-            version, flags, max_packet = self.connect_extras
-            body += struct.pack(">BBH", version, flags, max_packet)
+            body += pack_connect_extras(*self.connect_extras)
         body += b"".join(header.encode() for header in self.headers)
         total = 3 + len(body)
         if total > 0xFFFF:
             raise PacketEncodeError("OBEX packet exceeds 65535 bytes")
-        return struct.pack(">BH", self.code & 0xFF, total) + body
+        return pack_length_prefixed(self.code & 0xFF, total) + body
 
     @classmethod
     def decode(cls, raw: bytes, has_connect_extras: bool | None = None) -> "ObexPacket":

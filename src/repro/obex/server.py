@@ -9,8 +9,6 @@ codes — making the server a well-defined fuzzing surface of its own.
 
 from __future__ import annotations
 
-import functools
-
 from repro.errors import PacketDecodeError
 from repro.obex.constants import (
     DEFAULT_MAX_PACKET,
@@ -58,7 +56,10 @@ class ObexServer:
         if packet.connect_extras is None:
             return _BAD_REQUEST
         self.connected = True
-        return _connect_success(self.max_packet)
+        return ObexPacket(
+            ResponseCode.SUCCESS,
+            connect_extras=(OBEX_VERSION, 0x00, self.max_packet),
+        ).encode()
 
     def _on_disconnect(self, _packet: ObexPacket) -> bytes:
         if not self.connected:
@@ -102,14 +103,6 @@ _FORBIDDEN = ObexPacket(ResponseCode.FORBIDDEN).encode()
 _LENGTH_REQUIRED = ObexPacket(ResponseCode.LENGTH_REQUIRED).encode()
 _NOT_FOUND = ObexPacket(ResponseCode.NOT_FOUND).encode()
 _SUCCESS = ObexPacket(ResponseCode.SUCCESS).encode()
-
-
-@functools.lru_cache(maxsize=16)
-def _connect_success(max_packet: int) -> bytes:
-    """The encoded CONNECT success response advertising *max_packet*."""
-    return ObexPacket(
-        ResponseCode.SUCCESS, connect_extras=(OBEX_VERSION, 0x00, max_packet)
-    ).encode()
 
 
 #: Request dispatch, resolved once rather than per request.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import struct
 
 from repro.codec import frozen_instance
 from repro.errors import PacketDecodeError, PacketEncodeError
@@ -45,6 +44,40 @@ _SIZE_INDEX_BY_WIDTH = {width: index for index, width in enumerate(_FIXED_WIDTHS
 _LENGTH_WIDTHS = {5: 1, 6: 2, 7: 4}
 
 
+#: The types whose descriptor's size index names the value width.
+_FIXED_KINDS = frozenset(
+    (
+        ElementType.UNSIGNED_INT,
+        ElementType.SIGNED_INT,
+        ElementType.UUID,
+        ElementType.BOOL,
+    )
+)
+
+
+def element_header(kind: ElementType, length: int) -> bytes:
+    """The bytes that open an element of *kind* with a *length*-byte value.
+
+    Numeric, UUID and bool descriptors name the width in their size
+    index; text, URL, sequence and alternative descriptors are followed
+    by an explicit 1-, 2- or 4-byte length. Every element is encoded
+    through this, and the SDP mutator builds its request elements from
+    it without element objects.
+
+    :raises PacketEncodeError: for a width a fixed-size type cannot have.
+    """
+    if kind in _FIXED_KINDS:
+        size_index = _SIZE_INDEX_BY_WIDTH.get(length)
+        if size_index is None:
+            raise PacketEncodeError(f"unsupported numeric width {length}")
+        return bytes([(kind << 3) | size_index])
+    if length <= 0xFF:
+        return bytes([(kind << 3) | 5, length])
+    if length <= 0xFFFF:
+        return bytes([(kind << 3) | 6]) + length.to_bytes(2, "big")
+    return bytes([(kind << 3) | 7]) + length.to_bytes(4, "big")
+
+
 @dataclasses.dataclass(frozen=True)
 class DataElement:
     """One decoded data element.
@@ -67,35 +100,23 @@ class DataElement:
         kind = self.element_type
         if kind is ElementType.NIL:
             return bytes([0x00])
-        if kind in (ElementType.UNSIGNED_INT, ElementType.SIGNED_INT, ElementType.UUID):
-            return self._encode_numeric()
+        if kind in (ElementType.UNSIGNED_INT, ElementType.UUID):
+            return element_header(kind, self.width) + int(self.value).to_bytes(
+                self.width, "big"
+            )
+        if kind is ElementType.SIGNED_INT:
+            return element_header(kind, self.width) + int(self.value).to_bytes(
+                self.width, "big", signed=True
+            )
         if kind is ElementType.BOOL:
-            return bytes([(ElementType.BOOL << 3) | 0]) + bytes([1 if self.value else 0])
+            return element_header(kind, 1) + bytes([1 if self.value else 0])
         if kind in (ElementType.TEXT, ElementType.URL):
             payload = str(self.value).encode("utf-8")
-            return self._with_variable_header(payload)
-        if kind in (ElementType.SEQUENCE, ElementType.ALTERNATIVE):
+        elif kind in (ElementType.SEQUENCE, ElementType.ALTERNATIVE):
             payload = b"".join(child.encode() for child in self.value)
-            return self._with_variable_header(payload)
-        raise PacketEncodeError(f"unsupported element type {kind}")
-
-    def _encode_numeric(self) -> bytes:
-        size_index = _SIZE_INDEX_BY_WIDTH.get(self.width)
-        if size_index is None:
-            raise PacketEncodeError(f"unsupported numeric width {self.width}")
-        header = bytes([(self.element_type << 3) | size_index])
-        if self.element_type is ElementType.SIGNED_INT:
-            return header + int(self.value).to_bytes(self.width, "big", signed=True)
-        return header + int(self.value).to_bytes(self.width, "big")
-
-    def _with_variable_header(self, payload: bytes) -> bytes:
-        if len(payload) <= 0xFF:
-            header = bytes([(self.element_type << 3) | 5]) + struct.pack(">B", len(payload))
-        elif len(payload) <= 0xFFFF:
-            header = bytes([(self.element_type << 3) | 6]) + struct.pack(">H", len(payload))
         else:
-            header = bytes([(self.element_type << 3) | 7]) + struct.pack(">I", len(payload))
-        return header + payload
+            raise PacketEncodeError(f"unsupported element type {kind}")
+        return element_header(kind, len(payload)) + payload
 
     # -- decoding -----------------------------------------------------------------
 

@@ -25,8 +25,16 @@ NO_CONTINUATION = b"\x00"
 #: The PDU header: pdu_id, transaction_id, parameter_length (big-endian).
 _HEADER = struct.Struct(">BHH")
 _HALFWORD = struct.Struct(">H")
+_HANDLE_AND_MAX = struct.Struct(">IH")
 _UNPACK_HEADER = _HEADER.unpack_from
 _PACK_HEADER = _HEADER.pack
+
+#: The requests' fixed fields: a max count or max byte count, and a
+#: ServiceAttributeRequest's record handle with its max byte count.
+#: The request encoders write them with these, and so does the SDP
+#: mutator, which assembles request parameters as bytes.
+pack_u16 = _HALFWORD.pack
+pack_handle_and_max = _HANDLE_AND_MAX.pack
 
 
 def encode_pdu(pdu_id: int, transaction_id: int, parameters: bytes) -> bytes:
@@ -88,7 +96,7 @@ class ServiceSearchAttributeRequest:
     def encode(self) -> bytes:
         return (
             self.search_pattern.encode()
-            + struct.pack(">H", self.max_attribute_bytes)
+            + pack_u16(self.max_attribute_bytes)
             + self.attribute_id_list.encode()
             + NO_CONTINUATION
         )
@@ -144,7 +152,7 @@ class ServiceSearchRequest:
     def encode(self) -> bytes:
         return (
             self.search_pattern.encode()
-            + struct.pack(">H", self.max_record_count)
+            + pack_u16(self.max_record_count)
             + NO_CONTINUATION
         )
 
@@ -199,7 +207,7 @@ class ServiceAttributeRequest:
 
     def encode(self) -> bytes:
         return (
-            struct.pack(">IH", self.record_handle, self.max_attribute_bytes)
+            pack_handle_and_max(self.record_handle, self.max_attribute_bytes)
             + self.attribute_id_list.encode()
             + NO_CONTINUATION
         )
@@ -208,7 +216,7 @@ class ServiceAttributeRequest:
     def decode(cls, raw: bytes) -> "ServiceAttributeRequest":
         if len(raw) < 6:
             raise PacketDecodeError("truncated ServiceAttributeRequest")
-        handle, max_bytes = struct.unpack_from(">IH", raw, 0)
+        handle, max_bytes = _HANDLE_AND_MAX.unpack_from(raw, 0)
         id_list, _offset = DataElement.decode_prefix(raw, 6)
         return frozen_instance(
             cls,

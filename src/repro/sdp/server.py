@@ -70,31 +70,17 @@ def _search_attribute_body(
     return ServiceSearchAttributeResponse(lists).encode()
 
 
-@functools.lru_cache(maxsize=64)
-def _record_index(records: tuple[SdpRecord, ...]) -> tuple[dict, dict]:
-    """(handle → record, UUID → the records it matches in record order).
-
-    Every UUID some record matches is a key of the second map, so a
-    search naming any other UUID matches nothing, without a scan. The
-    devices of one profile hold equal records, so fresh devices (every
-    campaign, every ddmin pass) share one index. Neither map is mutated.
-    """
-    by_handle = {record.handle: record for record in records}
-    by_uuid: dict[int, tuple[SdpRecord, ...]] = {}
-    for record in records:
-        for uuid in record.uuids:
-            matched = by_uuid.get(uuid, ())
-            if record not in matched:
-                by_uuid[uuid] = matched + (record,)
-    return by_handle, by_uuid
-
-
 class SdpServer:
     """Serves the SDP records of one device."""
 
     def __init__(self, directory: ServiceDirectory) -> None:
         self.records: tuple[SdpRecord, ...] = build_records(directory)
-        self._by_handle, self._by_uuid = _record_index(self.records)
+        self._by_handle = {record.handle: record for record in self.records}
+        #: Every UUID some record matches: a search naming any other UUID
+        #: matches nothing, without a scan.
+        self._uuids = frozenset(
+            uuid for record in self.records for uuid in record.uuids
+        )
 
     # -- dispatch ------------------------------------------------------------------
 
@@ -119,22 +105,22 @@ class SdpServer:
 
     def _matching_records(self, pattern: DataElement) -> list[SdpRecord]:
         uuids = _uuids_in(pattern)
-        if not uuids or not self._by_uuid.keys() >= set(uuids):
+        if not uuids or not self._uuids.issuperset(uuids):
             return []
-        matches = self._by_uuid[uuids[0]]
-        for uuid in uuids[1:]:
-            matches = [record for record in matches if record.matches_uuid(uuid)]
-        return list(matches)
+        return [
+            record
+            for record in self.records
+            if all(record.matches_uuid(uuid) for uuid in uuids)
+        ]
 
     def _on_service_search(self, pdu: SdpPdu) -> bytes:
         req = ServiceSearchRequest.decode(pdu.parameters)
         matches = self._matching_records(req.search_pattern)
+        handles = tuple(record.handle for record in matches[: req.max_record_count])
         return encode_pdu(
             PduId.SERVICE_SEARCH_RESPONSE,
             pdu.transaction_id,
-            _search_body(
-                tuple(record.handle for record in matches[: req.max_record_count])
-            ),
+            ServiceSearchResponse(handles).encode(),
         )
 
     def _on_service_attribute(self, pdu: SdpPdu) -> bytes:
@@ -145,10 +131,9 @@ class SdpServer:
                 pdu.transaction_id, ErrorCode.INVALID_SERVICE_RECORD_HANDLE
             )
         ranges = _attribute_ranges(req.attribute_id_list)
+        response = ServiceAttributeResponse(record.attribute_list(ranges))
         return encode_pdu(
-            PduId.SERVICE_ATTRIBUTE_RESPONSE,
-            pdu.transaction_id,
-            _attribute_body(record, tuple(ranges)),
+            PduId.SERVICE_ATTRIBUTE_RESPONSE, pdu.transaction_id, response.encode()
         )
 
     def _on_service_search_attribute(self, pdu: SdpPdu) -> bytes:
@@ -170,21 +155,3 @@ class SdpServer:
 
 #: Encoded ErrorResponse parameters, one per error code.
 _ERROR_BODIES = {code: ErrorResponse(code).encode() for code in ErrorCode}
-
-
-@functools.lru_cache(maxsize=256)
-def _attribute_body(record: SdpRecord, ranges: tuple[tuple[int, int], ...]) -> bytes:
-    """Encoded ServiceAttributeResponse parameters (memoized like
-    :func:`_search_attribute_body`, on the same grounds)."""
-    return ServiceAttributeResponse(record.attribute_list(list(ranges))).encode()
-
-
-@functools.lru_cache(maxsize=256)
-def _search_body(handles: tuple[int, ...]) -> bytes:
-    """Encoded ServiceSearchResponse parameters for *handles*.
-
-    Most searches (every fuzzed one naming an unknown UUID) match
-    nothing, and the rest match a few fixed record sets, so a bounded
-    memo serves nearly all of them.
-    """
-    return ServiceSearchResponse(handles).encode()

@@ -12,7 +12,6 @@ from repro.targets.base import (
     TargetGuide,
     TargetMutator,
     TargetRegistrationError,
-    draw_garbage,
     make_target,
     register_target,
     target_names,
@@ -42,7 +41,6 @@ __all__ = [
     "TargetGuide",
     "TargetMutator",
     "TargetRegistrationError",
-    "draw_garbage",
     "make_target",
     "register_target",
     "target_names",

@@ -32,8 +32,6 @@ import dataclasses
 import struct
 from typing import Protocol, runtime_checkable
 
-# The Fig.-7 garbage tail every mutator appends is drawn in one place.
-from repro.core.mutation import draw_garbage  # noqa: F401
 from repro.l2cap.packets import L2capPacket
 
 

@@ -20,18 +20,23 @@ from __future__ import annotations
 import dataclasses
 import enum
 import random
-import struct
 from collections.abc import Iterable
 
 from repro.core.config import FuzzConfig
-from repro.core.mutation import random_bytes
+from repro.core.mutation import draw_garbage, random_bytes
 from repro.l2cap.packets import L2capPacket
 from repro.obex.constants import HeaderId, Opcode, ResponseCode
-from repro.obex.packets import ObexPacket, connect_request, put_request
+from repro.obex.packets import (
+    ObexPacket,
+    connect_request,
+    pack_connect_extras,
+    pack_four_byte,
+    pack_length_prefixed,
+    put_request,
+)
 from repro.targets.base import (
     FuzzTarget,
     GuidedPosition,
-    draw_garbage,
     open_l2cap_channel,
     register_target,
     wire_data_frame,
@@ -202,7 +207,7 @@ class _ObexMutator:
         body = b""
         if command == Opcode.CONNECT:
             # Poisoned session parameters: wild version/flags/MTU claims.
-            body = _CONNECT_EXTRAS(getrandbits(8), getrandbits(8), getrandbits(16))
+            body = pack_connect_extras(getrandbits(8), getrandbits(8), getrandbits(16))
         elif command == Opcode.PUT_FINAL or command == Opcode.GET_FINAL:
             # NAME: randint(0, 12) characters of randrange(0x20, 0x7F),
             # UTF-16BE with one null terminator.
@@ -215,7 +220,7 @@ class _ObexMutator:
                 while char >= 0x5F:
                     char = getrandbits(7)
                 name[index] = char + 0x20
-            body = _LENGTH_PREFIXED(HeaderId.NAME, 2 * length + 5) + name
+            body = pack_length_prefixed(HeaderId.NAME, 2 * length + 5) + name
             if command == Opcode.PUT_FINAL:
                 # randint(0, 8) body bytes, then a LENGTH header claiming
                 # any size at all, then the END_OF_BODY header.
@@ -223,16 +228,18 @@ class _ObexMutator:
                 while size >= 9:
                     size = getrandbits(4)
                 payload = random_bytes(getrandbits, size)
-                body += _FOUR_BYTE(HeaderId.LENGTH, getrandbits(32))
-                body += _LENGTH_PREFIXED(HeaderId.END_OF_BODY, size + 3) + payload
+                body += pack_four_byte(HeaderId.LENGTH, getrandbits(32))
+                body += pack_length_prefixed(HeaderId.END_OF_BODY, size + 3) + payload
         if rng.random() < 0.5:
             # A connection id the server never issued (CIDP analogue).
-            body += _FOUR_BYTE(HeaderId.CONNECTION_ID, getrandbits(32))
+            body += pack_four_byte(HeaderId.CONNECTION_ID, getrandbits(32))
         if self.config.append_garbage:
             garbage = draw_garbage(rng, self.config.max_garbage, self.dictionary)
             if garbage:
-                body += _LENGTH_PREFIXED(GARBAGE_HEADER_ID, len(garbage) + 3) + garbage
-        return _LENGTH_PREFIXED(command, len(body) + 3) + body
+                body += (
+                    pack_length_prefixed(GARBAGE_HEADER_ID, len(garbage) + 3) + garbage
+                )
+        return pack_length_prefixed(command, len(body) + 3) + body
 
     def mutate(
         self, position: GuidedPosition, command: Opcode, identifier: int
@@ -248,14 +255,6 @@ class _ObexMutator:
         return wire_data_frame_fast(
             position.context.target_cid, self._fuzz_payload(command)
         )
-
-
-#: The encodings the OBEX mutator assembles, as the OBEX codec writes
-#: them: an id (or opcode) with a 2-byte total length, an id with a
-#: 4-byte value, and CONNECT's version/flags/max-packet extras.
-_LENGTH_PREFIXED = struct.Struct(">BH").pack
-_FOUR_BYTE = struct.Struct(">BI").pack
-_CONNECT_EXTRAS = struct.Struct(">BBH").pack
 
 
 @register_target

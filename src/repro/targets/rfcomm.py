@@ -22,7 +22,7 @@ import random
 from collections.abc import Iterable
 
 from repro.core.config import FuzzConfig
-from repro.core.mutation import random_bytes
+from repro.core.mutation import draw_garbage, random_bytes
 from repro.l2cap.constants import Psm
 from repro.l2cap.packets import L2capPacket
 from repro.rfcomm.constants import CONTROL_DLCI, FrameType, MAX_DLCI
@@ -30,7 +30,6 @@ from repro.rfcomm.frames import RfcommFrame, disc, sabm, uih
 from repro.targets.base import (
     FuzzTarget,
     GuidedPosition,
-    draw_garbage,
     open_l2cap_channel,
     register_target,
     wire_data_frame,

@@ -27,10 +27,17 @@ import struct
 from collections.abc import Iterable
 
 from repro.core.config import FuzzConfig
+from repro.core.mutation import draw_garbage
 from repro.l2cap.constants import Psm
 from repro.l2cap.packets import L2capPacket
 from repro.sdp.constants import PduId, ServiceClass
-from repro.sdp.data_elements import sequence, uint32, uuid16
+from repro.sdp.data_elements import (
+    ElementType,
+    element_header,
+    sequence,
+    uint32,
+    uuid16,
+)
 from repro.sdp.pdu import (
     NO_CONTINUATION,
     SdpPdu,
@@ -38,11 +45,12 @@ from repro.sdp.pdu import (
     ServiceSearchRequest,
     ServiceSearchResponse,
     encode_pdu,
+    pack_handle_and_max,
+    pack_u16,
 )
 from repro.targets.base import (
     FuzzTarget,
     GuidedPosition,
-    draw_garbage,
     open_l2cap_channel,
     register_target,
     wire_data_frame,
@@ -258,7 +266,7 @@ class _SdpMutator:
             else:
                 # A record handle ignoring the server's actual allocation.
                 handle = getrandbits(32)
-            parameters = _HANDLE_AND_MAX(handle, getrandbits(16))
+            parameters = pack_handle_and_max(handle, getrandbits(16))
         else:
             # A random UUID pattern: randint(1, 3) uuid16 elements.
             count = getrandbits(2)
@@ -266,9 +274,9 @@ class _SdpMutator:
                 count = getrandbits(2)
             count += 1
             parameters = _PATTERN_HEADS[count] + b"".join(
-                [_ELEMENT16(0x19, getrandbits(16)) for _ in range(count)]
+                [_ELEMENT16(getrandbits(16)) for _ in range(count)]
             )
-            parameters += _U16(getrandbits(16))
+            parameters += pack_u16(getrandbits(16))
             if command == PduId.SERVICE_SEARCH_REQUEST:
                 parameters += NO_CONTINUATION
         if command != PduId.SERVICE_SEARCH_REQUEST:
@@ -294,15 +302,20 @@ class _SdpMutator:
         )
 
 
-#: The encodings the SDP mutator assembles, as the data-element codec
-#: writes them: a uuid16 element (0x19), a sequence of n of them (0x35,
-#: 3n), a one-element sequence of a uint32 (0x35 0x05 0x0A), and the
-#: request's fixed fields.
-_ELEMENT16 = struct.Struct(">BH").pack
-_PATTERN_HEADS = {count: bytes([0x35, 3 * count]) for count in (1, 2, 3)}
-_RANGE_LIST = functools.partial(struct.Struct(">BBBI").pack, 0x35, 0x05, 0x0A)
-_U16 = struct.Struct(">H").pack
-_HANDLE_AND_MAX = struct.Struct(">IH").pack
+#: The request elements the SDP mutator assembles, opened by the
+#: data-element codec's headers: a uuid16 element, a sequence of n of
+#: them, and a one-element sequence of a uint32 (one attribute range).
+_ELEMENT16 = functools.partial(
+    struct.Struct(">1sH").pack, element_header(ElementType.UUID, 2)
+)
+_PATTERN_HEADS = {
+    count: element_header(ElementType.SEQUENCE, 3 * count) for count in (1, 2, 3)
+}
+_RANGE_LIST = functools.partial(
+    struct.Struct(">3sI").pack,
+    element_header(ElementType.SEQUENCE, 5)
+    + element_header(ElementType.UNSIGNED_INT, 4),
+)
 
 
 @register_target

@@ -15,7 +15,12 @@ import pickle
 
 from hypothesis import given, settings, strategies as st
 
-from repro.l2cap.constants import CommandCode, RejectReason, SIGNALING_CID
+from repro.l2cap.constants import (
+    MAX_L2CAP_PAYLOAD,
+    CommandCode,
+    RejectReason,
+    SIGNALING_CID,
+)
 from repro.l2cap.packets import COMMAND_SPECS, L2capPacket
 from repro.l2cap.validation import (
     Violation,
@@ -348,3 +353,36 @@ class TestLoopbackView:
             CommandCode.ECHO_REQ, 1, header_cid=SIGNALING_CID
         )
         assert signaling_disguise.loopback_view() is signaling_disguise
+
+
+class TestDataFramePrimedVerdict:
+    """``L2capPacket.data_frame`` sets the loopback verdict at build time;
+    it must be the one :meth:`L2capPacket.loopback_view` computes, and
+    the frame the one the constructor builds."""
+
+    @given(
+        st.one_of(
+            st.integers(min_value=-2, max_value=0x44),
+            st.integers(min_value=0xFFFE, max_value=0x10001),
+        ),
+        st.one_of(
+            st.binary(max_size=16),
+            st.integers(
+                min_value=MAX_L2CAP_PAYLOAD - 1, max_value=MAX_L2CAP_PAYLOAD + 1
+            ).map(bytes),
+        ),
+    )
+    @settings(max_examples=300)
+    def test_primed_verdict_equals_computed(self, header_cid, payload):
+        frame = L2capPacket.data_frame(header_cid, payload)
+        primed = frame.__dict__["_loopback"]
+        frame.__dict__["_loopback"] = None
+        assert (frame.loopback_view() is frame) == primed
+        built = L2capPacket(
+            code=0,
+            identifier=0,
+            header_cid=header_cid,
+            tail=payload,
+            fill_defaults=False,
+        )
+        assert (built.loopback_view() is built) == primed
