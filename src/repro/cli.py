@@ -508,18 +508,6 @@ def cmd_corpus_export(args) -> int:
     return 0
 
 
-def cmd_corpus_migrate(args) -> int:
-    """Import a legacy JSON-file corpus into the directory's database."""
-    from repro.corpus.migrate import MigrationError, migrate_to_sqlite
-
-    try:
-        report = migrate_to_sqlite(args.dir)
-    except MigrationError as error:
-        raise SystemExit(str(error)) from None
-    _echo(report.summary())
-    return 0
-
-
 def cmd_survey(args) -> int:
     """Table VI across the whole testbed."""
     for profile in ALL_PROFILES:
@@ -987,13 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", required=True, metavar="PATH", help="output JSONL path"
     )
     corpus_export.set_defaults(func=cmd_corpus_export)
-
-    corpus_migrate = corpus_commands.add_parser(
-        "migrate",
-        help="import a legacy JSON-file corpus into corpus.sqlite3",
-    )
-    corpus_migrate.add_argument("dir", help="corpus directory")
-    corpus_migrate.set_defaults(func=cmd_corpus_migrate)
 
     runs = commands.add_parser(
         "runs", help="list, show or live-tail telemetry runs"

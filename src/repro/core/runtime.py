@@ -17,7 +17,8 @@ demonstrate:
   executor round trip; a shard's campaigns run back to back on one
   worker, like a dongle working through its queue.
 * **Compact binary summaries** — workers stream back
-  :class:`CampaignSummary` blobs (a versioned struct-packed encoding:
+  :class:`CampaignSummary` blobs (``marshal`` of plain tuples behind a
+  header of format version, interpreter version, length and CRC-32:
   coverage tokens, finding records, efficiency counters, stream
   samples) instead of pickled reports. Everything the fleet merge needs
   lives in the summary; the full ``CampaignReport`` object graph is
@@ -60,10 +61,13 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import marshal
 import os
 import struct
+import sys
 import threading
 import time
+import zlib
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -84,18 +88,15 @@ from repro.errors import ReproError
 
 _log = logging.getLogger(__name__)
 
-#: Format version stamped on every encoded summary blob.
-#: v2 added the per-finding ``sent_index`` (reproducer-prefix cut).
-SUMMARY_FORMAT_VERSION = 2
+#: Format version, the first byte of every encoded summary blob.
+#: v2 added the per-finding ``sent_index`` (reproducer-prefix cut); v3
+#: replaced the hand-packed body with a framed ``marshal`` one.
+SUMMARY_FORMAT_VERSION = 3
 
-#: Wire sentinel for a finding without a recorded ``sent_index``.
-_NO_SENT_INDEX = 0xFFFFFFFF
-
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-
-#: Escape marker for string/collection sizes >= 255 (u8 prefix + u32).
-_SIZE_ESCAPE = 0xFF
+#: Summary blob header: format version, the writing interpreter's major
+#: and minor version (``marshal`` data is only promised to the same
+#: one), body length and the body's CRC-32.
+_HEADER = struct.Struct("<BBBII")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,151 +244,47 @@ def summarize_session(session, report: CampaignReport) -> CampaignSummary:
 
 
 # ---------------------------------------------------------------------------
-# Binary codec
+# Blob codec
 # ---------------------------------------------------------------------------
 
-
-def _pack_size(parts: list, size: int) -> None:
-    """Compact size: one byte for <255, escape + u32 beyond.
-
-    Nearly every size in a summary — state-token lengths, visit counts,
-    finding counts — is tiny; paying four bytes each is what made the
-    first cut of this format fatter than a pickle.
-    """
-    if size < _SIZE_ESCAPE:
-        parts.append(bytes((size,)))
-    else:
-        parts.append(bytes((_SIZE_ESCAPE,)))
-        parts.append(_U32.pack(size))
-
-
-def _pack_str(parts: list, text: str) -> None:
-    raw = text.encode("utf-8")
-    _pack_size(parts, len(raw))
-    parts.append(raw)
-
-
-class _Reader:
-    """Sequential decoder over one summary blob."""
-
-    __slots__ = ("blob", "offset")
-
-    def __init__(self, blob: bytes) -> None:
-        self.blob = blob
-        self.offset = 0
-
-    def size(self) -> int:
-        value = self.blob[self.offset]
-        self.offset += 1
-        if value == _SIZE_ESCAPE:
-            return self.u32()
-        return value
-
-    def u32(self) -> int:
-        (value,) = _U32.unpack_from(self.blob, self.offset)
-        self.offset += 4
-        return value
-
-    def f64(self) -> float:
-        (value,) = struct.unpack_from("<d", self.blob, self.offset)
-        self.offset += 8
-        return value
-
-    def text(self) -> str:
-        length = self.size()
-        raw = self.blob[self.offset : self.offset + length]
-        self.offset += length
-        return raw.decode("utf-8")
+#: Field order of a marshalled summary, and of each finding row in it.
+_SUMMARY_FIELDS = tuple(
+    field.name for field in dataclasses.fields(CampaignSummary)
+)
+_FINDING_FIELDS = tuple(
+    field.name for field in dataclasses.fields(FindingSummary)
+)
 
 
 def encode_summary(summary: CampaignSummary) -> bytes:
-    """Serialise *summary* to the compact versioned wire format.
+    """Serialise *summary* to one framed, checksummed blob.
 
-    Struct-packed integers and length-prefixed UTF-8 — a few hundred
-    bytes per campaign instead of a pickled report object graph, and a
-    stable format the orchestrator can decode without importing any
-    campaign machinery.
+    The body is ``marshal.dumps`` of the summary's fields as plain
+    tuples, findings as rows too, so decoding needs no campaign
+    machinery. The :data:`_HEADER` in front lets :func:`decode_summary`
+    refuse a blob of another format or interpreter, or a truncated,
+    over-long or bit-flipped one, before ``marshal`` reads it.
+
+    A campaign encodes to the same bytes every time it runs. (``marshal``
+    flags objects that something else also references, so a summary
+    that went through :func:`decode_summary` may re-encode to other
+    bytes that decode to the same summary.)
     """
-    parts: list = [struct.pack("<B", SUMMARY_FORMAT_VERSION)]
-    for text in (summary.target_name, summary.fuzz_target, summary.strategy):
-        _pack_str(parts, text)
-    parts.append(
-        struct.pack(
-            "<IIId",
-            summary.state_space,
-            summary.packets_sent,
-            summary.sweeps_completed,
-            summary.elapsed_seconds,
-        )
+    fields = {name: getattr(summary, name) for name in _SUMMARY_FIELDS}
+    fields["findings"] = tuple(
+        tuple(getattr(finding, name) for name in _FINDING_FIELDS)
+        for finding in summary.findings
     )
-    parts.append(
-        struct.pack(
-            "<IIII",
-            summary.transmitted,
-            summary.malformed,
-            summary.received,
-            summary.rejections,
+    body = marshal.dumps(tuple(fields.values()))
+    return (
+        _HEADER.pack(
+            SUMMARY_FORMAT_VERSION,
+            *sys.version_info[:2],
+            len(body),
+            zlib.crc32(body),
         )
+        + body
     )
-    parts.append(
-        struct.pack(
-            "<III",
-            summary.corpus_entries_added,
-            summary.corpus_findings_new,
-            summary.corpus_findings_duplicate,
-        )
-    )
-    # State-name token table: every coverage/visit/transition row
-    # references a token index instead of repeating the string (the
-    # same dozen state names appear across all three sections).
-    tokens = sorted(
-        {token for token in summary.covered_states}
-        | {token for token, _ in summary.state_visits}
-        | {source for source, _, _ in summary.transition_visits}
-        | {destination for _, destination, _ in summary.transition_visits}
-    )
-    index_of = {token: index for index, token in enumerate(tokens)}
-    _pack_size(parts, len(tokens))
-    for token in tokens:
-        _pack_str(parts, token)
-    _pack_size(parts, len(summary.covered_states))
-    for token in summary.covered_states:
-        _pack_size(parts, index_of[token])
-    _pack_size(parts, len(summary.state_visits))
-    for token, count in summary.state_visits:
-        _pack_size(parts, index_of[token])
-        parts.append(_U32.pack(count))
-    _pack_size(parts, len(summary.transition_visits))
-    for source, destination, count in summary.transition_visits:
-        _pack_size(parts, index_of[source])
-        _pack_size(parts, index_of[destination])
-        parts.append(_U32.pack(count))
-    _pack_size(parts, len(summary.findings))
-    for finding in summary.findings:
-        for text in (
-            finding.vulnerability_class,
-            finding.error_message,
-            finding.state,
-            finding.trigger,
-            finding.crash_dump,
-            finding.target,
-        ):
-            _pack_str(parts, text)
-        parts.append(
-            struct.pack(
-                "<dBI",
-                finding.sim_time,
-                finding.ping_failed,
-                _NO_SENT_INDEX
-                if finding.sent_index is None
-                else finding.sent_index,
-            )
-        )
-    _pack_size(parts, len(summary.coverage_samples))
-    for states, sent in summary.coverage_samples:
-        _pack_size(parts, states)
-        parts.append(_U32.pack(sent))
-    return b"".join(parts)
 
 
 class AbortRequested(ReproError):
@@ -417,113 +314,48 @@ class SummaryDecodeError(ReproError, ValueError):
 def decode_summary(blob: bytes) -> CampaignSummary:
     """Decode one :func:`encode_summary` blob.
 
-    :raises SummaryDecodeError: on an empty, truncated, corrupt, or
-        unknown-version blob.
+    :raises SummaryDecodeError: on an empty, truncated, over-long,
+        corrupt, unknown-version or other-interpreter blob.
     """
     if not blob:
         raise SummaryDecodeError("empty campaign-summary blob")
-    version = blob[0]
-    if version != SUMMARY_FORMAT_VERSION:
+    if blob[0] != SUMMARY_FORMAT_VERSION:
         raise SummaryDecodeError(
-            f"unknown campaign-summary format version {version} "
+            f"unknown campaign-summary format version {blob[0]} "
             f"(expected {SUMMARY_FORMAT_VERSION})"
         )
+    if len(blob) < _HEADER.size:
+        raise SummaryDecodeError(
+            f"truncated campaign-summary header ({len(blob)} bytes)"
+        )
+    _, major, minor, length, checksum = _HEADER.unpack_from(blob)
+    if (major, minor) != sys.version_info[:2]:
+        raise SummaryDecodeError(
+            f"campaign-summary blob written by Python {major}.{minor}, "
+            f"not {sys.version_info.major}.{sys.version_info.minor}"
+        )
+    end = _HEADER.size + length
+    if len(blob) < end:
+        raise SummaryDecodeError(
+            f"truncated campaign-summary blob ({len(blob)} of {end} bytes)"
+        )
+    if len(blob) > end:
+        raise SummaryDecodeError(
+            f"campaign-summary decode consumed {end} of {len(blob)} bytes"
+        )
+    body = blob[_HEADER.size :]
+    if zlib.crc32(body) != checksum:
+        raise SummaryDecodeError("campaign-summary blob fails its CRC-32")
     try:
-        summary = _decode_summary_body(blob)
-    except (struct.error, IndexError, UnicodeDecodeError) as error:
+        fields = dict(zip(_SUMMARY_FIELDS, marshal.loads(body), strict=True))
+        fields["findings"] = tuple(
+            FindingSummary(*row) for row in fields["findings"]
+        )
+        return CampaignSummary(**fields)
+    except (EOFError, ValueError, TypeError) as error:
         raise SummaryDecodeError(
-            f"truncated or corrupt campaign-summary blob "
-            f"({len(blob)} bytes): {error}"
+            f"corrupt campaign-summary body: {error}"
         ) from error
-    return summary
-
-
-def _decode_summary_body(blob: bytes) -> CampaignSummary:
-    reader = _Reader(blob)
-    reader.offset = 1
-    target_name = reader.text()
-    fuzz_target = reader.text()
-    strategy = reader.text()
-    state_space, packets_sent, sweeps_completed = (
-        reader.u32(),
-        reader.u32(),
-        reader.u32(),
-    )
-    elapsed_seconds = reader.f64()
-    transmitted, malformed, received, rejections = (
-        reader.u32(),
-        reader.u32(),
-        reader.u32(),
-        reader.u32(),
-    )
-    corpus_entries_added = reader.u32()
-    corpus_findings_new = reader.u32()
-    corpus_findings_duplicate = reader.u32()
-    tokens = tuple(reader.text() for _ in range(reader.size()))
-    covered_states = tuple(tokens[reader.size()] for _ in range(reader.size()))
-    state_visits = tuple(
-        (tokens[reader.size()], reader.u32()) for _ in range(reader.size())
-    )
-    transition_visits = tuple(
-        (tokens[reader.size()], tokens[reader.size()], reader.u32())
-        for _ in range(reader.size())
-    )
-    findings = []
-    for _ in range(reader.size()):
-        vulnerability_class = reader.text()
-        error_message = reader.text()
-        state = reader.text()
-        trigger = reader.text()
-        crash_dump = reader.text()
-        target = reader.text()
-        sim_time = reader.f64()
-        ping_failed = bool(blob[reader.offset])
-        reader.offset += 1
-        sent_index = reader.u32()
-        findings.append(
-            FindingSummary(
-                vulnerability_class=vulnerability_class,
-                error_message=error_message,
-                state=state,
-                trigger=trigger,
-                sim_time=sim_time,
-                ping_failed=ping_failed,
-                crash_dump=crash_dump,
-                target=target,
-                sent_index=None if sent_index == _NO_SENT_INDEX else sent_index,
-            )
-        )
-    coverage_samples = tuple(
-        (reader.size(), reader.u32()) for _ in range(reader.size())
-    )
-    if reader.offset != len(blob):
-        # Over-read happens when a truncated tail was absorbed by a
-        # short slice instead of raising; under-read is trailing junk.
-        raise SummaryDecodeError(
-            f"campaign-summary decode consumed {reader.offset} of "
-            f"{len(blob)} bytes"
-        )
-    return CampaignSummary(
-        target_name=target_name,
-        fuzz_target=fuzz_target,
-        strategy=strategy,
-        state_space=state_space,
-        packets_sent=packets_sent,
-        sweeps_completed=sweeps_completed,
-        elapsed_seconds=elapsed_seconds,
-        transmitted=transmitted,
-        malformed=malformed,
-        received=received,
-        rejections=rejections,
-        covered_states=covered_states,
-        state_visits=state_visits,
-        transition_visits=transition_visits,
-        findings=tuple(findings),
-        coverage_samples=coverage_samples,
-        corpus_entries_added=corpus_entries_added,
-        corpus_findings_new=corpus_findings_new,
-        corpus_findings_duplicate=corpus_findings_duplicate,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -833,8 +665,9 @@ def load_checkpoints(run_dir: Path) -> dict[int, CampaignSummary]:
 
     Tolerant by design, mirroring the journal's torn-line handling: a
     truncated or corrupt checkpoint (worker killed mid-run, injected
-    corruption) is skipped — it reads as "campaign not done", and the
-    resumed run re-executes it.
+    corruption, a flipped bit on disk) or one written by another
+    Python minor version is skipped — it reads as "campaign not done",
+    and the resumed run re-executes it.
     """
     checkpoint_dir = Path(run_dir) / CHECKPOINTS_DIRNAME
     summaries: dict[int, CampaignSummary] = {}

@@ -10,9 +10,9 @@ The corpus subsystem makes campaigns stateful *across* runs:
   across runs;
 * both are facades over one SQLite (WAL) database per corpus directory,
   :class:`~repro.corpus.sqlite_backend.SqliteCorpusBackend`; a fleet
-  shard writes back in one transaction, and
-  :func:`~repro.corpus.migrate.migrate_to_sqlite` (``repro corpus
-  migrate``) imports corpora written in the legacy JSON-file layout;
+  shard writes back in one transaction, and a directory in the legacy
+  JSON-file layout is refused with
+  :class:`~repro.errors.LegacyCorpusError`;
 * :class:`~repro.corpus.scheduler.EnergyScheduler` feeds visit counts
   (campaign-local plus corpus prior) back into mutation scheduling;
 * :mod:`~repro.corpus.replay` re-fires stored entries and findings
@@ -22,7 +22,6 @@ The corpus subsystem makes campaigns stateful *across* runs:
 from repro.corpus.backend import LegacyCorpusError, open_backend
 from repro.corpus.entry import CorpusEntry, content_id, transition_token
 from repro.corpus.findings import FindingDatabase, FindingRecord
-from repro.corpus.migrate import MigrationError, migrate_to_sqlite
 from repro.corpus.replay import replay_entry, replay_finding
 from repro.corpus.scheduler import EnergyScheduler, prior_from_corpus
 from repro.corpus.sqlite_backend import CorpusStats, SqliteCorpusBackend
@@ -36,10 +35,8 @@ __all__ = [
     "FindingDatabase",
     "FindingRecord",
     "LegacyCorpusError",
-    "MigrationError",
     "SqliteCorpusBackend",
     "content_id",
-    "migrate_to_sqlite",
     "open_backend",
     "prior_from_corpus",
     "record_campaign",

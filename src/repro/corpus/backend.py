@@ -9,9 +9,10 @@ runtime's shard write-back, the scheduler prior, replay, the CLI, the
 service's tenant namespaces — opens a corpus with :func:`open_backend`.
 
 Directories written by older releases hold a JSON-file layout
-(``entries/``, ``findings/``) instead. Opening one raises
-:class:`LegacyCorpusError` rather than silently starting an empty
-database next to the old files; ``repro corpus migrate`` imports it.
+(``entries/``, ``findings/``) instead. This release cannot read it:
+opening one raises :class:`LegacyCorpusError` rather than silently
+starting an empty database next to the old files. Commit 2994a58 is
+the last that can import it (``repro corpus migrate``).
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from repro.corpus.migrate import ENTRIES_DIR, FINDINGS_DIR
 from repro.corpus.sqlite_backend import SQLITE_FILE, SqliteCorpusBackend
 from repro.errors import LegacyCorpusError
+
+#: Directories of the legacy JSON-file layout.
+ENTRIES_DIR = "entries"
+FINDINGS_DIR = "findings"
 
 #: Legal corpus namespace names: a path-safe single segment. Separators
 #: and a leading dot are excluded by construction, so a namespace can
@@ -40,8 +44,9 @@ def open_backend(root) -> SqliteCorpusBackend:
         (root / name).is_dir() for name in (ENTRIES_DIR, FINDINGS_DIR)
     ):
         raise LegacyCorpusError(
-            f"{root} holds a legacy JSON-file corpus; import it with"
-            f" 'repro corpus migrate {root}'"
+            f"{root} holds a legacy JSON-file corpus, which this release"
+            f" cannot read; import it with 'repro corpus migrate {root}'"
+            " at commit 2994a58, the last that can"
         )
     return SqliteCorpusBackend(root)
 

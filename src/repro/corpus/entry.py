@@ -141,9 +141,8 @@ def entry_to_dict(entry: CorpusEntry) -> dict:
 def entry_line(entry: CorpusEntry) -> str:
     """The canonical one-line JSON rendering of *entry*.
 
-    This exact string is what the database stores, what export writes
-    and what the legacy layout held, which is what makes import and
-    export byte-equal by construction.
+    This exact string is what the database stores and what export
+    writes, which is what makes export byte-equal by construction.
     """
     return json.dumps(entry_to_dict(entry), sort_keys=True) + "\n"
 

@@ -5,8 +5,8 @@ the corpus directory:
 
 * ``entries`` — one row per content-addressed entry. The ``data``
   column stores the entry's canonical JSON line
-  (:func:`repro.corpus.entry.entry_line`), so export and the legacy
-  importer are byte-equal by construction; the indexed metadata
+  (:func:`repro.corpus.entry.entry_line`), so export is byte-equal
+  to what was stored by construction; the indexed metadata
   columns (target, device, strategy, packet count) make the hot
   queries index scans.
 * ``coverage`` — one row per (entry, coverage token), indexed by token:
@@ -543,8 +543,8 @@ class SqliteCorpusBackend:
 
         False when no canonical corpus exists at all; True when one
         exists but the live entry set has since changed, or when its
-        freshness cannot be established (a canonical set imported
-        without freshness metadata). Callers seeding from the canonical
+        freshness cannot be established (a canonical set that an older
+        release imported without freshness metadata). Callers seeding from the canonical
         set must fall back to :meth:`entries` when this is True.
         """
         connection = self._connect(create=False)

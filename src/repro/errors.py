@@ -28,10 +28,6 @@ class PacketEncodeError(PacketError):
     """Raised when a packet object cannot be serialised."""
 
 
-class StateMachineError(ReproError):
-    """Invalid state or transition in the L2CAP channel state machine."""
-
-
 class ChannelError(ReproError):
     """Channel allocation or lookup failure inside a host stack."""
 
@@ -101,10 +97,6 @@ class TargetTimeoutError(TransportError):
     message = "Timeout"
 
 
-class PairingRequiredError(ReproError):
-    """Raised when connecting to a service port that requires pairing."""
-
-
 class TargetCrashedError(ReproError):
     """Raised internally by a virtual stack when an injected bug triggers.
 
@@ -117,14 +109,10 @@ class TargetCrashedError(ReproError):
         self.crash = crash
 
 
-class FuzzingError(ReproError):
-    """Campaign-level failure in the fuzzing orchestrator."""
-
-
 class ScanError(ReproError):
     """Target-scanning phase failure (no reachable device or port)."""
 
 
 class LegacyCorpusError(ReproError):
     """A corpus directory holds the legacy JSON-file layout and no
-    database; ``repro corpus migrate`` imports it."""
+    database. Commit 2994a58 is the last that can import it."""

@@ -164,14 +164,6 @@ class ConnectionResult(enum.IntEnum):
     REFUSED_SCID_ALREADY_ALLOCATED = 0x0007
 
 
-class ConnectionStatus(enum.IntEnum):
-    """Status codes accompanying a PENDING connection response."""
-
-    NO_FURTHER_INFORMATION = 0x0000
-    AUTHENTICATION_PENDING = 0x0001
-    AUTHORIZATION_PENDING = 0x0002
-
-
 class ConfigResult(enum.IntEnum):
     """Result codes of the Configuration Response."""
 
@@ -193,13 +185,6 @@ class MoveResult(enum.IntEnum):
     REFUSED_CONFIGURATION_NOT_SUPPORTED = 0x0004
     REFUSED_COLLISION = 0x0005
     REFUSED_NOT_ALLOWED = 0x0006
-
-
-class MoveConfirmResult(enum.IntEnum):
-    """Result codes of the Move Channel Confirmation Request."""
-
-    SUCCESS = 0x0000
-    FAILURE = 0x0001
 
 
 class InfoType(enum.IntEnum):

@@ -35,17 +35,6 @@ MAX_DLCI = 63
 DEFAULT_MAX_FRAME_SIZE = 127
 
 
-def dlci_for_server_channel(server_channel: int, initiator: bool = True) -> int:
-    """Map an RFCOMM server channel (1..30) to its DLCI.
-
-    DLCI = channel << 1 | direction-bit; the direction bit is the
-    *opposite* of the initiator's role bit.
-    """
-    if not 1 <= server_channel <= 30:
-        raise ValueError(f"server channel {server_channel} out of range")
-    return (server_channel << 1) | (0 if initiator else 1)
-
-
 # -- FCS (CRC-8, polynomial x^8 + x^2 + x + 1, reflected) ----------------------
 
 

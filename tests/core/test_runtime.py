@@ -1,10 +1,12 @@
 """Unit tests for the persistent fleet runtime's data plane.
 
-The compact binary summary is the worker→orchestrator wire format; if
-it drops or distorts a field, fleets silently mis-merge. These tests
-pin the codec round trip, the lazy report reconstruction against the
-in-process campaign as oracle (per protocol target), and the simulated
-makespan's edge cases.
+The summary blob (``marshal`` of plain tuples behind a version,
+interpreter, length and CRC-32 header) is the worker→orchestrator wire
+format; if it drops or distorts a field, fleets silently mis-merge.
+These tests pin the codec round trip, the lazy report reconstruction
+against the in-process campaign as oracle (per protocol target), and
+the simulated makespan's edge cases. Corruption handling is pinned in
+``tests/integration/test_fault_tolerance.py``.
 """
 
 from __future__ import annotations

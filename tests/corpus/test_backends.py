@@ -1,13 +1,10 @@
-"""Corpus database tests: model parity, concurrency, import, layout.
+"""Corpus database tests: model parity, concurrency, layout.
 
 The contract under test: the database answers every query exactly as an
 in-memory reference model of the same operation history does,
 occurrence counts stay exact under concurrent writers, a duplicate
-bucket keeps the same record whatever the write order, and
-``migrate_to_sqlite`` imports a legacy JSON-file corpus without
-changing a byte of what it answers. Tests parametrised by ``origin``
-run twice: on a fresh database (``sqlite``) and on one imported from
-the legacy JSON-file layout (``file``).
+bucket keeps the same record whatever the write order, and a directory
+in the legacy JSON-file layout is refused rather than shadowed.
 """
 
 from __future__ import annotations
@@ -27,11 +24,11 @@ from repro.corpus.findings import (
     record_to_dict,
     trigger_hash,
 )
-from repro.corpus.migrate import MigrationError, migrate_to_sqlite
 from repro.corpus.sqlite_backend import (
     SQLITE_FILE,
     CorpusStats,
     SqliteCorpusBackend,
+    cmin_update,
 )
 from repro.corpus.store import CorpusStore, state_frequencies_of
 from repro.errors import LegacyCorpusError
@@ -40,9 +37,6 @@ from repro.l2cap.packets import (
     connection_request,
     echo_request,
 )
-from tests.corpus.legacy_layout import legacy_canonical, write_legacy_corpus
-
-ORIGINS = ("file", "sqlite")
 
 
 def _entry(tokens, packet_count=1, ident=1, device_id="D2", target="l2cap"):
@@ -82,11 +76,15 @@ def _record(**overrides) -> FindingRecord:
     return FindingRecord(**fields)
 
 
-def _open(root, origin: str) -> SqliteCorpusBackend:
-    """A corpus at *root*: fresh, or imported from an empty legacy one."""
-    if origin == "file":
-        migrate_to_sqlite(write_legacy_corpus(root))
-    return open_backend(root)
+def full_scan_canonical(entries) -> list:
+    """Full-scan cmin over *entries*, sorted by entry ID: the reference
+    the incremental ``minimize`` must match."""
+    winners: dict[str, tuple[int, str]] = {}
+    by_id = cmin_update(winners, entries)
+    return sorted(
+        {by_id[entry_id] for _, entry_id in winners.values()},
+        key=lambda entry: entry.entry_id,
+    )
 
 
 def _findings_table(root) -> list[tuple]:
@@ -158,7 +156,7 @@ class Model:
         ]
 
     def minimize(self) -> list:
-        return legacy_canonical(self.entries())
+        return full_scan_canonical(self.entries())
 
     def garbage_dictionary(self) -> tuple:
         return tuple(
@@ -279,12 +277,10 @@ class TestParity:
         )
 
 
-@pytest.mark.parametrize("origin", ORIGINS)
 class TestBackendBasics:
-    def test_cold_corpus_reads_empty(self, tmp_path, origin):
-        backend = _open(tmp_path / "corpus", origin)
-        # An import creates the (empty) database; a fresh corpus has none.
-        assert backend.exists() == (origin == "file")
+    def test_cold_corpus_reads_empty(self, tmp_path):
+        backend = open_backend(tmp_path / "corpus")
+        assert not backend.exists()
         assert backend.entries() == []
         assert backend.entry_count() == 0
         assert backend.coverage() == frozenset()
@@ -293,30 +289,30 @@ class TestBackendBasics:
         assert not backend.canonical_is_stale()
         assert backend.stats().entry_count == 0
 
-    def test_add_entry_idempotent(self, tmp_path, origin):
-        backend = _open(tmp_path, origin)
+    def test_add_entry_idempotent(self, tmp_path):
+        backend = open_backend(tmp_path)
         entry = _entry(["CLOSED"])
         assert backend.add_entry(entry)
         assert not backend.add_entry(entry)
         assert backend.entry_count() == 1
 
-    def test_sha256_sized_seed_round_trips(self, tmp_path, origin):
+    def test_sha256_sized_seed_round_trips(self, tmp_path):
         """Fleet campaign seeds are SHA-256-derived integers, far past
         64 bits — they must be stored losslessly."""
-        backend = _open(tmp_path, origin)
+        backend = open_backend(tmp_path)
         entry = dataclasses.replace(_entry(["CLOSED"]), seed=2**255 + 19)
         assert backend.add_entry(entry)
         assert backend.entries() == [entry]
 
-    def test_new_then_duplicate(self, tmp_path, origin):
-        backend = _open(tmp_path, origin)
+    def test_new_then_duplicate(self, tmp_path):
+        backend = open_backend(tmp_path)
         assert backend.record_finding(_record()) == "new"
         assert backend.record_finding(_record()) == "duplicate"
         assert backend.finding_count() == 1
         assert backend.finding_records()[0].occurrences == 2
 
-    def test_duplicate_keeps_first_record(self, tmp_path, origin):
-        backend = _open(tmp_path, origin)
+    def test_duplicate_keeps_first_record(self, tmp_path):
+        backend = open_backend(tmp_path)
         backend.record_finding(_record(sim_time=1.0))
         backend.record_finding(
             dataclasses.replace(_record(), sim_time=99.0, device_id="D4")
@@ -376,12 +372,11 @@ class TestDeterministicFinding:
         )
 
 
-@pytest.mark.parametrize("origin", ORIGINS)
 class TestConcurrency:
     """Exact counts and no lost writes under a thread-pool hammer."""
 
-    def test_concurrent_bucket_bumps_count_exactly(self, tmp_path, origin):
-        backend = _open(tmp_path, origin)
+    def test_concurrent_bucket_bumps_count_exactly(self, tmp_path):
+        backend = open_backend(tmp_path)
         workers, per_worker = 8, 25
 
         def hammer(_worker: int) -> None:
@@ -399,8 +394,8 @@ class TestConcurrency:
         assert len(records) == 1
         assert records[0].occurrences == workers * per_worker
 
-    def test_concurrent_entry_adds_lose_nothing(self, tmp_path, origin):
-        backend = _open(tmp_path, origin)
+    def test_concurrent_entry_adds_lose_nothing(self, tmp_path):
+        backend = open_backend(tmp_path)
         entries = [
             _entry(["CLOSED"], packet_count=1 + (i % 4), ident=10 * i + 1)
             for i in range(40)
@@ -424,18 +419,15 @@ class TestConcurrency:
         )
 
 
-@pytest.mark.parametrize("origin", ORIGINS)
 class TestStaleness:
-    def test_fresh_after_minimize(self, tmp_path, origin):
-        _open(tmp_path, origin).close()
+    def test_fresh_after_minimize(self, tmp_path):
         store = CorpusStore(tmp_path)
         store.add(_entry(["CLOSED"]))
         canonical = store.minimize()
         assert not store.canonical_is_stale()
         assert store.seed_entries() == canonical
 
-    def test_stale_after_new_entry(self, tmp_path, origin):
-        _open(tmp_path, origin).close()
+    def test_stale_after_new_entry(self, tmp_path):
         store = CorpusStore(tmp_path)
         store.add(_entry(["CLOSED"], packet_count=2))
         store.minimize()
@@ -444,71 +436,11 @@ class TestStaleness:
         # Guided seeding must fall back to the live entry set.
         assert store.seed_entries() == store.entries()
 
-    def test_no_canonical_is_not_stale(self, tmp_path, origin):
-        _open(tmp_path, origin).close()
+    def test_no_canonical_is_not_stale(self, tmp_path):
         store = CorpusStore(tmp_path)
         store.add(_entry(["CLOSED"]))
         assert not store.canonical_is_stale()
         assert store.seed_entries() == store.entries()
-
-
-class TestFileStalenessMetadata:
-    """A legacy canonical set whose census is missing or unreadable
-    imports as stale: its freshness cannot be established."""
-
-    def test_missing_meta_is_conservatively_stale(self, tmp_path):
-        write_legacy_corpus(
-            tmp_path, [_entry(["CLOSED"])], minimize=True, census=False
-        )
-        migrate_to_sqlite(tmp_path)
-        assert open_backend(tmp_path).canonical_is_stale()
-
-    def test_corrupt_meta_is_conservatively_stale(self, tmp_path):
-        write_legacy_corpus(tmp_path, [_entry(["CLOSED"])], minimize=True)
-        (tmp_path / "corpus.meta.json").write_text("{]", encoding="utf-8")
-        migrate_to_sqlite(tmp_path)
-        assert open_backend(tmp_path).canonical_is_stale()
-
-
-class TestFileLeftoverTempFiles:
-    """Writers of the legacy layout killed between write and rename left
-    temp files (and per-bucket lock files) behind; the importer must
-    read none of them, whether the kill tore them or not, and removes
-    them with the rest of the layout."""
-
-    def test_leftovers_change_no_read(self, tmp_path):
-        from repro.durability import temp_path
-
-        history = Model()
-        _populate(history)
-
-        def imported(root):
-            write_legacy_corpus(
-                root, history.entries(), history.finding_records()
-            )
-            return root
-
-        clean = imported(tmp_path / "clean")
-        dirty = imported(tmp_path / "dirty")
-        for ident, mode in ((40, "torn"), (50, "whole")):
-            line = entry_line(_entry(["OPEN>CLOSED"], ident=ident))
-            bucket = json.dumps(
-                record_to_dict(_record(trigger_hash=f"killed-{mode}"))
-            )
-            for directory, text in (("entries", line), ("findings", bucket)):
-                leftover = temp_path(dirty / directory / f"{mode}.json")
-                leftover.write_text(
-                    text[: len(text) // 2] if mode == "torn" else text,
-                    encoding="utf-8",
-                )
-        (dirty / "findings" / "bucket.lock").write_text("", encoding="utf-8")
-        for root in (clean, dirty):
-            migrate_to_sqlite(root)
-        assert not (dirty / "entries").exists()
-        assert not (dirty / "findings").exists()
-        assert _findings_table(clean) == _findings_table(dirty)
-        assert open_backend(clean).entries() == open_backend(dirty).entries()
-        assert open_backend(dirty).stats() == open_backend(clean).stats()
 
 
 class TestSqliteIncrementalMinimize:
@@ -520,7 +452,7 @@ class TestSqliteIncrementalMinimize:
         ]
         for entry in first:
             sqlite.add_entry(entry)
-        assert sqlite.minimize() == legacy_canonical(first)
+        assert sqlite.minimize() == full_scan_canonical(first)
         # Grow the corpus: a cheaper CLOSED witness and a new token.
         second = [
             _entry(["CLOSED"], packet_count=1, ident=40),
@@ -530,7 +462,7 @@ class TestSqliteIncrementalMinimize:
             sqlite.add_entry(entry)
         # SQLite folds only the two new rows into its stored winner map;
         # the answer must still equal a full re-scan.
-        assert sqlite.minimize() == legacy_canonical(first + second)
+        assert sqlite.minimize() == full_scan_canonical(first + second)
         canonical = sqlite.canonical_entries()
         # The new 1-packet CLOSED witness must have displaced the old
         # 2-packet one in the stored winner map.
@@ -561,107 +493,6 @@ class TestSqliteIncrementalMinimize:
         connection = backend._connect(create=False)
         assert backend._meta(connection, "cmin_last_seq") is None
         assert backend.canonical_entries() == []
-
-
-class TestMigration:
-    def _legacy_corpus(self, root):
-        history = Model()
-        _populate(history)
-        write_legacy_corpus(
-            root, history.entries(), history.finding_records(), minimize=True
-        )
-        return history
-
-    def test_migrate_round_trips_byte_equal(self, tmp_path):
-        history = self._legacy_corpus(tmp_path)
-        before_lines = [
-            path.read_text(encoding="utf-8")
-            for path in sorted((tmp_path / "entries").glob("*.json"))
-        ]
-        before_records = [
-            json.loads(path.read_text(encoding="utf-8"))
-            for path in sorted((tmp_path / "findings").glob("*.json"))
-        ]
-        before_canonical = [
-            json.loads(line)["id"]
-            for line in (tmp_path / "corpus.jsonl").read_text().splitlines()
-        ]
-
-        report = migrate_to_sqlite(tmp_path)
-        assert (tmp_path / SQLITE_FILE).is_file()
-        assert report.entries == 3
-        assert report.findings == 3
-        migrated = open_backend(tmp_path)
-        assert [entry_line(e) for e in migrated.entries()] == before_lines
-        assert [
-            record_to_dict(r) for r in migrated.finding_records()
-        ] == before_records
-        assert migrated.finding_records() == history.finding_records()
-        assert [
-            e.entry_id for e in migrated.canonical_entries()
-        ] == before_canonical
-        assert not migrated.canonical_is_stale()
-
-    def test_migrate_removes_source_layout(self, tmp_path):
-        self._legacy_corpus(tmp_path)
-        migrate_to_sqlite(tmp_path)
-        assert not (tmp_path / "entries").exists()
-        assert not (tmp_path / "findings").exists()
-        assert not (tmp_path / "corpus.jsonl").exists()
-        assert not (tmp_path / "corpus.meta.json").exists()
-
-    def test_migrate_twice_raises(self, tmp_path):
-        self._legacy_corpus(tmp_path)
-        migrate_to_sqlite(tmp_path)
-        with pytest.raises(MigrationError, match="already"):
-            migrate_to_sqlite(tmp_path)
-
-    def test_migrate_empty_directory_creates_database(self, tmp_path):
-        report = migrate_to_sqlite(tmp_path / "fresh")
-        assert report.entries == 0
-        assert (tmp_path / "fresh" / SQLITE_FILE).is_file()
-
-    def test_facades_work_identically_after_migration(self, tmp_path):
-        """An imported corpus answers like one written natively."""
-        native = tmp_path / "native"
-        _populate(open_backend(native))
-        CorpusStore(native).minimize()
-        self._legacy_corpus(tmp_path / "legacy")
-        migrate_to_sqlite(tmp_path / "legacy")
-        answers = [
-            (
-                CorpusStore(root).entries(),
-                CorpusStore(root).stats(),
-                FindingDatabase(root).records(),
-            )
-            for root in (native, tmp_path / "legacy")
-        ]
-        assert answers[0] == answers[1]
-
-    def test_preserves_stale_flag(self, tmp_path):
-        stale = [_entry(["CLOSED"])]
-        write_legacy_corpus(tmp_path, stale, minimize=True)
-        (tmp_path / "entries" / "late.json").write_text(
-            entry_line(_entry(["OPEN"], ident=20)), encoding="utf-8"
-        )
-        migrate_to_sqlite(tmp_path)
-        assert open_backend(tmp_path).canonical_is_stale()
-
-    def test_failed_verification_keeps_source(self, tmp_path, monkeypatch):
-        import repro.corpus.migrate as migrate
-
-        self._legacy_corpus(tmp_path)
-
-        def broken(target, source):
-            raise MigrationError("verification failed")
-
-        monkeypatch.setattr(migrate, "_verify", broken)
-        with pytest.raises(MigrationError, match="verification"):
-            migrate_to_sqlite(tmp_path)
-        assert not (tmp_path / SQLITE_FILE).exists()
-        assert len(list((tmp_path / "entries").glob("*.json"))) == 3
-        with pytest.raises(LegacyCorpusError):
-            open_backend(tmp_path)
 
 
 class TestCampaignWriteBackParity:
@@ -726,24 +557,21 @@ class TestSqliteQueriesUseIndex:
         assert "idx_findings_query" in plan
 
     def test_export_matches_file_backend(self, tmp_path):
-        """CorpusStore.export_jsonl writes exactly the lines the legacy
-        file layout held, whether the corpus was imported or native."""
+        """CorpusStore.export_jsonl writes, in entry-ID order, each
+        entry's canonical line: the bytes a file-layout entry held."""
         entries = [
             _entry(["CLOSED", "OPEN"], packet_count=2),
             _entry(["CLOSED"], ident=20),
         ]
-        legacy = write_legacy_corpus(tmp_path / "file", entries)
-        file_lines = "".join(
-            path.read_text(encoding="utf-8")
-            for path in sorted((legacy / "entries").glob("*.json"))
-        )
-        migrate_to_sqlite(legacy)
-        native = CorpusStore(tmp_path / "sqlite")
+        store = CorpusStore(tmp_path / "corpus")
         for entry in entries:
-            native.add(entry)
-        for name in ORIGINS:
-            out = tmp_path / f"{name}.jsonl"
-            assert CorpusStore(tmp_path / name).export_jsonl(out) == 2
-            assert out.read_text(encoding="utf-8") == file_lines
-        for line in file_lines.splitlines():
+            store.add(entry)
+        out = tmp_path / "export.jsonl"
+        assert store.export_jsonl(out) == 2
+        expected = "".join(
+            entry_line(entry)
+            for entry in sorted(entries, key=lambda entry: entry.entry_id)
+        )
+        assert out.read_text(encoding="utf-8") == expected
+        for line in expected.splitlines():
             json.loads(line)

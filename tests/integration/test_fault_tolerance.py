@@ -259,6 +259,49 @@ class TestCheckpointResume:
         assert manifest["status"] == "finished"
         assert manifest["resumed"] is True
 
+    def test_other_interpreter_checkpoint_is_rerun(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpoint stamped by another Python reads as missing: the
+        resume re-runs it and still merges the uninterrupted report."""
+        reference = FleetOrchestrator(
+            **dict(self._params(tmp_path), telemetry_dir=None)
+        )
+        with reference:
+            expected = _rendered(reference.run())
+        plan = _plan(tmp_path, FaultSpec(kind="crash", spec_index=3))
+        aborted = FleetOrchestrator(**self._params(tmp_path, fault_plan=plan))
+        run_id = aborted.run_id
+        with aborted:
+            with pytest.raises(WorkerCrashError):
+                aborted.run()
+        checkpoint = (
+            tmp_path / "runs" / run_id / CHECKPOINTS_DIRNAME
+            / "campaign-000001.bin"
+        )
+        blob = bytearray(checkpoint.read_bytes())
+        blob[1:3] = bytes((2, 7))  # interpreter major, minor
+        checkpoint.write_bytes(bytes(blob))
+        with pytest.raises(SummaryDecodeError, match="Python 2.7"):
+            decode_summary(bytes(blob))
+
+        dispatched = []
+        original = FleetRuntime.run_specs
+
+        def spy(self, specs, batch=None, supervised=True):
+            specs = tuple(specs)
+            dispatched.append([spec[0] for spec in specs])
+            return original(self, specs, batch=batch, supervised=supervised)
+
+        monkeypatch.setattr(FleetRuntime, "run_specs", spy)
+        resumed = FleetOrchestrator(
+            **self._params(tmp_path, resume_run_id=run_id)
+        )
+        with resumed:
+            report = resumed.run()
+        assert dispatched == [[1, 3]]
+        assert _rendered(report) == expected
+
     @pytest.mark.parametrize("kill_point", ["mid-write", "before-publish"])
     def test_interrupted_context_snapshot_write_leaves_none(
         self, tmp_path, monkeypatch, kill_point
@@ -361,6 +404,23 @@ class TestCheckpointFiles:
         restored = load_checkpoints(tmp_path)
         assert set(restored) == {5}
 
+    @pytest.mark.parametrize("target", ["l2cap", "rfcomm", "sdp", "obex"])
+    def test_same_campaign_encodes_identical_bytes(self, target):
+        """Two independent runs of one seeded campaign encode to the
+        same bytes, so a retried shard rewrites its checkpoints
+        unchanged."""
+        from repro.core.runtime import summarize_session
+        from repro.testbed.profiles import D2
+        from repro.testbed.session import FuzzSession
+
+        def blob() -> bytes:
+            session = FuzzSession(
+                D2, FuzzConfig(max_packets=BUDGET, seed=11), target=target
+            )
+            return encode_summary(summarize_session(session, session.run()))
+
+        assert blob() == blob()
+
     def test_missing_dir_is_empty(self, tmp_path):
         assert load_checkpoints(tmp_path / "nowhere") == {}
 
@@ -385,6 +445,26 @@ class TestSummaryDecodeError:
         blob = encode_summary(sample_summary)
         with pytest.raises(SummaryDecodeError, match="consumed"):
             decode_summary(blob + b"\x00\x01")
+
+    def test_every_bit_flip_is_caught(self, tmp_path, sample_summary):
+        """No single flipped bit, header or body, decodes to a different
+        summary: each raises, and a flipped checkpoint reads as missing."""
+        assert sample_summary.findings, "want an armed summary with a finding"
+        blob = encode_summary(sample_summary)
+        for bit in range(len(blob) * 8):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(SummaryDecodeError):
+                decode_summary(bytes(flipped))
+        write_checkpoints(
+            tmp_path, [(5, "D1", "sequential", 7, "l2cap")], [blob]
+        )
+        flipped = bytearray(blob)
+        flipped[len(blob) // 2] ^= 0x10
+        (tmp_path / CHECKPOINTS_DIRNAME / "campaign-000006.bin").write_bytes(
+            bytes(flipped)
+        )
+        assert set(load_checkpoints(tmp_path)) == {5}
 
 
 class TestBothPoolPaths:

@@ -353,57 +353,17 @@ class TestCorpusCommands:
         with pytest.raises(SystemExit, match="no corpus"):
             main(["corpus", "stats", str(tmp_path / "empty")])
 
-    @staticmethod
-    def _legacy_copy(corpus_dir, root):
-        """*corpus_dir*'s content, rewritten in the legacy JSON layout."""
-        from repro.corpus import CorpusStore, FindingDatabase
-        from tests.corpus.legacy_layout import write_legacy_corpus
-
-        return write_legacy_corpus(
-            root,
-            CorpusStore(corpus_dir).entries(),
-            FindingDatabase(corpus_dir).records(),
-        )
-
-    def test_migrate_then_all_commands_work(self, corpus_dir, tmp_path, capsys):
-        before = capsys.readouterr()  # noqa: F841 - drain fixture output
-        legacy = self._legacy_copy(corpus_dir, tmp_path / "legacy")
-        assert main(["corpus", "stats", str(corpus_dir)]) == 0
-        stats_native = capsys.readouterr().out
-        # Until it is imported, the legacy layout is refused, never
-        # shadowed by a fresh empty database.
+    def test_legacy_layout_refused(self, tmp_path):
+        """A legacy JSON-file corpus is refused, never shadowed by a
+        fresh empty database, and the refusal names the last commit
+        that can import it."""
+        legacy = tmp_path / "legacy"
+        (legacy / "entries").mkdir(parents=True)
         for command in (["corpus", "stats", str(legacy)],
                         ["fleet", "--profiles", "1", "--corpus", str(legacy)]):
-            with pytest.raises(SystemExit, match="repro corpus migrate"):
+            with pytest.raises(SystemExit, match="2994a58"):
                 main(command)
         assert not (legacy / "corpus.sqlite3").exists()
-
-        assert main(["corpus", "migrate", str(legacy)]) == 0
-        assert "migrated to sqlite" in capsys.readouterr().out
-        assert (legacy / "corpus.sqlite3").is_file()
-        assert not (legacy / "entries").exists()
-
-        # Every corpus command works on the imported directory, and
-        # stats answers as it does for the corpus it was copied from.
-        assert main(["corpus", "stats", str(legacy)]) == 0
-        stats_after = capsys.readouterr().out
-        assert stats_after.replace(str(legacy), str(corpus_dir)) == stats_native
-        assert main(["corpus", "minimize", str(legacy)]) == 0
-        assert "canonical" in capsys.readouterr().out
-        assert main(["corpus", "replay", str(legacy)]) == 0
-        assert "0 regression(s)" in capsys.readouterr().out
-        out_path = tmp_path / "migrated.jsonl"
-        assert main(
-            ["corpus", "export", str(legacy), "--output", str(out_path)]
-        ) == 0
-        assert out_path.is_file()
-
-    def test_migrate_twice_exits(self, corpus_dir, tmp_path, capsys):
-        legacy = self._legacy_copy(corpus_dir, tmp_path / "legacy")
-        assert main(["corpus", "migrate", str(legacy)]) == 0
-        capsys.readouterr()
-        with pytest.raises(SystemExit, match="already an SQLite corpus"):
-            main(["corpus", "migrate", str(legacy)])
 
     def test_fleet_corpus_flag(self, tmp_path, capsys):
         root = tmp_path / "fleet-corpus"
