@@ -20,7 +20,7 @@ from repro.analysis.state_coverage import (
 )
 from repro.core.config import FuzzConfig
 from repro.corpus.scheduler import EnergyScheduler
-from repro.corpus.store import CorpusStore
+from repro.corpus.backend import open_backend
 from repro.testbed.profiles import D2
 from repro.testbed.session import FuzzSession
 
@@ -49,7 +49,7 @@ def bench_corpus_feedback(benchmark, quick, tmp_path):
     def _run():
         baseline = _run_campaign(budget, "sequential", corpus_dir)
         guided = _run_campaign(budget, "coverage_guided", corpus_dir)
-        store = CorpusStore(corpus_dir)
+        store = open_backend(corpus_dir)
         seeded = _run_campaign(
             budget, EnergyScheduler(prior_visits=store.state_frequencies())
         )
@@ -84,7 +84,7 @@ def bench_corpus_feedback(benchmark, quick, tmp_path):
     for entry in canonical:
         canonical_coverage.update(entry.covered)
     print(
-        f"shared corpus: {len(store)} entries, cmin -> {len(canonical)}"
+        f"shared corpus: {store.entry_count()} entries, cmin -> {len(canonical)}"
         f" covering {len(canonical_coverage)} token(s)"
     )
 

@@ -20,14 +20,15 @@ Commands:
 
 All command output flows through stdlib ``logging``: the ``repro.cli``
 logger carries user-facing text to stdout (``--quiet`` keeps warnings
-and errors only), and ``--verbose`` attaches a stderr handler to the
-``repro`` library logger so internal debug diagnostics become visible
-without polluting machine-readable stdout.
+and errors only), and the ``repro`` library logger writes its warnings
+to stderr — ``--verbose`` lowers it to debug diagnostics — so neither
+pollutes machine-readable stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
 
@@ -43,6 +44,23 @@ def _echo(message: object = "") -> None:
     stdout" channel.
     """
     _cli_log.info("%s", message)
+
+
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler bound to whatever ``sys.stderr`` is at emit time.
+
+    The library logger outlives one ``main()`` call, so a handler that
+    kept the stream current at configuration would write into a closed
+    capture stream after an in-process run (the test suite, a REPL).
+    """
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _value) -> None:
+        pass
 
 
 def _configure_logging(verbose: bool, quiet: bool) -> None:
@@ -69,27 +87,24 @@ def _configure_logging(verbose: bool, quiet: bool) -> None:
         for handler in library.handlers
         if isinstance(handler, logging.NullHandler)
     ]
-    if verbose:
-        debug = logging.StreamHandler(sys.stderr)
-        debug.setFormatter(
-            logging.Formatter("%(levelname)s %(name)s: %(message)s")
-        )
-        library.addHandler(debug)
-        library.setLevel(logging.DEBUG)
-    else:
-        library.setLevel(logging.WARNING)
+    diagnostics = _StderrHandler()
+    diagnostics.setFormatter(
+        logging.Formatter("%(levelname)s %(name)s: %(message)s")
+    )
+    library.addHandler(diagnostics)
+    library.setLevel(logging.DEBUG if verbose else logging.WARNING)
 
 from repro.analysis.comparison import figure10_bars, run_comparison, table7_rows
 from repro.analysis.state_coverage import coverage_report
 from repro.analysis.traceio import save_trace
 from repro.core.config import FuzzConfig
-from repro.core.faults import FAULT_KINDS, seeded_plan
 from repro.core.fleet import FleetOrchestrator
 from repro.core.packet_queue import PacketQueue
 from repro.core.runtime import CHECKPOINTS_DIRNAME, SupervisionPolicy
 from repro.core.strategies import STRATEGY_NAMES, make_strategy
 from repro.core.target_scanning import TargetScanner
 from repro.errors import LegacyCorpusError
+from repro.faults import FAULT_KINDS, seeded_plan
 from repro.hci.transport import VirtualLink
 from repro.l2cap.states import ChannelState
 from repro.targets import make_target, target_names
@@ -410,20 +425,25 @@ def cmd_replay(args) -> int:
     return 0 if outcome.crashed else 1
 
 
-def _corpus_handles(args):
-    from repro.corpus import CorpusStore, FindingDatabase
+@contextlib.contextmanager
+def _open_corpus(args):
+    """The corpus database at ``args.dir``, closed when the command ends."""
+    from repro.corpus import open_backend
 
-    store = CorpusStore(args.dir)
-    database = FindingDatabase(args.dir)
-    if not store.exists():
-        raise SystemExit(f"no corpus at {args.dir!r}")
-    return store, database
+    corpus = open_backend(args.dir)
+    try:
+        if not corpus.exists():
+            raise SystemExit(f"no corpus at {args.dir!r}")
+        yield corpus
+    finally:
+        corpus.close()
 
 
 def cmd_corpus_stats(args) -> int:
     """Summarise a corpus directory."""
-    store, database = _corpus_handles(args)
-    stats = store.stats()  # indexed aggregate queries, no entry parsing
+    with _open_corpus(args) as corpus:
+        stats = corpus.stats()  # indexed aggregate queries, no entry parsing
+        records = corpus.finding_records()
     canonical_note = " STALE" if stats.canonical_stale else ""
     _echo(f"corpus: {args.dir}")
     _echo(
@@ -437,7 +457,6 @@ def cmd_corpus_stats(args) -> int:
     )
     for token, count in sorted(stats.state_frequencies.items()):
         _echo(f"  {token:<22} {count}")
-    records = database.records()
     _echo(f"findings: {len(records)} bucket(s)")
     for record in records:
         _echo(
@@ -451,13 +470,13 @@ def cmd_corpus_stats(args) -> int:
 
 def cmd_corpus_minimize(args) -> int:
     """cmin: write the canonical minimised corpus."""
-    store, _ = _corpus_handles(args)
-    before = len(store)
-    canonical = store.minimize()
+    with _open_corpus(args) as corpus:
+        before = corpus.entry_count()
+        canonical = corpus.minimize()
     packets = sum(entry.packet_count for entry in canonical)
     _echo(
         f"minimised {before} entr(ies) to {len(canonical)} canonical"
-        f" ({packets} packets) -> {store.backend.describe_canonical()}"
+        f" ({packets} packets) -> {corpus.describe_canonical()}"
     )
     return 0
 
@@ -470,9 +489,13 @@ def cmd_corpus_replay(args) -> int:
     """
     from repro.corpus import replay_entry, replay_finding
 
-    store, database = _corpus_handles(args)
+    with _open_corpus(args) as corpus:
+        records = corpus.finding_records()
+        # seed_entries(): the canonical set while fresh, the live entry
+        # set once entries were added past the last minimize.
+        entries = corpus.seed_entries() if args.entries else []
     regressions = 0
-    for record in database.records():
+    for record in records:
         result = replay_finding(record, PROFILES_BY_ID)
         status = "ok" if not result.regression else "REGRESSION"
         _echo(
@@ -485,25 +508,22 @@ def cmd_corpus_replay(args) -> int:
             )
         )
         regressions += int(result.regression)
-    if args.entries:
-        # seed_entries(): the canonical set while fresh, the live entry
-        # set once entries were added past the last minimize.
-        for entry in store.seed_entries():
-            result = replay_entry(entry, PROFILES_BY_ID)
-            _echo(
-                f"entry {entry.entry_id[:12]} ({entry.device_id}):"
-                f" {result.packets_replayed} packet(s),"
-                f" {len(result.covered_states)} state(s)"
-                + (f", crashed: {result.error_message}" if result.crashed else "")
-            )
-    _echo(f"{len(database)} finding(s), {regressions} regression(s)")
+    for entry in entries:
+        result = replay_entry(entry, PROFILES_BY_ID)
+        _echo(
+            f"entry {entry.entry_id[:12]} ({entry.device_id}):"
+            f" {result.packets_replayed} packet(s),"
+            f" {len(result.covered_states)} state(s)"
+            + (f", crashed: {result.error_message}" if result.crashed else "")
+        )
+    _echo(f"{len(records)} finding(s), {regressions} regression(s)")
     return 1 if regressions else 0
 
 
 def cmd_corpus_export(args) -> int:
     """Export every corpus entry as a single JSONL document."""
-    store, _ = _corpus_handles(args)
-    count = store.export_jsonl(args.output)
+    with _open_corpus(args) as corpus:
+        count = corpus.export_jsonl(args.output)
     _echo(f"{count} entr(ies) exported to {args.output}")
     return 0
 
@@ -602,14 +622,16 @@ def cmd_runs_tail(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run the fuzzing-as-a-service control plane (blocking)."""
-    from repro.core.faults import install_service_faults_from_env
     from repro.core.runtime import SupervisionPolicy
+    from repro.faults import install_service_faults_from_env
     from repro.service import ControlPlane, ServiceConfig
 
-    install_service_faults_from_env()  # chaos harnesses only; no-op otherwise
     supervision = None
     if args.shard_deadline is not None:
-        supervision = SupervisionPolicy(shard_deadline=args.shard_deadline)
+        if args.shard_deadline <= 0:
+            raise SystemExit("--shard-deadline must be > 0")
+        supervision = SupervisionPolicy(timeout_floor=args.shard_deadline)
+    install_service_faults_from_env()  # chaos harnesses only; no-op otherwise
     config = ServiceConfig(
         data_dir=args.data_dir,
         host=args.host,
@@ -1062,7 +1084,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="supervision deadline per shard attempt",
+        help="per-shard deadline floor before the supervisor restarts "
+        "the worker pool (default: derived from observed shard latency)",
     )
     serve.add_argument(
         "--max-queue-depth",

@@ -47,7 +47,6 @@ from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from repro.core.config import FuzzConfig
-from repro.core.faults import FaultPlan
 from repro.core.report import CampaignReport, format_elapsed
 from repro.core.runtime import (
     CampaignSummary,
@@ -60,6 +59,7 @@ from repro.core.runtime import (
 )
 from repro.core.strategies import STRATEGY_NAMES
 from repro.durability import atomic_write
+from repro.faults import FaultPlan
 from repro.l2cap.states import ChannelState
 from repro.testbed.profiles import PROFILES_BY_ID, DeviceProfile
 
@@ -549,10 +549,6 @@ class FleetOrchestrator:
         (idempotent, parallel-safe), the ``coverage_guided`` strategy is
         seeded with the corpus's per-state visit prior, and the mutator
         splices garbage tails harvested from stored reproducers.
-    :param retain_trace: keep each campaign's full packet trace. None
-        (the default) auto-selects: fleet workers stream — bounded
-        memory per campaign — unless a corpus write-back needs the
-        trace. The merged report's metrics are identical either way.
     :param targets: protocol fuzz-target registry names, applied to
         every profile × strategy cell — one ``repro fleet`` run can
         sweep strategies × protocols.
@@ -568,7 +564,7 @@ class FleetOrchestrator:
     :param profile_workers: dump a cProfile per worker shard under the
         run's ``profiles/`` directory (requires *telemetry_dir*).
     :param fault_plan: deterministic fault injection
-        (:class:`~repro.core.faults.FaultPlan`) shipped to the workers —
+        (:class:`~repro.faults.FaultPlan`) shipped to the workers —
         chaos runs and recovery tests only.
     :param resume_run_id: resume an interrupted telemetry run: its
         shard checkpoints are loaded, only the missing campaigns are
@@ -608,7 +604,6 @@ class FleetOrchestrator:
         armed: bool = True,
         target_state: ChannelState = ChannelState.OPEN,
         corpus_dir: str | None = None,
-        retain_trace: bool | None = None,
         targets: Sequence[str] = ("l2cap",),
         batch: int | None = None,
         telemetry_dir: str | None = None,
@@ -661,14 +656,9 @@ class FleetOrchestrator:
         self.armed = armed
         self.target_state = target_state
         self.corpus_dir = corpus_dir
-        self.retain_trace = (
-            retain_trace if retain_trace is not None else corpus_dir is not None
-        )
-        if corpus_dir is not None and not self.retain_trace:
-            raise ValueError(
-                "corpus write-back replays campaign traces; use "
-                "retain_trace=True (or drop corpus_dir)"
-            )
+        # Workers stream (bounded memory per campaign) unless the corpus
+        # write-back needs the trace; the merged report is the same.
+        self.retain_trace = corpus_dir is not None
         self.batch = batch
         self.telemetry_dir = telemetry_dir
         self.profile_workers = profile_workers

@@ -81,10 +81,10 @@ from statistics import median
 from repro.analysis.metrics import MutationEfficiency, measure
 from repro.core.config import FuzzConfig
 from repro.core.detection import Finding, VulnerabilityClass
-from repro.core.faults import FaultPlan
 from repro.core.report import CampaignReport
 from repro.durability import atomic_write, backoff_delay
 from repro.errors import ReproError
+from repro.faults import FaultPlan
 
 _log = logging.getLogger(__name__)
 
@@ -386,8 +386,10 @@ class FleetContext:
     run_id: str | None = None
     #: Dump a cProfile per worker shard under the run's profiles/ dir.
     profile_workers: bool = False
-    #: Deterministic fault injection (chaos runs and recovery tests);
-    #: None — the production default — injects nothing.
+    #: Deterministic fault injection (chaos runs and recovery tests):
+    #: the plan's worker faults fire at this context's ``shard.*``
+    #: sites for their campaign indices. None — the production
+    #: default — injects nothing.
     fault_plan: FaultPlan | None = None
 
 
@@ -502,11 +504,13 @@ def run_shard(
     from repro.testbed.profiles import PROFILES_BY_ID
     from repro.testbed.session import FuzzSession
 
-    if context.fault_plan is not None:
+    fault_plan = context.fault_plan
+    if fault_plan is not None:
         # Shard-boundary fault injection: planned crashes die and hangs
         # stall *here*, before any journal or corpus side effect, so a
         # requeued shard re-runs from a clean slate.
-        context.fault_plan.on_shard_start(shard, in_process_worker)
+        campaigns = {spec[0] for spec in shard}
+        fault_plan.fire("shard.start", campaigns, in_process_worker)
     journal = _open_shard_journal(context, shard)
     profiler = None
     if context.profile_workers and journal is not None:
@@ -568,10 +572,10 @@ def run_shard(
     if context.corpus_dir is not None:
         from repro.corpus.store import record_campaigns
 
-        if context.fault_plan is not None:
+        if fault_plan is not None:
             # Transient corpus-IO faults fire before anything is
             # written, so the requeued shard cannot double-write.
-            context.fault_plan.on_corpus_writeback(shard)
+            fault_plan.fire("shard.writeback", campaigns)
         stats = record_campaigns(
             context.corpus_dir,
             [
@@ -621,8 +625,15 @@ def run_shard(
         profiler.dump_stats(
             profile_dir / f"worker-{os.getpid()}-shard-{shard[0][0]:06d}.prof"
         )
-    if context.fault_plan is not None:
-        blobs = context.fault_plan.corrupt_blobs(shard, blobs)
+    if fault_plan is not None:
+        corrupt = {
+            fault.spec_index
+            for fault in fault_plan.fire("shard.summary", campaigns)
+        }
+        blobs = [
+            blob[: max(1, len(blob) // 3)] if spec[0] in corrupt else blob
+            for spec, blob in zip(shard, blobs)
+        ]
     if context.telemetry_dir is not None and context.run_id is not None:
         write_checkpoints(
             Path(context.telemetry_dir) / context.run_id, shard, blobs

@@ -6,7 +6,8 @@ all four persistent collections in ``corpus.sqlite3``: entries,
 finding buckets, the canonical (cmin-minimised) corpus and the
 aggregate stats. Every caller — ``record_campaigns``, the fleet
 runtime's shard write-back, the scheduler prior, replay, the CLI, the
-service's tenant namespaces — opens a corpus with :func:`open_backend`.
+service's tenant namespaces — opens a corpus with :func:`open_backend`
+and calls the backend directly.
 
 Directories written by older releases hold a JSON-file layout
 (``entries/``, ``findings/``) instead. This release cannot read it:

@@ -1,4 +1,4 @@
-"""The persistent finding database: crash buckets that survive runs.
+"""Finding records: the crash buckets that survive runs.
 
 Findings are bucketed by :func:`repro.core.detection.finding_key` over
 ``(vendor, vulnerability class, minimised-trigger hash)`` — the same key
@@ -7,8 +7,10 @@ content hash of the *minimised* reproducer rather than a human-readable
 rendering, so cosmetic differences between campaigns (identifiers,
 garbage-tail noise that minimisation strips) collapse into one bucket.
 
-Each bucket is one indexed row of the corpus database (see
-:mod:`repro.corpus.sqlite_backend`). Recording an already-known bucket
+Each bucket is one indexed row of the corpus database, written and read
+through :class:`~repro.corpus.sqlite_backend.SqliteCorpusBackend`
+(:meth:`~repro.corpus.sqlite_backend.SqliteCorpusBackend.record_finding`,
+``finding_records``, ``query_findings``). Recording an already-known bucket
 adds to its occurrence count — that is the cross-run duplicate
 detection, and the count is **exact** under concurrent workers (a
 transactional ``UPDATE``). The bucket keeps the lowest-ranked record by
@@ -26,7 +28,6 @@ import dataclasses
 import hashlib
 import json
 from collections.abc import Sequence
-from pathlib import Path
 
 from repro.analysis.traceio import packets_from_hex, packets_to_hex
 from repro.core.detection import Finding, finding_key
@@ -139,65 +140,6 @@ def dict_to_record(data: dict) -> FindingRecord:
     )
 
 
-class FindingDatabase:
-    """Finding-side facade over a corpus directory's database.
-
-    :param root: the corpus directory.
-    """
-
-    def __init__(self, root) -> None:
-        # Imported here: the database module imports this one.
-        from repro.corpus.backend import open_backend
-
-        self.root = Path(root)
-        self.backend = open_backend(self.root)
-
-    def record(self, record: FindingRecord) -> str:
-        """Store *record*; returns ``"new"`` or ``"duplicate"``.
-
-        A duplicate (same bucket key, possibly from an earlier run)
-        bumps the bucket's occurrence count — that is the cross-run
-        deduplication — and the bucket keeps the lower-ranked of the
-        two records. The bump is transactional, so occurrence counts
-        stay exact under arbitrarily parallel ingestion.
-        """
-        return self.backend.record_finding(record)
-
-    def records(self) -> list[FindingRecord]:
-        """Every bucket, sorted by bucket ID (deterministic order)."""
-        return self.backend.finding_records()
-
-    def query(
-        self,
-        target: str | None = None,
-        vendor: str | None = None,
-        vulnerability_class: str | None = None,
-        state: str | None = None,
-    ) -> list[FindingRecord]:
-        """Buckets matching every given filter, sorted by bucket ID.
-
-        Served by the ``(target, vendor, class, state)`` index.
-        """
-        return self.backend.query_findings(
-            target=target,
-            vendor=vendor,
-            vulnerability_class=vulnerability_class,
-            state=state,
-        )
-
-    def __len__(self) -> int:
-        return self.backend.finding_count()
-
-    def garbage_dictionary(self) -> tuple[bytes, ...]:
-        """Known-crashing garbage tails, for cross-campaign splicing.
-
-        Collects the garbage tail of every stored reproducer's trigger
-        packet (deduplicated, sorted — deterministic), which the
-        mutator can splice into fresh campaigns against other vendors.
-        """
-        return self.backend.garbage_dictionary()
-
-
 def shrink_finding(
     finding: Finding,
     profile,
@@ -239,21 +181,3 @@ def shrink_finding(
         sim_time=finding.sim_time,
         target=fuzz_target,
     )
-
-
-def record_from_campaign(
-    database: FindingDatabase,
-    finding: Finding,
-    profile,
-    packets: Sequence[L2capPacket],
-    minimize: bool = True,
-) -> str:
-    """:func:`shrink_finding`, then store the record in *database*.
-
-    Returns the database status, or ``"not-reproducible"`` when the
-    prefix does not crash a fresh target (nothing is stored).
-    """
-    record = shrink_finding(finding, profile, packets, minimize)
-    if record is None:
-        return "not-reproducible"
-    return database.record(record)

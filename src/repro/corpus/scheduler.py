@@ -15,11 +15,13 @@ already records back into mutation scheduling:
   — the classic AFL energy assignment, with plan states playing the
   role of queue entries.
 
-Cross-campaign seed sharing enters through *prior_visits*: a visit
-prior distilled from a shared :class:`~repro.corpus.store.CorpusStore`
-(see :func:`prior_from_corpus`). A campaign seeded with a corpus that
-already covers the whole machine skips straight to exploit mode and
-concentrates on the states the fleet has historically starved.
+Cross-campaign seed sharing enters through *prior_visits*: the
+per-state entry frequencies of a shared corpus
+(:meth:`~repro.corpus.sqlite_backend.SqliteCorpusBackend.state_frequencies`,
+keyed by state name so the prior pickles into worker processes). A
+campaign seeded with a corpus that already covers the whole machine
+skips straight to exploit mode and concentrates on the states the fleet
+has historically starved.
 
 Determinism: the schedule is a pure function of the prior, the base
 plan and the visit counts, so campaigns remain byte-reproducible given
@@ -122,12 +124,3 @@ class EnergyScheduler:
     ) -> int:
         return self.prior_visits.get(_state_name(state), 0) + visits.get(state, 0)
 
-
-def prior_from_corpus(store) -> dict[str, int]:
-    """Distil a visit prior from a shared corpus store.
-
-    The prior is the per-state entry frequency — how often the fleet's
-    stored sequences exercise each state — keyed by state name so it
-    survives pickling into worker processes.
-    """
-    return store.state_frequencies()

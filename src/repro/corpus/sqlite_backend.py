@@ -46,7 +46,7 @@ from pathlib import Path
 
 from repro.corpus.entry import CorpusEntry, dict_to_entry, entry_line
 from repro.corpus.findings import FindingRecord, dict_to_record, record_to_dict
-from repro.durability import backoff_delay
+from repro.durability import atomic_write, backoff_delay
 
 _log = logging.getLogger(__name__)
 
@@ -560,6 +560,30 @@ class SqliteCorpusBackend:
         if count is None or max_id is None:
             return True
         return (int(count), max_id) != self._census(connection)
+
+    def seed_entries(self) -> list[CorpusEntry]:
+        """The best seed set available right now.
+
+        The canonical (minimised) corpus while it still reflects the
+        live entry set; the live entry set itself as soon as the
+        canonical one is stale or absent — guided seeding must never
+        silently run on a snapshot that predates newer coverage.
+        """
+        if not self.canonical_is_stale():
+            canonical = self.canonical_entries()
+            if canonical:
+                return canonical
+        return self.entries()
+
+    def export_jsonl(self, path) -> int:
+        """Write every entry, in ID order, as one JSONL document.
+
+        Published atomically: a crash mid-export can never leave a
+        truncated document at *path*. Returns the entry count.
+        """
+        entries = self.entries()
+        atomic_write(Path(path), "".join(entry_line(entry) for entry in entries))
+        return len(entries)
 
     def describe_canonical(self) -> str:
         """Human-readable location of the canonical corpus."""

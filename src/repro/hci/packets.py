@@ -16,11 +16,8 @@ import struct
 
 from repro.errors import PacketDecodeError, PacketEncodeError
 
-#: HCI packet-type indicators (Core 5.2 Vol 4 Part A §2).
-HCI_COMMAND_PKT = 0x01
+#: HCI packet-type indicator of ACL data (Core 5.2 Vol 4 Part A §2).
 HCI_ACL_DATA_PKT = 0x02
-HCI_SYNC_DATA_PKT = 0x03
-HCI_EVENT_PKT = 0x04
 
 #: Packet-boundary flag: first automatically-flushable packet.
 PB_FIRST_FLUSHABLE = 0b10

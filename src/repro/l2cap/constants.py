@@ -27,9 +27,6 @@ DYNAMIC_CID_MIN = 0x0040
 #: Last dynamically allocatable CID.
 DYNAMIC_CID_MAX = 0xFFFF
 
-#: CID value reserved as "null"/invalid.
-NULL_CID = 0x0000
-
 # ---------------------------------------------------------------------------
 # Sizes (Fig. 3 of the paper)
 # ---------------------------------------------------------------------------
@@ -86,14 +83,10 @@ class CommandCode(enum.IntEnum):
     CREDIT_BASED_RECONFIGURE_RSP = 0x1A
 
 
-#: Hot-path lookup tables: value → member / name. ``enum.EnumType.__call__``
-#: is a surprisingly expensive constructor (a 20k-packet campaign performs
+#: Hot-path lookup table: value → name. ``enum.EnumType.__call__`` is a
+#: surprisingly expensive constructor (a 20k-packet campaign performs
 #: ~600k of them); decode, dispatch and sniffer classification resolve
-#: codes through these dict hits instead.
-COMMAND_CODE_BY_VALUE: dict[int, CommandCode] = {
-    member.value: member for member in CommandCode
-}
-
+#: codes through dict hits instead.
 COMMAND_NAME_BY_VALUE: dict[int, str] = {
     member.value: member.name for member in CommandCode
 }
@@ -214,11 +207,9 @@ class ConfigOptionType(enum.IntEnum):
     EXTENDED_WINDOW_SIZE = 0x07
 
 
-#: Value sets for per-packet membership tests (avoids rebuilding the set
-#: from the enum inside the stack engine's option/info handlers).
+#: Value set for per-packet membership tests (avoids rebuilding the set
+#: from the enum inside the stack engine's option handler).
 CONFIG_OPTION_TYPE_VALUES = frozenset(member.value for member in ConfigOptionType)
-
-INFO_TYPE_BY_VALUE: dict[int, InfoType] = {member.value: member for member in InfoType}
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +240,6 @@ class Psm(enum.IntEnum):
     THREED_SP = 0x0021
     IPSP = 0x0023
     OTS = 0x0025
-
-
-#: Valid fixed-PSM space: odd values whose most-significant byte is even,
-#: in 0x0001..0x0EFF (Core 5.2 Vol 3 Part A §4.2).
-FIXED_PSM_MIN = 0x0001
-FIXED_PSM_MAX = 0x0EFF
-
-#: Dynamic PSM space (odd values, 0x1001..0xFFFF).
-DYNAMIC_PSM_MIN = 0x1001
-DYNAMIC_PSM_MAX = 0xFFFF
 
 
 def is_valid_psm(psm: int) -> bool:

@@ -31,9 +31,6 @@ CONTROL_DLCI = 0
 #: Largest DLCI value (6 bits).
 MAX_DLCI = 63
 
-#: Default maximum RFCOMM frame payload.
-DEFAULT_MAX_FRAME_SIZE = 127
-
 
 # -- FCS (CRC-8, polynomial x^8 + x^2 + x + 1, reflected) ----------------------
 

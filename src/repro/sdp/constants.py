@@ -73,9 +73,6 @@ class ProtocolUuid(enum.IntEnum):
     L2CAP = 0x0100
 
 
-#: The Bluetooth base UUID tail used to expand 16/32-bit UUIDs.
-BASE_UUID_SUFFIX = bytes.fromhex("00001000800000805F9B34FB")
-
 #: First service-record handle our servers hand out (0x0000..0xFFFF are
 #: reserved).
 FIRST_RECORD_HANDLE = 0x0001_0000

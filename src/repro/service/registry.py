@@ -39,9 +39,9 @@ import threading
 import time
 from pathlib import Path
 
-from repro.core.faults import service_fault
 from repro.durability import atomic_write, temp_path
 from repro.errors import JournalWriteError
+from repro.faults import service_fault
 from repro.service.jobs import JobRecord, JobSpec, UnknownJobError, new_job_id
 
 _log = logging.getLogger(__name__)
@@ -91,8 +91,7 @@ class SessionRegistry:
         try:
             service_fault("registry.intent")
             atomic_write(intent, text)
-            tear = service_fault("registry.manifest.pre")
-            if tear is not None:
+            if service_fault("registry.manifest.pre"):
                 # Injected torn write: truncated bytes land on the real
                 # manifest (bypassing the tmp+rename discipline), then
                 # the write "fails" — recovery must repair from the

@@ -57,7 +57,6 @@ import threading
 import time
 
 from repro.core.config import FuzzConfig
-from repro.core.faults import service_fault
 from repro.core.fleet import FleetOrchestrator
 from repro.core.runtime import (
     AbortRequested,
@@ -67,6 +66,7 @@ from repro.core.runtime import (
 )
 from repro.durability import backoff_delay
 from repro.errors import JournalWriteError
+from repro.faults import service_fault
 from repro.l2cap.states import ChannelState
 from repro.service.jobs import (
     JobRecord,

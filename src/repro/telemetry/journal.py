@@ -33,23 +33,12 @@ import json
 import logging
 import os
 import time
-from collections.abc import Callable
 from pathlib import Path
 
 from repro.errors import JournalWriteError
+from repro.faults import service_fault
 
 _log = logging.getLogger(__name__)
-
-#: Optional chaos hook called before every journal append. Installed by
-#: :func:`repro.core.faults.install_service_faults` (set here, not
-#: imported, because the core package imports telemetry).
-_fault_hook: Callable[[str], object] | None = None
-
-
-def set_fault_hook(hook: Callable[[str], object] | None) -> None:
-    """Install (or with None, clear) the journal's fault-injection hook."""
-    global _fault_hook
-    _fault_hook = hook
 
 #: Format version stamped on every journal event.
 EVENT_SCHEMA_VERSION = 1
@@ -102,11 +91,10 @@ class JournalWriter:
             **payload,
         }
         self._seq += 1
-        if _fault_hook is not None:
-            try:
-                _fault_hook("journal.emit")
-            except OSError as error:
-                raise JournalWriteError(self.path, error) from error
+        try:
+            service_fault("journal.emit")
+        except OSError as error:
+            raise JournalWriteError(self.path, error) from error
         try:
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)

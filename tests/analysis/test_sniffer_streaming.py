@@ -9,6 +9,7 @@ consumers and the ``retain_trace`` plumbing through session and fleet.
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import pytest
@@ -125,18 +126,33 @@ class TestFleetRetention:
         )
         assert fleet.retain_trace is True
 
-    def test_fleet_rejects_corpus_without_trace(self, tmp_path):
-        with pytest.raises(ValueError, match="corpus"):
-            FleetOrchestrator(
-                [D1], ["sequential"], corpus_dir=str(tmp_path), retain_trace=False
-            )
-
-    def test_streaming_fleet_report_matches_retained(self):
+    def test_streaming_fleet_report_matches_retained(self, tmp_path):
+        """A plain fleet streams; a fleet on a fresh, empty corpus retains
+        (its write-back replays the trace). Only the write-back counts
+        may differ between the two reports."""
         config = FuzzConfig(max_packets=600)
-        streaming = FleetOrchestrator(
-            [D1], ["sequential"], base_config=config, retain_trace=False
-        ).run()
-        retained = FleetOrchestrator(
-            [D1], ["sequential"], base_config=config, retain_trace=True
-        ).run()
+        streaming_fleet = FleetOrchestrator(
+            [D1], ["sequential"], base_config=config
+        )
+        retained_fleet = FleetOrchestrator(
+            [D1],
+            ["sequential"],
+            base_config=config,
+            corpus_dir=str(tmp_path / "corpus"),
+        )
+        assert not streaming_fleet.retain_trace
+        assert retained_fleet.retain_trace
+        streaming, retained = streaming_fleet.run(), retained_fleet.run()
         assert streaming.to_dict() == retained.to_dict()
+
+        def summaries(report):
+            return [
+                {
+                    name: value
+                    for name, value in dataclasses.asdict(run.summary).items()
+                    if not name.startswith("corpus_")
+                }
+                for run in report.campaigns
+            ]
+
+        assert summaries(streaming) == summaries(retained)

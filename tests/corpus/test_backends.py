@@ -19,7 +19,6 @@ import pytest
 from repro.corpus.backend import open_backend
 from repro.corpus.entry import entry_from_packets, entry_line
 from repro.corpus.findings import (
-    FindingDatabase,
     FindingRecord,
     record_to_dict,
     trigger_hash,
@@ -30,13 +29,23 @@ from repro.corpus.sqlite_backend import (
     SqliteCorpusBackend,
     cmin_update,
 )
-from repro.corpus.store import CorpusStore, state_frequencies_of
 from repro.errors import LegacyCorpusError
 from repro.l2cap.packets import (
     configuration_request,
     connection_request,
     echo_request,
 )
+
+
+def state_frequencies_of(entries) -> dict[str, int]:
+    """Per-state coverage counts over an entry list (transitions —
+    tokens carrying ``>`` — never count towards the state prior)."""
+    counts: dict[str, int] = {}
+    for entry in entries:
+        for token in entry.covered:
+            if ">" not in token:
+                counts[token] = counts.get(token, 0) + 1
+    return counts
 
 
 def _entry(tokens, packet_count=1, ident=1, device_id="D2", target="l2cap"):
@@ -421,24 +430,24 @@ class TestConcurrency:
 
 class TestStaleness:
     def test_fresh_after_minimize(self, tmp_path):
-        store = CorpusStore(tmp_path)
-        store.add(_entry(["CLOSED"]))
+        store = open_backend(tmp_path)
+        store.add_entry(_entry(["CLOSED"]))
         canonical = store.minimize()
         assert not store.canonical_is_stale()
         assert store.seed_entries() == canonical
 
     def test_stale_after_new_entry(self, tmp_path):
-        store = CorpusStore(tmp_path)
-        store.add(_entry(["CLOSED"], packet_count=2))
+        store = open_backend(tmp_path)
+        store.add_entry(_entry(["CLOSED"], packet_count=2))
         store.minimize()
-        store.add(_entry(["OPEN"], ident=40))
+        store.add_entry(_entry(["OPEN"], ident=40))
         assert store.canonical_is_stale()
         # Guided seeding must fall back to the live entry set.
         assert store.seed_entries() == store.entries()
 
     def test_no_canonical_is_not_stale(self, tmp_path):
-        store = CorpusStore(tmp_path)
-        store.add(_entry(["CLOSED"]))
+        store = open_backend(tmp_path)
+        store.add_entry(_entry(["CLOSED"]))
         assert not store.canonical_is_stale()
         assert store.seed_entries() == store.entries()
 
@@ -515,10 +524,10 @@ class TestCampaignWriteBackParity:
             shard_dir, [(D2, session.fuzzer, session.run())]
         )
         assert counts["findings_new"] == 1
-        assert CorpusStore(session_dir).entries() == CorpusStore(
+        assert open_backend(session_dir).entries() == open_backend(
             shard_dir
         ).entries()
-        assert counts["entries_added"] == len(CorpusStore(shard_dir))
+        assert counts["entries_added"] == open_backend(shard_dir).entry_count()
         assert _findings_table(session_dir) == _findings_table(shard_dir)
 
 
@@ -529,16 +538,15 @@ class TestAutodetection:
     @pytest.mark.parametrize("legacy_dir", ["entries", "findings"])
     def test_legacy_layout_without_database_raises(self, tmp_path, legacy_dir):
         (tmp_path / legacy_dir).mkdir()
-        for opener in (open_backend, CorpusStore, FindingDatabase):
-            with pytest.raises(LegacyCorpusError, match="repro corpus migrate"):
-                opener(tmp_path)
+        with pytest.raises(LegacyCorpusError, match="repro corpus migrate"):
+            open_backend(tmp_path)
         assert not (tmp_path / SQLITE_FILE).exists()
 
     def test_sqlite_database_wins(self, tmp_path):
         SqliteCorpusBackend(tmp_path).add_entry(_entry(["CLOSED"]))
         (tmp_path / "entries").mkdir()
-        assert len(CorpusStore(tmp_path)) == 1
-        assert len(FindingDatabase(tmp_path)) == 0
+        assert open_backend(tmp_path).entry_count() == 1
+        assert open_backend(tmp_path).finding_count() == 0
 
 
 class TestSqliteQueriesUseIndex:
@@ -557,15 +565,15 @@ class TestSqliteQueriesUseIndex:
         assert "idx_findings_query" in plan
 
     def test_export_matches_file_backend(self, tmp_path):
-        """CorpusStore.export_jsonl writes, in entry-ID order, each
+        """export_jsonl writes, in entry-ID order, each
         entry's canonical line: the bytes a file-layout entry held."""
         entries = [
             _entry(["CLOSED", "OPEN"], packet_count=2),
             _entry(["CLOSED"], ident=20),
         ]
-        store = CorpusStore(tmp_path / "corpus")
+        store = open_backend(tmp_path / "corpus")
         for entry in entries:
-            store.add(entry)
+            store.add_entry(entry)
         out = tmp_path / "export.jsonl"
         assert store.export_jsonl(out) == 2
         expected = "".join(

@@ -1,16 +1,16 @@
-"""Tests for the persistent finding database."""
+"""Tests for finding records and the corpus database's finding buckets."""
 
 from __future__ import annotations
 
 import dataclasses
 
 from repro.core.config import FuzzConfig
+from repro.corpus.backend import open_backend
 from repro.corpus.findings import (
-    FindingDatabase,
     FindingRecord,
     dict_to_record,
-    record_from_campaign,
     record_to_dict,
+    shrink_finding,
     trigger_hash,
 )
 from repro.l2cap.packets import (
@@ -43,6 +43,18 @@ def _record(**overrides) -> FindingRecord:
     return FindingRecord(**fields)
 
 
+def record_from_campaign(database, finding, profile, packets, minimize=True):
+    """:func:`shrink_finding`, then store the record in *database*.
+
+    Returns the database status, or ``"not-reproducible"`` when the
+    prefix does not crash a fresh target (nothing is stored).
+    """
+    record = shrink_finding(finding, profile, packets, minimize)
+    if record is None:
+        return "not-reproducible"
+    return database.record_finding(record)
+
+
 class TestTriggerHash:
     def test_shape_invariant_to_field_values(self):
         """Same command skeleton, different seeds: one bucket."""
@@ -68,30 +80,30 @@ class TestDatabase:
         assert dict_to_record(record_to_dict(record)) == record
 
     def test_new_then_duplicate(self, tmp_path):
-        database = FindingDatabase(tmp_path)
-        assert database.record(_record()) == "new"
-        assert database.record(_record()) == "duplicate"
-        assert len(database) == 1
-        assert database.records()[0].occurrences == 2
+        database = open_backend(tmp_path)
+        assert database.record_finding(_record()) == "new"
+        assert database.record_finding(_record()) == "duplicate"
+        assert database.finding_count() == 1
+        assert database.finding_records()[0].occurrences == 2
 
     def test_duplicate_across_database_instances(self, tmp_path):
         """Cross-run dedup: a fresh handle sees the stored buckets."""
-        assert FindingDatabase(tmp_path).record(_record()) == "new"
-        assert FindingDatabase(tmp_path).record(_record()) == "duplicate"
+        assert open_backend(tmp_path).record_finding(_record()) == "new"
+        assert open_backend(tmp_path).record_finding(_record()) == "duplicate"
 
     def test_distinct_keys_make_distinct_buckets(self, tmp_path):
-        database = FindingDatabase(tmp_path)
-        database.record(_record())
-        database.record(_record(vendor="Apple"))
-        database.record(_record(vulnerability_class="Crash"))
-        assert len(database) == 3
+        database = open_backend(tmp_path)
+        database.record_finding(_record())
+        database.record_finding(_record(vendor="Apple"))
+        database.record_finding(_record(vulnerability_class="Crash"))
+        assert database.finding_count() == 3
 
     def test_garbage_dictionary(self, tmp_path):
-        database = FindingDatabase(tmp_path)
+        database = open_backend(tmp_path)
         trigger = configuration_request(dcid=0x0999, identifier=2)
         trigger.garbage = b"\xd2\x3a\x91\x0e"
         record = _record(packets=tuple([trigger.encode().hex()]))
-        database.record(record)
+        database.record_finding(record)
         assert database.garbage_dictionary() == (b"\xd2\x3a\x91\x0e",)
 
     def test_key_uses_trigger_hash(self):
@@ -108,45 +120,45 @@ class TestRecordFromCampaign:
 
     def test_campaign_finding_is_minimised_and_stored(self, tmp_path):
         session, report = self._campaign()
-        database = FindingDatabase(tmp_path)
+        database = open_backend(tmp_path)
         packets = [entry.packet for entry in session.fuzzer.sniffer.sent()]
         status = record_from_campaign(
             database, report.findings[0], D2, packets
         )
         assert status == "new"
-        record = database.records()[0]
+        record = database.finding_records()[0]
         assert record.crash_id == "bluedroid-cidp-null-deref"
         assert len(record.packets) <= 4  # minimised from ~226
         assert record.vendor == "Google"
 
     def test_non_reproducible_prefix_not_stored(self, tmp_path):
         _, report = self._campaign()
-        database = FindingDatabase(tmp_path)
+        database = open_backend(tmp_path)
         benign = [echo_request(b"x", identifier=1)]
         status = record_from_campaign(
             database, report.findings[0], D2, benign
         )
         assert status == "not-reproducible"
-        assert len(database) == 0
+        assert database.finding_count() == 0
 
     def test_same_bug_other_seed_is_duplicate(self, tmp_path):
-        database = FindingDatabase(tmp_path)
+        database = open_backend(tmp_path)
         for seed in (0x1202, 0x0707):
             session = FuzzSession(D2, FuzzConfig(max_packets=50_000, seed=seed))
             report = session.run()
             packets = [entry.packet for entry in session.fuzzer.sniffer.sent()]
             record_from_campaign(database, report.findings[0], D2, packets)
-        assert len(database) == 1
-        assert database.records()[0].occurrences == 2
+        assert database.finding_count() == 1
+        assert database.finding_records()[0].occurrences == 2
 
 
 def test_occurrences_merge_preserves_first_record(tmp_path):
-    database = FindingDatabase(tmp_path)
-    database.record(_record(sim_time=1.0))
-    database.record(
+    database = open_backend(tmp_path)
+    database.record_finding(_record(sim_time=1.0))
+    database.record_finding(
         dataclasses.replace(_record(), sim_time=99.0, device_id="D4")
     )
-    record = database.records()[0]
+    record = database.finding_records()[0]
     assert record.sim_time == 1.0
     assert record.device_id == "D2"
     assert record.occurrences == 2
@@ -157,4 +169,4 @@ def test_clean_device_never_records(tmp_path):
     session = FuzzSession(D4, FuzzConfig(max_packets=1500))
     report = session.run()
     assert not report.vulnerability_found
-    assert len(FindingDatabase(tmp_path)) == 0
+    assert open_backend(tmp_path).finding_count() == 0

@@ -19,8 +19,6 @@ from repro.analysis.state_coverage import (
 from repro.core.config import FuzzConfig
 from repro.core.fleet import FleetOrchestrator
 from repro.corpus import (
-    CorpusStore,
-    FindingDatabase,
     SqliteCorpusBackend,
     open_backend,
     record_campaign,
@@ -51,15 +49,15 @@ def fleet_corpus(tmp_path_factory):
 class TestFleetWriteBack:
     def test_corpus_populated(self, fleet_corpus):
         root, report = fleet_corpus
-        store = CorpusStore(root)
-        assert len(store) > 0
-        assert len(FindingDatabase(root)) > 0
+        store = open_backend(root)
+        assert store.entry_count() > 0
+        assert open_backend(root).finding_count() > 0
         assert "CLOSED" in store.coverage()
 
     def test_every_stored_finding_replays_deterministically(self, fleet_corpus):
         root, _ = fleet_corpus
-        database = FindingDatabase(root)
-        for record in database.records():
+        database = open_backend(root)
+        for record in database.finding_records():
             first = replay_finding(record, PROFILES_BY_ID)
             second = replay_finding(record, PROFILES_BY_ID)
             assert first.reproduced
@@ -68,7 +66,7 @@ class TestFleetWriteBack:
 
     def test_entries_replay_and_cover_states(self, fleet_corpus):
         root, _ = fleet_corpus
-        store = CorpusStore(root)
+        store = open_backend(root)
         canonical = store.minimize()
         assert canonical
         for entry in canonical[:5]:
@@ -78,19 +76,19 @@ class TestFleetWriteBack:
 
     def test_canonical_corpus_still_covers_union(self, fleet_corpus):
         root, _ = fleet_corpus
-        store = CorpusStore(root)
+        store = open_backend(root)
         canonical = store.minimize(write=False)
         covered: set[str] = set()
         for entry in canonical:
             covered.update(entry.covered)
         assert covered == set(store.coverage())
-        assert len(canonical) <= len(store)
+        assert len(canonical) <= store.entry_count()
 
     def test_second_fleet_run_deduplicates_findings(self, fleet_corpus):
         root, _ = fleet_corpus
         before = {
             record.bucket_id: record.occurrences
-            for record in FindingDatabase(root).records()
+            for record in open_backend(root).finding_records()
         }
         FleetOrchestrator(
             ALL_PROFILES[:3],
@@ -101,7 +99,7 @@ class TestFleetWriteBack:
         ).run()
         after = {
             record.bucket_id: record.occurrences
-            for record in FindingDatabase(root).records()
+            for record in open_backend(root).finding_records()
         }
         # Re-found bugs land in their existing buckets with higher
         # occurrence counts instead of spawning new ones.
@@ -148,24 +146,24 @@ class TestSessionWriteBack:
         )
         report = session.run()
         assert report.vulnerability_found
-        store = CorpusStore(tmp_path)
+        store = open_backend(tmp_path)
         replayable = [
             prefix for _, prefix in session.fuzzer.coverage_log if prefix > 0
         ]
-        assert len(store) == len(replayable)
-        assert len(FindingDatabase(tmp_path)) == 1
+        assert store.entry_count() == len(replayable)
+        assert open_backend(tmp_path).finding_count() == 1
 
     def test_rerun_is_idempotent(self, tmp_path):
         for _ in range(2):
             FuzzSession(
                 D2, FuzzConfig(max_packets=50_000), corpus_dir=str(tmp_path)
             ).run()
-        store = CorpusStore(tmp_path)
-        database = FindingDatabase(tmp_path)
+        store = open_backend(tmp_path)
+        database = open_backend(tmp_path)
         # Identical campaign, identical content hashes: no growth, but
         # the finding bucket counts the re-detection.
-        assert len(database) == 1
-        assert database.records()[0].occurrences == 2
+        assert database.finding_count() == 1
+        assert database.finding_records()[0].occurrences == 2
         first_ids = {entry.entry_id for entry in store.entries()}
         FuzzSession(
             D2, FuzzConfig(max_packets=50_000), corpus_dir=str(tmp_path)
@@ -286,7 +284,7 @@ class TestShardWriteBack:
         # The requeued shard writes everything exactly once.
         counts = record_campaigns(root, shard)
         assert [c["findings_duplicate"] for c in counts] == [1, 1, 1]
-        (record,) = FindingDatabase(root).records()
+        (record,) = open_backend(root).finding_records()
         assert record.occurrences == 1 + len(shard)
 
     def test_lock_error_retries_the_whole_shard(self, shard, tmp_path, monkeypatch):

@@ -6,9 +6,9 @@ import pytest
 
 from repro.core.state_guiding import STATE_PLAN
 from repro.core.strategies import make_strategy
+from repro.corpus.backend import open_backend
 from repro.corpus.entry import entry_from_packets
-from repro.corpus.scheduler import EnergyScheduler, prior_from_corpus
-from repro.corpus.store import CorpusStore
+from repro.corpus.scheduler import EnergyScheduler
 from repro.l2cap.packets import echo_request
 from repro.l2cap.states import ChannelState
 
@@ -107,9 +107,9 @@ class TestRegistry:
         assert strategy.name == "sequential"
 
 
-def test_prior_from_corpus(tmp_path):
-    store = CorpusStore(tmp_path)
-    store.add(
+def test_corpus_state_frequencies_are_the_prior(tmp_path):
+    store = open_backend(tmp_path)
+    store.add_entry(
         entry_from_packets(
             [echo_request(b"x", identifier=1)],
             ["CLOSED", "CLOSED>OPEN"],
@@ -120,7 +120,7 @@ def test_prior_from_corpus(tmp_path):
             False,
         )
     )
-    prior = prior_from_corpus(store)
+    prior = store.state_frequencies()
     assert prior == {"CLOSED": 1, "OPEN": 1}
     scheduler = EnergyScheduler(prior_visits=prior)
     assert scheduler.prior_visits["OPEN"] == 1

@@ -1,4 +1,4 @@
-"""Tests for the database-backed corpus store and cmin minimisation."""
+"""Tests for the corpus database's entry side and cmin minimisation."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import types
 
 from repro.core.config import FuzzConfig
 from repro.corpus.entry import entry_from_packets
-from repro.corpus.store import CorpusStore, _detection_prefix
+from repro.corpus.backend import open_backend
+from repro.corpus.store import _detection_prefix
 from repro.l2cap.packets import connection_request, echo_request
 from repro.testbed.profiles import D2
 from repro.testbed.session import FuzzSession
@@ -31,38 +32,38 @@ def _entry(tokens, packet_count=1, device_id="D2", armed=False, seed=7, ident=1)
 
 class TestStore:
     def test_empty_store(self, tmp_path):
-        store = CorpusStore(tmp_path / "corpus")
+        store = open_backend(tmp_path / "corpus")
         assert not store.exists()
-        assert len(store) == 0
+        assert store.entry_count() == 0
         assert store.entries() == []
         assert store.coverage() == frozenset()
 
     def test_add_and_reload(self, tmp_path):
-        store = CorpusStore(tmp_path / "corpus")
+        store = open_backend(tmp_path / "corpus")
         entry = _entry(["CLOSED"], packet_count=2)
-        assert store.add(entry)
+        assert store.add_entry(entry)
         assert store.exists()
-        reloaded = CorpusStore(tmp_path / "corpus")
+        reloaded = open_backend(tmp_path / "corpus")
         assert reloaded.entries() == [entry]
 
     def test_add_is_idempotent(self, tmp_path):
-        store = CorpusStore(tmp_path)
+        store = open_backend(tmp_path)
         entry = _entry(["CLOSED"])
-        assert store.add(entry)
-        assert not store.add(entry)
-        assert len(store) == 1
+        assert store.add_entry(entry)
+        assert not store.add_entry(entry)
+        assert store.entry_count() == 1
 
     def test_entries_sorted_by_id(self, tmp_path):
-        store = CorpusStore(tmp_path)
+        store = open_backend(tmp_path)
         for count in (3, 1, 2):
-            store.add(_entry(["CLOSED"], packet_count=count))
+            store.add_entry(_entry(["CLOSED"], packet_count=count))
         ids = [entry.entry_id for entry in store.entries()]
         assert ids == sorted(ids)
 
     def test_coverage_union_and_frequencies(self, tmp_path):
-        store = CorpusStore(tmp_path)
-        store.add(_entry(["CLOSED", "CLOSED>OPEN"], packet_count=1))
-        store.add(_entry(["CLOSED", "OPEN"], packet_count=2))
+        store = open_backend(tmp_path)
+        store.add_entry(_entry(["CLOSED", "CLOSED>OPEN"], packet_count=1))
+        store.add_entry(_entry(["CLOSED", "OPEN"], packet_count=2))
         assert store.coverage() == {"CLOSED", "OPEN", "CLOSED>OPEN"}
         # Transition tokens never count towards the state prior.
         assert store.state_frequencies() == {"CLOSED": 2, "OPEN": 1}
@@ -70,10 +71,10 @@ class TestStore:
 
 class TestMinimize:
     def test_cmin_prefers_cheapest_covering_entry(self, tmp_path):
-        store = CorpusStore(tmp_path)
-        store.add(_entry(["CLOSED", "OPEN", "WAIT_CONFIG"], packet_count=9))
-        store.add(_entry(["CLOSED"], packet_count=1, ident=20))
-        store.add(_entry(["OPEN"], packet_count=1, ident=30))
+        store = open_backend(tmp_path)
+        store.add_entry(_entry(["CLOSED", "OPEN", "WAIT_CONFIG"], packet_count=9))
+        store.add_entry(_entry(["CLOSED"], packet_count=1, ident=20))
+        store.add_entry(_entry(["OPEN"], packet_count=1, ident=30))
         canonical = store.minimize()
         # The 9-packet entry is still the only witness of WAIT_CONFIG,
         # but CLOSED and OPEN pick their 1-packet entries.
@@ -86,27 +87,27 @@ class TestMinimize:
         assert len(one_packet) == 2
 
     def test_cmin_drops_redundant_entries(self, tmp_path):
-        store = CorpusStore(tmp_path)
-        store.add(_entry(["CLOSED"], packet_count=1))
-        store.add(_entry(["CLOSED"], packet_count=5))
-        store.add(_entry(["CLOSED"], packet_count=7))
+        store = open_backend(tmp_path)
+        store.add_entry(_entry(["CLOSED"], packet_count=1))
+        store.add_entry(_entry(["CLOSED"], packet_count=5))
+        store.add_entry(_entry(["CLOSED"], packet_count=7))
         canonical = store.minimize()
         assert len(canonical) == 1
         assert canonical[0].packet_count == 1
 
     def test_canonical_file_round_trips(self, tmp_path):
-        store = CorpusStore(tmp_path)
-        store.add(_entry(["CLOSED"], packet_count=1))
-        store.add(_entry(["OPEN"], packet_count=2))
+        store = open_backend(tmp_path)
+        store.add_entry(_entry(["CLOSED"], packet_count=1))
+        store.add_entry(_entry(["OPEN"], packet_count=2))
         canonical = store.minimize()
         assert store.stats().canonical_count == len(canonical) == 2
-        assert CorpusStore(tmp_path).canonical_entries() == canonical
+        assert open_backend(tmp_path).canonical_entries() == canonical
 
     def test_minimize_without_write(self, tmp_path):
-        store = CorpusStore(tmp_path)
-        store.add(_entry(["CLOSED"]))
+        store = open_backend(tmp_path)
+        store.add_entry(_entry(["CLOSED"]))
         assert store.minimize(write=False) == store.entries()
-        assert CorpusStore(tmp_path).canonical_entries() == []
+        assert open_backend(tmp_path).canonical_entries() == []
 
 
 class TestDetectionPrefix:
@@ -153,9 +154,9 @@ class TestDetectionPrefix:
 
 class TestExport:
     def test_export_jsonl(self, tmp_path):
-        store = CorpusStore(tmp_path / "corpus")
-        store.add(_entry(["CLOSED"]))
-        store.add(
+        store = open_backend(tmp_path / "corpus")
+        store.add_entry(_entry(["CLOSED"]))
+        store.add_entry(
             entry_from_packets(
                 [connection_request(psm=0x0001, scid=0x40, identifier=1)],
                 ["WAIT_CONNECT"],

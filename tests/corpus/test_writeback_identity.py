@@ -26,11 +26,8 @@ from repro.analysis.traceio import packets_to_hex
 from repro.core.config import FuzzConfig
 from repro.core.fleet import FleetOrchestrator
 from repro.core.triage import ReplayOutcome, profile_target_factory
-from repro.corpus.findings import (
-    FindingDatabase,
-    record_from_campaign,
-    trigger_hash,
-)
+from repro.corpus.backend import open_backend
+from repro.corpus.findings import trigger_hash
 from repro.errors import TransportError
 from repro.hci.packets import AclPacket
 from repro.hci.transport import VirtualLink
@@ -192,19 +189,20 @@ def _stored(tmp_path, finding, profile, packets, minimize):
         work.frames += 1
         return real_send_frame(link, frame)
 
-    database = FindingDatabase(tmp_path)
+    database = open_backend(tmp_path)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(triage, "replay", counting_replay)
         patch.setattr(findings, "replay", counting_replay)
         patch.setattr(VirtualDevice, "fork", counting_fork)
         patch.setattr(VirtualLink, "deliver", counting_deliver)
         patch.setattr(VirtualLink, "send_frame", counting_send_frame)
-        status = record_from_campaign(
-            database, finding, profile, packets, minimize=minimize
+        record = findings.shrink_finding(
+            finding, profile, packets, minimize=minimize
         )
-    if status == "not-reproducible":
+    if record is None:
         return None, work
-    (record,) = database.records()
+    database.record_finding(record)
+    (record,) = database.finding_records()
     return (record.packets, record.trigger_hash, record.crash_id), work
 
 

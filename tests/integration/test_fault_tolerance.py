@@ -17,13 +17,6 @@ import sqlite3
 import pytest
 
 from repro.core.config import FuzzConfig
-from repro.core.faults import (
-    FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    WorkerCrashError,
-    seeded_plan,
-)
 from repro.core.fleet import FleetOrchestrator
 from repro.core.runtime import (
     CHECKPOINTS_DIRNAME,
@@ -36,6 +29,13 @@ from repro.core.runtime import (
     iter_shard_specs,
     load_checkpoints,
     write_checkpoints,
+)
+from repro.faults import (
+    FAULT_KINDS,
+    FaultPlan,
+    FaultSpec,
+    WorkerCrashError,
+    seeded_plan,
 )
 from repro.telemetry import read_manifest
 from repro.testbed.profiles import ALL_PROFILES
@@ -80,7 +80,9 @@ class TestChaosRecovery:
     """Each fault kind recovers to the byte-identical fault-free report."""
 
     def test_worker_crash_recovers(self, tmp_path, baseline):
-        plan = _plan(tmp_path, FaultSpec(kind="crash", spec_index=0))
+        plan = _plan(
+            tmp_path, FaultSpec(kind="crash", site="shard.start", spec_index=0)
+        )
         with _orchestrator(fault_plan=plan) as orchestrator:
             report = orchestrator.run()
         assert _rendered(report) == baseline
@@ -93,7 +95,9 @@ class TestChaosRecovery:
     def test_hang_trips_deadline_and_recovers(self, tmp_path, baseline):
         plan = _plan(
             tmp_path,
-            FaultSpec(kind="hang", spec_index=0, hang_seconds=30.0),
+            FaultSpec(
+                kind="hang", site="shard.start", spec_index=0, hang_seconds=30.0
+            ),
         )
         policy = SupervisionPolicy(timeout_floor=1.5)
         with _orchestrator(
@@ -106,7 +110,9 @@ class TestChaosRecovery:
         assert stats.pool_restarts >= 1
 
     def test_corrupt_summary_blob_retried(self, tmp_path, baseline):
-        plan = _plan(tmp_path, FaultSpec(kind="corrupt", spec_index=1))
+        plan = _plan(
+            tmp_path, FaultSpec(kind="corrupt", site="shard.summary", spec_index=1)
+        )
         with _orchestrator(fault_plan=plan) as orchestrator:
             report = orchestrator.run()
         assert _rendered(report) == baseline
@@ -115,8 +121,7 @@ class TestChaosRecovery:
         assert stats.retries >= 1
 
     def test_transient_corpus_io_error_retried(self, tmp_path):
-        from repro.corpus.findings import FindingDatabase
-        from repro.corpus.store import CorpusStore
+        from repro.corpus import open_backend
 
         contents = []
         reports = []
@@ -124,7 +129,12 @@ class TestChaosRecovery:
             ("clean", None),
             (
                 "chaos",
-                _plan(tmp_path, FaultSpec(kind="corpus_io", spec_index=0)),
+                _plan(
+                    tmp_path,
+                    FaultSpec(
+                        kind="corpus_io", site="shard.writeback", spec_index=0
+                    ),
+                ),
             ),
         ):
             root = tmp_path / f"corpus-{label}"
@@ -136,10 +146,10 @@ class TestChaosRecovery:
                     assert orchestrator.last_supervision.retries >= 1
             contents.append(
                 (
-                    {entry.entry_id for entry in CorpusStore(root).entries()},
+                    {entry.entry_id for entry in open_backend(root).entries()},
                     {
                         record.bucket_id
-                        for record in FindingDatabase(root).records()
+                        for record in open_backend(root).finding_records()
                     },
                 )
             )
@@ -155,6 +165,21 @@ class TestChaosRecovery:
         assert first.faults == second.faults
         assert seeded_plan(7, 16, FAULT_KINDS, tmp_path).faults != first.faults
 
+    def test_seeded_chaos_plan_hits_pinned_campaigns(self, tmp_path):
+        # The campaign indices each kind strikes, pinned: a change to the
+        # plan's derivation would silently move every chaos run in CI.
+        plan = seeded_plan(1202, 16, FAULT_KINDS, tmp_path)
+        assert [(f.kind, f.site, f.spec_index) for f in plan.faults] == [
+            ("crash", "shard.start", 9),
+            ("hang", "shard.start", 7),
+            ("corrupt", "shard.summary", 1),
+            ("corpus_io", "shard.writeback", 5),
+        ]
+        wide = seeded_plan(1202, 16, FAULT_KINDS, tmp_path, faults_per_kind=3)
+        assert [f.spec_index for f in wide.faults] == [
+            9, 3, 0, 5, 2, 6, 0, 7, 3, 11, 0, 7,
+        ]
+
 
 class TestPoisonQuarantine:
     def test_poison_campaign_is_bisected_and_quarantined(self, tmp_path):
@@ -163,7 +188,9 @@ class TestPoisonQuarantine:
         poison = 2
         plan = _plan(
             tmp_path,
-            FaultSpec(kind="crash", spec_index=poison, times=999),
+            FaultSpec(
+                kind="crash", site="shard.start", spec_index=poison, times=999
+            ),
         )
         policy = SupervisionPolicy(max_attempts=2, backoff_base=0.01)
         orchestrator = FleetOrchestrator(
@@ -218,7 +245,9 @@ class TestCheckpointResume:
         # Campaign 3's shard kills the run mid-flight: the single-worker
         # inline path has no supervisor, so the injected crash aborts
         # the fleet after campaigns 0..2 checkpointed.
-        plan = _plan(tmp_path, FaultSpec(kind="crash", spec_index=3))
+        plan = _plan(
+            tmp_path, FaultSpec(kind="crash", site="shard.start", spec_index=3)
+        )
         aborted = FleetOrchestrator(**self._params(tmp_path, fault_plan=plan))
         run_id = aborted.run_id
         with aborted:
@@ -269,7 +298,9 @@ class TestCheckpointResume:
         )
         with reference:
             expected = _rendered(reference.run())
-        plan = _plan(tmp_path, FaultSpec(kind="crash", spec_index=3))
+        plan = _plan(
+            tmp_path, FaultSpec(kind="crash", site="shard.start", spec_index=3)
+        )
         aborted = FleetOrchestrator(**self._params(tmp_path, fault_plan=plan))
         run_id = aborted.run_id
         with aborted:
@@ -353,7 +384,9 @@ class TestCheckpointResume:
         assert set(snapshot) == {"prior_visits", "dictionary"}
 
     def test_resume_requires_matching_fleet(self, tmp_path):
-        plan = _plan(tmp_path, FaultSpec(kind="crash", spec_index=3))
+        plan = _plan(
+            tmp_path, FaultSpec(kind="crash", site="shard.start", spec_index=3)
+        )
         aborted = FleetOrchestrator(**self._params(tmp_path, fault_plan=plan))
         run_id = aborted.run_id
         with aborted:
@@ -488,7 +521,9 @@ class TestBothPoolPaths:
 
     def test_process_pool_worker_failure_recovers(self, tmp_path):
         specs = self._specs()
-        plan = _plan(tmp_path, FaultSpec(kind="crash", spec_index=0))
+        plan = _plan(
+            tmp_path, FaultSpec(kind="crash", site="shard.start", spec_index=0)
+        )
         clean = FleetRuntime(self._context(), workers=2)
         with clean:
             expected = clean.run_specs(specs)
@@ -626,6 +661,39 @@ class TestCliFaultFlags:
 
         with pytest.raises(SystemExit, match="--resume requires --telemetry"):
             main(["fleet", "--resume", "some-run"])
+
+    def test_skipped_checkpoint_is_reported_without_verbose(
+        self, tmp_path, capsys
+    ):
+        """Library warnings reach stderr by default: a resume that drops
+        a damaged checkpoint says so without ``-v``, and still merges
+        the byte-identical report."""
+        from repro.cli import main
+
+        runs_dir = tmp_path / "runs"
+        argv = [
+            "fleet",
+            "--profiles", "2",
+            "--strategies", "sequential",
+            "--workers", "1",
+            "--budget", "300",
+            "--telemetry", str(runs_dir),
+            "--format", "json",
+        ]
+        assert main([*argv, "--output", str(tmp_path / "a.json")]) == 0
+        run_dir = next(runs_dir.iterdir())
+        checkpoint = run_dir / CHECKPOINTS_DIRNAME / "campaign-000001.bin"
+        blob = bytearray(checkpoint.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        checkpoint.write_bytes(bytes(blob))
+        capsys.readouterr()
+        resumed = [*argv, "--output", str(tmp_path / "b.json")]
+        assert main([*resumed, "--resume", run_dir.name]) == 0
+        err = capsys.readouterr().err
+        assert "skipping undecodable checkpoint campaign-000001.bin" in err
+        assert (tmp_path / "a.json").read_bytes() == (
+            tmp_path / "b.json"
+        ).read_bytes()
 
     def test_abort_exits_two_with_partial_summary(
         self, tmp_path, monkeypatch, capsys

@@ -112,8 +112,7 @@ class TestPersistentRuntime:
 
 class TestBatchedCorpusWriteBack:
     def test_corpus_contents_independent_of_workers_and_batch(self, tmp_path):
-        from repro.corpus.findings import FindingDatabase
-        from repro.corpus.store import CorpusStore
+        from repro.corpus import open_backend
 
         contents = []
         for index, (workers, batch) in enumerate(((1, None), (2, 1), (2, 3))):
@@ -131,10 +130,10 @@ class TestBatchedCorpusWriteBack:
                 orchestrator.run()
             contents.append(
                 (
-                    {entry.entry_id for entry in CorpusStore(root).entries()},
+                    {entry.entry_id for entry in open_backend(root).entries()},
                     {
                         record.bucket_id
-                        for record in FindingDatabase(root).records()
+                        for record in open_backend(root).finding_records()
                     },
                 )
             )

@@ -97,3 +97,24 @@ class TestJobsCli:
                 )
             )
         assert "unknown profile" in str(excinfo.value)
+
+
+class TestServeCli:
+    def test_shard_deadline_sets_the_timeout_floor(self, tmp_path, monkeypatch):
+        from repro.service import ControlPlane
+
+        configs = []
+        monkeypatch.setattr(
+            ControlPlane, "run", lambda plane: configs.append(plane.config)
+        )
+        argv = ["serve", "--data-dir", str(tmp_path), "--port", "0"]
+        assert main([*argv, "--shard-deadline", "120"]) == 0
+        (config,) = configs
+        assert config.supervision.timeout_floor == 120.0
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_shard_deadline_rejected(self, tmp_path, value):
+        with pytest.raises(SystemExit, match="--shard-deadline must be > 0"):
+            main(
+                ["serve", "--data-dir", str(tmp_path), "--shard-deadline", value]
+            )

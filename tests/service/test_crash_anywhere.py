@@ -26,13 +26,13 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import FuzzConfig
-from repro.core.faults import (
+from repro.core.fleet import FleetOrchestrator
+from repro.faults import (
     SERVICE_FAULT_SITES,
     SERVICE_FAULTS_ENV,
-    ServiceFaultPlan,
-    ServiceFaultSpec,
+    FaultPlan,
+    FaultSpec,
 )
-from repro.core.fleet import FleetOrchestrator
 from repro.service import ServiceClient
 from repro.testbed.profiles import PROFILES_BY_ID
 
@@ -125,8 +125,8 @@ def test_sigkill_at_site_converges_byte_identically(
     tmp_path, site, direct_report
 ):
     data_dir = tmp_path / "service"
-    plan = ServiceFaultPlan(
-        faults=(ServiceFaultSpec(kind="kill", site=site),),
+    plan = FaultPlan(
+        faults=(FaultSpec(kind="kill", site=site),),
         ledger_dir=str(tmp_path / "fault-ledger"),
     )
 
@@ -233,9 +233,9 @@ def test_fault_ledger_survives_restart(tmp_path):
     """A restarted server sharing the ledger does not re-fire the kill:
     the same armed plan in the environment is already exhausted."""
     data_dir = tmp_path / "service"
-    plan = ServiceFaultPlan(
+    plan = FaultPlan(
         faults=(
-            ServiceFaultSpec(kind="kill", site="scheduler.quota.charge"),
+            FaultSpec(kind="kill", site="scheduler.quota.charge"),
         ),
         ledger_dir=str(tmp_path / "fault-ledger"),
     )

@@ -13,9 +13,9 @@ import threading
 
 import pytest
 
-from repro.core.faults import (
-    ServiceFaultPlan,
-    ServiceFaultSpec,
+from repro.faults import (
+    FaultPlan,
+    FaultSpec,
     install_service_faults,
 )
 from repro.service.jobs import (
@@ -106,9 +106,9 @@ class TestWriteAheadIntents:
     def test_injected_torn_manifest_write_recovers(self, tmp_path):
         """The torn_manifest fault tears real bytes; recovery repairs."""
         install_service_faults(
-            ServiceFaultPlan(
+            FaultPlan(
                 faults=(
-                    ServiceFaultSpec(
+                    FaultSpec(
                         kind="torn_manifest", site="registry.manifest.pre"
                     ),
                 ),

@@ -9,17 +9,19 @@ raw traceback — and an unacknowledged admission holds no quota.
 from __future__ import annotations
 
 import errno
+import pickle
 
 import pytest
 
-from repro.core.faults import (
+from repro.errors import JournalWriteError
+from repro.faults import (
     SERVICE_FAULT_SITES,
-    ServiceFaultPlan,
-    ServiceFaultSpec,
+    FaultPlan,
+    FaultSpec,
+    WorkerCrashError,
     install_service_faults,
     service_fault,
 )
-from repro.errors import JournalWriteError
 from repro.service.jobs import JobSpec
 from repro.service.registry import SessionRegistry
 from repro.service.scheduler import JobScheduler
@@ -38,8 +40,8 @@ def spec(tenant: str = "alpha", **overrides) -> JobSpec:
     return JobSpec(**fields)
 
 
-def plan(tmp_path, *faults: ServiceFaultSpec) -> ServiceFaultPlan:
-    return ServiceFaultPlan(
+def plan(tmp_path, *faults: FaultSpec) -> FaultPlan:
+    return FaultPlan(
         faults=tuple(faults), ledger_dir=str(tmp_path / "fault-ledger")
     )
 
@@ -50,43 +52,43 @@ def _clear_faults():
     install_service_faults(None)
 
 
-class TestServiceFaultPlan:
+class TestServiceFaults:
     def test_json_roundtrip(self, tmp_path):
         original = plan(
             tmp_path,
-            ServiceFaultSpec(kind="kill", site="registry.manifest.mid"),
-            ServiceFaultSpec(kind="journal_io", site="journal.emit", times=3),
+            FaultSpec(kind="kill", site="registry.manifest.mid"),
+            FaultSpec(kind="journal_io", site="journal.emit", times=3),
         )
-        assert ServiceFaultPlan.from_json(original.to_json()) == original
+        assert FaultPlan.from_json(original.to_json()) == original
 
     def test_unknown_kind_and_site_rejected(self):
         with pytest.raises(ValueError):
-            ServiceFaultSpec(kind="meteor", site="journal.emit")
+            FaultSpec(kind="meteor", site="journal.emit")
         with pytest.raises(ValueError):
-            ServiceFaultSpec(kind="kill", site="nowhere")
+            FaultSpec(kind="kill", site="nowhere")
         with pytest.raises(ValueError):
-            ServiceFaultSpec(kind="kill", site="journal.emit", times=0)
+            FaultSpec(kind="kill", site="journal.emit", times=0)
 
     def test_occurrences_bounded_across_plan_instances(self, tmp_path):
         """The ledger, not the object, counts: restarts share the cap."""
         first = plan(
             tmp_path,
-            ServiceFaultSpec(
+            FaultSpec(
                 kind="registry_io", site="registry.intent", times=2
             ),
         )
         with pytest.raises(OSError):
             first.fire("registry.intent")
         # A "restarted process": same ledger dir, fresh plan object.
-        second = ServiceFaultPlan.from_json(first.to_json())
+        second = FaultPlan.from_json(first.to_json())
         with pytest.raises(OSError):
             second.fire("registry.intent")
-        assert second.fire("registry.intent") is None  # exhausted
+        assert second.fire("registry.intent") == []  # exhausted
 
     def test_registry_io_raises_enospc(self, tmp_path):
         armed = plan(
             tmp_path,
-            ServiceFaultSpec(kind="registry_io", site="registry.intent"),
+            FaultSpec(kind="registry_io", site="registry.intent"),
         )
         with pytest.raises(OSError) as excinfo:
             armed.fire("registry.intent")
@@ -95,15 +97,68 @@ class TestServiceFaultPlan:
     def test_sites_without_faults_are_no_ops(self, tmp_path):
         armed = plan(
             tmp_path,
-            ServiceFaultSpec(kind="registry_io", site="registry.intent"),
+            FaultSpec(kind="registry_io", site="registry.intent"),
         )
         for site in SERVICE_FAULT_SITES:
             if site != "registry.intent":
-                assert armed.fire(site) is None
+                assert armed.fire(site) == []
 
     def test_hook_is_inert_without_installed_plan(self):
         for site in SERVICE_FAULT_SITES:
-            assert service_fault(site) is None
+            assert service_fault(site) == ()
+
+
+class TestMergedFaultPlan:
+    """Worker and service faults share one plan, one spec and one ledger."""
+
+    def test_mixed_plan_roundtrips_through_json_and_pickle(self, tmp_path):
+        mixed = plan(
+            tmp_path,
+            FaultSpec(kind="crash", site="shard.start", spec_index=3),
+            FaultSpec(kind="registry_io", site="registry.intent"),
+        )
+        assert FaultPlan.from_json(mixed.to_json()) == mixed
+        assert pickle.loads(pickle.dumps(mixed)) == mixed
+
+    def test_each_fault_fires_only_at_its_own_site(self, tmp_path):
+        mixed = plan(
+            tmp_path,
+            FaultSpec(kind="crash", site="shard.start", spec_index=3),
+            FaultSpec(kind="registry_io", site="registry.intent"),
+        )
+        for site in (*SERVICE_FAULT_SITES, "shard.summary", "shard.writeback"):
+            if site != "registry.intent":
+                assert mixed.fire(site, {3}) == []
+        # A shard without campaign 3 does not arm the crash.
+        assert mixed.fire("shard.start", {0, 1, 2}) == []
+        with pytest.raises(WorkerCrashError, match="campaign 3"):
+            mixed.fire("shard.start", {2, 3})
+        with pytest.raises(OSError) as excinfo:
+            mixed.fire("registry.intent", {3})
+        assert excinfo.value.errno == errno.ENOSPC
+        # Both occurrences are spent in the shared ledger.
+        assert mixed.fire("shard.start", {3}) == []
+        assert mixed.fire("registry.intent") == []
+
+    def test_corrupt_is_returned_to_the_caller(self, tmp_path):
+        spec = FaultSpec(kind="corrupt", site="shard.summary", spec_index=1)
+        armed = plan(tmp_path, spec)
+        assert armed.fire("shard.summary", {0, 1}) == [spec]
+        assert armed.fire("shard.summary", {0, 1}) == []
+
+    @pytest.mark.parametrize(
+        "kind, site, spec_index",
+        [
+            ("crash", "registry.intent", 0),  # worker kind, service site
+            ("corrupt", "shard.start", 0),  # worker kind, wrong shard site
+            ("kill", "shard.start", None),  # service kind, shard site
+            ("crash", "shard.start", None),  # worker kind needs a campaign
+            ("kill", "journal.emit", 0),  # service kind takes none
+        ],
+    )
+    def test_invalid_kind_site_pairing_rejected(self, kind, site, spec_index):
+        with pytest.raises(ValueError):
+            FaultSpec(kind=kind, site=site, spec_index=spec_index)
 
 
 class TestTypedJournalFailures:
@@ -111,7 +166,7 @@ class TestTypedJournalFailures:
         install_service_faults(
             plan(
                 tmp_path,
-                ServiceFaultSpec(kind="journal_io", site="journal.emit"),
+                FaultSpec(kind="journal_io", site="journal.emit"),
             )
         )
         writer = JournalWriter(
@@ -129,7 +184,7 @@ class TestTypedJournalFailures:
         install_service_faults(
             plan(
                 tmp_path,
-                ServiceFaultSpec(kind="registry_io", site="registry.intent"),
+                FaultSpec(kind="registry_io", site="registry.intent"),
             )
         )
         registry = SessionRegistry(tmp_path)
@@ -150,7 +205,7 @@ class TestTypedJournalFailures:
         install_service_faults(
             plan(
                 tmp_path,
-                ServiceFaultSpec(kind="journal_io", site="journal.emit"),
+                FaultSpec(kind="journal_io", site="journal.emit"),
             )
         )
         registry = SessionRegistry(tmp_path)

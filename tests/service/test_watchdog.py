@@ -12,9 +12,9 @@ import time
 
 import pytest
 
-from repro.core.faults import (
-    ServiceFaultPlan,
-    ServiceFaultSpec,
+from repro.faults import (
+    FaultPlan,
+    FaultSpec,
     install_service_faults,
 )
 from repro.service.jobs import JobSpec
@@ -52,9 +52,9 @@ class TestDispatcherResurrection:
         """Injected dispatcher crash; the watchdog brings it back and the
         queued job still completes."""
         install_service_faults(
-            ServiceFaultPlan(
+            FaultPlan(
                 faults=(
-                    ServiceFaultSpec(
+                    FaultSpec(
                         kind="dispatcher_crash", site="scheduler.dispatch"
                     ),
                 ),

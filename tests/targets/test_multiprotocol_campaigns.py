@@ -273,7 +273,7 @@ class TestCrossProtocolDedup:
 
 class TestCorpusCarriesTheTarget:
     def test_rfcomm_campaign_writes_target_stamped_corpus(self, tmp_path):
-        from repro.corpus import CorpusStore, FindingDatabase
+        from repro.corpus import open_backend
         from repro.corpus.replay import replay_finding
 
         corpus = tmp_path / "corpus"
@@ -286,11 +286,11 @@ class TestCorpusCarriesTheTarget:
         report = session.run()
         assert report.vulnerability_found
 
-        entries = CorpusStore(corpus).entries()
+        entries = open_backend(corpus).entries()
         assert entries
         assert {entry.target for entry in entries} == {"rfcomm"}
 
-        records = FindingDatabase(corpus).records()
+        records = open_backend(corpus).finding_records()
         assert len(records) == 1
         record = records[0]
         assert record.target == "rfcomm"
