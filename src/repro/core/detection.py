@@ -16,18 +16,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import typing
 from collections.abc import Callable
 
 from repro.core.packet_queue import PacketQueue
 from repro.errors import ConnectionFailedError, TransportError
-from repro.l2cap.packets import (
-    CommandCode,
-    L2capPacket,
-    echo_request,
-    information_request,
-)
-from repro.l2cap.validation import CLEAN_FACTS
+from repro.l2cap.packets import CommandCode, signal_template
 
 
 class VulnerabilityClass(enum.Enum):
@@ -111,15 +104,11 @@ class Finding:
         )
 
 
-class _PingTemplates(typing.NamedTuple):
-    """Pre-encoded liveness probes for one echo payload (identifier 0)."""
-
-    payload: bytes
-    echo_wire: bytes
-    echo_spec: object
-    info_wire: bytes
-    info_spec: object
-    info_fields: dict
+#: The two liveness probes, from the signalling template table: an Echo
+#: Request carrying the caller's payload and an Information Request for
+#: the extended features (the spec default info type).
+_ECHO_PROBE = signal_template(CommandCode.ECHO_REQ, tail=None)
+_INFORMATION_PROBE = signal_template(CommandCode.INFORMATION_REQ)
 
 
 class VulnerabilityDetector:
@@ -138,50 +127,6 @@ class VulnerabilityDetector:
     ) -> None:
         self.queue = queue
         self.dump_probe = dump_probe
-        self._ping_templates: _PingTemplates | None = None
-
-    def _ping_templates_for(self, payload: bytes) -> "_PingTemplates":
-        """Encoded probe templates (identifier 0), rebuilt on payload change.
-
-        A campaign pings thousands of times with the same payload; the
-        two probe frames differ only in their identifier byte, so the
-        wire images are encoded once here and patched per ping —
-        byte- and object-identical to building them fresh.
-        """
-        from repro.l2cap.packets import SPEC_BY_CODE
-
-        templates = self._ping_templates
-        if templates is None or templates.payload != payload:
-            info_spec = SPEC_BY_CODE[int(CommandCode.INFORMATION_REQ)]
-            templates = _PingTemplates(
-                payload=payload,
-                echo_wire=echo_request(payload, identifier=0).encode(),
-                echo_spec=SPEC_BY_CODE[int(CommandCode.ECHO_REQ)],
-                info_wire=information_request(identifier=0).encode(),
-                info_spec=info_spec,
-                info_fields=dict(info_spec.defaults),
-            )
-            self._ping_templates = templates
-        return templates
-
-    @staticmethod
-    def _probe_from_template(
-        base: bytes, code, identifier: int, field_values: dict, tail: bytes, spec
-    ) -> L2capPacket:
-        wire = bytearray(base)
-        wire[5] = identifier
-        # Probes are spec-clean: every field present, nothing appended.
-        return L2capPacket.from_wire_parts(
-            code=code,
-            identifier=identifier,
-            field_values=field_values,
-            tail=tail,
-            garbage=b"",
-            wire=bytes(wire),
-            spec=spec,
-            intrinsic=CLEAN_FACTS,
-            loopback=tail.__class__ is bytes,
-        )
 
     def ping_test(self, payload: bytes = b"l2fuzz-ping") -> bool:
         """Probe target liveness with an Echo plus an Information Request.
@@ -189,31 +134,23 @@ class VulnerabilityDetector:
         Both are valid connection-scoped commands every state accepts;
         the pair distinguishes "L2CAP still alive" from "echo handler
         alone still alive". True when the target answered either probe.
+
+        Both probes come from the signalling template table of
+        :mod:`repro.l2cap.packets`, like the engine's answers to them,
+        so a ping test constructs no packet the slow way; the probes are
+        the frames :func:`~repro.l2cap.packets.echo_request` and
+        :func:`~repro.l2cap.packets.information_request` would build.
         """
-        templates = self._ping_templates_for(payload)
         # Identifier draw order matches the historical inline builds: the
         # second probe's identifier is only taken once the first exchange
         # survived (auto-reset campaigns see the same ID stream).
+        queue = self.queue
         try:
-            responses = self.queue.exchange(
-                self._probe_from_template(
-                    templates.echo_wire,
-                    CommandCode.ECHO_REQ,
-                    self.queue.take_identifier(),
-                    {},
-                    payload,
-                    templates.echo_spec,
-                )
+            responses = queue.exchange(
+                _ECHO_PROBE.build(queue.take_identifier(), payload)
             )
-            responses += self.queue.exchange(
-                self._probe_from_template(
-                    templates.info_wire,
-                    CommandCode.INFORMATION_REQ,
-                    self.queue.take_identifier(),
-                    dict(templates.info_fields),
-                    b"",
-                    templates.info_spec,
-                )
+            responses += queue.exchange(
+                _INFORMATION_PROBE.build(queue.take_identifier())
             )
         except TransportError:
             return False

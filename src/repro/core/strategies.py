@@ -28,6 +28,7 @@ deterministic.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import deque
 from collections.abc import Mapping, Sequence
 from typing import Protocol, runtime_checkable
@@ -125,6 +126,7 @@ def _transition_graph() -> dict[ChannelState, frozenset[ChannelState]]:
 TRANSITION_GRAPH: dict[ChannelState, frozenset[ChannelState]] = _transition_graph()
 
 
+@functools.cache
 def bfs_route(
     target: ChannelState, origin: ChannelState = ChannelState.CLOSED
 ) -> tuple[ChannelState, ...]:
@@ -133,6 +135,11 @@ def bfs_route(
     Neighbour expansion is ordered by the canonical state-plan index, so
     the route is deterministic. Raises :class:`ValueError` when *target*
     is unreachable from *origin*.
+
+    Memoized: the route is a pure function of the constant
+    :data:`TRANSITION_GRAPH` and an immutable tuple, and a targeted
+    strategy asks for it every sweep. A raise is not memoized, so an
+    unroutable target raises on every call.
     """
     from repro.core.state_guiding import STATE_PLAN
 
@@ -259,8 +266,8 @@ class TargetedStrategy:
         base_plan: Sequence[ChannelState],
         visits: Mapping[ChannelState, int],
     ) -> tuple[ChannelState, ...]:
-        route = bfs_route(self.target)
-        return tuple(state for state in route if state in set(base_plan))
+        planned = set(base_plan)
+        return tuple(state for state in bfs_route(self.target) if state in planned)
 
     def packets_per_command(self, state: ChannelState, base: int) -> int:
         if state is self.target:

@@ -995,6 +995,144 @@ class L2capPacket:
 
 
 # ---------------------------------------------------------------------------
+# Signalling templates: spec-clean frames built at template cost
+# ---------------------------------------------------------------------------
+
+#: Structural validation facts of a spec-clean signalling frame without a
+#: PSM field (see :func:`repro.l2cap.validation._structural_facts`).
+_CLEAN_FACTS = ((), False)
+
+
+def _fits(value, high: int) -> bool:
+    """Whether *value* packs into a field whose largest value is *high*:
+    the per-field test of :func:`_round_trips`."""
+    try:
+        return value & high == value
+    except TypeError:
+        return False
+
+
+class SignalTemplate:
+    """A spec-clean signalling frame with its call-site constants resolved.
+
+    Made once per ``(code, constant fields, per-call field names,
+    constant tail)`` by :func:`signal_template` and kept in
+    :data:`SIGNAL_TEMPLATES`. The spec, the field order, the structural
+    validation facts and the loopback verdict of the constant parts are
+    settled here; :meth:`build` checks only what changes per call.
+    """
+
+    __slots__ = ("code", "fields", "per_call", "tail", "room", "loopback", "state")
+
+    def __init__(self, code, fixed: Mapping[str, int], per_call, tail) -> None:
+        spec = SPEC_BY_CODE.get(code)
+        if spec is None:
+            raise ValueError(f"no signalling command with code {code!r}")
+        unknown = (set(fixed) | set(per_call)) - set(spec.defaults)
+        if unknown:
+            raise KeyError(f"{spec.code.name} has no field(s) {sorted(unknown)}")
+        if (tail is None or tail) and spec.tail_name is None:
+            raise ValueError(f"{spec.code.name} carries no tail")
+        # Spec order, as the constructor gives a caller's spec-ordered
+        # dict; the per-call fields hold their defaults until built.
+        fields = dict(spec.defaults)
+        fields.update(fixed)
+        self.code = code
+        self.fields = fields
+        self.per_call = tuple((name, spec.field(name).max_value) for name in per_call)
+        self.tail = tail
+        self.room = MAX_L2CAP_PAYLOAD - COMMAND_HEADER_LEN - spec.fixed_size
+        self.loopback = _round_trips(
+            spec, 0, fields, b"" if tail is None else tail, b""
+        )
+        #: The instance dict of every frame built, in the constructor's
+        #: key order; identifier, fields, tail and verdict are set per build.
+        self.state = {
+            "code": code,
+            "identifier": 0,
+            "fields": None,
+            "tail": tail,
+            "garbage": b"",
+            "header_cid": SIGNALING_CID,
+            "declared_payload_len": None,
+            "declared_data_len": None,
+            "_spec_cache": spec,
+            "_wire": None,
+            # A PSM's validity is a structural fact; a constant one is
+            # judged on first use like any packet's.
+            "_intrinsic": None if "psm" in spec.defaults else _CLEAN_FACTS,
+            "_loopback": None,
+        }
+
+    def build(self, identifier: int, *values) -> L2capPacket:
+        """The frame with *identifier* and this call's *values*.
+
+        *values* holds one value per per-call field, in the order given
+        to :func:`signal_template`, then the tail when the template
+        echoes one. Equal to ``L2capPacket(code, identifier, fields,
+        tail)`` with *fields* in spec order, including the loopback
+        verdict; the identifier, the per-call values and an echoed
+        tail's length are checked here.
+        """
+        packet = _new_instance(L2capPacket)
+        fields = _FieldMap(self.fields)
+        fields._owner = weakref.ref(packet)
+        instance = packet.__dict__
+        instance.update(self.state)
+        instance["identifier"] = identifier
+        instance["fields"] = fields
+        loopback = self.loopback and (
+            identifier.__class__ is int and 0 <= identifier <= 0xFF
+            or _fits(identifier, 0xFF)
+        )
+        if self.per_call:
+            for (name, high), value in zip(self.per_call, values):
+                dict.__setitem__(fields, name, value)
+                if loopback and not (
+                    value.__class__ is int and 0 <= value <= high or _fits(value, high)
+                ):
+                    loopback = False
+        if self.tail is None:
+            tail = instance["tail"] = values[-1]
+            loopback = loopback and tail.__class__ is bytes and len(tail) <= self.room
+        instance["_loopback"] = loopback
+        return packet
+
+
+#: Every signalling template, keyed by what its call site fixes. Call
+#: sites make theirs once, at import, so fuzzed values never become keys
+#: and the table does not grow while a campaign runs.
+SIGNAL_TEMPLATES: dict[tuple, SignalTemplate] = {}
+
+
+def signal_template(
+    code: int,
+    fixed: Mapping[str, int] | None = None,
+    per_call: tuple[str, ...] = (),
+    tail: bytes | None = b"",
+) -> SignalTemplate:
+    """The table's template for one call site's spec-clean frames.
+
+    :param code: the command code.
+    :param fixed: field values constant at the call site; fields in
+        neither *fixed* nor *per_call* take their spec defaults.
+    :param per_call: fields whose values each :meth:`SignalTemplate.build`
+        call passes (values echoed from a request, allocated CIDs).
+    :param tail: the constant tail, or None when each build passes its
+        own (an echoed tail).
+    :raises ValueError: for an unknown code, or a tail on a command
+        without one.
+    :raises KeyError: for a field the command does not carry.
+    """
+    fixed = {} if fixed is None else dict(fixed)
+    key = (code, tuple(sorted(fixed.items())), tuple(per_call), tail)
+    template = SIGNAL_TEMPLATES.get(key)
+    if template is None:
+        template = SIGNAL_TEMPLATES[key] = SignalTemplate(code, fixed, per_call, tail)
+    return template
+
+
+# ---------------------------------------------------------------------------
 # Configuration options (the OPT / QoS / MTU members of MA)
 # ---------------------------------------------------------------------------
 
@@ -1174,13 +1312,13 @@ def move_channel_request(icid: int, cont_id: int = 1, identifier: int = 1) -> L2
 
 
 def command_reject(reason: int, identifier: int, data: bytes = b"") -> L2capPacket:
-    """Build a Command Reject response."""
-    return L2capPacket(
-        CommandCode.COMMAND_REJECT,
-        identifier,
-        {"reason": reason},
-        tail=data,
-    )
+    """Build a Command Reject response (from the signalling template)."""
+    return _COMMAND_REJECT.build(identifier, reason, data)
+
+
+_COMMAND_REJECT = signal_template(
+    CommandCode.COMMAND_REJECT, per_call=("reason",), tail=None
+)
 
 
 def default_packet(code: CommandCode, identifier: int = 1, **fields: int) -> L2capPacket:

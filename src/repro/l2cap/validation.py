@@ -71,10 +71,6 @@ class ValidationReport:
 #: Shared empty report: the clean-packet fast path allocates nothing.
 _CLEAN_REPORT = ValidationReport(())
 
-#: Structural facts (see :func:`_structural_facts`) of a spec-clean
-#: signaling frame without a PSM at fault, for template builders to prime.
-CLEAN_FACTS: tuple[tuple[Violation, ...], bool] = ((), False)
-
 
 def _structural_facts(packet: L2capPacket) -> tuple[tuple[Violation, ...], bool]:
     """Packet-intrinsic validation facts, memoized on the packet.

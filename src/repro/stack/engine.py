@@ -42,6 +42,9 @@ from repro.l2cap.packets import (
     configuration_request,
     decode_options,
     disconnection_request,
+    SPEC_BY_CODE,
+    SignalTemplate,
+    signal_template,
 )
 from repro.l2cap.states import ChannelState, CONFIGURATION_STATES
 from repro.l2cap.validation import structural_reject_reason
@@ -168,7 +171,20 @@ class HostStackEngine:
     def _rearm(self) -> None:
         # The live models, empty when disarmed: command handlers skip
         # the bug-check call entirely on an empty tuple.
-        self._bug_models = self._vulnerabilities if self._armed else ()
+        models = self._vulnerabilities if self._armed else ()
+        self._bug_models = models
+        # Command code → the live models that can fire on it, in
+        # registration order (two models matching one packet fire in
+        # that order). Only packets with a command layout get past the
+        # structural check to a bug check.
+        self._bugs_by_code = {
+            code: tuple(
+                model
+                for model in models
+                if model.codes is None or code in model.codes
+            )
+            for code in SPEC_BY_CODE
+        }
 
     # -- public surface --------------------------------------------------------
 
@@ -318,9 +334,13 @@ class HostStackEngine:
     def _check_bugs(self, packet: L2capPacket, state: ChannelState | None) -> None:
         """Evaluate injected bug predicates on an accepted packet.
 
+        Only the models that can fire on the packet's command code are
+        evaluated; when there are none, no trigger context is built.
+
         :raises TargetCrashedError: when a predicate matches (armed only).
         """
-        if self.crash is not None:
+        models = self._bugs_by_code.get(packet.code)
+        if not models or self.crash is not None:
             return
         effective_state = state if state is not None else self._ambient_state()
         facts = self._bug_facts
@@ -338,7 +358,7 @@ class HostStackEngine:
             allocated_cids=facts[1],
             live_states=facts[2],
         )
-        for model in self._bug_models:
+        for model in models:
             if model.check(context):
                 self.crash = model.fire(context, self.clock.now)
                 raise TargetCrashedError(self.crash)
@@ -376,13 +396,7 @@ class HostStackEngine:
         scid = packet.fields.get("scid", 0)
 
         def refuse(result: ConnectionResult) -> list[L2capPacket]:
-            return [
-                L2capPacket(
-                    CommandCode.CONNECTION_RSP,
-                    packet.identifier,
-                    {"dcid": 0, "scid": scid, "result": result, "status": 0},
-                )
-            ]
+            return [_CONNECTION_RSP.build(packet.identifier, 0, scid, result)]
 
         if not is_valid_psm(psm):
             return refuse(ConnectionResult.REFUSED_PSM_NOT_SUPPORTED)
@@ -407,15 +421,8 @@ class HostStackEngine:
         # WAIT_CONNECT row of paper Table II.
         self._visit(block.local_cid, ChannelState.WAIT_CONNECT)
         responses = [
-            L2capPacket(
-                CommandCode.CONNECTION_RSP,
-                packet.identifier,
-                {
-                    "dcid": block.local_cid,
-                    "scid": scid,
-                    "result": ConnectionResult.SUCCESS,
-                    "status": 0,
-                },
+            _CONNECTION_RSP.build(
+                packet.identifier, block.local_cid, scid, ConnectionResult.SUCCESS
             )
         ]
         self._set_state(block, ChannelState.WAIT_CONFIG)
@@ -432,13 +439,7 @@ class HostStackEngine:
         cont_id = packet.fields.get("cont_id", 0)
 
         def refuse(result: ConnectionResult) -> list[L2capPacket]:
-            return [
-                L2capPacket(
-                    CommandCode.CREATE_CHANNEL_RSP,
-                    packet.identifier,
-                    {"dcid": 0, "scid": scid, "result": result, "status": 0},
-                )
-            ]
+            return [_CREATE_CHANNEL_RSP.build(packet.identifier, 0, scid, result)]
 
         if not self.personality.supports_amp:
             return refuse(ConnectionResult.REFUSED_CONTROLLER_ID_NOT_SUPPORTED)
@@ -462,15 +463,8 @@ class HostStackEngine:
 
         self._visit(block.local_cid, ChannelState.WAIT_CREATE)
         responses = [
-            L2capPacket(
-                CommandCode.CREATE_CHANNEL_RSP,
-                packet.identifier,
-                {
-                    "dcid": block.local_cid,
-                    "scid": scid,
-                    "result": ConnectionResult.SUCCESS,
-                    "status": 0,
-                },
+            _CREATE_CHANNEL_RSP.build(
+                packet.identifier, block.local_cid, scid, ConnectionResult.SUCCESS
             )
         ]
         self._set_state(block, ChannelState.WAIT_CONFIG)
@@ -520,11 +514,7 @@ class HostStackEngine:
                 if self._bug_models:
                     self._check_bugs(packet, None)
                 return [
-                    L2capPacket(
-                        CommandCode.CONFIGURATION_RSP,
-                        packet.identifier,
-                        {"scid": 0, "flags": 0, "result": ConfigResult.SUCCESS},
-                    )
+                    _CONFIGURATION_RSP.build(packet.identifier, 0, ConfigResult.SUCCESS)
                 ]
             return [command_reject(RejectReason.INVALID_CID, packet.identifier)]
 
@@ -538,14 +528,8 @@ class HostStackEngine:
             # Negotiation failure: the channel stays where it was and the
             # peer must retry with acceptable parameters.
             return [
-                L2capPacket(
-                    CommandCode.CONFIGURATION_RSP,
-                    packet.identifier,
-                    {
-                        "scid": block.remote_cid,
-                        "flags": 0,
-                        "result": option_result,
-                    },
+                _CONFIGURATION_RSP.build(
+                    packet.identifier, block.remote_cid, option_result
                 )
             ]
         if block.state is ChannelState.OPEN:
@@ -554,14 +538,8 @@ class HostStackEngine:
 
         block.remote_config_done = True
         responses = [
-            L2capPacket(
-                CommandCode.CONFIGURATION_RSP,
-                packet.identifier,
-                {
-                    "scid": block.remote_cid,
-                    "flags": 0,
-                    "result": ConfigResult.SUCCESS,
-                },
+            _CONFIGURATION_RSP.build(
+                packet.identifier, block.remote_cid, ConfigResult.SUCCESS
             )
         ]
         if not block.local_config_sent:
@@ -617,13 +595,7 @@ class HostStackEngine:
             self._check_bugs(packet, block.state)
         self.channels.release(block.local_cid)
         self._visit(block.local_cid, ChannelState.CLOSED)
-        return [
-            L2capPacket(
-                CommandCode.DISCONNECTION_RSP,
-                packet.identifier,
-                {"dcid": dcid, "scid": scid},
-            )
-        ]
+        return [_DISCONNECTION_RSP.build(packet.identifier, dcid, scid)]
 
     def _on_disconnection_rsp(self, packet: L2capPacket) -> list[L2capPacket]:
         scid = packet.fields.get("scid", 0)
@@ -639,43 +611,20 @@ class HostStackEngine:
     def _on_echo_req(self, packet: L2capPacket) -> list[L2capPacket]:
         if self._bug_models:
             self._check_bugs(packet, None)
-        return [
-            L2capPacket(CommandCode.ECHO_RSP, packet.identifier, tail=packet.tail)
-        ]
+        return [_ECHO_RSP.build(packet.identifier, packet.tail)]
 
     def _on_information_req(self, packet: L2capPacket) -> list[L2capPacket]:
         if self._bug_models:
             self._check_bugs(packet, None)
         info_type = packet.fields.get("info_type", 0)
-        payload = _INFO_PAYLOADS.get(info_type)
-        if payload is None:
-            return [
-                L2capPacket(
-                    CommandCode.INFORMATION_RSP,
-                    packet.identifier,
-                    {"info_type": info_type, "result": InfoResult.NOT_SUPPORTED},
-                )
-            ]
-        return [
-            L2capPacket(
-                CommandCode.INFORMATION_RSP,
-                packet.identifier,
-                {"info_type": info_type, "result": InfoResult.SUCCESS},
-                tail=payload,
-            )
-        ]
+        template = _INFORMATION_RSPS.get(info_type, _INFORMATION_UNSUPPORTED)
+        return [template.build(packet.identifier, info_type)]
 
     def _on_move_channel_req(self, packet: L2capPacket) -> list[L2capPacket]:
         icid = packet.fields.get("icid", 0)
 
         def respond(result: MoveResult) -> list[L2capPacket]:
-            return [
-                L2capPacket(
-                    CommandCode.MOVE_CHANNEL_RSP,
-                    packet.identifier,
-                    {"icid": icid, "result": result},
-                )
-            ]
+            return [_MOVE_CHANNEL_RSP.build(packet.identifier, icid, result)]
 
         if not self.personality.supports_amp:
             return respond(MoveResult.REFUSED_NOT_ALLOWED)
@@ -704,13 +653,7 @@ class HostStackEngine:
         if self._bug_models:
             self._check_bugs(packet, block.state)
         self._set_state(block, ChannelState.OPEN)
-        return [
-            L2capPacket(
-                CommandCode.MOVE_CHANNEL_CONFIRMATION_RSP,
-                packet.identifier,
-                {"icid": icid},
-            )
-        ]
+        return [_MOVE_CONFIRMATION_RSP.build(packet.identifier, icid)]
 
     def _on_le_family(self, packet: L2capPacket) -> list[L2capPacket]:
         """Handle the LE / credit-based command family (codes 0x12–0x1A).
@@ -722,42 +665,12 @@ class HostStackEngine:
             return [command_reject(RejectReason.COMMAND_NOT_UNDERSTOOD, packet.identifier)]
         if self._bug_models:
             self._check_bugs(packet, None)
-        code = packet.code
-        if code == CommandCode.CONNECTION_PARAMETER_UPDATE_REQ:
-            return [
-                L2capPacket(
-                    CommandCode.CONNECTION_PARAMETER_UPDATE_RSP,
-                    packet.identifier,
-                    {"result": 0},
-                )
-            ]
-        if code == CommandCode.LE_CREDIT_BASED_CONNECTION_REQ:
-            return [
-                L2capPacket(
-                    CommandCode.LE_CREDIT_BASED_CONNECTION_RSP,
-                    packet.identifier,
-                    {"dcid": 0, "mtu": 0, "mps": 0, "credit": 0, "result": 0x0002},
-                )
-            ]
-        if code == CommandCode.CREDIT_BASED_CONNECTION_REQ:
-            return [
-                L2capPacket(
-                    CommandCode.CREDIT_BASED_CONNECTION_RSP,
-                    packet.identifier,
-                    {"mtu": 0, "mps": 0, "credit": 0, "result": 0x0002},
-                )
-            ]
-        if code == CommandCode.CREDIT_BASED_RECONFIGURE_REQ:
-            return [
-                L2capPacket(
-                    CommandCode.CREDIT_BASED_RECONFIGURE_RSP,
-                    packet.identifier,
-                    {"result": 0x0001},
-                )
-            ]
-        if code == CommandCode.FLOW_CONTROL_CREDIT_IND:
-            return []  # credits for an unknown channel are silently dropped
-        return []  # stray LE responses are ignored
+        template = _LE_FAMILY_RSPS.get(packet.code)
+        if template is None:
+            # Credits for an unknown channel are silently dropped, and
+            # stray LE responses are ignored.
+            return []
+        return [template.build(packet.identifier)]
 
 
 def fork_handlers(handlers: dict, forks: dict) -> dict:
@@ -782,12 +695,65 @@ def fork_handlers(handlers: dict, forks: dict) -> dict:
     return forked
 
 
-#: Information Response payloads keyed by InfoType value (Core 5.2
-#: Vol 3 Part A §4.10); a miss means NOT_SUPPORTED.
-_INFO_PAYLOADS: dict[int, bytes] = {
-    InfoType.CONNECTIONLESS_MTU.value: (672).to_bytes(2, "little"),
-    InfoType.EXTENDED_FEATURES.value: (0x000002B8).to_bytes(4, "little"),
-    InfoType.FIXED_CHANNELS.value: (0x00000006).to_bytes(8, "little"),
+# Every signalling response the engine sends, from the template table
+# (see repro.l2cap.packets.signal_template): per-call values are named
+# in build order; the rest is fixed here once.
+_CONNECTION_RSP = signal_template(
+    CommandCode.CONNECTION_RSP, {"status": 0}, ("dcid", "scid", "result")
+)
+_CREATE_CHANNEL_RSP = signal_template(
+    CommandCode.CREATE_CHANNEL_RSP, {"status": 0}, ("dcid", "scid", "result")
+)
+_CONFIGURATION_RSP = signal_template(
+    CommandCode.CONFIGURATION_RSP, {"flags": 0}, ("scid", "result")
+)
+_DISCONNECTION_RSP = signal_template(
+    CommandCode.DISCONNECTION_RSP, per_call=("dcid", "scid")
+)
+_ECHO_RSP = signal_template(CommandCode.ECHO_RSP, tail=None)
+_MOVE_CHANNEL_RSP = signal_template(
+    CommandCode.MOVE_CHANNEL_RSP, per_call=("icid", "result")
+)
+_MOVE_CONFIRMATION_RSP = signal_template(
+    CommandCode.MOVE_CHANNEL_CONFIRMATION_RSP, per_call=("icid",)
+)
+
+#: Information Responses keyed by InfoType value, each with its payload
+#: (Core 5.2 Vol 3 Part A §4.10); a miss answers NOT_SUPPORTED.
+_INFORMATION_RSPS: dict[int, SignalTemplate] = {
+    info_type.value: signal_template(
+        CommandCode.INFORMATION_RSP,
+        {"result": InfoResult.SUCCESS},
+        ("info_type",),
+        tail=payload,
+    )
+    for info_type, payload in (
+        (InfoType.CONNECTIONLESS_MTU, (672).to_bytes(2, "little")),
+        (InfoType.EXTENDED_FEATURES, (0x000002B8).to_bytes(4, "little")),
+        (InfoType.FIXED_CHANNELS, (0x00000006).to_bytes(8, "little")),
+    )
+}
+_INFORMATION_UNSUPPORTED = signal_template(
+    CommandCode.INFORMATION_RSP, {"result": InfoResult.NOT_SUPPORTED}, ("info_type",)
+)
+
+#: LE / credit-based requests an LE-capable stack answers (refusing the
+#: operation on a BR/EDR link), keyed by request code.
+_LE_FAMILY_RSPS: dict[int, SignalTemplate] = {
+    int(CommandCode.CONNECTION_PARAMETER_UPDATE_REQ): signal_template(
+        CommandCode.CONNECTION_PARAMETER_UPDATE_RSP, {"result": 0}
+    ),
+    int(CommandCode.LE_CREDIT_BASED_CONNECTION_REQ): signal_template(
+        CommandCode.LE_CREDIT_BASED_CONNECTION_RSP,
+        {"dcid": 0, "mtu": 0, "mps": 0, "credit": 0, "result": 0x0002},
+    ),
+    int(CommandCode.CREDIT_BASED_CONNECTION_REQ): signal_template(
+        CommandCode.CREDIT_BASED_CONNECTION_RSP,
+        {"mtu": 0, "mps": 0, "credit": 0, "result": 0x0002},
+    ),
+    int(CommandCode.CREDIT_BASED_RECONFIGURE_REQ): signal_template(
+        CommandCode.CREDIT_BASED_RECONFIGURE_RSP, {"result": 0x0001}
+    ),
 }
 
 #: BR/EDR command dispatch, resolved once. Codes outside this table fall

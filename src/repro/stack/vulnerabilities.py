@@ -23,6 +23,13 @@ The five models mirror paper Table VI and §IV.E:
   Request carrying an unallocated DCID with a garbage tail and an
   unlucky address alignment; deliberately narrow so discovery takes
   orders of magnitude longer than the others (2h40m in the paper).
+
+Each paper bug fires on one or two specific commands, and each model
+says which in :attr:`VulnerabilityModel.codes`. The stack engine indexes
+its models by command code and evaluates only those that can fire on
+the accepted packet's code: a liveness ping or any other command no
+model names costs no trigger context at all. A model that leaves
+``codes`` at None is evaluated on every accepted packet.
 """
 
 from __future__ import annotations
@@ -83,6 +90,10 @@ class VulnerabilityModel:
     :param function: stack function blamed in the dump.
     :param fault_address: faulting address recorded in the dump.
     :param silent: device dies without signalling (timeout observed).
+    :param codes: the command codes the predicate can match. The engine
+        evaluates the model only on packets with one of these codes, so
+        the predicate must be False on every other code. None (the
+        default) means every code: the model sees every accepted packet.
     """
 
     vulnerability_id: str
@@ -93,6 +104,7 @@ class VulnerabilityModel:
     function: str
     fault_address: int = 0x20
     silent: bool = False
+    codes: frozenset[int] | None = None
 
     def check(self, context: TriggerContext) -> bool:
         """Evaluate the trigger predicate."""
@@ -197,6 +209,7 @@ BLUEDROID_CIDP_NULL_DEREF = VulnerabilityModel(
     dump_kind=DumpKind.TOMBSTONE,
     function="l2c_csm_execute(t_l2c_ccb*, unsigned short, void*)",
     fault_address=0x20,
+    codes=frozenset({CommandCode.CONFIGURATION_REQ}),
 )
 
 BLUEDROID_CREATE_CHANNEL_DOS = VulnerabilityModel(
@@ -207,6 +220,7 @@ BLUEDROID_CREATE_CHANNEL_DOS = VulnerabilityModel(
     dump_kind=DumpKind.TOMBSTONE,
     function="l2c_csm_execute(t_l2c_ccb*, unsigned short, void*)",
     fault_address=0x18,
+    codes=frozenset({CommandCode.CREATE_CHANNEL_REQ}),
 )
 
 RTKIT_PSM_SHUTDOWN = VulnerabilityModel(
@@ -217,6 +231,7 @@ RTKIT_PSM_SHUTDOWN = VulnerabilityModel(
     dump_kind=DumpKind.NONE,
     function="rtkit_l2cap_connect_ind",
     silent=True,
+    codes=frozenset({CommandCode.CONNECTION_REQ, CommandCode.CREATE_CHANNEL_REQ}),
 )
 
 BLUEZ_GPF = VulnerabilityModel(
@@ -227,6 +242,7 @@ BLUEZ_GPF = VulnerabilityModel(
     dump_kind=DumpKind.KERNEL_OOPS,
     function="l2cap_disconnect_req",
     fault_address=0x9E37,
+    codes=frozenset({CommandCode.DISCONNECTION_REQ}),
 )
 
 

@@ -160,6 +160,38 @@ class TestTargeted:
         assert bfs_route(ChannelState.OPEN) == bfs_route(ChannelState.OPEN)
 
 
+class TestRouteMemo:
+    """``bfs_route`` is memoized over the constant transition graph."""
+
+    def test_memoized_route_equals_fresh_bfs(self):
+        fresh_bfs = bfs_route.__wrapped__
+        for target in STATE_PLAN:
+            for origin in STATE_PLAN:
+                try:
+                    expected = fresh_bfs(target, origin)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        bfs_route(target, origin)
+                    continue
+                assert bfs_route(target, origin) == expected
+                # The second call is served from the memo, unchanged.
+                assert bfs_route(target, origin) == expected
+
+    def test_unroutable_target_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="no acceptor-side route"):
+                bfs_route(ChannelState.WAIT_CONNECT_RSP)
+
+    def test_targeted_plan_keeps_route_order_within_base_plan(self):
+        strategy = TargetedStrategy(target=ChannelState.OPEN)
+        base_plan = [state for state in STATE_PLAN if state is not ChannelState.WAIT_CONFIG]
+        plan = strategy.plan(base_plan, {})
+        assert plan == tuple(
+            state for state in bfs_route(ChannelState.OPEN) if state in base_plan
+        )
+        assert ChannelState.WAIT_CONFIG not in plan
+
+
 class TestStrategyCampaigns:
     """Full campaigns under each strategy stay deterministic."""
 

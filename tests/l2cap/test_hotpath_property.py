@@ -13,17 +13,30 @@ from __future__ import annotations
 import copy
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.detection  # noqa: F401  (makes the probe templates)
+import repro.stack.engine  # noqa: F401  (makes the response templates)
+from repro.errors import PacketEncodeError
+from repro.l2cap import packets
 from repro.l2cap.constants import (
     MAX_L2CAP_PAYLOAD,
     CommandCode,
+    ConnectionResult,
     RejectReason,
     SIGNALING_CID,
 )
-from repro.l2cap.packets import COMMAND_SPECS, L2capPacket
+from repro.l2cap.packets import (
+    COMMAND_SPECS,
+    SIGNAL_TEMPLATES,
+    L2capPacket,
+    command_reject,
+    signal_template,
+)
 from repro.l2cap.validation import (
     Violation,
+    _structural_facts,
     frame_violations,
     is_malformed,
     structural_reject_reason,
@@ -386,3 +399,125 @@ class TestDataFramePrimedVerdict:
             fill_defaults=False,
         )
         assert (built.loopback_view() is built) == primed
+
+
+#: The call-site templates: the engine's responses, the detector's
+#: probes and the codec's Command Reject.
+_TEMPLATES = tuple(SIGNAL_TEMPLATES.values())
+
+_IDENTIFIERS = st.one_of(
+    st.integers(min_value=0, max_value=255),
+    st.integers(min_value=-3, max_value=-1),
+    st.integers(min_value=256, max_value=300),
+)
+#: Echoed field values: in and out of a u16, and int enums.
+_ECHOED_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=0xFFFF),
+    st.integers(min_value=-2, max_value=0x10001),
+    st.sampled_from(list(ConnectionResult)),
+)
+
+
+def _echoed_tails(template):
+    """Short tails, and tails either side of the payload maximum."""
+    return st.one_of(
+        st.binary(max_size=16),
+        st.integers(min_value=template.room - 1, max_value=template.room + 1).map(bytes),
+    )
+
+
+def _reference(template, identifier, values) -> L2capPacket:
+    """The constructor's build of what *template* builds."""
+    fields = dict(template.fields)
+    fields.update(zip([name for name, _ in template.per_call], values))
+    tail = values[-1] if template.tail is None else template.tail
+    return L2capPacket(template.code, identifier, fields, tail=tail)
+
+
+def _encoding(packet):
+    try:
+        return packet.encode()
+    except PacketEncodeError:
+        return PacketEncodeError
+
+
+def _assert_same_packet(built: L2capPacket, reference: L2capPacket) -> None:
+    assert built == reference
+    assert list(built.fields) == list(reference.fields)
+    assert built.describe() == reference.describe()
+    assert _encoding(built) == _encoding(reference)
+    primed = built.__dict__["_loopback"]
+    assert (built.loopback_view() is not None) == (reference.loopback_view() is not None)
+    built.__dict__["_loopback"] = None
+    assert (built.loopback_view() is not None) == primed
+    assert _structural_facts(built) == _structural_facts(reference)
+    built.__dict__["_intrinsic"] = None
+    assert _structural_facts(built) == _structural_facts(reference)
+
+
+class TestSignalTemplatesMatchConstructor:
+    """A template-built frame is the frame the constructor builds: same
+    bytes, rendering, field order, loopback verdict and structural
+    facts, for every call-site template."""
+
+    def test_call_sites_made_their_templates(self):
+        codes = {template.code for template in _TEMPLATES}
+        assert CommandCode.ECHO_REQ in codes and CommandCode.ECHO_RSP in codes
+        assert CommandCode.INFORMATION_REQ in codes
+        assert CommandCode.COMMAND_REJECT in codes
+
+    @given(st.data())
+    @settings(max_examples=400)
+    def test_every_template(self, data):
+        template = data.draw(st.sampled_from(_TEMPLATES))
+        identifier = data.draw(_IDENTIFIERS)
+        values = [data.draw(_ECHOED_VALUES) for _ in template.per_call]
+        if template.tail is None:
+            values.append(data.draw(_echoed_tails(template)))
+        built = template.build(identifier, *values)
+        _assert_same_packet(built, _reference(template, identifier, values))
+
+    @given(
+        st.one_of(st.sampled_from(list(RejectReason)), _ECHOED_VALUES),
+        _IDENTIFIERS,
+        st.binary(max_size=8),
+    )
+    @settings(max_examples=200)
+    def test_every_reject_reason(self, reason, identifier, data):
+        _assert_same_packet(
+            command_reject(reason, identifier, data),
+            L2capPacket(CommandCode.COMMAND_REJECT, identifier, {"reason": reason}, tail=data),
+        )
+
+
+class TestSignalTemplateTable:
+    @pytest.fixture(autouse=True)
+    def private_table(self, monkeypatch):
+        # Templates made here must not join the process-wide table.
+        monkeypatch.setattr(packets, "SIGNAL_TEMPLATES", {})
+
+    def test_one_template_per_call_site_key(self):
+        first = signal_template(CommandCode.CONNECTION_RSP, {"status": 0, "dcid": 0}, ("scid",))
+        again = signal_template(CommandCode.CONNECTION_RSP, {"dcid": 0, "status": 0}, ("scid",))
+        assert again is first
+        assert len(packets.SIGNAL_TEMPLATES) == 1
+
+    def test_echoed_values_do_not_grow_the_table(self):
+        template = signal_template(CommandCode.ECHO_RSP, tail=None)
+        for size in range(50):
+            template.build(size, bytes(size))
+        assert len(packets.SIGNAL_TEMPLATES) == 1
+
+    def test_constant_psm_judged_on_first_use(self):
+        template = signal_template(CommandCode.CONNECTION_REQ, {"psm": 0x0002}, ("scid",))
+        built = template.build(1, 0x0040)
+        assert built.__dict__["_intrinsic"] is None
+        assert _structural_facts(built) == ((), True)
+
+    def test_bad_templates_refused(self):
+        with pytest.raises(ValueError):
+            signal_template(0x55)
+        with pytest.raises(KeyError):
+            signal_template(CommandCode.ECHO_RSP, {"psm": 1})
+        with pytest.raises(ValueError):
+            signal_template(CommandCode.CONNECTION_RSP, tail=None)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.errors import TargetCrashedError
 from repro.l2cap.constants import CommandCode
-from repro.l2cap.jobs import Job
+from repro.l2cap.jobs import Job, job_of
 from repro.l2cap.packets import (
+    COMMAND_SPECS,
     echo_request,
     L2capPacket,
     configuration_request,
@@ -229,7 +232,10 @@ class TestEngineBugFacts:
         )
 
     def _probe(self, engine, seen):
+        before = len(seen)
         engine.handle_l2cap(echo_request(b"probe"))
+        # A model with the default codes sees every echo probe.
+        assert len(seen) == before + 1
         assert seen[-1] == self._facts_now(engine)
         return seen[-1]
 
@@ -258,3 +264,167 @@ class TestEngineBugFacts:
         first = self._probe(engine, seen)
         second = self._probe(engine, seen)
         assert first[0] is second[0] and first[1] is second[1]
+
+
+#: The four paper models, in registry order.
+PAPER_MODELS = tuple(KNOWN_VULNERABILITIES.values())
+
+
+def _aligned_gpf_dcid() -> int:
+    return next(
+        dcid for dcid in range(0x0040, 0x10000) if (dcid * 0x9E37) % 0xFFFF < 22
+    )
+
+
+def _firing_contexts():
+    """One context per paper model on which that model fires."""
+    cidp = configuration_request(dcid=0x0040)
+    cidp.garbage = b"\xd2"
+    create = create_channel_request(psm=0x0301, scid=0x0044, cont_id=7)
+    create.garbage = b"\x00"
+    gpf = disconnection_request(dcid=_aligned_gpf_dcid(), scid=0x9999)
+    gpf.garbage = b"\x00"
+    live = frozenset({ChannelState.WAIT_CONFIG})
+    return {
+        BLUEDROID_CIDP_NULL_DEREF: _context(cidp),
+        BLUEDROID_CREATE_CHANNEL_DOS: _context(create, live_states=live),
+        RTKIT_PSM_SHUTDOWN: _context(connection_request(psm=0x0300, scid=0x40)),
+        BLUEZ_GPF: _context(gpf),
+    }
+
+
+@st.composite
+def _trigger_contexts(draw):
+    """Accepted-looking packets of any code, in any state, with varied
+    allocated CIDs and live channel states."""
+    code = draw(st.sampled_from(sorted(COMMAND_SPECS)))
+    values = st.one_of(
+        st.integers(min_value=0x0040, max_value=0x0048),
+        st.integers(min_value=0, max_value=0xFFFF),
+    )
+    fields = {
+        field.name: draw(values) & field.max_value
+        for field in COMMAND_SPECS[code].fields
+    }
+    packet = L2capPacket(
+        code,
+        draw(st.integers(min_value=0, max_value=255)),
+        fields,
+        garbage=draw(st.binary(max_size=3)),
+    )
+    state = draw(st.one_of(st.none(), st.sampled_from(list(ChannelState))))
+    return TriggerContext(
+        packet=packet,
+        state=state,
+        job=None if state is None else job_of(state),
+        allocated_cids=frozenset(
+            draw(st.sets(st.integers(min_value=0x0040, max_value=0x0048)))
+        ),
+        live_states=frozenset(draw(st.sets(st.sampled_from(list(ChannelState))))),
+    )
+
+
+class TestModelCodes:
+    """Each paper model's ``codes`` names every code its predicate can
+    match: the engine never evaluates a model on any other code."""
+
+    def test_paper_models_declare_their_codes(self):
+        for model in PAPER_MODELS:
+            assert model.codes
+            assert model.codes <= set(COMMAND_SPECS)
+
+    @given(_trigger_contexts())
+    @settings(max_examples=400)
+    def test_predicate_false_outside_codes(self, context):
+        for model in PAPER_MODELS:
+            if context.packet.code not in model.codes:
+                assert not model.check(context)
+
+    @pytest.mark.parametrize(
+        "model", PAPER_MODELS, ids=lambda model: model.vulnerability_id
+    )
+    def test_firing_trigger_under_any_other_code_is_inert(self, model):
+        context = _firing_contexts()[model]
+        assert model.check(context)
+        for code in COMMAND_SPECS:
+            context.packet.code = code
+            assert model.check(context) == (code in model.codes)
+
+
+class TestEngineCodeIndex:
+    """The engine evaluates a model only on the codes it declares, in
+    registration order within one code."""
+
+    @staticmethod
+    def _recorder(codes):
+        seen = []
+
+        def record(context: TriggerContext) -> bool:
+            seen.append(context.packet.code)
+            return False
+
+        model = VulnerabilityModel(
+            vulnerability_id="recorder",
+            description="never fires",
+            predicate=record,
+            kind=CrashKind.DOS,
+            dump_kind=DumpKind.NONE,
+            function="record",
+            codes=codes,
+        )
+        return model, seen
+
+    def test_model_sees_only_its_codes(self):
+        model, seen = self._recorder(frozenset({CommandCode.CONFIGURATION_REQ}))
+        engine = make_engine(vulnerabilities=(model,))
+        engine.handle_l2cap(echo_request(b"probe"))
+        cid, _ = open_channel(engine)
+        assert seen == []
+        engine.handle_l2cap(configuration_request(dcid=cid))
+        assert seen == [CommandCode.CONFIGURATION_REQ]
+
+    def test_no_context_built_when_no_model_can_fire(self, monkeypatch):
+        import repro.stack.engine as engine_module
+
+        built = []
+
+        def counting_context(**kwargs):
+            built.append(kwargs["packet"].code)
+            return TriggerContext(**kwargs)
+
+        monkeypatch.setattr(engine_module, "TriggerContext", counting_context)
+        engine = make_engine(vulnerabilities=PAPER_MODELS)
+        engine.handle_l2cap(echo_request(b"probe"))
+        engine.handle_l2cap(
+            L2capPacket(CommandCode.INFORMATION_REQ, 2, {"info_type": 2})
+        )
+        assert built == []
+        open_channel(engine)
+        assert built == [CommandCode.CONNECTION_REQ]
+
+    @pytest.mark.parametrize("order", ["rtkit-first", "bluedroid-first"])
+    def test_shared_code_fires_in_registration_order(self, order):
+        models = (RTKIT_PSM_SHUTDOWN, BLUEDROID_CREATE_CHANNEL_DOS)
+        if order == "bluedroid-first":
+            models = models[::-1]
+        engine = make_engine(vulnerabilities=models)
+        open_channel(engine)  # a live WAIT_CONFIG channel
+        packet = create_channel_request(psm=0x0301, scid=0x0044, cont_id=7)
+        packet.garbage = b"\x00"
+        for model in models:
+            assert model.check(
+                _context(packet, live_states=frozenset({ChannelState.WAIT_CONFIG}))
+            )
+        with pytest.raises(TargetCrashedError):
+            engine.handle_l2cap(packet)
+        assert engine.crash.vulnerability_id == models[0].vulnerability_id
+
+    def test_rearm_rebuilds_the_index(self):
+        model, seen = self._recorder(frozenset({CommandCode.ECHO_REQ}))
+        engine = make_engine(vulnerabilities=(), armed=True)
+        engine.handle_l2cap(echo_request(b"probe"))
+        engine.vulnerabilities = (model,)
+        engine.handle_l2cap(echo_request(b"probe"))
+        engine.armed = False
+        engine.handle_l2cap(echo_request(b"probe"))
+        assert seen == [CommandCode.ECHO_REQ]
