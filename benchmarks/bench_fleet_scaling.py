@@ -98,14 +98,17 @@ def _measure_supervision_overhead(budget: int) -> tuple[float, float]:
         armed=False,
     )
     with orchestrator:
-        orchestrator.run()  # warm the pool and prime the worker contexts
+        orchestrator.run()  # warm the pool
         runtime = orchestrator._ensure_runtime()
+        context = orchestrator._build_context()
         shard_specs = iter_shard_specs(orchestrator.specs())
         timings: dict[bool, list[float]] = {True: [], False: []}
         for _ in range(3):
             for supervised in (False, True):
                 started = time.perf_counter()
-                runtime.run_specs(shard_specs, supervised=supervised)
+                runtime.run_specs(
+                    shard_specs, supervised=supervised, context=context
+                )
                 timings[supervised].append(time.perf_counter() - started)
     return statistics.median(timings[True]), statistics.median(timings[False])
 

@@ -100,7 +100,7 @@ from repro.analysis.traceio import save_trace
 from repro.core.config import FuzzConfig
 from repro.core.fleet import FleetOrchestrator
 from repro.core.packet_queue import PacketQueue
-from repro.core.runtime import CHECKPOINTS_DIRNAME, SupervisionPolicy
+from repro.core.runtime import CHECKPOINTS_DIRNAME, SHARD_TIMEOUT, TIMEOUT_FACTOR
 from repro.core.strategies import STRATEGY_NAMES, make_strategy
 from repro.core.target_scanning import TargetScanner
 from repro.errors import LegacyCorpusError
@@ -263,14 +263,9 @@ def cmd_fleet(args) -> int:
     shard_timeout = args.shard_timeout
     if shard_timeout is not None and shard_timeout <= 0:
         raise SystemExit("--shard-timeout must be > 0")
-    if shard_timeout is None and "hang" in chaos_kinds:
+    if shard_timeout is None:
         # A hang demo should trip the deadline in seconds, not minutes.
-        shard_timeout = 5.0
-    supervision = (
-        SupervisionPolicy(timeout_floor=shard_timeout)
-        if shard_timeout is not None
-        else None
-    )
+        shard_timeout = 5.0 if "hang" in chaos_kinds else SHARD_TIMEOUT
     chaos_ledger = None
     fault_plan = None
     if chaos_kinds:
@@ -282,7 +277,7 @@ def cmd_fleet(args) -> int:
             spec_count=len(profiles) * len(strategies) * len(targets),
             kinds=chaos_kinds,
             ledger_dir=chaos_ledger,
-            hang_seconds=(shard_timeout * 4) if shard_timeout else 30.0,
+            hang_seconds=shard_timeout * 4,
         )
     try:
         orchestrator = FleetOrchestrator(
@@ -300,7 +295,7 @@ def cmd_fleet(args) -> int:
             profile_workers=args.profile,
             fault_plan=fault_plan,
             resume_run_id=args.resume,
-            supervision=supervision,
+            shard_timeout=shard_timeout,
         )
     except ValueError as error:
         raise SystemExit(str(error)) from None
@@ -622,15 +617,11 @@ def cmd_runs_tail(args) -> int:
 
 def cmd_serve(args) -> int:
     """Run the fuzzing-as-a-service control plane (blocking)."""
-    from repro.core.runtime import SupervisionPolicy
     from repro.faults import install_service_faults_from_env
     from repro.service import ControlPlane, ServiceConfig
 
-    supervision = None
-    if args.shard_deadline is not None:
-        if args.shard_deadline <= 0:
-            raise SystemExit("--shard-deadline must be > 0")
-        supervision = SupervisionPolicy(timeout_floor=args.shard_deadline)
+    if args.shard_deadline <= 0:
+        raise SystemExit("--shard-deadline must be > 0")
     install_service_faults_from_env()  # chaos harnesses only; no-op otherwise
     config = ServiceConfig(
         data_dir=args.data_dir,
@@ -639,7 +630,7 @@ def cmd_serve(args) -> int:
         pool_workers=args.workers,
         max_active_jobs=args.max_active_jobs,
         packet_budget=args.packet_budget,
-        supervision=supervision,
+        shard_timeout=args.shard_deadline,
         max_queue_depth=args.max_queue_depth,
         wedge_deadline=args.wedge_deadline,
         auto_resume=args.auto_resume,
@@ -943,8 +934,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-shard deadline floor before the supervisor restarts "
-        "the worker pool (default: derived from observed shard latency; "
-        "5s when --chaos includes hang)",
+        f"the worker pool; the deadline is max(floor, {TIMEOUT_FACTOR:g} x "
+        "median campaign time x shard size) (default: "
+        f"{SHARD_TIMEOUT:g}s; 5s when --chaos includes hang)",
     )
     fleet.set_defaults(func=cmd_fleet)
 
@@ -1082,10 +1074,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--shard-deadline",
         type=float,
-        default=None,
+        default=SHARD_TIMEOUT,
         metavar="SECONDS",
         help="per-shard deadline floor before the supervisor restarts "
-        "the worker pool (default: derived from observed shard latency)",
+        f"the worker pool; the deadline is max(floor, {TIMEOUT_FACTOR:g} x "
+        "median campaign time x shard size) (default: %(default)gs)",
     )
     serve.add_argument(
         "--max-queue-depth",

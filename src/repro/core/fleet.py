@@ -15,8 +15,8 @@ the fleet seed and the campaign's index with SHA-256, so
 * campaigns never share a seed, no matter how large the fleet.
 
 Campaigns are dispatched onto the persistent batched runtime of
-:mod:`repro.core.runtime`: long-lived worker processes initialise the
-campaign context once, consume shards of campaign coordinates, and
+:mod:`repro.core.runtime`: long-lived worker processes consume shards
+of campaign coordinates, each shipped with the fleet's context, and
 stream back compact binary summaries the merge works from directly
 (full reports are only reconstructed when export asks). Because every
 campaign owns its simulated clock, results are independent of worker
@@ -49,10 +49,10 @@ from pathlib import Path
 from repro.core.config import FuzzConfig
 from repro.core.report import CampaignReport, format_elapsed
 from repro.core.runtime import (
+    SHARD_TIMEOUT,
     CampaignSummary,
     FleetContext,
     FleetRuntime,
-    SupervisionPolicy,
     SupervisionStats,
     iter_shard_specs,
     load_checkpoints,
@@ -571,19 +571,16 @@ class FleetOrchestrator:
         dispatched, and the merged report is byte-identical to the
         uninterrupted run (requires *telemetry_dir*; the fleet must
         match the original run's recorded signature).
-    :param supervision: :class:`~repro.core.runtime.SupervisionPolicy`
-        override for the runtime's retry/timeout/backoff knobs; None
-        takes the defaults.
+    :param shard_timeout: per-shard deadline floor in seconds for the
+        runtime this fleet builds.
     :param runtime: attach to an externally owned, already-warm
         :class:`~repro.core.runtime.FleetRuntime` instead of building a
         private one — the control plane's path, where one shared pool
-        serves every job. The fleet's context ships with each dispatch
-        call (so the pool's initialised context is irrelevant), the
-        orchestrator never closes the runtime, and its supervision
-        policy governs (*supervision* here is ignored). *workers* must
-        match the runtime's pool size (``workers`` is recorded in the
-        merged report, so a job must be attributed to the pool that
-        actually ran it).
+        serves every job. The orchestrator never closes the runtime,
+        and the runtime's own *shard_timeout* governs (the one here is
+        ignored). *workers* must match the runtime's pool size
+        (``workers`` is recorded in the merged report, so a job must be
+        attributed to the pool that actually ran it).
     :param abort_check: polled between dispatch steps; when it returns
         True the run raises
         :class:`~repro.core.runtime.AbortRequested` after recording the
@@ -610,7 +607,7 @@ class FleetOrchestrator:
         profile_workers: bool = False,
         fault_plan: FaultPlan | None = None,
         resume_run_id: str | None = None,
-        supervision: SupervisionPolicy | None = None,
+        shard_timeout: float = SHARD_TIMEOUT,
         runtime: FleetRuntime | None = None,
         abort_check: Callable[[], bool] | None = None,
     ) -> None:
@@ -664,7 +661,7 @@ class FleetOrchestrator:
         self.profile_workers = profile_workers
         self.fault_plan = fault_plan
         self.resume_run_id = resume_run_id
-        self.supervision = supervision
+        self.shard_timeout = shard_timeout
         #: Supervision stats from the most recent :meth:`run` (None
         #: before any run).
         self.last_supervision: SupervisionStats | None = None
@@ -704,22 +701,6 @@ class FleetOrchestrator:
     # -- runtime lifecycle ----------------------------------------------------------
 
     @property
-    def runtime(self) -> FleetRuntime:
-        """The persistent execution runtime (created on first use).
-
-        Persistence follows usage: inside a ``with`` block (or after
-        any explicit :attr:`runtime` access), repeated :meth:`run`
-        calls reuse the same initialised worker processes instead of
-        rebuilding a pool (and re-shipping the campaign context) per
-        run, until :meth:`close`. A bare ``orchestrator.run()`` still
-        cleans its pool up before returning, like the original per-run
-        executors did — no leaked worker processes for one-shot
-        callers.
-        """
-        self._keep_runtime = True
-        return self._ensure_runtime()
-
-    @property
     def run_id(self) -> str | None:
         """The telemetry run identifier (None without telemetry)."""
         return self._recorder.run_id if self._recorder is not None else None
@@ -752,12 +733,8 @@ class FleetOrchestrator:
         if self._external_runtime is not None:
             return self._external_runtime
         if self._runtime is None:
-            recorder = self._recorder
             self._runtime = FleetRuntime(
-                context=self._build_context(),
-                workers=self.workers,
-                policy=self.supervision,
-                on_event=recorder.emit if recorder is not None else None,
+                workers=self.workers, shard_timeout=self.shard_timeout
             )
         return self._runtime
 
@@ -777,6 +754,8 @@ class FleetOrchestrator:
             self._recorder.close()
 
     def __enter__(self) -> "FleetOrchestrator":
+        """Keep one warm pool across :meth:`run` calls until :meth:`close`
+        (a bare ``run()`` closes its pool before returning)."""
         self._keep_runtime = True
         return self
 
@@ -825,22 +804,13 @@ class FleetOrchestrator:
             )
             missing = [spec for spec in specs if spec.index not in by_index]
             runtime = self._ensure_runtime()
-            dispatch_kwargs: dict = {}
-            if self.abort_check is not None:
-                dispatch_kwargs["should_abort"] = self.abort_check
-            if self._external_runtime is not None:
-                # A shared pool was initialised with someone else's
-                # context: ship this fleet's own with every shard, and
-                # route supervision events to this run's journal for
-                # the duration of the call.
-                dispatch_kwargs["context"] = self._build_context()
-                if recorder is not None:
-                    dispatch_kwargs["on_event"] = recorder.emit
             try:
                 summaries = runtime.run_specs(
                     iter_shard_specs(missing),
                     batch=self.batch,
-                    **dispatch_kwargs,
+                    context=self._build_context(),
+                    on_event=recorder.emit if recorder is not None else None,
+                    should_abort=self.abort_check,
                 )
             finally:
                 self.last_supervision = runtime.last_supervision

@@ -9,9 +9,11 @@ throughput-per-dongle argument (Table 7) wants the simulated fleet to
 demonstrate:
 
 * **Persistent workers** — worker processes are started once per
-  runtime and initialise their campaign context (config template,
-  corpus visit prior, mutation dictionary) exactly once, via the pool
-  initializer. Task messages shrink to bare campaign coordinates.
+  runtime and stay warm across :meth:`FleetRuntime.run_specs` calls.
+  Every shard message carries its :class:`FleetContext` (config
+  template, corpus visit prior, mutation dictionary) next to the bare
+  campaign coordinates, so one pool serves fleets with different
+  contexts.
 * **Batched shards** — campaigns ship to workers in shards of
   :data:`~FleetRuntime.batch` specs per message, amortising the
   executor round trip; a shard's campaigns run back to back on one
@@ -43,18 +45,20 @@ against.)
 
 **Supervision** (the multi-worker default) dispatches shards as
 individual futures instead of one ``pool.map``: each in-flight shard
-carries a deadline derived from observed shard latency, worker death
-(``BrokenProcessPool``) and hangs restart the pool and requeue the lost
-shards with capped exponential backoff, and a shard that keeps failing
-is bisected until the single poison campaign is isolated, confirmed by
-a solo re-run, and quarantined — reported as a diagnostic in the fleet
-report rather than aborting the run. Because campaigns are pure
-functions of their seeds and merges are associative, none of this
-perturbs results: a run that weathered crashes, hangs and requeues
-merges to the byte-identical report of a fault-free run (pinned by the
-fault-tolerance tests). Completed shards checkpoint their summary blobs
-into the telemetry run directory, so an interrupted run can be resumed
-re-running only the missing shards.
+carries a deadline of ``max(shard_timeout, TIMEOUT_FACTOR × median
+campaign latency × shard size)`` (only ``shard_timeout`` until the
+first shard completes; the retry and polling values are module
+constants), worker death (``BrokenProcessPool``) and hangs restart the
+pool and requeue the lost shards with capped exponential backoff, and a
+shard that keeps failing is bisected until the single poison campaign
+is isolated, confirmed by a solo re-run, and quarantined — reported as
+a diagnostic in the fleet report rather than aborting the run. Because
+campaigns are pure functions of their seeds and merges are associative,
+none of this perturbs results: a run that weathered crashes, hangs and
+requeues merges to the byte-identical report of a fault-free run
+(pinned by the fault-tolerance tests). Completed shards checkpoint
+their summary blobs into the telemetry run directory, so an interrupted
+run can be resumed re-running only the missing shards.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
+from functools import partial
 from pathlib import Path
 from statistics import median
 
@@ -365,11 +370,10 @@ def decode_summary(blob: bytes) -> CampaignSummary:
 
 @dataclasses.dataclass(frozen=True)
 class FleetContext:
-    """Everything a worker initialises once, shipped at pool start-up.
+    """Everything a worker needs besides the campaign coordinates.
 
-    Task messages afterwards carry only campaign coordinates (a few
-    dozen bytes per campaign), not this context — the per-task pickling
-    the old per-run pools paid.
+    Shipped with every shard message, so the pool's workers hold no
+    campaign state of their own and one warm pool runs any context.
     """
 
     base_config: FuzzConfig
@@ -395,31 +399,6 @@ class FleetContext:
 
 #: Bare campaign coordinates: (index, device_id, strategy, seed, target).
 ShardSpec = tuple[int, str, str, int, str]
-
-#: Per-process campaign context, set once by the pool initializer.
-_WORKER_CONTEXT: FleetContext | None = None
-
-
-def _worker_init(context: FleetContext) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-
-
-def _run_shard(
-    shard: Sequence[ShardSpec], context: FleetContext | None = None
-) -> list[bytes]:
-    """Process-pool task: run one shard against the initialised context.
-
-    *context*, when given, overrides the pool-initialised context for
-    this task only — the control plane ships each job's context with
-    its shards so one warm pool serves jobs with different configs,
-    corpus namespaces and telemetry run directories.
-    """
-    return run_shard(
-        context if context is not None else _WORKER_CONTEXT,
-        shard,
-        in_process_worker=True,
-    )
 
 
 def _open_shard_journal(context: FleetContext, shard: Sequence[ShardSpec]):
@@ -701,36 +680,28 @@ def load_checkpoints(run_dir: Path) -> dict[int, CampaignSummary]:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class SupervisionPolicy:
-    """Knobs for the supervised dispatch loop.
+#: Failures a shard absorbs before it is bisected (multi-campaign
+#: shards) or escalated to a solo-confirmation run (singletons).
+MAX_ATTEMPTS = 3
+#: First-retry delay, doubling per attempt up to :data:`BACKOFF_CAP`.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+#: Deadline multiplier over the observed median per-campaign latency
+#: (generous on purpose: it must absorb queue wait behind the in-flight
+#: cap and honest stragglers; only a wedged worker should trip it).
+TIMEOUT_FACTOR = 8.0
+#: How often the supervisor wakes to scan deadlines while futures are
+#: outstanding.
+POLL_INTERVAL = 0.05
+#: Default per-shard deadline floor, in seconds — also the whole
+#: deadline until the first shard completes and calibrates the latency
+#: estimate.
+SHARD_TIMEOUT = 60.0
 
-    :param max_attempts: failures a shard absorbs before it is bisected
-        (multi-campaign shards) or escalated to a solo-confirmation run
-        (singletons).
-    :param backoff_base: first-retry delay; doubles per attempt.
-    :param backoff_cap: ceiling on the retry delay.
-    :param timeout_floor: minimum per-shard deadline — also the whole
-        deadline until the first shard completes and calibrates the
-        latency estimate.
-    :param timeout_factor: deadline multiplier over the observed median
-        per-campaign latency (generous on purpose: it must absorb queue
-        wait behind the in-flight cap and honest stragglers; only a
-        genuinely wedged worker should trip it).
-    :param poll_interval: how often the supervisor wakes to scan
-        deadlines while futures are outstanding.
-    """
 
-    max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    timeout_floor: float = 60.0
-    timeout_factor: float = 8.0
-    poll_interval: float = 0.05
-
-    def backoff(self, attempts: int) -> float:
-        """Capped exponential delay before attempt *attempts* + 1."""
-        return backoff_delay(attempts - 1, self.backoff_base, self.backoff_cap)
+def retry_backoff(attempts: int) -> float:
+    """Capped exponential delay before attempt *attempts* + 1."""
+    return backoff_delay(attempts - 1, BACKOFF_BASE, BACKOFF_CAP)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -790,10 +761,9 @@ class _ShardJob:
 class FleetRuntime:
     """A persistent, supervised pool of campaign workers.
 
-    Created once per fleet context and reused across any number of
-    :meth:`run_specs` calls — the pool (and each worker's initialised
-    context) survives between runs, so repeated fleets pay the process
-    start-up and context shipping cost once.
+    Reused across any number of :meth:`run_specs` calls — the pool
+    survives between runs, so repeated fleets pay the process start-up
+    cost once, whatever context each call runs.
 
     Multi-worker dispatch is supervised by default: per-shard deadlines,
     pool restart on worker death or hang, capped-backoff requeue, and
@@ -801,31 +771,28 @@ class FleetRuntime:
     docstring). The runtime stays usable after any recovery — including
     after :meth:`close` — because the pool is rebuilt on demand.
 
-    :param context: the per-worker campaign context.
+    :param context: the campaign context of a :meth:`run_specs` call
+        that passes none.
     :param workers: pool size. One worker runs every shard inline, in
         the calling process; more dispatch over a process pool.
-    :param policy: supervision knobs; None takes the defaults.
-    :param on_event: optional callable ``(event, **fields)`` receiving
-        supervision events (``worker_crash``, ``shard_retry``,
-        ``shard_timeout``, ``shard_quarantined``) — the orchestrator
-        wires the telemetry journal in here.
+    :param shard_timeout: per-shard deadline floor in seconds.
     """
 
     def __init__(
         self,
-        context: FleetContext,
-        workers: int,
-        policy: SupervisionPolicy | None = None,
-        on_event: Callable | None = None,
+        context: FleetContext | None = None,
+        workers: int = 1,
+        shard_timeout: float = SHARD_TIMEOUT,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.context = context
         self.workers = workers
-        self.policy = policy if policy is not None else SupervisionPolicy()
-        self.on_event = on_event
+        self.shard_timeout = shard_timeout
         #: Stats from the most recent :meth:`run_specs` call.
         self.last_supervision: SupervisionStats | None = None
+        #: Supervision-event sink of the :meth:`run_specs` call in progress.
+        self._on_event: Callable | None = None
         self._pool = None
         # Dispatch is exclusive: the supervision loop owns the pool
         # (deadlines, restarts). Concurrent run_specs callers — service
@@ -838,11 +805,7 @@ class FleetRuntime:
     def _ensure_pool(self):
         if self._pool is None:
             _log.debug("starting process pool with %d worker(s)", self.workers)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_worker_init,
-                initargs=(self.context,),
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def _restart_pool(self, stats: SupervisionStats | None = None) -> None:
@@ -902,19 +865,31 @@ class FleetRuntime:
         :param supervised: False bypasses the supervision loop for bare
             ``pool.map`` dispatch — no deadlines, no retry, first
             failure propagates. Kept for overhead benchmarking.
-        :param context: per-call context override, shipped with every
-            shard message instead of relying on the pool-initialised
-            context. This is how the control plane runs many jobs —
-            each with its own config, corpus namespace and telemetry
-            run — on one warm pool. None uses the initialised context.
-        :param on_event: per-call supervision-event sink, restored to
-            the constructor-time sink when the call returns.
-        :param should_abort: polled between dispatch steps; when it
-            returns True the call raises :class:`AbortRequested` —
-            pending shards are dropped undispatched, in-flight shards
-            finish on their workers (and still checkpoint), and the
-            pool stays warm for the next call.
+        :param context: the campaign context, shipped with every shard
+            message — how the control plane runs many jobs, each with
+            its own config, corpus namespace and telemetry run, on one
+            warm pool. None uses the constructor's context.
+        :param on_event: optional callable ``(event, **fields)``
+            receiving this call's supervision events (``worker_crash``,
+            ``shard_retry``, ``shard_timeout``, ``shard_quarantined``,
+            ``dispatch_abort``) — the orchestrator wires the telemetry
+            journal in here.
+        :param should_abort: polled before each shard is dispatched;
+            when it returns True the call raises
+            :class:`AbortRequested` — pending shards are dropped
+            undispatched, in-flight shards finish on their workers (and
+            still checkpoint), and the pool stays warm for the next
+            call.
+        :raises ValueError: when neither this call nor the constructor
+            gives a context.
         """
+        if context is None:
+            context = self.context
+        if context is None:
+            raise ValueError(
+                "run_specs needs a context: pass one or construct the "
+                "runtime with a default"
+            )
         if not specs:
             self.last_supervision = SupervisionStats()
             return []
@@ -933,44 +908,37 @@ class FleetRuntime:
             batch,
         )
         with self._dispatch_lock:
-            saved_on_event = self.on_event
-            if on_event is not None:
-                self.on_event = on_event
+            self._on_event = on_event
             try:
                 return self._dispatch(
                     specs, shards, supervised, context, should_abort
                 )
             finally:
-                self.on_event = saved_on_event
+                self._on_event = None
 
     def _dispatch(
         self,
         specs: Sequence[ShardSpec],
         shards: list[tuple[ShardSpec, ...]],
         supervised: bool,
-        context: FleetContext | None,
+        context: FleetContext,
         should_abort: Callable[[], bool] | None,
     ) -> list["CampaignSummary | None"]:
         stats = SupervisionStats()
         self.last_supervision = stats
-        active = context if context is not None else self.context
         if self.workers == 1:
             # Inline: no pool, no serialisation tax, same code path the
             # workers run (summaries included) for identical results.
             # Nothing to supervise — a failure propagates to the caller.
             blobs: list[bytes] = []
-            for shard in shards:
-                self._check_abort(should_abort, pending=len(shards))
-                blobs.extend(run_shard(active, shard))
+            for done, shard in enumerate(shards):
+                self._check_abort(should_abort, pending=len(shards) - done)
+                blobs.extend(run_shard(context, shard))
             return [decode_summary(blob) for blob in blobs]
         if not supervised:
-            pool = self._ensure_pool()
-            if context is not None:
-                shard_results = pool.map(
-                    _run_shard, shards, [active] * len(shards)
-                )
-            else:
-                shard_results = pool.map(_run_shard, shards)
+            shard_results = self._ensure_pool().map(
+                partial(run_shard, context, in_process_worker=True), shards
+            )
             return [
                 decode_summary(blob)
                 for shard_blobs in shard_results
@@ -991,18 +959,14 @@ class FleetRuntime:
             )
 
     def shard_size(self, spec_count: int) -> int:
-        """Auto batch size: ~4 shards per worker, at least 1 campaign."""
-        if self.workers == 1:
-            return max(1, spec_count)
-        return max(1, spec_count // (self.workers * 4) or 1)
+        """Auto batch size: ~4 shards per worker, at least 1 campaign.
+
+        One worker gets several shards too, so an abort check runs
+        between them and each finished shard leaves its checkpoints.
+        """
+        return max(1, spec_count // (self.workers * 4))
 
     # -- supervised dispatch -------------------------------------------------------
-
-    def _submit(self, job: _ShardJob, context: FleetContext | None = None):
-        pool = self._ensure_pool()
-        if context is not None:
-            return pool.submit(_run_shard, job.shard, context)
-        return pool.submit(_run_shard, job.shard)
 
     def _emit(self, event: str, **fields) -> None:
         _log.info(
@@ -1010,14 +974,14 @@ class FleetRuntime:
             event,
             " ".join(f"{key}={value}" for key, value in fields.items()),
         )
-        if self.on_event is not None:
-            self.on_event(event, **fields)
+        if self._on_event is not None:
+            self._on_event(event, **fields)
 
     def _run_supervised(
         self,
         shards: list[tuple[ShardSpec, ...]],
         stats: SupervisionStats,
-        context: FleetContext | None = None,
+        context: FleetContext,
         should_abort: Callable[[], bool] | None = None,
     ) -> dict[int, CampaignSummary]:
         """Dispatch *shards* as individual futures under supervision.
@@ -1035,11 +999,10 @@ class FleetRuntime:
           attempt count, requeue innocent in-flight shards unbumped;
         * **deadline blown** — same as a break, for hangs.
 
-        A shard that exhausts ``max_attempts`` is bisected; a singleton
+        A shard that exhausts :data:`MAX_ATTEMPTS` is bisected; a singleton
         is re-run with the pool to itself (``require_solo``) and only
         quarantined if it fails *alone* — otherwise it is exonerated.
         """
-        policy = self.policy
         pending: list[_ShardJob] = [_ShardJob(shard) for shard in shards]
         in_flight: dict = {}
         results: dict[int, CampaignSummary] = {}
@@ -1049,10 +1012,10 @@ class FleetRuntime:
 
         def deadline_budget(shard_len: int) -> float:
             if not latencies:
-                return policy.timeout_floor
+                return self.shard_timeout
             return max(
-                policy.timeout_floor,
-                policy.timeout_factor * median(latencies) * shard_len,
+                self.shard_timeout,
+                TIMEOUT_FACTOR * median(latencies) * shard_len,
             )
 
         def record_success(job: _ShardJob, blobs, wall: float) -> None:
@@ -1095,7 +1058,7 @@ class FleetRuntime:
                 # campaign is the poison, not a crashed neighbour.
                 quarantine(job, reason)
                 return
-            if job.attempts >= policy.max_attempts and len(job.shard) > 1:
+            if job.attempts >= MAX_ATTEMPTS and len(job.shard) > 1:
                 # Bisect: halve the blast radius each round until the
                 # poison campaign stands alone.
                 stats.bisections += 1
@@ -1104,8 +1067,8 @@ class FleetRuntime:
                 pending.append(_ShardJob(job.shard[mid:], not_before=now))
                 return
             # A singleton out of attempts gets one solo confirmation run.
-            job.require_solo = job.attempts >= policy.max_attempts
-            job.not_before = now + policy.backoff(job.attempts)
+            job.require_solo = job.attempts >= MAX_ATTEMPTS
+            job.not_before = now + retry_backoff(job.attempts)
             pending.append(job)
 
         def requeue_victims(jobs, now: float) -> None:
@@ -1141,24 +1104,21 @@ class FleetRuntime:
                     # run's verdict is attributable.
                     break
                 job = pending.pop(index)
-                future = self._submit(job, context)
+                future = self._ensure_pool().submit(
+                    run_shard, context, job.shard, True
+                )
                 in_flight[future] = (job, time.monotonic())
                 if job.require_solo:
                     solo_active = True
             if not in_flight:
                 wake = min(job.not_before for job in pending)
                 time.sleep(
-                    max(
-                        0.001,
-                        min(
-                            policy.poll_interval, wake - time.monotonic()
-                        ),
-                    )
+                    max(0.001, min(POLL_INTERVAL, wake - time.monotonic()))
                 )
                 continue
             done, _ = wait(
                 tuple(in_flight),
-                timeout=policy.poll_interval,
+                timeout=POLL_INTERVAL,
                 return_when=FIRST_COMPLETED,
             )
             now = time.monotonic()

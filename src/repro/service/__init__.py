@@ -10,9 +10,9 @@ Three pieces, mirroring the classic routers/services/workers split:
   manifest per job, recoverable across service restarts.
 * :mod:`repro.service.scheduler` — FIFO-within-priority scheduling of
   jobs onto **one shared warm** :class:`~repro.core.runtime.FleetRuntime`
-  worker pool, with per-tenant quotas
-  (:mod:`repro.service.tenants`), cancel via the runtime's abort hook
-  and resume via PR 8's checkpoint machinery.
+  worker pool (each job's context travels with its shards), with
+  per-tenant quotas (:mod:`repro.service.tenants`), cancel via the
+  runtime's abort hook and resume via the shard checkpoints.
 * :mod:`repro.service.app` / :mod:`repro.service.http` /
   :mod:`repro.service.router` — the asyncio HTTP server: submit /
   list / get / cancel / resume jobs, stream journal events (chunked),

@@ -41,7 +41,7 @@ import signal
 import threading
 from pathlib import Path
 
-from repro.core.runtime import SupervisionPolicy
+from repro.core.runtime import SHARD_TIMEOUT
 from repro.corpus.backend import NAMESPACE_RE
 from repro.corpus.entry import entry_to_dict
 from repro.corpus.findings import record_to_dict
@@ -98,7 +98,8 @@ class ServiceConfig:
     max_active_jobs: int | None = None
     packet_budget: int | None = None
     stream_interval: float = 0.25
-    supervision: SupervisionPolicy | None = None
+    #: Per-shard deadline floor in seconds (``--shard-deadline``).
+    shard_timeout: float = SHARD_TIMEOUT
     #: Global bounded admission queue; a full queue answers 503 with
     #: ``Retry-After``. None removes the bound.
     max_queue_depth: int | None = 256
@@ -133,7 +134,7 @@ class ControlPlane:
             self.registry,
             self.tenants,
             pool_workers=config.pool_workers,
-            supervision=config.supervision,
+            shard_timeout=config.shard_timeout,
             queue_depth=config.max_queue_depth,
             auto_resume=config.auto_resume,
             auto_resume_max_attempts=config.auto_resume_max_attempts,

@@ -1,13 +1,11 @@
 """Job scheduler: FIFO-within-priority onto one shared warm pool.
 
 The scheduler owns the only :class:`~repro.core.runtime.FleetRuntime`
-in the service. Worker processes are started once (initialised with an
-inert bootstrap context) and stay warm across jobs; each job's real
-:class:`~repro.core.runtime.FleetContext` — its config, corpus
-namespace, telemetry run — ships with its shard messages via the
-runtime's per-call context override. Jobs therefore pay zero pool
-start-up after the first, which is the entire point of fronting the
-runtime with a service.
+in the service. Worker processes are started once and stay warm across
+jobs; each job's :class:`~repro.core.runtime.FleetContext` — its
+config, corpus namespace, telemetry run — ships with its shard
+messages. Jobs therefore pay zero pool start-up after the first, which
+is the entire point of fronting the runtime with a service.
 
 Dispatch is a single thread draining a priority heap ordered by
 ``(priority, submission sequence)`` — strict FIFO within a priority
@@ -58,12 +56,7 @@ import time
 
 from repro.core.config import FuzzConfig
 from repro.core.fleet import FleetOrchestrator
-from repro.core.runtime import (
-    AbortRequested,
-    FleetContext,
-    FleetRuntime,
-    SupervisionPolicy,
-)
+from repro.core.runtime import SHARD_TIMEOUT, AbortRequested, FleetRuntime
 from repro.durability import backoff_delay
 from repro.errors import JournalWriteError
 from repro.faults import service_fault
@@ -83,24 +76,6 @@ from repro.telemetry import MetricsRegistry
 _log = logging.getLogger(__name__)
 
 
-def _bootstrap_context() -> FleetContext:
-    """The inert context the shared pool's workers initialise with.
-
-    Never used to run anything — every job overrides it per call — but
-    the pool initializer needs *a* context, and making it obviously
-    harmless (disarmed, one packet) beats making it somebody's job.
-    """
-    return FleetContext(
-        base_config=FuzzConfig(max_packets=1),
-        armed=False,
-        target_state_value=ChannelState.OPEN.value,
-        corpus_dir=None,
-        retain_trace=False,
-        prior_visits=(),
-        dictionary=(),
-    )
-
-
 class JobScheduler:
     """Priority queue + dispatcher thread + shared warm runtime."""
 
@@ -109,7 +84,7 @@ class JobScheduler:
         registry: SessionRegistry,
         tenants: TenantManager,
         pool_workers: int = 2,
-        supervision: SupervisionPolicy | None = None,
+        shard_timeout: float = SHARD_TIMEOUT,
         queue_depth: int | None = None,
         auto_resume: bool = False,
         auto_resume_max_attempts: int = 3,
@@ -123,7 +98,7 @@ class JobScheduler:
         self.registry = registry
         self.tenants = tenants
         self.pool_workers = pool_workers
-        self.supervision = supervision
+        self.shard_timeout = shard_timeout
         self.queue_depth = queue_depth
         self.auto_resume = auto_resume
         self.auto_resume_max_attempts = auto_resume_max_attempts
@@ -246,9 +221,7 @@ class JobScheduler:
     def _ensure_runtime(self) -> FleetRuntime:
         if self._runtime is None:
             self._runtime = FleetRuntime(
-                context=_bootstrap_context(),
-                workers=self.pool_workers,
-                policy=self.supervision,
+                workers=self.pool_workers, shard_timeout=self.shard_timeout
             )
         return self._runtime
 

@@ -14,7 +14,7 @@ import sqlite3
 
 import pytest
 
-from repro.core.runtime import SupervisionPolicy
+from repro.core.runtime import retry_backoff
 from repro.corpus import sqlite_backend
 from repro.durability import backoff_delay
 from repro.service import client as client_module
@@ -34,8 +34,7 @@ def test_backoff_delay_is_capped_exponential():
 
 
 def test_supervision_policy_backoff():
-    policy = SupervisionPolicy()
-    assert [policy.backoff(a) for a in ATTEMPTS] == [
+    assert [retry_backoff(a) for a in ATTEMPTS] == [
         min(2.0, 0.05 * (2 ** max(0, a - 1))) for a in ATTEMPTS
     ]
 

@@ -20,10 +20,12 @@ from repro.core.config import FuzzConfig
 from repro.core.fleet import FleetOrchestrator
 from repro.core.runtime import (
     CHECKPOINTS_DIRNAME,
+    MAX_ATTEMPTS,
+    SHARD_TIMEOUT,
+    AbortRequested,
     FleetContext,
     FleetRuntime,
     SummaryDecodeError,
-    SupervisionPolicy,
     decode_summary,
     encode_summary,
     iter_shard_specs,
@@ -37,7 +39,7 @@ from repro.faults import (
     WorkerCrashError,
     seeded_plan,
 )
-from repro.telemetry import read_manifest
+from repro.telemetry import read_manifest, scan_events
 from repro.testbed.profiles import ALL_PROFILES
 
 BUDGET = 600
@@ -56,6 +58,20 @@ def _orchestrator(workers: int = 2, **kwargs) -> FleetOrchestrator:
 
 def _rendered(report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def _spy_dispatch(monkeypatch) -> list[list[int]]:
+    """Record the campaign indices of every ``run_specs`` call."""
+    dispatched = []
+    original = FleetRuntime.run_specs
+
+    def spy(self, specs, *args, **kwargs):
+        specs = tuple(specs)
+        dispatched.append([spec[0] for spec in specs])
+        return original(self, specs, *args, **kwargs)
+
+    monkeypatch.setattr(FleetRuntime, "run_specs", spy)
+    return dispatched
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +115,8 @@ class TestChaosRecovery:
                 kind="hang", site="shard.start", spec_index=0, hang_seconds=30.0
             ),
         )
-        policy = SupervisionPolicy(timeout_floor=1.5)
         with _orchestrator(
-            fault_plan=plan, supervision=policy
+            fault_plan=plan, shard_timeout=1.5
         ) as orchestrator:
             report = orchestrator.run()
         assert _rendered(report) == baseline
@@ -192,7 +207,6 @@ class TestPoisonQuarantine:
                 kind="crash", site="shard.start", spec_index=poison, times=999
             ),
         )
-        policy = SupervisionPolicy(max_attempts=2, backoff_base=0.01)
         orchestrator = FleetOrchestrator(
             profiles=ALL_PROFILES[:4],
             strategies=("sequential",),
@@ -201,14 +215,13 @@ class TestPoisonQuarantine:
             batch=4,
             base_config=FuzzConfig(max_packets=BUDGET),
             fault_plan=plan,
-            supervision=policy,
         )
         with orchestrator:
             report = orchestrator.run()
         stats = orchestrator.last_supervision
         assert stats.bisections >= 1
         assert [item.index for item in report.quarantined] == [poison]
-        assert report.quarantined[0].attempts >= policy.max_attempts
+        assert report.quarantined[0].attempts >= MAX_ATTEMPTS
         assert "crash" in report.quarantined[0].reason.lower() or "died" in (
             report.quarantined[0].reason.lower()
         )
@@ -268,15 +281,7 @@ class TestCheckpointResume:
 
         # Resume: only the missing campaign is dispatched; the merged
         # report is byte-identical to the uninterrupted run.
-        dispatched = []
-        original = FleetRuntime.run_specs
-
-        def spy(self, specs, batch=None, supervised=True):
-            specs = tuple(specs)
-            dispatched.append([spec[0] for spec in specs])
-            return original(self, specs, batch=batch, supervised=supervised)
-
-        monkeypatch.setattr(FleetRuntime, "run_specs", spy)
+        dispatched = _spy_dispatch(monkeypatch)
         resumed = FleetOrchestrator(
             **self._params(tmp_path, resume_run_id=run_id)
         )
@@ -287,6 +292,52 @@ class TestCheckpointResume:
         manifest = read_manifest(run_dir)
         assert manifest["status"] == "finished"
         assert manifest["resumed"] is True
+
+    def test_one_worker_abort_stops_between_auto_sized_shards(
+        self, tmp_path, monkeypatch
+    ):
+        """One worker with an auto batch still runs several shards, so an
+        abort lands between them, keeps the finished shard's checkpoints
+        and the resume re-runs only the rest."""
+        params = dict(
+            self._params(tmp_path),
+            batch=None,
+            strategies=("sequential", "targeted"),
+        )
+        reference = FleetOrchestrator(**dict(params, telemetry_dir=None))
+        with reference:
+            expected = _rendered(reference.run())
+
+        polls = []
+
+        def abort_on_second_poll() -> bool:
+            polls.append(1)
+            return len(polls) == 2
+
+        aborted = FleetOrchestrator(
+            **params, abort_check=abort_on_second_poll
+        )
+        run_id = aborted.run_id
+        with aborted:
+            with pytest.raises(AbortRequested, match="3 shard"):
+                aborted.run()
+        run_dir = tmp_path / "runs" / run_id
+        assert sorted(
+            path.name for path in (run_dir / CHECKPOINTS_DIRNAME).iterdir()
+        ) == ["campaign-000000.bin", "campaign-000001.bin"]
+        (abort,) = [
+            event
+            for event in scan_events(run_dir)
+            if event["event"] == "dispatch_abort"
+        ]
+        assert abort["pending"] == 3
+
+        dispatched = _spy_dispatch(monkeypatch)
+        resumed = FleetOrchestrator(**params, resume_run_id=run_id)
+        with resumed:
+            report = resumed.run()
+        assert dispatched == [[2, 3, 4, 5, 6, 7]]
+        assert _rendered(report) == expected
 
     def test_other_interpreter_checkpoint_is_rerun(
         self, tmp_path, monkeypatch
@@ -316,15 +367,7 @@ class TestCheckpointResume:
         with pytest.raises(SummaryDecodeError, match="Python 2.7"):
             decode_summary(bytes(blob))
 
-        dispatched = []
-        original = FleetRuntime.run_specs
-
-        def spy(self, specs, batch=None, supervised=True):
-            specs = tuple(specs)
-            dispatched.append([spec[0] for spec in specs])
-            return original(self, specs, batch=batch, supervised=supervised)
-
-        monkeypatch.setattr(FleetRuntime, "run_specs", spy)
+        dispatched = _spy_dispatch(monkeypatch)
         resumed = FleetOrchestrator(
             **self._params(tmp_path, resume_run_id=run_id)
         )
@@ -655,6 +698,38 @@ class TestCliFaultFlags:
 
         with pytest.raises(SystemExit, match="--workers >= 2"):
             main(["fleet", "--chaos", "crash"])
+
+    @pytest.mark.parametrize(
+        "chaos, argv, floor",
+        [
+            (["--chaos", "hang"], [], 5.0),
+            (["--chaos", "hang"], ["--shard-timeout", "2"], 2.0),
+            ([], [], SHARD_TIMEOUT),
+        ],
+    )
+    def test_shard_timeout_and_hang_demo_defaults(
+        self, tmp_path, monkeypatch, chaos, argv, floor
+    ):
+        """A hang demo trips a 5 s deadline unless --shard-timeout says
+        otherwise, and its hangs sleep four deadlines."""
+        import tempfile
+
+        from repro import cli
+
+        seen = {}
+
+        def capture(**kwargs):
+            seen.update(kwargs)
+            raise ValueError("captured")
+
+        monkeypatch.setattr(cli, "FleetOrchestrator", capture)
+        monkeypatch.setattr(tempfile, "mkdtemp", lambda prefix: str(tmp_path))
+        with pytest.raises(SystemExit, match="captured"):
+            cli.main(["fleet", "--workers", "2", *chaos, *argv])
+        assert seen["shard_timeout"] == floor
+        if chaos:
+            (hang,) = seen["fault_plan"].faults
+            assert hang.hang_seconds == 4 * floor
 
     def test_resume_requires_telemetry(self):
         from repro.cli import main

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.config import FuzzConfig
 from repro.core.fleet import FleetOrchestrator, SummaryRun
+from repro.core.runtime import FleetContext, FleetRuntime, iter_shard_specs
 from repro.testbed.profiles import ALL_PROFILES
 
 SCHEDULE_KEYS = (
@@ -102,12 +103,39 @@ class TestPersistentRuntime:
         orchestrator = _orchestrator(workers=2)
         orchestrator.run()
         assert orchestrator._runtime is None
-        # Touching .runtime explicitly opts into persistence instead.
-        persistent = _orchestrator(workers=2)
-        assert persistent.runtime is not None
-        persistent.run()
-        assert persistent._runtime is not None
-        persistent.close()
+
+    def test_one_warm_pool_runs_many_contexts(self):
+        # Every shard carries its own context, so a warm pool's workers
+        # keep nothing from the previous call: A, B, A on one pool each
+        # match a fresh inline run of that context.
+        def context(budget: int, armed: bool) -> FleetContext:
+            return FleetContext(
+                base_config=FuzzConfig(max_packets=budget),
+                armed=armed,
+                target_state_value="OPEN",
+                corpus_dir=None,
+                retain_trace=False,
+                prior_visits=(),
+                dictionary=(),
+            )
+
+        a, b = context(700, True), context(300, False)
+        specs = iter_shard_specs(_orchestrator().specs())
+        expected = {
+            key: FleetRuntime(ctx).run_specs(specs)
+            for key, ctx in (("a", a), ("b", b))
+        }
+        assert expected["a"] != expected["b"]
+        with FleetRuntime(workers=2) as runtime:
+            for key, ctx in (("a", a), ("b", b), ("a", a)):
+                assert runtime.run_specs(specs, context=ctx) == expected[key]
+
+    def test_run_without_context_is_refused_before_the_pool_starts(self):
+        runtime = FleetRuntime(workers=2)
+        specs = iter_shard_specs(_orchestrator().specs())
+        with pytest.raises(ValueError, match="needs a context"):
+            runtime.run_specs(specs)
+        assert runtime._pool is None
 
 
 class TestBatchedCorpusWriteBack:

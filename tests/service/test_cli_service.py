@@ -110,7 +110,7 @@ class TestServeCli:
         argv = ["serve", "--data-dir", str(tmp_path), "--port", "0"]
         assert main([*argv, "--shard-deadline", "120"]) == 0
         (config,) = configs
-        assert config.supervision.timeout_floor == 120.0
+        assert config.shard_timeout == 120.0
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_nonpositive_shard_deadline_rejected(self, tmp_path, value):
