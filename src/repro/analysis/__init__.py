@@ -1,38 +1,1 @@
 """Measurement substrate: trace capture, metrics, state coverage."""
-
-from repro.analysis.metrics import (
-    CumulativePoint,
-    MutationEfficiency,
-    measure,
-    mp_curve,
-    pr_curve,
-)
-# NOTE: repro.analysis.experiments is intentionally not imported here —
-# it depends on the testbed (which depends back on repro.core); import it
-# directly as `repro.analysis.experiments`.
-from repro.analysis.sniffer import Direction, PacketSniffer, TracedPacket, is_rejection
-from repro.analysis.state_coverage import (
-    StateCoverageAnalyzer,
-    coverage_report,
-    state_coverage,
-)
-from repro.analysis.traceio import dump_trace, load_trace, read_trace, save_trace
-
-__all__ = [
-    "CumulativePoint",
-    "Direction",
-    "MutationEfficiency",
-    "PacketSniffer",
-    "StateCoverageAnalyzer",
-    "TracedPacket",
-    "coverage_report",
-    "dump_trace",
-    "is_rejection",
-    "load_trace",
-    "measure",
-    "mp_curve",
-    "pr_curve",
-    "read_trace",
-    "save_trace",
-    "state_coverage",
-]

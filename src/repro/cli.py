@@ -267,39 +267,39 @@ def cmd_fleet(args) -> int:
         # A hang demo should trip the deadline in seconds, not minutes.
         shard_timeout = 5.0 if "hang" in chaos_kinds else SHARD_TIMEOUT
     chaos_ledger = None
-    fault_plan = None
-    if chaos_kinds:
-        import tempfile
+    try:
+        fault_plan = None
+        if chaos_kinds:
+            import tempfile
 
-        chaos_ledger = tempfile.mkdtemp(prefix="repro-chaos-")
-        fault_plan = seeded_plan(
-            seed=args.chaos_seed,
-            spec_count=len(profiles) * len(strategies) * len(targets),
-            kinds=chaos_kinds,
-            ledger_dir=chaos_ledger,
-            hang_seconds=shard_timeout * 4,
-        )
-    try:
-        orchestrator = FleetOrchestrator(
-            profiles=profiles,
-            strategies=strategies,
-            fleet_seed=args.seed,
-            workers=workers,
-            base_config=FuzzConfig(max_packets=args.budget),
-            armed=not args.disarm,
-            target_state=target_state,
-            corpus_dir=args.corpus,
-            targets=targets,
-            batch=args.batch,
-            telemetry_dir=args.telemetry,
-            profile_workers=args.profile,
-            fault_plan=fault_plan,
-            resume_run_id=args.resume,
-            shard_timeout=shard_timeout,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-    try:
+            chaos_ledger = tempfile.mkdtemp(prefix="repro-chaos-")
+            fault_plan = seeded_plan(
+                seed=args.chaos_seed,
+                spec_count=len(profiles) * len(strategies) * len(targets),
+                kinds=chaos_kinds,
+                ledger_dir=chaos_ledger,
+                hang_seconds=shard_timeout * 4,
+            )
+        try:
+            orchestrator = FleetOrchestrator(
+                profiles=profiles,
+                strategies=strategies,
+                fleet_seed=args.seed,
+                workers=workers,
+                base_config=FuzzConfig(max_packets=args.budget),
+                armed=not args.disarm,
+                target_state=target_state,
+                corpus_dir=args.corpus,
+                targets=targets,
+                batch=args.batch,
+                telemetry_dir=args.telemetry,
+                profile_workers=args.profile,
+                fault_plan=fault_plan,
+                resume_run_id=args.resume,
+                shard_timeout=shard_timeout,
+            )
+        except ValueError as error:
+            raise SystemExit(str(error)) from None
         try:
             with orchestrator:
                 report = orchestrator.run()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 
 
 class LogLevel(enum.Enum):
@@ -68,6 +67,8 @@ class FuzzLog:
 
     def to_jsonl(self) -> str:
         """Serialise the whole log as JSON Lines."""
+        import json
+
         return "\n".join(json.dumps(entry.as_dict()) for entry in self.entries)
 
     def __len__(self) -> int:

@@ -83,13 +83,20 @@ from functools import partial
 from pathlib import Path
 from statistics import median
 
+# Pool workers fork from the process that imports this module, so the
+# campaign path they run (FuzzSession and its imports) loads here once,
+# not again in every new worker.
 from repro.analysis.metrics import MutationEfficiency, measure
 from repro.core.config import FuzzConfig
 from repro.core.detection import Finding, VulnerabilityClass
 from repro.core.report import CampaignReport
+from repro.core.strategies import make_strategy
 from repro.durability import atomic_write, backoff_delay
 from repro.errors import ReproError
 from repro.faults import FaultPlan
+from repro.l2cap.states import ChannelState
+from repro.testbed.profiles import PROFILES_BY_ID
+from repro.testbed.session import FuzzSession
 
 _log = logging.getLogger(__name__)
 
@@ -478,11 +485,6 @@ def run_shard(
     orchestrator merges at run boundaries. Same flow as the summary
     blobs: no new IPC, no locks, nothing on the packet hot path.
     """
-    from repro.core.strategies import make_strategy
-    from repro.l2cap.states import ChannelState
-    from repro.testbed.profiles import PROFILES_BY_ID
-    from repro.testbed.session import FuzzSession
-
     fault_plan = context.fault_plan
     if fault_plan is not None:
         # Shard-boundary fault injection: planned crashes die and hangs

@@ -21,6 +21,7 @@ from repro.l2cap.packets import (
     disconnection_request,
 )
 from repro.core.packet_queue import PacketQueue
+from repro.sdp.client import SdpClient
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,8 +89,6 @@ class TargetScanner:
         self.browse = browse
 
     def _browse_over_air(self) -> Sequence:
-        from repro.sdp.client import SdpClient
-
         return SdpClient(self.queue).browse()
 
     def scan(self, our_base_cid: int = 0x0040) -> ScanResult:

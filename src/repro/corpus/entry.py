@@ -22,6 +22,7 @@ coverage), which is what ``cmin``-style minimisation selects over.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from collections.abc import Iterable
@@ -85,9 +86,9 @@ class CorpusEntry:
     armed: bool
     target: str = "l2cap"
 
-    @property
+    @functools.cached_property
     def entry_id(self) -> str:
-        """The content-hash ID (stable across serialisation)."""
+        """The content-hash ID (stable across serialisation), computed once."""
         return content_id(self.packets, self.device_id, self.armed, self.target)
 
     @property

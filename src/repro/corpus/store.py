@@ -14,8 +14,9 @@ write-back leaves the corpus untouched.
 
 from __future__ import annotations
 
+from repro.analysis.traceio import packets_to_hex
 from repro.corpus.backend import open_backend
-from repro.corpus.entry import entry_from_packets
+from repro.corpus.entry import CorpusEntry
 
 
 def record_campaign(root, profile, fuzzer, report, armed: bool = True) -> dict:
@@ -77,6 +78,10 @@ def _campaign_batch(profile, fuzzer, report, armed: bool):
 
     target_name = getattr(getattr(fuzzer, "target", None), "name", "l2cap")
     sent_entries = fuzzer.sniffer.sent()
+    # The unlock prefixes nest: hex-encode each sent packet once and
+    # slice the frames per entry.
+    longest = max((prefix_len for _, prefix_len in fuzzer.coverage_log), default=0)
+    frames = tuple(packets_to_hex(traced.packet for traced in sent_entries[:longest]))
     cumulative: set[str] = set()
     entries = []
     for tokens, prefix_len in fuzzer.coverage_log:
@@ -86,10 +91,10 @@ def _campaign_batch(profile, fuzzer, report, armed: bool):
             # entry posture): nothing to replay, nothing worth storing.
             continue
         entries.append(
-            entry_from_packets(
-                packets=[traced.packet for traced in sent_entries[:prefix_len]],
-                unlocked=tokens,
-                covered=cumulative,
+            CorpusEntry(
+                packets=frames[:prefix_len],
+                unlocked=tuple(sorted(set(tokens))),
+                covered=tuple(sorted(cumulative)),
                 device_id=profile.device_id,
                 strategy=report.strategy,
                 seed=fuzzer.config.seed,

@@ -1,6 +1,1 @@
 """HCI transport substrate: ACL framing and the virtual link."""
-
-from repro.hci.packets import AclPacket
-from repro.hci.transport import SimClock, VirtualLink
-
-__all__ = ["AclPacket", "SimClock", "VirtualLink"]

@@ -4,39 +4,3 @@ Packet codec, the 19-state channel state machine, the 7-job clustering of
 states, and the F/D/MC/MA field taxonomy that the core-field-mutating
 technique is built on.
 """
-
-from repro.l2cap.constants import (
-    CommandCode,
-    ConfigResult,
-    ConnectionResult,
-    InfoType,
-    Psm,
-    RejectReason,
-    SIGNALING_CID,
-    is_valid_psm,
-)
-from repro.l2cap.fields import FieldCategory, categorize_field
-from repro.l2cap.jobs import Job, job_of, valid_commands_for_state
-from repro.l2cap.packets import ConfigOption, L2capPacket
-from repro.l2cap.states import ChannelState
-from repro.l2cap.validation import is_malformed
-
-__all__ = [
-    "CommandCode",
-    "ConfigOption",
-    "ConfigResult",
-    "ConnectionResult",
-    "ChannelState",
-    "FieldCategory",
-    "InfoType",
-    "Job",
-    "L2capPacket",
-    "Psm",
-    "RejectReason",
-    "SIGNALING_CID",
-    "categorize_field",
-    "is_malformed",
-    "is_valid_psm",
-    "job_of",
-    "valid_commands_for_state",
-]

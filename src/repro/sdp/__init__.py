@@ -5,26 +5,3 @@ data elements, PDUs, an on-device server and a fuzzer-side client, so
 service browsing happens over the air rather than through a testbed side
 channel.
 """
-
-from repro.sdp.client import BrowsedService, SdpClient
-from repro.sdp.constants import AttributeId, ErrorCode, PduId, ProtocolUuid, ServiceClass
-from repro.sdp.data_elements import DataElement, ElementType
-from repro.sdp.pdu import SdpPdu
-from repro.sdp.records import SdpRecord, build_records
-from repro.sdp.server import SdpServer
-
-__all__ = [
-    "AttributeId",
-    "BrowsedService",
-    "DataElement",
-    "ElementType",
-    "ErrorCode",
-    "PduId",
-    "ProtocolUuid",
-    "SdpClient",
-    "SdpPdu",
-    "SdpRecord",
-    "SdpServer",
-    "ServiceClass",
-    "build_records",
-]

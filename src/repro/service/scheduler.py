@@ -71,6 +71,7 @@ from repro.service.jobs import (
 )
 from repro.service.registry import SessionRegistry
 from repro.service.tenants import TenantManager
+from repro.targets import make_target, target_names
 from repro.telemetry import MetricsRegistry
 
 _log = logging.getLogger(__name__)
@@ -220,6 +221,11 @@ class JobScheduler:
 
     def _ensure_runtime(self) -> FleetRuntime:
         if self._runtime is None:
+            # A job may name any target. Load every built-in before the
+            # pool forks, so its workers inherit them and no job pays a
+            # target's first-use import.
+            for name in target_names():
+                make_target(name)
             self._runtime = FleetRuntime(
                 workers=self.pool_workers, shard_timeout=self.shard_timeout
             )

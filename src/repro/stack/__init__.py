@@ -1,48 +1,1 @@
 """Virtual host-stack substrate: the fuzzing targets."""
-
-from repro.stack.channels import ChannelControlBlock, ChannelManager
-from repro.stack.crash import CrashKind, CrashReport, DumpKind
-from repro.stack.device import DeviceMeta, VirtualDevice
-from repro.stack.engine import HostStackEngine, StateVisit
-from repro.stack.services import ServiceDirectory, ServiceRecord, standard_services
-from repro.stack.vendors import (
-    BLUEDROID,
-    BLUEZ,
-    BTW,
-    IOS_STACK,
-    PERSONALITIES,
-    RTKIT,
-    WINDOWS_STACK,
-    VendorPersonality,
-)
-from repro.stack.vulnerabilities import (
-    KNOWN_VULNERABILITIES,
-    TriggerContext,
-    VulnerabilityModel,
-)
-
-__all__ = [
-    "BLUEDROID",
-    "BLUEZ",
-    "BTW",
-    "ChannelControlBlock",
-    "ChannelManager",
-    "CrashKind",
-    "CrashReport",
-    "DeviceMeta",
-    "DumpKind",
-    "HostStackEngine",
-    "IOS_STACK",
-    "KNOWN_VULNERABILITIES",
-    "PERSONALITIES",
-    "RTKIT",
-    "ServiceDirectory",
-    "ServiceRecord",
-    "StateVisit",
-    "TriggerContext",
-    "VendorPersonality",
-    "VirtualDevice",
-    "VulnerabilityModel",
-    "WINDOWS_STACK",
-    "standard_services",
-]

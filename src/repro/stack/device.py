@@ -32,6 +32,7 @@ from repro.hci.packets import AclPacket, encode_acl
 from repro.hci.transport import SimClock, VirtualLink
 from repro.l2cap.constants import Psm
 from repro.l2cap.packets import L2capPacket
+from repro.sdp.server import SdpServer
 from repro.stack.crash import CrashReport
 from repro.stack.engine import HostStackEngine, fork_handlers
 from repro.stack.services import ServiceDirectory, standard_services
@@ -143,8 +144,6 @@ class VirtualDevice:
         """Stand up the on-device SDP server when SDP is advertised."""
         if not self.services.supports(Psm.SDP):
             return None
-        from repro.sdp.server import SdpServer
-
         return SdpServer(self.services)
 
     # -- link glue -----------------------------------------------------------------

@@ -23,12 +23,14 @@ needs to fuzz one protocol:
 
 Targets register themselves in a module-level registry. Registration
 validates the full hook surface up front: a target missing a required
-hook fails at import/registration time, not mid-campaign.
+hook fails at import/registration time, not mid-campaign. The built-in
+targets' modules load on first use (:func:`make_target`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import struct
 from typing import Protocol, runtime_checkable
 
@@ -248,6 +250,16 @@ class TargetRegistrationError(TypeError):
     """A target was registered without its full hook surface."""
 
 
+#: Built-in target names → the module that registers each, in
+#: presentation order. A module loads on its target's first
+#: :func:`make_target`, so a campaign imports only what it fuzzes.
+_BUILTINS: dict[str, str] = {
+    "l2cap": "repro.targets.l2cap",
+    "rfcomm": "repro.targets.rfcomm",
+    "sdp": "repro.targets.sdp",
+    "obex": "repro.targets.obex",
+}
+
 _REGISTRY: dict[str, type] = {}
 
 
@@ -255,10 +267,12 @@ def register_target(target_cls: type) -> type:
     """Register *target_cls* after validating its hook surface.
 
     Usable as a class decorator. Fails fast — at registration, never
-    mid-campaign — when a required hook is missing or not callable.
+    mid-campaign — when a required hook is missing or not callable. A
+    built-in is validated when its module loads.
 
     :raises TargetRegistrationError: on a missing/malformed hook or a
-        duplicate/empty name.
+        duplicate/empty name (a built-in name is taken before its
+        module loads).
     """
     for attribute, expect_callable in REQUIRED_HOOKS:
         if not hasattr(target_cls, attribute):
@@ -277,25 +291,33 @@ def register_target(target_cls: type) -> type:
             f"fuzz target {target_cls.__name__!r} must declare a non-empty "
             "string name"
         )
-    if name in _REGISTRY and _REGISTRY[name] is not target_cls:
+    taken = _REGISTRY.get(name, target_cls) is not target_cls
+    if taken or _BUILTINS.get(name) not in (None, target_cls.__module__):
         raise TargetRegistrationError(f"fuzz target {name!r} already registered")
     _REGISTRY[name] = target_cls
     return target_cls
 
 
 def target_names() -> tuple[str, ...]:
-    """Registered target names, in registration order."""
-    return tuple(_REGISTRY)
+    """The built-in names, then registered targets in registration order.
+
+    Loads no target module.
+    """
+    return (*_BUILTINS, *(name for name in _REGISTRY if name not in _BUILTINS))
 
 
 def make_target(name: str) -> FuzzTarget:
-    """Build a target from its registry name.
+    """Build a target from its registry name, loading a built-in's module
+    on its first use.
 
     :raises ValueError: for an unknown name, listing the valid ones.
     """
     target_cls = _REGISTRY.get(name)
+    if target_cls is None and name in _BUILTINS:
+        importlib.import_module(_BUILTINS[name])
+        target_cls = _REGISTRY[name]
     if target_cls is None:
         raise ValueError(
-            f"unknown fuzz target {name!r}; choose from {', '.join(_REGISTRY)}"
+            f"unknown fuzz target {name!r}; choose from {', '.join(target_names())}"
         )
     return target_cls()

@@ -209,8 +209,9 @@ def _share_strings(events: list[dict]) -> list[dict]:
     return events
 
 
-def _segment_sort_key(event_and_name: tuple[dict, str]) -> tuple:
-    event, name = event_and_name
+def _segment_sort_key(item: tuple) -> tuple:
+    """Order ``(event, segment name, ...)`` items across writers."""
+    event, name = item[0], item[1]
     return (event.get("ts", 0.0), name, event.get("seq", 0))
 
 
@@ -230,17 +231,21 @@ def merge_segments(run_dir: str | Path) -> list[dict]:
     segments_dir = run_dir / SEGMENTS_DIRNAME
     if not segments_dir.is_dir():
         return []
-    ordered: list[tuple[dict, str]] = []
+    ordered: list[tuple[dict, str, str]] = []
     segment_paths = sorted(segments_dir.glob("*.jsonl"))
     for path in segment_paths:
-        for event in _parse_lines(path.read_text(encoding="utf-8"), str(path)):
-            ordered.append((event, path.name))
+        raw = path.read_text(encoding="utf-8")
+        # Each line is already json.dumps of its event, so it is copied,
+        # not re-encoded. The only line _parse_lines drops is a torn
+        # last one, which zip() drops from the lines too.
+        lines = [line for line in raw.split("\n") if line.strip()]
+        for event, line in zip(_parse_lines(raw, str(path)), lines):
+            ordered.append((event, path.name, line))
     ordered.sort(key=_segment_sort_key)
-    events = [event for event, _ in ordered]
+    events = [event for event, _, _ in ordered]
     if events:
         with open(run_dir / EVENTS_FILENAME, "a", encoding="utf-8") as handle:
-            for event in events:
-                handle.write(json.dumps(event) + "\n")
+            handle.write("".join(line + "\n" for _, _, line in ordered))
     for path in segment_paths:
         path.unlink()
     _log.debug(

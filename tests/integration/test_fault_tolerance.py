@@ -699,6 +699,25 @@ class TestCliFaultFlags:
         with pytest.raises(SystemExit, match="--workers >= 2"):
             main(["fleet", "--chaos", "crash"])
 
+    def test_refused_chaos_run_leaves_no_ledger(self, tmp_path, monkeypatch):
+        """A fleet the orchestrator refuses still removes its fault ledger."""
+        import tempfile
+
+        from repro.cli import main
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        with pytest.raises(SystemExit, match="no resumable run"):
+            main(
+                [
+                    "fleet", "--workers", "2", "--chaos", "corrupt",
+                    "--telemetry", str(tmp_path / "runs"),
+                    "--resume", "nosuchrun",
+                ]
+            )
+        assert list(scratch.glob("repro-chaos-*")) == []
+
     @pytest.mark.parametrize(
         "chaos, argv, floor",
         [

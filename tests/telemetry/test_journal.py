@@ -133,6 +133,55 @@ class TestMergeSegments:
         events = [e["event"] for e in read_events(run_dir / EVENTS_FILENAME)]
         assert events == ["run_start", "tick", "run_end"]
 
+    def test_merge_copies_lines_as_reencoding_would_write_them(
+        self, tmp_path, monkeypatch
+    ):
+        """Real 2-worker segments plus a torn tail merge to the bytes a
+        parse-and-``json.dumps`` merge writes."""
+        import shutil
+
+        from repro.core.config import FuzzConfig
+        from repro.core.fleet import FleetOrchestrator
+        from repro.telemetry import recorder
+        from repro.testbed.profiles import ALL_PROFILES
+
+        kept = tmp_path / "kept"
+
+        def keep_segments(run_dir):
+            shutil.copytree(run_dir / SEGMENTS_DIRNAME, kept, dirs_exist_ok=True)
+            return merge_segments(run_dir)
+
+        monkeypatch.setattr(recorder, "merge_segments", keep_segments)
+        with FleetOrchestrator(
+            profiles=ALL_PROFILES[:2],
+            strategies=["sequential"],
+            workers=2,
+            base_config=FuzzConfig(max_packets=600),
+            targets=("l2cap", "sdp"),
+            telemetry_dir=str(tmp_path / "runs"),
+        ) as orchestrator:
+            orchestrator.run()
+        segments = sorted(kept.glob("*.jsonl"))
+        assert len(segments) >= 2
+        with open(segments[0], "a", encoding="utf-8") as handle:
+            handle.write('{"event": "torn", "ts": 0.')
+        run_dir = self._run_dir(tmp_path)
+        for segment in segments:
+            shutil.copy(segment, run_dir / SEGMENTS_DIRNAME / segment.name)
+
+        merged = merge_segments(run_dir)
+        ordered = [
+            (event, segment.name)
+            for segment in segments
+            for event in read_events(segment)
+        ]
+        ordered.sort(
+            key=lambda item: (item[0]["ts"], item[1], item[0]["seq"])
+        )
+        expected = "".join(json.dumps(event) + "\n" for event, _ in ordered)
+        assert len(merged) == len(ordered) > 0
+        assert (run_dir / EVENTS_FILENAME).read_text(encoding="utf-8") == expected
+
     def test_merge_without_segments_dir_is_noop(self, tmp_path):
         assert merge_segments(tmp_path / "nowhere") == []
 
