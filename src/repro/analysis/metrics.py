@@ -91,14 +91,15 @@ class CumulativePoint:
 def mp_curve(sniffer: PacketSniffer, sample_every: int = 1000) -> list[CumulativePoint]:
     """Fig. 8 series: cumulative malformed packets vs transmitted packets.
 
-    With a retained trace any *sample_every* can be replayed; a streaming
-    sniffer (``retain_trace=False``) serves its incrementally sampled
-    series instead, which pins *sample_every* to the sniffer's own.
+    With the full trace any *sample_every* can be replayed; a sniffer
+    without it (streaming or sent capture) serves its incrementally
+    sampled series instead, which pins *sample_every* to the sniffer's
+    own.
 
     :param sample_every: emit one point per this many transmitted packets
         (the final point is always included).
     """
-    if not sniffer.retain_trace or sample_every == sniffer.sample_every:
+    if sniffer.retain_trace is not True or sample_every == sniffer.sample_every:
         # The streamed series was built at observe time from the same
         # packets in the same order; replaying the trace reproduces it
         # point for point, so serve the stream whenever the sampling
@@ -125,10 +126,10 @@ def mp_curve(sniffer: PacketSniffer, sample_every: int = 1000) -> list[Cumulativ
 def pr_curve(sniffer: PacketSniffer, sample_every: int = 1000) -> list[CumulativePoint]:
     """Fig. 9 series: cumulative rejection packets vs received packets.
 
-    Streaming sniffers are served from the incremental series, exactly
-    like :func:`mp_curve`.
+    Sniffers without the full trace are served from the incremental
+    series, exactly like :func:`mp_curve`.
     """
-    if not sniffer.retain_trace or sample_every == sniffer.sample_every:
+    if sniffer.retain_trace is not True or sample_every == sniffer.sample_every:
         return [
             CumulativePoint(x, y) for x, y in sniffer.streamed_pr_curve(sample_every)
         ]

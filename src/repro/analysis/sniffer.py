@@ -14,9 +14,18 @@ every frame in both directions and classifies
 
 Analysis is **streaming**: every observation is fed incrementally into a
 state-coverage analyzer and into cumulative MP/PR sample series, so the
-paper's metrics never require replaying the whole trace. Retention of
-the per-packet trace itself is opt-in (``retain_trace``) — fleet workers
-turn it off and a million-packet campaign runs in bounded memory.
+paper's metrics never require replaying the whole trace. What the
+sniffer keeps per packet is chosen by ``retain_trace``, at one of three
+levels:
+
+* ``False`` — **streaming**: counters, the analyzer and the sampled
+  curves only, so a million-packet campaign runs in bounded memory
+  (fleet workers without a corpus);
+* ``"sent"`` (:data:`SENT_ONLY`) — the **sent capture**: the transmitted
+  packets in send order and nothing per received packet, which is all
+  that corpus write-back replays (fleet workers with a corpus);
+* ``True`` — the **full trace**: one :class:`TracedPacket` per packet in
+  either direction, for trace export, triage and offline analysis.
 """
 
 from __future__ import annotations
@@ -63,6 +72,9 @@ class TracedPacket(NamedTuple):
 _entry = tuple.__new__
 _SENT = Direction.SENT
 _RECEIVED = Direction.RECEIVED
+
+#: ``retain_trace`` level that keeps the sent packets and nothing else.
+SENT_ONLY = "sent"
 
 
 #: Result values in a Connection/Create-Channel Response that constitute a
@@ -174,19 +186,31 @@ class PacketSniffer:
     into cumulative MP/PR sample series, so coverage and the Fig. 8/9
     curves are available without replaying the trace.
 
-    :param retain_trace: keep every :class:`TracedPacket` in
-        :attr:`trace`. True (the default) preserves the Wireshark-style
-        capture for offline analysis and corpus write-back; False bounds
-        memory for fleet-scale campaigns — only running counters, the
-        streaming analyzer and the sampled curves are kept.
+    :param retain_trace: what to keep per packet. True (the default)
+        keeps every :class:`TracedPacket` in :attr:`trace`, the
+        Wireshark-style capture for offline analysis. :data:`SENT_ONLY`
+        keeps only the transmitted packets, in send order, for
+        :meth:`sent_packets` (corpus write-back); :attr:`trace` stays
+        empty and the full-trace views refuse. False bounds memory for
+        fleet-scale campaigns: only running counters, the streaming
+        analyzer and the sampled curves are kept.
     :param sample_every: granularity of the streamed Fig. 8/9 series
         (one point per this many packets in the matching direction).
     """
 
-    def __init__(self, retain_trace: bool = True, sample_every: int = 1000) -> None:
+    def __init__(
+        self, retain_trace: bool | str = True, sample_every: int = 1000
+    ) -> None:
+        if not (isinstance(retain_trace, bool) or retain_trace == SENT_ONLY):
+            raise ValueError(
+                f"retain_trace must be False, {SENT_ONLY!r} or True, "
+                f"not {retain_trace!r}"
+            )
         self.retain_trace = retain_trace
+        self._full_trace = retain_trace is True
         self.sample_every = sample_every
         self.trace: list[TracedPacket] = []
+        self._sent_capture: list[L2capPacket] = []
         self._target_cids: set[int] = set()
         self._target_cids_view = frozenset()
         self._sent = 0
@@ -206,14 +230,19 @@ class PacketSniffer:
     def observe_sent(self, packet: L2capPacket, sim_time: float) -> TracedPacket | None:
         """Record one fuzzer→target packet.
 
-        Returns the trace entry, or None when the trace is not retained
-        (a streaming sniffer has no per-packet object to keep).
+        Returns the trace entry, or None below the full trace (a
+        streaming or sent-capture sniffer builds no per-packet entry).
         """
         malformed = is_malformed(packet, allocated_cids=self._target_cids_view)
         entry = None
         if self.retain_trace:
-            entry = _entry(TracedPacket, (sim_time, _SENT, packet, malformed, False))
-            self.trace.append(entry)
+            if self._full_trace:
+                entry = _entry(
+                    TracedPacket, (sim_time, _SENT, packet, malformed, False)
+                )
+                self.trace.append(entry)
+            else:
+                self._sent_capture.append(packet)
         self._sent += 1
         if malformed:
             self._malformed += 1
@@ -229,10 +258,10 @@ class PacketSniffer:
     def observe_received(
         self, packet: L2capPacket, sim_time: float
     ) -> TracedPacket | None:
-        """Record one target→fuzzer packet (entry None when streaming)."""
+        """Record one target→fuzzer packet (entry None below the full trace)."""
         rejection = is_rejection(packet)
         entry = None
-        if self.retain_trace:
+        if self._full_trace:
             entry = _entry(
                 TracedPacket, (sim_time, _RECEIVED, packet, False, rejection)
             )
@@ -290,24 +319,39 @@ class PacketSniffer:
         return self._target_cids_view
 
     def require_trace(self, consumer: str) -> None:
-        """Fail fast when a full-trace consumer meets a streaming sniffer.
+        """Fail fast when a full-trace consumer meets a lesser capture.
 
-        :raises ValueError: if the trace was not retained.
+        :raises ValueError: if the full trace was not retained.
         """
-        if not self.retain_trace:
+        if not self._full_trace:
             raise ValueError(
                 f"{consumer} needs the retained packet trace, but this "
-                "sniffer was created with retain_trace=False; re-run with "
-                "trace retention enabled"
+                f"sniffer was created with retain_trace={self.retain_trace!r}; "
+                "re-run with retain_trace=True"
             )
 
     def sent(self) -> list[TracedPacket]:
-        """All fuzzer→target entries (requires a retained trace)."""
+        """All fuzzer→target entries (requires the full trace)."""
         self.require_trace("PacketSniffer.sent()")
         return [entry for entry in self.trace if entry.direction is Direction.SENT]
 
+    def sent_packets(self) -> list[L2capPacket]:
+        """The fuzzer→target packets in send order (sent capture or trace).
+
+        :raises ValueError: on a streaming sniffer, which keeps none.
+        """
+        if self._full_trace:
+            return [entry.packet for entry in self.trace if entry.direction is _SENT]
+        if not self.retain_trace:
+            raise ValueError(
+                "PacketSniffer.sent_packets() needs the sent packets, but "
+                "this sniffer was created with retain_trace=False; re-run "
+                f"with retain_trace={SENT_ONLY!r} or True"
+            )
+        return list(self._sent_capture)
+
     def received(self) -> list[TracedPacket]:
-        """All target→fuzzer entries (requires a retained trace)."""
+        """All target→fuzzer entries (requires the full trace)."""
         self.require_trace("PacketSniffer.received()")
         return [entry for entry in self.trace if entry.direction is Direction.RECEIVED]
 
@@ -394,8 +438,9 @@ class PacketSniffer:
         return self._rejections
 
     def clear(self) -> None:
-        """Drop the trace, counters, CID set and streaming analysis."""
+        """Drop the capture, counters, CID set and streaming analysis."""
         self.trace.clear()
+        self._sent_capture.clear()
         self._target_cids.clear()
         self._target_cids_view = frozenset()
         self._sent = 0

@@ -653,8 +653,10 @@ class FleetOrchestrator:
         self.armed = armed
         self.target_state = target_state
         self.corpus_dir = corpus_dir
-        # Workers stream (bounded memory per campaign) unless the corpus
-        # write-back needs the trace; the merged report is the same.
+        # Workers stream (bounded memory per campaign) without a corpus;
+        # with one, run_shard keeps just the sent capture that write-back
+        # replays. The merged report is the same either way, and this
+        # bool stays in the fleet signature so earlier runs resume.
         self.retain_trace = corpus_dir is not None
         self.batch = batch
         self.telemetry_dir = telemetry_dir

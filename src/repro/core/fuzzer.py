@@ -20,8 +20,10 @@ L2CAP reference target and reproduces the seed campaign byte-for-byte;
 same virtual device's other layers with the same machinery.
 
 The campaign is fully deterministic given the config seed, and every
-packet in both directions lands in the sniffer trace, from which the
-report derives the paper's metrics.
+packet in both directions passes through the sniffer, whose streaming
+counters give the report the paper's metrics. What the sniffer also
+keeps per packet is the ``retain_trace`` level (see
+:mod:`repro.analysis.sniffer`).
 """
 
 from __future__ import annotations
@@ -65,11 +67,13 @@ class L2Fuzz:
     :param dictionary: corpus-harvested garbage tails handed to the
         mutator for cross-campaign splicing; empty keeps the seed
         mutation stream byte-identical.
-    :param retain_trace: keep the full per-packet trace on the sniffer.
-        True preserves the capture for trace export, triage and corpus
-        write-back; False runs the campaign on streaming analysis alone,
-        in memory bounded by the number of plan states instead of the
-        packet budget (the fleet-worker default).
+    :param retain_trace: what the sniffer keeps per packet. True keeps
+        the full two-way trace for trace export and triage; ``"sent"``
+        keeps only the sent packets in send order, all that corpus
+        write-back replays (fleet workers with a corpus); False runs the
+        campaign on streaming analysis alone, in memory bounded by the
+        number of plan states instead of the packet budget (fleet
+        workers without a corpus).
     :param sample_every: granularity of the sniffer's streamed Fig. 8/9
         series (must match the grain later asked of ``mp_curve`` /
         ``pr_curve`` when the trace is not retained).
@@ -89,7 +93,7 @@ class L2Fuzz:
         target_name: str = "target",
         strategy: ExplorationStrategy | None = None,
         dictionary: Sequence[bytes] = (),
-        retain_trace: bool = True,
+        retain_trace: bool | str = True,
         sample_every: int = 1000,
         target=None,
     ) -> None:

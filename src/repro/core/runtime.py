@@ -26,10 +26,10 @@ demonstrate:
   lives in the summary; the full ``CampaignReport`` object graph is
   reconstructed lazily, only when markdown/JSON export (or a caller
   poking ``run.report``) asks — see :class:`SummaryRun`.
-* **Batched corpus write-back** — with a shared corpus, a worker opens
-  the store and finding database once per shard and records every
-  campaign of the shard through the same handles, instead of a
-  load/write cycle per campaign.
+* **Batched corpus write-back** — with a shared corpus, campaigns keep
+  only their sent packets; a worker builds each campaign's write-back
+  batch as the campaign ends, drops the campaign, and writes the
+  shard's batches in one database transaction.
 
 Determinism is untouched: summaries are pure functions of the campaign,
 campaigns are pure functions of their derived seed, and results are
@@ -387,6 +387,12 @@ class FleetContext:
     armed: bool
     target_state_value: str
     corpus_dir: str | None
+    #: Retention for campaigns without a corpus (the orchestrator sets
+    #: it to ``corpus_dir is not None``, so they stream). With a corpus,
+    #: :func:`run_shard` runs every campaign on the sent capture
+    #: (``"sent"``), whatever this says: write-back replays nothing
+    #: else. The field stays a bool because it is part of the fleet
+    #: signature that resumed runs are matched by.
     retain_trace: bool
     prior_visits: tuple[tuple[str, int], ...]
     dictionary: tuple[bytes, ...]
@@ -471,12 +477,16 @@ def run_shard(
 ) -> list[bytes]:
     """Run every campaign of *shard* back to back; return summary blobs.
 
-    Campaigns run with corpus write-back deferred: sessions execute
-    without a corpus directory, and the whole shard is recorded at the
-    end by :func:`repro.corpus.store.record_campaigns` — every finding
-    shrunk first, then one database transaction for the shard, so a
-    failed write-back leaves the corpus as it was and a requeued shard
-    writes it exactly once.
+    With a corpus, campaigns run on the sent capture
+    (``retain_trace="sent"``: the sent packets, which is all write-back
+    replays) and without a corpus directory of their own. Each
+    campaign's write-back batch — its entries and shrunk findings — is
+    built by :func:`repro.corpus.store.campaign_batch` right after the
+    campaign ends, and the session is dropped, so a worker holds one
+    campaign's capture at a time. The shard's batches are written by
+    one :func:`repro.corpus.store.ingest_batches` transaction after
+    every replay, so a failed write-back leaves the corpus as it was
+    and a requeued shard writes it exactly once.
 
     With telemetry enabled on the context, the shard writes its own
     journal segment — shard span events, per-campaign start/end events
@@ -508,8 +518,16 @@ def run_shard(
         )
     prior_visits = dict(context.prior_visits)
     target_state = ChannelState(context.target_state_value)
-    finished = []  # (profile, session, report) for the batched write-back
-    blobs: list[bytes] = []
+    corpus_dir = context.corpus_dir
+    if corpus_dir is not None:
+        from repro.analysis.sniffer import SENT_ONLY
+        from repro.corpus.store import campaign_batch, ingest_batches
+
+        retain_trace = SENT_ONLY
+    else:
+        retain_trace = context.retain_trace
+    summaries: list[CampaignSummary] = []
+    batches = []  # one write-back batch per campaign, built as each ends
     for index, device_id, strategy_name, seed, target in shard:
         profile = PROFILES_BY_ID[device_id]
         if journal is not None:
@@ -532,7 +550,7 @@ def run_shard(
                 prior_visits=prior_visits or None,
             ),
             dictionary=context.dictionary,
-            retain_trace=context.retain_trace,
+            retain_trace=retain_trace,
             target=target,
         )
         report = session.run()
@@ -546,28 +564,21 @@ def run_shard(
                 summary,
                 time.perf_counter() - campaign_started,
             )
-        if context.corpus_dir is not None:
-            finished.append((profile, session.fuzzer, report, summary))
-        else:
-            blobs.append(encode_summary(summary))
-    if context.corpus_dir is not None:
-        from repro.corpus.store import record_campaigns
-
+        summaries.append(summary)
+        if corpus_dir is not None:
+            batches.append(
+                campaign_batch(profile, session.fuzzer, report, context.armed)
+            )
+        # Drop the campaign before the next one is built, so at most
+        # one campaign's capture is alive in this worker.
+        del session, report
+    if corpus_dir is not None:
         if fault_plan is not None:
             # Transient corpus-IO faults fire before anything is
             # written, so the requeued shard cannot double-write.
             fault_plan.fire("shard.writeback", campaigns)
-        stats = record_campaigns(
-            context.corpus_dir,
-            [
-                (profile, fuzzer, report)
-                for profile, fuzzer, report, _ in finished
-            ],
-            armed=context.armed,
-        )
-        for spec, (_, _, _, summary), campaign_stats in zip(
-            shard, finished, stats
-        ):
+        stats = ingest_batches(corpus_dir, batches)
+        for position, (spec, campaign_stats) in enumerate(zip(shard, stats)):
             if journal is not None:
                 journal.emit(
                     "corpus_writeback",
@@ -576,18 +587,13 @@ def run_shard(
                     findings_new=campaign_stats["findings_new"],
                     findings_duplicate=campaign_stats["findings_duplicate"],
                 )
-            blobs.append(
-                encode_summary(
-                    dataclasses.replace(
-                        summary,
-                        corpus_entries_added=campaign_stats["entries_added"],
-                        corpus_findings_new=campaign_stats["findings_new"],
-                        corpus_findings_duplicate=campaign_stats[
-                            "findings_duplicate"
-                        ],
-                    )
-                )
+            summaries[position] = dataclasses.replace(
+                summaries[position],
+                corpus_entries_added=campaign_stats["entries_added"],
+                corpus_findings_new=campaign_stats["findings_new"],
+                corpus_findings_duplicate=campaign_stats["findings_duplicate"],
             )
+    blobs = [encode_summary(summary) for summary in summaries]
     if journal is not None:
         journal.emit(
             "shard_end",

@@ -11,8 +11,10 @@ corpus directory is one SQLite (WAL) database,
 * finding buckets — crashes keyed by ``(vendor, class,
   minimised-trigger hash)`` and deduplicated across runs
   (:mod:`~repro.corpus.findings`);
-* :func:`~repro.corpus.store.record_campaigns` writes a fleet shard
-  back in one transaction, and a directory in the legacy JSON-file
+* :func:`~repro.corpus.store.campaign_batch` builds one campaign's
+  write-back from its sent packets and
+  :func:`~repro.corpus.store.ingest_batches` writes a fleet shard's
+  batches in one transaction; a directory in the legacy JSON-file
   layout is refused with :class:`~repro.errors.LegacyCorpusError`;
 * :class:`~repro.corpus.scheduler.EnergyScheduler` feeds visit counts
   (campaign-local plus the corpus's state frequencies) back into

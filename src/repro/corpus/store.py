@@ -5,11 +5,15 @@ runtime's shards, the scheduler prior, replay, the CLI — opens its
 database with :func:`~repro.corpus.backend.open_backend` and calls the
 :class:`~repro.corpus.sqlite_backend.SqliteCorpusBackend` directly.
 
-:func:`record_campaigns` writes a whole fleet shard back: it first
-builds every entry and shrinks every finding of the shard (all the
-replay work), then writes everything in one transaction, so the
-database write lock is never held across a replay and a failed
-write-back leaves the corpus untouched.
+Write-back replays only what the fuzzer *sent*: each campaign's batch
+(:func:`campaign_batch`) is built from its sniffer's
+:meth:`~repro.analysis.sniffer.PacketSniffer.sent_packets`, which the
+sent capture (``retain_trace="sent"``) and the full trace both serve.
+:func:`ingest_batches` then writes a whole shard's batches in one
+transaction, so the database write lock is never held across a replay
+and a failed write-back leaves the corpus untouched. The fleet runtime
+builds each batch as soon as its campaign ends and drops the campaign;
+:func:`record_campaigns` does both steps for campaigns held in hand.
 """
 
 from __future__ import annotations
@@ -36,52 +40,68 @@ def record_campaigns(root, campaigns, armed: bool = True) -> list[dict]:
     *campaigns* is an iterable of ``(profile, fuzzer, report)`` triples.
     Every entry and every shrunk finding record of the batch is built
     first — all replays happen before the database is touched — and
-    then written in one transaction, retried as a unit on lock
-    contention. Counts are per campaign and exactly what campaign-by-
-    campaign writes would report, repeats inside the batch included.
-    Returns one stats dict per campaign, in input order.
+    then written by :func:`ingest_batches`. Returns one stats dict per
+    campaign, in input order.
+    """
+    return ingest_batches(
+        root,
+        [
+            campaign_batch(profile, fuzzer, report, armed)
+            for profile, fuzzer, report in campaigns
+        ],
+    )
+
+
+def ingest_batches(root, batches) -> list[dict]:
+    """Write :func:`campaign_batch` results in one transaction.
+
+    The transaction is retried as a unit on lock contention. Counts are
+    per batch and exactly what campaign-by-campaign writes would
+    report, repeats inside the call included. Returns one stats dict
+    per batch, in input order.
     """
     backend = open_backend(root)
     try:
-        batches = [
-            _campaign_batch(profile, fuzzer, report, armed)
-            for profile, fuzzer, report in campaigns
-        ]
         return backend.ingest(batches)
     finally:
         backend.close()
 
 
-def _detection_prefix(sent_entries, finding) -> list:
+def _detection_prefix(sent_packets, finding) -> list:
     """The fuzzer→target packets that led to *finding*, trigger last.
 
     Cut by the finding's recorded send index — the number of packets on
     the wire at detection — so packets transmitted *after* the
     detection but at the same simulated tick (the detector's liveness
     probes, auto-reset traffic) never leak into the stored reproducer.
-    Findings recorded before send indices existed fall back to the old
-    timestamp rule (every packet at or before the detection tick).
+
+    :raises ValueError: if the finding carries no send index (every
+        campaign finding does; the sent capture has no timestamps to
+        cut by instead).
     """
-    cut = getattr(finding, "sent_index", None)
+    cut = finding.sent_index
     if cut is None:
-        return [
-            traced.packet
-            for traced in sent_entries
-            if traced.sim_time <= finding.sim_time
-        ]
-    return [traced.packet for traced in sent_entries[:cut]]
+        raise ValueError(
+            "finding has no sent_index, so its reproducer prefix cannot "
+            "be cut from the sent packets"
+        )
+    return sent_packets[:cut]
 
 
-def _campaign_batch(profile, fuzzer, report, armed: bool):
-    """One campaign's ``(entries, finding records)``, replays done."""
+def campaign_batch(profile, fuzzer, report, armed: bool):
+    """One finished campaign's ``(entries, finding records)``, replays done.
+
+    Reads the fuzzer's sent packets, coverage log and findings only, so
+    the campaign can be dropped as soon as this returns.
+    """
     from repro.corpus import findings
 
     target_name = getattr(getattr(fuzzer, "target", None), "name", "l2cap")
-    sent_entries = fuzzer.sniffer.sent()
+    sent_packets = fuzzer.sniffer.sent_packets()
     # The unlock prefixes nest: hex-encode each sent packet once and
     # slice the frames per entry.
     longest = max((prefix_len for _, prefix_len in fuzzer.coverage_log), default=0)
-    frames = tuple(packets_to_hex(traced.packet for traced in sent_entries[:longest]))
+    frames = tuple(packets_to_hex(sent_packets[:longest]))
     cumulative: set[str] = set()
     entries = []
     for tokens, prefix_len in fuzzer.coverage_log:
@@ -105,11 +125,16 @@ def _campaign_batch(profile, fuzzer, report, armed: bool):
     records = []
     for finding in report.findings:
         record = findings.shrink_finding(
-            finding, profile, _detection_prefix(sent_entries, finding)
+            finding, profile, _detection_prefix(sent_packets, finding)
         )
         if record is not None:
             records.append(record)
     return entries, records
 
 
-__all__ = ["record_campaign", "record_campaigns"]
+__all__ = [
+    "campaign_batch",
+    "ingest_batches",
+    "record_campaign",
+    "record_campaigns",
+]

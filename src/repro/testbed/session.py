@@ -40,12 +40,15 @@ class FuzzSession:
         None keeps the seed's sequential schedule.
     :param corpus_dir: shared corpus directory; when set, the campaign's
         coverage-unlock sequences and minimised findings are written
-        back after the run (safe under parallel fleet workers).
+        back after the run (safe under parallel fleet workers). Needs
+        the sent packets: ``retain_trace`` ``"sent"`` or True.
     :param dictionary: corpus-harvested garbage tails spliced into the
         mutation stream; empty keeps the seed behaviour byte-identical.
-    :param retain_trace: keep the full per-packet trace (default). False
-        runs on streaming analysis in bounded memory; incompatible with
-        :attr:`corpus_dir`, whose write-back replays the trace.
+    :param retain_trace: what the sniffer keeps per packet. True (the
+        default) keeps the full two-way trace; ``"sent"`` keeps the sent
+        packets only, which is all :attr:`corpus_dir` write-back
+        replays; False runs on streaming analysis in bounded memory and
+        is refused together with :attr:`corpus_dir`.
     :param sample_every: grain of the sniffer's streamed Fig. 8/9 series.
     :param target: protocol fuzz target (instance or registry name);
         None keeps the seed behaviour (L2CAP). The session prepares the
@@ -63,7 +66,7 @@ class FuzzSession:
     strategy: ExplorationStrategy | str | None = None
     corpus_dir: str | None = None
     dictionary: tuple[bytes, ...] = ()
-    retain_trace: bool = True
+    retain_trace: bool | str = True
     sample_every: int = 1000
     target: object | str | None = None
 
@@ -72,8 +75,8 @@ class FuzzSession:
 
         if self.corpus_dir is not None and not self.retain_trace:
             raise ValueError(
-                "corpus write-back replays the campaign trace; use "
-                "retain_trace=True (or drop corpus_dir)"
+                "corpus write-back replays the sent packets; use "
+                'retain_trace="sent" or True (or drop corpus_dir)'
             )
         target = self.target
         if target is None:
@@ -142,7 +145,7 @@ def run_campaign(
     strategy: ExplorationStrategy | str | None = None,
     corpus_dir: str | None = None,
     dictionary: tuple[bytes, ...] = (),
-    retain_trace: bool = True,
+    retain_trace: bool | str = True,
     sample_every: int = 1000,
     target: object | str | None = None,
 ) -> CampaignReport:

@@ -93,7 +93,9 @@ class TestCampaigns:
         session = _session("l2cap", 2_000, armed=True, retain=True)
         report = session.run()
         assert report.findings, "the armed D2 campaign must find its bug"
-        prefix = _detection_prefix(session.fuzzer.sniffer.sent(), report.findings[0])
+        prefix = _detection_prefix(
+            session.fuzzer.sniffer.sent_packets(), report.findings[0]
+        )
         factory = profile_target_factory(D2, armed=True)
         outcome = replay(prefix, factory)
         assert outcome.crashed

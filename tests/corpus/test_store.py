@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import types
 
+import pytest
+
 from repro.core.config import FuzzConfig
 from repro.corpus.entry import entry_from_packets
 from repro.corpus.backend import open_backend
@@ -113,24 +115,23 @@ class TestMinimize:
 class TestDetectionPrefix:
     """The reproducer prefix is cut by send index, not by timestamp."""
 
-    @staticmethod
-    def _traced(packet, sim_time):
-        return types.SimpleNamespace(packet=packet, sim_time=sim_time)
-
     def test_cut_excludes_same_tick_post_detection_packets(self):
         # Five fuzz packets, then two liveness probes the detector put
         # on the wire at the detection tick itself.
-        sent = [self._traced(f"fuzz-{i}", float(i)) for i in range(5)]
-        sent += [self._traced("probe-echo", 4.0), self._traced("probe-info", 4.0)]
+        sent = [f"fuzz-{i}" for i in range(5)] + ["probe-echo", "probe-info"]
         finding = types.SimpleNamespace(sim_time=4.0, sent_index=5)
         assert _detection_prefix(sent, finding) == [
             "fuzz-0", "fuzz-1", "fuzz-2", "fuzz-3", "fuzz-4",
         ]
 
-    def test_legacy_finding_falls_back_to_timestamp_rule(self):
-        sent = [self._traced(f"fuzz-{i}", float(i)) for i in range(3)]
+    def test_finding_without_send_index_is_refused(self):
+        """The sent capture has no timestamps to fall back on, so a
+        finding without a send index cannot be cut and must not be
+        stored with a guessed prefix."""
+        sent = [f"fuzz-{i}" for i in range(3)]
         finding = types.SimpleNamespace(sim_time=1.0, sent_index=None)
-        assert _detection_prefix(sent, finding) == ["fuzz-0", "fuzz-1"]
+        with pytest.raises(ValueError, match="sent_index"):
+            _detection_prefix(sent, finding)
 
     def test_campaign_prefix_excludes_diagnose_probes(self):
         """End-to-end pin: the detector's confirming ping shares the
@@ -147,7 +148,7 @@ class TestDetectionPrefix:
             if traced.sim_time <= finding.sim_time
         ]
         assert same_tick_tail  # the probes the timestamp rule leaked
-        prefix = _detection_prefix(sent, finding)
+        prefix = _detection_prefix(session.fuzzer.sniffer.sent_packets(), finding)
         assert len(prefix) == finding.sent_index
         assert prefix[-1].describe() == finding.trigger
 
