@@ -33,7 +33,7 @@ from collections import deque
 from collections.abc import Mapping, Sequence
 from typing import Protocol, runtime_checkable
 
-from repro.l2cap.states import ACCEPTOR_TRANSITIONS, ChannelState
+from repro.l2cap.states import ROUTE_GRAPH, ChannelState
 
 
 @runtime_checkable
@@ -86,63 +86,22 @@ ROUTE_DEPTH: dict[ChannelState, int] = {
 }
 
 
-def _transition_graph() -> dict[ChannelState, frozenset[ChannelState]]:
-    """Acceptor transition relation as an adjacency map.
-
-    Starts from the Table-II/Fig.-6.2 relation in
-    :mod:`repro.l2cap.states` and adds the edges the guide exploits that
-    the table cannot express (target-initiated configuration requests,
-    pending-result answers, move initiation) so every plan state is
-    reachable from CLOSED.
-    """
-    edges: dict[ChannelState, set[ChannelState]] = {}
-    for state, transitions in ACCEPTOR_TRANSITIONS.items():
-        for transition in transitions:
-            if transition.next_state is not None:
-                edges.setdefault(state, set()).add(transition.next_state)
-    implied = {
-        # Passive-open postures advertised before any channel exists.
-        ChannelState.CLOSED: {ChannelState.WAIT_CONNECT, ChannelState.WAIT_CREATE},
-        # A config-initiating service sends its own Configuration Request
-        # the moment it accepts; a passive one waits for ours.
-        ChannelState.WAIT_CONFIG: {
-            ChannelState.WAIT_CONFIG_REQ_RSP,
-            ChannelState.WAIT_SEND_CONFIG,
-        },
-        ChannelState.WAIT_SEND_CONFIG: {ChannelState.WAIT_CONFIG_RSP},
-        # Answering (or pending/rejecting) the target's own request.
-        ChannelState.WAIT_CONFIG_REQ_RSP: {
-            ChannelState.WAIT_IND_FINAL_RSP,
-            ChannelState.WAIT_DISCONNECT,
-        },
-        # An open channel can start a move (AMP) in either direction.
-        ChannelState.OPEN: {ChannelState.WAIT_MOVE},
-    }
-    for state, targets in implied.items():
-        edges.setdefault(state, set()).update(targets)
-    return {state: frozenset(targets) for state, targets in edges.items()}
-
-
-TRANSITION_GRAPH: dict[ChannelState, frozenset[ChannelState]] = _transition_graph()
-
-
 @functools.cache
-def bfs_route(
-    target: ChannelState, origin: ChannelState = ChannelState.CLOSED
-) -> tuple[ChannelState, ...]:
-    """Shortest transition path ``origin → target`` (inclusive).
+def bfs_route(target: ChannelState) -> tuple[ChannelState, ...]:
+    """Shortest transition path ``CLOSED → target`` (inclusive).
 
-    Neighbour expansion is ordered by the canonical state-plan index, so
-    the route is deterministic. Raises :class:`ValueError` when *target*
-    is unreachable from *origin*.
+    Plans over :data:`~repro.l2cap.states.ROUTE_GRAPH`. Neighbour
+    expansion is ordered by the canonical state-plan index, so the route
+    is deterministic. Raises :class:`ValueError` when *target* is
+    unreachable.
 
-    Memoized: the route is a pure function of the constant
-    :data:`TRANSITION_GRAPH` and an immutable tuple, and a targeted
-    strategy asks for it every sweep. A raise is not memoized, so an
-    unroutable target raises on every call.
+    Memoized: the route is a pure function of the constant graph, and a
+    targeted strategy asks for it every sweep. A raise is not memoized,
+    so an unroutable target raises on every call.
     """
     from repro.core.state_guiding import STATE_PLAN
 
+    origin = ChannelState.CLOSED
     order = {state: index for index, state in enumerate(STATE_PLAN)}
     if target is origin:
         return (origin,)
@@ -151,7 +110,7 @@ def bfs_route(
     while frontier:
         state = frontier.popleft()
         neighbours = sorted(
-            TRANSITION_GRAPH.get(state, frozenset()),
+            ROUTE_GRAPH.get(state, frozenset()),
             key=lambda s: order.get(s, len(order)),
         )
         for neighbour in neighbours:

@@ -9,8 +9,9 @@ Implements the *state guiding* data of the paper:
 The paper deliberately sets the command boundaries "slightly more
 generously" than the specification, because real stacks accept commands
 the spec says they should reject (§III.C). The generous map is what the
-fuzzer uses; the strict per-state event sets live in
-:mod:`repro.l2cap.states` and are what the virtual stacks enforce.
+fuzzer uses. What a virtual stack accepts is decided by its engine's
+handlers (:mod:`repro.stack.engine`); the state changes they make are
+tabulated in :mod:`repro.l2cap.states`.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
 """The Bluetooth 5.2 L2CAP channel state machine (paper Fig. 2).
 
 L2CAP is channel-oriented: every connection-oriented channel runs its own
-instance of a 19-state machine. This module defines the state enum, the
-role-aware transition relation used by the virtual host stacks, and the
-event/action table of the WAIT_CONNECT state that the paper prints as
-Table II.
+instance of a 19-state machine. This module defines the state enum and
+the one table of the transitions the virtual host stack takes as an
+acceptor (:data:`TRANSITIONS`). Everything else about the machine is read
+off that table: the targeted strategy's route graph, the 13
+acceptor-reachable states and the WAIT_CONNECT rows the paper prints as
+Table II. The engine's handlers in :mod:`repro.stack.engine` do not read
+the table; a property test drives them with random command sequences
+and checks that every state change they make is a step of the table.
 
 Terminology note — *initiator* vs *acceptor* states. Several states are
 only entered by the side that originated an exchange (e.g. a device only
@@ -16,7 +20,6 @@ ceiling the paper reports (13 of 19 states, §IV.D and §V limitation 4).
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 
 from repro.l2cap.constants import CommandCode
@@ -50,23 +53,134 @@ ALL_STATES: tuple[ChannelState, ...] = tuple(ChannelState)
 assert len(ALL_STATES) == 19, "Bluetooth 5.2 defines 19 L2CAP states"
 
 
+_S = ChannelState
+_C = CommandCode
+
+#: The acceptor's channel transitions, one row per
+#: ``(from, event, action, to, via)``:
+#:
+#: * *event* is the command received from the peer, or None for the
+#:   stack's own Configuration Request;
+#: * *action* is the command the stack sends (None = nothing);
+#: * *via* lists the states the engine records in passing within the same
+#:   handler call, between *from* and *to*.
+#:
+#: A (from, event) pair missing from the table is rejected or ignored
+#: without a state change. Several rows may share a (from, event) pair:
+#: the result code, the personality flags and the configuration
+#: bookkeeping pick among them. The table follows the engine, quirks
+#: included (see the WAIT_DISCONNECT rows).
+TRANSITIONS: tuple[tuple, ...] = (
+    # A service in passive open accepts a Connection Request (the
+    # WAIT_CONNECT row of Table II); AMP stacks accept Create Channel too.
+    (_S.CLOSED, _C.CONNECTION_REQ, _C.CONNECTION_RSP, _S.WAIT_CONFIG, (_S.WAIT_CONNECT,)),
+    (_S.CLOSED, _C.CREATE_CHANNEL_REQ, _C.CREATE_CHANNEL_RSP, _S.WAIT_CONFIG, (_S.WAIT_CREATE,)),
+    # The stack's own Configuration Request: at once for a service that
+    # initiates configuration, else right after answering the peer's.
+    (_S.WAIT_CONFIG, None, _C.CONFIGURATION_REQ, _S.WAIT_CONFIG_REQ_RSP, ()),
+    (_S.WAIT_SEND_CONFIG, None, _C.CONFIGURATION_REQ, _S.WAIT_CONFIG_RSP, ()),
+    # The peer's acceptable Configuration Request (unacceptable options
+    # are answered in place). OPEN reconfigures through WAIT_CONFIG.
+    (_S.WAIT_CONFIG, _C.CONFIGURATION_REQ, _C.CONFIGURATION_RSP, _S.WAIT_SEND_CONFIG, ()),
+    (_S.OPEN, _C.CONFIGURATION_REQ, _C.CONFIGURATION_RSP, _S.WAIT_SEND_CONFIG, (_S.WAIT_CONFIG,)),
+    (_S.WAIT_CONFIG_REQ_RSP, _C.CONFIGURATION_REQ, _C.CONFIGURATION_RSP, _S.WAIT_CONFIG_RSP, ()),
+    (_S.WAIT_CONFIG_RSP, _C.CONFIGURATION_REQ, _C.CONFIGURATION_RSP, _S.WAIT_CONFIG_RSP, ()),
+    (_S.WAIT_IND_FINAL_RSP, _C.CONFIGURATION_REQ, _C.CONFIGURATION_RSP, _S.WAIT_CONFIG_RSP, ()),
+    (_S.WAIT_CONFIG_REQ, _C.CONFIGURATION_REQ, _C.CONFIGURATION_RSP, _S.OPEN, ()),
+    # The peer's answer to our Configuration Request: pending (where the
+    # personality honours it), rejected (answered with our own Disconnect
+    # Request where the personality does that; else no change) or success.
+    (_S.WAIT_CONFIG_REQ_RSP, _C.CONFIGURATION_RSP, None, _S.WAIT_IND_FINAL_RSP, ()),
+    (_S.WAIT_CONFIG_REQ_RSP, _C.CONFIGURATION_RSP, _C.DISCONNECTION_REQ, _S.WAIT_DISCONNECT, ()),
+    (_S.WAIT_CONFIG_REQ_RSP, _C.CONFIGURATION_RSP, None, _S.WAIT_CONFIG_REQ, ()),
+    (_S.WAIT_CONFIG_RSP, _C.CONFIGURATION_RSP, None, _S.WAIT_IND_FINAL_RSP, ()),
+    (_S.WAIT_CONFIG_RSP, _C.CONFIGURATION_RSP, _C.DISCONNECTION_REQ, _S.WAIT_DISCONNECT, ()),
+    (_S.WAIT_CONFIG_RSP, _C.CONFIGURATION_RSP, None, _S.OPEN, ()),
+    (_S.WAIT_IND_FINAL_RSP, _C.CONFIGURATION_RSP, None, _S.WAIT_IND_FINAL_RSP, ()),
+    (_S.WAIT_IND_FINAL_RSP, _C.CONFIGURATION_RSP, _C.DISCONNECTION_REQ, _S.WAIT_DISCONNECT, ()),
+    (_S.WAIT_IND_FINAL_RSP, _C.CONFIGURATION_RSP, None, _S.WAIT_CONFIG_REQ, ()),
+    (_S.WAIT_IND_FINAL_RSP, _C.CONFIGURATION_RSP, None, _S.OPEN, ()),
+    # WAIT_DISCONNECT still takes Configuration Responses: our Disconnect
+    # Request is outstanding, yet the answer to our Configuration Request
+    # is processed as in WAIT_CONFIG_RSP and can reopen the channel.
+    (_S.WAIT_DISCONNECT, _C.CONFIGURATION_RSP, None, _S.WAIT_IND_FINAL_RSP, ()),
+    (_S.WAIT_DISCONNECT, _C.CONFIGURATION_RSP, _C.DISCONNECTION_REQ, _S.WAIT_DISCONNECT, ()),
+    (_S.WAIT_DISCONNECT, _C.CONFIGURATION_RSP, None, _S.WAIT_CONFIG_REQ, ()),
+    (_S.WAIT_DISCONNECT, _C.CONFIGURATION_RSP, None, _S.OPEN, ()),
+    (_S.WAIT_DISCONNECT, _C.DISCONNECTION_RSP, None, _S.CLOSED, ()),
+    # The peer disconnects a channel in any state a channel rests in.
+    *(
+        (state, _C.DISCONNECTION_REQ, _C.DISCONNECTION_RSP, _S.CLOSED, ())
+        for state in (
+            _S.WAIT_CONFIG,
+            _S.WAIT_CONFIG_REQ_RSP,
+            _S.WAIT_CONFIG_RSP,
+            _S.WAIT_CONFIG_REQ,
+            _S.WAIT_IND_FINAL_RSP,
+            _S.WAIT_DISCONNECT,
+            _S.OPEN,
+            _S.WAIT_MOVE_CONFIRM,
+        )
+    ),
+    # AMP move: accepted in OPEN only, answered at once.
+    (_S.OPEN, _C.MOVE_CHANNEL_REQ, _C.MOVE_CHANNEL_RSP, _S.WAIT_MOVE_CONFIRM, (_S.WAIT_MOVE,)),
+    (
+        _S.WAIT_MOVE_CONFIRM,
+        _C.MOVE_CHANNEL_CONFIRMATION_REQ,
+        _C.MOVE_CHANNEL_CONFIRMATION_RSP,
+        _S.OPEN,
+        (),
+    ),
+)
+
+
+def _steps():
+    """(state, event, action, next) for every consecutive pair of a row's
+    visit chain ``from → via… → to``."""
+    for state, event, action, to, via in TRANSITIONS:
+        chain = (state, *via, to)
+        for before, after in zip(chain, chain[1:]):
+            yield before, event, action, after
+
+
+#: Every state change the table allows, one step per visit pair.
+STEPS: frozenset[tuple] = frozenset(_steps())
+
+
+def _route_graph() -> dict[ChannelState, frozenset[ChannelState]]:
+    edges: dict[ChannelState, set[ChannelState]] = {}
+    for state, _, _, to, _ in TRANSITIONS:
+        edges.setdefault(state, set()).add(to)
+    for state, _, _, to in STEPS:
+        edges.setdefault(state, set()).add(to)
+    return {state: frozenset(targets) for state, targets in edges.items()}
+
+
+#: State → the states one table row or one step of a row leads to: the
+#: graph the targeted strategy plans its routes over.
+ROUTE_GRAPH: dict[ChannelState, frozenset[ChannelState]] = _route_graph()
+
+
+def _reachable_from_closed() -> frozenset[ChannelState]:
+    reached = {_S.CLOSED}
+    frontier = [_S.CLOSED]
+    while frontier:
+        for neighbour in ROUTE_GRAPH.get(frontier.pop(), ()):
+            if neighbour not in reached:
+                reached.add(neighbour)
+                frontier.append(neighbour)
+    return frozenset(reached)
+
+
+#: States an external master can drive a slave target into: those the
+#: table reaches from CLOSED.
+ACCEPTOR_REACHABLE_STATES = _reachable_from_closed()
+assert len(ACCEPTOR_REACHABLE_STATES) == 13
+
 #: States a device only enters when it *initiates* an exchange. A passive
 #: slave probed by an external master never reaches these — the structural
 #: reason the best possible master-side fuzzer coverage is 13 states.
-INITIATOR_ONLY_STATES = frozenset(
-    {
-        ChannelState.WAIT_CONNECT_RSP,
-        ChannelState.WAIT_CREATE_RSP,
-        ChannelState.WAIT_MOVE_RSP,
-        ChannelState.WAIT_CONFIRM_RSP,
-        ChannelState.WAIT_FINAL_RSP,
-        ChannelState.WAIT_CONTROL_IND,
-    }
-)
-
-#: States an external master can drive a slave target into.
-ACCEPTOR_REACHABLE_STATES = frozenset(ALL_STATES) - INITIATOR_ONLY_STATES
-assert len(ACCEPTOR_REACHABLE_STATES) == 13
+INITIATOR_ONLY_STATES = frozenset(ALL_STATES) - ACCEPTOR_REACHABLE_STATES
 
 #: Configuration-phase states: a channel in any of these is mid-configuration.
 CONFIGURATION_STATES = frozenset(
@@ -82,186 +196,39 @@ CONFIGURATION_STATES = frozenset(
     }
 )
 
-#: States in which a channel exists (a CID has been allocated).
-CHANNEL_ALIVE_STATES = frozenset(ALL_STATES) - {ChannelState.CLOSED}
-
-
-@dataclasses.dataclass(frozen=True)
-class Transition:
-    """One acceptor-side transition: event in, action out, next state.
-
-    :param event: the command code received from the peer.
-    :param action: the command code sent in response (None = silent).
-    :param next_state: resulting channel state (None = no change).
-    :param accepts: True when the event is valid in this state; False when
-        the stack answers with a reject/refusal.
-    """
-
-    event: CommandCode
-    action: CommandCode | None
-    next_state: ChannelState | None
-    accepts: bool = True
-
-
-def _t(
-    event: CommandCode,
-    action: CommandCode | None,
-    next_state: ChannelState | None,
-    accepts: bool = True,
-) -> Transition:
-    return Transition(event, action, next_state, accepts)
-
-
-#: Acceptor-side transition relation for the states an external master can
-#: exercise. Events absent from a state's list are answered with Command
-#: Reject ("command not understood" for responses-out-of-context, per
-#: Table II) by the host-stack engine.
-ACCEPTOR_TRANSITIONS: dict[ChannelState, tuple[Transition, ...]] = {
-    ChannelState.CLOSED: (
-        _t(CommandCode.CONNECTION_REQ, CommandCode.CONNECTION_RSP, ChannelState.WAIT_CONFIG),
-        _t(
-            CommandCode.CREATE_CHANNEL_REQ,
-            CommandCode.CREATE_CHANNEL_RSP,
-            ChannelState.WAIT_CONFIG,
-        ),
-    ),
-    # WAIT_CONNECT: passive open — the acceptor has advertised a service
-    # and waits for a Connection Request (paper Table II).
-    ChannelState.WAIT_CONNECT: (
-        _t(CommandCode.CONNECTION_REQ, CommandCode.CONNECTION_RSP, ChannelState.WAIT_CONFIG),
-    ),
-    # WAIT_CREATE: same as WAIT_CONNECT for AMP channel creation.
-    ChannelState.WAIT_CREATE: (
-        _t(
-            CommandCode.CREATE_CHANNEL_REQ,
-            CommandCode.CREATE_CHANNEL_RSP,
-            ChannelState.WAIT_CONFIG,
-        ),
-    ),
-    # Configuration cluster. The engine refines the next state with its
-    # local/remote config bookkeeping; the table records the canonical
-    # transitions of Core 5.2 Fig. 6.2.
-    ChannelState.WAIT_CONFIG: (
-        _t(
-            CommandCode.CONFIGURATION_REQ,
-            CommandCode.CONFIGURATION_RSP,
-            ChannelState.WAIT_SEND_CONFIG,
-        ),
-        _t(CommandCode.DISCONNECTION_REQ, CommandCode.DISCONNECTION_RSP, ChannelState.CLOSED),
-    ),
-    ChannelState.WAIT_CONFIG_REQ_RSP: (
-        _t(
-            CommandCode.CONFIGURATION_REQ,
-            CommandCode.CONFIGURATION_RSP,
-            ChannelState.WAIT_CONFIG_RSP,
-        ),
-        _t(CommandCode.CONFIGURATION_RSP, None, ChannelState.WAIT_CONFIG_REQ),
-        _t(CommandCode.DISCONNECTION_REQ, CommandCode.DISCONNECTION_RSP, ChannelState.CLOSED),
-    ),
-    ChannelState.WAIT_CONFIG_REQ: (
-        _t(
-            CommandCode.CONFIGURATION_REQ,
-            CommandCode.CONFIGURATION_RSP,
-            ChannelState.OPEN,
-        ),
-        _t(CommandCode.DISCONNECTION_REQ, CommandCode.DISCONNECTION_RSP, ChannelState.CLOSED),
-    ),
-    ChannelState.WAIT_CONFIG_RSP: (
-        _t(CommandCode.CONFIGURATION_RSP, None, ChannelState.OPEN),
-        _t(CommandCode.DISCONNECTION_REQ, CommandCode.DISCONNECTION_RSP, ChannelState.CLOSED),
-    ),
-    ChannelState.WAIT_SEND_CONFIG: (
-        # The acceptor owes its own Configuration Request; the engine sends
-        # it spontaneously and moves to WAIT_CONFIG_RSP.
-        _t(CommandCode.DISCONNECTION_REQ, CommandCode.DISCONNECTION_RSP, ChannelState.CLOSED),
-    ),
-    ChannelState.WAIT_IND_FINAL_RSP: (
-        _t(CommandCode.CONFIGURATION_RSP, None, ChannelState.OPEN),
-        _t(CommandCode.DISCONNECTION_REQ, CommandCode.DISCONNECTION_RSP, ChannelState.CLOSED),
-    ),
-    ChannelState.OPEN: (
-        _t(CommandCode.CONFIGURATION_REQ, CommandCode.CONFIGURATION_RSP, ChannelState.WAIT_CONFIG),
-        _t(CommandCode.DISCONNECTION_REQ, CommandCode.DISCONNECTION_RSP, ChannelState.CLOSED),
-        _t(CommandCode.MOVE_CHANNEL_REQ, CommandCode.MOVE_CHANNEL_RSP, ChannelState.WAIT_MOVE_CONFIRM),
-    ),
-    ChannelState.WAIT_MOVE: (
-        _t(
-            CommandCode.MOVE_CHANNEL_CONFIRMATION_REQ,
-            CommandCode.MOVE_CHANNEL_CONFIRMATION_RSP,
-            ChannelState.OPEN,
-        ),
-        _t(CommandCode.DISCONNECTION_REQ, CommandCode.DISCONNECTION_RSP, ChannelState.CLOSED),
-    ),
-    ChannelState.WAIT_MOVE_CONFIRM: (
-        _t(
-            CommandCode.MOVE_CHANNEL_CONFIRMATION_REQ,
-            CommandCode.MOVE_CHANNEL_CONFIRMATION_RSP,
-            ChannelState.OPEN,
-        ),
-        _t(CommandCode.DISCONNECTION_REQ, CommandCode.DISCONNECTION_RSP, ChannelState.CLOSED),
-    ),
-    ChannelState.WAIT_DISCONNECT: (
-        _t(CommandCode.DISCONNECTION_RSP, None, ChannelState.CLOSED),
-        _t(CommandCode.DISCONNECTION_REQ, CommandCode.DISCONNECTION_RSP, ChannelState.CLOSED),
-    ),
-}
-
-
-#: Commands that are connection-scoped rather than channel-scoped: they are
-#: valid in *any* state because they do not touch a channel state machine.
-CONNECTION_SCOPED_COMMANDS = frozenset(
-    {
-        CommandCode.ECHO_REQ,
-        CommandCode.INFORMATION_REQ,
-        CommandCode.COMMAND_REJECT,
-    }
-)
-
-
-def valid_events(state: ChannelState) -> frozenset[CommandCode]:
-    """Commands a spec-conformant acceptor accepts in *state*.
-
-    Connection-scoped commands (echo, information) are always included.
-    """
-    transitions = ACCEPTOR_TRANSITIONS.get(state, ())
-    events = {transition.event for transition in transitions if transition.accepts}
-    return frozenset(events) | CONNECTION_SCOPED_COMMANDS
-
-
-def lookup_transition(state: ChannelState, event: CommandCode) -> Transition | None:
-    """Find the acceptor transition for *event* in *state* (None = reject)."""
-    for transition in ACCEPTOR_TRANSITIONS.get(state, ()):
-        if transition.event == event:
-            return transition
-    return None
-
 
 # ---------------------------------------------------------------------------
 # Paper Table II — WAIT_CONNECT events and actions
 # ---------------------------------------------------------------------------
 
+#: The commands paper Table II lists for WAIT_CONNECT, in its order.
+TABLE2_EVENTS: tuple[CommandCode, ...] = (
+    _C.CONNECTION_REQ,
+    _C.CONNECTION_RSP,
+    _C.CONFIGURATION_REQ,
+    _C.CONFIGURATION_RSP,
+    _C.DISCONNECTION_RSP,
+    _C.CREATE_CHANNEL_REQ,
+    _C.CREATE_CHANNEL_RSP,
+    _C.MOVE_CHANNEL_REQ,
+    _C.MOVE_CHANNEL_RSP,
+    _C.MOVE_CHANNEL_CONFIRMATION_REQ,
+    _C.MOVE_CHANNEL_CONFIRMATION_RSP,
+)
 
-@dataclasses.dataclass(frozen=True)
-class EventActionRow:
-    """One row of the paper's Table II."""
 
-    event: CommandCode
-    action: str
-    transitions_to: ChannelState | None
+def _wait_connect_row(
+    event: CommandCode,
+) -> tuple[CommandCode, CommandCode, ChannelState | None]:
+    for state, step_event, action, after in STEPS:
+        if state is _S.WAIT_CONNECT and step_event == event:
+            return event, action, after
+    return event, _C.COMMAND_REJECT, None
 
 
-#: Table II verbatim: what a device in WAIT_CONNECT does for each incoming
-#: command. Only Connect Req is accepted; everything else is rejected.
-WAIT_CONNECT_TABLE: tuple[EventActionRow, ...] = (
-    EventActionRow(CommandCode.CONNECTION_REQ, "Connect Rsp", ChannelState.WAIT_CONFIG),
-    EventActionRow(CommandCode.CONNECTION_RSP, "Reject", None),
-    EventActionRow(CommandCode.CONFIGURATION_REQ, "Reject", None),
-    EventActionRow(CommandCode.CONFIGURATION_RSP, "Reject", None),
-    EventActionRow(CommandCode.DISCONNECTION_RSP, "Reject", None),
-    EventActionRow(CommandCode.CREATE_CHANNEL_REQ, "Reject", None),
-    EventActionRow(CommandCode.CREATE_CHANNEL_RSP, "Reject", None),
-    EventActionRow(CommandCode.MOVE_CHANNEL_REQ, "Reject", None),
-    EventActionRow(CommandCode.MOVE_CHANNEL_RSP, "Reject", None),
-    EventActionRow(CommandCode.MOVE_CHANNEL_CONFIRMATION_REQ, "Reject", None),
-    EventActionRow(CommandCode.MOVE_CHANNEL_CONFIRMATION_RSP, "Reject", None),
+#: Table II read off the steps that leave WAIT_CONNECT: per event, the
+#: command the stack answers with and the next state (None = no change;
+#: every command without a step is rejected).
+WAIT_CONNECT_TABLE: tuple[tuple, ...] = tuple(
+    _wait_connect_row(event) for event in TABLE2_EVENTS
 )

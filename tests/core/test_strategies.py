@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.config import FuzzConfig
@@ -19,8 +21,54 @@ from repro.core.strategies import (
     make_strategy,
 )
 from repro.l2cap.states import ChannelState
+from repro.testbed.profiles import D2
+from repro.testbed.session import FuzzSession
 
 from tests.conftest import make_rig
+
+_S = ChannelState
+_CONFIG = (_S.CLOSED, _S.WAIT_CONFIG)
+_VIA_REQ_RSP = _CONFIG + (_S.WAIT_CONFIG_REQ_RSP,)
+_TO_OPEN = _CONFIG + (_S.WAIT_SEND_CONFIG, _S.WAIT_CONFIG_RSP, _S.OPEN)
+
+#: The targeted strategy's route to every plan state. A changed route
+#: changes what targeted fleet sweeps send.
+PINNED_ROUTES: dict[ChannelState, tuple[ChannelState, ...]] = {
+    _S.CLOSED: (_S.CLOSED,),
+    _S.WAIT_CONNECT: (_S.CLOSED, _S.WAIT_CONNECT),
+    _S.WAIT_CREATE: (_S.CLOSED, _S.WAIT_CREATE),
+    _S.WAIT_CONFIG: _CONFIG,
+    _S.WAIT_SEND_CONFIG: _CONFIG + (_S.WAIT_SEND_CONFIG,),
+    _S.WAIT_CONFIG_RSP: _CONFIG + (_S.WAIT_SEND_CONFIG, _S.WAIT_CONFIG_RSP),
+    _S.WAIT_CONFIG_REQ: _VIA_REQ_RSP + (_S.WAIT_CONFIG_REQ,),
+    _S.WAIT_CONFIG_REQ_RSP: _VIA_REQ_RSP,
+    _S.WAIT_IND_FINAL_RSP: _VIA_REQ_RSP + (_S.WAIT_IND_FINAL_RSP,),
+    _S.OPEN: _TO_OPEN,
+    _S.WAIT_DISCONNECT: _VIA_REQ_RSP + (_S.WAIT_DISCONNECT,),
+    _S.WAIT_MOVE: _TO_OPEN + (_S.WAIT_MOVE,),
+    _S.WAIT_MOVE_CONFIRM: _TO_OPEN + (_S.WAIT_MOVE_CONFIRM,),
+}
+
+#: SHA-256 of the sent packets (wire bytes, in send order) of a
+#: 1,500-packet disarmed D2 ``targeted`` campaign aimed at each plan
+#: state. WAIT_MOVE and WAIT_MOVE_CONFIRM share a digest: the guide
+#: parks the target the same way for both and both belong to the Move
+#: job, so the two campaigns send the same packets.
+PINNED_TARGETED_DIGESTS: dict[ChannelState, str] = {
+    _S.CLOSED: "ace0cf3bc443608e788218252d87f47af06ba72534a18efc61246cebe388a204",
+    _S.WAIT_CONNECT: "36b9570a33c462c7ddfab976dce97fae9e266f29eeb727fd875ee64688647d99",
+    _S.WAIT_CREATE: "fcfae77b497e37ad2281ccb750272d70d70e1709fd9813738dca25690983df9e",
+    _S.WAIT_CONFIG: "f07970d205aa01706f1a95d041d073fafdee469b7b8b7cd9d40022ab618a6ae9",
+    _S.WAIT_SEND_CONFIG: "373b6af74ae1c3c59e2ff0a5b796a8667ad529e3bf22a6875476fbe16626b566",
+    _S.WAIT_CONFIG_RSP: "160f9c5eb3a7d6ea7289a28e0f8523a27ffb49ccfebbd699ed5962a8b564ceb0",
+    _S.WAIT_CONFIG_REQ: "fe903754ec9d959fe091c78a59303f2ceac7808cf90b52b18f1146e76660e505",
+    _S.WAIT_CONFIG_REQ_RSP: "beb56642e94b6b986752197edabe41d020afadc89af213a1a3efcfc2b16993fe",
+    _S.WAIT_IND_FINAL_RSP: "eab8d613c1f301b0edaff19bd3562996ad57be1b950f3a45e4cfe30521166601",
+    _S.OPEN: "c0a7c486d0c922e0da6916d36dfbc5457b80c94afa0c39c89091b59301de9881",
+    _S.WAIT_DISCONNECT: "78ccd7102b0f56423cef901142a01d5c57f20d8a978d502e75069ae3b9d62856",
+    _S.WAIT_MOVE: "f834b851f7b7e68152f39e6ecee4c6fa99f1b90c7f3c00b201b0ac1d9eec2fb3",
+    _S.WAIT_MOVE_CONFIRM: "f834b851f7b7e68152f39e6ecee4c6fa99f1b90c7f3c00b201b0ac1d9eec2fb3",
+}
 
 
 def _all_strategies():
@@ -160,22 +208,43 @@ class TestTargeted:
         assert bfs_route(ChannelState.OPEN) == bfs_route(ChannelState.OPEN)
 
 
+class TestRoutePins:
+    """The targeted routes, and the campaigns that follow them, hold."""
+
+    def test_pins_cover_the_plan(self):
+        assert set(PINNED_ROUTES) == set(STATE_PLAN)
+        assert set(PINNED_TARGETED_DIGESTS) == set(STATE_PLAN)
+
+    @pytest.mark.parametrize("target", STATE_PLAN, ids=lambda state: state.name)
+    def test_route_is_pinned(self, target):
+        assert bfs_route(target) == PINNED_ROUTES[target]
+
+    @pytest.mark.parametrize("target", STATE_PLAN, ids=lambda state: state.name)
+    def test_targeted_campaign_sends_pinned_packets(self, target):
+        session = FuzzSession(
+            profile=D2,
+            config=FuzzConfig(max_packets=1_500),
+            armed=False,
+            strategy=TargetedStrategy(target=target),
+            retain_trace="sent",
+        )
+        session.run()
+        digest = hashlib.sha256()
+        for packet in session.fuzzer.sniffer.sent_packets():
+            digest.update(packet.encode())
+        assert digest.hexdigest() == PINNED_TARGETED_DIGESTS[target]
+
+
 class TestRouteMemo:
     """``bfs_route`` is memoized over the constant transition graph."""
 
     def test_memoized_route_equals_fresh_bfs(self):
         fresh_bfs = bfs_route.__wrapped__
         for target in STATE_PLAN:
-            for origin in STATE_PLAN:
-                try:
-                    expected = fresh_bfs(target, origin)
-                except ValueError:
-                    with pytest.raises(ValueError):
-                        bfs_route(target, origin)
-                    continue
-                assert bfs_route(target, origin) == expected
-                # The second call is served from the memo, unchanged.
-                assert bfs_route(target, origin) == expected
+            expected = fresh_bfs(target)
+            assert bfs_route(target) == expected
+            # The second call is served from the memo, unchanged.
+            assert bfs_route(target) == expected
 
     def test_unroutable_target_raises_on_every_call(self):
         for _ in range(3):
