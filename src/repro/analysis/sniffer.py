@@ -313,11 +313,6 @@ class PacketSniffer:
 
     # -- views ------------------------------------------------------------------
 
-    @property
-    def observed_target_cids(self) -> frozenset[int]:
-        """Dynamic CIDs the target currently has allocated (wire view)."""
-        return self._target_cids_view
-
     def require_trace(self, consumer: str) -> None:
         """Fail fast when a full-trace consumer meets a lesser capture.
 

@@ -88,31 +88,9 @@ def load_trace(text: str) -> list[TracedPacket]:
     return list(iter_load(text.splitlines()))
 
 
-def rebuild_sniffer(entries: Iterable[TracedPacket]) -> PacketSniffer:
-    """Re-observe a saved trace through a fresh sniffer.
-
-    The sniffer re-derives its classifications and CID bookkeeping from
-    the raw frames, so metrics computed on a reloaded trace match the
-    original run — the round-trip property the tests pin down.
-    """
-    sniffer = PacketSniffer()
-    for entry in entries:
-        if entry.direction is Direction.SENT:
-            sniffer.observe_sent(entry.packet, entry.sim_time)
-        else:
-            sniffer.observe_received(entry.packet, entry.sim_time)
-    return sniffer
-
-
 def save_trace(sniffer: PacketSniffer, path) -> int:
     """Write a trace to *path*; returns the number of entries written."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(dump_trace(sniffer))
         handle.write("\n")
     return len(sniffer.trace)
-
-
-def read_trace(path) -> PacketSniffer:
-    """Load a trace file back into a fully classified sniffer."""
-    with open(path, encoding="utf-8") as handle:
-        return rebuild_sniffer(iter_load(handle))

@@ -229,11 +229,6 @@ class FleetReport:
         return {target: tuple(rows) for target, rows in grouped.items()}
 
     @property
-    def merged_states(self) -> tuple[str, ...]:
-        """Every state some campaign covered, sorted by name."""
-        return tuple(sorted({state for _, state, _ in self.coverage_map}))
-
-    @property
     def merged_state_count(self) -> int:
         """Distinct (target, state) pairs covered by the fleet."""
         return len(self.coverage_map)
@@ -546,9 +541,15 @@ class FleetOrchestrator:
     :param target_state: focus state handed to the ``targeted`` strategy.
     :param corpus_dir: shared corpus directory. When set, every campaign
         writes its coverage-unlock sequences and minimised findings back
-        (idempotent, parallel-safe), the ``coverage_guided`` strategy is
-        seeded with the corpus's per-state visit prior, and the mutator
-        splices garbage tails harvested from stored reproducers.
+        (one transaction per shard, safe under parallel workers), the
+        ``coverage_guided`` strategy is seeded with the corpus's
+        per-state visit prior, and the mutator splices garbage tails
+        harvested from stored reproducers. Entries are content-addressed,
+        so a re-run campaign adds none twice; its findings are counted
+        again. A shard whose write committed but whose checkpoints were
+        not written (a worker killed between the two) is re-run on
+        resume, so the report and the entries match an uninterrupted
+        run while those findings' ``occurrences`` may be doubled.
     :param targets: protocol fuzz-target registry names, applied to
         every profile × strategy cell — one ``repro fleet`` run can
         sweep strategies × protocols.

@@ -61,10 +61,6 @@ class FuzzLog:
         """Append a VULNERABILITY record."""
         self.log(sim_time, LogLevel.VULNERABILITY, phase, message, **detail)
 
-    def by_level(self, level: LogLevel) -> list[LogEntry]:
-        """All records at *level*."""
-        return [entry for entry in self.entries if entry.level is level]
-
     def to_jsonl(self) -> str:
         """Serialise the whole log as JSON Lines."""
         import json

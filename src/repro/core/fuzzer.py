@@ -35,11 +35,11 @@ from repro.analysis.metrics import measure
 from repro.analysis.sniffer import PacketSniffer
 from repro.core.config import FuzzConfig
 from repro.core.detection import Finding, VulnerabilityDetector
-from repro.core.fuzz_log import FuzzLog, LogLevel
+from repro.core.fuzz_log import FuzzLog
 from repro.core.packet_queue import PacketQueue
 from repro.core.report import CampaignReport
 from repro.core.strategies import ExplorationStrategy, SequentialStrategy
-from repro.core.target_scanning import ScanResult, TargetScanner
+from repro.core.target_scanning import TargetScanner
 from repro.errors import TargetTimeoutError, TransportError
 from repro.hci.transport import VirtualLink
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.core.config import FuzzConfig
 from repro.l2cap.constants import (
@@ -321,20 +321,3 @@ class CoreFieldMutator:
             defaults=dict(spec.defaults),
             facts=(((), invalid_psm), ((Violation.GARBAGE_TAIL,), invalid_psm)),
         )
-
-    def generate(
-        self,
-        commands: Iterable[CommandCode],
-        take_identifier,
-        per_command: int | None = None,
-    ) -> Iterator[L2capPacket]:
-        """Algorithm 1's double loop: *n* malformed packets per command.
-
-        :param commands: the valid commands of the current job.
-        :param take_identifier: callable yielding fresh packet IDs.
-        :param per_command: overrides ``config.packets_per_command``.
-        """
-        count = per_command if per_command is not None else self.config.packets_per_command
-        for code in sorted(commands):
-            for _ in range(count):
-                yield self.mutate(code, take_identifier())

@@ -28,7 +28,6 @@ from repro.core.target_scanning import ScanResult
 from repro.l2cap.constants import CommandCode, ConfigResult, ConnectionResult
 from repro.l2cap.jobs import Job, job_of
 from repro.l2cap.packets import (
-    L2capPacket,
     configuration_request,
     configuration_response,
     connection_request,
@@ -379,9 +378,3 @@ class StateGuide:
             )
         )
         return context
-
-    # -- introspection ----------------------------------------------------------------
-
-    def live_channels(self) -> tuple[ChannelContext, ...]:
-        """Channels the guide currently holds open."""
-        return tuple(self._live)

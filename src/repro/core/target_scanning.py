@@ -54,15 +54,6 @@ class ScanResult:
             raise ScanError("no pairing-free port found, not even SDP")
         return self.open_psms[0]
 
-    def open_psm_with(self, predicate: Callable[[PortProbe], bool]) -> int | None:
-        """First open port whose probe satisfies *predicate*."""
-        by_psm = {probe.psm: probe for probe in self.probes}
-        for psm in self.open_psms:
-            probe = by_psm.get(psm)
-            if probe is not None and predicate(probe):
-                return psm
-        return None
-
 
 class TargetScanner:
     """Phase 1 runner.

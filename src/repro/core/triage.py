@@ -23,8 +23,7 @@ and resettable virtual targets, we can do better than log hooking:
   answers the rest of the pass, and a memo answers candidates ddmin
   tries twice. It starts from the crashing outcome the caller already
   has and returns the minimal sequence's own outcome, so a caller never
-  replays a sequence just to learn what it already knows;
-  :func:`minimize_trigger` is the check-then-shrink convenience.
+  replays a sequence just to learn what it already knows.
 """
 
 from __future__ import annotations
@@ -82,11 +81,6 @@ class ReplayOutcome:
     trigger_index: int | None
     error_message: str | None
     crash_id: str | None
-
-    @property
-    def trigger_packet_index(self) -> int | None:
-        """Index (into the replayed sequence) of the killing packet."""
-        return self.trigger_index
 
 
 def sent_packets(entries: Sequence[TracedPacket]) -> list[L2capPacket]:
@@ -249,21 +243,6 @@ def shrink_trigger(
                 break
             chunk = max(1, chunk // 2)
     return current, outcome
-
-
-def minimize_trigger(
-    packets: Sequence[L2capPacket],
-    target_factory: TargetFactory,
-    max_rounds: int = 16,
-) -> list[L2capPacket]:
-    """Check that *packets* crash the target, then :func:`shrink_trigger` them.
-
-    :raises ValueError: if the full sequence does not crash the target.
-    """
-    outcome = replay(packets, target_factory)
-    if not outcome.crashed:
-        raise ValueError("the supplied packet sequence does not crash the target")
-    return shrink_trigger(packets, target_factory, outcome, max_rounds)[0]
 
 
 def triage_report(

@@ -9,7 +9,7 @@ garbage-tail noise that minimisation strips) collapse into one bucket.
 
 Each bucket is one indexed row of the corpus database, written and read
 through :class:`~repro.corpus.sqlite_backend.SqliteCorpusBackend`
-(:meth:`~repro.corpus.sqlite_backend.SqliteCorpusBackend.record_finding`,
+(:meth:`~repro.corpus.sqlite_backend.SqliteCorpusBackend.ingest`,
 ``finding_records``, ``query_findings``). Recording an already-known bucket
 adds to its occurrence count — that is the cross-run duplicate
 detection, and the count is **exact** under concurrent workers (a

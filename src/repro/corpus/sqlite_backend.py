@@ -313,7 +313,10 @@ class SqliteCorpusBackend:
         All of it lands or none of it does, and the transaction is
         retried as a unit on lock contention. Batches are applied in
         order, so a repeat inside the call counts exactly as it would
-        in separate calls. Returns one dict per batch:
+        in separate calls. A record whose bucket is already stored adds
+        its occurrence count to the bucket's, and the bucket keeps the
+        lower-ranked of the two records (see :data:`_BUMP_FINDING`).
+        Returns one dict per batch:
         ``{"entries_added", "findings_new", "findings_duplicate"}``.
         """
         return _write_with_retry(lambda: self._ingest_once(batches), "ingest")
@@ -378,20 +381,6 @@ class SqliteCorpusBackend:
             ],
         )
         return 1
-
-    def add_entry(self, entry: CorpusEntry) -> bool:
-        """Persist *entry*; False when it was already stored."""
-        return self.ingest([([entry], ())])[0]["entries_added"] == 1
-
-    def record_finding(self, record: FindingRecord) -> str:
-        """Store *record*; returns ``"new"`` or ``"duplicate"``.
-
-        A duplicate adds its occurrence count to the bucket's — exactly,
-        under any number of concurrent workers — and the bucket keeps
-        the lower-ranked of the two records (see :data:`_BUMP_FINDING`).
-        """
-        counts = self.ingest([((), [record])])[0]
-        return "new" if counts["findings_new"] else "duplicate"
 
     # -- entries ------------------------------------------------------------------
 

@@ -4,9 +4,10 @@ The fuzzer's vulnerability-detection phase (paper §III.E) keys on
 connection-level error messages: ``Connection Failed`` means the target's
 Bluetooth service shut down (denial of service), while ``Connection
 Aborted``, ``Connection Reset``, ``Connection Refused`` and ``Timeout``
-indicate a crash on the target. We model those observable outcomes as an
-exception family so both the virtual transport and the detection logic
-speak the same vocabulary.
+indicate a crash on the target. We model the outcomes the virtual
+stacks produce (all but ``Connection Aborted`` and ``Connection
+Refused``) as an exception family so both the virtual transport and the
+detection logic speak the same vocabulary.
 """
 
 from __future__ import annotations
@@ -73,22 +74,10 @@ class ConnectionFailedError(TransportError):
     message = "Connection Failed"
 
 
-class ConnectionAbortedTargetError(TransportError):
-    """The target aborted the connection (crash indicator)."""
-
-    message = "Connection Aborted"
-
-
 class ConnectionResetTargetError(TransportError):
     """The target reset the connection (crash indicator)."""
 
     message = "Connection Reset"
-
-
-class ConnectionRefusedTargetError(TransportError):
-    """The target refused the connection (crash indicator)."""
-
-    message = "Connection Refused"
 
 
 class TargetTimeoutError(TransportError):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import struct
 
-from repro.errors import PacketDecodeError
 from repro.hci.packets import AclPacket, PB_CONTINUATION, PB_FIRST_FLUSHABLE
 from repro.l2cap.constants import L2CAP_HEADER_LEN
 
@@ -101,23 +100,3 @@ class Reassembler:
             return None
         (payload_len,) = struct.unpack_from("<H", buffer, 0)
         return L2CAP_HEADER_LEN + payload_len
-
-    def pending_handles(self) -> frozenset[int]:
-        """Handles with an incomplete frame in flight."""
-        return frozenset(self._pending)
-
-
-def defragment_stream(packets: list[AclPacket]) -> list[bytes]:
-    """Convenience: recombine a whole packet list into L2CAP frames.
-
-    :raises PacketDecodeError: if the stream ends mid-frame.
-    """
-    reassembler = Reassembler()
-    frames = []
-    for packet in packets:
-        frame = reassembler.feed(packet)
-        if frame is not None:
-            frames.append(frame)
-    if reassembler.pending_handles():
-        raise PacketDecodeError("ACL stream ended with an incomplete frame")
-    return frames

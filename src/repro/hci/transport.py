@@ -44,7 +44,6 @@ from repro.errors import (
     TargetTimeoutError,
     TransportError,
 )
-from repro.hci.packets import AclPacket
 from repro.l2cap.packets import L2capPacket
 
 
@@ -162,18 +161,9 @@ class VirtualLink:
         self.packet_remote = packet_handler
 
     @property
-    def is_up(self) -> bool:
-        """True while the link (and the remote's Bluetooth service) lives."""
-        return self._down_error is None
-
-    @property
     def down_error(self) -> type[TransportError] | None:
         """The error class the link failed with, if any."""
         return self._down_error
-
-    def take_down(self, error: type[TransportError]) -> None:
-        """Force the link down with *error* (used by crash propagation)."""
-        self._down_error = error
 
     def restore(self) -> None:
         """Bring a downed link back up (device reset in the testbed)."""
@@ -186,7 +176,7 @@ class VirtualLink:
         """Transmit one raw ACL frame to the remote endpoint (bytes path).
 
         Charges :attr:`tx_cost` on the clock, then delivers synchronously.
-        Responses the remote produces are queued for :meth:`receive_frame`.
+        Responses the remote produces are queued on :attr:`inbound`.
 
         :raises TransportError: (a subclass) once the link is down.
         """
@@ -236,37 +226,3 @@ class VirtualLink:
         """Take the link down with the crash's transport error."""
         self._down_error = crash_exc.crash.transport_error
         return self._down_error()
-
-    def send_packet(self, packet: AclPacket) -> None:
-        """Convenience: encode and transmit an :class:`AclPacket`."""
-        self.send_frame(packet.encode())
-
-    def receive_frame(self) -> bytes | None:
-        """Pop the next queued response (None if the queue is empty).
-
-        :raises TransportError: once the link is down and drained — a
-            downed target cannot answer, which the fuzzer observes as the
-            crash's error condition.
-        """
-        if self.inbound:
-            return self.inbound.popleft()
-        if self._down_error is not None:
-            raise self._down_error()
-        return None
-
-    def receive_packet(self) -> AclPacket | None:
-        """Convenience: receive and decode one :class:`AclPacket`."""
-        frame = self.receive_frame()
-        if frame is None:
-            return None
-        return AclPacket.decode(frame)
-
-    def drain(self) -> list[bytes]:
-        """Pop every currently queued response."""
-        frames = list(self.inbound)
-        self.inbound.clear()
-        return frames
-
-    def pending(self) -> int:
-        """Number of responses waiting to be received."""
-        return len(self.inbound)

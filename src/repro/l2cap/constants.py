@@ -92,44 +92,6 @@ COMMAND_NAME_BY_VALUE: dict[int, str] = {
 }
 
 
-#: Commands that initiate an exchange (the fuzzer can originate these).
-REQUEST_CODES = frozenset(
-    {
-        CommandCode.CONNECTION_REQ,
-        CommandCode.CONFIGURATION_REQ,
-        CommandCode.DISCONNECTION_REQ,
-        CommandCode.ECHO_REQ,
-        CommandCode.INFORMATION_REQ,
-        CommandCode.CREATE_CHANNEL_REQ,
-        CommandCode.MOVE_CHANNEL_REQ,
-        CommandCode.MOVE_CHANNEL_CONFIRMATION_REQ,
-        CommandCode.CONNECTION_PARAMETER_UPDATE_REQ,
-        CommandCode.LE_CREDIT_BASED_CONNECTION_REQ,
-        CommandCode.CREDIT_BASED_CONNECTION_REQ,
-        CommandCode.CREDIT_BASED_RECONFIGURE_REQ,
-    }
-)
-
-#: Commands that answer an exchange.
-RESPONSE_CODES = frozenset(
-    {
-        CommandCode.COMMAND_REJECT,
-        CommandCode.CONNECTION_RSP,
-        CommandCode.CONFIGURATION_RSP,
-        CommandCode.DISCONNECTION_RSP,
-        CommandCode.ECHO_RSP,
-        CommandCode.INFORMATION_RSP,
-        CommandCode.CREATE_CHANNEL_RSP,
-        CommandCode.MOVE_CHANNEL_RSP,
-        CommandCode.MOVE_CHANNEL_CONFIRMATION_RSP,
-        CommandCode.CONNECTION_PARAMETER_UPDATE_RSP,
-        CommandCode.LE_CREDIT_BASED_CONNECTION_RSP,
-        CommandCode.CREDIT_BASED_CONNECTION_RSP,
-        CommandCode.CREDIT_BASED_RECONFIGURE_RSP,
-    }
-)
-
-
 class RejectReason(enum.IntEnum):
     """Reason codes of the Command Reject response (Core 5.2 Table 4.4).
 

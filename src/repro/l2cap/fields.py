@@ -15,7 +15,6 @@ range used as mutation value pools.
 
 from __future__ import annotations
 
-import enum
 import random
 
 from repro.l2cap.constants import (
@@ -23,110 +22,15 @@ from repro.l2cap.constants import (
     CIDP_MUTATION_RANGE,
     is_valid_psm,
 )
-from repro.l2cap.packets import COMMAND_SPECS, L2capPacket
 
-
-class FieldCategory(enum.Enum):
-    """The four field classes of the paper's taxonomy."""
-
-    FIXED = "F"
-    DEPENDENT = "D"
-    MUTABLE_CORE = "MC"
-    MUTABLE_APPLICATION = "MA"
-
-
-#: Frame-level fields (outside the data-field region) and their classes.
-FRAME_FIELD_CATEGORY: dict[str, FieldCategory] = {
-    "header_cid": FieldCategory.FIXED,
-    "payload_len": FieldCategory.DEPENDENT,
-    "code": FieldCategory.DEPENDENT,
-    "identifier": FieldCategory.DEPENDENT,
-    "data_len": FieldCategory.DEPENDENT,
-}
-
-#: The mutable core fields (paper Fig. 6): the port field plus the four
-#: "Channel ID in Payload" fields.
-MC_FIELD_NAMES = frozenset({"psm", "scid", "dcid", "icid", "cont_id"})
 
 #: The CIDP subset of MC — channel-endpoint fields (everything but PSM).
 CIDP_FIELD_NAMES = frozenset({"scid", "dcid", "icid", "cont_id"})
-
-#: Mutable application fields (paper Fig. 6): command data that does not
-#: affect port or channel management.
-MA_FIELD_NAMES = frozenset(
-    {
-        "reason",
-        "result",
-        "status",
-        "flags",
-        "info_type",  # "TYPE" in the paper's figure
-        "interval_min",  # "INTERVAL"
-        "interval_max",
-        "latency",
-        "timeout",
-        "spsm",
-        "mtu",
-        "credit",
-        "mps",
-        "cid",  # flow-control credit CID rides as application data
-        "options",  # "OPT"
-        "qos",
-        "data",
-        "cid_list",
-    }
-)
-
-
-def categorize_field(name: str) -> FieldCategory:
-    """Classify a field name into F / D / MC / MA.
-
-    :raises KeyError: for names outside the Bluetooth 5.2 frame taxonomy.
-    """
-    if name in FRAME_FIELD_CATEGORY:
-        return FRAME_FIELD_CATEGORY[name]
-    if name in MC_FIELD_NAMES:
-        return FieldCategory.MUTABLE_CORE
-    if name in MA_FIELD_NAMES:
-        return FieldCategory.MUTABLE_APPLICATION
-    raise KeyError(f"unknown L2CAP field {name!r}")
-
-
-def mutable_core_fields(packet: L2capPacket) -> tuple[str, ...]:
-    """Names of the MC fields present in *packet*'s command layout."""
-    return tuple(name for name in packet.field_names() if name in MC_FIELD_NAMES)
-
-
-def mutable_application_fields(packet: L2capPacket) -> tuple[str, ...]:
-    """Names of the MA fields present in *packet*'s command layout."""
-    return tuple(name for name in packet.field_names() if name in MA_FIELD_NAMES)
-
-
-def commands_with_core_fields() -> frozenset:
-    """Command codes whose layout contains at least one MC field."""
-    return frozenset(
-        code
-        for code, spec in COMMAND_SPECS.items()
-        if any(field.name in MC_FIELD_NAMES for field in spec.fields)
-    )
 
 
 # ---------------------------------------------------------------------------
 # Table IV value pools
 # ---------------------------------------------------------------------------
-
-
-def abnormal_psm_values() -> tuple[int, ...]:
-    """Materialise the abnormal PSM pool of paper Table IV.
-
-    The pool contains the seven odd-MSB hex ranges plus every even value
-    in the 16-bit space ("All even values"). None of these are well-formed
-    PSMs, so they probe the target's port handling off the valid grid.
-    """
-    values = set()
-    for start, end in ABNORMAL_PSM_RANGES:
-        values.update(range(start, end + 1))
-    values.update(range(0x0000, 0x10000, 2))
-    return tuple(sorted(values))
 
 
 def random_abnormal_psm(rng: random.Random) -> int:
@@ -157,13 +61,6 @@ def random_normal_cidp(rng: random.Random, field_size: int = 2) -> int:
         return rng.randrange(0x00, 0x100)
     low, high = CIDP_MUTATION_RANGE
     return rng.randrange(low, high + 1)
-
-
-def is_abnormal_psm(value: int) -> bool:
-    """True if *value* lies in the Table IV abnormal PSM pool."""
-    if value % 2 == 0 and 0 <= value <= 0xFFFF:
-        return True
-    return any(start <= value <= end for start, end in ABNORMAL_PSM_RANGES)
 
 
 def is_normal_cidp(value: int) -> bool:

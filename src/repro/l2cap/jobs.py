@@ -107,18 +107,3 @@ JOB_VALID_COMMANDS: dict[Job, frozenset[CommandCode]] = {
 def job_of(state: ChannelState) -> Job:
     """Return the job a state belongs to (paper Table I)."""
     return STATE_JOB[state]
-
-
-def valid_commands_for_state(state: ChannelState) -> frozenset[CommandCode]:
-    """Valid commands for *state* via its job (paper Table III).
-
-    This is the *generous* boundary used by the fuzzer; it intentionally
-    includes commands some conformant stacks would reject, because real
-    devices frequently accept them anyway (paper §III.C).
-    """
-    return JOB_VALID_COMMANDS[job_of(state)]
-
-
-def states_of(job: Job) -> frozenset[ChannelState]:
-    """Return the member states of *job* (paper Table I)."""
-    return JOB_STATES[job]

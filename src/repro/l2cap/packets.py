@@ -23,7 +23,7 @@ import dataclasses
 import functools
 import struct
 import weakref
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 
 from repro.errors import PacketDecodeError, PacketEncodeError
 from repro.l2cap.constants import (
@@ -567,13 +567,6 @@ class L2capPacket:
         return tuple(field.name for field in spec.fields)
 
     # -- length bookkeeping -------------------------------------------------
-
-    @property
-    def data_length(self) -> int:
-        """Declared Data Length (derived from content unless overridden)."""
-        if self.declared_data_len is not None:
-            return self.declared_data_len
-        return self._natural_data_length()
 
     @property
     def payload_length(self) -> int:
@@ -1156,33 +1149,6 @@ def mtu_option(mtu: int = 0x0400) -> ConfigOption:
     return ConfigOption(ConfigOptionType.MTU, struct.pack("<H", mtu & 0xFFFF))
 
 
-def flush_timeout_option(timeout: int = 0xFFFF) -> ConfigOption:
-    """Build the flush-timeout configuration option."""
-    return ConfigOption(ConfigOptionType.FLUSH_TIMEOUT, struct.pack("<H", timeout & 0xFFFF))
-
-
-def qos_option(
-    service_type: int = 0x01,
-    token_rate: int = 0,
-    token_bucket: int = 0,
-    peak_bandwidth: int = 0,
-    latency: int = 0xFFFFFFFF,
-    delay_variation: int = 0xFFFFFFFF,
-) -> ConfigOption:
-    """Build the QoS configuration option (flags byte + 5 u32 parameters)."""
-    value = struct.pack(
-        "<BBIIIII",
-        0,
-        service_type & 0xFF,
-        token_rate,
-        token_bucket,
-        peak_bandwidth,
-        latency,
-        delay_variation,
-    )
-    return ConfigOption(ConfigOptionType.QOS, value)
-
-
 def encode_options(options: list[ConfigOption]) -> bytes:
     """Concatenate configuration options into a tail region."""
     return b"".join(option.encode() for option in options)
@@ -1207,18 +1173,6 @@ def decode_options(raw: bytes) -> list[ConfigOption]:
     return options
 
 
-def encode_cid_list(cids: list[int]) -> bytes:
-    """Encode a list of CIDs (credit-based commands' tail)."""
-    return b"".join(struct.pack("<H", cid & 0xFFFF) for cid in cids)
-
-
-def decode_cid_list(raw: bytes) -> list[int]:
-    """Decode the CID-list tail of credit-based commands."""
-    if len(raw) % 2:
-        raise PacketDecodeError("CID list has odd length")
-    return [value for (value,) in struct.iter_unpack("<H", raw)]
-
-
 # ---------------------------------------------------------------------------
 # Builders for the normal packets the state-guiding phase sends
 # ---------------------------------------------------------------------------
@@ -1230,17 +1184,6 @@ def connection_request(psm: int, scid: int, identifier: int = 1) -> L2capPacket:
         CommandCode.CONNECTION_REQ,
         identifier,
         {"psm": psm, "scid": scid},
-    )
-
-
-def connection_response(
-    dcid: int, scid: int, result: int, status: int = 0, identifier: int = 1
-) -> L2capPacket:
-    """Build a Connection Response."""
-    return L2capPacket(
-        CommandCode.CONNECTION_RSP,
-        identifier,
-        {"dcid": dcid, "scid": scid, "result": result, "status": status},
     )
 
 
@@ -1329,18 +1272,3 @@ def default_packet(code: CommandCode, identifier: int = 1, **fields: int) -> L2c
             raise KeyError(f"{code.name} has no field {name!r}")
         packet.fields[name] = value
     return packet
-
-
-def iter_command_codes() -> Iterator[CommandCode]:
-    """Iterate all 26 command codes in numeric order."""
-    return iter(sorted(COMMAND_SPECS))
-
-
-def spec_for(code: int) -> CommandSpec | None:
-    """Look up the :class:`CommandSpec` for *code* (None if unknown)."""
-    return SPEC_BY_CODE.get(code)
-
-
-def fields_defaults(code: CommandCode) -> Mapping[str, int]:
-    """Return the default field values for *code*."""
-    return {field.name: field.default for field in COMMAND_SPECS[code].fields}

@@ -58,11 +58,6 @@ class ValidationReport:
 
     violations: tuple[Violation, ...]
 
-    @property
-    def clean(self) -> bool:
-        """True when the packet is a spec-clean encoding."""
-        return not self.violations
-
     def has(self, violation: Violation) -> bool:
         """True when *violation* was observed."""
         return violation in self.violations
@@ -184,30 +179,6 @@ def structural_reject_reason(
     return None
 
 
-def reject_reason_for(report: ValidationReport) -> RejectReason | None:
-    """Map a validation report to the Command Reject reason a stack sends.
-
-    Mirrors paper §III.D: mutated ``F``/``D`` provokes "Command not
-    understood", an MTU-busting frame provokes "Signaling MTU exceeded",
-    and a bogus channel endpoint provokes "Invalid CID in request". Clean
-    packets (or packets whose only oddity is field *values* inside valid
-    layouts, e.g. an abnormal PSM or garbage the parser never reaches)
-    yield None — they are processed, not rejected.
-    """
-    if report.has(Violation.MTU_EXCEEDED):
-        return RejectReason.SIGNALING_MTU_EXCEEDED
-    if (
-        report.has(Violation.UNKNOWN_CODE)
-        or report.has(Violation.BAD_HEADER_CID)
-        or report.has(Violation.LENGTH_MISMATCH)
-        or report.has(Violation.TRUNCATED_FIELDS)
-    ):
-        return RejectReason.COMMAND_NOT_UNDERSTOOD
-    if report.has(Violation.UNALLOCATED_CID):
-        return RejectReason.INVALID_CID
-    return None
-
-
 def is_malformed(packet: L2capPacket, allocated_cids: frozenset[int] = frozenset()) -> bool:
     """Classify a transmitted packet as malformed (MP-Ratio numerator).
 
@@ -217,8 +188,8 @@ def is_malformed(packet: L2capPacket, allocated_cids: frozenset[int] = frozenset
     This is the packet-trace-level judgement a Wireshark analyst makes in
     the paper's §IV.C measurement.
 
-    Equivalent to ``not frame_violations(packet, 1 << 30,
-    allocated_cids).clean`` but skips building the report — this runs
+    Equivalent to ``bool(frame_violations(packet, 1 << 30,
+    allocated_cids).violations)`` but skips building the report — this runs
     once per transmitted packet, and a boolean needs no violation list.
     """
     if packet.header_cid != SIGNALING_CID:
@@ -241,12 +212,3 @@ def is_malformed(packet: L2capPacket, allocated_cids: frozenset[int] = frozenset
         if is_normal_cidp(value) and value not in allocated_cids:
             return True
     return False
-
-
-def spec_layout_ok(packet: L2capPacket) -> bool:
-    """True if the packet's code and field layout match a 5.2 command."""
-    spec = packet.spec
-    if spec is None:
-        return False
-    fields = packet.fields
-    return all(field.name in fields for field in spec.fields)

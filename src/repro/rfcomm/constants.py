@@ -59,8 +59,3 @@ def fcs(data: bytes) -> int:
     for byte in data:
         crc = FCS_TABLE[crc ^ byte]
     return 0xFF - crc
-
-
-def fcs_ok(data: bytes, received: int) -> bool:
-    """Verify a received FCS against *data*."""
-    return fcs(data) == received

@@ -113,10 +113,6 @@ class RfcommMux:
         entry = self._dlcis.get(dlci)
         return entry.state if entry is not None else DlciState.DISCONNECTED
 
-    def visited_states(self) -> frozenset[tuple[int, DlciState]]:
-        """All (dlci, state) pairs entered so far."""
-        return frozenset(self.state_history)
-
     # -- dispatch -------------------------------------------------------------------
 
     def _set_state(self, entry: DlciEntry, state: DlciState) -> None:

@@ -1,10 +1,9 @@
 """Fuzzer-side SDP client: browse a target's services over the air.
 
-Replaces the testbed's side-channel ``sdp_browse()`` with the real
-protocol exchange the paper's tool performs: open an L2CAP channel to
-PSM 0x0001, send a ServiceSearchAttributeRequest for the public browse
-root, and parse the advertised (name, PSM, service class) triples out of
-the attribute lists.
+The exchange the paper's tool performs: open an L2CAP channel to PSM
+0x0001, send a ServiceSearchAttributeRequest for the public browse root,
+and parse the advertised (name, PSM, service class) triples out of the
+attribute lists.
 """
 
 from __future__ import annotations

@@ -237,11 +237,6 @@ def uint(value: int, width: int = 2) -> DataElement:
     return DataElement(ElementType.UNSIGNED_INT, value, width)
 
 
-def uint8(value: int) -> DataElement:
-    """A one-byte unsigned integer element."""
-    return DataElement(ElementType.UNSIGNED_INT, value, 1)
-
-
 def uint32(value: int) -> DataElement:
     """A four-byte unsigned integer element."""
     return DataElement(ElementType.UNSIGNED_INT, value, 4)
@@ -255,11 +250,6 @@ def uuid16(value: int) -> DataElement:
 def text(value: str) -> DataElement:
     """A text string element."""
     return DataElement(ElementType.TEXT, value, len(value))
-
-
-def boolean(value: bool) -> DataElement:
-    """A boolean element."""
-    return DataElement(ElementType.BOOL, value, 1)
 
 
 def sequence(*children: DataElement) -> DataElement:

@@ -271,13 +271,6 @@ class ServiceClient:
             "GET", f"/v1/tenants/{self.tenant}/corpus", retryable=True
         )
 
-    def corpus_entry(self, entry_id: str) -> dict:
-        return self._json(
-            "GET",
-            f"/v1/tenants/{self.tenant}/corpus/{entry_id}",
-            retryable=True,
-        )
-
     def shutdown(self) -> dict:
         return self._json("POST", "/v1/admin/shutdown", retryable=True)
 

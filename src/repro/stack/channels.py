@@ -41,11 +41,6 @@ class ChannelControlBlock:
     local_config_sent: bool = False
     initiates_config: bool = False
 
-    @property
-    def is_open(self) -> bool:
-        """True once both configuration directions completed."""
-        return self.state is ChannelState.OPEN
-
     def copy(self) -> ChannelControlBlock:
         """An independent copy of this block."""
         clone = ChannelControlBlock.__new__(ChannelControlBlock)

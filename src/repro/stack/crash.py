@@ -15,7 +15,6 @@ import dataclasses
 import enum
 
 from repro.errors import (
-    ConnectionAbortedTargetError,
     ConnectionFailedError,
     ConnectionResetTargetError,
     TargetTimeoutError,

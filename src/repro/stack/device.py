@@ -132,14 +132,6 @@ class VirtualDevice:
         """Answer a discovery inquiry (MAC, name, class, OUI)."""
         return self.meta
 
-    def sdp_browse(self):
-        """List advertised services through a side channel.
-
-        This is the shortcut view; the scanner's default path performs
-        the real over-the-air SDP exchange against :attr:`sdp_server`.
-        """
-        return self.services.all_records()
-
     def _build_sdp_server(self):
         """Stand up the on-device SDP server when SDP is advertised."""
         if not self.services.supports(Psm.SDP):

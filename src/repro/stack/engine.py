@@ -35,7 +35,7 @@ from repro.l2cap.constants import (
     SIGNALING_CID,
     is_valid_psm,
 )
-from repro.l2cap.jobs import Job, job_of
+from repro.l2cap.jobs import job_of
 from repro.l2cap.packets import (
     L2capPacket,
     command_reject,
@@ -227,10 +227,6 @@ class HostStackEngine:
         """Restart the stack after a crash (the testbed's device reset)."""
         self.crash = None
         self.channels.clear()
-
-    def visited_states(self) -> frozenset[ChannelState]:
-        """All channel states any channel has entered so far."""
-        return frozenset(visit.state for visit in self.state_history)
 
     def transition_coverage(self) -> frozenset[tuple[str, str, str]]:
         """Distinct (command, state, outcome) branches exercised so far.

@@ -76,10 +76,6 @@ class ServiceDirectory:
         """Every service, in ascending PSM order (an SDP browse result)."""
         return tuple(self._records[psm] for psm in sorted(self._records))
 
-    def psms(self) -> tuple[int, ...]:
-        """All advertised PSMs in ascending order."""
-        return tuple(sorted(self._records))
-
     def open_psms(self) -> tuple[int, ...]:
         """PSMs connectable without pairing."""
         return tuple(

@@ -32,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import struct
-from typing import Protocol, runtime_checkable
 
 from repro.l2cap.packets import L2capPacket
 
@@ -113,65 +112,6 @@ class GuidedPosition:
     context: object = None
 
 
-@runtime_checkable
-class TargetGuide(Protocol):
-    """Phase-2 router for one protocol (built per campaign).
-
-    Optional extras the engine honours when present:
-
-    * ``confirmed_states`` — a set of plan states whose routing
-      handshake the target demonstrably answered (feeds the default
-      :meth:`FuzzTarget.covered_states`);
-    * ``on_target_reset()`` — called after a crashed target is reset in
-      an auto-reset campaign, so cached channels/sessions that died
-      with the old stack instance are dropped and re-established.
-    """
-
-    def plan(self) -> tuple:
-        """The ordered states this campaign will visit (shallow→deep)."""
-        ...
-
-    def enter(self, state) -> GuidedPosition:
-        """Drive the target into *state* with valid frames.
-
-        :raises TransportError: if the target dies during routing.
-        """
-        ...
-
-    def leave(self, position: GuidedPosition) -> None:
-        """Tear down whatever the route built (valid teardown frames)."""
-        ...
-
-
-@runtime_checkable
-class TargetMutator(Protocol):
-    """Phase-3 generator for one protocol (built per campaign).
-
-    Optional extra the engine honours when present (and
-    ``FuzzConfig.wire_fast_path`` is on):
-
-    * ``mutate_wire(position, command, identifier)`` — the bytes-level
-      fast path. Must return a packet **byte-identical** to what
-      :meth:`mutate` would have produced for the same call, consuming
-      the RNG stream identically (same draws, same order), or None when
-      this mutation plan needs field semantics — the engine then falls
-      back to :meth:`mutate` for that packet. The returned packet
-      usually carries a primed encode cache
-      (:meth:`~repro.l2cap.packets.L2capPacket.from_wire_parts` /
-      :func:`wire_data_frame_fast`), so the single wire serialisation
-      the transport needs is the one the mutator already did.
-    """
-
-    def mutate(self, position: GuidedPosition, command, identifier: int):
-        """Build one valid-malformed wire packet for *command*.
-
-        Returns an :class:`~repro.l2cap.packets.L2capPacket` — either a
-        signaling command (the L2CAP target) or a data frame carrying
-        the protocol's mutated payload (every other target).
-        """
-        ...
-
-
 #: The hook surface every registered target must provide. Each entry is
 #: ``(attribute, is_callable)``; registration checks presence and shape.
 REQUIRED_HOOKS: tuple[tuple[str, bool], ...] = (
@@ -202,8 +142,23 @@ class FuzzTarget:
     * ``state_plan()`` — the ordered subset a campaign routes through.
     * ``fallback_state()`` — posture fuzzed when state guiding is
       ablated away.
-    * ``build_guide(queue, scan)`` — phase-2 router.
-    * ``build_mutator(config, rng, dictionary)`` — phase-3 generator.
+    * ``build_guide(queue, scan)`` — phase-2 router, built per
+      campaign: ``plan()`` (the ordered states, shallow→deep),
+      ``enter(state)`` (drive the target there with valid frames and
+      return a :class:`GuidedPosition`) and ``leave(position)`` (valid
+      teardown). Optional: ``confirmed_states`` (see
+      :meth:`covered_states`) and ``on_target_reset()``, called after
+      an auto-reset campaign resets a crashed target so cached
+      channels and sessions are re-established.
+    * ``build_mutator(config, rng, dictionary)`` — phase-3 generator,
+      built per campaign: ``mutate(position, command, identifier)``
+      returns one valid-malformed :class:`~repro.l2cap.packets.L2capPacket`
+      (a signalling command, or a data frame carrying the protocol's
+      payload). Optional, used when ``FuzzConfig.wire_fast_path`` is
+      on: ``mutate_wire`` with the same arguments — the bytes-level
+      fast path. It must return a packet byte-identical to what
+      ``mutate`` would produce, drawing from the RNG identically, or
+      None to fall back to ``mutate`` for that packet.
     * ``commands_for(position)`` — the valid commands of the state the
       guide just entered, in deterministic order.
     * ``encode_payload(obj)`` / ``decode_payload(raw)`` — protocol codec

@@ -58,7 +58,7 @@ class _L2capMutator:
     def mutate_wire(
         self, position: GuidedPosition, command, identifier: int
     ) -> L2capPacket | None:
-        """Bytes-level fast path (see :class:`~repro.targets.base.TargetMutator`)."""
+        """Bytes-level fast path (see :class:`~repro.targets.base.FuzzTarget`)."""
         return self._mutate_wire(command, identifier)
 
 

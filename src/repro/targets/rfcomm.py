@@ -2,8 +2,8 @@
 
 Absorbs the old standalone ``RfcommFuzzer`` into the campaign engine:
 the mux walk (SABM on DLCI 0 → control connected → SABM on a data DLCI
-→ data connected) becomes a three-state guide, DLCI mutation becomes a
-:class:`~repro.targets.base.TargetMutator`, and crashes surface as
+→ data connected) becomes a three-state guide, DLCI mutation becomes its
+mutator (see :class:`~repro.targets.base.FuzzTarget`), and crashes surface as
 ordinary campaign :class:`~repro.core.detection.Finding` objects — so
 RFCOMM findings flow through the shared ``finding_key()`` and dedupe
 against the fleet and corpus databases like any other protocol's (the

@@ -182,51 +182,6 @@ class MetricsRegistry:
 
     # -- merging ---------------------------------------------------------------------
 
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` into this registry.
-
-        Counters and histograms add; gauges take the snapshot's value
-        (last write wins). Raises on an unknown schema version, like the
-        summary codec.
-        """
-        version = snapshot.get("schema")
-        if version != METRICS_SCHEMA_VERSION:
-            raise ValueError(
-                f"unknown metrics schema version {version} "
-                f"(expected {METRICS_SCHEMA_VERSION})"
-            )
-        for name, rows in snapshot.get("counters", {}).items():
-            for row in rows:
-                self.inc(name, row["value"], **row["labels"])
-        for name, rows in snapshot.get("gauges", {}).items():
-            for row in rows:
-                self.set_gauge(name, row["value"], **row["labels"])
-        for name, rows in snapshot.get("histograms", {}).items():
-            for row in rows:
-                uppers = tuple(
-                    upper for upper, _ in row["buckets"] if upper != "+Inf"
-                )
-                stored = self._buckets.setdefault(name, uppers)
-                if stored != uppers:
-                    raise ValueError(
-                        f"histogram {name} bucket layout mismatch: "
-                        f"{stored} != {uppers}"
-                    )
-                series = self._histograms.setdefault(name, {})
-                key = _label_key(row["labels"])
-                state = series.get(key)
-                if state is None:
-                    state = {
-                        "counts": [0] * (len(uppers) + 1),
-                        "sum": 0.0,
-                        "count": 0,
-                    }
-                    series[key] = state
-                for position, (_, count) in enumerate(row["buckets"]):
-                    state["counts"][position] += count
-                state["sum"] += row["sum"]
-                state["count"] += row["count"]
-
 
 def _format_value(value: float) -> str:
     if isinstance(value, float) and value.is_integer():

@@ -19,7 +19,7 @@ from repro.analysis.sniffer import SENT_ONLY, PacketSniffer
 from repro.analysis.traceio import dump_trace
 from repro.core.config import FuzzConfig
 from repro.l2cap.constants import CommandCode
-from repro.l2cap.packets import L2capPacket, connection_response, echo_request
+from repro.l2cap.packets import L2capPacket, configuration_request, echo_request
 from repro.testbed.profiles import D2
 from repro.testbed.session import FuzzSession
 
@@ -83,7 +83,11 @@ class TestSentCapture:
 
     def test_keeps_no_received_side_object(self):
         sent = echo_request()
-        received = connection_response(dcid=0x0040, scid=0x0041, result=0)
+        received = L2capPacket(
+            CommandCode.CONNECTION_RSP,
+            1,
+            {"dcid": 0x0040, "scid": 0x0041, "result": 0},
+        )
         for retain, keeps_received in ((SENT_ONLY, False), (True, True)):
             sniffer = PacketSniffer(retain_trace=retain)
             assert (sniffer.observe_sent(sent, 0.0) is not None) is keeps_received
@@ -94,8 +98,10 @@ class TestSentCapture:
             # The full trace is the control: the walk does find the
             # received packet when something keeps it.
             assert _holds(sniffer, received) is keeps_received
-        # The CID the response allocated is still learned.
-        assert sniffer.observed_target_cids == {0x0040}
+            # The CID the response allocated is still learned: a
+            # request to it is not malformed.
+            sniffer.observe_sent(configuration_request(dcid=0x0040), 0.2)
+            assert sniffer.malformed_count() == 0
 
     def test_full_trace_views_refuse(self):
         sniffer = PacketSniffer(retain_trace=SENT_ONLY)

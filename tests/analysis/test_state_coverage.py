@@ -20,7 +20,7 @@ from tests.conftest import make_rig
 
 
 def _walk_plan(device, queue, states=None):
-    scan = TargetScanner(queue, device.inquiry, device.sdp_browse).scan()
+    scan = TargetScanner(queue, device.inquiry, device.services.all_records).scan()
     guide = StateGuide(queue, scan)
     for state in states if states is not None else guide.plan():
         guided = guide.enter(state)
@@ -42,7 +42,8 @@ class TestInference:
     def test_inference_agrees_with_device_ground_truth(self):
         device, _, queue = make_rig()
         covered = _walk_plan(device, queue)
-        ground_truth = device.engine.visited_states() | {ChannelState.CLOSED}
+        visited = {visit.state for visit in device.engine.state_history}
+        ground_truth = visited | {ChannelState.CLOSED}
         assert covered <= ground_truth
 
     def test_inference_never_claims_initiator_states(self):

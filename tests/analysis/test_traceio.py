@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.metrics import measure
-from repro.analysis.state_coverage import state_coverage
+from repro.analysis.sniffer import Direction
+from repro.analysis.state_coverage import StateCoverageAnalyzer, state_coverage
 from repro.analysis.traceio import (
     dump_trace,
     load_trace,
     packets_from_hex,
     packets_to_hex,
-    read_trace,
-    rebuild_sniffer,
     save_trace,
 )
 from repro.core.config import FuzzConfig
@@ -31,7 +30,7 @@ def _campaign_sniffer(max_packets=600):
     fuzzer = L2Fuzz(
         link=link,
         inquiry=device.inquiry,
-        browse=device.sdp_browse,
+        browse=device.services.all_records,
         config=FuzzConfig(max_packets=max_packets),
     )
     fuzzer.run()
@@ -45,20 +44,24 @@ class TestRoundTrip:
         assert len(entries) == len(sniffer.trace)
 
     def test_reloaded_metrics_match_original(self):
-        """The key property: analysis on a saved trace equals the live run."""
+        """The key property: a saved trace carries the live run's Table VII counts."""
         sniffer = _campaign_sniffer()
-        reloaded = rebuild_sniffer(load_trace(dump_trace(sniffer)))
+        entries = load_trace(dump_trace(sniffer))
+        sent = [e for e in entries if e.direction is Direction.SENT]
+        received = [e for e in entries if e.direction is Direction.RECEIVED]
         original = measure(sniffer, 1.0)
-        recomputed = measure(reloaded, 1.0)
-        assert recomputed.transmitted == original.transmitted
-        assert recomputed.malformed == original.malformed
-        assert recomputed.received == original.received
-        assert recomputed.rejections == original.rejections
+        assert len(sent) == original.transmitted
+        assert sum(e.malformed for e in sent) == original.malformed
+        assert len(received) == original.received
+        assert sum(e.rejection for e in received) == original.rejections
 
     def test_reloaded_state_coverage_matches(self):
         sniffer = _campaign_sniffer(1500)
-        reloaded = rebuild_sniffer(load_trace(dump_trace(sniffer)))
-        assert state_coverage(reloaded) == state_coverage(sniffer)
+        analyzer = StateCoverageAnalyzer()
+        for entry in load_trace(dump_trace(sniffer)):
+            analyzer.feed(entry)
+        assert analyzer.coverage() == state_coverage(sniffer)
+        assert len(analyzer.coverage()) > 1
 
     def test_directions_and_flags_survive(self):
         sniffer = _campaign_sniffer(100)
@@ -74,8 +77,10 @@ class TestRoundTrip:
         path = tmp_path / "trace.jsonl"
         count = save_trace(sniffer, path)
         assert count == len(sniffer.trace)
-        reloaded = read_trace(path)
-        assert reloaded.transmitted_count() == sniffer.transmitted_count()
+        reloaded = load_trace(path.read_text(encoding="utf-8"))
+        assert [entry.packet.encode() for entry in reloaded] == [
+            entry.packet.encode() for entry in sniffer.trace
+        ]
 
     def test_blank_lines_skipped(self):
         sniffer = _campaign_sniffer(50)

@@ -12,14 +12,12 @@ from repro.core.detection import (
     finding_key,
 )
 from repro.errors import (
-    ConnectionAbortedTargetError,
     ConnectionFailedError,
-    ConnectionRefusedTargetError,
     ConnectionResetTargetError,
     TargetTimeoutError,
 )
 from repro.l2cap.constants import Psm
-from repro.l2cap.packets import configuration_request, connection_request
+from repro.l2cap.packets import connection_request
 from repro.stack.vulnerabilities import RTKIT_PSM_SHUTDOWN
 
 from tests.conftest import make_rig
@@ -34,9 +32,7 @@ class TestErrorClassification:
     @pytest.mark.parametrize(
         "error_cls",
         [
-            ConnectionAbortedTargetError,
             ConnectionResetTargetError,
-            ConnectionRefusedTargetError,
             TargetTimeoutError,
         ],
     )
@@ -51,8 +47,9 @@ class TestPingTest:
         assert detector.ping_test()
 
     def test_dead_target_fails_ping(self):
-        _, link, queue = make_rig()
-        link.take_down(ConnectionResetTargetError)
+        _, _, queue = make_rig(vulnerabilities=(RTKIT_PSM_SHUTDOWN,))
+        with pytest.raises(TargetTimeoutError):
+            queue.send(connection_request(psm=0x0300, scid=0x60))
         detector = VulnerabilityDetector(queue)
         assert not detector.ping_test()
 
@@ -93,9 +90,9 @@ class TestDiagnose:
         assert "CONNECTION_REQ" in finding.trigger
 
     def test_finding_records_sim_time(self):
-        _, link, queue = make_rig(tx_cost=0.5)
-        queue.send(configuration_request(dcid=0x40))
-        link.take_down(ConnectionFailedError)
+        _, _, queue = make_rig(vulnerabilities=(RTKIT_PSM_SHUTDOWN,), tx_cost=0.5)
+        with pytest.raises(TargetTimeoutError):
+            queue.send(connection_request(psm=0x0300, scid=0x60))
         detector = VulnerabilityDetector(queue)
         finding = detector.diagnose(ConnectionFailedError(), "OPEN", "pkt")
         assert finding.sim_time >= 0.5

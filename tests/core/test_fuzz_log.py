@@ -18,7 +18,7 @@ class TestFuzzLog:
         log = FuzzLog()
         log.info(0.0, "scan", "ok")
         log.vulnerability(1.0, "detection", "DoS found")
-        vulns = log.by_level(LogLevel.VULNERABILITY)
+        vulns = [e for e in log.entries if e.level is LogLevel.VULNERABILITY]
         assert len(vulns) == 1
         assert vulns[0].message == "DoS found"
 

@@ -21,7 +21,7 @@ def _fuzzer(device, link, config, **kwargs):
     return L2Fuzz(
         link=link,
         inquiry=device.inquiry,
-        browse=device.sdp_browse,
+        browse=device.services.all_records,
         config=config,
         dump_probe=lambda: device.crash_dumps,
         **kwargs,
@@ -112,7 +112,7 @@ class TestVulnerableCampaign:
         )
         fuzzer = _fuzzer(device, link, FuzzConfig(max_packets=50_000))
         fuzzer.run()
-        vulns = fuzzer.log.by_level(LogLevel.VULNERABILITY)
+        vulns = [e for e in fuzzer.log.entries if e.level is LogLevel.VULNERABILITY]
         assert len(vulns) == 1
         assert "DoS" in vulns[0].message
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from repro.core.config import FuzzConfig
@@ -89,34 +88,3 @@ class TestAlgorithm1:
         a = _mutator(seed=1).mutate(CommandCode.CONNECTION_REQ, 1)
         b = _mutator(seed=2).mutate(CommandCode.CONNECTION_REQ, 1)
         assert a.fields != b.fields or a.garbage != b.garbage
-
-
-class TestGenerate:
-    def test_n_packets_per_command(self):
-        mutator = _mutator(packets_per_command=3)
-        ids = itertools.count(1)
-        packets = list(
-            mutator.generate(
-                [CommandCode.CONNECTION_REQ, CommandCode.CONNECTION_RSP],
-                lambda: next(ids),
-            )
-        )
-        assert len(packets) == 6
-        codes = [p.code for p in packets]
-        assert codes == sorted(codes)
-
-    def test_per_command_override(self):
-        mutator = _mutator()
-        ids = itertools.count(1)
-        packets = list(
-            mutator.generate([CommandCode.ECHO_REQ], lambda: next(ids), per_command=7)
-        )
-        assert len(packets) == 7
-
-    def test_identifiers_taken_from_callable(self):
-        mutator = _mutator(packets_per_command=2)
-        ids = iter([10, 20])
-        packets = list(
-            mutator.generate([CommandCode.ECHO_REQ], lambda: next(ids))
-        )
-        assert [p.identifier for p in packets] == [10, 20]

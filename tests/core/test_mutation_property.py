@@ -16,7 +16,7 @@ from repro.core.mutation import CoreFieldMutator
 from repro.core.state_guiding import StateGuide
 from repro.core.strategies import STRATEGY_NAMES, make_strategy
 from repro.l2cap.constants import MIN_SIGNALING_MTU, is_valid_psm
-from repro.l2cap.fields import CIDP_FIELD_NAMES, FieldCategory, categorize_field
+from repro.l2cap.fields import CIDP_FIELD_NAMES
 from repro.l2cap.packets import COMMAND_SPECS, L2capPacket
 from repro.l2cap.validation import is_malformed
 
@@ -41,8 +41,7 @@ class TestMutatorProperties:
         packet = _mutate(code, seed)
         spec = COMMAND_SPECS[code]
         for field in spec.fields:
-            category = categorize_field(field.name)
-            if category is FieldCategory.MUTABLE_APPLICATION:
+            if field.name != "psm" and field.name not in CIDP_FIELD_NAMES:
                 assert packet.fields[field.name] == field.default
 
     @given(_codes, _seeds)
@@ -134,7 +133,7 @@ class TestVisitAccounting:
         fuzzer = L2Fuzz(
             link=link,
             inquiry=device.inquiry,
-            browse=device.sdp_browse,
+            browse=device.services.all_records,
             config=FuzzConfig(max_packets=budget, seed=seed),
             strategy=make_strategy(strategy_name),
         )

@@ -112,7 +112,6 @@ def _every_packet() -> list[L2capPacket]:
     """Packets from every builder and every construction path."""
     made = [
         codec.connection_request(psm=0x0001, scid=0x0040),
-        codec.connection_response(dcid=0x0040, scid=0x0041, result=0),
         codec.configuration_request(dcid=0x0040),
         codec.configuration_response(scid=0x0040),
         codec.disconnection_request(dcid=0x0040, scid=0x0041),

@@ -18,7 +18,7 @@ from tests.conftest import make_rig
 
 
 def _guide(device, queue):
-    scan = TargetScanner(queue, device.inquiry, device.sdp_browse).scan()
+    scan = TargetScanner(queue, device.inquiry, device.services.all_records).scan()
     return StateGuide(queue, scan)
 
 
@@ -75,7 +75,8 @@ class TestRoutes:
         guide = _guide(device, queue)
         guided = guide.enter(ChannelState.WAIT_CREATE)
         assert guided.channel is not None  # BlueDroid supports AMP
-        assert ChannelState.WAIT_CREATE in device.engine.visited_states()
+        visited = {visit.state for visit in device.engine.state_history}
+        assert ChannelState.WAIT_CREATE in visited
         guide.leave(guided)
 
     def test_wait_create_falls_back_without_amp(self):
@@ -99,7 +100,6 @@ class TestRoutes:
         assert len(device.engine.channels) == 1
         guide.leave(guided)
         assert len(device.engine.channels) == 0
-        assert guide.live_channels() == ()
 
     def test_move_without_amp_falls_back_to_open(self):
         device, _, queue = make_rig(personality=RTKIT)
@@ -118,5 +118,5 @@ class TestRoutes:
         for state in guide.plan():
             guided = guide.enter(state)
             guide.leave(guided)
-        visited = device.engine.visited_states()
+        visited = {visit.state for visit in device.engine.state_history}
         assert ACCEPTOR_REACHABLE_STATES <= visited | {ChannelState.CLOSED}

@@ -269,7 +269,7 @@ class TestStrategyCampaigns:
         fuzzer = L2Fuzz(
             link=link,
             inquiry=device.inquiry,
-            browse=device.sdp_browse,
+            browse=device.services.all_records,
             config=FuzzConfig(max_packets=budget, seed=seed),
             strategy=make_strategy(name),
         )

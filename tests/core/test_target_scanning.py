@@ -13,7 +13,7 @@ from tests.conftest import make_rig, make_services
 
 
 def _scanner(device, queue):
-    return TargetScanner(queue, device.inquiry, device.sdp_browse)
+    return TargetScanner(queue, device.inquiry, device.services.all_records)
 
 
 class TestScan:
@@ -50,7 +50,7 @@ class TestScan:
         scanner = TargetScanner(
             queue,
             device.inquiry,
-            lambda: [r for r in device.sdp_browse() if r.psm != Psm.SDP],
+            lambda: [r for r in device.services.all_records() if r.psm != Psm.SDP],
         )
         result = scanner.scan()
         assert result.open_psms == (Psm.SDP,)
@@ -75,13 +75,6 @@ class TestScan:
         def broken_inquiry():
             raise RuntimeError("no device in range")
 
-        scanner = TargetScanner(queue, broken_inquiry, device.sdp_browse)
+        scanner = TargetScanner(queue, broken_inquiry, device.services.all_records)
         with pytest.raises(ScanError):
             scanner.scan()
-
-    def test_open_psm_with_predicate(self):
-        device, _, queue = make_rig()
-        result = _scanner(device, queue).scan()
-        avdtp = result.open_psm_with(lambda probe: probe.psm == Psm.AVDTP)
-        assert avdtp == Psm.AVDTP
-        assert result.open_psm_with(lambda probe: probe.psm == 0x9999) is None

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import FuzzConfig
 from repro.core.triage import (
-    minimize_trigger,
     replay,
     sent_packets,
+    shrink_trigger,
     triage_report,
 )
 from repro.hci.transport import VirtualLink
@@ -70,7 +68,10 @@ class TestReplay:
 
 class TestMinimize:
     def test_minimal_reproducer_is_connect_plus_trigger(self):
-        minimal = minimize_trigger(_crashing_sequence(), _d2_factory)
+        sequence = _crashing_sequence()
+        minimal, _ = shrink_trigger(
+            sequence, _d2_factory, replay(sequence, _d2_factory)
+        )
         codes = [packet.code for packet in minimal]
         # The noise echoes fall away; the connection (which parks a
         # channel in the config job) and the trigger must remain.
@@ -79,23 +80,35 @@ class TestMinimize:
         assert len(minimal) == 2
 
     def test_minimal_sequence_still_crashes(self):
-        minimal = minimize_trigger(_crashing_sequence(), _d2_factory)
+        sequence = _crashing_sequence()
+        minimal, _ = shrink_trigger(
+            sequence, _d2_factory, replay(sequence, _d2_factory)
+        )
         assert replay(minimal, _d2_factory).crashed
 
     def test_non_crashing_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            minimize_trigger([echo_request(b"x")], _d2_factory)
+        """Nothing drops out of a sequence that never crashes."""
+        packets = [echo_request(b"x", identifier=1), echo_request(b"y", identifier=2)]
+        outcome = replay(packets, _d2_factory)
+        minimal, kept = shrink_trigger(packets, _d2_factory, outcome)
+        assert minimal == packets
+        assert kept is outcome and not kept.crashed
 
     def test_campaign_trace_minimises_to_a_handful(self):
         session = FuzzSession(D2, FuzzConfig(max_packets=50_000))
         session.run()
         packets = sent_packets(session.fuzzer.sniffer.trace)
-        minimal = minimize_trigger(packets, _d2_factory)
+        minimal, _ = shrink_trigger(
+            packets, _d2_factory, replay(packets, _d2_factory)
+        )
         assert len(minimal) <= 4  # from ~200 packets down to the essence
         assert replay(minimal, _d2_factory).crashed
 
     def test_triage_report_renders(self):
-        minimal = minimize_trigger(_crashing_sequence(), _d2_factory)
+        sequence = _crashing_sequence()
+        minimal, _ = shrink_trigger(
+            sequence, _d2_factory, replay(sequence, _d2_factory)
+        )
         outcome = replay(minimal, _d2_factory)
         text = triage_report(minimal, outcome)
         assert "Minimal reproducer" in text

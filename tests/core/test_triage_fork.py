@@ -90,12 +90,12 @@ def _observable(device, link) -> tuple:
         engine._next_identifier,
         engine.crash,
         dataclasses.astuple(link.stats),
-        link.is_up,
+        link.down_error,
         list(link.inbound),
         device.clock.now,
         link.clock.now,
         list(device.crash_dumps),
-        device._reassembler.pending_handles(),
+        dict(device._reassembler._pending),
         None
         if mux is None
         else (

@@ -111,7 +111,21 @@ class Model:
         self.entries_by_id: dict = {}
         self.buckets: dict = {}
 
-    def add_entry(self, entry) -> bool:
+    def ingest(self, batches) -> list[dict]:
+        results = []
+        for entries, records in batches:
+            added = sum(self._insert_entry(entry) for entry in entries)
+            new = sum(self._store_finding(record) for record in records)
+            results.append(
+                {
+                    "entries_added": added,
+                    "findings_new": new,
+                    "findings_duplicate": len(records) - new,
+                }
+            )
+        return results
+
+    def _insert_entry(self, entry) -> bool:
         if entry.entry_id in self.entries_by_id:
             return False
         self.entries_by_id[entry.entry_id] = entry
@@ -127,16 +141,16 @@ class Model:
             json.dumps(data, sort_keys=True),
         )
 
-    def record_finding(self, record) -> str:
+    def _store_finding(self, record) -> bool:
         seen = self.buckets.get(record.bucket_id)
         if seen is None:
             self.buckets[record.bucket_id] = record
-            return "new"
+            return True
         kept = record if self.rank(record) < self.rank(seen) else seen
         self.buckets[record.bucket_id] = dataclasses.replace(
             kept, occurrences=seen.occurrences + record.occurrences
         )
-        return "duplicate"
+        return False
 
     def entries(self) -> list:
         return [self.entries_by_id[key] for key in sorted(self.entries_by_id)]
@@ -198,14 +212,14 @@ class Model:
 
 def _populate(backend) -> None:
     """One scripted operation history, applied to the model or the store."""
-    backend.add_entry(_entry(["CLOSED", "CLOSED>OPEN"], packet_count=3))
-    backend.add_entry(_entry(["CLOSED"], packet_count=1, ident=20))
-    backend.add_entry(_entry(["OPEN"], packet_count=2, ident=30))
-    backend.record_finding(_record())
-    backend.record_finding(_record())  # duplicate: occurrences -> 2
-    backend.record_finding(_record(vendor="Apple", state="OPEN"))
-    backend.record_finding(
-        _record(vulnerability_class="Crash", target="rfcomm")
+    backend.ingest([([_entry(["CLOSED", "CLOSED>OPEN"], packet_count=3)], ())])
+    backend.ingest([([_entry(["CLOSED"], packet_count=1, ident=20)], ())])
+    backend.ingest([([_entry(["OPEN"], packet_count=2, ident=30)], ())])
+    backend.ingest([((), [_record()])])
+    backend.ingest([((), [_record()])])  # duplicate: occurrences -> 2
+    backend.ingest([((), [_record(vendor="Apple", state="OPEN")])])
+    backend.ingest(
+        [((), [_record(vulnerability_class="Crash", target="rfcomm")])]
     )
 
 
@@ -278,7 +292,7 @@ class TestParity:
             vendor="Samsung", packets=tuple([trigger.encode().hex()])
         )
         for backend in pair.values():
-            backend.record_finding(record)
+            backend.ingest([((), [record])])
         assert (
             pair["model"].garbage_dictionary()
             == pair["sqlite"].garbage_dictionary()
@@ -298,11 +312,11 @@ class TestBackendBasics:
         assert not backend.canonical_is_stale()
         assert backend.stats().entry_count == 0
 
-    def test_add_entry_idempotent(self, tmp_path):
+    def test_entry_ingest_idempotent(self, tmp_path):
         backend = open_backend(tmp_path)
         entry = _entry(["CLOSED"])
-        assert backend.add_entry(entry)
-        assert not backend.add_entry(entry)
+        assert backend.ingest([([entry], ())])[0]["entries_added"] == 1
+        assert backend.ingest([([entry], ())])[0]["entries_added"] == 0
         assert backend.entry_count() == 1
 
     def test_sha256_sized_seed_round_trips(self, tmp_path):
@@ -310,22 +324,22 @@ class TestBackendBasics:
         64 bits — they must be stored losslessly."""
         backend = open_backend(tmp_path)
         entry = dataclasses.replace(_entry(["CLOSED"]), seed=2**255 + 19)
-        assert backend.add_entry(entry)
+        assert backend.ingest([([entry], ())])[0]["entries_added"] == 1
         assert backend.entries() == [entry]
 
     def test_new_then_duplicate(self, tmp_path):
         backend = open_backend(tmp_path)
-        assert backend.record_finding(_record()) == "new"
-        assert backend.record_finding(_record()) == "duplicate"
+        assert backend.ingest([((), [_record()])])[0]["findings_new"] == 1
+        counts = backend.ingest([((), [_record()])])[0]
+        assert counts["findings_duplicate"] == 1
         assert backend.finding_count() == 1
         assert backend.finding_records()[0].occurrences == 2
 
     def test_duplicate_keeps_first_record(self, tmp_path):
         backend = open_backend(tmp_path)
-        backend.record_finding(_record(sim_time=1.0))
-        backend.record_finding(
-            dataclasses.replace(_record(), sim_time=99.0, device_id="D4")
-        )
+        backend.ingest([((), [_record(sim_time=1.0)])])
+        later = dataclasses.replace(_record(), sim_time=99.0, device_id="D4")
+        backend.ingest([((), [later])])
         record = backend.finding_records()[0]
         assert record.sim_time == 1.0
         assert record.device_id == "D2"
@@ -351,9 +365,12 @@ class TestDeterministicFinding:
         for number, order in enumerate(orders):
             root = tmp_path / str(number)
             backend = open_backend(root)
-            statuses = [backend.record_finding(record) for record in order]
+            new = [
+                backend.ingest([((), [record])])[0]["findings_new"]
+                for record in order
+            ]
             backend.close()
-            assert statuses == ["new", "duplicate", "duplicate"]
+            assert new == [1, 0, 0]
             tables.append(_findings_table(root))
         assert tables[0] == tables[1] == tables[2]
         ((_, occurrences, state, data),) = tables[0]
@@ -367,7 +384,7 @@ class TestDeterministicFinding:
     def test_batched_and_single_writes_agree(self, tmp_path):
         single = open_backend(tmp_path / "single")
         for record in self.RECORDS:
-            single.record_finding(record)
+            single.ingest([((), [record])])
         batched = open_backend(tmp_path / "batched")
         counts = batched.ingest(
             [((), self.RECORDS[:2]), ((), self.RECORDS[2:])]
@@ -393,7 +410,7 @@ class TestConcurrency:
             local = open_backend(tmp_path)
             try:
                 for _ in range(per_worker):
-                    local.record_finding(_record())
+                    local.ingest([((), [_record()])])
             finally:
                 local.close()
 
@@ -416,7 +433,7 @@ class TestConcurrency:
                 # Every worker adds every entry, rotated: maximal races
                 # on the same content-addressed IDs.
                 for i in range(len(entries)):
-                    local.add_entry(entries[(i + offset) % len(entries)])
+                    local.ingest([([entries[(i + offset) % len(entries)]], ())])
             finally:
                 local.close()
 
@@ -431,23 +448,23 @@ class TestConcurrency:
 class TestStaleness:
     def test_fresh_after_minimize(self, tmp_path):
         store = open_backend(tmp_path)
-        store.add_entry(_entry(["CLOSED"]))
+        store.ingest([([_entry(["CLOSED"])], ())])
         canonical = store.minimize()
         assert not store.canonical_is_stale()
         assert store.seed_entries() == canonical
 
     def test_stale_after_new_entry(self, tmp_path):
         store = open_backend(tmp_path)
-        store.add_entry(_entry(["CLOSED"], packet_count=2))
+        store.ingest([([_entry(["CLOSED"], packet_count=2)], ())])
         store.minimize()
-        store.add_entry(_entry(["OPEN"], ident=40))
+        store.ingest([([_entry(["OPEN"], ident=40)], ())])
         assert store.canonical_is_stale()
         # Guided seeding must fall back to the live entry set.
         assert store.seed_entries() == store.entries()
 
     def test_no_canonical_is_not_stale(self, tmp_path):
         store = open_backend(tmp_path)
-        store.add_entry(_entry(["CLOSED"]))
+        store.ingest([([_entry(["CLOSED"])], ())])
         assert not store.canonical_is_stale()
         assert store.seed_entries() == store.entries()
 
@@ -460,7 +477,7 @@ class TestSqliteIncrementalMinimize:
             _entry(["CLOSED"], packet_count=2, ident=20),
         ]
         for entry in first:
-            sqlite.add_entry(entry)
+            sqlite.ingest([([entry], ())])
         assert sqlite.minimize() == full_scan_canonical(first)
         # Grow the corpus: a cheaper CLOSED witness and a new token.
         second = [
@@ -468,7 +485,7 @@ class TestSqliteIncrementalMinimize:
             _entry(["WAIT_CONFIG"], packet_count=3, ident=60),
         ]
         for entry in second:
-            sqlite.add_entry(entry)
+            sqlite.ingest([([entry], ())])
         # SQLite folds only the two new rows into its stored winner map;
         # the answer must still equal a full re-scan.
         assert sqlite.minimize() == full_scan_canonical(first + second)
@@ -485,8 +502,8 @@ class TestSqliteIncrementalMinimize:
 
     def test_cursor_advances_past_scanned_rows(self, tmp_path):
         backend = SqliteCorpusBackend(tmp_path)
-        backend.add_entry(_entry(["CLOSED"]))
-        backend.add_entry(_entry(["OPEN"], ident=20))
+        backend.ingest([([_entry(["CLOSED"])], ())])
+        backend.ingest([([_entry(["OPEN"], ident=20)], ())])
         backend.minimize()
         connection = backend._connect(create=False)
         cursor = int(backend._meta(connection, "cmin_last_seq"))
@@ -497,7 +514,7 @@ class TestSqliteIncrementalMinimize:
 
     def test_minimize_without_write_leaves_cursor(self, tmp_path):
         backend = SqliteCorpusBackend(tmp_path)
-        backend.add_entry(_entry(["CLOSED"]))
+        backend.ingest([([_entry(["CLOSED"])], ())])
         backend.minimize(write=False)
         connection = backend._connect(create=False)
         assert backend._meta(connection, "cmin_last_seq") is None
@@ -543,7 +560,7 @@ class TestAutodetection:
         assert not (tmp_path / SQLITE_FILE).exists()
 
     def test_sqlite_database_wins(self, tmp_path):
-        SqliteCorpusBackend(tmp_path).add_entry(_entry(["CLOSED"]))
+        SqliteCorpusBackend(tmp_path).ingest([([_entry(["CLOSED"])], ())])
         (tmp_path / "entries").mkdir()
         assert open_backend(tmp_path).entry_count() == 1
         assert open_backend(tmp_path).finding_count() == 0
@@ -552,7 +569,7 @@ class TestAutodetection:
 class TestSqliteQueriesUseIndex:
     def test_query_plan_hits_findings_index(self, tmp_path):
         backend = SqliteCorpusBackend(tmp_path)
-        backend.record_finding(_record())
+        backend.ingest([((), [_record()])])
         connection = backend._connect(create=False)
         plan = "".join(
             row[-1]
@@ -573,7 +590,7 @@ class TestSqliteQueriesUseIndex:
         ]
         store = open_backend(tmp_path / "corpus")
         for entry in entries:
-            store.add_entry(entry)
+            store.ingest([([entry], ())])
         out = tmp_path / "export.jsonl"
         assert store.export_jsonl(out) == 2
         expected = "".join(

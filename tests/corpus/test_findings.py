@@ -52,7 +52,8 @@ def record_from_campaign(database, finding, profile, packets, minimize=True):
     record = shrink_finding(finding, profile, packets, minimize)
     if record is None:
         return "not-reproducible"
-    return database.record_finding(record)
+    counts = database.ingest([((), [record])])[0]
+    return "new" if counts["findings_new"] else "duplicate"
 
 
 class TestTriggerHash:
@@ -81,21 +82,24 @@ class TestDatabase:
 
     def test_new_then_duplicate(self, tmp_path):
         database = open_backend(tmp_path)
-        assert database.record_finding(_record()) == "new"
-        assert database.record_finding(_record()) == "duplicate"
+        assert database.ingest([((), [_record()])])[0]["findings_new"] == 1
+        counts = database.ingest([((), [_record()])])[0]
+        assert counts["findings_duplicate"] == 1
         assert database.finding_count() == 1
         assert database.finding_records()[0].occurrences == 2
 
     def test_duplicate_across_database_instances(self, tmp_path):
         """Cross-run dedup: a fresh handle sees the stored buckets."""
-        assert open_backend(tmp_path).record_finding(_record()) == "new"
-        assert open_backend(tmp_path).record_finding(_record()) == "duplicate"
+        first = open_backend(tmp_path).ingest([((), [_record()])])[0]
+        second = open_backend(tmp_path).ingest([((), [_record()])])[0]
+        assert first["findings_new"] == 1
+        assert second["findings_duplicate"] == 1
 
     def test_distinct_keys_make_distinct_buckets(self, tmp_path):
         database = open_backend(tmp_path)
-        database.record_finding(_record())
-        database.record_finding(_record(vendor="Apple"))
-        database.record_finding(_record(vulnerability_class="Crash"))
+        database.ingest([((), [_record()])])
+        database.ingest([((), [_record(vendor="Apple")])])
+        database.ingest([((), [_record(vulnerability_class="Crash")])])
         assert database.finding_count() == 3
 
     def test_garbage_dictionary(self, tmp_path):
@@ -103,7 +107,7 @@ class TestDatabase:
         trigger = configuration_request(dcid=0x0999, identifier=2)
         trigger.garbage = b"\xd2\x3a\x91\x0e"
         record = _record(packets=tuple([trigger.encode().hex()]))
-        database.record_finding(record)
+        database.ingest([((), [record])])
         assert database.garbage_dictionary() == (b"\xd2\x3a\x91\x0e",)
 
     def test_key_uses_trigger_hash(self):
@@ -154,10 +158,9 @@ class TestRecordFromCampaign:
 
 def test_occurrences_merge_preserves_first_record(tmp_path):
     database = open_backend(tmp_path)
-    database.record_finding(_record(sim_time=1.0))
-    database.record_finding(
-        dataclasses.replace(_record(), sim_time=99.0, device_id="D4")
-    )
+    database.ingest([((), [_record(sim_time=1.0)])])
+    later = dataclasses.replace(_record(), sim_time=99.0, device_id="D4")
+    database.ingest([((), [later])])
     record = database.finding_records()[0]
     assert record.sim_time == 1.0
     assert record.device_id == "D2"

@@ -109,17 +109,16 @@ class TestRegistry:
 
 def test_corpus_state_frequencies_are_the_prior(tmp_path):
     store = open_backend(tmp_path)
-    store.add_entry(
-        entry_from_packets(
-            [echo_request(b"x", identifier=1)],
-            ["CLOSED", "CLOSED>OPEN"],
-            ["CLOSED", "CLOSED>OPEN", "OPEN"],
-            "D2",
-            "sequential",
-            7,
-            False,
-        )
+    entry = entry_from_packets(
+        [echo_request(b"x", identifier=1)],
+        ["CLOSED", "CLOSED>OPEN"],
+        ["CLOSED", "CLOSED>OPEN", "OPEN"],
+        "D2",
+        "sequential",
+        7,
+        False,
     )
+    store.ingest([([entry], ())])
     prior = store.state_frequencies()
     assert prior == {"CLOSED": 1, "OPEN": 1}
     scheduler = EnergyScheduler(prior_visits=prior)

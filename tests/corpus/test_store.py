@@ -43,7 +43,7 @@ class TestStore:
     def test_add_and_reload(self, tmp_path):
         store = open_backend(tmp_path / "corpus")
         entry = _entry(["CLOSED"], packet_count=2)
-        assert store.add_entry(entry)
+        assert store.ingest([([entry], ())])[0]["entries_added"] == 1
         assert store.exists()
         reloaded = open_backend(tmp_path / "corpus")
         assert reloaded.entries() == [entry]
@@ -51,21 +51,21 @@ class TestStore:
     def test_add_is_idempotent(self, tmp_path):
         store = open_backend(tmp_path)
         entry = _entry(["CLOSED"])
-        assert store.add_entry(entry)
-        assert not store.add_entry(entry)
+        assert store.ingest([([entry], ())])[0]["entries_added"] == 1
+        assert store.ingest([([entry], ())])[0]["entries_added"] == 0
         assert store.entry_count() == 1
 
     def test_entries_sorted_by_id(self, tmp_path):
         store = open_backend(tmp_path)
         for count in (3, 1, 2):
-            store.add_entry(_entry(["CLOSED"], packet_count=count))
+            store.ingest([([_entry(["CLOSED"], packet_count=count)], ())])
         ids = [entry.entry_id for entry in store.entries()]
         assert ids == sorted(ids)
 
     def test_coverage_union_and_frequencies(self, tmp_path):
         store = open_backend(tmp_path)
-        store.add_entry(_entry(["CLOSED", "CLOSED>OPEN"], packet_count=1))
-        store.add_entry(_entry(["CLOSED", "OPEN"], packet_count=2))
+        store.ingest([([_entry(["CLOSED", "CLOSED>OPEN"], packet_count=1)], ())])
+        store.ingest([([_entry(["CLOSED", "OPEN"], packet_count=2)], ())])
         assert store.coverage() == {"CLOSED", "OPEN", "CLOSED>OPEN"}
         # Transition tokens never count towards the state prior.
         assert store.state_frequencies() == {"CLOSED": 2, "OPEN": 1}
@@ -74,9 +74,11 @@ class TestStore:
 class TestMinimize:
     def test_cmin_prefers_cheapest_covering_entry(self, tmp_path):
         store = open_backend(tmp_path)
-        store.add_entry(_entry(["CLOSED", "OPEN", "WAIT_CONFIG"], packet_count=9))
-        store.add_entry(_entry(["CLOSED"], packet_count=1, ident=20))
-        store.add_entry(_entry(["OPEN"], packet_count=1, ident=30))
+        store.ingest(
+            [([_entry(["CLOSED", "OPEN", "WAIT_CONFIG"], packet_count=9)], ())]
+        )
+        store.ingest([([_entry(["CLOSED"], packet_count=1, ident=20)], ())])
+        store.ingest([([_entry(["OPEN"], packet_count=1, ident=30)], ())])
         canonical = store.minimize()
         # The 9-packet entry is still the only witness of WAIT_CONFIG,
         # but CLOSED and OPEN pick their 1-packet entries.
@@ -90,24 +92,24 @@ class TestMinimize:
 
     def test_cmin_drops_redundant_entries(self, tmp_path):
         store = open_backend(tmp_path)
-        store.add_entry(_entry(["CLOSED"], packet_count=1))
-        store.add_entry(_entry(["CLOSED"], packet_count=5))
-        store.add_entry(_entry(["CLOSED"], packet_count=7))
+        store.ingest([([_entry(["CLOSED"], packet_count=1)], ())])
+        store.ingest([([_entry(["CLOSED"], packet_count=5)], ())])
+        store.ingest([([_entry(["CLOSED"], packet_count=7)], ())])
         canonical = store.minimize()
         assert len(canonical) == 1
         assert canonical[0].packet_count == 1
 
     def test_canonical_file_round_trips(self, tmp_path):
         store = open_backend(tmp_path)
-        store.add_entry(_entry(["CLOSED"], packet_count=1))
-        store.add_entry(_entry(["OPEN"], packet_count=2))
+        store.ingest([([_entry(["CLOSED"], packet_count=1)], ())])
+        store.ingest([([_entry(["OPEN"], packet_count=2)], ())])
         canonical = store.minimize()
         assert store.stats().canonical_count == len(canonical) == 2
         assert open_backend(tmp_path).canonical_entries() == canonical
 
     def test_minimize_without_write(self, tmp_path):
         store = open_backend(tmp_path)
-        store.add_entry(_entry(["CLOSED"]))
+        store.ingest([([_entry(["CLOSED"])], ())])
         assert store.minimize(write=False) == store.entries()
         assert open_backend(tmp_path).canonical_entries() == []
 
@@ -156,18 +158,16 @@ class TestDetectionPrefix:
 class TestExport:
     def test_export_jsonl(self, tmp_path):
         store = open_backend(tmp_path / "corpus")
-        store.add_entry(_entry(["CLOSED"]))
-        store.add_entry(
-            entry_from_packets(
-                [connection_request(psm=0x0001, scid=0x40, identifier=1)],
-                ["WAIT_CONNECT"],
-                ["WAIT_CONNECT"],
-                "D5",
-                "targeted",
-                9,
-                True,
-            )
+        entry = entry_from_packets(
+            [connection_request(psm=0x0001, scid=0x40, identifier=1)],
+            ["WAIT_CONNECT"],
+            ["WAIT_CONNECT"],
+            "D5",
+            "targeted",
+            9,
+            True,
         )
+        store.ingest([([_entry(["CLOSED"])], ()), ([entry], ())])
         out = tmp_path / "all.jsonl"
         assert store.export_jsonl(out) == 2
         assert len(out.read_text().splitlines()) == 2

@@ -45,7 +45,7 @@ def _bytes_replay(packets, factory, counter, handle=0x000B) -> ReplayOutcome:
         frame = AclPacket(handle=handle, payload=packet.encode()).encode()
         try:
             link.send_frame(frame)
-            link.drain()
+            link.inbound.clear()
         except TransportError as error:
             crash = getattr(device, "crash", None)
             return ReplayOutcome(
@@ -201,7 +201,7 @@ def _stored(tmp_path, finding, profile, packets, minimize):
         )
     if record is None:
         return None, work
-    database.record_finding(record)
+    database.ingest([((), [record])])
     (record,) = database.finding_records()
     return (record.packets, record.trigger_hash, record.crash_id), work
 

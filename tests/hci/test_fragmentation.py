@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.packet_queue import PacketQueue
-from repro.errors import PacketDecodeError
-from repro.hci.fragmentation import Reassembler, defragment_stream, fragment
+from repro.hci.fragmentation import Reassembler, fragment
 from repro.hci.packets import AclPacket, PB_CONTINUATION, PB_FIRST_FLUSHABLE
 from repro.l2cap.constants import CommandCode
 from repro.l2cap.packets import connection_request, echo_request
@@ -85,17 +84,19 @@ class TestReassembler:
         assert result == complete
         assert reassembler.dropped_fragments == 1
 
-    def test_defragment_stream(self):
+    def test_reassembles_a_frame_stream(self):
         payloads = [_wire(5), _wire(45), _wire(0)]
         packets = []
         for payload in payloads:
             packets.extend(fragment(payload, handle=3, acl_mtu=10))
-        assert defragment_stream(packets) == payloads
+        reassembler = Reassembler()
+        frames = [reassembler.feed(packet) for packet in packets]
+        assert [frame for frame in frames if frame is not None] == payloads
 
-    def test_incomplete_stream_raises(self):
+    def test_incomplete_stream_yields_no_frame(self):
         packets = fragment(_wire(60), handle=1, acl_mtu=16)[:-1]
-        with pytest.raises(PacketDecodeError):
-            defragment_stream(packets)
+        reassembler = Reassembler()
+        assert [reassembler.feed(packet) for packet in packets] == [None] * len(packets)
 
     @given(
         st.integers(min_value=0, max_value=120),
@@ -104,9 +105,10 @@ class TestReassembler:
     @settings(max_examples=200)
     def test_round_trip_property(self, payload_size, acl_mtu):
         payload = _wire(payload_size)
-        assert defragment_stream(fragment(payload, handle=9, acl_mtu=acl_mtu)) == [
-            payload
-        ]
+        packets = fragment(payload, handle=9, acl_mtu=acl_mtu)
+        reassembler = Reassembler()
+        frames = [reassembler.feed(packet) for packet in packets]
+        assert frames == [None] * (len(packets) - 1) + [payload]
 
 
 class TestFragmentedQueue:

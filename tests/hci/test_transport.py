@@ -11,7 +11,6 @@ from repro.errors import (
     TargetCrashedError,
     TargetTimeoutError,
 )
-from repro.hci.packets import AclPacket
 from repro.hci.transport import SimClock, VirtualLink
 from repro.stack.crash import CrashKind, CrashReport, DumpKind
 
@@ -49,7 +48,7 @@ class TestVirtualLink:
         link = VirtualLink(tx_cost=0.1)
         link.attach(lambda frame: [frame])  # loopback remote
         link.send_frame(b"ping")
-        assert link.receive_frame() == b"ping"
+        assert list(link.inbound) == [b"ping"]
         assert link.clock.now == pytest.approx(0.1)
 
     def test_no_remote_means_timeout(self):
@@ -57,10 +56,11 @@ class TestVirtualLink:
         with pytest.raises(TargetTimeoutError):
             link.send_frame(b"x")
 
-    def test_receive_empty_returns_none(self):
+    def test_silent_remote_queues_nothing(self):
         link = VirtualLink()
         link.attach(lambda frame: [])
-        assert link.receive_frame() is None
+        link.send_frame(b"x")
+        assert not link.inbound
 
     def test_crash_takes_link_down_with_mapped_error(self):
         def dying_remote(frame):
@@ -70,11 +70,9 @@ class TestVirtualLink:
         link.attach(dying_remote)
         with pytest.raises(ConnectionFailedError):
             link.send_frame(b"x")
-        assert not link.is_up
+        assert link.down_error is ConnectionFailedError
         with pytest.raises(ConnectionFailedError):
             link.send_frame(b"y")
-        with pytest.raises(ConnectionFailedError):
-            link.receive_frame()
 
     def test_silent_crash_maps_to_timeout(self):
         def dying_remote(frame):
@@ -86,12 +84,17 @@ class TestVirtualLink:
             link.send_frame(b"x")
 
     def test_restore_brings_link_back(self):
+        def dying_remote(frame):
+            raise TargetCrashedError(_crash(CrashKind.DOS))
+
         link = VirtualLink()
-        link.attach(lambda frame: [frame])
-        link.take_down(ConnectionFailedError)
+        link.attach(dying_remote)
+        with pytest.raises(ConnectionFailedError):
+            link.send_frame(b"x")
+        link.attach(lambda frame: [frame])  # the reset device
         link.restore()
         link.send_frame(b"ok")
-        assert link.receive_frame() == b"ok"
+        assert list(link.inbound) == [b"ok"]
 
     def test_stats_count_frames(self):
         link = VirtualLink()
@@ -99,14 +102,15 @@ class TestVirtualLink:
         link.send_frame(b"a")
         assert link.stats.frames_sent == 1
         assert link.stats.frames_received == 2
-        assert link.pending() == 2
+        assert len(link.inbound) == 2
 
     def test_drain_returns_all(self):
+        """Every reply lands on the inbound queue, in the remote's order."""
         link = VirtualLink()
-        link.attach(lambda frame: [b"1", b"2"])
-        link.send_frame(b"x")
-        assert link.drain() == [b"1", b"2"]
-        assert link.pending() == 0
+        link.attach(lambda frame: [frame + b"1", frame + b"2"])
+        link.send_frame(b"a")
+        link.send_frame(b"b")
+        assert list(link.inbound) == [b"a1", b"a2", b"b1", b"b2"]
 
     def test_loss_rate_drops_frames(self):
         link = VirtualLink(loss_rate=1.0, rng=random.Random(0))
@@ -120,10 +124,3 @@ class TestVirtualLink:
         with pytest.raises(ValueError):
             VirtualLink(loss_rate=1.5)
 
-    def test_send_packet_helper(self):
-        link = VirtualLink()
-        link.attach(lambda frame: [frame])
-        link.send_packet(AclPacket(handle=3, payload=b"zz"))
-        received = link.receive_packet()
-        assert received.payload == b"zz"
-        assert received.handle == 3

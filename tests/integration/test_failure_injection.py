@@ -44,7 +44,7 @@ class TestLossyLink:
     def test_lossless_campaign_reports_no_findings(self):
         device, link = _lossy_rig(loss_rate=0.0)
         fuzzer = L2Fuzz(
-            link=link, inquiry=device.inquiry, browse=device.sdp_browse,
+            link=link, inquiry=device.inquiry, browse=device.services.all_records,
             config=FuzzConfig(max_packets=600),
         )
         report = fuzzer.run()
@@ -58,7 +58,7 @@ class TestLossyLink:
         reason)."""
         device, link = _lossy_rig(loss_rate=1.0)
         fuzzer = L2Fuzz(
-            link=link, inquiry=device.inquiry, browse=device.sdp_browse,
+            link=link, inquiry=device.inquiry, browse=device.services.all_records,
             config=FuzzConfig(max_packets=5_000),
         )
         report = fuzzer.run()
@@ -71,7 +71,7 @@ class TestLossyLink:
     def test_mild_loss_only_dents_metrics(self):
         device, link = _lossy_rig(loss_rate=0.02, seed=3)
         fuzzer = L2Fuzz(
-            link=link, inquiry=device.inquiry, browse=device.sdp_browse,
+            link=link, inquiry=device.inquiry, browse=device.services.all_records,
             config=FuzzConfig(max_packets=1_500),
         )
         report = fuzzer.run()

@@ -634,7 +634,7 @@ class TestSqliteWriteRetry:
             sqlite_backend._write_with_retry(wedged, "test")
         assert len(attempts) == sqlite_backend.WRITE_RETRY_ATTEMPTS
 
-    def test_add_entry_survives_transient_lock(self, tmp_path, monkeypatch):
+    def test_ingest_survives_transient_lock(self, tmp_path, monkeypatch):
         from repro.corpus import sqlite_backend
         from repro.corpus.entry import entry_from_packets
         from repro.l2cap.packets import echo_request
@@ -663,7 +663,7 @@ class TestSqliteWriteRetry:
             armed=False,
             target="l2cap",
         )
-        assert backend.add_entry(entry) is True
+        assert backend.ingest([([entry], ())])[0]["entries_added"] == 1
         assert backend.stats().entry_count == 1
 
 

@@ -83,7 +83,7 @@ class TestFleetShape:
 
     def test_merged_coverage_superset_of_singles(self):
         report = _run_fleet()
-        merged = set(report.merged_states)
+        merged = {state for _, state, _ in report.coverage_map}
         for run in report.campaigns:
             assert {state.value for state in run.report.covered_states} <= merged
         assert report.merged_state_count >= report.best_single_coverage

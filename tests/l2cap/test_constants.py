@@ -11,8 +11,6 @@ from repro.l2cap.constants import (
     DYNAMIC_CID_MAX,
     DYNAMIC_CID_MIN,
     Psm,
-    REQUEST_CODES,
-    RESPONSE_CODES,
     SIGNALING_CID,
     is_valid_psm,
 )
@@ -25,20 +23,6 @@ class TestCommandCodes:
     def test_codes_are_contiguous_from_1(self):
         values = sorted(code.value for code in CommandCode)
         assert values == list(range(0x01, 0x1B))
-
-    def test_every_request_has_a_distinct_code(self):
-        assert len(REQUEST_CODES) == 12
-
-    def test_every_response_has_a_distinct_code(self):
-        assert len(RESPONSE_CODES) == 13
-
-    def test_flow_control_credit_ind_is_neither(self):
-        ind = CommandCode.FLOW_CONTROL_CREDIT_IND
-        assert ind not in REQUEST_CODES
-        assert ind not in RESPONSE_CODES
-
-    def test_requests_and_responses_are_disjoint(self):
-        assert not (REQUEST_CODES & RESPONSE_CODES)
 
 
 class TestSignalingChannel:

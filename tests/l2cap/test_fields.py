@@ -3,94 +3,181 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.l2cap.constants import CommandCode, is_valid_psm
+from repro.core.config import FuzzConfig
+from repro.core.mutation import CoreFieldMutator
+from repro.l2cap.constants import (
+    ABNORMAL_PSM_RANGES,
+    CommandCode,
+    SIGNALING_CID,
+    is_valid_psm,
+)
 from repro.l2cap.fields import (
     CIDP_FIELD_NAMES,
-    FieldCategory,
-    MA_FIELD_NAMES,
-    MC_FIELD_NAMES,
-    abnormal_psm_values,
-    categorize_field,
-    commands_with_core_fields,
-    is_abnormal_psm,
     is_normal_cidp,
-    mutable_application_fields,
-    mutable_core_fields,
     random_abnormal_psm,
     random_normal_cidp,
 )
-from repro.l2cap.packets import L2capPacket, connection_request
+from repro.l2cap.packets import COMMAND_SPECS
+
+#: Paper Fig. 6: the mutable core fields (PSM + the CIDP channel fields).
+MC_FIELDS = frozenset({"psm", "scid", "dcid", "icid", "cont_id"})
+
+#: Every other data field of the 26 commands: mutable application fields.
+MA_FIELDS = frozenset(
+    {
+        "cid",
+        "credit",
+        "flags",
+        "info_type",
+        "interval_max",
+        "interval_min",
+        "latency",
+        "mps",
+        "mtu",
+        "reason",
+        "result",
+        "spsm",
+        "status",
+        "timeout",
+    }
+)
+
+_SEEDS = range(20)
+
+
+def _mutated(code, seed, identifier=1):
+    """One packet as the campaign builds it: the mutator's wire path."""
+    mutator = CoreFieldMutator(FuzzConfig(seed=seed), random.Random(seed))
+    packet = mutator.mutate_wire(code, identifier)
+    assert packet is not None
+    return packet
+
+
+def _wire_fields(code, raw):
+    """Decode the data fields straight from the frame bytes."""
+    spec = COMMAND_SPECS[code]
+    values = struct.unpack_from(spec.pack_format, raw, 8)
+    return dict(zip((field.name for field in spec.fields), values))
+
+
+def _codes_with(name):
+    return [code for code, spec in COMMAND_SPECS.items() if spec.has_field(name)]
+
+
+def _mutated_names(code, seed=0):
+    spec = COMMAND_SPECS[code]
+    fields = _wire_fields(code, _mutated(code, seed).encode())
+    return {name for name, value in fields.items() if value != spec.field(name).default}
 
 
 class TestTaxonomy:
+    def test_cidp_fields_match_figure6(self):
+        assert CIDP_FIELD_NAMES == {"scid", "dcid", "icid", "cont_id"}
+
     def test_mc_fields_match_figure6(self):
-        assert MC_FIELD_NAMES == {"psm", "scid", "dcid", "icid", "cont_id"}
+        mutated = set()
+        for code in COMMAND_SPECS:
+            for seed in _SEEDS:
+                mutated |= _mutated_names(code, seed)
+        assert mutated == MC_FIELDS
 
     def test_cidp_is_mc_minus_psm(self):
-        assert CIDP_FIELD_NAMES == MC_FIELD_NAMES - {"psm"}
+        assert CIDP_FIELD_NAMES == MC_FIELDS - {"psm"}
+
+    def test_ma_and_mc_disjoint(self):
+        """MC and MA partition the data fields of all 26 commands."""
+        names = {field.name for spec in COMMAND_SPECS.values() for field in spec.fields}
+        assert not (MA_FIELDS & MC_FIELDS)
+        assert names == MA_FIELDS | MC_FIELDS
 
     @pytest.mark.parametrize("name", ["header_cid"])
     def test_fixed_fields(self, name):
-        assert categorize_field(name) is FieldCategory.FIXED
+        for code in COMMAND_SPECS:
+            packet = _mutated(code, seed=code)
+            assert getattr(packet, name) == SIGNALING_CID
+            assert struct.unpack_from("<H", packet.encode(), 2)[0] == SIGNALING_CID
 
     @pytest.mark.parametrize("name", ["payload_len", "code", "identifier", "data_len"])
     def test_dependent_fields(self, name):
-        assert categorize_field(name) is FieldCategory.DEPENDENT
+        """Dependent fields are derived, never drawn: garbage lies past them."""
+        for code in COMMAND_SPECS:
+            spec = COMMAND_SPECS[code]
+            identifier = (code * 7) & 0xFF
+            raw = _mutated(code, seed=code, identifier=identifier).encode()
+            payload_len, _, wire_code, wire_id, data_len = struct.unpack_from(
+                "<HHBBH", raw
+            )
+            expected = {
+                "payload_len": (payload_len, 4 + spec.fixed_size),
+                "code": (wire_code, code),
+                "identifier": (wire_id, identifier),
+                "data_len": (data_len, spec.fixed_size),
+            }
+            assert expected[name][0] == expected[name][1]
 
-    @pytest.mark.parametrize("name", sorted(MC_FIELD_NAMES))
+    @pytest.mark.parametrize("name", sorted(MC_FIELDS))
     def test_mutable_core_fields(self, name):
-        assert categorize_field(name) is FieldCategory.MUTABLE_CORE
+        for code in _codes_with(name):
+            spec = COMMAND_SPECS[code]
+            values = {
+                _wire_fields(code, _mutated(code, seed).encode())[name]
+                for seed in _SEEDS
+            }
+            assert len(values) > 1
+            assert values != {spec.field(name).default}
+            for value in values:
+                if name == "psm":
+                    assert not is_valid_psm(value)
+                elif spec.field(name).size == 2:
+                    assert is_normal_cidp(value)
 
-    @pytest.mark.parametrize(
-        "name", ["reason", "result", "status", "flags", "mtu", "spsm", "qos"]
-    )
+    @pytest.mark.parametrize("name", sorted(MA_FIELDS))
     def test_mutable_application_fields(self, name):
-        assert categorize_field(name) is FieldCategory.MUTABLE_APPLICATION
-
-    def test_unknown_field_raises(self):
-        with pytest.raises(KeyError):
-            categorize_field("bogus")
-
-    def test_ma_and_mc_disjoint(self):
-        assert not (MA_FIELD_NAMES & MC_FIELD_NAMES)
+        codes = _codes_with(name)
+        assert codes
+        for code in codes:
+            default = COMMAND_SPECS[code].field(name).default
+            for seed in _SEEDS:
+                assert _wire_fields(code, _mutated(code, seed).encode())[name] == default
 
     def test_packet_core_field_introspection(self):
-        packet = connection_request(psm=1, scid=0x40)
-        assert mutable_core_fields(packet) == ("psm", "scid")
-        assert mutable_application_fields(packet) == ()
+        assert _mutated_names(CommandCode.CONNECTION_REQ) == {"psm", "scid"}
 
     def test_connection_rsp_has_ma_fields(self):
-        packet = L2capPacket(CommandCode.CONNECTION_RSP)
-        assert set(mutable_core_fields(packet)) == {"dcid", "scid"}
-        assert set(mutable_application_fields(packet)) == {"result", "status"}
+        code = CommandCode.CONNECTION_RSP
+        assert _mutated_names(code) == {"dcid", "scid"}
+        fields = _wire_fields(code, _mutated(code, 0).encode())
+        assert fields["result"] == 0 and fields["status"] == 0
 
     def test_commands_with_core_fields_excludes_echo(self):
-        with_core = commands_with_core_fields()
-        assert CommandCode.ECHO_REQ not in with_core
-        assert CommandCode.CONNECTION_REQ in with_core
-        assert CommandCode.MOVE_CHANNEL_REQ in with_core
+        for seed in _SEEDS:
+            assert _mutated_names(CommandCode.ECHO_REQ, seed) == set()
+        assert _mutated_names(CommandCode.CONNECTION_REQ)
+        assert _mutated_names(CommandCode.MOVE_CHANNEL_REQ)
 
 
 class TestTable4Pools:
     def test_abnormal_pool_contains_no_valid_psm(self):
-        pool = abnormal_psm_values()
-        sample = random.Random(0).sample(pool, 500)
-        assert all(not is_valid_psm(value) for value in sample)
+        for start, end in ABNORMAL_PSM_RANGES:
+            assert not any(is_valid_psm(value) for value in range(start, end + 1))
 
     def test_abnormal_pool_contains_all_even_values(self):
-        pool = set(abnormal_psm_values())
-        assert 0x0000 in pool
-        assert 0x0ABC in pool
-        assert 0xFFFE in pool
+        """The even family: no even value is a valid PSM, 0x0000 included."""
+        assert not any(is_valid_psm(value) for value in range(0x0000, 0x10000, 2))
+        rng = random.Random(7)
+        evens = {value for value in (random_abnormal_psm(rng) for _ in range(400))
+                 if value % 2 == 0}
+        assert len(evens) > 150  # drawn across the whole even space
 
     def test_is_abnormal_psm(self):
-        assert is_abnormal_psm(0x0100)
-        assert is_abnormal_psm(0x0044)
-        assert not is_abnormal_psm(0x0001)
+        assert not is_valid_psm(0x0100)  # odd MSB
+        assert not is_valid_psm(0x0044)  # even
+        assert is_valid_psm(0x0001)
 
     def test_is_normal_cidp_bounds(self):
         assert not is_normal_cidp(0x003F)

@@ -175,9 +175,11 @@ class TestFastPathsMatchReportBuilders:
     def test_is_malformed_equals_report_cleanliness(self, packet, mutation, cids):
         packet = _mutated(mutation, packet)
         allocated = frozenset(cids)
-        expected = not frame_violations(
-            packet, signaling_mtu=1 << 30, allocated_cids=allocated
-        ).clean
+        expected = bool(
+            frame_violations(
+                packet, signaling_mtu=1 << 30, allocated_cids=allocated
+            ).violations
+        )
         assert is_malformed(packet, allocated_cids=allocated) == expected
 
     @given(

@@ -12,8 +12,6 @@ from repro.l2cap.jobs import (
     Job,
     STATE_JOB,
     job_of,
-    states_of,
-    valid_commands_for_state,
 )
 from repro.l2cap.states import ALL_STATES, ChannelState
 
@@ -38,7 +36,7 @@ class TestTable1Clustering:
         }
 
     def test_configuration_membership_matches_table1(self):
-        assert states_of(Job.CONFIGURATION) == frozenset(
+        assert JOB_STATES[Job.CONFIGURATION] == frozenset(
             {
                 ChannelState.WAIT_CONFIG,
                 ChannelState.WAIT_CONFIG_RSP,
@@ -52,7 +50,7 @@ class TestTable1Clustering:
         )
 
     def test_move_membership_matches_table1(self):
-        assert states_of(Job.MOVE) == frozenset(
+        assert JOB_STATES[Job.MOVE] == frozenset(
             {
                 ChannelState.WAIT_MOVE,
                 ChannelState.WAIT_MOVE_RSP,
@@ -108,7 +106,7 @@ class TestTable3ValidCommands:
         }
 
     def test_valid_commands_for_state_goes_through_job(self):
-        assert valid_commands_for_state(ChannelState.WAIT_SEND_CONFIG) == {
+        assert JOB_VALID_COMMANDS[job_of(ChannelState.WAIT_SEND_CONFIG)] == {
             CommandCode.CONFIGURATION_REQ,
             CommandCode.CONFIGURATION_RSP,
         }

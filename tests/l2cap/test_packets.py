@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from repro.errors import PacketDecodeError, PacketEncodeError
-from repro.l2cap.constants import CommandCode, SIGNALING_CID
+from repro.l2cap.constants import CommandCode, ConfigOptionType, SIGNALING_CID
 from repro.l2cap.packets import (
     COMMAND_SPECS,
     ConfigOption,
@@ -13,18 +15,12 @@ from repro.l2cap.packets import (
     command_reject,
     configuration_request,
     connection_request,
-    decode_cid_list,
     decode_options,
     default_packet,
     disconnection_request,
     echo_request,
-    encode_cid_list,
     encode_options,
-    fields_defaults,
-    iter_command_codes,
     mtu_option,
-    qos_option,
-    spec_for,
 )
 
 
@@ -52,17 +48,24 @@ class TestCommandSpecs:
             spec.field("psm")
 
     def test_spec_for_unknown_code_is_none(self):
-        assert spec_for(0x7F) is None
-        assert spec_for(0x00) is None
+        for code in (0x7F, 0x00):
+            packet = L2capPacket(code=code)
+            assert packet.spec is None
+            assert packet.command_name == f"UNKNOWN_0x{code:02X}"
 
-    def test_iter_command_codes_sorted(self):
-        codes = list(iter_command_codes())
-        assert codes == sorted(codes)
-        assert len(codes) == 26
+    @pytest.mark.parametrize(
+        "code", sorted(COMMAND_SPECS), ids=lambda code: CommandCode(code).name
+    )
+    def test_fields_defaults(self, code):
+        """A bare packet carries its spec's defaults and round-trips them."""
+        packet = L2capPacket(code)
+        assert packet.fields == COMMAND_SPECS[code].defaults
+        decoded = L2capPacket.decode(packet.encode())
+        assert decoded.fields == packet.fields
+        assert decoded.encode() == packet.encode()
 
-    def test_fields_defaults(self):
-        defaults = fields_defaults(CommandCode.INFORMATION_REQ)
-        assert defaults == {"info_type": 0x0002}
+    def test_information_request_defaults_to_extended_features(self):
+        assert L2capPacket(CommandCode.INFORMATION_REQ).fields == {"info_type": 0x0002}
 
 
 class TestEncodeDecodeRoundTrip:
@@ -171,8 +174,15 @@ class TestConfigOptions:
         assert options[0].value == (0x0400).to_bytes(2, "little")
 
     def test_qos_option_has_flags_and_five_params(self):
-        option = qos_option()
-        assert len(option.value) == 2 + 5 * 4
+        # Flags, service type, then five 32-bit parameters (Core 5.2
+        # Vol 3 Part A §5.3).
+        value = struct.pack("<BB5I", 0, 0x01, 0, 0, 0, 0xFFFFFFFF, 0xFFFFFFFF)
+        assert len(value) == 2 + 5 * 4
+        raw = encode_options([ConfigOption(ConfigOptionType.QOS, value)])
+        options = decode_options(raw)
+        assert [(o.option_type, o.value) for o in options] == [(0x03, value)]
+        packet = configuration_request(dcid=0x0040, options=options)
+        assert L2capPacket.decode(packet.encode()).tail == raw
 
     def test_truncated_option_raises(self):
         with pytest.raises(PacketDecodeError):
@@ -189,13 +199,19 @@ class TestConfigOptions:
 
 
 class TestCidList:
+    """The credit-based commands carry their SCIDs as a trailing CID list."""
+
     def test_round_trip(self):
         cids = [0x0040, 0x0041, 0xFFFF]
-        assert decode_cid_list(encode_cid_list(cids)) == cids
-
-    def test_odd_length_raises(self):
-        with pytest.raises(PacketDecodeError):
-            decode_cid_list(b"\x40")
+        packet = L2capPacket(
+            CommandCode.CREDIT_BASED_CONNECTION_REQ, tail=struct.pack("<3H", *cids)
+        )
+        decoded = L2capPacket.decode(packet.encode())
+        assert list(struct.unpack(f"<{len(decoded.tail) // 2}H", decoded.tail)) == cids
+        assert decoded.payload_length == 4 + 8 + 2 * len(cids)
 
     def test_empty_list(self):
-        assert decode_cid_list(b"") == []
+        packet = L2capPacket(CommandCode.CREDIT_BASED_RECONFIGURE_REQ)
+        decoded = L2capPacket.decode(packet.encode())
+        assert decoded.tail == b""
+        assert decoded.garbage == b""

@@ -52,9 +52,11 @@ class TestCodecProperties:
     @given(_packet_strategy(), st.binary(min_size=1, max_size=8))
     @settings(max_examples=100)
     def test_adding_garbage_never_changes_declared_lengths(self, packet, extra):
-        before = (packet.payload_length, packet.data_length)
+        # The basic and command headers carry both declared lengths.
+        before = packet.encode()[:8]
         packet.garbage += extra
-        assert (packet.payload_length, packet.data_length) == before
+        after = packet.encode()
+        assert after[:8] == before and after.endswith(extra)
 
     @given(st.binary(min_size=8, max_size=64))
     @settings(max_examples=300)

@@ -13,8 +13,7 @@ from repro.l2cap.validation import (
     Violation,
     frame_violations,
     is_malformed,
-    reject_reason_for,
-    spec_layout_ok,
+    structural_reject_reason,
 )
 
 
@@ -25,7 +24,7 @@ def _validate(packet, mtu=672, cids=frozenset()):
 class TestFrameViolations:
     def test_clean_packet_has_no_violations(self):
         report = _validate(echo_request(b"hi"))
-        assert report.clean
+        assert report.violations == ()
 
     def test_unknown_code(self):
         report = _validate(L2capPacket(code=0x7F))
@@ -76,11 +75,11 @@ class TestFrameViolations:
 class TestDataFrames:
     def test_connectionless_data_is_clean(self):
         packet = L2capPacket(code=0, header_cid=CONNECTIONLESS_CID, tail=b"blob")
-        assert _validate(packet).clean
+        assert _validate(packet).violations == ()
 
     def test_data_to_allocated_channel_is_clean(self):
         packet = L2capPacket(code=0, header_cid=0x0040, tail=b"blob")
-        assert _validate(packet, cids=frozenset({0x0040})).clean
+        assert _validate(packet, cids=frozenset({0x0040})).violations == ()
 
     def test_data_to_unallocated_channel_is_malformed(self):
         packet = L2capPacket(code=0, header_cid=0x0999, tail=b"blob")
@@ -93,23 +92,19 @@ class TestRejectReasonMapping:
     def test_mutated_d_gives_command_not_understood(self):
         packet = echo_request(b"abcd")
         packet.declared_data_len = 1
-        reason = reject_reason_for(_validate(packet))
+        reason = structural_reject_reason(packet, 672)
         assert reason == RejectReason.COMMAND_NOT_UNDERSTOOD
 
     def test_mtu_violation_gives_mtu_exceeded(self):
         packet = echo_request(b"x" * 100)
-        reason = reject_reason_for(_validate(packet, mtu=48))
+        reason = structural_reject_reason(packet, 48)
         assert reason == RejectReason.SIGNALING_MTU_EXCEEDED
-
-    def test_bogus_cid_gives_invalid_cid(self):
-        packet = configuration_request(dcid=0x4242)
-        assert reject_reason_for(_validate(packet)) == RejectReason.INVALID_CID
 
     def test_core_field_mutated_packet_is_not_rejected(self):
         """The paper's key design point: abnormal PSM + garbage parse fine."""
         packet = connection_request(psm=0x0100, scid=0x0040)
         packet.garbage = b"\x01\x02"
-        assert reject_reason_for(_validate(packet, cids=frozenset({0x0040}))) is None
+        assert structural_reject_reason(packet, 672) is None
 
 
 class TestIsMalformed:
@@ -131,15 +126,3 @@ class TestIsMalformed:
         packet = configuration_request(dcid=0x0999)
         assert not is_malformed(packet, allocated_cids=frozenset({0x0999}))
 
-
-class TestSpecLayout:
-    def test_complete_layout_ok(self):
-        assert spec_layout_ok(connection_request(psm=1, scid=2))
-
-    def test_unknown_code_not_ok(self):
-        assert not spec_layout_ok(L2capPacket(code=0x55))
-
-    def test_missing_field_not_ok(self):
-        packet = connection_request(psm=1, scid=2)
-        del packet.fields["scid"]
-        assert not spec_layout_ok(packet)

@@ -9,12 +9,10 @@ from repro.errors import PacketDecodeError
 from repro.sdp.data_elements import (
     DataElement,
     ElementType,
-    boolean,
     nil,
     sequence,
     text,
     uint,
-    uint8,
     uint32,
     uuid16,
 )
@@ -30,7 +28,7 @@ class TestScalars:
         assert uint(0x0019).encode() == b"\x09\x00\x19"
 
     def test_uint8(self):
-        assert uint8(0x7F).encode() == b"\x08\x7f"
+        assert DataElement(ElementType.UNSIGNED_INT, 0x7F, 1).encode() == b"\x08\x7f"
 
     def test_uint32(self):
         assert uint32(0x0001_0000).encode() == b"\x0a\x00\x01\x00\x00"
@@ -40,7 +38,7 @@ class TestScalars:
         assert uuid16(0x1101).encode() == b"\x19\x11\x01"
 
     def test_bool(self):
-        assert boolean(True).encode() == b"\x28\x01"
+        assert DataElement(ElementType.BOOL, True, 1).encode() == b"\x28\x01"
         assert DataElement.decode(b"\x28\x00").value is False
 
     def test_text_short_form(self):
@@ -101,7 +99,7 @@ def _element_strategy(depth=2):
         st.builds(uint32, st.integers(min_value=0, max_value=0xFFFFFFFF)),
         st.builds(uuid16, st.integers(min_value=0, max_value=0xFFFF)),
         st.builds(text, st.text(max_size=12)),
-        st.builds(boolean, st.booleans()),
+        st.booleans().map(lambda value: DataElement(ElementType.BOOL, value, 1)),
         st.just(nil()),
     )
     if depth == 0:

@@ -71,7 +71,6 @@ class TestChannelControlBlock:
     def test_defaults(self):
         block = ChannelControlBlock(local_cid=0x40)
         assert block.state is ChannelState.CLOSED
-        assert not block.is_open
 
     def test_reset_config(self):
         block = ChannelControlBlock(local_cid=0x40)
@@ -82,8 +81,3 @@ class TestChannelControlBlock:
         assert not block.local_config_done
         assert not block.remote_config_done
         assert not block.local_config_sent
-
-    def test_is_open_tracks_state(self):
-        block = ChannelControlBlock(local_cid=0x40)
-        block.state = ChannelState.OPEN
-        assert block.is_open

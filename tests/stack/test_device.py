@@ -38,8 +38,8 @@ class TestDiscovery:
 
     def test_sdp_browse_lists_services(self):
         device, _, _ = make_rig()
-        names = [record.name for record in device.sdp_browse()]
-        assert "SDP" in names
+        names = [record.name for record in device.services.all_records()]
+        assert names == ["SDP", "RFCOMM", "AVDTP"]  # ascending PSM order
 
 
 class TestLinkGlue:

@@ -33,7 +33,8 @@ class TestPassiveConfiguration:
         assert responses[0].fields["result"] == ConfigResult.SUCCESS
         block = engine.channels.get(target_cid)
         assert block.state is ChannelState.WAIT_CONFIG_RSP
-        assert ChannelState.WAIT_SEND_CONFIG in engine.visited_states()
+        visited = {visit.state for visit in engine.state_history}
+        assert ChannelState.WAIT_SEND_CONFIG in visited
 
     def test_full_exchange_reaches_open(self):
         engine = make_engine()

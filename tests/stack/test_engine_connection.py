@@ -80,8 +80,9 @@ class TestConnectionRequest:
     def test_wait_connect_posture_recorded(self):
         engine = make_engine()
         open_channel(engine)
-        assert ChannelState.WAIT_CONNECT in engine.visited_states()
-        assert ChannelState.WAIT_CONFIG in engine.visited_states()
+        visited = {visit.state for visit in engine.state_history}
+        assert ChannelState.WAIT_CONNECT in visited
+        assert ChannelState.WAIT_CONFIG in visited
 
 
 class TestCreateChannelRequest:
@@ -92,7 +93,8 @@ class TestCreateChannelRequest:
         )
         assert responses[0].code == CommandCode.CREATE_CHANNEL_RSP
         assert responses[0].fields["result"] == ConnectionResult.SUCCESS
-        assert ChannelState.WAIT_CREATE in engine.visited_states()
+        visited = {visit.state for visit in engine.state_history}
+        assert ChannelState.WAIT_CREATE in visited
 
     def test_non_amp_stack_refuses(self):
         engine = make_engine(RTKIT)

@@ -42,7 +42,7 @@ class TestMoveFlow:
         assert responses[0].fields["result"] == MoveResult.SUCCESS
         block = engine.channels.get(target_cid)
         assert block.state is ChannelState.WAIT_MOVE_CONFIRM
-        assert ChannelState.WAIT_MOVE in engine.visited_states()
+        assert ChannelState.WAIT_MOVE in {visit.state for visit in engine.state_history}
 
     def test_move_confirmation_completes(self):
         engine = make_engine()

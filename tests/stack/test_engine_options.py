@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
-from repro.l2cap.constants import CommandCode, ConfigResult, MIN_SIGNALING_MTU
+from repro.l2cap.constants import (
+    CommandCode,
+    ConfigOptionType,
+    ConfigResult,
+    MIN_SIGNALING_MTU,
+)
 from repro.l2cap.packets import (
     ConfigOption,
     configuration_request,
     encode_options,
-    flush_timeout_option,
     mtu_option,
-    qos_option,
 )
 from repro.l2cap.states import ChannelState
 
@@ -85,7 +88,10 @@ class TestOptionNegotiation:
     def test_known_non_mtu_options_accepted(self):
         engine = make_engine()
         target_cid, _ = open_channel(engine)
-        options = encode_options([flush_timeout_option(), qos_option()])
+        flush_timeout = ConfigOption(ConfigOptionType.FLUSH_TIMEOUT, b"\xff\xff")
+        # QoS: flags, best-effort service type, five 32-bit parameters.
+        qos = ConfigOption(ConfigOptionType.QOS, b"\x00\x01" + bytes(12) + b"\xff" * 8)
+        options = encode_options([flush_timeout, qos])
         responses = engine.handle_l2cap(_config_with_options(target_cid, options))
         assert _first_rsp_result(responses) == ConfigResult.SUCCESS
 

@@ -195,7 +195,7 @@ class TestConfirmedCoverage:
         fuzzer = L2Fuzz(
             link=link,
             inquiry=device.inquiry,
-            browse=device.sdp_browse,
+            browse=device.services.all_records,
             config=FuzzConfig(max_packets=400),
             target="rfcomm",
         )

@@ -111,38 +111,3 @@ class TestPrometheus:
         registry.inc("c", 1, path='we"ird\\path\nx')
         line = registry.to_prometheus().splitlines()[1]
         assert line == 'c{path="we\\"ird\\\\path\\nx"} 1'
-
-
-class TestMergeSnapshot:
-    def test_counters_add_gauges_take_latest(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.inc("c", 2, target="l2cap")
-        left.set_gauge("g", 1.0)
-        right.inc("c", 3, target="l2cap")
-        right.set_gauge("g", 9.0)
-        left.merge_snapshot(right.snapshot())
-        snapshot = left.snapshot()
-        assert snapshot["counters"]["c"][0]["value"] == 5
-        assert snapshot["gauges"]["g"][0]["value"] == 9.0
-
-    def test_histograms_add_bucket_by_bucket(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.observe("h", 0.05, buckets=(0.1, 1.0))
-        right.observe("h", 0.5, buckets=(0.1, 1.0))
-        right.observe("h", 5.0)
-        left.merge_snapshot(right.snapshot())
-        (row,) = left.snapshot()["histograms"]["h"]
-        assert row["buckets"] == [[0.1, 1], [1.0, 1], ["+Inf", 1]]
-        assert row["count"] == 3
-
-    def test_unknown_schema_version_raises(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError, match="schema version"):
-            registry.merge_snapshot({"schema": 99})
-
-    def test_bucket_layout_mismatch_raises(self):
-        left, right = MetricsRegistry(), MetricsRegistry()
-        left.observe("h", 0.5, buckets=(0.1, 1.0))
-        right.observe("h", 0.5, buckets=(0.25, 2.0))
-        with pytest.raises(ValueError, match="bucket layout mismatch"):
-            left.merge_snapshot(right.snapshot())
