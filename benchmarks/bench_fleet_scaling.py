@@ -39,7 +39,6 @@ from pathlib import Path
 
 from repro.core.config import FuzzConfig
 from repro.core.fleet import FleetOrchestrator
-from repro.core.runtime import iter_shard_specs
 from repro.testbed.profiles import ALL_PROFILES
 
 from benchmarks.bench_helpers import print_table, run_once, scaled
@@ -101,13 +100,13 @@ def _measure_supervision_overhead(budget: int) -> tuple[float, float]:
         orchestrator.run()  # warm the pool
         runtime = orchestrator._ensure_runtime()
         context = orchestrator._build_context()
-        shard_specs = iter_shard_specs(orchestrator.specs())
+        specs = orchestrator.specs()
         timings: dict[bool, list[float]] = {True: [], False: []}
         for _ in range(3):
             for supervised in (False, True):
                 started = time.perf_counter()
                 runtime.run_specs(
-                    shard_specs, supervised=supervised, context=context
+                    specs, supervised=supervised, context=context
                 )
                 timings[supervised].append(time.perf_counter() - started)
     return statistics.median(timings[True]), statistics.median(timings[False])

@@ -17,8 +17,9 @@ the fleet seed and the campaign's index with SHA-256, so
 Campaigns are dispatched onto the persistent batched runtime of
 :mod:`repro.core.runtime`: long-lived worker processes consume shards
 of campaign coordinates, each shipped with the fleet's context, and
-stream back compact binary summaries the merge works from directly
-(full reports are only reconstructed when export asks). Because every
+stream back compact binary summaries. The merge and every export of
+the report read those summaries' plain fields, paired with each
+campaign's :class:`~repro.core.runtime.CampaignSpec`. Because every
 campaign owns its simulated clock, results are independent of worker
 count, batch size and completion order. Workers rebuild every
 campaign from the testbed and strategy registries, so a fleet takes
@@ -47,14 +48,15 @@ from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from repro.core.config import FuzzConfig
-from repro.core.report import CampaignReport, format_elapsed
+from repro.core.report import format_elapsed
 from repro.core.runtime import (
     SHARD_TIMEOUT,
+    CampaignSpec,
     CampaignSummary,
     FleetContext,
     FleetRuntime,
+    QuarantinedCampaign,
     SupervisionStats,
-    iter_shard_specs,
     load_checkpoints,
 )
 from repro.core.strategies import STRATEGY_NAMES
@@ -97,50 +99,6 @@ def simulated_makespan(durations: Sequence[float], workers: int) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class CampaignSpec:
-    """One cell of the fleet matrix.
-
-    :param index: position in the fleet (drives seed derivation).
-    :param device_id: testbed profile to fuzz.
-    :param strategy: exploration strategy registry name.
-    :param seed: the derived campaign seed.
-    :param target: protocol fuzz-target registry name.
-    """
-
-    index: int
-    device_id: str
-    strategy: str
-    seed: int
-    target: str = "l2cap"
-
-
-class SummaryRun:
-    """A spec with its compact summary; the report materialises lazily.
-
-    This is what the persistent runtime hands back: the fleet merge
-    works straight off :attr:`summary` (plain tokens and counters), and
-    the full :class:`~repro.core.report.CampaignReport` object graph is
-    only rebuilt — once, cached — when something actually reads
-    :attr:`report` (markdown/JSON export, the per-campaign tables).
-    """
-
-    __slots__ = ("spec", "summary", "_report")
-
-    def __init__(self, spec: CampaignSpec, summary: CampaignSummary) -> None:
-        self.spec = spec
-        self.summary = summary
-        self._report: CampaignReport | None = None
-
-    @property
-    def report(self) -> CampaignReport:
-        report = self._report
-        if report is None:
-            report = self.summary.to_report()
-            self._report = report
-        return report
-
-
-@dataclasses.dataclass(frozen=True)
 class FleetFinding:
     """One deduplicated finding across the fleet.
 
@@ -166,30 +124,13 @@ class FleetFinding:
 
 
 @dataclasses.dataclass(frozen=True)
-class QuarantinedCampaign:
-    """A campaign the supervised runtime isolated and gave up on.
-
-    A diagnostic, not an abort: the rest of the fleet completed and
-    merged normally; this row says which campaign was bisected out of
-    its shard, confirmed poisonous by a solo re-run, and why.
-    """
-
-    index: int
-    device_id: str
-    strategy: str
-    target: str
-    seed: int
-    attempts: int
-    reason: str
-
-
-@dataclasses.dataclass(frozen=True)
 class FleetReport:
     """Merged result of one fleet run.
 
     :param fleet_seed: the seed every campaign seed derives from.
     :param workers: worker-pool size the fleet was scheduled onto.
-    :param campaigns: every campaign run, in spec order.
+    :param campaigns: every completed campaign as a ``(spec, summary)``
+        pair, in spec order.
     :param findings: deduplicated findings, in first-detection order.
     :param coverage_map: per-(target, state) campaign counts — how many
         campaigns demonstrably drove their device into each state of
@@ -204,7 +145,7 @@ class FleetReport:
 
     fleet_seed: int
     workers: int
-    campaigns: tuple[SummaryRun, ...]
+    campaigns: tuple[tuple[CampaignSpec, CampaignSummary], ...]
     findings: tuple[FleetFinding, ...]
     coverage_map: tuple[tuple[str, str, int], ...]
     state_spaces: tuple[tuple[str, int], ...]
@@ -236,14 +177,15 @@ class FleetReport:
     @property
     def best_single_coverage(self) -> int:
         """Largest per-campaign distinct-state count in the fleet."""
-        if not self.campaigns:
-            return 0
-        return max(len(run.report.covered_states) for run in self.campaigns)
+        return max(
+            (len(summary.covered_states) for _, summary in self.campaigns),
+            default=0,
+        )
 
     @property
     def total_packets(self) -> int:
         """Packets transmitted by the whole fleet."""
-        return sum(run.report.packets_sent for run in self.campaigns)
+        return sum(summary.packets_sent for _, summary in self.campaigns)
 
     @property
     def campaigns_per_simulated_second(self) -> float:
@@ -254,22 +196,22 @@ class FleetReport:
 
     def strategy_table(self) -> list[dict]:
         """Per-strategy efficiency rows, in first-appearance order."""
-        grouped: dict[str, list[SummaryRun]] = {}
-        for run in self.campaigns:
-            grouped.setdefault(run.spec.strategy, []).append(run)
+        grouped: dict[str, list[tuple[CampaignSpec, CampaignSummary]]] = {}
+        for spec, summary in self.campaigns:
+            grouped.setdefault(spec.strategy, []).append((spec, summary))
         rows = []
         for name, runs in grouped.items():
-            covered: set[tuple[str, str]] = set()
-            for run in runs:
-                covered.update(
-                    (run.spec.target, state.value)
-                    for state in run.report.covered_states
-                )
-            packets = sum(run.report.packets_sent for run in runs)
-            elapsed = sum(run.report.elapsed_seconds for run in runs)
-            findings = sum(len(run.report.findings) for run in runs)
+            covered = {
+                (spec.target, state)
+                for spec, summary in runs
+                for state in summary.covered_states
+            }
+            summaries = [summary for _, summary in runs]
+            packets = sum(summary.packets_sent for summary in summaries)
+            elapsed = sum(summary.elapsed_seconds for summary in summaries)
+            findings = sum(len(summary.findings) for summary in summaries)
             efficiency = sum(
-                run.report.efficiency.mutation_efficiency for run in runs
+                summary.efficiency.mutation_efficiency for summary in summaries
             ) / len(runs)
             rows.append(
                 {
@@ -312,7 +254,10 @@ class FleetReport:
                 dataclasses.asdict(campaign) for campaign in self.quarantined
             ],
             "strategy_table": self.strategy_table(),
-            "campaigns": [_campaign_dict(run) for run in self.campaigns],
+            "campaigns": [
+                _campaign_dict(spec, summary)
+                for spec, summary in self.campaigns
+            ],
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -345,14 +290,13 @@ class FleetReport:
             "|---|--------|----------|----------|---------|--------|"
             "----------|---------|",
         ]
-        for run in self.campaigns:
-            report = run.report
+        for spec, summary in self.campaigns:
             lines.append(
-                f"| {run.spec.index} | {report.target_name} |"
-                f" {run.spec.target} |"
-                f" {run.spec.strategy} | {report.packets_sent} |"
-                f" {len(report.covered_states)} | {len(report.findings)} |"
-                f" {format_elapsed(report.elapsed_seconds)} |"
+                f"| {spec.index} | {summary.target_name} |"
+                f" {spec.target} |"
+                f" {spec.strategy} | {summary.packets_sent} |"
+                f" {len(summary.covered_states)} | {len(summary.findings)} |"
+                f" {format_elapsed(summary.elapsed_seconds)} |"
             )
         for target in self.targets:
             lines += [
@@ -420,67 +364,66 @@ class FleetReport:
         return "\n".join(lines)
 
 
-def _campaign_dict(run: SummaryRun) -> dict:
-    report = run.report
+def _campaign_dict(spec: CampaignSpec, summary: CampaignSummary) -> dict:
     return {
-        "index": run.spec.index,
-        "device_id": run.spec.device_id,
-        "strategy": run.spec.strategy,
-        "target": run.spec.target,
-        "seed": run.spec.seed,
-        "target_name": report.target_name,
-        "packets_sent": report.packets_sent,
-        "sweeps_completed": report.sweeps_completed,
-        "elapsed_seconds": round(report.elapsed_seconds, 6),
-        "covered_states": sorted(state.value for state in report.covered_states),
-        "state_visits": [list(pair) for pair in report.state_visits],
-        "transition_visits": [list(triple) for triple in report.transition_visits],
+        "index": spec.index,
+        "device_id": spec.device_id,
+        "strategy": spec.strategy,
+        "target": spec.target,
+        "seed": spec.seed,
+        "target_name": summary.target_name,
+        "packets_sent": summary.packets_sent,
+        "sweeps_completed": summary.sweeps_completed,
+        "elapsed_seconds": round(summary.elapsed_seconds, 6),
+        "covered_states": list(summary.covered_states),
+        "state_visits": [list(pair) for pair in summary.state_visits],
+        "transition_visits": [
+            list(triple) for triple in summary.transition_visits
+        ],
         "findings": [
             {
-                "class": finding.vulnerability_class.value,
+                "class": finding.vulnerability_class,
                 "error": finding.error_message,
                 "state": finding.state,
                 "trigger": finding.trigger,
                 "sim_time": round(finding.sim_time, 6),
             }
-            for finding in report.findings
+            for finding in summary.findings
         ],
         "mutation_efficiency": round(
-            100.0 * report.efficiency.mutation_efficiency, 4
+            100.0 * summary.efficiency.mutation_efficiency, 4
         ),
     }
 
 
 def merge_reports(
-    runs: Sequence[SummaryRun],
+    runs: Sequence[tuple[CampaignSpec, CampaignSummary]],
     profiles_by_id: dict[str, DeviceProfile],
     fleet_seed: int,
     workers: int,
     *,
     quarantined: Sequence[QuarantinedCampaign] = (),
 ) -> FleetReport:
-    """Merge campaign runs into one :class:`FleetReport`.
+    """Merge ``(spec, summary)`` pairs into one :class:`FleetReport`.
 
     Findings are deduplicated by the shared ``finding_key`` —
     ``(target, vendor, vulnerability_class, trigger)`` — keeping the
     first detection and counting the rest. Coverage is merged per
     (target, state) pair so protocols never pollute each other's maps.
-    The merge reads each run's summary; no report is reconstructed.
     """
     coverage_counts: dict[tuple[str, str], int] = {}
     state_spaces: dict[str, int] = {}
     durations: list[float] = []
     # Insertion order = first-detection order (dicts preserve it).
     deduped: dict[tuple[str, str, str, str], FleetFinding] = {}
-    for run in runs:
-        summary = run.summary
-        target = run.spec.target
+    for spec, summary in runs:
+        target = spec.target
         state_spaces.setdefault(target, summary.state_space)
         durations.append(summary.elapsed_seconds)
         for token in summary.covered_states:
             key = (target, token)
             coverage_counts[key] = coverage_counts.get(key, 0) + 1
-        vendor = profiles_by_id[run.spec.device_id].vendor
+        vendor = profiles_by_id[spec.device_id].vendor
         for finding in summary.findings:
             # The shared finding_key, spelled on plain data: the class
             # value string is what finding_key normalises enums to.
@@ -497,8 +440,8 @@ def merge_reports(
                     vendor=vendor,
                     vulnerability_class=finding.vulnerability_class,
                     trigger=finding.trigger,
-                    device_id=run.spec.device_id,
-                    strategy=run.spec.strategy,
+                    device_id=spec.device_id,
+                    strategy=spec.strategy,
                     state=finding.state,
                     error_message=finding.error_message,
                     sim_time=finding.sim_time,
@@ -809,7 +752,7 @@ class FleetOrchestrator:
             runtime = self._ensure_runtime()
             try:
                 summaries = runtime.run_specs(
-                    iter_shard_specs(missing),
+                    missing,
                     batch=self.batch,
                     context=self._build_context(),
                     on_event=recorder.emit if recorder is not None else None,
@@ -823,31 +766,16 @@ class FleetOrchestrator:
             for spec, summary in zip(missing, summaries):
                 if summary is not None:
                     by_index[spec.index] = summary
-            quarantined = []
-            for item in self.last_supervision.quarantined:
-                index, device_id, strategy, seed, target = item.spec
-                quarantined.append(
-                    QuarantinedCampaign(
-                        index=index,
-                        device_id=device_id,
-                        strategy=strategy,
-                        target=target,
-                        seed=seed,
-                        attempts=item.attempts,
-                        reason=item.reason,
-                    )
-                )
-            runs = [
-                SummaryRun(spec, by_index[spec.index])
-                for spec in specs
-                if spec.index in by_index
-            ]
             report = merge_reports(
-                runs,
+                [
+                    (spec, by_index[spec.index])
+                    for spec in specs
+                    if spec.index in by_index
+                ],
                 PROFILES_BY_ID,
                 self.fleet_seed,
                 self.workers,
-                quarantined=quarantined,
+                quarantined=self.last_supervision.quarantined,
             )
         except BaseException as error:
             # Abort path (includes KeyboardInterrupt — a killed run must
@@ -858,7 +786,6 @@ class FleetOrchestrator:
             raise
         if recorder is not None:
             recorder.record_run(
-                runs,
                 report,
                 wall_seconds=time.perf_counter() - wall_started,
                 profiles_by_id=PROFILES_BY_ID,
@@ -887,7 +814,7 @@ class FleetOrchestrator:
                 "config": repr(self.base_config),
                 "target_state": self.target_state.value,
                 "retain_trace": self.retain_trace,
-                "specs": [list(spec) for spec in iter_shard_specs(self.specs())],
+                "specs": [list(spec) for spec in self.specs()],
             },
             sort_keys=True,
         )

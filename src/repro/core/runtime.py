@@ -22,10 +22,10 @@ demonstrate:
   :class:`CampaignSummary` blobs (``marshal`` of plain tuples behind a
   header of format version, interpreter version, length and CRC-32:
   coverage tokens, finding records, efficiency counters, stream
-  samples) instead of pickled reports. Everything the fleet merge needs
-  lives in the summary; the full ``CampaignReport`` object graph is
-  reconstructed lazily, only when markdown/JSON export (or a caller
-  poking ``run.report``) asks — see :class:`SummaryRun`.
+  samples) instead of pickled reports. The summary is the one campaign
+  result from worker to exported report: the fleet merge, the
+  markdown/JSON export, checkpoints and telemetry all read its plain
+  fields, paired with the campaign's :class:`CampaignSpec`.
 * **Batched corpus write-back** — with a shared corpus, campaigns keep
   only their sent packets; a worker builds each campaign's write-back
   batch as the campaign ends, drops the campaign, and writes the
@@ -72,7 +72,7 @@ import sys
 import threading
 import time
 import zlib
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -82,13 +82,14 @@ from concurrent.futures import (
 from functools import partial
 from pathlib import Path
 from statistics import median
+from typing import NamedTuple
 
 # Pool workers fork from the process that imports this module, so the
 # campaign path they run (FuzzSession and its imports) loads here once,
 # not again in every new worker.
-from repro.analysis.metrics import MutationEfficiency, measure
+from repro.analysis.metrics import MutationEfficiency
 from repro.core.config import FuzzConfig
-from repro.core.detection import Finding, VulnerabilityClass
+from repro.core.detection import Finding
 from repro.core.report import CampaignReport
 from repro.core.strategies import make_strategy
 from repro.durability import atomic_write, backoff_delay
@@ -113,7 +114,12 @@ _HEADER = struct.Struct("<BBBII")
 
 @dataclasses.dataclass(frozen=True)
 class FindingSummary:
-    """One campaign finding, flattened to plain data for the wire."""
+    """One campaign finding, flattened to plain data for the wire.
+
+    The fleet report renders these fields as they are: the class travels
+    as its :class:`~repro.core.detection.VulnerabilityClass` value
+    string, and a missing crash dump as ``""``.
+    """
 
     vulnerability_class: str
     error_message: str
@@ -124,20 +130,6 @@ class FindingSummary:
     crash_dump: str
     target: str
     sent_index: int | None = None
-
-    def to_finding(self) -> Finding:
-        """Reconstruct the engine-side :class:`Finding` object."""
-        return Finding(
-            vulnerability_class=VulnerabilityClass(self.vulnerability_class),
-            error_message=self.error_message,
-            state=self.state,
-            trigger=self.trigger,
-            sim_time=self.sim_time,
-            ping_failed=self.ping_failed,
-            crash_dump=self.crash_dump or None,
-            target=self.target,
-            sent_index=self.sent_index,
-        )
 
     @classmethod
     def from_finding(cls, finding: Finding) -> "FindingSummary":
@@ -156,19 +148,17 @@ class FindingSummary:
 
 @dataclasses.dataclass(frozen=True)
 class CampaignSummary:
-    """Everything the fleet merge needs from one campaign, as plain data.
+    """One campaign's result, as plain data, from worker to report.
 
-    This is the worker→orchestrator wire unit. Coverage travels as the
-    state-name tokens the merge and corpus already key by; findings as
-    :class:`FindingSummary` rows; the Table VII counters raw (the ratios
-    are derived). ``coverage_samples`` is the sniffer's streamed
-    coverage-unlock series — ``(distinct states, packets sent)`` points
-    — so fleet-level coverage-over-time pictures never need the trace.
-
-    :meth:`to_report` rebuilds the full :class:`CampaignReport`
-    (enum members, :class:`Finding` objects, efficiency wrapper); the
-    result is ``==`` to the report the campaign produced in-process,
-    which the summary round-trip tests pin per target.
+    This is the worker→orchestrator wire unit, the checkpoint content
+    and what the fleet report renders: nothing rebuilds the
+    :class:`~repro.core.report.CampaignReport` it came from. Coverage
+    travels as sorted state-name tokens; findings as
+    :class:`FindingSummary` rows; the Table VII counters raw, with the
+    ratios derived by :attr:`efficiency`. ``coverage_samples`` is the
+    sniffer's streamed coverage-unlock series — ``(distinct states,
+    packets sent)`` points — so fleet-level coverage-over-time pictures
+    never need the trace.
     """
 
     target_name: str
@@ -191,35 +181,15 @@ class CampaignSummary:
     corpus_findings_new: int = 0
     corpus_findings_duplicate: int = 0
 
-    def to_report(self) -> CampaignReport:
-        """Reconstruct the full campaign report object graph."""
-        from repro.targets import make_target
-
-        universe = {
-            state.value: state
-            for state in make_target(self.fuzz_target).state_universe()
-        }
-        return CampaignReport(
-            target_name=self.target_name,
-            findings=tuple(finding.to_finding() for finding in self.findings),
+    @property
+    def efficiency(self) -> MutationEfficiency:
+        """The campaign's Table VII metrics, from its raw counters."""
+        return MutationEfficiency(
+            transmitted=self.transmitted,
+            malformed=self.malformed,
+            received=self.received,
+            rejections=self.rejections,
             elapsed_seconds=self.elapsed_seconds,
-            packets_sent=self.packets_sent,
-            sweeps_completed=self.sweeps_completed,
-            efficiency=MutationEfficiency(
-                transmitted=self.transmitted,
-                malformed=self.malformed,
-                received=self.received,
-                rejections=self.rejections,
-                elapsed_seconds=self.elapsed_seconds,
-            ),
-            covered_states=frozenset(
-                universe[token] for token in self.covered_states
-            ),
-            strategy=self.strategy,
-            state_visits=self.state_visits,
-            transition_visits=self.transition_visits,
-            fuzz_target=self.fuzz_target,
-            state_space=self.state_space,
         )
 
 
@@ -410,11 +380,23 @@ class FleetContext:
     fault_plan: FaultPlan | None = None
 
 
-#: Bare campaign coordinates: (index, device_id, strategy, seed, target).
-ShardSpec = tuple[int, str, str, int, str]
+class CampaignSpec(NamedTuple):
+    """One cell of the fleet matrix, as shards ship it to workers.
+
+    A plain tuple, so :meth:`FleetRuntime.run_specs` takes bare
+    ``(index, device_id, strategy, seed, target)`` tuples too. *index*
+    orders the results and derives *seed*; *strategy* and *target* are
+    registry names.
+    """
+
+    index: int
+    device_id: str
+    strategy: str
+    seed: int
+    target: str = "l2cap"
 
 
-def _open_shard_journal(context: FleetContext, shard: Sequence[ShardSpec]):
+def _open_shard_journal(context: FleetContext, shard: Sequence[CampaignSpec]):
     """The shard's journal segment writer, or None when telemetry is off."""
     if context.telemetry_dir is None or context.run_id is None:
         return None
@@ -424,7 +406,7 @@ def _open_shard_journal(context: FleetContext, shard: Sequence[ShardSpec]):
 
 
 def _emit_campaign_telemetry(
-    journal, index: int, session, report, summary: CampaignSummary, wall: float
+    journal, index: int, session, summary: CampaignSummary, wall: float
 ) -> None:
     """Worker-side campaign events: Logfile bridge, findings, counters.
 
@@ -472,7 +454,7 @@ def _emit_campaign_telemetry(
 
 def run_shard(
     context: FleetContext,
-    shard: Sequence[ShardSpec],
+    shard: Sequence[CampaignSpec],
     in_process_worker: bool = False,
 ) -> list[bytes]:
     """Run every campaign of *shard* back to back; return summary blobs.
@@ -560,7 +542,6 @@ def run_shard(
                 journal,
                 index,
                 session,
-                report,
                 summary,
                 time.perf_counter() - campaign_started,
             )
@@ -641,7 +622,7 @@ def _checkpoint_path(run_dir: Path, index: int) -> Path:
 
 
 def write_checkpoints(
-    run_dir: Path, shard: Sequence[ShardSpec], blobs: Sequence[bytes]
+    run_dir: Path, shard: Sequence[CampaignSpec], blobs: Sequence[bytes]
 ) -> None:
     """Persist a completed shard's summary blobs, one file per campaign.
 
@@ -713,10 +694,18 @@ def retry_backoff(attempts: int) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class QuarantinedShard:
-    """A campaign the supervisor gave up on, and why."""
+class QuarantinedCampaign:
+    """A campaign the supervisor bisected out and gave up on, and why.
 
-    spec: ShardSpec
+    A diagnostic, not an abort: the rest of the fleet merges normally,
+    and the fleet report carries these rows as they are recorded here.
+    """
+
+    index: int
+    device_id: str
+    strategy: str
+    seed: int
+    target: str
     attempts: int
     reason: str
 
@@ -732,7 +721,7 @@ class SupervisionStats:
     pool_restarts: int = 0
     decode_failures: int = 0
     bisections: int = 0
-    quarantined: list[QuarantinedShard] = dataclasses.field(
+    quarantined: list[QuarantinedCampaign] = dataclasses.field(
         default_factory=list
     )
 
@@ -756,7 +745,7 @@ class SupervisionStats:
 class _ShardJob:
     """One shard's place in the supervised queue."""
 
-    shard: tuple[ShardSpec, ...]
+    shard: tuple[CampaignSpec, ...]
     attempts: int = 0
     not_before: float = 0.0
     #: Set once a singleton exhausts its attempts: the next run gets the
@@ -853,7 +842,7 @@ class FleetRuntime:
 
     def run_specs(
         self,
-        specs: Sequence[ShardSpec],
+        specs: Sequence[CampaignSpec],
         batch: int | None = None,
         supervised: bool = True,
         *,
@@ -926,8 +915,8 @@ class FleetRuntime:
 
     def _dispatch(
         self,
-        specs: Sequence[ShardSpec],
-        shards: list[tuple[ShardSpec, ...]],
+        specs: Sequence[CampaignSpec],
+        shards: list[tuple[CampaignSpec, ...]],
         supervised: bool,
         context: FleetContext,
         should_abort: Callable[[], bool] | None,
@@ -987,7 +976,7 @@ class FleetRuntime:
 
     def _run_supervised(
         self,
-        shards: list[tuple[ShardSpec, ...]],
+        shards: list[tuple[CampaignSpec, ...]],
         stats: SupervisionStats,
         context: FleetContext,
         should_abort: Callable[[], bool] | None = None,
@@ -1004,7 +993,10 @@ class FleetRuntime:
         * **worker exception** — requeue with backoff;
         * **broken pool** (process worker died) — restart the pool,
           requeue the shard that surfaced the break with a bumped
-          attempt count, requeue innocent in-flight shards unbumped;
+          attempt count, requeue innocent in-flight shards unbumped; a
+          pool found broken at submit with nothing in flight (a worker
+          died idle, perhaps between calls) is restarted with no shard
+          blamed;
         * **deadline blown** — same as a break, for hangs.
 
         A shard that exhausts :data:`MAX_ATTEMPTS` is bisected; a singleton
@@ -1040,8 +1032,8 @@ class FleetRuntime:
         def quarantine(job: _ShardJob, reason: str) -> None:
             for spec in job.shard:
                 stats.quarantined.append(
-                    QuarantinedShard(
-                        spec=spec, attempts=job.attempts, reason=reason
+                    QuarantinedCampaign(
+                        *spec, attempts=job.attempts, reason=reason
                     )
                 )
                 self._emit(
@@ -1112,9 +1104,24 @@ class FleetRuntime:
                     # run's verdict is attributable.
                     break
                 job = pending.pop(index)
-                future = self._ensure_pool().submit(
-                    run_shard, context, job.shard, True
-                )
+                try:
+                    future = self._ensure_pool().submit(
+                        run_shard, context, job.shard, True
+                    )
+                except BrokenExecutor as error:
+                    # Broken before this shard reached it: no bump. The
+                    # next wait blames an in-flight shard, if any.
+                    pending.insert(index, job)
+                    if in_flight:
+                        break
+                    stats.worker_crashes += 1
+                    self._emit(
+                        "worker_crash",
+                        specs=[],
+                        reason=f"idle worker died ({type(error).__name__})",
+                    )
+                    self._restart_pool(stats)
+                    continue
                 in_flight[future] = (job, time.monotonic())
                 if job.require_solo:
                     solo_active = True
@@ -1211,11 +1218,3 @@ class FleetRuntime:
                 requeue_failed(hung, reason, now)
                 requeue_victims(bystanders, now)
         return results
-
-
-def iter_shard_specs(specs: Iterable) -> tuple[ShardSpec, ...]:
-    """Flatten :class:`~repro.core.fleet.CampaignSpec` objects to wire tuples."""
-    return tuple(
-        (spec.index, spec.device_id, spec.strategy, spec.seed, spec.target)
-        for spec in specs
-    )

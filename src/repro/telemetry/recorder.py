@@ -255,7 +255,6 @@ class RunRecorder:
 
     def record_run(
         self,
-        runs,
         fleet_report,
         wall_seconds: float,
         profiles_by_id: dict,
@@ -264,7 +263,8 @@ class RunRecorder:
         """Fold one finished fleet run into journal + metrics.
 
         Per-campaign events come from the workers' own journal
-        segments; *runs* (``SummaryRun`` objects) feed the counters.
+        segments; the report's ``(spec, summary)`` campaign pairs feed
+        the counters.
 
         :param supervision: the runtime's
             :class:`~repro.core.runtime.SupervisionStats` for this run,
@@ -274,8 +274,8 @@ class RunRecorder:
         """
         merged = merge_segments(self.run_dir)
         self._fold_worker_events(merged)
-        for run in runs:
-            self._fold_campaign(run, profiles_by_id)
+        for spec, summary in fleet_report.campaigns:
+            self._fold_campaign(spec, summary, profiles_by_id)
         if supervision is not None:
             self._fold_supervision(supervision)
         self._fold_fleet_report(fleet_report, wall_seconds)
@@ -317,9 +317,7 @@ class RunRecorder:
             json.dumps(self._manifest, indent=2) + "\n",
         )
 
-    def _fold_campaign(self, run, profiles_by_id: dict) -> None:
-        spec = run.spec
-        summary = run.summary
+    def _fold_campaign(self, spec, summary, profiles_by_id: dict) -> None:
         metrics = self.metrics
         metrics.inc(
             "repro_campaigns_total", target=spec.target, strategy=spec.strategy

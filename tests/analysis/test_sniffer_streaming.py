@@ -149,10 +149,10 @@ class TestFleetRetention:
             return [
                 {
                     name: value
-                    for name, value in dataclasses.asdict(run.summary).items()
+                    for name, value in dataclasses.asdict(summary).items()
                     if not name.startswith("corpus_")
                 }
-                for run in report.campaigns
+                for _, summary in report.campaigns
             ]
 
         assert summaries(streaming) == summaries(retained)

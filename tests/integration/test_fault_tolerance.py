@@ -12,7 +12,10 @@ or the run down with it.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import sqlite3
+import time
 
 import pytest
 
@@ -28,7 +31,6 @@ from repro.core.runtime import (
     SummaryDecodeError,
     decode_summary,
     encode_summary,
-    iter_shard_specs,
     load_checkpoints,
     write_checkpoints,
 )
@@ -85,7 +87,8 @@ def baseline() -> str:
 def sample_summary():
     """One real campaign summary for encode/checkpoint round-trips."""
     with _orchestrator(workers=1) as orchestrator:
-        return orchestrator.run().campaigns[0].summary
+        _, summary = orchestrator.run().campaigns[0]
+        return summary
 
 
 def _plan(tmp_path, *faults: FaultSpec) -> FaultPlan:
@@ -225,7 +228,7 @@ class TestPoisonQuarantine:
         assert "crash" in report.quarantined[0].reason.lower() or "died" in (
             report.quarantined[0].reason.lower()
         )
-        completed = {run.spec.index for run in report.campaigns}
+        completed = {spec.index for spec, _ in report.campaigns}
         assert completed == {0, 1, 3}
         # The diagnostic survives serialisation.
         assert report.to_dict()["quarantined"][0]["index"] == poison
@@ -560,7 +563,7 @@ class TestBothPoolPaths:
 
     def _specs(self):
         with _orchestrator() as orchestrator:
-            return iter_shard_specs(orchestrator.specs())
+            return orchestrator.specs()
 
     def test_process_pool_worker_failure_recovers(self, tmp_path):
         specs = self._specs()
@@ -585,6 +588,29 @@ class TestBothPoolPaths:
         second = runtime.run_specs(specs)
         runtime.close()
         assert first == second
+
+    def test_idle_worker_death_restarts_the_pool(self):
+        # A worker of a warm pool dies between calls, so the pool is
+        # broken before any shard is submitted to it. Every later call
+        # must restart the pool and return a fresh runtime's summaries.
+        specs = self._specs()
+        with FleetRuntime(self._context(), workers=2) as fresh:
+            expected = fresh.run_specs(specs)
+        with FleetRuntime(self._context(), workers=2) as runtime:
+            runtime.run_specs(specs)
+            pool = runtime._pool
+            worker = next(iter(pool._processes.values()))
+            os.kill(worker.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._broken, "the executor never noticed the death"
+            restarts = []
+            for _ in range(3):
+                assert runtime.run_specs(specs) == expected
+                restarts.append(runtime.last_supervision.pool_restarts)
+        assert restarts[0] >= 1
+        assert runtime.last_supervision.quarantined == []
 
 
 class TestSqliteWriteRetry:

@@ -9,14 +9,12 @@ import pytest
 from repro.core.config import FuzzConfig
 from repro.core.detection import VulnerabilityClass
 from repro.core.fleet import (
-    CampaignSpec,
     FleetOrchestrator,
-    SummaryRun,
     derive_campaign_seed,
     merge_reports,
     simulated_makespan,
 )
-from repro.core.runtime import CampaignSummary, FindingSummary
+from repro.core.runtime import CampaignSpec, CampaignSummary, FindingSummary
 from repro.testbed.profiles import ALL_PROFILES, D1, D2, D3
 
 FLEET_PROFILES = ALL_PROFILES[:4]
@@ -55,8 +53,8 @@ class TestFleetDeterminism:
     def test_different_fleet_seed_changes_campaign_seeds(self):
         first = _run_fleet(fleet_seed=7)
         second = _run_fleet(fleet_seed=8)
-        assert [run.spec.seed for run in first.campaigns] != [
-            run.spec.seed for run in second.campaigns
+        assert [spec.seed for spec, _ in first.campaigns] != [
+            spec.seed for spec, _ in second.campaigns
         ]
 
 
@@ -65,7 +63,7 @@ class TestFleetShape:
         report = _run_fleet()
         assert len(report.campaigns) == len(FLEET_PROFILES) * len(FLEET_STRATEGIES)
         observed = [
-            (run.spec.device_id, run.spec.strategy) for run in report.campaigns
+            (spec.device_id, spec.strategy) for spec, _ in report.campaigns
         ]
         expected = [
             (profile.device_id, strategy)
@@ -76,16 +74,16 @@ class TestFleetShape:
 
     def test_campaign_seeds_all_distinct_and_derived(self):
         report = _run_fleet()
-        seeds = [run.spec.seed for run in report.campaigns]
+        seeds = [spec.seed for spec, _ in report.campaigns]
         assert len(set(seeds)) == len(seeds)
-        for run in report.campaigns:
-            assert run.spec.seed == derive_campaign_seed(7, run.spec.index)
+        for spec, _ in report.campaigns:
+            assert spec.seed == derive_campaign_seed(7, spec.index)
 
     def test_merged_coverage_superset_of_singles(self):
         report = _run_fleet()
         merged = {state for _, state, _ in report.coverage_map}
-        for run in report.campaigns:
-            assert {state.value for state in run.report.covered_states} <= merged
+        for _, summary in report.campaigns:
+            assert set(summary.covered_states) <= merged
         assert report.merged_state_count >= report.best_single_coverage
 
     def test_json_round_trips(self):
@@ -164,7 +162,7 @@ def _synthetic_run(index, device_id, strategy, trigger, vuln=VulnerabilityClass.
         strategy=strategy,
         seed=derive_campaign_seed(7, index),
     )
-    return SummaryRun(spec, summary)
+    return spec, summary
 
 
 class TestFindingDedup:

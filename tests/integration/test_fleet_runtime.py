@@ -11,8 +11,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import FuzzConfig
-from repro.core.fleet import FleetOrchestrator, SummaryRun
-from repro.core.runtime import FleetContext, FleetRuntime, iter_shard_specs
+from repro.core.fleet import FleetOrchestrator
+from repro.core.runtime import (
+    CampaignSpec,
+    CampaignSummary,
+    FleetContext,
+    FleetRuntime,
+)
 from repro.testbed.profiles import ALL_PROFILES
 
 SCHEDULE_KEYS = (
@@ -81,15 +86,18 @@ class TestPersistentRuntime:
             assert orchestrator._runtime is runtime  # same pool, not rebuilt
         assert first.to_json() == second.to_json()
 
-    def test_runs_come_back_as_lazy_summaries(self):
-        with _orchestrator(workers=1) as orchestrator:
+    def test_campaigns_are_the_summaries_the_runtime_returned(self):
+        orchestrator = _orchestrator(workers=1)
+        with orchestrator:
             report = orchestrator.run()
-        run = report.campaigns[0]
-        assert isinstance(run, SummaryRun)
-        assert run._report is None  # merge did not materialise reports
-        materialised = run.report
-        assert run._report is materialised  # cached on first access
-        assert materialised.packets_sent == run.summary.packets_sent
+        specs = orchestrator.specs()
+        summaries = FleetRuntime(orchestrator._build_context()).run_specs(
+            specs
+        )
+        assert report.campaigns == tuple(zip(specs, summaries))
+        spec, summary = report.campaigns[0]
+        assert isinstance(spec, CampaignSpec)
+        assert isinstance(summary, CampaignSummary)
 
     def test_close_is_idempotent(self):
         orchestrator = _orchestrator(workers=2)
@@ -120,7 +128,7 @@ class TestPersistentRuntime:
             )
 
         a, b = context(700, True), context(300, False)
-        specs = iter_shard_specs(_orchestrator().specs())
+        specs = _orchestrator().specs()
         expected = {
             key: FleetRuntime(ctx).run_specs(specs)
             for key, ctx in (("a", a), ("b", b))
@@ -132,7 +140,7 @@ class TestPersistentRuntime:
 
     def test_run_without_context_is_refused_before_the_pool_starts(self):
         runtime = FleetRuntime(workers=2)
-        specs = iter_shard_specs(_orchestrator().specs())
+        specs = _orchestrator().specs()
         with pytest.raises(ValueError, match="needs a context"):
             runtime.run_specs(specs)
         assert runtime._pool is None
@@ -179,7 +187,9 @@ class TestBatchedCorpusWriteBack:
         )
         with orchestrator:
             report = orchestrator.run()
-        stats = [run.summary.corpus_entries_added for run in report.campaigns]
+        stats = [
+            summary.corpus_entries_added for _, summary in report.campaigns
+        ]
         assert sum(stats) > 0
 
 

@@ -64,16 +64,14 @@ class TestJournalMatchesReport:
             for event in events
             if event["event"] == "campaign_end"
         }
-        assert sorted(ends) == [run.spec.index for run in report.campaigns]
-        for run in report.campaigns:
-            event = ends[run.spec.index]
-            assert event["packets_sent"] == run.report.packets_sent
-            assert event["findings"] == len(run.report.findings)
-            assert event["target"] == run.spec.target
-            assert event["strategy"] == run.spec.strategy
-            assert event["covered_states"] == sorted(
-                state.value for state in run.report.covered_states
-            )
+        assert sorted(ends) == [spec.index for spec, _ in report.campaigns]
+        for spec, summary in report.campaigns:
+            event = ends[spec.index]
+            assert event["packets_sent"] == summary.packets_sent
+            assert event["findings"] == len(summary.findings)
+            assert event["target"] == spec.target
+            assert event["strategy"] == spec.strategy
+            assert event["covered_states"] == list(summary.covered_states)
         assert sum(e["packets_sent"] for e in ends.values()) == (
             report.total_packets
         )
@@ -81,18 +79,14 @@ class TestJournalMatchesReport:
     def test_finding_events_match_campaign_findings(self, recorded):
         report, _, events = recorded
         findings = [e for e in events if e["event"] == "finding"]
-        expected = sum(len(run.report.findings) for run in report.campaigns)
+        expected = sum(len(summary.findings) for _, summary in report.campaigns)
         assert len(findings) == expected
         for event in findings:
-            run = report.campaigns[event["campaign"]]
-            finding = run.report.findings[event["finding"]]
-            assert event["vulnerability_class"] == (
-                finding.vulnerability_class.value
-            )
+            spec, summary = report.campaigns[event["campaign"]]
+            finding = summary.findings[event["finding"]]
+            assert event["vulnerability_class"] == finding.vulnerability_class
             assert event["trigger"] == finding.trigger
-            assert event["vendor"] == (
-                PROFILES_BY_ID[run.spec.device_id].vendor
-            )
+            assert event["vendor"] == PROFILES_BY_ID[spec.device_id].vendor
 
     def test_correlation_chain_run_to_campaign_to_finding(self, recorded):
         report, run_dir, events = recorded
@@ -100,7 +94,7 @@ class TestJournalMatchesReport:
         assert all(event["run_id"] == run_id for event in events)
         campaign_events = [e for e in events if "campaign" in e]
         assert {e["campaign"] for e in campaign_events} == {
-            run.spec.index for run in report.campaigns
+            spec.index for spec, _ in report.campaigns
         }
         # Worker attribution: every worker-side event names its pid.
         worker_ids = {

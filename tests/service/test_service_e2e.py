@@ -10,12 +10,15 @@ another's jobs, findings or corpus.
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import pytest
 
 from repro.core.config import FuzzConfig
 from repro.core.fleet import FleetOrchestrator
+from repro.core.runtime import CHECKPOINTS_DIRNAME
+from repro.service import scheduler
 from repro.service import (
     ControlPlaneThread,
     ServiceConfig,
@@ -122,7 +125,7 @@ class TestOverlappingTenants:
 
 
 class TestCancelResume:
-    def test_cancel_then_resume_is_byte_identical(self, alpha):
+    def test_cancel_then_resume_is_byte_identical(self, alpha, monkeypatch):
         spec = {
             "profiles": ["D1", "D2", "D3"],
             "strategies": ["sequential", "targeted"],
@@ -130,28 +133,39 @@ class TestCancelResume:
             "seed": 5,
             "batch": 1,
         }
+        # The control plane runs in this process, so the test holds the
+        # job's dispatch loop: the first abort check that finds a
+        # checkpoint on disk waits until the cancel has been sent. The
+        # cancel then lands after one shard finished and before the
+        # next is dispatched, whatever the machine's speed.
+        reached, release = threading.Event(), threading.Event()
+
+        class HeldOrchestrator(FleetOrchestrator):
+            def __init__(self, *args, abort_check, **kwargs):
+                def held_abort_check() -> bool:
+                    if not reached.is_set() and any(
+                        (self.run_dir / CHECKPOINTS_DIRNAME).glob("*.bin")
+                    ):
+                        reached.set()
+                        release.wait(timeout=60)
+                    return abort_check()
+
+                super().__init__(
+                    *args, abort_check=held_abort_check, **kwargs
+                )
+
+        monkeypatch.setattr(scheduler, "FleetOrchestrator", HeldOrchestrator)
         record = alpha.submit(spec)
         job_id = record["job_id"]
-
-        # Cancel once the run is under way (some campaigns finished,
-        # some pending). If the job outruns us, skip — nothing to test.
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            current = alpha.job(job_id)
-            if current["status"] != "running" and current["status"] != "queued":
-                break
-            if current["run_id"] is not None:
-                status = alpha.status(job_id)
-                if status["finished_campaigns"] >= 1:
-                    break
-            time.sleep(0.02)
-        current = alpha.job(job_id)
-        if current["status"] in ("queued", "running"):
+        assert reached.wait(timeout=120), "no shard finished"
+        try:
             alpha.cancel(job_id)
+        finally:
+            release.set()
         final = alpha.wait(job_id, timeout=120)
-        if final["status"] == "finished":
-            pytest.skip("job finished before cancel landed")
         assert final["status"] == "cancelled"
+        # Pending shards were dropped: the run stopped short.
+        assert alpha.status(job_id)["finished_campaigns"] < 6
 
         with pytest.raises(ServiceError) as excinfo:
             alpha.report(job_id)

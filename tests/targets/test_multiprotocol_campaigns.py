@@ -17,13 +17,11 @@ import pytest
 from repro.core.config import FuzzConfig
 from repro.core.detection import VulnerabilityClass
 from repro.core.fleet import (
-    CampaignSpec,
     FleetOrchestrator,
-    SummaryRun,
     derive_campaign_seed,
     merge_reports,
 )
-from repro.core.runtime import CampaignSummary, FindingSummary
+from repro.core.runtime import CampaignSpec, CampaignSummary, FindingSummary
 from repro.targets import TARGET_NAMES, make_target
 from repro.testbed.profiles import D1, D2, D5, PROFILES_BY_ID
 from repro.testbed.session import FuzzSession, run_campaign
@@ -82,7 +80,7 @@ class TestMultiProtocolFleet:
     def test_matrix_sweeps_strategies_times_protocols(self):
         report = self._run()
         assert len(report.campaigns) == 4  # 2 profiles x 1 strategy x 2 targets
-        assert [run.spec.target for run in report.campaigns] == [
+        assert [spec.target for spec, _ in report.campaigns] == [
             "l2cap", "rfcomm", "l2cap", "rfcomm",
         ]
         assert report.targets == ("l2cap", "rfcomm")
@@ -242,7 +240,7 @@ def _synthetic_run(index, device_id, trigger, target):
         seed=derive_campaign_seed(7, index),
         target=target,
     )
-    return SummaryRun(spec, summary)
+    return spec, summary
 
 
 class TestCrossProtocolDedup:
