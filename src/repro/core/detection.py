@@ -146,12 +146,9 @@ class VulnerabilityDetector:
         # survived (auto-reset campaigns see the same ID stream).
         queue = self.queue
         try:
-            responses = queue.exchange(
+            responses = queue.send(
                 _ECHO_PROBE.build(queue.take_identifier(), payload)
-            )
-            responses += queue.exchange(
-                _INFORMATION_PROBE.build(queue.take_identifier())
-            )
+            ) + queue.send(_INFORMATION_PROBE.build(queue.take_identifier()))
         except TransportError:
             return False
         return any(

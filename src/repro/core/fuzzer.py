@@ -211,9 +211,8 @@ class L2Fuzz:
         # four per packet. mutate_wire is the optional bytes-level fast
         # path (None falls back to the field-object reference path).
         queue = self.queue
-        take_identifier = queue.take_identifier
+        take_identifiers = queue.take_identifiers
         send = queue.send
-        drain = queue.drain
         mutate = self.mutator.mutate
         mutate_wire = (
             getattr(self.mutator, "mutate_wire", None)
@@ -222,6 +221,10 @@ class L2Fuzz:
         )
         transmitted = self.sniffer.transmitted_count
         max_packets = self.config.max_packets
+        # A campaign that a crash ends draws each command's batch in one call;
+        # one that resets and goes on draws singly, never ahead of the wire.
+        draw_ahead = self.config.stop_on_first_finding or self.reset_hook is None
+        step = packets_per_command if draw_ahead else 1
         batches_since_ping = 0
         for code in commands:
             # Every send below puts exactly one packet on the wire, so the
@@ -230,21 +233,25 @@ class L2Fuzz:
             left = max_packets - transmitted()
             if left <= 0:
                 break
-            for _ in range(min(packets_per_command, left)):
-                identifier = take_identifier()
-                packet = None
+            count = min(packets_per_command, left)
+            while count:
+                size = step if step < count else count
+                count -= size
+                identifiers = take_identifiers(size)
+                batch = None
                 if mutate_wire is not None:
-                    packet = mutate_wire(position, code, identifier)
-                if packet is None:
-                    packet = mutate(position, code, identifier)
-                # Remember the packet itself; its one-line description is
-                # rendered lazily when (and only when) a finding needs it.
-                self._last_packet = packet
-                try:
-                    send(packet)
-                    drain()
-                except TransportError as error:
-                    return self._on_transport_error(error, state_name)
+                    batch = mutate_wire(position, code, identifiers)
+                if batch is None:
+                    batch = [mutate(position, code, ident) for ident in identifiers]
+                for identifier, packet in zip(identifiers, batch):
+                    # Its description is rendered only if a finding needs it.
+                    self._last_packet = packet
+                    try:
+                        send(packet)
+                    except TransportError as error:
+                        # The detector's probes follow this identifier.
+                        queue.rewind_identifiers(identifier)
+                        return self._on_transport_error(error, state_name)
             batches_since_ping += 1
             if batches_since_ping >= self.config.ping_every_commands:
                 batches_since_ping = 0

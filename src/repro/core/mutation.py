@@ -20,7 +20,6 @@ exceeded") whose port/channel plumbing is poisoned.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections.abc import Iterable, Sequence
 
@@ -30,13 +29,14 @@ from repro.l2cap.constants import (
     CIDP_MUTATION_RANGE,
     CommandCode,
     MIN_SIGNALING_MTU,
+    SIGNALING_CID,
 )
 from repro.l2cap.fields import (
     CIDP_FIELD_NAMES,
     random_abnormal_psm,
     random_normal_cidp,
 )
-from repro.l2cap.packets import COMMAND_SPECS, CommandSpec, L2capPacket
+from repro.l2cap.packets import COMMAND_SPECS, L2capPacket
 from repro.l2cap.validation import Violation
 
 #: Offset of the identifier byte inside an encoded signaling frame
@@ -132,34 +132,12 @@ def random_bytes(getrandbits, count: int) -> bytes:
     return getrandbits(32 * count).to_bytes(4 * count, "little")[3::4]
 
 
-@dataclasses.dataclass(frozen=True)
-class _WireTemplate:
-    """Precomputed bytes-level mutation plan for one command code.
-
-    ``base`` is the full encoded frame (``length`` bytes) with default
-    field values and identifier 0; ``mutations`` lists the core fields
-    Algorithm 1 touches as ``(name, wire offset, size, low, width,
-    bits)`` in spec order — the same order the object path draws its
-    random values in, so both paths consume the RNG stream identically.
-    ``width`` 0 marks the PSM (drawn from the abnormal pool); the others
-    are CIDP draws of ``low + randrange(width)``.
-
-    ``facts`` are the packets' structural validation facts without and
-    with a garbage tail (see :mod:`repro.l2cap.validation`): every
-    field present, lengths derived, and the PSM — when the command has
-    one — always invalid, since every Table IV abnormal value is.
-    """
-
-    spec: CommandSpec
-    base: bytes
-    length: int
-    mutations: tuple[tuple[str, int, int, int, int, int], ...]
-    defaults: dict[str, int]
-    facts: tuple[tuple, tuple]
-
-
 class CoreFieldMutator:
-    """Algorithm 1 implementation.
+    """Algorithm 1 implementation, and the L2CAP target's mutator.
+
+    It speaks the generic mutator protocol of
+    :class:`~repro.targets.base.FuzzTarget`; Algorithm 1 reads only the
+    command, so the guided position both methods take goes unused.
 
     :param config: campaign configuration (garbage sizing, ``n``).
     :param rng: seeded random source (determinism for replay).
@@ -184,9 +162,9 @@ class CoreFieldMutator:
         self.rng = rng
         self.signaling_mtu = signaling_mtu
         self.dictionary = tuple(tail for tail in dictionary if tail)
-        self._templates: dict[int, _WireTemplate | None] = {}
+        self._plans: dict[int, tuple | None] = {}
 
-    def mutate(self, code: CommandCode, identifier: int) -> L2capPacket:
+    def mutate(self, position, code: CommandCode, identifier: int) -> L2capPacket:
         """Build one malformed packet for *code* (Algorithm 1 lines 5-21).
 
         :param identifier: the packet ID to stamp (a ``D`` field, kept
@@ -217,15 +195,16 @@ class CoreFieldMutator:
 
     # -- bytes-level fast path ------------------------------------------------------
 
-    def mutate_wire(self, code: CommandCode, identifier: int) -> L2capPacket | None:
-        """Bytes-level twin of :meth:`mutate`, or None when ineligible.
+    def mutate_wire(
+        self, position, code: CommandCode, identifiers
+    ) -> list[L2capPacket] | None:
+        """Bytes-level twin of :meth:`mutate`: one packet per identifier,
+        drawn as one :meth:`mutate` call each would, or None if ineligible.
 
-        Instead of building a field object and encoding it, the frame is
-        assembled by patching a per-code template: identifier byte and
-        mutated core fields written straight into the wire image, garbage
-        appended, and the packet object built around the finished bytes
-        with its encode cache, structural validation facts and loopback
-        eligibility primed (:meth:`L2capPacket.from_wire_parts`).
+        Each frame is the code's plan patched (identifier byte and core
+        fields written into the wire image, garbage appended), and the
+        packet is built around it with its encode cache, structural facts
+        and loopback eligibility primed (:meth:`L2capPacket.from_wire_parts`).
 
         Structural safety gate: the fast path only covers the paper's
         default mutation plan (``MC`` only). The BFuzz-style ablation
@@ -234,73 +213,90 @@ class CoreFieldMutator:
         codes without a spec. Byte and RNG-stream identity with
         :meth:`mutate` is pinned by the fast-path equivalence tests.
         """
-        if not self.config.mutate_core_fields_only:
+        plan = self._plans.get(code, False)
+        if plan is False:
+            plan = self._plans[code] = self._plan(code)
+        if plan is None:
             return None
-        template = self._templates.get(code, False)
-        if template is False:
-            template = self._build_template(code)
-            self._templates[code] = template
-        if template is None:
-            return None
+        spec, base, mutations, defaults, limit, tail_bits, dictionary, facts = plan
         rng = self.rng
         getrandbits = rng.getrandbits
-        values = dict(template.defaults)
-        frame = bytearray(template.base)
-        frame[_IDENTIFIER_OFFSET] = identifier & 0xFF
-        for name, offset, size, low, width, bits in template.mutations:
-            if width:
-                # random_normal_cidp: randrange(low, low + width).
-                value = getrandbits(bits)
-                while value >= width:
+        from_wire_parts = L2capPacket.from_wire_parts
+        batch = []
+        for identifier in identifiers:
+            values = dict(defaults)
+            frame = bytearray(base)
+            frame[_IDENTIFIER_OFFSET] = identifier & 0xFF
+            for name, offset, size, low, width, bits in mutations:
+                if width:
+                    # random_normal_cidp: randrange(low, low + width).
                     value = getrandbits(bits)
-                value += low
-            elif rng.random() < 0.5:
-                # random_abnormal_psm, odd-MSB family: choice(ranges),
-                # then randrange(start, end + 1).
-                index = getrandbits(_PSM_RANGE_BITS)
-                while index >= _PSM_RANGE_COUNT:
+                    while value >= width:
+                        value = getrandbits(bits)
+                    value += low
+                elif rng.random() < 0.5:
+                    # random_abnormal_psm, odd-MSB family: choice(ranges),
+                    # then randrange(start, end + 1).
                     index = getrandbits(_PSM_RANGE_BITS)
-                start, span, span_bits = _PSM_RANGE_DRAWS[index]
-                value = getrandbits(span_bits)
-                while value >= span:
+                    while index >= _PSM_RANGE_COUNT:
+                        index = getrandbits(_PSM_RANGE_BITS)
+                    start, span, span_bits = _PSM_RANGE_DRAWS[index]
                     value = getrandbits(span_bits)
-                value += start
-            else:
-                # random_abnormal_psm, even family: randrange(0, 0x10000, 2).
-                value = getrandbits(_EVEN_PSM_BITS)
-                while value >= _EVEN_PSM_COUNT:
+                    while value >= span:
+                        value = getrandbits(span_bits)
+                    value += start
+                else:
+                    # random_abnormal_psm, even family: randrange(0, 0x10000, 2).
                     value = getrandbits(_EVEN_PSM_BITS)
-                value *= 2
-            values[name] = value
-            frame[offset] = value & 0xFF
-            if size == 2:
-                frame[offset + 1] = value >> 8
-        garbage = (
-            draw_garbage(
-                rng,
-                self.config.max_garbage,
-                self.dictionary,
-                self.signaling_mtu - template.length,
+                    while value >= _EVEN_PSM_COUNT:
+                        value = getrandbits(_EVEN_PSM_BITS)
+                    value *= 2
+                values[name] = value
+                frame[offset] = value & 0xFF
+                if size == 2:
+                    frame[offset + 1] = value >> 8
+            if limit <= 0:
+                garbage = b""
+            elif dictionary:
+                garbage = draw_garbage(rng, limit, dictionary)
+            else:  # draw_garbage's fresh tail, inlined: one per fuzz frame
+                length = getrandbits(tail_bits)
+                while length >= limit:
+                    length = getrandbits(tail_bits)
+                length += 1
+                garbage = getrandbits(32 * length).to_bytes(4 * length, "little")[3::4]
+            batch.append(
+                from_wire_parts(
+                    code,
+                    identifier,
+                    values,
+                    b"",
+                    garbage,
+                    bytes(frame) + garbage,
+                    spec,
+                    SIGNALING_CID,
+                    facts[1] if garbage else facts[0],
+                    0 <= identifier <= 0xFF,
+                )
             )
-            if self.config.append_garbage
-            else b""
-        )
-        return L2capPacket.from_wire_parts(
-            code=code,
-            identifier=identifier,
-            field_values=values,
-            tail=b"",
-            garbage=garbage,
-            wire=bytes(frame) + garbage,
-            spec=template.spec,
-            intrinsic=template.facts[1 if garbage else 0],
-            loopback=0 <= identifier <= 0xFF,
-        )
+        return batch
 
-    def _build_template(self, code: CommandCode) -> _WireTemplate | None:
-        """Encode the default frame once and map the mutated offsets."""
+    def _plan(self, code: CommandCode) -> tuple | None:
+        """*code*'s bytes-level mutation plan, or None off the fast path.
+
+        ``(spec, base, mutations, defaults, limit, tail_bits,
+        dictionary, facts)``: ``base`` is the default frame with identifier 0;
+        ``mutations`` lists the core fields Algorithm 1 touches as
+        ``(name, wire offset, size, low, width, bits)`` in spec order,
+        the object path's draw order. ``width`` 0 marks the PSM (from
+        the abnormal pool), the others draw ``low + randrange(width)``.
+        ``limit`` caps the garbage tail under the signaling MTU (0: no
+        tails). ``facts`` are the structural validation facts without
+        and with a tail (:mod:`repro.l2cap.validation`): lengths derived
+        and the PSM, when there is one, always invalid (Table IV).
+        """
         spec = COMMAND_SPECS.get(code)
-        if spec is None:
+        if spec is None or not self.config.mutate_core_fields_only:
             return None
         base = L2capPacket(code, 0).encode()
         mutations = []
@@ -312,12 +308,17 @@ class CoreFieldMutator:
                 draw = _CIDP_DRAWS[field.size]
                 mutations.append((field.name, offset, field.size, *draw))
             offset += field.size
+        config = self.config
+        limit = min(config.max_garbage, self.signaling_mtu - len(base))
+        limit = limit if config.append_garbage else 0
         invalid_psm = spec.has_field("psm")
-        return _WireTemplate(
-            spec=spec,
-            base=base,
-            length=len(base),
-            mutations=tuple(mutations),
-            defaults=dict(spec.defaults),
-            facts=(((), invalid_psm), ((Violation.GARBAGE_TAIL,), invalid_psm)),
+        return (
+            spec,
+            base,
+            tuple(mutations),
+            dict(spec.defaults),
+            limit,
+            limit.bit_length(),
+            self.dictionary,
+            (((), invalid_psm), ((Violation.GARBAGE_TAIL,), invalid_psm)),
         )

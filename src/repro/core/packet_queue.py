@@ -2,20 +2,20 @@
 
 Both normal packets (state transition) and malformed packets (fuzz tests)
 flow through :class:`PacketQueue`, which pushes them down the virtual
-link, collects the target's responses, and feeds everything to the
+link, returns the target's responses, and feeds everything to the
 sniffer so the evaluation metrics can be computed from the same trace a
 Wireshark capture would give. A packet crosses the link (see
 :mod:`repro.hci.transport`) by
 
 * the **direct hop**, as the packet object itself, when it is its own
   loopback view, the queue does not fragment (``acl_mtu`` 0), the link
-  is loss-free and the remote attached a packet handler;
+  is loss-free and the remote attached a packet handler. The responses
+  come straight back as packet objects, unqueued;
 * the **bytes path** otherwise: one HCI ACL frame, or continuation
   fragments past ``acl_mtu``. Lossy links, bytes-only remotes and
   packets that would not survive a decode round trip (length lies,
-  unknown codes, missing fields) take it.
-
-Responses come back as packet objects or as raw frames to reassemble.
+  unknown codes, missing fields) take it. Responses queue as raw frames
+  for :meth:`~PacketQueue.drain`, as does a direct-hop answer holding one.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ from repro.l2cap.packets import L2capPacket
 
 #: Single-field length pack for the per-send ACL header fast path.
 _PACK_U16 = struct.Struct("<H").pack
+
+#: Two laps of the identifier space (1..255): up to 255 identifiers
+#: taken from any cursor are one slice.
+_IDENTIFIER_LAPS = [k % 0xFF + 1 for k in range(2 * 0xFF)]
 
 
 class PacketQueue:
@@ -85,11 +89,25 @@ class PacketQueue:
         self._next_identifier = self._next_identifier % 0xFF + 1
         return self._next_identifier
 
-    def send(self, packet: L2capPacket) -> None:
-        """Transmit one L2CAP packet.
+    def take_identifiers(self, count: int) -> list[int]:
+        """Allocate the next *count* (>= 1) identifiers at once, in order."""
+        if count > 0xFF:
+            return [self.take_identifier() for _ in range(count)]
+        start = self._next_identifier
+        identifiers = _IDENTIFIER_LAPS[start : start + count]
+        self._next_identifier = identifiers[-1]
+        return identifiers
+
+    def rewind_identifiers(self, last: int) -> None:
+        """Make *last* the latest identifier allocated again."""
+        self._next_identifier = last
+
+    def send(self, packet: L2capPacket) -> list[L2capPacket]:
+        """Transmit one L2CAP packet and return the target's responses.
 
         The packet is recorded in the trace *before* transmission so a
-        send that kills the target still counts as transmitted.
+        send that kills the target still counts as transmitted. The
+        responses are recorded at the simulated time the send ended.
 
         :raises TransportError: when the link is (or goes) down.
         """
@@ -101,20 +119,31 @@ class PacketQueue:
             and not link.loss_rate
             and link.packet_remote is not None
         ):
-            link.deliver(packet, self.handle)
-            return
+            responses = link.deliver(packet, self.handle)
+            if responses:
+                for response in responses:
+                    if response.__class__ is not L2capPacket:
+                        # Drain the whole answer, keeping its order.
+                        link.inbound.extend(responses)
+                        return self.drain()
+                observe = self.sniffer.observe_received
+                now = self.clock.now
+                for response in responses:
+                    observe(response, now)
+            return responses
         payload = packet.encode()
         if self.acl_mtu and len(payload) > self.acl_mtu:
             for fragment_pkt in fragment(payload, self.handle, self.acl_mtu):
                 link.send_frame(fragment_pkt.encode())
-            return
-        link.send_frame(self._acl_prefix + _PACK_U16(len(payload)) + payload)
+        else:
+            link.send_frame(self._acl_prefix + _PACK_U16(len(payload)) + payload)
+        return self.drain() if link.inbound else []
 
     def drain(self) -> list[L2capPacket]:
-        """Collect and trace every response currently queued.
+        """Collect and trace every response queued on the link.
 
-        Direct-hop responses arrive as packet objects; raw ACL frames
-        are reassembled and parsed (undecodable ones are dropped).
+        Raw ACL frames are reassembled and parsed (undecodable ones are
+        dropped); packet objects queued beside them are traced as is.
         """
         inbound = self.link.inbound
         if not inbound:
@@ -137,9 +166,5 @@ class PacketQueue:
         return responses
 
     def exchange(self, packet: L2capPacket) -> list[L2capPacket]:
-        """Send one packet and return the target's immediate responses.
-
-        :raises TransportError: when the link is (or goes) down.
-        """
-        self.send(packet)
-        return self.drain()
+        """:meth:`send`, under the name the routing code reads as."""
+        return self.send(packet)

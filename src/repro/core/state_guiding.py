@@ -122,24 +122,8 @@ class StateGuide:
 
         :raises TransportError: if the target dies during routing.
         """
-        job = job_of(state)
-        route = {
-            ChannelState.CLOSED: self._route_posture,
-            ChannelState.WAIT_CONNECT: self._route_posture,
-            ChannelState.WAIT_CREATE: self._route_wait_create,
-            ChannelState.WAIT_CONFIG: self._route_wait_config,
-            ChannelState.WAIT_SEND_CONFIG: self._route_config_via_our_request,
-            ChannelState.WAIT_CONFIG_RSP: self._route_config_via_our_request,
-            ChannelState.WAIT_CONFIG_REQ: self._route_wait_config_req,
-            ChannelState.WAIT_CONFIG_REQ_RSP: self._route_wait_config_req_rsp,
-            ChannelState.WAIT_IND_FINAL_RSP: self._route_wait_ind_final_rsp,
-            ChannelState.OPEN: self._route_open,
-            ChannelState.WAIT_DISCONNECT: self._route_wait_disconnect,
-            ChannelState.WAIT_MOVE: self._route_move,
-            ChannelState.WAIT_MOVE_CONFIRM: self._route_move,
-        }[state]
-        channel = route()
-        return GuidedState(intended=state, job=job, channel=channel)
+        channel = self._ROUTES[state](self)
+        return GuidedState(intended=state, job=job_of(state), channel=channel)
 
     def leave(self, guided: GuidedState) -> None:
         """Tear down whatever the route built (valid disconnections)."""
@@ -378,3 +362,20 @@ class StateGuide:
             )
         )
         return context
+
+    #: Each plan state's route, resolved once.
+    _ROUTES = {
+        ChannelState.CLOSED: _route_posture,
+        ChannelState.WAIT_CONNECT: _route_posture,
+        ChannelState.WAIT_CREATE: _route_wait_create,
+        ChannelState.WAIT_CONFIG: _route_wait_config,
+        ChannelState.WAIT_SEND_CONFIG: _route_config_via_our_request,
+        ChannelState.WAIT_CONFIG_RSP: _route_config_via_our_request,
+        ChannelState.WAIT_CONFIG_REQ: _route_wait_config_req,
+        ChannelState.WAIT_CONFIG_REQ_RSP: _route_wait_config_req_rsp,
+        ChannelState.WAIT_IND_FINAL_RSP: _route_wait_ind_final_rsp,
+        ChannelState.OPEN: _route_open,
+        ChannelState.WAIT_DISCONNECT: _route_wait_disconnect,
+        ChannelState.WAIT_MOVE: _route_move,
+        ChannelState.WAIT_MOVE_CONFIRM: _route_move,
+    }

@@ -97,7 +97,6 @@ def _send(
     survives. *start* packets were sent before, so trigger indices count
     from it."""
     direct = not link.loss_rate and link.packet_remote is not None
-    inbound = link.inbound
     for index, packet in enumerate(packets, start):
         try:
             if direct and (packet._loopback or packet.loopback_view() is not None):
@@ -106,7 +105,7 @@ def _send(
                 link.send_frame(
                     AclPacket(handle=handle, payload=packet.encode()).encode()
                 )
-            inbound.clear()
+                link.inbound.clear()
         except TransportError as error:
             crash = getattr(device, "crash", None)
             return ReplayOutcome(

@@ -77,7 +77,6 @@ def replay_entry(entry: CorpusEntry, profiles_by_id: dict) -> EntryReplayOutcome
     for packet in entry.decode_packets():
         try:
             queue.send(packet)
-            queue.drain()
         except TransportError as error:
             crashed = True
             error_message = error.message

@@ -3,22 +3,23 @@
 This is the reproduction's stand-in for the Bluetooth dongle and the air
 interface. It is a synchronous, deterministic simulation: the initiator
 pushes one frame, the attached remote endpoint (a virtual device)
-processes it immediately and may queue responses.
+processes it immediately and answers.
 
 Two ways across, with identical clock, counter and crash semantics:
 
 * **direct hop** (:meth:`VirtualLink.deliver`) — an in-process sender
   hands over an L2CAP packet *object* that survives a decode round trip
-  unchanged, and the remote's packet handler answers with packet objects.
-  Nothing is serialised. The packet queue sends every such packet this
-  way when it does not fragment, the link is loss-free and the remote
-  attached a packet handler — the default fuzzing session;
+  unchanged and gets the remote's answer back: packet objects, or ACL
+  frames for responses that must cross as bytes. Nothing is serialised
+  or queued. The packet queue sends every such packet this way when it
+  does not fragment, the link is loss-free and the remote attached a
+  packet handler — the default fuzzing session;
 * **bytes path** (:meth:`VirtualLink.send_frame`) — raw HCI ACL frames
   both ways, for fragmented sends (``acl_mtu``), lossy links
   (``loss_rate``), bytes-only remotes, packets that would not survive
-  the round trip, and raw-frame callers. Triage replay
-  (:func:`repro.core.triage.replay`) picks per packet by the same rule
-  as the packet queue.
+  the round trip, and raw-frame callers; responses queue on ``inbound``.
+  Triage replay (:func:`repro.core.triage.replay`) picks per packet by
+  the same rule as the packet queue.
 
 The link also owns the campaign's *simulated clock*. Real Bluetooth
 fuzzing throughput is dominated by radio turnaround and target processing
@@ -51,8 +52,8 @@ class SimClock:
     """Deterministic simulated clock, in seconds.
 
     :attr:`now` is a plain attribute (not a property): it is read two to
-    three times per transmitted packet on the hot path, and callers are
-    expected to move time only through :meth:`advance`.
+    three times per transmitted packet on the hot path. Time moves only
+    through :meth:`advance` and the link's per-frame ``tx_cost`` charge.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -89,7 +90,7 @@ class VirtualLink:
         created when omitted).
     :param tx_cost: seconds charged per transmitted frame — models radio
         turnaround plus target processing; drives pps and elapsed-time
-        results.
+        results. Must not be negative: the clock never runs backwards.
     :param loss_rate: probability of silently dropping an outbound frame
         (failure-injection hook; default 0 keeps runs deterministic).
     :param rng: random source used only when *loss_rate* > 0.
@@ -104,6 +105,8 @@ class VirtualLink:
     ) -> None:
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError("loss_rate must be within [0, 1]")
+        if tx_cost < 0:
+            raise ValueError("tx_cost must not be negative")
         self.clock = clock if clock is not None else SimClock()
         self.tx_cost = tx_cost
         self.loss_rate = loss_rate
@@ -113,7 +116,7 @@ class VirtualLink:
         #: bytes-only remote).
         self.packet_remote: Callable[[L2capPacket, int], list] | None = None
         #: Responses waiting to be received, oldest first: raw ACL frames
-        #: from the bytes path, packet objects from the direct hop.
+        #: from the bytes path (the direct hop returns its responses).
         self.inbound: deque = deque()
         self._down_error: type[TransportError] | None = None
         self.stats = LinkStats()
@@ -154,8 +157,8 @@ class VirtualLink:
         response frames the remote produces. *packet_handler*, when
         given, enables the direct hop: it is called as
         ``packet_handler(packet, handle)`` with a loopback-eligible L2CAP
-        packet and returns the responses to queue (packet objects, or
-        ACL frames for responses that must cross as bytes).
+        packet and returns the responses :meth:`deliver` hands back
+        (packet objects, or ACL frames for those that must cross as bytes).
         """
         self._remote = handler
         self.packet_remote = packet_handler
@@ -180,7 +183,7 @@ class VirtualLink:
 
         :raises TransportError: (a subclass) once the link is down.
         """
-        self.clock.advance(self.tx_cost)
+        self.clock.now += self.tx_cost
         if self._down_error is not None:
             raise self._down_error()
         if self._remote is None:
@@ -198,29 +201,30 @@ class VirtualLink:
             self.inbound.extend(responses)
             self.stats.frames_received += len(responses)
 
-    def deliver(self, packet: L2capPacket, handle: int) -> None:
-        """Hand one L2CAP packet object to the remote (the direct hop).
+    def deliver(self, packet: L2capPacket, handle: int) -> list:
+        """Hand one L2CAP packet object to the remote; return its answer.
 
-        Same clock charge, counters and crash mapping as
-        :meth:`send_frame`, minus the serialisation: the remote's packet
-        handler receives *packet* itself. Callers guarantee the packet is
-        its own :meth:`~repro.l2cap.packets.L2capPacket.loopback_view`,
-        the remote attached a packet handler, and the link is loss-free
+        The direct hop: same clock charge, counters and crash mapping as
+        :meth:`send_frame`, minus the serialisation and the queue. The
+        remote's packet handler receives *packet* itself, and its answer
+        comes back to the caller. Callers guarantee the packet is its own
+        :meth:`~repro.l2cap.packets.L2capPacket.loopback_view`, the
+        remote attached a packet handler, and the link is loss-free
         (lossy links draw their drop decisions on the bytes path).
 
         :raises TransportError: (a subclass) once the link is down.
         """
-        self.clock.advance(self.tx_cost)
+        self.clock.now += self.tx_cost
         if self._down_error is not None:
             raise self._down_error()
-        self.stats.frames_sent += 1
+        stats = self.stats
+        stats.frames_sent += 1
         try:
             responses = self.packet_remote(packet, handle)
         except TargetCrashedError as crash_exc:
             raise self._crashed(crash_exc) from crash_exc
-        if responses:
-            self.inbound.extend(responses)
-            self.stats.frames_received += len(responses)
+        stats.frames_received += len(responses)
+        return responses
 
     def _crashed(self, crash_exc: TargetCrashedError) -> TransportError:
         """Take the link down with the crash's transport error."""

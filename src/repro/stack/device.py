@@ -8,8 +8,10 @@ and the link-endpoint glue that plugs into a
 two ways (see :mod:`repro.hci.transport`):
 
 * :meth:`VirtualDevice.handle_packet` — the direct hop: a packet object
-  in, the engine's response objects out (campaign and replayed traffic
-  alike);
+  in, the engine's response objects out, returned by the link to the
+  sender in the same call (campaign and replayed traffic alike). A
+  response that would not survive a decode round trip goes back as the
+  ACL frame the bytes path would carry, in its place in the answer;
 * :meth:`VirtualDevice.handle_acl_frame` — the bytes path: raw ACL
   frames (fragmented, lossy-link or not round-trip-safe traffic) are
   reassembled and parsed, and every response goes back as a raw ACL

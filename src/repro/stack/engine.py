@@ -204,23 +204,28 @@ class HostStackEngine:
         # CID checks are done per-command; only the F/D (framing) part of
         # the validation verdict gates dispatch, served from the
         # structural pass the sniffer already memoized on the packet.
-        structural_reason = structural_reject_reason(packet, self._signaling_mtu)
-        if structural_reason is not None:
-            self._record_transition(packet, "structural-reject")
-            return [command_reject(structural_reason, packet.identifier)]
-        if self._rejects_garbage_tail and packet.garbage:
-            # Hardened parsers discard anything beyond the declared length.
-            self._record_transition(packet, "structural-reject")
-            return [command_reject(RejectReason.COMMAND_NOT_UNDERSTOOD, packet.identifier)]
-        responses = self._dispatch(packet)
-        self._record_transition(
-            packet,
-            "silent"
-            if not responses
-            else "reject"
-            if responses[0].code == CommandCode.COMMAND_REJECT
-            else "handled",
-        )
+        # Hardened parsers also discard anything past the declared length.
+        reason = structural_reject_reason(packet, self._signaling_mtu)
+        if reason is None and self._rejects_garbage_tail and packet.garbage:
+            reason = RejectReason.COMMAND_NOT_UNDERSTOOD
+        if reason is not None:
+            responses = [command_reject(reason, packet.identifier)]
+            outcome = "structural-reject"
+        else:
+            handler = self._HANDLERS.get(packet.code, HostStackEngine._on_le_family)
+            responses = handler(self, packet)
+            outcome = (
+                "silent"
+                if not responses
+                else "reject"
+                if responses[0].code == CommandCode.COMMAND_REJECT
+                else "handled"
+            )
+        # Keyed by the ambient state the packet left behind.
+        cache = self._ambient_cache
+        if cache[0] != self.channels.version:
+            cache = self._refresh_ambient()
+        self.transition_hits[(packet.code, cache[2], outcome)] += 1
         return responses
 
     def reset(self) -> None:
@@ -252,12 +257,6 @@ class HostStackEngine:
         for (_, _, outcome), hits in self.transition_hits.items():
             totals[outcome] = totals.get(outcome, 0) + hits
         return totals
-
-    def _record_transition(self, packet: L2capPacket, outcome: str) -> None:
-        cache = self._ambient_cache
-        if cache[0] != self.channels.version:
-            cache = self._refresh_ambient()
-        self.transition_hits[(packet.code, cache[2], outcome)] += 1
 
     # -- helpers ---------------------------------------------------------------
 
@@ -373,12 +372,6 @@ class HostStackEngine:
     #: per-packet construction of this dict (and the ``CommandCode``
     #: call) was a measurable slice of the 20k-packet hot path.
     _HANDLERS: dict[int, Callable] = {}
-
-    def _dispatch(self, packet: L2capPacket) -> list[L2capPacket]:
-        handler = self._HANDLERS.get(packet.code)
-        if handler is not None:
-            return handler(self, packet)
-        return self._on_le_family(packet)
 
     # -- command handlers ----------------------------------------------------------
 

@@ -155,10 +155,11 @@ class FuzzTarget:
       returns one valid-malformed :class:`~repro.l2cap.packets.L2capPacket`
       (a signalling command, or a data frame carrying the protocol's
       payload). Optional, used when ``FuzzConfig.wire_fast_path`` is
-      on: ``mutate_wire`` with the same arguments — the bytes-level
-      fast path. It must return a packet byte-identical to what
-      ``mutate`` would produce, drawing from the RNG identically, or
-      None to fall back to ``mutate`` for that packet.
+      on: ``mutate_wire(position, command, identifiers)``, the
+      bytes-level fast path, one call per command batch (of one in
+      auto-reset campaigns). It returns one packet per identifier, each
+      byte-identical to what ``mutate`` would produce, drawing from the
+      RNG identically, or None to fall back to ``mutate``.
     * ``commands_for(position)`` — the valid commands of the state the
       guide just entered, in deterministic order.
     * ``encode_payload(obj)`` / ``decode_payload(raw)`` — protocol codec

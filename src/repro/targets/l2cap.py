@@ -45,21 +45,14 @@ class _L2capGuide:
         self._guide.leave(position.context)
 
 
-class _L2capMutator:
-    """Wraps :class:`CoreFieldMutator` into the generic mutator protocol."""
+#: The target's mutator is Algorithm 1 itself: :class:`CoreFieldMutator`
+#: speaks the generic mutator protocol, so no adapter hop sits in between.
+_L2capMutator = CoreFieldMutator
 
-    def __init__(self, core: CoreFieldMutator) -> None:
-        self.core = core
-        self._mutate_wire = core.mutate_wire
-
-    def mutate(self, position: GuidedPosition, command, identifier: int) -> L2capPacket:
-        return self.core.mutate(command, identifier)
-
-    def mutate_wire(
-        self, position: GuidedPosition, command, identifier: int
-    ) -> L2capPacket | None:
-        """Bytes-level fast path (see :class:`~repro.targets.base.FuzzTarget`)."""
-        return self._mutate_wire(command, identifier)
+#: Each job's valid commands in code order, sorted once (Table III).
+_JOB_COMMANDS = {
+    job: tuple(sorted(commands)) for job, commands in JOB_VALID_COMMANDS.items()
+}
 
 
 @register_target
@@ -87,10 +80,10 @@ class L2capTarget(FuzzTarget):
         rng: random.Random,
         dictionary: Iterable[bytes] = (),
     ) -> _L2capMutator:
-        return _L2capMutator(CoreFieldMutator(config, rng, dictionary=dictionary))
+        return _L2capMutator(config, rng, dictionary=dictionary)
 
     def commands_for(self, position: GuidedPosition) -> tuple:
-        return tuple(sorted(JOB_VALID_COMMANDS[position.context.job]))
+        return _JOB_COMMANDS[position.context.job]
 
     # -- codec hooks ----------------------------------------------------------------
 

@@ -249,12 +249,14 @@ class _ObexMutator:
         )
 
     def mutate_wire(
-        self, position: GuidedPosition, command: Opcode, identifier: int
-    ) -> L2capPacket:
-        """Bytes-level fast path: same payload, pre-assembled wire frame."""
-        return wire_data_frame_fast(
-            position.context.target_cid, self._fuzz_payload(command)
-        )
+        self, position: GuidedPosition, command: Opcode, identifiers
+    ) -> list[L2capPacket]:
+        """Bytes-level fast path: same payloads, pre-assembled wire frames."""
+        target_cid = position.context.target_cid
+        return [
+            wire_data_frame_fast(target_cid, self._fuzz_payload(command))
+            for _ in identifiers
+        ]
 
 
 @register_target

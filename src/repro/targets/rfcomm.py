@@ -219,12 +219,14 @@ class _RfcommMutator:
         )
 
     def mutate_wire(
-        self, position: GuidedPosition, command: FrameType, identifier: int
-    ) -> L2capPacket:
-        """Bytes-level fast path: same payload, pre-assembled wire frame."""
-        return wire_data_frame_fast(
-            position.context.target_cid, self._fuzz_payload(command)
-        )
+        self, position: GuidedPosition, command: FrameType, identifiers
+    ) -> list[L2capPacket]:
+        """Bytes-level fast path: same payloads, pre-assembled wire frames."""
+        target_cid = position.context.target_cid
+        return [
+            wire_data_frame_fast(target_cid, self._fuzz_payload(command))
+            for _ in identifiers
+        ]
 
 
 def _fuzz_frame_parts() -> dict:

@@ -294,12 +294,14 @@ class _SdpMutator:
         )
 
     def mutate_wire(
-        self, position: GuidedPosition, command: PduId, identifier: int
-    ) -> L2capPacket:
-        """Bytes-level fast path: same payload, pre-assembled wire frame."""
-        return wire_data_frame_fast(
-            position.context.target_cid, self._fuzz_payload(position, command)
-        )
+        self, position: GuidedPosition, command: PduId, identifiers
+    ) -> list[L2capPacket]:
+        """Bytes-level fast path: same payloads, pre-assembled wire frames."""
+        target_cid = position.context.target_cid
+        return [
+            wire_data_frame_fast(target_cid, self._fuzz_payload(position, command))
+            for _ in identifiers
+        ]
 
 
 #: The request elements the SDP mutator assembles, opened by the

@@ -31,7 +31,7 @@ def _mutate(code, seed):
     mutator = CoreFieldMutator(
         FuzzConfig(seed=seed), random.Random(seed), signaling_mtu=MIN_SIGNALING_MTU
     )
-    return mutator.mutate(code, identifier=1)
+    return mutator.mutate(None, code, identifier=1)
 
 
 class TestMutatorProperties:

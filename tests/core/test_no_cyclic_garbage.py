@@ -125,8 +125,8 @@ def _every_packet() -> list[L2capPacket]:
     made += [codec.default_packet(code) for code in COMMAND_SPECS]
     mutator = CoreFieldMutator(FuzzConfig(), random.Random(5))
     for code in COMMAND_SPECS:
-        made.append(mutator.mutate(code, 7))
-        wire = mutator.mutate_wire(code, 7)
+        made.append(mutator.mutate(None, code, 7))
+        (wire,) = mutator.mutate_wire(None, code, (7,))
         if wire is not None:
             made.append(wire)
     made += [L2capPacket.decode(packet.encode()) for packet in list(made)]

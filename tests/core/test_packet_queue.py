@@ -45,11 +45,29 @@ class TestPacketQueue:
         assert queue.sniffer.transmitted_count() == 1
 
     def test_drain_decodes_responses(self):
-        _, _, queue = make_rig()
-        queue.send(connection_request(psm=Psm.SDP, scid=0x60))
-        responses = queue.drain()
+        device, link, queue = make_rig()
+        link.attach(device.handle_acl_frame)  # bytes only: answers queue up
+        responses = queue.send(connection_request(psm=Psm.SDP, scid=0x60))
         assert responses[0].code == CommandCode.CONNECTION_RSP
+        assert not link.inbound
         assert queue.drain() == []
+
+    def test_direct_hop_returns_responses_unqueued(self):
+        _, link, queue = make_rig()
+        responses = queue.send(connection_request(psm=Psm.SDP, scid=0x60))
+        assert responses[0].code == CommandCode.CONNECTION_RSP
+        assert not link.inbound
+        assert queue.sniffer.received_count() == len(responses)
+        assert [entry.packet for entry in queue.sniffer.received()] == responses
+
+    def test_identifier_batches_follow_the_single_allocator(self):
+        _, _, queue = make_rig()
+        twin = make_rig()[2]
+        for count in (3, 250, 7, 1, 255, 300, 2):
+            expected = [twin.take_identifier() for _ in range(count)]
+            assert queue.take_identifiers(count) == expected
+        queue.rewind_identifiers(5)
+        assert queue.take_identifier() == 6
 
     def test_acl_prefix_matches_encode_acl(self):
         import struct

@@ -80,7 +80,7 @@ def _seed_for_branch(base: int, branch) -> int:
 def _assert_wire_draws_match(code: int, seed: int) -> None:
     config = FuzzConfig()
     rng = random.Random(seed)
-    packet = CoreFieldMutator(config, rng).mutate_wire(code, 7)
+    (packet,) = CoreFieldMutator(config, rng).mutate_wire(None, code, (7,))
     twin = random.Random(seed)
     spec = COMMAND_SPECS[code]
     for field in spec.fields:
@@ -122,8 +122,8 @@ class TestMutateWireDraws:
         wire = CoreFieldMutator(FuzzConfig(), random.Random(seed))
         reference = CoreFieldMutator(FuzzConfig(), random.Random(seed))
         for identifier, code in enumerate(codes, start=1):
-            produced = wire.mutate_wire(code, identifier)
-            expected = reference.mutate(code, identifier)
+            (produced,) = wire.mutate_wire(None, code, (identifier,))
+            expected = reference.mutate(None, code, identifier)
             assert produced.encode() == expected.encode()
         assert wire.rng.getstate() == reference.rng.getstate()
 
@@ -300,7 +300,7 @@ class TestDataFrameMutatorDraws:
         )
         twin = random.Random(seed)
         for transaction, command in enumerate(commands, start=0x4001):
-            produced = mutator.mutate_wire(position, command, 1).tail
+            produced = mutator.mutate_wire(position, command, (1,))[0].tail
             assert produced == _reference_sdp(
                 twin, command, handles, transaction, dictionary
             )
@@ -326,7 +326,7 @@ class TestDataFrameMutatorDraws:
         )
         twin = random.Random(seed)
         for command in commands:
-            produced = mutator.mutate_wire(position, command, 1).tail
+            produced = mutator.mutate_wire(position, command, (1,))[0].tail
             assert produced == _reference_obex(twin, command, dictionary)
         assert rng.getstate() == twin.getstate()
 
@@ -350,7 +350,7 @@ class TestDataFrameMutatorDraws:
         )
         twin = random.Random(seed)
         for command in commands:
-            produced = mutator.mutate_wire(position, command, 1).tail
+            produced = mutator.mutate_wire(position, command, (1,))[0].tail
             assert produced == _reference_rfcomm(twin, command, dictionary)
         assert rng.getstate() == twin.getstate()
 

@@ -105,12 +105,37 @@ class TestVirtualLink:
         assert len(link.inbound) == 2
 
     def test_drain_returns_all(self):
-        """Every reply lands on the inbound queue, in the remote's order."""
+        """Every bytes-path reply lands on the inbound queue, in the
+        remote's order."""
         link = VirtualLink()
         link.attach(lambda frame: [frame + b"1", frame + b"2"])
         link.send_frame(b"a")
         link.send_frame(b"b")
         assert list(link.inbound) == [b"a1", b"a2", b"b1", b"b2"]
+
+    def test_deliver_returns_replies_and_queues_nothing(self):
+        link = VirtualLink(tx_cost=0.1)
+        link.attach(lambda frame: [], lambda packet, handle: [packet, handle])
+        assert link.deliver("pkt", 7) == ["pkt", 7]
+        assert not link.inbound
+        assert link.clock.now == pytest.approx(0.1)
+        assert (link.stats.frames_sent, link.stats.frames_received) == (1, 2)
+
+    def test_deliver_crash_takes_link_down_with_mapped_error(self):
+        def dying_remote(packet, handle):
+            raise TargetCrashedError(_crash(CrashKind.DOS))
+
+        link = VirtualLink()
+        link.attach(lambda frame: [], dying_remote)
+        with pytest.raises(ConnectionFailedError):
+            link.deliver("pkt", 7)
+        with pytest.raises(ConnectionFailedError):
+            link.deliver("pkt", 7)
+        assert link.stats.frames_sent == 1
+
+    def test_negative_tx_cost_refused(self):
+        with pytest.raises(ValueError, match="tx_cost"):
+            VirtualLink(tx_cost=-0.1)
 
     def test_loss_rate_drops_frames(self):
         link = VirtualLink(loss_rate=1.0, rng=random.Random(0))

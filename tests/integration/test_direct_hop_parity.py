@@ -12,6 +12,7 @@ vanish on any mutation.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -21,7 +22,12 @@ from repro.core.detection import VulnerabilityDetector
 from repro.core.mutation import CoreFieldMutator
 from repro.hci.transport import SimClock
 from repro.l2cap.constants import CommandCode
-from repro.l2cap.packets import COMMAND_SPECS, L2capPacket, connection_request
+from repro.l2cap.packets import (
+    COMMAND_SPECS,
+    L2capPacket,
+    connection_request,
+    echo_request,
+)
 from repro.l2cap.validation import _structural_facts
 from repro.testbed.profiles import PROFILES_BY_ID
 
@@ -87,6 +93,83 @@ class TestDirectVsBytesParity:
         assert link.stats.frames_sent == 1
 
 
+def _mixed_answer_trace(direct: bool):
+    """Send one packet to a device whose stack answers with two packet
+    objects around a response that must cross as bytes; return what
+    came back, what the sniffer saw and the link's state."""
+    device, link, queue = make_rig(armed=False)
+    honest = L2capPacket(CommandCode.ECHO_RSP, 5, tail=b"ab")
+    # An exact but explicit length: decodes fine, yet is not its own
+    # loopback view, so the device serialises it to an ACL frame.
+    explicit = L2capPacket(
+        CommandCode.ECHO_RSP,
+        6,
+        tail=b"cd",
+        declared_payload_len=len(honest.encode()) - 4,
+    )
+    assert explicit.loopback_view() is None
+    answer = [honest, explicit, L2capPacket(CommandCode.INFORMATION_RSP, 7)]
+    device.engine.handle_l2cap = lambda packet: list(answer)
+    if not direct:
+        link.attach(device.handle_acl_frame)
+    responses = queue.send(echo_request(b"x", identifier=9))
+    return (
+        [response.encode() for response in responses],
+        [(entry.packet.encode(), entry.sim_time) for entry in queue.sniffer.received()],
+        link.stats,
+        list(link.inbound),
+    )
+
+
+class TestMixedAnswer:
+    def test_sniffer_sees_the_remotes_order_as_on_the_bytes_path(self):
+        direct = _mixed_answer_trace(direct=True)
+        assert direct == _mixed_answer_trace(direct=False)
+        sent, seen, stats, inbound = direct
+        assert [L2capPacket.decode(wire).identifier for wire in sent] == [5, 6, 7]
+        assert [wire for wire, _ in seen] == sent
+        assert stats.frames_received == 3 and inbound == []
+
+
+#: SHA-256 of the sent capture of an armed, auto-reset D2 campaign
+#: (seed 11, 1,500 packets): it crashes, resets and goes on fuzzing, so
+#: the RNG and identifier streams after every crash are in the digest.
+#: Recorded before the mutators drew command batches.
+AUTO_RESET_PINS = {
+    "l2cap": (
+        "b7210634b1ada3ce05cf09e4fd9345e5d88b0e9b66d5900631d0abf2288a283e",
+        1502,
+        28,
+    ),
+    "rfcomm": (
+        "c9a092b36d9d35133bb0953970f85772ddc6cf42cddc7058adb89f5bce747a47",
+        1504,
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("target", sorted(AUTO_RESET_PINS))
+def test_auto_reset_campaign_matches_pin(target):
+    from repro.testbed.session import FuzzSession
+
+    session = FuzzSession(
+        PROFILES_BY_ID["D2"],
+        FuzzConfig(seed=11, max_packets=1_500),
+        armed=True,
+        auto_reset=True,
+        retain_trace="sent",
+        target=target,
+    )
+    report = session.run()
+    digest = hashlib.sha256()
+    for packet in session.fuzzer.sniffer.sent_packets():
+        digest.update(packet.encode())
+    assert (digest.hexdigest(), report.packets_sent, len(report.findings)) == (
+        AUTO_RESET_PINS[target]
+    )
+
+
 def _fresh(packet: L2capPacket) -> L2capPacket:
     """Same content, no primed or cached state."""
     return L2capPacket(
@@ -122,7 +205,7 @@ class _RecordingQueue:
         self._identifier += 1
         return self._identifier
 
-    def exchange(self, packet: L2capPacket) -> list:
+    def send(self, packet: L2capPacket) -> list:
         self.sent.append(packet)
         return []
 
@@ -134,10 +217,8 @@ class TestPrimedState:
         mutator = CoreFieldMutator(
             FuzzConfig(append_garbage=append_garbage), random.Random(code)
         )
-        for identifier in (0, 1, 255):
-            _assert_primed_state_is_fresh(
-                mutator.mutate_wire(code, identifier), facts=True
-            )
+        for packet in mutator.mutate_wire(None, code, (0, 1, 255)):
+            _assert_primed_state_is_fresh(packet, facts=True)
 
     def test_detection_probes(self):
         queue = _RecordingQueue()
@@ -153,7 +234,7 @@ class TestPrimedState:
         device, _, queue = make_rig(armed=False)
         mutator = CoreFieldMutator(FuzzConfig(), random.Random(5))
         requests = [connection_request(psm=0x0001, scid=0x60)] + [
-            mutator.mutate_wire(code, identifier)
+            mutator.mutate_wire(None, code, (identifier,))[0]
             for identifier, code in enumerate(sorted(COMMAND_SPECS), start=2)
         ]
         responses = []
@@ -176,7 +257,7 @@ class TestPrimedState:
     )
     def test_field_mutation_drops_primed_state(self, mutate):
         mutator = CoreFieldMutator(FuzzConfig(), random.Random(3))
-        packet = mutator.mutate_wire(CommandCode.CONNECTION_REQ, 9)
+        (packet,) = mutator.mutate_wire(None, CommandCode.CONNECTION_REQ, (9,))
         assert packet._intrinsic is not None and packet._loopback is True
         mutate(packet)
         assert packet._intrinsic is None

@@ -53,7 +53,7 @@ _SEEDS = range(20)
 def _mutated(code, seed, identifier=1):
     """One packet as the campaign builds it: the mutator's wire path."""
     mutator = CoreFieldMutator(FuzzConfig(seed=seed), random.Random(seed))
-    packet = mutator.mutate_wire(code, identifier)
+    (packet,) = mutator.mutate_wire(None, code, (identifier,))
     assert packet is not None
     return packet
 

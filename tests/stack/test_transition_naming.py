@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-import pytest
-
 from repro.core.config import FuzzConfig
 from repro.l2cap.constants import COMMAND_NAME_BY_VALUE, CommandCode
 from repro.l2cap.packets import L2capPacket
@@ -21,22 +19,26 @@ from repro.testbed.profiles import D2
 from repro.testbed.session import FuzzSession
 
 
-@pytest.fixture
-def named_hits(monkeypatch):
+class _NamingCounter(Counter):
+    """``transition_hits`` that also tallies every increment under its
+    command's name, at the moment the engine counts the packet."""
+
+    def __init__(self, named: Counter) -> None:
+        self.named = named
+        super().__init__()
+
+    def __setitem__(self, key, value) -> None:
+        code, state, outcome = key
+        command = COMMAND_NAME_BY_VALUE.get(code, "UNKNOWN")
+        self.named[(command, state, outcome)] += value - self[key]
+        super().__setitem__(key, value)
+
+
+def _spy(engine: HostStackEngine) -> Counter:
     """Per-packet named tallies, recorded beside the engine's own."""
-    hits: Counter = Counter()
-    original = HostStackEngine._record_transition
-
-    def recording(engine, packet, outcome):
-        cache = engine._ambient_cache
-        if cache[0] != engine.channels.version:
-            cache = engine._refresh_ambient()
-        command = COMMAND_NAME_BY_VALUE.get(packet.code, "UNKNOWN")
-        hits[(command, cache[2], outcome)] += 1
-        original(engine, packet, outcome)
-
-    monkeypatch.setattr(HostStackEngine, "_record_transition", recording)
-    return hits
+    named: Counter = Counter()
+    engine.transition_hits = _NamingCounter(named)
+    return named
 
 
 def _named_totals(hits: Counter) -> dict[str, int]:
@@ -46,13 +48,14 @@ def _named_totals(hits: Counter) -> dict[str, int]:
     return totals
 
 
-def test_armed_d2_campaign_views_match_per_packet_naming(named_hits):
+def test_armed_d2_campaign_views_match_per_packet_naming():
     session = FuzzSession(
         profile=D2,
         config=FuzzConfig(seed=11, max_packets=1_500),
         armed=True,
         zero_latency=True,
     )
+    named_hits = _spy(session.device.engine)
     report = session.run()
     assert report.findings
     engine = session.device.engine
@@ -61,9 +64,10 @@ def test_armed_d2_campaign_views_match_per_packet_naming(named_hits):
     assert sum(engine.transition_hits.values()) == sum(named_hits.values())
 
 
-def test_unknown_codes_fold_into_one_command(named_hits):
+def test_unknown_codes_fold_into_one_command():
     session = FuzzSession(profile=D2, config=FuzzConfig(max_packets=10), armed=False)
     engine = session.device.engine
+    named_hits = _spy(engine)
     for code in (0x55, 0x56, CommandCode.ECHO_REQ):
         engine.handle_l2cap(L2capPacket(code, 1, {"a": 1}, fill_defaults=False))
     assert len(engine.transition_hits) == 3

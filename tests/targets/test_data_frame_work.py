@@ -94,10 +94,10 @@ def test_campaign_work(counters, target):
     )
     mutate_wire = session.fuzzer.mutator.mutate_wire
 
-    def recording_mutate_wire(position, command, identifier):
-        packet = mutate_wire(position, command, identifier)
-        counters["fuzz_frames"].append(packet)
-        return packet
+    def recording_mutate_wire(position, command, identifiers):
+        batch = mutate_wire(position, command, identifiers)
+        counters["fuzz_frames"].extend(batch)
+        return batch
 
     session.fuzzer.mutator.mutate_wire = recording_mutate_wire
     report = session.run()

@@ -120,10 +120,10 @@ class TestCoreMutatorWirePath:
         config = FuzzConfig()
         object_path = CoreFieldMutator(config, random.Random(99))
         wire_path = CoreFieldMutator(config, random.Random(99))
-        for identifier in (1, 77, 255):
-            expected = object_path.mutate(code, identifier)
-            produced = wire_path.mutate_wire(code, identifier)
-            assert produced is not None
+        batch = wire_path.mutate_wire(None, code, (1, 77, 255))
+        assert batch is not None and len(batch) == 3
+        for identifier, produced in zip((1, 77, 255), batch):
+            expected = object_path.mutate(None, code, identifier)
             assert produced.encode() == expected.encode()
             assert dict(produced.fields) == dict(expected.fields)
             assert produced.garbage == expected.garbage
@@ -142,8 +142,8 @@ class TestCoreMutatorWirePath:
         for code in sorted(COMMAND_SPECS):
             for identifier in range(1, 30):
                 assert (
-                    wire_path.mutate_wire(code, identifier).encode()
-                    == object_path.mutate(code, identifier).encode()
+                    wire_path.mutate_wire(None, code, (identifier,))[0].encode()
+                    == object_path.mutate(None, code, identifier).encode()
                 )
 
     def test_ablation_config_falls_back_to_object_path(self):
@@ -151,16 +151,16 @@ class TestCoreMutatorWirePath:
         # the wire path does not model; it must decline.
         config = FuzzConfig(mutate_core_fields_only=False)
         mutator = CoreFieldMutator(config, random.Random(3))
-        assert mutator.mutate_wire(next(iter(COMMAND_SPECS)), 1) is None
+        assert mutator.mutate_wire(None, next(iter(COMMAND_SPECS)), (1,)) is None
 
     def test_unknown_code_falls_back(self):
         mutator = CoreFieldMutator(FuzzConfig(), random.Random(3))
-        assert mutator.mutate_wire(0xEE, 1) is None
+        assert mutator.mutate_wire(None, 0xEE, (1,)) is None
 
     def test_fast_packet_is_mutable_afterwards(self):
         # The primed encode cache must invalidate like any packet's.
         mutator = CoreFieldMutator(FuzzConfig(), random.Random(11))
-        packet = mutator.mutate_wire(next(iter(COMMAND_SPECS)), 9)
+        (packet,) = mutator.mutate_wire(None, next(iter(COMMAND_SPECS)), (9,))
         before = packet.encode()
         packet.identifier = 42
         after = packet.encode()
