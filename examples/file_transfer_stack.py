@@ -59,7 +59,7 @@ def rfcomm_call(queue, target_cid, our_cid, frame):
         code=0, identifier=0, header_cid=target_cid,
         tail=frame.encode(), fill_defaults=False,
     )
-    for response in queue.exchange(packet):
+    for response in queue.send(packet):
         if response.header_cid == our_cid:
             return RfcommFrame.decode(response.tail)
     return None
@@ -73,7 +73,7 @@ def main() -> None:
         print(f"   PSM 0x{service.psm:04X}  {service.name}")
 
     print("2. L2CAP: open a channel to the RFCOMM port")
-    responses = queue.exchange(connection_request(psm=Psm.RFCOMM, scid=0x00A0))
+    responses = queue.send(connection_request(psm=Psm.RFCOMM, scid=0x00A0))
     rsp = next(r for r in responses if r.code == CommandCode.CONNECTION_RSP)
     assert rsp.fields["result"] == ConnectionResult.SUCCESS
     target_cid = rsp.fields["dcid"]

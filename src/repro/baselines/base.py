@@ -63,4 +63,4 @@ class BaselineFuzzer(abc.ABC):
 
     def _send(self, packet: L2capPacket) -> list[L2capPacket]:
         """Send and collect responses (baselines all poll synchronously)."""
-        return self.queue.exchange(packet)
+        return self.queue.send(packet)

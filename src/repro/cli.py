@@ -97,7 +97,7 @@ def _configure_logging(verbose: bool, quiet: bool) -> None:
 from repro.analysis.comparison import figure10_bars, run_comparison, table7_rows
 from repro.analysis.state_coverage import coverage_report
 from repro.analysis.traceio import save_trace
-from repro.core.config import FuzzConfig
+from repro.core.config import FleetSpec, FuzzConfig
 from repro.core.fleet import FleetOrchestrator
 from repro.core.packet_queue import PacketQueue
 from repro.core.runtime import CHECKPOINTS_DIRNAME, SHARD_TIMEOUT, TIMEOUT_FACTOR
@@ -106,7 +106,6 @@ from repro.core.target_scanning import TargetScanner
 from repro.errors import LegacyCorpusError
 from repro.faults import FAULT_KINDS, seeded_plan
 from repro.hci.transport import VirtualLink
-from repro.l2cap.states import ChannelState
 from repro.targets import make_target, target_names
 from repro.testbed.profiles import ALL_PROFILES, PROFILES_BY_ID
 from repro.testbed.session import FuzzSession
@@ -187,16 +186,35 @@ def cmd_fuzz(args) -> int:
     return 0 if (args.disarm or report.vulnerability_found) else 1
 
 
-def _fleet_profiles(spec: str):
-    """Resolve ``--profiles``: a count ("4") or id list ("D1,D5")."""
-    if spec.isdigit():
-        count = int(spec)
+def _csv(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _fleet_spec(args) -> FleetSpec:
+    """The fleet job the shared spec flags describe (not yet validated).
+
+    ``--profiles`` is a count ("4": the first N testbed profiles) or a
+    comma-separated id list ("d1,D5").
+    """
+    if args.profiles.isdigit():
+        count = int(args.profiles)
         if not 1 <= count <= len(ALL_PROFILES):
             raise SystemExit(
                 f"--profiles count must be 1..{len(ALL_PROFILES)}, got {count}"
             )
-        return ALL_PROFILES[:count]
-    return tuple(_profile(device_id) for device_id in spec.split(","))
+        profiles = tuple(profile.device_id for profile in ALL_PROFILES[:count])
+    else:
+        profiles = _csv(args.profiles.upper())
+    return FleetSpec(
+        profiles=profiles,
+        strategies=_csv(args.strategies),
+        targets=_csv(args.targets),
+        budget=args.budget,
+        seed=args.seed,
+        armed=not args.disarm,
+        target_state=args.target_state.upper(),
+        batch=args.batch,
+    )
 
 
 def _fleet_workers(spec: str) -> int:
@@ -218,33 +236,10 @@ def _fleet_workers(spec: str) -> int:
 
 def cmd_fleet(args) -> int:
     """Run a profile × strategy fleet and print the merged report."""
-    profiles = _fleet_profiles(args.profiles)
+    spec = _fleet_spec(args)
     workers = _fleet_workers(args.workers)
-    if args.batch is not None and args.batch < 1:
-        raise SystemExit("--batch must be >= 1")
-    if args.budget < 1:
-        raise SystemExit("--budget must be >= 1")
-    try:
-        target_state = ChannelState(args.target_state.upper())
-    except ValueError:
-        raise SystemExit(f"unknown target state {args.target_state!r}") from None
-    strategies = args.strategies.split(",")
-    targets = args.targets.split(",")
-    try:
-        # Validate eagerly so unknown names and unroutable targets fail
-        # with a clean message instead of mid-campaign. The orchestrator
-        # gets the *names*, keeping the fleet process-pool-safe.
-        for name in strategies:
-            make_strategy(name, target=target_state)
-        for name in targets:
-            make_target(name)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-    if args.profile and args.telemetry is None:
-        raise SystemExit("--profile requires --telemetry (dumps land in the run dir)")
-    chaos_kinds: list[str] = []
-    if args.chaos:
-        chaos_kinds = [kind.strip() for kind in args.chaos.split(",") if kind.strip()]
+    chaos_kinds = _csv(args.chaos or "")
+    if chaos_kinds:
         unknown = [kind for kind in chaos_kinds if kind not in FAULT_KINDS]
         if unknown:
             raise SystemExit(
@@ -256,10 +251,6 @@ def cmd_fleet(args) -> int:
                 "--chaos crash/hang needs --workers >= 2: a single worker "
                 "runs shards inline, so there is no supervisor to recover"
             )
-    if args.resume is not None and args.telemetry is None:
-        raise SystemExit(
-            "--resume requires --telemetry (checkpoints live in the run directory)"
-        )
     shard_timeout = args.shard_timeout
     if shard_timeout is not None and shard_timeout <= 0:
         raise SystemExit("--shard-timeout must be > 0")
@@ -275,23 +266,16 @@ def cmd_fleet(args) -> int:
             chaos_ledger = tempfile.mkdtemp(prefix="repro-chaos-")
             fault_plan = seeded_plan(
                 seed=args.chaos_seed,
-                spec_count=len(profiles) * len(strategies) * len(targets),
+                spec_count=spec.campaigns,
                 kinds=chaos_kinds,
                 ledger_dir=chaos_ledger,
                 hang_seconds=shard_timeout * 4,
             )
         try:
-            orchestrator = FleetOrchestrator(
-                profiles=profiles,
-                strategies=strategies,
-                fleet_seed=args.seed,
+            orchestrator = FleetOrchestrator.from_spec(
+                spec,
                 workers=workers,
-                base_config=FuzzConfig(max_packets=args.budget),
-                armed=not args.disarm,
-                target_state=target_state,
                 corpus_dir=args.corpus,
-                targets=targets,
-                batch=args.batch,
                 telemetry_dir=args.telemetry,
                 profile_workers=args.profile,
                 fault_plan=fault_plan,
@@ -330,7 +314,7 @@ def cmd_fleet(args) -> int:
             import shutil
 
             shutil.rmtree(chaos_ledger, ignore_errors=True)
-    rendered = report.to_json() if args.format == "json" else report.to_markdown()
+    rendered = report.to_json() if args.json else report.to_markdown()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(rendered + "\n")
@@ -659,23 +643,11 @@ def cmd_jobs_submit(args) -> int:
     """Submit a fleet job to a running control plane."""
     from repro.service import ServiceError
 
-    def _csv(text: str, upper: bool = False) -> list[str]:
-        parts = [part.strip() for part in text.split(",") if part.strip()]
-        return [part.upper() for part in parts] if upper else parts
-
     spec = {
-        "profiles": _csv(args.profiles, upper=True),
-        "strategies": _csv(args.strategies),
-        "targets": _csv(args.targets),
-        "budget": args.budget,
-        "seed": args.seed,
-        "armed": not args.disarm,
+        **_fleet_spec(args).to_dict(),
         "priority": args.priority,
         "use_corpus": args.corpus,
-        "target_state": args.state.upper(),
     }
-    if args.batch is not None:
-        spec["batch"] = args.batch
     client = _service_client(args)
     try:
         record = client.submit(spec, idempotency_key=args.idempotency_key)
@@ -840,50 +812,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.set_defaults(func=cmd_fuzz)
 
+    def _fleet_spec_flags(subparser, **defaults) -> None:
+        """The flags :func:`_fleet_spec` reads, one spelling for both
+        ``fleet`` and ``jobs submit``; *defaults* are the command's own."""
+        subparser.add_argument(
+            "--profiles",
+            help="profile count (first N of the testbed) or comma-separated ids",
+        )
+        subparser.add_argument(
+            "--strategies",
+            default="sequential",
+            help=f"comma-separated strategies: {', '.join(STRATEGY_NAMES)}",
+        )
+        subparser.add_argument(
+            "--targets",
+            default="l2cap",
+            help=f"comma-separated protocol targets: {', '.join(target_names())}",
+        )
+        subparser.add_argument(
+            "--batch",
+            type=int,
+            default=None,
+            metavar="N",
+            help="campaigns per worker shard (default: auto, ~4 shards/worker)",
+        )
+        subparser.add_argument("--seed", type=int, default=7, help="fleet master seed")
+        subparser.add_argument(
+            "--budget", type=int, help="packet budget per campaign"
+        )
+        subparser.add_argument(
+            "--disarm", action="store_true", help="disable injected bugs fleet-wide"
+        )
+        subparser.add_argument(
+            "--target-state",
+            default="OPEN",
+            help="focus state for the targeted strategy",
+        )
+        subparser.set_defaults(**defaults)
+
     fleet = commands.add_parser(
         "fleet", help="run a profile × strategy fleet campaign"
     )
-    fleet.add_argument(
-        "--profiles",
-        default="4",
-        help="profile count (first N of the testbed) or comma-separated ids",
-    )
-    fleet.add_argument(
-        "--strategies",
-        default="sequential",
-        help=f"comma-separated strategies: {', '.join(STRATEGY_NAMES)}",
-    )
-    fleet.add_argument(
-        "--targets",
-        default="l2cap",
-        help=f"comma-separated protocol targets: {', '.join(target_names())}",
-    )
+    _fleet_spec_flags(fleet, profiles="4", budget=3000)
     fleet.add_argument(
         "--workers",
         default="1",
         help="worker-pool size, or 'auto' for one worker per CPU core",
     )
     fleet.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="campaigns per worker shard (default: auto, ~4 shards/worker)",
-    )
-    fleet.add_argument("--seed", type=int, default=7, help="fleet master seed")
-    fleet.add_argument(
-        "--budget", type=int, default=3000, help="packet budget per campaign"
-    )
-    fleet.add_argument(
-        "--disarm", action="store_true", help="disable injected bugs fleet-wide"
-    )
-    fleet.add_argument(
-        "--target-state",
-        default="OPEN",
-        help="focus state for the targeted strategy",
-    )
-    fleet.add_argument(
-        "--format", choices=("markdown", "json"), default="markdown"
+        "--json", action="store_true", help="print the report as JSON"
     )
     fleet.add_argument("--output", metavar="PATH", help="write the report to a file")
     fleet.add_argument(
@@ -1130,28 +1107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     jobs_submit = jobs_commands.add_parser("submit", help="submit a fleet job")
     _jobs_common(jobs_submit)
-    jobs_submit.add_argument(
-        "--profiles",
-        default="D1",
-        help="comma-separated testbed device ids (e.g. D1,D2)",
-    )
-    jobs_submit.add_argument(
-        "--strategies",
-        default="sequential",
-        help=f"comma-separated strategies: {', '.join(STRATEGY_NAMES)}",
-    )
-    jobs_submit.add_argument(
-        "--targets",
-        default="l2cap",
-        help=f"comma-separated protocol targets: {', '.join(target_names())}",
-    )
-    jobs_submit.add_argument(
-        "--budget", type=int, default=600, help="packet budget per campaign"
-    )
-    jobs_submit.add_argument("--seed", type=int, default=7)
-    jobs_submit.add_argument(
-        "--disarm", action="store_true", help="disable injected bugs"
-    )
+    _fleet_spec_flags(jobs_submit, profiles="D1", budget=600)
     jobs_submit.add_argument(
         "--priority",
         type=int,
@@ -1162,12 +1118,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--corpus",
         action="store_true",
         help="seed from and write back to the tenant's corpus namespace",
-    )
-    jobs_submit.add_argument(
-        "--state", default="OPEN", help="focus state for targeted strategies"
-    )
-    jobs_submit.add_argument(
-        "--batch", type=int, default=None, help="campaigns per worker shard"
     )
     jobs_submit.add_argument(
         "--idempotency-key",

@@ -47,7 +47,7 @@ import time
 from collections.abc import Callable, Sequence
 from pathlib import Path
 
-from repro.core.config import FuzzConfig
+from repro.core.config import FleetSpec, FuzzConfig
 from repro.core.report import format_elapsed
 from repro.core.runtime import (
     SHARD_TIMEOUT,
@@ -59,7 +59,6 @@ from repro.core.runtime import (
     SupervisionStats,
     load_checkpoints,
 )
-from repro.core.strategies import STRATEGY_NAMES
 from repro.durability import atomic_write
 from repro.faults import FaultPlan
 from repro.l2cap.states import ChannelState
@@ -470,18 +469,17 @@ def merge_reports(
 class FleetOrchestrator:
     """Runs the profile × strategy × target matrix and merges the results.
 
-    :param profiles: testbed profiles to fuzz — registry entries
-        (:data:`~repro.testbed.profiles.PROFILES_BY_ID`) only.
-    :param strategies: strategy registry names
-        (:data:`~repro.core.strategies.STRATEGY_NAMES`), applied to
-        every profile.
-    :param fleet_seed: master seed; per-campaign seeds derive from it.
+    *profiles* (registry entries from
+    :data:`~repro.testbed.profiles.PROFILES_BY_ID`), *strategies*,
+    *targets*, *fleet_seed*, *armed*, *target_state*, *batch* and
+    *base_config* (a template each campaign copies with its derived
+    seed; its ``max_packets`` is the budget) are the fleet job, the
+    fields of :class:`~repro.core.config.FleetSpec` in object form —
+    :meth:`from_spec` builds the orchestrator from a spec. The other
+    parameters say how and where it runs:
+
     :param workers: worker-pool size for dispatch and for the simulated
         schedule.
-    :param base_config: campaign config template; each campaign gets a
-        copy with its derived seed.
-    :param armed: False disarms the injected bugs fleet-wide.
-    :param target_state: focus state handed to the ``targeted`` strategy.
     :param corpus_dir: shared corpus directory. When set, every campaign
         writes its coverage-unlock sequences and minimised findings back
         (one transaction per shard, safe under parallel workers), the
@@ -493,11 +491,6 @@ class FleetOrchestrator:
         not written (a worker killed between the two) is re-run on
         resume, so the report and the entries match an uninterrupted
         run while those findings' ``occurrences`` may be doubled.
-    :param targets: protocol fuzz-target registry names, applied to
-        every profile × strategy cell — one ``repro fleet`` run can
-        sweep strategies × protocols.
-    :param batch: campaigns per worker shard (the persistent runtime's
-        message granularity). None auto-sizes (~4 shards per worker).
     :param telemetry_dir: telemetry root directory. When set, the fleet
         records a run under ``<telemetry_dir>/<run_id>/`` — structured
         event journal (per-worker segments merged at run boundaries),
@@ -531,9 +524,35 @@ class FleetOrchestrator:
         failure on the manifest — completed shards keep their
         checkpoints, so the aborted run is resumable.
     :raises ValueError: at construction — before any telemetry run
-        directory exists — for a profile that is not its registry
-        entry or a strategy that is not a registry name.
+        directory exists — for a fleet
+        :meth:`~repro.core.config.FleetSpec.validate` refuses (a
+        :class:`~repro.core.config.FleetSpecError`) or a profile that
+        is not its registry entry.
     """
+
+    @classmethod
+    def from_spec(cls, spec: FleetSpec, **deployment) -> "FleetOrchestrator":
+        """Build the orchestrator that runs *spec*.
+
+        The one mapping from a fleet job to an orchestrator: ``repro
+        fleet`` and the control plane both come here. *deployment*
+        carries the keyword arguments the spec does not describe —
+        workers, corpus, telemetry, resume, runtime, fault plan.
+
+        :raises FleetSpecError: for a bad spec, before anything is built.
+        """
+        spec.validate()
+        return cls(
+            profiles=[PROFILES_BY_ID[device_id] for device_id in spec.profiles],
+            strategies=spec.strategies,
+            fleet_seed=spec.seed,
+            base_config=FuzzConfig(max_packets=spec.budget),
+            armed=spec.armed,
+            target_state=ChannelState(spec.target_state),
+            targets=spec.targets,
+            batch=spec.batch,
+            **deployment,
+        )
 
     def __init__(
         self,
@@ -555,45 +574,39 @@ class FleetOrchestrator:
         runtime: FleetRuntime | None = None,
         abort_check: Callable[[], bool] | None = None,
     ) -> None:
-        from repro.targets import make_target
-
-        if not profiles:
-            raise ValueError("fleet needs at least one profile")
-        if not strategies:
-            raise ValueError("fleet needs at least one strategy")
-        if not targets:
-            raise ValueError("fleet needs at least one fuzz target")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if profile_workers and telemetry_dir is None:
-            raise ValueError(
-                "profile_workers dumps land in the telemetry run directory; "
-                "set telemetry_dir too"
-            )
-        for name in targets:
-            make_target(name)  # fail fast on unknown targets
+        self.base_config = (
+            base_config if base_config is not None else FuzzConfig()
+        )
+        FleetSpec(
+            profiles=tuple(profile.device_id for profile in profiles),
+            strategies=tuple(strategies),
+            targets=tuple(targets),
+            budget=self.base_config.max_packets,
+            seed=fleet_seed,
+            armed=armed,
+            target_state=target_state.value,
+            batch=batch,
+        ).validate()
         # Workers rebuild each campaign from the registries, so only
         # registry inputs can ship to them.
         for profile in profiles:
-            if PROFILES_BY_ID.get(profile.device_id) is not profile:
+            if PROFILES_BY_ID[profile.device_id] is not profile:
                 raise ValueError(
                     f"profile {profile.device_id!r} is not a registry "
                     "profile; fleets take PROFILES_BY_ID entries only"
                 )
-        for strategy in strategies:
-            if strategy not in STRATEGY_NAMES:
-                raise ValueError(
-                    f"unknown strategy {strategy!r}; fleets take registry "
-                    f"names only: {', '.join(STRATEGY_NAMES)}"
-                )
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if profile_workers and telemetry_dir is None:
+            raise ValueError(
+                "worker profiling needs telemetry: the dumps land in the "
+                "telemetry run directory"
+            )
         self.profiles = tuple(profiles)
         self.strategies = tuple(strategies)
         self.targets = tuple(targets)
         self.fleet_seed = fleet_seed
         self.workers = workers
-        self.base_config = (
-            base_config if base_config is not None else FuzzConfig()
-        )
         self.armed = armed
         self.target_state = target_state
         self.corpus_dir = corpus_dir
@@ -613,8 +626,8 @@ class FleetOrchestrator:
         self.last_supervision: SupervisionStats | None = None
         if resume_run_id is not None and telemetry_dir is None:
             raise ValueError(
-                "resume_run_id needs telemetry_dir — shard checkpoints "
-                "live in the telemetry run directory"
+                "a resume needs telemetry: shard checkpoints live in the "
+                "telemetry run directory"
             )
         self._external_runtime = runtime
         self.abort_check = abort_check

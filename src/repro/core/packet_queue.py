@@ -164,7 +164,3 @@ class PacketQueue:
             observe(packet, now)
             responses.append(packet)
         return responses
-
-    def exchange(self, packet: L2capPacket) -> list[L2capPacket]:
-        """:meth:`send`, under the name the routing code reads as."""
-        return self.send(packet)

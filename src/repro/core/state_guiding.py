@@ -134,7 +134,7 @@ class StateGuide:
         while self._live:
             context = self._live.pop()
             try:
-                self.queue.exchange(
+                self.queue.send(
                     disconnection_request(
                         dcid=context.target_cid,
                         scid=context.our_cid,
@@ -157,7 +157,7 @@ class StateGuide:
     def _connect(self, psm: int) -> ChannelContext | None:
         """Open a channel on *psm* with a valid Connection Request."""
         our_cid = self._take_cid()
-        responses = self.queue.exchange(
+        responses = self.queue.send(
             connection_request(psm=psm, scid=our_cid, identifier=self.queue.take_identifier())
         )
         target_cid = 0
@@ -208,7 +208,7 @@ class StateGuide:
     def _disconnect(self, context: ChannelContext) -> None:
         if context in self._live:
             self._live.remove(context)
-        self.queue.exchange(
+        self.queue.send(
             disconnection_request(
                 dcid=context.target_cid,
                 scid=context.our_cid,
@@ -218,7 +218,7 @@ class StateGuide:
 
     def _send_our_config_req(self, context: ChannelContext) -> None:
         """Send a valid Configuration Request; absorb the target's reply."""
-        responses = self.queue.exchange(
+        responses = self.queue.send(
             configuration_request(
                 dcid=context.target_cid, identifier=self.queue.take_identifier()
             )
@@ -233,7 +233,7 @@ class StateGuide:
         """Answer the target's own Configuration Request."""
         if context.device_config_req_id is None:
             return
-        self.queue.exchange(
+        self.queue.send(
             configuration_response(
                 scid=context.target_cid,
                 result=result,
@@ -256,7 +256,7 @@ class StateGuide:
         refuse, and the creation job is fuzzed from the posture anyway.
         """
         our_cid = self._take_cid()
-        responses = self.queue.exchange(
+        responses = self.queue.send(
             create_channel_request(
                 psm=self.scan.primary_psm,
                 scid=our_cid,
@@ -318,7 +318,7 @@ class StateGuide:
         if context.device_config_req_id is None:
             self._send_our_config_req(context)
         if context.device_config_req_id is not None:
-            self.queue.exchange(
+            self.queue.send(
                 configuration_response(
                     scid=context.target_cid,
                     result=ConfigResult.PENDING,
@@ -356,7 +356,7 @@ class StateGuide:
         context = self._route_open()
         if context is None:
             return None
-        self.queue.exchange(
+        self.queue.send(
             move_channel_request(
                 icid=context.target_cid, identifier=self.queue.take_identifier()
             )

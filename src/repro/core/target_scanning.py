@@ -130,7 +130,7 @@ class TargetScanner:
 
     def _probe_psm(self, psm: int, name: str, next_cid: int) -> tuple[PortProbe, int]:
         identifier = self.queue.take_identifier()
-        responses = self.queue.exchange(
+        responses = self.queue.send(
             connection_request(psm=psm, scid=next_cid, identifier=identifier)
         )
         next_cid += 1
@@ -152,7 +152,7 @@ class TargetScanner:
         dcid = connection_rsp.fields.get("dcid", 0)
         scid = connection_rsp.fields.get("scid", 0)
         if dcid:
-            self.queue.exchange(
+            self.queue.send(
                 disconnection_request(
                     dcid=dcid, scid=scid, identifier=self.queue.take_identifier()
                 )

@@ -73,7 +73,7 @@ class SdpClient:
     # -- steps ----------------------------------------------------------------------
 
     def _connect(self) -> int:
-        responses = self.queue.exchange(
+        responses = self.queue.send(
             connection_request(
                 psm=Psm.SDP, scid=self.our_cid, identifier=self.queue.take_identifier()
             )
@@ -102,7 +102,7 @@ class SdpClient:
             code=0, identifier=0, header_cid=target_cid, tail=pdu.encode(),
             fill_defaults=False,
         )
-        responses = self.queue.exchange(data_frame)
+        responses = self.queue.send(data_frame)
         for response in responses:
             if response.header_cid == self.our_cid:
                 try:
@@ -115,7 +115,7 @@ class SdpClient:
         raise ScanError("no SDP reply received")
 
     def _disconnect(self, target_cid: int) -> None:
-        self.queue.exchange(
+        self.queue.send(
             disconnection_request(
                 dcid=target_cid,
                 scid=self.our_cid,

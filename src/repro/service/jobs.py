@@ -1,12 +1,11 @@
 """Job model: the spec a tenant submits and the lifecycle record.
 
-A :class:`JobSpec` is the service-side mirror of one
-:class:`~repro.core.fleet.FleetOrchestrator` invocation — the
-profile × strategy × target matrix, budget and seed — plus the
-service-only fields (tenant, priority, corpus opt-in). Validation is
-eager and happens at submit time against the same registries the
-orchestrator resolves from, so a bad spec is a 400 at the API boundary,
-never a dead job.
+A :class:`JobSpec` is a :class:`~repro.core.config.FleetSpec` — the
+fleet job ``repro fleet`` runs — plus the service-only fields (tenant,
+priority, corpus opt-in). Validation is
+:meth:`~repro.core.config.FleetSpec.validate`, the check the
+orchestrator itself runs, called eagerly at submit time, so a bad spec
+is a 400 at the API boundary, never a dead job.
 
 A :class:`JobRecord` is the registry's unit of persistence: one job's
 spec, status, timestamps and result totals, serialised to one JSON
@@ -23,6 +22,7 @@ import datetime
 import secrets
 import time
 
+from repro.core.config import FleetSpec, FleetSpecError
 from repro.errors import ReproError
 
 #: Every job lifecycle state, in rough lifecycle order.
@@ -39,8 +39,9 @@ class JobError(ReproError):
     """Base class for job-layer failures."""
 
 
-class JobValidationError(JobError, ValueError):
-    """A submitted spec that references unknown names or bad values."""
+#: A submitted spec that names something unknown or holds a bad value:
+#: the fleet spec's own error, so one ``except`` serves both layers.
+JobValidationError = FleetSpecError
 
 
 class QuotaExceededError(JobError):
@@ -81,127 +82,37 @@ def _iso(epoch: float | None) -> str | None:
     ).isoformat(timespec="seconds")
 
 
-@dataclasses.dataclass(frozen=True)
-class JobSpec:
-    """What a tenant asks the fleet to run.
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class JobSpec(FleetSpec):
+    """What a tenant asks the fleet to run: a :class:`FleetSpec` plus
+    the service-only fields.
 
     :param tenant: namespace the job (and its corpus/findings) belongs
         to.
-    :param profiles: testbed profile ids (``D1``..).
-    :param strategies: exploration strategy registry names.
-    :param targets: protocol fuzz-target registry names.
-    :param budget: per-campaign packet budget (``max_packets``).
-    :param seed: fleet seed (campaign seeds derive from it).
-    :param armed: False disarms the injected bugs fleet-wide.
     :param priority: 0 (first) .. 9 (last); FIFO within a priority.
     :param use_corpus: write findings/entries back to the tenant's
         corpus namespace and seed campaigns from it.
-    :param target_state: focus state for the ``targeted`` strategy.
-    :param batch: campaigns per worker shard; None auto-sizes.
     """
 
     tenant: str
-    profiles: tuple[str, ...]
-    strategies: tuple[str, ...] = ("sequential",)
-    targets: tuple[str, ...] = ("l2cap",)
-    budget: int = 600
-    seed: int = 7
-    armed: bool = True
     priority: int = 5
     use_corpus: bool = False
-    target_state: str = "OPEN"
-    batch: int | None = None
-
-    @property
-    def campaigns(self) -> int:
-        """Matrix size: one campaign per profile × strategy × target."""
-        return len(self.profiles) * len(self.strategies) * len(self.targets)
-
-    @property
-    def packets_requested(self) -> int:
-        """Worst-case packet spend — what the budget quota charges."""
-        return self.campaigns * self.budget
 
     def validate(self) -> None:
-        """Check every field against the live registries.
+        """Check the tenant and priority, then the fleet fields.
 
         :raises JobValidationError: naming the first offending field.
         """
-        from repro.core.strategies import STRATEGY_NAMES
         from repro.corpus.backend import NAMESPACE_RE
-        from repro.l2cap.states import ChannelState
-        from repro.targets import target_names
-        from repro.testbed.profiles import PROFILES_BY_ID
 
         if not NAMESPACE_RE.match(self.tenant):
             raise JobValidationError(f"invalid tenant name {self.tenant!r}")
-        if not self.profiles:
-            raise JobValidationError("job needs at least one profile")
-        for device_id in self.profiles:
-            if device_id not in PROFILES_BY_ID:
-                raise JobValidationError(
-                    f"unknown profile {device_id!r}; choose from "
-                    f"{', '.join(PROFILES_BY_ID)}"
-                )
-        if not self.strategies:
-            raise JobValidationError("job needs at least one strategy")
-        for strategy in self.strategies:
-            if strategy not in STRATEGY_NAMES:
-                raise JobValidationError(
-                    f"unknown strategy {strategy!r}; choose from "
-                    f"{', '.join(STRATEGY_NAMES)}"
-                )
-        known_targets = target_names()
-        if not self.targets:
-            raise JobValidationError("job needs at least one fuzz target")
-        for target in self.targets:
-            if target not in known_targets:
-                raise JobValidationError(
-                    f"unknown fuzz target {target!r}; choose from "
-                    f"{', '.join(known_targets)}"
-                )
-        if self.budget < 1:
-            raise JobValidationError("budget must be >= 1 packet")
         low, high = PRIORITY_RANGE
         if not low <= self.priority <= high:
             raise JobValidationError(
                 f"priority must be {low}..{high}, got {self.priority}"
             )
-        if self.batch is not None and self.batch < 1:
-            raise JobValidationError("batch must be >= 1")
-        try:
-            ChannelState(self.target_state)
-        except ValueError as error:
-            raise JobValidationError(
-                f"unknown target state {self.target_state!r}"
-            ) from error
-
-    def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        for field in ("profiles", "strategies", "targets"):
-            data[field] = list(data[field])
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobSpec":
-        try:
-            return cls(
-                tenant=str(data["tenant"]),
-                profiles=tuple(data["profiles"]),
-                strategies=tuple(data.get("strategies", ("sequential",))),
-                targets=tuple(data.get("targets", ("l2cap",))),
-                budget=int(data.get("budget", 600)),
-                seed=int(data.get("seed", 7)),
-                armed=bool(data.get("armed", True)),
-                priority=int(data.get("priority", 5)),
-                use_corpus=bool(data.get("use_corpus", False)),
-                target_state=str(data.get("target_state", "OPEN")),
-                batch=(
-                    int(data["batch"]) if data.get("batch") is not None else None
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise JobValidationError(f"malformed job spec: {error}") from error
+        super().validate()
 
 
 @dataclasses.dataclass

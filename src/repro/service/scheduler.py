@@ -54,13 +54,11 @@ import logging
 import threading
 import time
 
-from repro.core.config import FuzzConfig
 from repro.core.fleet import FleetOrchestrator
 from repro.core.runtime import SHARD_TIMEOUT, AbortRequested, FleetRuntime
 from repro.durability import backoff_delay
 from repro.errors import JournalWriteError
 from repro.faults import service_fault
-from repro.l2cap.states import ChannelState
 from repro.service.jobs import (
     JobRecord,
     JobSpec,
@@ -583,8 +581,6 @@ class JobScheduler:
         )
 
     def _execute(self, record: JobRecord) -> None:
-        from repro.testbed.profiles import PROFILES_BY_ID
-
         spec = record.spec
         abort_event = self._abort_events.setdefault(
             record.job_id, threading.Event()
@@ -611,23 +607,14 @@ class JobScheduler:
         self.metrics.inc("service_jobs_started_total", tenant=spec.tenant)
         orchestrator = None
         try:
-            orchestrator = FleetOrchestrator(
-                profiles=[
-                    PROFILES_BY_ID[device_id] for device_id in spec.profiles
-                ],
-                strategies=list(spec.strategies),
-                fleet_seed=spec.seed,
+            orchestrator = FleetOrchestrator.from_spec(
+                spec,
                 workers=self.pool_workers,
-                base_config=FuzzConfig(max_packets=spec.budget),
-                armed=spec.armed,
-                target_state=ChannelState(spec.target_state),
                 corpus_dir=(
                     str(self.tenants.corpus_dir(spec.tenant))
                     if spec.use_corpus
                     else None
                 ),
-                targets=list(spec.targets),
-                batch=spec.batch,
                 telemetry_dir=str(self.tenants.runs_dir(spec.tenant)),
                 resume_run_id=record.run_id if record.resume_of else None,
                 runtime=self._ensure_runtime(),

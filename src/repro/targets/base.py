@@ -82,7 +82,7 @@ def open_l2cap_channel(queue, psm: int, our_cid: int, failure_message: str) -> i
     from repro.l2cap.constants import CommandCode, ConnectionResult
     from repro.l2cap.packets import connection_request
 
-    responses = queue.exchange(
+    responses = queue.send(
         connection_request(
             psm=psm, scid=our_cid, identifier=queue.take_identifier()
         )

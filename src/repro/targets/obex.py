@@ -166,7 +166,7 @@ class _ObexGuide:
         self, channel: ObexChannel, payload: bytes, connect: bool = False
     ) -> int | None:
         """Send one request; return the server's response code, if any."""
-        for response in self.queue.exchange(
+        for response in self.queue.send(
             wire_data_frame(channel.target_cid, payload)
         ):
             if response.header_cid != channel.our_cid:

@@ -151,7 +151,7 @@ class _RfcommGuide:
     ) -> list[RfcommFrame]:
         """Send one valid mux frame; return the mux's decoded replies."""
         replies: list[RfcommFrame] = []
-        for response in self.queue.exchange(
+        for response in self.queue.send(
             wire_data_frame(channel.target_cid, frame.encode())
         ):
             if response.header_cid != channel.our_cid:

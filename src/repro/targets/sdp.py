@@ -164,7 +164,7 @@ class _SdpGuide:
 
     def _request(self, session: SdpSession, pdu: SdpPdu) -> SdpPdu | None:
         """Send one PDU; return the server's decoded reply, if any."""
-        for response in self.queue.exchange(
+        for response in self.queue.send(
             wire_data_frame(session.target_cid, pdu.encode())
         ):
             if response.header_cid != session.our_cid:

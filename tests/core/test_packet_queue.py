@@ -15,7 +15,7 @@ from tests.conftest import make_rig
 class TestPacketQueue:
     def test_exchange_traces_both_directions(self):
         _, _, queue = make_rig()
-        responses = queue.exchange(echo_request(b"x"))
+        responses = queue.send(echo_request(b"x"))
         assert len(responses) == 1
         assert queue.sniffer.transmitted_count() == 1
         assert queue.sniffer.received_count() == 1

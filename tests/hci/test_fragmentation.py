@@ -116,7 +116,7 @@ class TestFragmentedQueue:
         """A queue with a tiny controller buffer still fuzzes correctly."""
         device, link, _ = make_rig()
         queue = PacketQueue(link, acl_mtu=8)
-        responses = queue.exchange(echo_request(b"0123456789abcdef"))
+        responses = queue.send(echo_request(b"0123456789abcdef"))
         assert responses[0].code == CommandCode.ECHO_RSP
         assert responses[0].tail == b"0123456789abcdef"
 
@@ -125,7 +125,7 @@ class TestFragmentedQueue:
 
         device, link, _ = make_rig()
         queue = PacketQueue(link, acl_mtu=6)
-        responses = queue.exchange(connection_request(psm=Psm.SDP, scid=0x60))
+        responses = queue.send(connection_request(psm=Psm.SDP, scid=0x60))
         rsp = next(r for r in responses if r.code == CommandCode.CONNECTION_RSP)
         assert rsp.fields["result"] == ConnectionResult.SUCCESS
 
@@ -133,6 +133,6 @@ class TestFragmentedQueue:
         """The sniffer counts L2CAP packets, not ACL fragments."""
         device, link, _ = make_rig()
         queue = PacketQueue(link, acl_mtu=4)
-        queue.exchange(echo_request(b"a long enough echo payload"))
+        queue.send(echo_request(b"a long enough echo payload"))
         assert queue.sniffer.transmitted_count() == 1
         assert link.stats.frames_sent > 1

@@ -38,13 +38,13 @@ class TestBlueborneFlow:
 
     def test_step1_sdp_connects_without_pairing(self):
         device, queue = _pixel3_rig(armed=False)
-        responses = queue.exchange(connection_request(psm=Psm.SDP, scid=0x0070))
+        responses = queue.send(connection_request(psm=Psm.SDP, scid=0x0070))
         rsp = responses[0]
         assert rsp.fields["result"] == ConnectionResult.SUCCESS
 
     def test_step2_state_transition_to_configuration(self):
         device, queue = _pixel3_rig(armed=False)
-        responses = queue.exchange(connection_request(psm=Psm.SDP, scid=0x0070))
+        responses = queue.send(connection_request(psm=Psm.SDP, scid=0x0070))
         dcid = responses[0].fields["dcid"]
         block = device.engine.channels.get(dcid)
         assert block.state is ChannelState.WAIT_CONFIG
@@ -52,12 +52,12 @@ class TestBlueborneFlow:
     def test_step3_malformed_config_traffic_accepted(self):
         """The malformed packets are valid-in-state: no rejection."""
         device, queue = _pixel3_rig(armed=False)
-        responses = queue.exchange(connection_request(psm=Psm.SDP, scid=0x0070))
+        responses = queue.send(connection_request(psm=Psm.SDP, scid=0x0070))
         dcid = responses[0].fields["dcid"]
-        queue.exchange(configuration_request(dcid=dcid, identifier=2))
+        queue.send(configuration_request(dcid=dcid, identifier=2))
         malformed = configuration_response(scid=0x9999, identifier=3)
         malformed.garbage = b"\x41" * 8
-        responses = queue.exchange(malformed)
+        responses = queue.send(malformed)
         rejects = [r for r in responses if r.code == CommandCode.COMMAND_REJECT]
         assert not rejects  # accepted without rejection — the §II.C premise
 
@@ -75,12 +75,12 @@ class TestPixel3CaseStudy:
     def _reach_config_job(self, queue):
         from repro.l2cap.packets import disconnection_request
 
-        first = queue.exchange(connection_request(psm=Psm.SDP, scid=0x0070))
+        first = queue.send(connection_request(psm=Psm.SDP, scid=0x0070))
         stale = first[0].fields["dcid"]
-        queue.exchange(
+        queue.send(
             disconnection_request(dcid=stale, scid=0x0070, identifier=2)
         )
-        second = queue.exchange(
+        second = queue.send(
             connection_request(psm=Psm.SDP, scid=0x0071, identifier=3)
         )
         assert second[0].fields["dcid"] != stale
@@ -113,14 +113,14 @@ class TestPixel3CaseStudy:
         device, queue = _pixel3_rig(armed=True)
         stale = self._reach_config_job(queue)
         attack = configuration_request(dcid=stale, identifier=5)
-        queue.exchange(attack)
+        queue.send(attack)
         assert device.is_alive
 
     def test_same_packet_outside_config_job_is_harmless(self):
         device, queue = _pixel3_rig(armed=True)
         attack = configuration_request(dcid=0x0040, identifier=5)
         attack.garbage = bytes.fromhex("D23A910E")
-        queue.exchange(attack)  # no channel mid-configuration
+        queue.send(attack)  # no channel mid-configuration
         assert device.is_alive
 
     def test_vulnerability_model_is_the_registered_one(self):

@@ -88,7 +88,7 @@ class TestDirectVsBytesParity:
             return device.handle_acl_frame(frame)
 
         link.attach(bytes_only)
-        responses = queue.exchange(connection_request(psm=0x0001, scid=0x60))
+        responses = queue.send(connection_request(psm=0x0001, scid=0x60))
         assert responses and all(type(frame) is bytes for frame in seen)
         assert link.stats.frames_sent == 1
 

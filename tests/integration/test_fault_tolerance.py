@@ -447,7 +447,7 @@ class TestCheckpointResume:
             )
 
     def test_resume_needs_telemetry_and_existing_run(self, tmp_path):
-        with pytest.raises(ValueError, match="telemetry_dir"):
+        with pytest.raises(ValueError, match="needs telemetry"):
             FleetOrchestrator(
                 **dict(
                     self._params(tmp_path, resume_run_id="x"),
@@ -705,7 +705,7 @@ class TestCliFaultFlags:
                 "--workers", "2",
                 "--budget", "300",
                 "--chaos", "corrupt",
-                "--format", "json",
+                "--json",
             ]
         )
         out = capsys.readouterr().out
@@ -763,11 +763,13 @@ class TestCliFaultFlags:
 
         seen = {}
 
-        def capture(**kwargs):
+        def capture(spec, **kwargs):
             seen.update(kwargs)
             raise ValueError("captured")
 
-        monkeypatch.setattr(cli, "FleetOrchestrator", capture)
+        monkeypatch.setattr(
+            cli.FleetOrchestrator, "from_spec", staticmethod(capture)
+        )
         monkeypatch.setattr(tempfile, "mkdtemp", lambda prefix: str(tmp_path))
         with pytest.raises(SystemExit, match="captured"):
             cli.main(["fleet", "--workers", "2", *chaos, *argv])
@@ -779,7 +781,7 @@ class TestCliFaultFlags:
     def test_resume_requires_telemetry(self):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="--resume requires --telemetry"):
+        with pytest.raises(SystemExit, match="a resume needs telemetry"):
             main(["fleet", "--resume", "some-run"])
 
     def test_skipped_checkpoint_is_reported_without_verbose(
@@ -798,7 +800,7 @@ class TestCliFaultFlags:
             "--workers", "1",
             "--budget", "300",
             "--telemetry", str(runs_dir),
-            "--format", "json",
+            "--json",
         ]
         assert main([*argv, "--output", str(tmp_path / "a.json")]) == 0
         run_dir = next(runs_dir.iterdir())

@@ -107,7 +107,7 @@ class TestRegistryInputsOnly:
     def test_object_strategy_rejected(self):
         from repro.core.strategies import make_strategy
 
-        with pytest.raises(ValueError, match="registry names"):
+        with pytest.raises(ValueError, match="unknown strategy"):
             FleetOrchestrator([D2], [make_strategy("sequential")])
 
     def test_unknown_strategy_name_rejected(self):

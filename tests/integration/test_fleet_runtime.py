@@ -195,6 +195,5 @@ class TestBatchedCorpusWriteBack:
 
 class TestBatchValidation:
     def test_zero_batch_rejected(self):
-        with _orchestrator(workers=2, batch=0) as orchestrator:
-            with pytest.raises(ValueError, match="batch"):
-                orchestrator.run()
+        with pytest.raises(ValueError, match="batch"):
+            _orchestrator(workers=2, batch=0)

@@ -226,7 +226,7 @@ class TestWorkerProfiles:
         assert stats.total_calls > 0
 
     def test_profile_workers_requires_telemetry(self):
-        with pytest.raises(ValueError, match="telemetry_dir"):
+        with pytest.raises(ValueError, match="needs telemetry"):
             FleetOrchestrator(
                 profiles=ALL_PROFILES[:1],
                 strategies=["sequential"],

@@ -188,7 +188,7 @@ class TestFullStackVertical:
             code=0, identifier=0, header_cid=target_cid,
             tail=frame.encode(), fill_defaults=False,
         )
-        for response in queue.exchange(packet):
+        for response in queue.send(packet):
             if response.header_cid == our_cid:
                 return RfcommFrame.decode(response.tail)
         return None
@@ -196,7 +196,7 @@ class TestFullStackVertical:
     def test_file_push_through_all_three_layers(self):
         obex, mux, queue = self._build_stack()
         # Layer 1: L2CAP channel to PSM 0x0003.
-        responses = queue.exchange(connection_request(psm=Psm.RFCOMM, scid=0x00A0))
+        responses = queue.send(connection_request(psm=Psm.RFCOMM, scid=0x00A0))
         rsp = next(r for r in responses if r.code == CommandCode.CONNECTION_RSP)
         assert rsp.fields["result"] == ConnectionResult.SUCCESS
         target_cid = rsp.fields["dcid"]

@@ -44,7 +44,7 @@ class TestDiscovery:
 
 class TestLinkGlue:
     def _send(self, queue, packet):
-        return queue.exchange(packet)
+        return queue.send(packet)
 
     def test_echo_through_full_stack(self):
         _, _, queue = make_rig()
@@ -72,7 +72,7 @@ class TestCrashLifecycle:
         device, link, queue = make_rig(
             vulnerabilities=(BLUEDROID_CIDP_NULL_DEREF,), armed=True
         )
-        queue.exchange(connection_request(psm=Psm.SDP, scid=0x60))
+        queue.send(connection_request(psm=Psm.SDP, scid=0x60))
         packet = configuration_request(dcid=0x0999)
         packet.garbage = b"\xff"
         return device, link, queue, packet
@@ -100,15 +100,15 @@ class TestCrashLifecycle:
         device.reset(link)
         assert device.is_alive
         assert device.reset_count == 1
-        responses = queue.exchange(echo_request(b"back"))
+        responses = queue.send(echo_request(b"back"))
         assert responses[0].code == CommandCode.ECHO_RSP
 
     def test_disarmed_device_survives_trigger(self):
         device, link, queue = make_rig(
             vulnerabilities=(BLUEDROID_CIDP_NULL_DEREF,), armed=False
         )
-        queue.exchange(connection_request(psm=Psm.SDP, scid=0x60))
+        queue.send(connection_request(psm=Psm.SDP, scid=0x60))
         packet = configuration_request(dcid=0x0999)
         packet.garbage = b"\xff"
-        queue.exchange(packet)
+        queue.send(packet)
         assert device.is_alive

@@ -113,7 +113,7 @@ class TestFleet:
         assert "breadth_first" in out and "targeted" in out
 
     def test_json_report_schema(self, capsys):
-        assert main(_FLEET_ARGS + ["--format", "json"]) == 0
+        assert main(_FLEET_ARGS + ["--json"]) == 0
         decoded = json.loads(capsys.readouterr().out)
         assert set(decoded) == {
             "fleet_seed",
@@ -153,14 +153,14 @@ class TestFleet:
             } == set(campaign)
 
     def test_two_runs_identical(self, capsys):
-        main(_FLEET_ARGS + ["--format", "json"])
+        main(_FLEET_ARGS + ["--json"])
         first = capsys.readouterr().out
-        main(_FLEET_ARGS + ["--format", "json"])
+        main(_FLEET_ARGS + ["--json"])
         second = capsys.readouterr().out
         assert first == second
 
     def test_workers_auto_and_batch(self, capsys):
-        main(_FLEET_ARGS + ["--format", "json"])
+        main(_FLEET_ARGS + ["--json"])
         reference = json.loads(capsys.readouterr().out)
         args = [
             "fleet",
@@ -170,7 +170,7 @@ class TestFleet:
             "--budget", "800",
         ]
         assert main(args + ["--workers", "auto", "--batch", "1",
-                            "--format", "json"]) == 0
+                            "--json"]) == 0
         decoded = json.loads(capsys.readouterr().out)
         # Worker count and shard size must not change the fleet's
         # findings/coverage — only the schedule summary may differ.
@@ -187,7 +187,7 @@ class TestFleet:
             main(["fleet", "--workers", "many", "--budget", "5"])
 
     def test_batch_validation(self):
-        with pytest.raises(SystemExit, match="--batch"):
+        with pytest.raises(SystemExit, match="batch must be >= 1"):
             main(["fleet", "--batch", "0", "--budget", "5"])
 
     def test_profiles_by_id(self, capsys):
@@ -201,7 +201,7 @@ class TestFleet:
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "fleet.json"
         assert main(
-            _FLEET_ARGS + ["--format", "json", "--output", str(path)]
+            _FLEET_ARGS + ["--json", "--output", str(path)]
         ) == 0
         assert "written to" in capsys.readouterr().out
         assert json.loads(path.read_text())["fleet_seed"] == 7
@@ -246,7 +246,7 @@ class TestFleet:
             main(["fleet", "--workers", "0"])
 
     def test_zero_budget_exits(self):
-        with pytest.raises(SystemExit, match="--budget"):
+        with pytest.raises(SystemExit, match="budget must be >= 1"):
             main(["fleet", "--budget", "0"])
 
 
@@ -463,7 +463,7 @@ class TestFleetTelemetry:
         assert (run_dir / "metrics.prom").exists()
 
     def test_profile_requires_telemetry(self):
-        with pytest.raises(SystemExit, match="--profile requires"):
+        with pytest.raises(SystemExit, match="worker profiling needs telemetry"):
             main(["fleet", "--profiles", "1", "--profile"])
 
 
