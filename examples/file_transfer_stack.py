@@ -95,8 +95,9 @@ def main() -> None:
     print(f"   file delivered: {list(obex.inbox)} ({len(obex.inbox['quarterly-report.pdf'])} bytes)")
 
     print("\n5. Root of trust: now kill the L2CAP layer underneath it all")
-    attack = configuration_request(dcid=0xBEEF, identifier=99)
-    attack.garbage = bytes.fromhex("D23A910E")
+    attack = configuration_request(dcid=0xBEEF, identifier=99).replace(
+        garbage=bytes.fromhex("D23A910E")
+    )
     try:
         queue.send(attack)
         print("   target survived (unexpected)")

@@ -124,20 +124,29 @@ class BfuzzFuzzer(BaselineFuzzer):
     def _mutate_template(self) -> L2capPacket:
         """Mutate almost every field of a template signaling packet."""
         code = self.rng.choice(self.TEMPLATE_CODES)
-        packet = L2capPacket(code, identifier=self.rng.randrange(0, 256))
-        for name in packet.field_names():
-            field = COMMAND_SPECS[code].field(name)
-            packet.fields[name] = self.rng.randrange(0, field.max_value + 1)
+        identifier = self.rng.randrange(0, 256)
+        fields = {
+            field.name: self.rng.randrange(0, field.max_value + 1)
+            for field in COMMAND_SPECS[code].fields
+        }
+        declared_data_len = None
         if self.rng.random() < self.LENGTH_CORRUPTION_RATE:
             # Corrupting D is what gets BFuzz rejected wholesale. The
             # Data Length is deflated (an inflated Payload Length would
             # stall ACL recombination and never even reach the parser).
-            packet.declared_data_len = self.rng.randrange(0, 4)
+            declared_data_len = self.rng.randrange(0, 4)
+        garbage = b""
         if self.rng.random() < 0.5:
-            packet.garbage = bytes(
+            garbage = bytes(
                 self.rng.getrandbits(8) for _ in range(self.rng.randint(1, 8))
             )
-        return packet
+        return L2capPacket(
+            code,
+            identifier,
+            fields,
+            garbage=garbage,
+            declared_data_len=declared_data_len,
+        )
 
     def _take_cid(self) -> int:
         cid = self._next_cid

@@ -186,8 +186,8 @@ class DefensicsFuzzer(BaselineFuzzer):
     def _anomaly_closed(self) -> None:
         """CLOSED-state anomaly: an over-length echo (length corruption)."""
         packet = echo_request(b"\xAA" * 8, identifier=self.queue.take_identifier())
-        packet.declared_data_len = 2  # corrupt the dependent length field
-        self._send(packet)
+        # Corrupt the dependent length field.
+        self._send(packet.replace(declared_data_len=2))
 
     def _anomaly_connect(self) -> None:
         """Connect anomaly: reserved PSM value."""

@@ -170,28 +170,38 @@ class CoreFieldMutator:
         :param identifier: the packet ID to stamp (a ``D`` field, kept
             valid).
         """
-        packet = L2capPacket(code, identifier)  # D defaults, F fixed, MA defaults
         spec = COMMAND_SPECS[code]
+        fields = dict(spec.defaults)  # D defaults, F fixed, MA defaults
         for field in spec.fields:
             if field.name == "psm":
-                packet.fields["psm"] = random_abnormal_psm(self.rng)
+                fields["psm"] = random_abnormal_psm(self.rng)
             elif field.name in CIDP_FIELD_NAMES:
-                packet.fields[field.name] = random_normal_cidp(
+                fields[field.name] = random_normal_cidp(
                     self.rng, field_size=field.size
                 )
+        declared_data_len = None
         if not self.config.mutate_core_fields_only:
             # Ablation: BFuzz-style corruption of the dependent fields.
             if self.rng.random() < 0.5:
-                packet.declared_data_len = self.rng.randrange(0, 4)
+                declared_data_len = self.rng.randrange(0, 4)
+        garbage = b""
         if self.config.append_garbage:
-            # The tail never pushes the frame past the signaling MTU.
-            packet.garbage = draw_garbage(
+            # The tail never pushes the frame past the signaling MTU: the
+            # headroom is the MTU less the frame without garbage (headers
+            # and fields, no tail).
+            garbage = draw_garbage(
                 self.rng,
                 self.config.max_garbage,
                 self.dictionary,
-                self.signaling_mtu - packet.wire_length,
+                self.signaling_mtu - (_FIELDS_OFFSET + spec.fixed_size),
             )
-        return packet
+        return L2capPacket(
+            code,
+            identifier,
+            fields,
+            garbage=garbage,
+            declared_data_len=declared_data_len,
+        )
 
     # -- bytes-level fast path ------------------------------------------------------
 

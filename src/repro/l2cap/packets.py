@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import struct
-import weakref
 from collections.abc import Mapping
 
 from repro.errors import PacketDecodeError, PacketEncodeError
@@ -35,10 +34,6 @@ from repro.l2cap.constants import (
     CommandCode,
     ConfigOptionType,
 )
-
-#: Sentinel distinguishing "spec not yet resolved" from "no spec".
-_UNSET = object()
-
 
 @dataclasses.dataclass(frozen=True)
 class FieldSpec:
@@ -280,21 +275,6 @@ SPEC_BY_CODE: dict[int, CommandSpec] = {
 }
 
 
-#: Attributes whose mutation changes the wire encoding (and therefore
-#: invalidates the packet's cached bytes and derived validation facts).
-#: ``code`` and ``fields`` are handled separately in ``__setattr__``.
-_WIRE_ATTRS = frozenset(
-    {
-        "identifier",
-        "tail",
-        "garbage",
-        "header_cid",
-        "declared_payload_len",
-        "declared_data_len",
-    }
-)
-
-
 _new_instance = object.__new__
 
 
@@ -308,85 +288,6 @@ def _b_frame_loops_back(header_cid: object, payload: object) -> bool:
         and payload.__class__ is bytes
         and len(payload) <= MAX_L2CAP_PAYLOAD
     )
-
-
-class _FieldMap(dict):
-    """Field dict that invalidates its packet's codec caches on mutation.
-
-    Packets stay mutable by design (the mutation engine pokes fields in
-    place), so the encode cache is guarded by a dirty flag: every mutating
-    dict operation drops the owning packet's cached wire bytes and
-    validation facts.
-
-    ``_owner`` is a weak reference to the packet, so a packet and its
-    field map form no reference cycle and are freed by reference
-    counting the moment the last owner lets go (a campaign makes tens of
-    thousands of them). A weakref neither pickles nor deep-copies to the
-    copied packet, so the map reduces to its plain items and
-    :meth:`L2capPacket.__setstate__` re-links the restored map to the
-    restored packet: in-place mutation of a copy invalidates the copy's
-    caches, never the original's.
-    """
-
-    # One slot instead of an instance dict: a campaign builds a field map
-    # per packet, and a slotted map is built faster and is a fifth the
-    # size. An unset slot (a map not yet linked to a packet) reads as
-    # "no owner".
-    __slots__ = ("_owner",)
-
-    def __reduce__(self):
-        return (_FieldMap, (dict(self),))
-
-    def _touch(self) -> None:
-        try:
-            owner = self._owner
-        except AttributeError:
-            return
-        if owner is not None:
-            packet = owner()
-            if packet is not None:
-                cache = packet.__dict__
-                cache["_wire"] = None
-                cache["_intrinsic"] = None
-                cache["_loopback"] = None
-
-    def __setitem__(self, key, value) -> None:
-        dict.__setitem__(self, key, value)
-        self._touch()
-
-    def __delitem__(self, key) -> None:
-        dict.__delitem__(self, key)
-        self._touch()
-
-    def __ior__(self, other):
-        dict.update(self, other)
-        self._touch()
-        return self
-
-    def clear(self) -> None:
-        dict.clear(self)
-        self._touch()
-
-    def pop(self, *args):
-        value = dict.pop(self, *args)
-        self._touch()
-        return value
-
-    def popitem(self):
-        item = dict.popitem(self)
-        self._touch()
-        return item
-
-    def setdefault(self, key, default=None):
-        if key in self:
-            return dict.__getitem__(self, key)
-        dict.__setitem__(self, key, default)
-        self._touch()
-        return default
-
-    def update(self, *args, **kwargs) -> None:
-        dict.update(self, *args, **kwargs)
-        self._touch()
 
 
 def _round_trips(spec, identifier, fields, tail, garbage) -> bool:
@@ -410,9 +311,22 @@ def _round_trips(spec, identifier, fields, tail, garbage) -> bool:
     )
 
 
-@dataclasses.dataclass
+#: The parts that make up a packet's value, in constructor order.
+_PARTS = (
+    "code",
+    "identifier",
+    "fields",
+    "tail",
+    "garbage",
+    "header_cid",
+    "declared_payload_len",
+    "declared_data_len",
+)
+
+
+@dataclasses.dataclass(init=False)
 class L2capPacket:
-    """One L2CAP signaling packet, mutable for fuzzing purposes.
+    """One L2CAP signaling packet: an immutable value.
 
     :param code: command code (may be an int outside :class:`CommandCode`
         when deliberately malformed).
@@ -433,35 +347,33 @@ class L2capPacket:
         construction. The decoder turns this off so that truncated
         packets stay truncated.
 
-    Encoding is cached: the first :meth:`encode` stores the wire bytes on
-    the instance and every later call (and :attr:`wire_length`, and the
-    validator's structural pass) reuses them. Packets stay mutable — any
-    assignment to a wire-relevant attribute or mutation of :attr:`fields`
-    drops the cache, so a re-encode always reflects the change.
+    A built packet never changes: assigning an attribute raises, and a
+    fuzzer builds each malformed packet with its final values (or
+    derives one with :meth:`replace`). ``fields`` is a plain dict that
+    no code writes into after construction; a tier-1 scan of the
+    sources enforces that. So the codec caches — the wire bytes of the
+    first :meth:`encode`, the validator's structural facts and the
+    loopback verdict — are filled on first use (or primed by the
+    builder that already knows them) and never invalidated.
     """
 
+    # No instance dict and no weakref slot: a campaign builds tens of
+    # thousands of packets. ``spec``, the command layout (None for an
+    # unknown code), is resolved at construction; the last three slots
+    # are the caches, None until filled.
+    __slots__ = _PARTS + ("spec", "_wire", "_intrinsic", "_loopback")
+
     code: int
-    identifier: int = 1
-    fields: dict[str, int] = dataclasses.field(default_factory=dict)
-    tail: bytes = b""
-    garbage: bytes = b""
-    header_cid: int = SIGNALING_CID
-    declared_payload_len: int | None = None
-    declared_data_len: int | None = None
-    fill_defaults: dataclasses.InitVar[bool] = True
+    identifier: int
+    fields: dict[str, int]
+    tail: bytes
+    garbage: bytes
+    header_cid: int
+    declared_payload_len: int | None
+    declared_data_len: int | None
 
-    # Cache slots — deliberately unannotated so the dataclass machinery
-    # does not treat them as fields; the class-level defaults double as
-    # the "empty" state read safely during __init__.
-    _wire = None
-    _spec_cache = _UNSET
-    # Structural validation facts memoized by repro.l2cap.validation.
-    _intrinsic = None
-    # Memoized loopback eligibility (see loopback_view): None = unknown.
-    _loopback = None
-
-    def __init__(
-        self,
+    def __new__(
+        cls,
         code: int,
         identifier: int = 1,
         fields: dict[str, int] | None = None,
@@ -471,31 +383,21 @@ class L2capPacket:
         declared_payload_len: int | None = None,
         declared_data_len: int | None = None,
         fill_defaults: bool = True,
-    ) -> None:
-        # Hand-written constructor for the hot path: a campaign builds
-        # tens of thousands of packets, so attribute writes go straight
-        # into the instance dict (there is no cache to invalidate during
-        # construction) and spec defaults come from a precomputed map.
-        field_map = _FieldMap() if fields is None else _FieldMap(fields)
-        field_map._owner = weakref.ref(self)
+    ) -> "L2capPacket":
+        # The caller's dict is copied, never adopted; spec defaults come
+        # from a precomputed map.
         spec = SPEC_BY_CODE.get(code)
-        if spec is not None and fill_defaults:
-            if field_map:
+        if fields:
+            fields = dict(fields)
+            if spec is not None and fill_defaults:
                 for name, default in spec.defaults.items():
-                    if name not in field_map:
-                        dict.__setitem__(field_map, name, default)
-            else:
-                dict.update(field_map, spec.defaults)
-        instance = self.__dict__
-        instance["code"] = code
-        instance["identifier"] = identifier
-        instance["fields"] = field_map
-        instance["tail"] = tail
-        instance["garbage"] = garbage
-        instance["header_cid"] = header_cid
-        instance["declared_payload_len"] = declared_payload_len
-        instance["declared_data_len"] = declared_data_len
-        instance["_spec_cache"] = spec
+                    if name not in fields:
+                        fields[name] = default
+        elif spec is not None and fill_defaults:
+            fields = dict(spec.defaults)
+        else:
+            fields = {}
+        loopback = None
         if (
             fill_defaults
             and header_cid == SIGNALING_CID
@@ -504,32 +406,45 @@ class L2capPacket:
         ):
             # Prime the loopback verdict for builder-made packets (route
             # commands, engine responses): the direct hop reads it.
-            instance["_loopback"] = _round_trips(
-                spec, identifier, field_map, tail, garbage
-            )
+            loopback = _round_trips(spec, identifier, fields, tail, garbage)
+        return _packet(
+            code,
+            identifier,
+            fields,
+            tail,
+            garbage,
+            header_cid,
+            declared_payload_len,
+            declared_data_len,
+            spec,
+            None,
+            None,
+            loopback,
+        )
 
-    def __setattr__(self, name: str, value) -> None:
-        cache = self.__dict__
-        if name in _WIRE_ATTRS:
-            cache[name] = value
-            cache["_wire"] = None
-            cache["_intrinsic"] = None
-            cache["_loopback"] = None
-        elif name == "code":
-            cache[name] = value
-            cache["_wire"] = None
-            cache["_intrinsic"] = None
-            cache["_loopback"] = None
-            cache["_spec_cache"] = _UNSET
-        elif name == "fields":
-            fields = _FieldMap(value)
-            fields._owner = weakref.ref(self)
-            cache["fields"] = fields
-            cache["_wire"] = None
-            cache["_intrinsic"] = None
-            cache["_loopback"] = None
-        else:
-            cache[name] = value
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(
+            f"L2capPacket is immutable: build the changed packet with "
+            f"replace({name}=...) instead of changing {name!r}"
+        )
+
+    # ``del packet.name`` is refused the same way.
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # Copies, deep copies and pickles rebuild through the constructor
+        # with their own field dict; the caches are cheap to recompute.
+        return (L2capPacket, (*[getattr(self, name) for name in _PARTS], False))
+
+    def replace(self, **changes) -> "L2capPacket":
+        """A new packet equal to this one except for *changes*.
+
+        Takes the constructor's parameter names. No spec defaults are
+        filled, so a packet built without a field stays without it.
+        """
+        parts = {name: getattr(self, name) for name in _PARTS}
+        parts.update(changes)
+        return L2capPacket(**parts, fill_defaults=False)
 
     # -- reflection --------------------------------------------------------
 
@@ -543,15 +458,6 @@ class L2capPacket:
         return self.header_cid != SIGNALING_CID
 
     @property
-    def spec(self) -> CommandSpec | None:
-        """The command layout, or None for unknown/invalid codes."""
-        spec = self._spec_cache
-        if spec is _UNSET:
-            spec = SPEC_BY_CODE.get(self.code)
-            self.__dict__["_spec_cache"] = spec
-        return spec
-
-    @property
     def command_name(self) -> str:
         """Human-readable command name (``"UNKNOWN_0xNN"`` if invalid)."""
         name = COMMAND_NAME_BY_VALUE.get(self.code)
@@ -559,31 +465,7 @@ class L2capPacket:
             return f"UNKNOWN_0x{self.code:02X}"
         return name
 
-    def field_names(self) -> tuple[str, ...]:
-        """Names of the fixed-width data fields this command carries."""
-        spec = self.spec
-        if spec is None:
-            return tuple(self.fields)
-        return tuple(field.name for field in spec.fields)
-
     # -- length bookkeeping -------------------------------------------------
-
-    @property
-    def payload_length(self) -> int:
-        """Declared Payload Length (derived unless overridden)."""
-        if self.declared_payload_len is not None:
-            return self.declared_payload_len
-        if self.is_data_frame:
-            return len(self.tail)
-        return COMMAND_HEADER_LEN + self._natural_data_length()
-
-    def _natural_data_length(self) -> int:
-        spec = self.spec
-        if spec is None:
-            fixed = 2 * len(self.fields)
-        else:
-            fixed = spec.fixed_size
-        return fixed + len(self.tail)
 
     @property
     def wire_length(self) -> int:
@@ -613,8 +495,7 @@ class L2capPacket:
     def encode(self) -> bytes:
         """Serialise to wire bytes (paper Fig. 3 framing).
 
-        The result is cached on the instance; any mutation of a
-        wire-relevant attribute (or of :attr:`fields`) invalidates it.
+        The result is cached on the packet.
 
         :raises PacketEncodeError: if a field value does not fit its width
             or the payload would exceed the 65,535-byte L2CAP maximum.
@@ -622,7 +503,7 @@ class L2capPacket:
         wire = self._wire
         if wire is None:
             wire = self._encode_wire()
-            self.__dict__["_wire"] = wire
+            _set_wire(self, wire)
         return wire
 
     def _encode_wire(self) -> bytes:
@@ -764,28 +645,25 @@ class L2capPacket:
                 offset += field.size
             tail = declared[offset:]
 
-        packet = cls(
-            code=code,
-            identifier=identifier,
-            fields=fields,
-            tail=tail,
-            garbage=garbage,
-            header_cid=header_cid,
-            fill_defaults=False,
+        # Declared lengths that disagree with the content are kept
+        # verbatim, so re-encoding is byte-faithful and length lies survive
+        # a decode/encode round trip. The encode cache is primed with the
+        # bytes just parsed.
+        natural = (0 if spec is None else spec.fixed_size) + len(tail)
+        return _packet(
+            code,
+            identifier,
+            fields,
+            tail,
+            garbage,
+            header_cid,
+            None if payload_len == COMMAND_HEADER_LEN + natural else payload_len,
+            None if data_len == natural else data_len,
+            spec,
+            bytes(raw),
+            None,
+            None,
         )
-        # Preserve declared lengths verbatim if they disagree with content,
-        # so re-encoding is byte-faithful and length lies survive a
-        # decode/encode round trip.
-        if payload_len != packet.payload_length:
-            packet.declared_payload_len = payload_len
-        if data_len != packet._natural_data_length():
-            packet.declared_data_len = data_len
-        # Prime the codec caches with the bytes just parsed: a decoded
-        # packet re-encodes to its exact wire image without a second
-        # serialisation pass (until it is mutated).
-        packet.__dict__["_wire"] = bytes(raw)
-        packet.__dict__["_spec_cache"] = spec
-        return packet
 
     @classmethod
     def _decode_data_frame(
@@ -797,54 +675,20 @@ class L2capPacket:
                 f"declared payload length {payload_len} exceeds available "
                 f"{len(body)} bytes"
             )
-        packet = cls(
-            code=0,
-            identifier=0,
-            fields={},
-            tail=body[:payload_len],
-            garbage=body[payload_len:],
-            header_cid=header_cid,
-            fill_defaults=False,
+        return _packet(
+            0,
+            0,
+            {},
+            body[:payload_len],
+            body[payload_len:],
+            header_cid,
+            None,
+            None,
+            None,
+            bytes(raw),
+            None,
+            None,
         )
-        packet.__dict__["_wire"] = bytes(raw)
-        packet.__dict__["_spec_cache"] = None
-        return packet
-
-    # -- convenience ---------------------------------------------------------
-
-    def copy(self) -> "L2capPacket":
-        """Deep-enough copy for independent mutation."""
-        return dataclasses.replace(
-            self, fields=dict(self.fields), fill_defaults=False
-        )
-
-    def __copy__(self) -> "L2capPacket":
-        # A shallow copy must not share the _FieldMap: its weak owner
-        # reference names the original, so in-place field mutation on
-        # the copy would drop the original's caches and keep the copy's
-        # stale. copy() builds a fresh map linked to the new packet.
-        return self.copy()
-
-    def __getstate__(self) -> dict:
-        # Strip the codec caches from pickled/deepcopied state: they are
-        # cheap to rebuild, and the _UNSET sentinel in _spec_cache is
-        # identity-compared, so a serialised copy of it would no longer
-        # be recognised as "unresolved". Missing keys fall back to the
-        # class-level empty-cache defaults on restore.
-        state = dict(self.__dict__)
-        state.pop("_wire", None)
-        state.pop("_intrinsic", None)
-        state.pop("_loopback", None)
-        state.pop("_spec_cache", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        # The restored _FieldMap comes back unowned (a weakref does not
-        # serialise): link it to this packet so in-place field mutation
-        # keeps invalidating the copy's caches.
-        instance = self.__dict__
-        instance.update(state)
-        instance["fields"]._owner = weakref.ref(self)
 
     def loopback_view(self) -> "L2capPacket | None":
         """Return self when ``decode(encode(self))`` is logically identical.
@@ -857,9 +701,8 @@ class L2capPacket:
         encode at all) and must cross as real bytes, so the receiver
         sees what a conformant stack sees.
 
-        The verdict is memoized on the packet (dropped on any mutation,
-        like the encode cache); template builders prime it at
-        construction so the hot path never recomputes it.
+        The verdict is memoized on the packet; template builders prime
+        it at construction so the hot path never recomputes it.
         """
         eligible = self._loopback
         if eligible is None:
@@ -882,7 +725,7 @@ class L2capPacket:
                     and self.garbage.__class__ is bytes
                     and _b_frame_loops_back(header_cid, self.tail)
                 )
-            self.__dict__["_loopback"] = eligible
+            _set_loopback(self, eligible)
         return self if eligible else None
 
     @classmethod
@@ -904,11 +747,12 @@ class L2capPacket:
         The bytes-level mutation fast path serialises the frame itself
         (template patching instead of a field walk), so the constructor
         and :meth:`encode` would each redo work the caller has in hand.
-        This bypasses both: the instance dict is populated directly and
-        the encode cache primed with *wire*, exactly as :meth:`decode`
-        primes a parsed packet. The caller guarantees that *wire* is what
-        :meth:`encode` would produce for these parts — the wire-fast-path
-        equivalence tests pin that contract per target.
+        This bypasses both: *field_values* becomes the packet's
+        :attr:`fields` as is (not copied) and the encode cache is primed
+        with *wire*, exactly as :meth:`decode` primes a parsed packet.
+        The caller guarantees that *wire* is what :meth:`encode` would
+        produce for these parts — the wire-fast-path equivalence tests
+        pin that contract per target.
 
         A template builder that also knows the packet's structural
         validation facts (*intrinsic*, see
@@ -917,23 +761,20 @@ class L2capPacket:
         leaves them to be computed on first use. The parity tests pin
         primed values to the freshly computed ones.
         """
-        packet = cls.__new__(cls)
-        fields = _FieldMap(field_values)
-        fields._owner = weakref.ref(packet)
-        instance = packet.__dict__
-        instance["code"] = code
-        instance["identifier"] = identifier
-        instance["fields"] = fields
-        instance["tail"] = tail
-        instance["garbage"] = garbage
-        instance["header_cid"] = header_cid
-        instance["declared_payload_len"] = None
-        instance["declared_data_len"] = None
-        instance["_spec_cache"] = spec
-        instance["_wire"] = wire
-        instance["_intrinsic"] = intrinsic
-        instance["_loopback"] = loopback
-        return packet
+        return _packet(
+            code,
+            identifier,
+            field_values,
+            tail,
+            garbage,
+            header_cid,
+            None,
+            None,
+            spec,
+            wire,
+            intrinsic,
+            loopback,
+        )
 
     @classmethod
     def data_frame(
@@ -942,35 +783,30 @@ class L2capPacket:
         """A B-frame carrying *payload* to *header_cid*, built for the hop.
 
         Equal to ``L2capPacket(code=0, identifier=0, header_cid=header_cid,
-        tail=payload, fill_defaults=False)``, but the instance dict is
-        populated directly and the loopback verdict is set at build time
-        (the B-frame rule of :meth:`loopback_view`), so neither the
+        tail=payload, fill_defaults=False)``, but the loopback verdict is
+        set at build time (the B-frame rule of :meth:`loopback_view`), so
+        neither the
         sender's nor the device's hop recomputes it. *wire*, when given,
         primes the encode cache; the caller guarantees it is the frame's
         encoding. Every data frame a protocol target sends and every
         upper-layer server response is built here.
         """
-        packet = _new_instance(cls)
-        fields = _FieldMap()
-        fields._owner = weakref.ref(packet)
-        instance = packet.__dict__
-        instance["code"] = 0
-        instance["identifier"] = 0
-        instance["fields"] = fields
-        instance["tail"] = payload
-        instance["garbage"] = b""
-        instance["header_cid"] = header_cid
-        instance["declared_payload_len"] = None
-        instance["declared_data_len"] = None
-        instance["_spec_cache"] = None
-        instance["_wire"] = wire
-        instance["_intrinsic"] = None
         # On the signalling CID a code-0 frame has no command layout, so
         # it never survives the round trip (see :func:`_round_trips`).
-        instance["_loopback"] = header_cid != SIGNALING_CID and _b_frame_loops_back(
-            header_cid, payload
+        return _packet(
+            0,
+            0,
+            {},
+            payload,
+            b"",
+            header_cid,
+            None,
+            None,
+            None,
+            wire,
+            None,
+            header_cid != SIGNALING_CID and _b_frame_loops_back(header_cid, payload),
         )
-        return packet
 
     def describe(self) -> str:
         """One-line human-readable rendering for logs."""
@@ -985,6 +821,62 @@ class L2capPacket:
         if self.garbage:
             extra += f" garbage={self.garbage.hex()}"
         return f"{self.command_name}(id={self.identifier}, {fields}){extra}"
+
+
+class _Draft(L2capPacket):
+    """A packet under construction: its slots take plain stores.
+
+    :func:`_packet` fills every slot of a draft and then makes it an
+    :class:`L2capPacket` by assigning ``__class__`` (the layouts are
+    identical). Both attribute hooks are reset to :class:`object`'s:
+    they share one type slot, and leaving either one Python-level sends
+    every store through it, several times slower than the generic path.
+    """
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+
+def _packet(
+    code,
+    identifier,
+    fields,
+    tail,
+    garbage,
+    header_cid,
+    declared_payload_len,
+    declared_data_len,
+    spec,
+    wire,
+    intrinsic,
+    loopback,
+) -> L2capPacket:
+    """The packet of these parts and caches, every slot set once.
+
+    *fields* is adopted, not copied. Every constructor ends here.
+    """
+    packet = _new_instance(_Draft)
+    packet.code = code
+    packet.identifier = identifier
+    packet.fields = fields
+    packet.tail = tail
+    packet.garbage = garbage
+    packet.header_cid = header_cid
+    packet.declared_payload_len = declared_payload_len
+    packet.declared_data_len = declared_data_len
+    packet.spec = spec
+    packet._wire = wire
+    packet._intrinsic = intrinsic
+    packet._loopback = loopback
+    packet.__class__ = L2capPacket
+    return packet
+
+
+#: Cache fills on a built packet, through the slot descriptors: the
+#: packet's own ``__setattr__`` refuses every assignment.
+_set_wire = L2capPacket._wire.__set__
+_set_loopback = L2capPacket._loopback.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -1015,7 +907,16 @@ class SignalTemplate:
     settled here; :meth:`build` checks only what changes per call.
     """
 
-    __slots__ = ("code", "fields", "per_call", "tail", "room", "loopback", "state")
+    __slots__ = (
+        "code",
+        "fields",
+        "per_call",
+        "tail",
+        "room",
+        "loopback",
+        "spec",
+        "intrinsic",
+    )
 
     def __init__(self, code, fixed: Mapping[str, int], per_call, tail) -> None:
         spec = SPEC_BY_CODE.get(code)
@@ -1038,24 +939,10 @@ class SignalTemplate:
         self.loopback = _round_trips(
             spec, 0, fields, b"" if tail is None else tail, b""
         )
-        #: The instance dict of every frame built, in the constructor's
-        #: key order; identifier, fields, tail and verdict are set per build.
-        self.state = {
-            "code": code,
-            "identifier": 0,
-            "fields": None,
-            "tail": tail,
-            "garbage": b"",
-            "header_cid": SIGNALING_CID,
-            "declared_payload_len": None,
-            "declared_data_len": None,
-            "_spec_cache": spec,
-            "_wire": None,
-            # A PSM's validity is a structural fact; a constant one is
-            # judged on first use like any packet's.
-            "_intrinsic": None if "psm" in spec.defaults else _CLEAN_FACTS,
-            "_loopback": None,
-        }
+        self.spec = spec
+        # A PSM's validity is a structural fact; a constant one is judged
+        # on first use like any packet's.
+        self.intrinsic = None if "psm" in spec.defaults else _CLEAN_FACTS
 
     def build(self, identifier: int, *values) -> L2capPacket:
         """The frame with *identifier* and this call's *values*.
@@ -1067,29 +954,36 @@ class SignalTemplate:
         verdict; the identifier, the per-call values and an echoed
         tail's length are checked here.
         """
-        packet = _new_instance(L2capPacket)
-        fields = _FieldMap(self.fields)
-        fields._owner = weakref.ref(packet)
-        instance = packet.__dict__
-        instance.update(self.state)
-        instance["identifier"] = identifier
-        instance["fields"] = fields
+        fields = self.fields.copy()
         loopback = self.loopback and (
             identifier.__class__ is int and 0 <= identifier <= 0xFF
             or _fits(identifier, 0xFF)
         )
         if self.per_call:
             for (name, high), value in zip(self.per_call, values):
-                dict.__setitem__(fields, name, value)
+                fields[name] = value
                 if loopback and not (
                     value.__class__ is int and 0 <= value <= high or _fits(value, high)
                 ):
                     loopback = False
-        if self.tail is None:
-            tail = instance["tail"] = values[-1]
+        tail = self.tail
+        if tail is None:
+            tail = values[-1]
             loopback = loopback and tail.__class__ is bytes and len(tail) <= self.room
-        instance["_loopback"] = loopback
-        return packet
+        return _packet(
+            self.code,
+            identifier,
+            fields,
+            tail,
+            b"",
+            SIGNALING_CID,
+            None,
+            None,
+            self.spec,
+            None,
+            self.intrinsic,
+            loopback,
+        )
 
 
 #: Every signalling template, keyed by what its call site fixes. Call
@@ -1266,9 +1160,10 @@ _COMMAND_REJECT = signal_template(
 
 def default_packet(code: CommandCode, identifier: int = 1, **fields: int) -> L2capPacket:
     """Build any command with spec defaults, overriding chosen *fields*."""
-    packet = L2capPacket(code, identifier)
-    for name, value in fields.items():
-        if name not in packet.field_names():
+    spec = SPEC_BY_CODE.get(code)
+    values = {} if spec is None else dict(spec.defaults)
+    for name in fields:
+        if name not in values:
             raise KeyError(f"{code.name} has no field {name!r}")
-        packet.fields[name] = value
-    return packet
+    values.update(fields)
+    return L2capPacket(code, identifier, values)

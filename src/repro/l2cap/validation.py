@@ -63,6 +63,10 @@ class ValidationReport:
         return violation in self.violations
 
 
+#: Fills a built packet's structural-facts cache (its ``__setattr__``
+#: refuses assignments).
+_set_intrinsic = L2capPacket._intrinsic.__set__
+
 #: Shared empty report: the clean-packet fast path allocates nothing.
 _CLEAN_REPORT = ValidationReport(())
 
@@ -72,8 +76,8 @@ def _structural_facts(packet: L2capPacket) -> tuple[tuple[Violation, ...], bool]
 
     Returns ``(structural_violations, invalid_psm)`` — everything about a
     signaling frame that does not depend on the receiver's MTU or CID
-    allocation. The result is cached in the packet's codec-cache slot and
-    dropped on any mutation, so the sniffer's malformedness call and the
+    allocation. The result is cached in the packet's codec-cache slot
+    (packets never change), so the sniffer's malformedness call and the
     stack engine's rejection call share one structural pass per packet.
     """
     facts = packet._intrinsic
@@ -96,7 +100,7 @@ def _structural_facts(packet: L2capPacket) -> tuple[tuple[Violation, ...], bool]
         psm = packet.fields.get("psm")
         invalid_psm = psm is not None and not is_valid_psm(psm)
         facts = (tuple(structural), invalid_psm)
-        packet.__dict__["_intrinsic"] = facts
+        _set_intrinsic(packet, facts)
     return facts
 
 

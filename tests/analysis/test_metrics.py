@@ -19,7 +19,7 @@ from repro.l2cap.packets import L2capPacket, command_reject, echo_request
 
 def _garbage_packet():
     packet = echo_request()
-    packet.garbage = b"\x00"
+    packet = packet.replace(garbage=b"\x00")
     return packet
 
 

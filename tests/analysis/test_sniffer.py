@@ -93,7 +93,7 @@ class TestTraceCounters:
     def test_malformed_counted(self):
         sniffer = PacketSniffer()
         packet = echo_request()
-        packet.garbage = b"\x00"
+        packet = packet.replace(garbage=b"\x00")
         sniffer.observe_sent(packet, 0.0)
         sniffer.observe_sent(echo_request(), 0.1)
         assert sniffer.malformed_count() == 1

@@ -145,12 +145,11 @@ def _every_packet() -> list[L2capPacket]:
     ]
     copies = []
     for packet in made:
-        copies.append(packet.copy())
         copies.append(copy.copy(packet))
         copies.append(copy.deepcopy(packet))
         copies.append(pickle.loads(pickle.dumps(packet)))
+        copies.append(packet.replace(fields={**packet.fields, "probe": 1}))
     for packet in copies:
-        packet.fields["probe"] = 1  # invalidation runs through the owner link
         packet.encode()
     return made + copies
 

@@ -30,7 +30,7 @@ def _d2_factory():
 def _crashing_sequence():
     """Connect, pad with noise, then the CIDP null-deref trigger."""
     trigger = configuration_request(dcid=0x0999, identifier=9)
-    trigger.garbage = b"\xd2\x3a\x91\x0e"
+    trigger = trigger.replace(garbage=b"\xd2\x3a\x91\x0e")
     return [
         echo_request(b"warmup", identifier=1),
         connection_request(psm=Psm.SDP, scid=0x0070, identifier=2),

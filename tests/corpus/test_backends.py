@@ -287,7 +287,7 @@ class TestParity:
 
     def test_garbage_dictionary_identical(self, pair):
         trigger = configuration_request(dcid=0x0999, identifier=2)
-        trigger.garbage = b"\xd2\x3a\x91\x0e"
+        trigger = trigger.replace(garbage=b"\xd2\x3a\x91\x0e")
         record = _record(
             vendor="Samsung", packets=tuple([trigger.encode().hex()])
         )

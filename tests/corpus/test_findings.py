@@ -105,7 +105,7 @@ class TestDatabase:
     def test_garbage_dictionary(self, tmp_path):
         database = open_backend(tmp_path)
         trigger = configuration_request(dcid=0x0999, identifier=2)
-        trigger.garbage = b"\xd2\x3a\x91\x0e"
+        trigger = trigger.replace(garbage=b"\xd2\x3a\x91\x0e")
         record = _record(packets=tuple([trigger.encode().hex()]))
         database.ingest([((), [record])])
         assert database.garbage_dictionary() == (b"\xd2\x3a\x91\x0e",)

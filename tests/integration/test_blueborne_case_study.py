@@ -56,7 +56,7 @@ class TestBlueborneFlow:
         dcid = responses[0].fields["dcid"]
         queue.send(configuration_request(dcid=dcid, identifier=2))
         malformed = configuration_response(scid=0x9999, identifier=3)
-        malformed.garbage = b"\x41" * 8
+        malformed = malformed.replace(garbage=b"\x41" * 8)
         responses = queue.send(malformed)
         rejects = [r for r in responses if r.code == CommandCode.COMMAND_REJECT]
         assert not rejects  # accepted without rejection — the §II.C premise
@@ -90,7 +90,7 @@ class TestPixel3CaseStudy:
         device, queue = _pixel3_rig(armed=True)
         stale = self._reach_config_job(queue)
         attack = configuration_request(dcid=stale, identifier=5)
-        attack.garbage = bytes.fromhex("D23A910E")
+        attack = attack.replace(garbage=bytes.fromhex("D23A910E"))
         with pytest.raises(ConnectionFailedError):
             queue.send(attack)
         assert not device.is_alive
@@ -99,7 +99,7 @@ class TestPixel3CaseStudy:
         device, queue = _pixel3_rig(armed=True)
         stale = self._reach_config_job(queue)
         attack = configuration_request(dcid=stale, identifier=5)
-        attack.garbage = bytes.fromhex("D23A910E")
+        attack = attack.replace(garbage=bytes.fromhex("D23A910E"))
         with pytest.raises(ConnectionFailedError):
             queue.send(attack)
         dump = device.crash_dumps[0]
@@ -119,7 +119,7 @@ class TestPixel3CaseStudy:
     def test_same_packet_outside_config_job_is_harmless(self):
         device, queue = _pixel3_rig(armed=True)
         attack = configuration_request(dcid=0x0040, identifier=5)
-        attack.garbage = bytes.fromhex("D23A910E")
+        attack = attack.replace(garbage=bytes.fromhex("D23A910E"))
         queue.send(attack)  # no channel mid-configuration
         assert device.is_alive
 

@@ -187,10 +187,10 @@ def _fresh(packet: L2capPacket) -> L2capPacket:
 
 def _assert_primed_state_is_fresh(packet: L2capPacket, facts: bool) -> None:
     clone = _fresh(packet)
-    assert clone.__dict__.get("_loopback") is None  # nothing primed
-    assert packet.__dict__["_loopback"] is (clone.loopback_view() is not None)
+    assert clone._loopback is None  # nothing primed
+    assert packet._loopback is (clone.loopback_view() is not None)
     if facts:
-        assert packet.__dict__["_intrinsic"] == _structural_facts(clone)
+        assert packet._intrinsic == _structural_facts(clone)
 
 
 class _RecordingQueue:
@@ -245,24 +245,27 @@ class TestPrimedState:
             _assert_primed_state_is_fresh(response, facts=False)
 
     @pytest.mark.parametrize(
-        "mutate",
+        "changes",
         [
-            lambda packet: packet.fields.__setitem__("psm", 0x0001),
-            lambda packet: packet.fields.update(scid=0x0041),
-            lambda packet: setattr(packet, "garbage", b""),
-            lambda packet: setattr(packet, "identifier", 300),
-            lambda packet: setattr(packet, "declared_data_len", 1),
-            lambda packet: setattr(packet, "fields", {"psm": 1}),
+            lambda packet: {"fields": {**packet.fields, "psm": 0x0001}},
+            lambda packet: {"fields": {**packet.fields, "scid": 0x0041}},
+            lambda packet: {"garbage": b""},
+            lambda packet: {"identifier": 300},
+            lambda packet: {"declared_data_len": 1},
+            lambda packet: {"fields": {"psm": 1}},
         ],
     )
-    def test_field_mutation_drops_primed_state(self, mutate):
+    def test_replace_carries_no_primed_state(self, changes):
         mutator = CoreFieldMutator(FuzzConfig(), random.Random(3))
         (packet,) = mutator.mutate_wire(None, CommandCode.CONNECTION_REQ, (9,))
+        primed = (packet._wire, packet._intrinsic, packet._loopback)
         assert packet._intrinsic is not None and packet._loopback is True
-        mutate(packet)
-        assert packet._intrinsic is None
-        assert packet._loopback is None
-        _assert_recomputed(packet)
+        changed = packet.replace(**changes(packet))
+        assert changed._wire is None
+        assert changed._intrinsic is None
+        assert changed._loopback is None
+        _assert_recomputed(changed)
+        assert (packet._wire, packet._intrinsic, packet._loopback) == primed
 
 
 def _assert_recomputed(packet: L2capPacket) -> None:

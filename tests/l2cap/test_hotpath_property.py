@@ -1,24 +1,30 @@
-"""Property-based tests for the codec's encode cache (hypothesis).
+"""Property-based tests for the codec's caches (hypothesis).
 
-The single-encode wire path relies on packets caching their wire bytes
-with dirty-flag invalidation. These properties pin the contract down:
-any mutation after an ``encode()`` must be reflected by the next encode,
-round trips stay byte-identical with caching on, and the loopback view
-(the decoded-object fast path across the virtual link) is only offered
-when it is indistinguishable from re-parsing the wire bytes.
+The single-encode wire path relies on packets caching their wire bytes,
+structural validation facts and loopback verdict, which is sound because
+a built packet never changes. These properties pin the contract down:
+assigning a packet's attribute raises, a packet changed with
+``replace()`` after an ``encode()`` equals a fresh build, every
+construction path primes only caches a fresh build would compute, round
+trips stay byte-identical with caching on, and the loopback view (the
+decoded-object fast path across the virtual link) is only offered when
+it is indistinguishable from re-parsing the wire bytes.
 """
 
 from __future__ import annotations
 
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.detection  # noqa: F401  (makes the probe templates)
 import repro.stack.engine  # noqa: F401  (makes the response templates)
-from repro.errors import PacketEncodeError
+from repro.core.config import FuzzConfig
+from repro.core.mutation import CoreFieldMutator
+from repro.errors import PacketDecodeError, PacketEncodeError
 from repro.l2cap import packets
 from repro.l2cap.constants import (
     MAX_L2CAP_PAYLOAD,
@@ -62,19 +68,43 @@ def _packet_strategy():
     return build()
 
 
-def _clone(packet: L2capPacket) -> L2capPacket:
-    """A fresh, never-encoded packet with identical content."""
-    return L2capPacket(
-        packet.code,
-        packet.identifier,
-        dict(packet.fields),
-        tail=packet.tail,
-        garbage=packet.garbage,
-        header_cid=packet.header_cid,
-        declared_payload_len=packet.declared_payload_len,
-        declared_data_len=packet.declared_data_len,
-        fill_defaults=False,
-    )
+def _field_names(packet: L2capPacket) -> tuple[str, ...]:
+    """The data fields *packet*'s command carries, in layout order."""
+    return tuple(field.name for field in packet.spec.fields)
+
+
+def _clone(packet: L2capPacket, **changes) -> L2capPacket:
+    """A fresh, never-encoded packet with identical content, and
+    *changes* applied."""
+    parts = {
+        "code": packet.code,
+        "identifier": packet.identifier,
+        "fields": dict(packet.fields),
+        "tail": packet.tail,
+        "garbage": packet.garbage,
+        "header_cid": packet.header_cid,
+        "declared_payload_len": packet.declared_payload_len,
+        "declared_data_len": packet.declared_data_len,
+    }
+    parts.update(changes)
+    return L2capPacket(**parts, fill_defaults=False)
+
+
+def _assert_changed_after_encode(packet: L2capPacket, **changes) -> L2capPacket:
+    """Assigning each change raises; ``replace`` after an encode equals a
+    fresh build and leaves the original and its cache as they were."""
+    wire = packet.encode()
+    for name, value in changes.items():
+        with pytest.raises(AttributeError):
+            setattr(packet, name, value)
+    changed = packet.replace(**changes)
+    fresh = _clone(packet, **changes)
+    assert changed == fresh
+    assert changed.encode() == fresh.encode()
+    assert changed.wire_length == len(changed.encode())
+    assert packet.encode() is wire
+    assert packet == _clone(packet)
+    return changed
 
 
 class TestEncodeCache:
@@ -86,80 +116,86 @@ class TestEncodeCache:
 
     @given(_packet_strategy(), st.binary(min_size=1, max_size=8))
     @settings(max_examples=200)
-    def test_tail_mutation_after_encode_is_reflected(self, packet, extra):
-        packet.encode()
-        packet.tail = packet.tail + extra
-        assert packet.encode() == _clone(packet).encode()
-        assert packet.wire_length == len(packet.encode())
+    def test_tail_change_after_encode(self, packet, extra):
+        _assert_changed_after_encode(packet, tail=packet.tail + extra)
 
     @given(_packet_strategy(), st.binary(min_size=1, max_size=8))
     @settings(max_examples=200)
-    def test_garbage_mutation_after_encode_is_reflected(self, packet, extra):
-        packet.encode()
-        packet.garbage += extra
-        assert packet.encode() == _clone(packet).encode()
+    def test_garbage_change_after_encode(self, packet, extra):
+        _assert_changed_after_encode(packet, garbage=packet.garbage + extra)
 
     @given(_packet_strategy(), st.integers(min_value=0, max_value=255))
     @settings(max_examples=200)
-    def test_field_mutation_after_encode_is_reflected(self, packet, value):
-        packet.encode()
-        for name in packet.field_names():
-            packet.fields[name] = value
-        assert packet.encode() == _clone(packet).encode()
+    def test_field_change_after_encode(self, packet, value):
+        fields = dict(packet.fields)
+        for name in _field_names(packet):
+            fields[name] = value
+        _assert_changed_after_encode(packet, fields=fields)
 
     @given(_packet_strategy(), st.integers(min_value=0, max_value=255))
     @settings(max_examples=100)
-    def test_identifier_mutation_after_encode_is_reflected(self, packet, identifier):
-        packet.encode()
-        packet.identifier = identifier
-        assert packet.encode() == _clone(packet).encode()
+    def test_identifier_change_after_encode(self, packet, identifier):
+        _assert_changed_after_encode(packet, identifier=identifier)
 
     @given(_packet_strategy())
     @settings(max_examples=100)
-    def test_code_mutation_after_encode_is_reflected(self, packet):
-        packet.encode()
-        packet.code = CommandCode.ECHO_REQ
-        assert packet.encode() == _clone(packet).encode()
+    def test_code_change_after_encode(self, packet):
+        changed = _assert_changed_after_encode(packet, code=CommandCode.ECHO_REQ)
+        assert changed.spec is COMMAND_SPECS[CommandCode.ECHO_REQ]
 
     @given(_packet_strategy(), st.integers(min_value=0, max_value=30))
     @settings(max_examples=100)
-    def test_declared_length_mutation_after_encode_is_reflected(self, packet, lie):
-        packet.encode()
-        packet.declared_data_len = lie
-        assert packet.encode() == _clone(packet).encode()
+    def test_declared_length_change_after_encode(self, packet, lie):
+        _assert_changed_after_encode(packet, declared_data_len=lie)
 
     @given(_packet_strategy())
     @settings(max_examples=100)
-    def test_field_dict_operations_invalidate(self, packet):
-        packet.encode()
-        packet.fields.update({name: 1 for name in packet.field_names()})
-        first = packet.encode()
-        assert first == _clone(packet).encode()
-        packet.fields.clear()
-        assert packet.encode() == _clone(packet).encode()
+    def test_field_dict_replacements(self, packet):
+        _assert_changed_after_encode(
+            packet, fields={name: 1 for name in _field_names(packet)}
+        )
+        _assert_changed_after_encode(packet, fields={})
+
+    @given(_packet_strategy())
+    @settings(max_examples=50)
+    def test_every_public_attribute_and_deletion_refused(self, packet):
+        before = _clone(packet)
+        for name in (*packets._PARTS, "spec", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(packet, name, 0)
+        for name in packets._PARTS:
+            with pytest.raises(AttributeError):
+                delattr(packet, name)
+        assert packet == before
+        assert type(packet) is L2capPacket
+        assert not hasattr(packet, "__dict__")
 
     @given(_packet_strategy())
     @settings(max_examples=100)
-    def test_validation_memo_invalidated_with_cache(self, packet):
-        # Judge once (memoizes the structural pass), then mutate: the
-        # memo must not leak the first verdict into the second.
-        frame_violations(packet, signaling_mtu=1 << 30)
-        packet.garbage = b"\xff" + packet.garbage
-        packet.declared_data_len = 0
-        after = frame_violations(packet, signaling_mtu=1 << 30)
-        assert after == frame_violations(_clone(packet), signaling_mtu=1 << 30)
+    def test_validation_memo_is_per_packet(self, packet):
+        # Judge once (memoizes the structural pass), then derive a
+        # changed packet: the memo must not leak the first verdict into
+        # the second, nor the second into the first.
+        before = frame_violations(packet, signaling_mtu=1 << 30)
+        changed = packet.replace(garbage=b"\xff" + packet.garbage, declared_data_len=0)
+        after = frame_violations(changed, signaling_mtu=1 << 30)
+        assert after == frame_violations(_clone(changed), signaling_mtu=1 << 30)
+        assert frame_violations(packet, signaling_mtu=1 << 30) == before
 
 
 def _mutated(draw_mutation: int, packet: L2capPacket) -> L2capPacket:
     """Apply one of several spec-deviating mutations for validation tests."""
     if draw_mutation == 1:
-        packet.declared_data_len = 0
-    elif draw_mutation == 2:
-        packet.code = 0x55
-    elif draw_mutation == 3 and packet.field_names():
-        del packet.fields[packet.field_names()[0]]
-    elif draw_mutation == 4:
-        packet.header_cid = 0x0040
+        return packet.replace(declared_data_len=0)
+    if draw_mutation == 2:
+        return packet.replace(code=0x55)
+    if draw_mutation == 3 and _field_names(packet):
+        first = _field_names(packet)[0]
+        return packet.replace(
+            fields={name: value for name, value in packet.fields.items() if name != first}
+        )
+    if draw_mutation == 4:
+        return packet.replace(header_cid=0x0040)
     return packet
 
 
@@ -210,31 +246,32 @@ class TestSerialisationDropsCaches:
     @given(_packet_strategy())
     @settings(max_examples=100)
     def test_pickle_round_trip_preserves_behaviour(self, packet):
+        packet = packet.replace(code=CommandCode.CONFIGURATION_REQ)
         packet.encode()
-        packet.code = CommandCode.CONFIGURATION_REQ  # resets spec cache to unset
         clone = pickle.loads(pickle.dumps(packet))
         assert clone == packet
         assert clone.spec is packet.spec
+        assert clone._wire is None
         assert clone.encode() == packet.encode()
 
     @given(_packet_strategy())
     @settings(max_examples=100)
-    def test_deepcopy_detaches_caches_and_ownership(self, packet):
-        packet.encode()
-        packet.code = CommandCode.CONFIGURATION_REQ
+    def test_deepcopy_is_an_independent_equal_value(self, packet):
+        packet = packet.replace(code=CommandCode.CONFIGURATION_REQ)
+        wire = packet.encode()
         clone = copy.deepcopy(packet)
+        assert clone == packet and clone is not packet
+        assert clone.fields is not packet.fields
         assert clone.spec is packet.spec
-        clone.fields["dcid"] = (clone.fields.get("dcid", 0) + 1) & 0xFFFF
-        assert clone.encode() != packet.encode()
-        # Mutating the copy must not have invalidated the original.
-        assert packet.encode() == pickle.loads(pickle.dumps(packet)).encode()
+        assert clone._wire is None
+        assert clone.encode() == wire
+        assert packet._wire is wire
 
 
 _COPIERS = {
     "pickle": lambda packet: pickle.loads(pickle.dumps(packet)),
     "deepcopy": copy.deepcopy,
     "copy.copy": copy.copy,
-    "method": L2capPacket.copy,
 }
 
 
@@ -247,13 +284,10 @@ def _prime(packet: L2capPacket, mtu: int):
     )
 
 
-class TestCopiesOwnTheirFieldMap:
-    """Each copy's field map invalidates the copy's caches, never another's.
-
-    The map's back-reference to its packet is weak, so copying re-links
-    it: pickle and deepcopy restore through ``__setstate__``, the shallow
-    copies build a fresh map.
-    """
+class TestCopiesAreIndependentValues:
+    """A copy is an equal packet of its own: its own field dict, caches
+    that are its own to fill, and nothing shared that either could
+    change under the other."""
 
     @given(
         _packet_strategy(),
@@ -261,37 +295,40 @@ class TestCopiesOwnTheirFieldMap:
         st.sampled_from([48, 1 << 30]),
     )
     @settings(max_examples=200)
-    def test_in_place_field_write_on_copy(self, packet, copier, mtu):
-        names = packet.field_names()
+    def test_copies_are_independent_values(self, packet, copier, mtu):
+        names = _field_names(packet)
         if not names:
             return
         name = names[0]
-        spec_default = packet.spec.field(name).default
         # A truncated original: loopback off, a structural reject within
         # the MTU, and the absent field encoded as its default.
-        del packet.fields[name]
+        packet = _mutated(3, packet)
         original = _prime(packet, mtu)
-        wire = packet.__dict__["_wire"]
+        wire = packet._wire
         clone = _COPIERS[copier](packet)
+        assert clone == packet and clone is not packet
+        assert type(clone) is L2capPacket
+        assert clone.fields is not packet.fields
+        assert (clone._wire, clone._intrinsic, clone._loopback) == (None, None, None)
         assert _prime(clone, mtu) == original
+        with pytest.raises(AttributeError):
+            clone.fields = {**clone.fields, name: 0}
 
-        value = (spec_default + 1) & packet.spec.field(name).max_value
-        clone.fields[name] = value
-        assert clone.encode() != original[0]
-        assert clone.encode() == _clone(clone).encode()
-        assert clone.loopback_view() is clone
-        assert structural_reject_reason(clone, mtu) == structural_reject_reason(
-            _clone(clone), mtu
-        )
-        assert (clone.loopback_view() is clone) != original[1]
+        # Completing the copy's fields builds a third packet; neither
+        # the copy nor the original sees it.
+        value = (packet.spec.field(name).default + 1) & packet.spec.field(name).max_value
+        completed = clone.replace(fields={name: value, **clone.fields})
+        assert completed.encode() != original[0]
+        assert completed.encode() == _clone(completed).encode()
+        assert completed.loopback_view() is completed
+        assert (completed.loopback_view() is completed) != original[1]
         if original[2] is not RejectReason.SIGNALING_MTU_EXCEEDED:
             assert original[2] is RejectReason.COMMAND_NOT_UNDERSTOOD
-            assert structural_reject_reason(clone, mtu) is None
-
-        # The original keeps its (still correct) caches.
-        assert packet.__dict__["_wire"] is wire
+            assert structural_reject_reason(completed, mtu) is None
+        assert _prime(clone, mtu) == original
+        assert packet._wire is wire
         assert _prime(packet, mtu) == original
-        assert name not in packet.fields
+        assert name not in packet.fields and name not in clone.fields
 
 
 class TestRoundTripWithCaching:
@@ -303,18 +340,18 @@ class TestRoundTripWithCaching:
 
     @given(_packet_strategy(), st.binary(min_size=1, max_size=6))
     @settings(max_examples=150)
-    def test_decoded_packet_mutation_invalidates_primed_cache(self, packet, extra):
+    def test_decoded_packet_change_leaves_primed_cache(self, packet, extra):
         raw = packet.encode()
         decoded = L2capPacket.decode(raw)
         assert decoded.encode() == raw
-        decoded.garbage += extra
-        assert decoded.encode() == raw + extra
+        with pytest.raises(AttributeError):
+            decoded.garbage += extra
+        assert decoded.replace(garbage=decoded.garbage + extra).encode() == raw + extra
+        assert decoded.encode() == raw
 
     @given(st.binary(min_size=8, max_size=64))
     @settings(max_examples=200)
     def test_decode_primes_cache_on_arbitrary_bytes(self, raw):
-        from repro.errors import PacketDecodeError
-
         try:
             packet = L2capPacket.decode(raw)
         except PacketDecodeError:
@@ -344,16 +381,15 @@ class TestLoopbackView:
     @given(_packet_strategy(), st.integers(min_value=0, max_value=30))
     @settings(max_examples=100)
     def test_no_loopback_for_length_lies(self, packet, lie):
-        packet.declared_data_len = lie
+        packet = packet.replace(declared_data_len=lie)
         assert packet.loopback_view() is None
 
     @given(_packet_strategy())
     @settings(max_examples=100)
     def test_no_loopback_for_missing_fields(self, packet):
-        if not packet.field_names():
+        if not _field_names(packet):
             return
-        del packet.fields[packet.field_names()[0]]
-        assert packet.loopback_view() is None
+        assert _mutated(3, packet).loopback_view() is None
 
     def test_no_loopback_for_unknown_code(self):
         packet = L2capPacket(0x55, 1, {"a": 1}, fill_defaults=False)
@@ -390,9 +426,10 @@ class TestDataFramePrimedVerdict:
     @settings(max_examples=300)
     def test_primed_verdict_equals_computed(self, header_cid, payload):
         frame = L2capPacket.data_frame(header_cid, payload)
-        primed = frame.__dict__["_loopback"]
-        frame.__dict__["_loopback"] = None
-        assert (frame.loopback_view() is frame) == primed
+        primed = frame._loopback
+        unprimed = copy.copy(frame)
+        assert unprimed._loopback is None
+        assert (unprimed.loopback_view() is unprimed) == primed
         built = L2capPacket(
             code=0,
             identifier=0,
@@ -448,13 +485,12 @@ def _assert_same_packet(built: L2capPacket, reference: L2capPacket) -> None:
     assert list(built.fields) == list(reference.fields)
     assert built.describe() == reference.describe()
     assert _encoding(built) == _encoding(reference)
-    primed = built.__dict__["_loopback"]
+    primed = built._loopback
     assert (built.loopback_view() is not None) == (reference.loopback_view() is not None)
-    built.__dict__["_loopback"] = None
-    assert (built.loopback_view() is not None) == primed
+    unprimed = copy.copy(built)
+    assert (unprimed.loopback_view() is not None) == primed
     assert _structural_facts(built) == _structural_facts(reference)
-    built.__dict__["_intrinsic"] = None
-    assert _structural_facts(built) == _structural_facts(reference)
+    assert _structural_facts(unprimed) == _structural_facts(reference)
 
 
 class TestSignalTemplatesMatchConstructor:
@@ -513,7 +549,7 @@ class TestSignalTemplateTable:
     def test_constant_psm_judged_on_first_use(self):
         template = signal_template(CommandCode.CONNECTION_REQ, {"psm": 0x0002}, ("scid",))
         built = template.build(1, 0x0040)
-        assert built.__dict__["_intrinsic"] is None
+        assert built._intrinsic is None
         assert _structural_facts(built) == ((), True)
 
     def test_bad_templates_refused(self):
@@ -523,3 +559,109 @@ class TestSignalTemplateTable:
             signal_template(CommandCode.ECHO_RSP, {"psm": 1})
         with pytest.raises(ValueError):
             signal_template(CommandCode.CONNECTION_RSP, tail=None)
+
+
+def _caches(packet: L2capPacket):
+    return (packet._wire, packet._intrinsic, packet._loopback)
+
+
+def _filled(packet: L2capPacket):
+    """What the encode, structural-facts and loopback caches hold once
+    filled (an encode that raises reads as the error type)."""
+    return (
+        _encoding(packet),
+        _structural_facts(packet),
+        packet.loopback_view() is not None,
+    )
+
+
+@st.composite
+def _built_by_every_path(draw):
+    """``(path, packet)`` from one of the ways a packet comes to be; a
+    decoded packet also carries the bytes it was parsed from."""
+    path = draw(
+        st.sampled_from(
+            [
+                "constructor",
+                "decode",
+                "from_wire_parts",
+                "template",
+                "data_frame",
+                "replace",
+                *_COPIERS,
+            ]
+        )
+    )
+    base = draw(_packet_strategy())
+    if draw(st.booleans()):
+        base = _mutated(draw(st.integers(min_value=1, max_value=4)), base)
+    if path == "constructor":
+        return path, base
+    if path == "decode":
+        try:
+            raw = base.encode()
+            return path, L2capPacket.decode(raw), raw
+        except (PacketEncodeError, PacketDecodeError):
+            return path, base
+    if path == "from_wire_parts":
+        # The mutator's bytes-level fast path is the caller.
+        mutator = CoreFieldMutator(
+            FuzzConfig(append_garbage=draw(st.booleans())),
+            random.Random(draw(st.integers(min_value=0, max_value=2**16))),
+        )
+        identifier = draw(st.integers(min_value=0, max_value=255))
+        (packet,) = mutator.mutate_wire(
+            None, draw(st.sampled_from(sorted(COMMAND_SPECS))), (identifier,)
+        )
+        return path, packet
+    if path == "template":
+        template = draw(st.sampled_from(_TEMPLATES))
+        values = [draw(_ECHOED_VALUES) for _ in template.per_call]
+        if template.tail is None:
+            values.append(draw(_echoed_tails(template)))
+        return path, template.build(draw(_IDENTIFIERS), *values)
+    if path == "data_frame":
+        header_cid = draw(st.integers(min_value=0, max_value=0x80))
+        payload = draw(st.binary(max_size=16))
+        wire = None
+        if draw(st.booleans()):
+            wire = L2capPacket(
+                0, 0, header_cid=header_cid, tail=payload, fill_defaults=False
+            ).encode()
+        return path, L2capPacket.data_frame(header_cid, payload, wire)
+    # The derived paths start from a packet with every cache filled.
+    _filled(base)
+    if path == "replace":
+        return path, base.replace(garbage=draw(st.binary(max_size=4)))
+    return path, _COPIERS[path](base)
+
+
+class TestEveryConstructionPathPrimesFreshCaches:
+    """Whatever a builder primes is what a fresh constructor build of
+    the same parts computes, on every way a packet is made."""
+
+    @given(_built_by_every_path())
+    @settings(max_examples=500)
+    def test_primed_caches_equal_recomputed(self, built):
+        path, packet, *parsed = built
+        assert type(packet) is L2capPacket, path
+        fresh = _clone(packet)
+        assert _caches(fresh) == (None, None, None)
+        expected = _filled(fresh)
+        primed = _caches(packet)
+        if parsed and expected[0] != parsed[0]:
+            # A data region that truncates the command's fields: the
+            # fresh build encodes the absent fields as their defaults,
+            # while decode keeps the bytes it parsed (the byte-faithful
+            # round trip).
+            assert Violation.TRUNCATED_FIELDS in expected[1][0]
+            expected = (parsed[0], *expected[1:])
+        if primed[0] is not None:
+            assert primed[0] == expected[0], path
+        if primed[1] is not None:
+            assert primed[1] == expected[1], path
+        if primed[2] is not None:
+            assert primed[2] == expected[2], path
+        assert _filled(packet) == expected, path
+        assert packet == fresh
+        assert _caches(packet)[0] == expected[0] or expected[0] is PacketEncodeError

@@ -85,17 +85,18 @@ class TestEncodeDecodeRoundTrip:
     def test_garbage_tail_not_counted_in_lengths(self):
         """The Fig. 7 property: lengths describe the un-garbaged packet."""
         packet = configuration_request(dcid=0x8F7B, identifier=6)
-        base_len = packet.payload_length
-        packet.garbage = bytes.fromhex("D23A910E")
-        assert packet.payload_length == base_len
+        base = packet.encode()
+        packet = packet.replace(garbage=bytes.fromhex("D23A910E"))
         raw = packet.encode()
+        assert raw[:8] == base[:8]  # both declared lengths unchanged
         decoded = L2capPacket.decode(raw)
         assert decoded.garbage == bytes.fromhex("D23A910E")
         assert decoded.declared_payload_len is None  # lengths still consistent
 
     def test_declared_length_override_survives_round_trip(self):
-        packet = echo_request(b"AAAA", identifier=1)
-        packet.declared_data_len = 2
+        packet = L2capPacket(
+            CommandCode.ECHO_REQ, 1, tail=b"AAAA", declared_data_len=2
+        )
         decoded = L2capPacket.decode(packet.encode())
         # Two bytes of the payload became the declared region, the rest
         # trailing garbage; the length lie is preserved.
@@ -136,11 +137,25 @@ class TestEncodeDecodeRoundTrip:
 
 
 class TestPacketHelpers:
-    def test_copy_is_independent(self):
+    def test_replace_leaves_the_original(self):
         packet = connection_request(psm=1, scid=0x40)
-        clone = packet.copy()
-        clone.fields["psm"] = 0x19
+        changed = packet.replace(fields={**packet.fields, "psm": 0x19})
+        assert changed.fields == {"psm": 0x19, "scid": 0x40}
         assert packet.fields["psm"] == 1
+        assert changed.fields is not packet.fields
+
+    def test_default_packet_keeps_spec_field_order(self):
+        packet = default_packet(CommandCode.CONNECTION_RSP, result=1, dcid=0x40)
+        assert list(packet.fields) == ["dcid", "scid", "result", "status"]
+        assert packet.loopback_view() is packet
+
+    def test_assignment_refused(self):
+        packet = connection_request(psm=1, scid=0x40)
+        with pytest.raises(AttributeError):
+            packet.garbage = b"\x00"
+        with pytest.raises(AttributeError):
+            del packet.code
+        assert packet.garbage == b"" and packet.code == CommandCode.CONNECTION_REQ
 
     def test_describe_mentions_command_and_fields(self):
         packet = disconnection_request(dcid=0x40, scid=0x50, identifier=3)
@@ -208,7 +223,7 @@ class TestCidList:
         )
         decoded = L2capPacket.decode(packet.encode())
         assert list(struct.unpack(f"<{len(decoded.tail) // 2}H", decoded.tail)) == cids
-        assert decoded.payload_length == 4 + 8 + 2 * len(cids)
+        assert struct.unpack_from("<H", decoded.encode()) == (4 + 8 + 2 * len(cids),)
 
     def test_empty_list(self):
         packet = L2capPacket(CommandCode.CREDIT_BASED_RECONFIGURE_REQ)

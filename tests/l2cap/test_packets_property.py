@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 from hypothesis import given, settings, strategies as st
 
 from repro.l2cap.constants import CommandCode
@@ -47,14 +49,15 @@ class TestCodecProperties:
     @given(_packet_strategy())
     @settings(max_examples=200)
     def test_lengths_exclude_garbage(self, packet):
-        assert packet.payload_length == packet.wire_length - 4 - len(packet.garbage)
+        (payload_length,) = struct.unpack_from("<H", packet.encode())
+        assert payload_length == packet.wire_length - 4 - len(packet.garbage)
 
     @given(_packet_strategy(), st.binary(min_size=1, max_size=8))
     @settings(max_examples=100)
     def test_adding_garbage_never_changes_declared_lengths(self, packet, extra):
         # The basic and command headers carry both declared lengths.
         before = packet.encode()[:8]
-        packet.garbage += extra
+        packet = packet.replace(garbage=packet.garbage + extra)
         after = packet.encode()
         assert after[:8] == before and after.endswith(extra)
 

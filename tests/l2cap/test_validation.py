@@ -31,8 +31,7 @@ class TestFrameViolations:
         assert report.has(Violation.UNKNOWN_CODE)
 
     def test_garbage_tail_detected(self):
-        packet = echo_request()
-        packet.garbage = b"\xde\xad"
+        packet = L2capPacket(CommandCode.ECHO_REQ, garbage=b"\xde\xad")
         assert _validate(packet).has(Violation.GARBAGE_TAIL)
 
     def test_mtu_exceeded(self):
@@ -40,13 +39,13 @@ class TestFrameViolations:
         assert _validate(packet, mtu=48).has(Violation.MTU_EXCEEDED)
 
     def test_length_lie_detected(self):
-        packet = echo_request(b"abcd")
-        packet.declared_payload_len = 2
+        packet = L2capPacket(CommandCode.ECHO_REQ, tail=b"abcd", declared_payload_len=2)
         assert _validate(packet).has(Violation.LENGTH_MISMATCH)
 
     def test_truncated_fields_detected(self):
-        packet = L2capPacket(CommandCode.CONNECTION_REQ, fields={"psm": 1})
-        del packet.fields["scid"]
+        packet = L2capPacket(
+            CommandCode.CONNECTION_REQ, fields={"psm": 1}, fill_defaults=False
+        )
         assert _validate(packet).has(Violation.TRUNCATED_FIELDS)
 
     def test_invalid_psm_detected(self):
@@ -90,8 +89,7 @@ class TestRejectReasonMapping:
     """The §III.D reject semantics the taxonomy is designed around."""
 
     def test_mutated_d_gives_command_not_understood(self):
-        packet = echo_request(b"abcd")
-        packet.declared_data_len = 1
+        packet = L2capPacket(CommandCode.ECHO_REQ, tail=b"abcd", declared_data_len=1)
         reason = structural_reject_reason(packet, 672)
         assert reason == RejectReason.COMMAND_NOT_UNDERSTOOD
 
@@ -102,8 +100,11 @@ class TestRejectReasonMapping:
 
     def test_core_field_mutated_packet_is_not_rejected(self):
         """The paper's key design point: abnormal PSM + garbage parse fine."""
-        packet = connection_request(psm=0x0100, scid=0x0040)
-        packet.garbage = b"\x01\x02"
+        packet = L2capPacket(
+            CommandCode.CONNECTION_REQ,
+            fields={"psm": 0x0100, "scid": 0x0040},
+            garbage=b"\x01\x02",
+        )
         assert structural_reject_reason(packet, 672) is None
 
 
@@ -112,8 +113,7 @@ class TestIsMalformed:
         assert not is_malformed(connection_request(psm=1, scid=0x40))
 
     def test_garbage_makes_malformed(self):
-        packet = echo_request()
-        packet.garbage = b"\x00"
+        packet = L2capPacket(CommandCode.ECHO_REQ, garbage=b"\x00")
         assert is_malformed(packet)
 
     def test_abnormal_psm_makes_malformed(self):

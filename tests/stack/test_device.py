@@ -74,7 +74,7 @@ class TestCrashLifecycle:
         )
         queue.send(connection_request(psm=Psm.SDP, scid=0x60))
         packet = configuration_request(dcid=0x0999)
-        packet.garbage = b"\xff"
+        packet = packet.replace(garbage=b"\xff")
         return device, link, queue, packet
 
     def test_crash_records_tombstone(self):
@@ -109,6 +109,6 @@ class TestCrashLifecycle:
         )
         queue.send(connection_request(psm=Psm.SDP, scid=0x60))
         packet = configuration_request(dcid=0x0999)
-        packet.garbage = b"\xff"
+        packet = packet.replace(garbage=b"\xff")
         queue.send(packet)
         assert device.is_alive

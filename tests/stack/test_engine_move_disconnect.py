@@ -120,7 +120,7 @@ class TestCrashTriggering:
         """Mutated config req while a channel is mid-configuration."""
         open_channel(engine)  # park a channel in WAIT_CONFIG
         packet = configuration_request(dcid=0x0999)
-        packet.garbage = b"\xd2\x3a\x91\x0e"
+        packet = packet.replace(garbage=b"\xd2\x3a\x91\x0e")
         return engine.handle_l2cap(packet)
 
     def test_armed_engine_crashes(self):

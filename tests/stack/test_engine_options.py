@@ -21,7 +21,7 @@ from tests.stack.engine_helpers import make_engine, open_channel
 
 def _config_with_options(target_cid, options_bytes):
     packet = configuration_request(dcid=target_cid, identifier=7, options=[])
-    packet.tail = options_bytes
+    packet = packet.replace(tail=options_bytes)
     return packet
 
 

@@ -48,7 +48,9 @@ def _arbitrary_packet(draw):
         ),
     )
     if draw(st.booleans()):
-        packet.declared_data_len = draw(st.integers(min_value=0, max_value=64))
+        packet = packet.replace(
+            declared_data_len=draw(st.integers(min_value=0, max_value=64))
+        )
     return packet
 
 

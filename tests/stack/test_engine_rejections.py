@@ -30,7 +30,7 @@ class TestStructuralRejects:
     def test_length_lie_rejected_not_understood(self):
         engine = make_engine()
         packet = echo_request(b"abcd")
-        packet.declared_data_len = 1
+        packet = packet.replace(declared_data_len=1)
         responses = engine.handle_l2cap(packet)
         assert responses[0].fields["reason"] == RejectReason.COMMAND_NOT_UNDERSTOOD
 
@@ -58,7 +58,7 @@ class TestGarbageTolerance:
         """BlueDroid parses the declared region and ignores the tail."""
         engine = make_engine(BLUEDROID)
         packet = echo_request(b"ping")
-        packet.garbage = b"\xde\xad\xbe\xef"
+        packet = packet.replace(garbage=b"\xde\xad\xbe\xef")
         responses = engine.handle_l2cap(packet)
         assert responses[0].code == CommandCode.ECHO_RSP
 
@@ -67,7 +67,7 @@ class TestGarbageTolerance:
         for personality in (IOS_STACK, WINDOWS_STACK):
             engine = make_engine(personality)
             packet = echo_request(b"ping")
-            packet.garbage = b"\xde\xad"
+            packet = packet.replace(garbage=b"\xde\xad")
             responses = engine.handle_l2cap(packet)
             assert responses[0].code == CommandCode.COMMAND_REJECT
 

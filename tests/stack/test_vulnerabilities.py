@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,7 +54,7 @@ class TestCidpNullDeref:
 
     def _trigger_packet(self):
         packet = configuration_request(dcid=0x0040)
-        packet.garbage = bytes.fromhex("D23A910E")
+        packet = packet.replace(garbage=bytes.fromhex("D23A910E"))
         return packet
 
     def test_fires_in_configuration_job(self):
@@ -81,7 +83,7 @@ class TestCidpNullDeref:
 
     def test_wrong_command_does_not_fire(self):
         packet = connection_request(psm=1, scid=0x40)
-        packet.garbage = b"\x01"
+        packet = packet.replace(garbage=b"\x01")
         assert not BLUEDROID_CIDP_NULL_DEREF.check(_context(packet))
 
     def test_fire_produces_dos_tombstone(self):
@@ -98,7 +100,7 @@ class TestCreateChannelDos:
 
     def _trigger_packet(self, cont_id=5, scid=0x0040):
         packet = create_channel_request(psm=1, scid=scid, cont_id=cont_id)
-        packet.garbage = b"\xff\xff"
+        packet = packet.replace(garbage=b"\xff\xff")
         return packet
 
     def test_fires_during_creation_with_pending_channel(self):
@@ -169,12 +171,12 @@ class TestBluezGpf:
     def test_fires_only_in_narrow_window(self):
         dcid = self._aligned_dcid()
         packet = disconnection_request(dcid=dcid, scid=0x9999)
-        packet.garbage = b"\x00"
+        packet = packet.replace(garbage=b"\x00")
         assert BLUEZ_GPF.check(_context(packet))
 
     def test_unaligned_dcid_does_not_fire(self):
         packet = disconnection_request(dcid=0x0041, scid=0x9999)
-        packet.garbage = b"\x00"
+        packet = packet.replace(garbage=b"\x00")
         if (0x0041 * 0x9E37) % 0xFFFF < 22:
             pytest.skip("0x41 happens to be aligned")
         assert not BLUEZ_GPF.check(_context(packet))
@@ -182,7 +184,7 @@ class TestBluezGpf:
     def test_requires_both_cids_unallocated(self):
         dcid = self._aligned_dcid()
         packet = disconnection_request(dcid=dcid, scid=0x9999)
-        packet.garbage = b"\x00"
+        packet = packet.replace(garbage=b"\x00")
         context = _context(packet, allocated=frozenset({dcid}))
         assert not BLUEZ_GPF.check(context)
 
@@ -279,11 +281,11 @@ def _aligned_gpf_dcid() -> int:
 def _firing_contexts():
     """One context per paper model on which that model fires."""
     cidp = configuration_request(dcid=0x0040)
-    cidp.garbage = b"\xd2"
+    cidp = cidp.replace(garbage=b"\xd2")
     create = create_channel_request(psm=0x0301, scid=0x0044, cont_id=7)
-    create.garbage = b"\x00"
+    create = create.replace(garbage=b"\x00")
     gpf = disconnection_request(dcid=_aligned_gpf_dcid(), scid=0x9999)
-    gpf.garbage = b"\x00"
+    gpf = gpf.replace(garbage=b"\x00")
     live = frozenset({ChannelState.WAIT_CONFIG})
     return {
         BLUEDROID_CIDP_NULL_DEREF: _context(cidp),
@@ -347,8 +349,8 @@ class TestModelCodes:
         context = _firing_contexts()[model]
         assert model.check(context)
         for code in COMMAND_SPECS:
-            context.packet.code = code
-            assert model.check(context) == (code in model.codes)
+            recoded = dataclasses.replace(context, packet=context.packet.replace(code=code))
+            assert model.check(recoded) == (code in model.codes)
 
 
 class TestEngineCodeIndex:
@@ -410,7 +412,7 @@ class TestEngineCodeIndex:
         engine = make_engine(vulnerabilities=models)
         open_channel(engine)  # a live WAIT_CONFIG channel
         packet = create_channel_request(psm=0x0301, scid=0x0044, cont_id=7)
-        packet.garbage = b"\x00"
+        packet = packet.replace(garbage=b"\x00")
         for model in models:
             assert model.check(
                 _context(packet, live_states=frozenset({ChannelState.WAIT_CONFIG}))

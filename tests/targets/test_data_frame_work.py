@@ -12,8 +12,8 @@ mutated frame or an engine data response.
 The liveness pings and the engine's answers to them come from the
 signalling template table, and the armed engine builds no trigger
 context for a command no bug model can fire on: an armed campaign's
-echo and information exchanges construct no packet through
-``L2capPacket.__init__`` and no ``TriggerContext``. The table itself
+echo and information exchanges construct no packet through the
+``L2capPacket(...)`` constructor and no ``TriggerContext``. The table itself
 holds only the templates its call sites make at import, however long
 the fuzzing runs.
 """
@@ -68,7 +68,7 @@ def counters(monkeypatch):
     loopback_view = L2capPacket.loopback_view
 
     def counted_loopback_view(self):
-        if self.__dict__.get("_loopback") is None:
+        if self._loopback is None:
             counts["recomputed"].add(id(self))
         return loopback_view(self)
 
@@ -140,14 +140,14 @@ def exchange_work(monkeypatch):
             inside("answers", HostStackEngine._HANDLERS[int(code)]),
         )
 
-    init = L2capPacket.__init__
+    new = L2capPacket.__new__
 
-    def counted_init(self, *args, **kwargs):
+    def counted_new(cls, *args, **kwargs):
         if counts["inside"]:
             counts["inits"] += 1
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(L2capPacket, "__init__", counted_init)
+    monkeypatch.setattr(L2capPacket, "__new__", staticmethod(counted_new))
     trigger_context = engine_module.TriggerContext
 
     def counted_context(**kwargs):

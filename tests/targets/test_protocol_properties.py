@@ -108,19 +108,20 @@ class TestCodecRoundTrip:
             assert 0 <= len(payload) - len(canonical) <= FuzzConfig().max_garbage
 
 
-class TestWireCacheInvalidation:
+class TestWireCachePerPacket:
     @given(_target_names, _seeds)
     @settings(max_examples=80, deadline=None)
-    def test_mutation_after_encode_is_never_stale(self, name, seed):
+    def test_replace_after_encode_is_never_stale(self, name, seed):
         target = make_target(name)
         for packet, _ in _mutated_payloads(target, seed):
             first = packet.encode()
             if name == "l2cap":
-                packet.garbage = packet.garbage + b"\xa5"
+                changed = packet.replace(garbage=packet.garbage + b"\xa5")
             else:
-                packet.tail = packet.tail + b"\xa5"
-            second = packet.encode()
+                changed = packet.replace(tail=packet.tail + b"\xa5")
+            second = changed.encode()
             assert second != first
+            assert packet.encode() is first
             assert len(second) == len(first) + 1
             # The refreshed encoding is what a cold decode agrees with.
             assert L2capPacket.decode(second).encode() == second

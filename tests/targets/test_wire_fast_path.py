@@ -157,14 +157,17 @@ class TestCoreMutatorWirePath:
         mutator = CoreFieldMutator(FuzzConfig(), random.Random(3))
         assert mutator.mutate_wire(None, 0xEE, (1,)) is None
 
-    def test_fast_packet_is_mutable_afterwards(self):
-        # The primed encode cache must invalidate like any packet's.
+    def test_fast_packet_replace_rebuilds(self):
+        # A primed packet refuses changes; replace builds a new one that
+        # encodes afresh.
         mutator = CoreFieldMutator(FuzzConfig(), random.Random(11))
         (packet,) = mutator.mutate_wire(None, next(iter(COMMAND_SPECS)), (9,))
         before = packet.encode()
-        packet.identifier = 42
-        after = packet.encode()
+        with pytest.raises(AttributeError):
+            packet.identifier = 42
+        after = packet.replace(identifier=42).encode()
         assert after != before
+        assert packet.encode() is before
         assert L2capPacket.decode(after).identifier == 42
 
     def test_ablation_campaign_still_equivalent(self):

@@ -88,10 +88,6 @@ ALLOWED: dict[str, str] = {
         "mirrors GET /v1/jobs/{id}/metrics.prom"
     ),
     "repro.service.client.ServiceClient.service_metrics": "mirrors GET /metrics",
-    # Protocol overrides that callers reach through the base type.
-    "repro.l2cap.packets._FieldMap.popitem": (
-        "dict.popitem override: keeps the packet's encode cache honest"
-    ),
 }
 
 
