@@ -480,17 +480,14 @@ class FleetOrchestrator:
 
     :param workers: worker-pool size for dispatch and for the simulated
         schedule.
-    :param corpus_dir: shared corpus directory. When set, every campaign
-        writes its coverage-unlock sequences and minimised findings back
-        (one transaction per shard, safe under parallel workers), the
-        ``coverage_guided`` strategy is seeded with the corpus's
-        per-state visit prior, and the mutator splices garbage tails
-        harvested from stored reproducers. Entries are content-addressed,
-        so a re-run campaign adds none twice; its findings are counted
-        again. A shard whose write committed but whose checkpoints were
-        not written (a worker killed between the two) is re-run on
-        resume, so the report and the entries match an uninterrupted
-        run while those findings' ``occurrences`` may be doubled.
+    :param corpus_dir: shared corpus directory. When set, the runtime
+        writes every campaign's coverage-unlock sequences and minimised
+        findings back in spec order, so the database is the same for
+        any worker count and batch size, and after a telemetry run's
+        resume (occurrence counts included). The ``coverage_guided``
+        strategy is seeded with the corpus's per-state visit prior, and
+        the mutator splices garbage tails harvested from stored
+        reproducers.
     :param telemetry_dir: telemetry root directory. When set, the fleet
         records a run under ``<telemetry_dir>/<run_id>/`` — structured
         event journal (per-worker segments merged at run boundaries),
@@ -521,8 +518,9 @@ class FleetOrchestrator:
     :param abort_check: polled between dispatch steps; when it returns
         True the run raises
         :class:`~repro.core.runtime.AbortRequested` after recording the
-        failure on the manifest — completed shards keep their
-        checkpoints, so the aborted run is resumable.
+        failure on the manifest — the in-flight shards finish first and
+        the ready prefix of campaigns is committed and checkpointed, so
+        the aborted run is resumable.
     :raises ValueError: at construction — before any telemetry run
         directory exists — for a fleet
         :meth:`~repro.core.config.FleetSpec.validate` refuses (a
@@ -792,8 +790,8 @@ class FleetOrchestrator:
             )
         except BaseException as error:
             # Abort path (includes KeyboardInterrupt — a killed run must
-            # leave a resumable trail): record why, keep the completed
-            # shards' checkpoints on disk, re-raise.
+            # leave a resumable trail): record why, keep the committed
+            # campaigns' checkpoints on disk, re-raise.
             if recorder is not None:
                 recorder.record_failure(f"{type(error).__name__}: {error}")
             raise

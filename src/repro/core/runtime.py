@@ -1,69 +1,41 @@
 """Persistent fleet execution runtime: batched workers, compact results.
 
-The first fleet orchestrator paid a fixed tax per ``run()``: a fresh
-``ProcessPoolExecutor``, one pickled job per campaign carrying the full
-campaign context (config, corpus prior, splice dictionary), and a full
-:class:`~repro.core.report.CampaignReport` object graph pickled back per
-campaign. This module replaces that with the runtime the paper's
-throughput-per-dongle argument (Table 7) wants the simulated fleet to
-demonstrate:
+What the paper's throughput-per-dongle argument (Table 7) asks of a
+simulated fleet:
 
-* **Persistent workers** — worker processes are started once per
-  runtime and stay warm across :meth:`FleetRuntime.run_specs` calls.
-  Every shard message carries its :class:`FleetContext` (config
-  template, corpus visit prior, mutation dictionary) next to the bare
-  campaign coordinates, so one pool serves fleets with different
-  contexts.
-* **Batched shards** — campaigns ship to workers in shards of
-  :data:`~FleetRuntime.batch` specs per message, amortising the
-  executor round trip; a shard's campaigns run back to back on one
-  worker, like a dongle working through its queue.
-* **Compact binary summaries** — workers stream back
-  :class:`CampaignSummary` blobs (``marshal`` of plain tuples behind a
-  header of format version, interpreter version, length and CRC-32:
-  coverage tokens, finding records, efficiency counters, stream
-  samples) instead of pickled reports. The summary is the one campaign
-  result from worker to exported report: the fleet merge, the
-  markdown/JSON export, checkpoints and telemetry all read its plain
-  fields, paired with the campaign's :class:`CampaignSpec`.
-* **Batched corpus write-back** — with a shared corpus, campaigns keep
-  only their sent packets; a worker builds each campaign's write-back
-  batch as the campaign ends, drops the campaign, and writes the
-  shard's batches in one database transaction.
+* **Persistent workers** — worker processes start once per runtime and
+  stay warm across :meth:`FleetRuntime.run_specs` calls. Every shard
+  message carries its :class:`FleetContext` next to the bare campaign
+  coordinates, so one pool serves fleets with different contexts.
+* **Batched shards** — campaigns ship to workers ``batch`` specs per
+  message; a shard's campaigns run back to back on one worker, like a
+  dongle working through its queue.
+* **Compact binary summaries** — workers return :class:`CampaignSummary`
+  blobs (``marshal`` of plain tuples behind a versioned, checksummed
+  header), the one campaign result from worker to exported report.
+* **One corpus writer** — a worker builds each campaign's corpus
+  write-back batch as the campaign ends and returns it with the
+  summary blob. The runtime commits campaigns strictly in spec order
+  (:class:`_SpecOrderCommit`): one transaction per ready prefix, then
+  that prefix's checkpoints. Workers write neither.
 
-Determinism is untouched: summaries are pure functions of the campaign,
-campaigns are pure functions of their derived seed, and results are
-re-ordered by spec index — the merged fleet report is byte-identical
-for any worker count and any batch size (pinned by the
-worker-independence tests).
+Campaigns are pure functions of their derived seed and results are
+committed by spec index, so the merged fleet report, and the corpus
+database byte for byte, are the same for any worker count and batch
+size, and after any recovery or resume.
 
-Dispatch has two paths: one worker runs every shard inline, in the
-calling process; more workers run shards over a supervised process
-pool. (``run_specs(supervised=False)`` — a bare ``pool.map`` — remains
-only as the reference the supervision-overhead benchmark compares
-against.)
-
-**Supervision** (the multi-worker default) dispatches shards as
-individual futures instead of one ``pool.map``: each in-flight shard
-carries a deadline of ``max(shard_timeout, TIMEOUT_FACTOR × median
-campaign latency × shard size)`` (only ``shard_timeout`` until the
-first shard completes; the retry and polling values are module
-constants), worker death (``BrokenProcessPool``) and hangs restart the
-pool and requeue the lost shards with capped exponential backoff, and a
-shard that keeps failing is bisected until the single poison campaign
-is isolated, confirmed by a solo re-run, and quarantined — reported as
-a diagnostic in the fleet report rather than aborting the run. Because
-campaigns are pure functions of their seeds and merges are associative,
-none of this perturbs results: a run that weathered crashes, hangs and
-requeues merges to the byte-identical report of a fault-free run
-(pinned by the fault-tolerance tests). Completed shards checkpoint
-their summary blobs into the telemetry run directory, so an interrupted
-run can be resumed re-running only the missing shards.
+One worker runs every shard inline, in the calling process; more
+workers run shards over a supervised process pool
+(:meth:`FleetRuntime._run_supervised`: deadlines, pool restarts,
+requeue with backoff, bisect-to-quarantine). ``run_specs(supervised=
+False)`` — a bare ``pool.map`` — remains only as the reference the
+supervision-overhead benchmark compares against.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 import marshal
 import os
@@ -273,11 +245,9 @@ class AbortRequested(ReproError):
     """A :meth:`FleetRuntime.run_specs` call stopped on caller request.
 
     Raised when the caller's ``should_abort`` hook fires mid-dispatch —
-    the control plane's cancel path. Pending shards are dropped without
-    being dispatched; shards already on workers run to completion (a
-    process-pool task cannot be interrupted) and still write their
-    checkpoints, which is exactly the resume trail a cancelled job
-    needs.
+    the control plane's cancel path — after the shards already on
+    workers finished and the ready prefix of campaigns was committed:
+    its checkpoints are the resume trail a cancelled job needs.
     """
 
 
@@ -286,10 +256,8 @@ class SummaryDecodeError(ReproError, ValueError):
 
     Raised for truncated, corrupt, or unknown-version blobs — the
     typed signal the supervision layer retries on and the checkpoint
-    loader skips tolerantly (a partial checkpoint file from a killed
-    worker must read as "missing", never crash the resume). Subclasses
-    :class:`ValueError` for compatibility with callers that caught the
-    old untyped version error.
+    loader skips (the campaign reads as "missing"). A
+    :class:`ValueError` too, for callers that catch that.
     """
 
 
@@ -357,12 +325,9 @@ class FleetContext:
     armed: bool
     target_state_value: str
     corpus_dir: str | None
-    #: Retention for campaigns without a corpus (the orchestrator sets
-    #: it to ``corpus_dir is not None``, so they stream). With a corpus,
-    #: :func:`run_shard` runs every campaign on the sent capture
-    #: (``"sent"``), whatever this says: write-back replays nothing
-    #: else. The field stays a bool because it is part of the fleet
-    #: signature that resumed runs are matched by.
+    #: Retention for campaigns without a corpus (with one,
+    #: :func:`run_shard` keeps the sent capture, all write-back
+    #: replays). A bool because it is part of the fleet signature.
     retain_trace: bool
     prior_visits: tuple[tuple[str, int], ...]
     dictionary: tuple[bytes, ...]
@@ -394,15 +359,6 @@ class CampaignSpec(NamedTuple):
     strategy: str
     seed: int
     target: str = "l2cap"
-
-
-def _open_shard_journal(context: FleetContext, shard: Sequence[CampaignSpec]):
-    """The shard's journal segment writer, or None when telemetry is off."""
-    if context.telemetry_dir is None or context.run_id is None:
-        return None
-    from repro.telemetry import shard_journal
-
-    return shard_journal(context.telemetry_dir, context.run_id, shard[0][0])
 
 
 def _emit_campaign_telemetry(
@@ -456,35 +412,40 @@ def run_shard(
     context: FleetContext,
     shard: Sequence[CampaignSpec],
     in_process_worker: bool = False,
-) -> list[bytes]:
-    """Run every campaign of *shard* back to back; return summary blobs.
+) -> list[tuple[bytes, tuple | None]]:
+    """Run every campaign of *shard* back to back; return its results.
+
+    One ``(summary blob, write-back batch)`` pair per campaign, in shard
+    order. The worker writes neither the corpus nor checkpoints: the
+    runtime commits what it returns (:class:`_SpecOrderCommit`).
 
     With a corpus, campaigns run on the sent capture
-    (``retain_trace="sent"``: the sent packets, which is all write-back
-    replays) and without a corpus directory of their own. Each
-    campaign's write-back batch — its entries and shrunk findings — is
-    built by :func:`repro.corpus.store.campaign_batch` right after the
-    campaign ends, and the session is dropped, so a worker holds one
-    campaign's capture at a time. The shard's batches are written by
-    one :func:`repro.corpus.store.ingest_batches` transaction after
-    every replay, so a failed write-back leaves the corpus as it was
-    and a requeued shard writes it exactly once.
+    (``retain_trace="sent"``), and each campaign's write-back batch —
+    its entries and shrunk findings, built by
+    :func:`repro.corpus.store.campaign_batch` — is built as the
+    campaign ends and the session dropped, so a worker holds one
+    campaign's capture at a time. Without a corpus the batch is None.
 
-    With telemetry enabled on the context, the shard writes its own
-    journal segment — shard span events, per-campaign start/end events
-    carrying the sniffer/engine counters, finding events and the
-    bridged Logfile records — to its private segment file, which the
-    orchestrator merges at run boundaries. Same flow as the summary
-    blobs: no new IPC, no locks, nothing on the packet hot path.
+    With telemetry on the context, the shard writes its own journal
+    segment — shard spans, per-campaign start/end events with the
+    sniffer/engine counters, findings and the bridged Logfile records —
+    which the orchestrator merges at run boundaries: no new IPC, no
+    locks, nothing on the packet hot path.
     """
     fault_plan = context.fault_plan
     if fault_plan is not None:
         # Shard-boundary fault injection: planned crashes die and hangs
-        # stall *here*, before any journal or corpus side effect, so a
-        # requeued shard re-runs from a clean slate.
+        # stall *here*, before any journal side effect, so a requeued
+        # shard re-runs from a clean slate.
         campaigns = {spec[0] for spec in shard}
         fault_plan.fire("shard.start", campaigns, in_process_worker)
-    journal = _open_shard_journal(context, shard)
+    journal = None
+    if context.telemetry_dir is not None and context.run_id is not None:
+        from repro.telemetry import shard_journal
+
+        journal = shard_journal(
+            context.telemetry_dir, context.run_id, shard[0][0]
+        )
     profiler = None
     if context.profile_workers and journal is not None:
         import cProfile
@@ -503,7 +464,7 @@ def run_shard(
     corpus_dir = context.corpus_dir
     if corpus_dir is not None:
         from repro.analysis.sniffer import SENT_ONLY
-        from repro.corpus.store import campaign_batch, ingest_batches
+        from repro.corpus.store import campaign_batch
 
         retain_trace = SENT_ONLY
     else:
@@ -546,34 +507,19 @@ def run_shard(
                 time.perf_counter() - campaign_started,
             )
         summaries.append(summary)
-        if corpus_dir is not None:
-            batches.append(
-                campaign_batch(profile, session.fuzzer, report, context.armed)
-            )
+        batches.append(
+            campaign_batch(profile, session.fuzzer, report, context.armed)
+            if corpus_dir is not None
+            else None
+        )
         # Drop the campaign before the next one is built, so at most
         # one campaign's capture is alive in this worker.
         del session, report
-    if corpus_dir is not None:
-        if fault_plan is not None:
-            # Transient corpus-IO faults fire before anything is
-            # written, so the requeued shard cannot double-write.
-            fault_plan.fire("shard.writeback", campaigns)
-        stats = ingest_batches(corpus_dir, batches)
-        for position, (spec, campaign_stats) in enumerate(zip(shard, stats)):
-            if journal is not None:
-                journal.emit(
-                    "corpus_writeback",
-                    campaign=spec[0],
-                    entries_added=campaign_stats["entries_added"],
-                    findings_new=campaign_stats["findings_new"],
-                    findings_duplicate=campaign_stats["findings_duplicate"],
-                )
-            summaries[position] = dataclasses.replace(
-                summaries[position],
-                corpus_entries_added=campaign_stats["entries_added"],
-                corpus_findings_new=campaign_stats["findings_new"],
-                corpus_findings_duplicate=campaign_stats["findings_duplicate"],
-            )
+    if corpus_dir is not None and fault_plan is not None:
+        # Transient corpus-IO faults strike before the batches leave
+        # the worker, so nothing is written and the requeued shard's
+        # batches are committed exactly once.
+        fault_plan.fire("shard.writeback", campaigns)
     blobs = [encode_summary(summary) for summary in summaries]
     if journal is not None:
         journal.emit(
@@ -602,11 +548,7 @@ def run_shard(
             blob[: max(1, len(blob) // 3)] if spec[0] in corrupt else blob
             for spec, blob in zip(shard, blobs)
         ]
-    if context.telemetry_dir is not None and context.run_id is not None:
-        write_checkpoints(
-            Path(context.telemetry_dir) / context.run_id, shard, blobs
-        )
-    return blobs
+    return list(zip(blobs, batches))
 
 
 # ---------------------------------------------------------------------------
@@ -621,32 +563,27 @@ def _checkpoint_path(run_dir: Path, index: int) -> Path:
     return run_dir / CHECKPOINTS_DIRNAME / f"campaign-{index:06d}.bin"
 
 
-def write_checkpoints(
-    run_dir: Path, shard: Sequence[CampaignSpec], blobs: Sequence[bytes]
-) -> None:
-    """Persist a completed shard's summary blobs, one file per campaign.
+def write_checkpoints(run_dir: Path, blobs: dict[int, bytes]) -> None:
+    """Persist committed campaigns' summary blobs, one file per index.
 
     Writes are atomic (:func:`~repro.durability.atomic_write`): a
-    reader — or a resumed run — sees either a whole blob or no file,
-    never a torn one; a worker killed mid-write leaves at worst a stale
-    temp file the ``campaign-*.bin`` glob never matches. A retried
-    shard simply overwrites its campaigns' files with the identical
-    bytes (campaigns are pure functions of their seeds).
+    reader — or a resumed run — sees a whole blob or no file; a process
+    killed mid-write leaves at worst a temp file the ``campaign-*.bin``
+    glob never matches.
     """
     checkpoint_dir = run_dir / CHECKPOINTS_DIRNAME
     checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    for spec, blob in zip(shard, blobs):
-        atomic_write(_checkpoint_path(run_dir, spec[0]), blob)
+    for index, blob in blobs.items():
+        atomic_write(_checkpoint_path(run_dir, index), blob)
 
 
 def load_checkpoints(run_dir: Path) -> dict[int, CampaignSummary]:
     """Read every decodable shard checkpoint under *run_dir*.
 
-    Tolerant by design, mirroring the journal's torn-line handling: a
-    truncated or corrupt checkpoint (worker killed mid-run, injected
-    corruption, a flipped bit on disk) or one written by another
-    Python minor version is skipped — it reads as "campaign not done",
-    and the resumed run re-executes it.
+    Tolerant by design, like the journal's torn-line handling: a
+    corrupt checkpoint (a flipped bit on disk) or one written by another
+    Python minor version reads as "campaign not done", and the resumed
+    run re-executes it.
     """
     checkpoint_dir = Path(run_dir) / CHECKPOINTS_DIRNAME
     summaries: dict[int, CampaignSummary] = {}
@@ -662,6 +599,113 @@ def load_checkpoints(run_dir: Path) -> dict[int, CampaignSummary]:
         except SummaryDecodeError:
             _log.warning("skipping undecodable checkpoint %s", path.name)
     return summaries
+
+
+# ---------------------------------------------------------------------------
+# Orchestrator side: committing results in spec order
+# ---------------------------------------------------------------------------
+
+
+class _SpecOrderCommit:
+    """The one writer of a :meth:`FleetRuntime.run_specs` call's results.
+
+    A finished campaign waits until every campaign before it in *specs*
+    has arrived or been quarantined; then that ready prefix is committed:
+    one ``ingest`` transaction for its write-back batches, the
+    ``corpus_writeback`` events, then its checkpoints. So corpus rows
+    follow spec order, and a checkpoint never exists without its rows.
+
+    With a telemetry run the transaction also stores the corpus ``meta``
+    row ``committed:<run_id>``, ``{"prefix": n, "skipped": [...]}``:
+    every campaign below *n* but the quarantined *skipped* ones has its
+    rows in the corpus, so a resume re-runs such a campaign whose
+    checkpoint is missing without ingesting it again.
+    """
+
+    def __init__(self, context: FleetContext, specs, emit) -> None:
+        self._specs, self._emit = list(reversed(specs)), emit
+        self._arrived: dict[int, tuple | None] = {}  # None: quarantined
+        self.summaries: dict[int, CampaignSummary] = {}
+        self._run_dir = self._backend = self._key = None
+        if context.telemetry_dir is not None and context.run_id is not None:
+            self._run_dir = Path(context.telemetry_dir) / context.run_id
+        stored = None
+        if context.corpus_dir is not None:
+            from repro.corpus.backend import open_backend
+
+            self._backend = open_backend(context.corpus_dir)
+            if context.run_id is not None:
+                self._key = f"committed:{context.run_id}"
+                stored = self._backend.read_meta(self._key)
+        stored = json.loads(stored or '{"prefix": 0, "skipped": []}')
+        self._prefix, self._skipped = stored["prefix"], set(stored["skipped"])
+
+    def add(self, shard: Sequence[CampaignSpec], results) -> None:
+        """Take a shard's :func:`run_shard` results; commit what is ready.
+
+        :raises SummaryDecodeError: taking none, when a result does not
+            decode or the count is wrong.
+        """
+        if len(results) != len(shard):
+            raise SummaryDecodeError(
+                f"shard returned {len(results)} summaries "
+                f"for {len(shard)} campaign(s)"
+            )
+        decoded = [
+            (decode_summary(blob), blob, batch) for blob, batch in results
+        ]
+        self._arrived.update(zip((spec[0] for spec in shard), decoded))
+        self._commit_ready()
+
+    def quarantine(self, spec: CampaignSpec) -> None:
+        self._arrived[spec[0]] = None
+        self._commit_ready()
+
+    def _commit_ready(self) -> None:
+        ready = []
+        while self._specs and self._specs[-1][0] in self._arrived:
+            index = self._specs.pop()[0]
+            ready.append((index, self._arrived.pop(index)))
+        if not ready:
+            return
+        # Rows the corpus lacks: past the stored prefix, or skipped there.
+        fresh = [
+            (index, result)
+            for index, result in ready
+            if result and (index >= self._prefix or index in self._skipped)
+        ]
+        self._skipped -= {index for index, _ in fresh}
+        self._skipped |= {
+            index
+            for index, result in ready
+            if not result and index >= self._prefix
+        }
+        self._prefix = max(self._prefix, ready[-1][0] + 1)
+        done = {index: result[:2] for index, result in ready if result}
+        if self._backend is not None and (fresh or self._key):
+            state = {"prefix": self._prefix, "skipped": sorted(self._skipped)}
+            counts = self._backend.ingest(
+                [result[2] for _, result in fresh],
+                self._key and {self._key: json.dumps(state)},
+            )
+            for (index, _), stats in zip(fresh, counts):
+                if self._emit is not None:
+                    self._emit("corpus_writeback", campaign=index, **stats)
+                summary = dataclasses.replace(
+                    done[index][0],
+                    **{f"corpus_{key}": count for key, count in stats.items()},
+                )
+                done[index] = (summary, encode_summary(summary))
+        if self._run_dir is not None and done:
+            blobs = {index: blob for index, (_, blob) in done.items()}
+            write_checkpoints(self._run_dir, blobs)
+        self.summaries.update(
+            (index, summary) for index, (summary, _) in done.items()
+        )
+
+    def close(self) -> None:
+        if self._backend is not None:
+            self._backend.close()
 
 
 # ---------------------------------------------------------------------------
@@ -727,18 +771,7 @@ class SupervisionStats:
 
     @property
     def eventful(self) -> bool:
-        return any(
-            (
-                self.retries,
-                self.requeued,
-                self.worker_crashes,
-                self.timeouts,
-                self.pool_restarts,
-                self.decode_failures,
-                self.bisections,
-                self.quarantined,
-            )
-        )
+        return any(vars(self).values())
 
 
 @dataclasses.dataclass
@@ -869,19 +902,18 @@ class FleetRuntime:
         :param on_event: optional callable ``(event, **fields)``
             receiving this call's supervision events (``worker_crash``,
             ``shard_retry``, ``shard_timeout``, ``shard_quarantined``,
-            ``dispatch_abort``) — the orchestrator wires the telemetry
-            journal in here.
+            ``dispatch_abort``) and ``corpus_writeback`` events — the
+            orchestrator wires the telemetry journal in here.
         :param should_abort: polled before each shard is dispatched;
             when it returns True the call raises
             :class:`AbortRequested` — pending shards are dropped
-            undispatched, in-flight shards finish on their workers (and
-            still checkpoint), and the pool stays warm for the next
-            call.
+            undispatched, the call waits for the in-flight shards and
+            commits the ready prefix first, and the pool stays warm for
+            the next call.
         :raises ValueError: when neither this call nor the constructor
             gives a context.
         """
-        if context is None:
-            context = self.context
+        context = self.context if context is None else context
         if context is None:
             raise ValueError(
                 "run_specs needs a context: pass one or construct the "
@@ -905,61 +937,51 @@ class FleetRuntime:
             batch,
         )
         with self._dispatch_lock:
+            stats = self.last_supervision = SupervisionStats()
+            commit = _SpecOrderCommit(context, specs, on_event)
             self._on_event = on_event
             try:
-                return self._dispatch(
-                    specs, shards, supervised, context, should_abort
-                )
+                if self.workers == 1:
+                    # Inline: no pool, no serialisation tax, the code
+                    # path the workers run. A failure propagates.
+                    for done, shard in enumerate(shards):
+                        aborted = self._abort(should_abort, len(shards) - done)
+                        if aborted is not None:
+                            raise aborted
+                        commit.add(shard, run_shard(context, shard))
+                elif not supervised:
+                    shard_results = self._ensure_pool().map(
+                        partial(run_shard, context, in_process_worker=True),
+                        shards,
+                    )
+                    for shard, results in zip(shards, shard_results):
+                        commit.add(shard, results)
+                else:
+                    self._run_supervised(
+                        shards, stats, context, should_abort, commit
+                    )
             finally:
+                commit.close()
                 self._on_event = None
+        return [commit.summaries.get(spec[0]) for spec in specs]
 
-    def _dispatch(
-        self,
-        specs: Sequence[CampaignSpec],
-        shards: list[tuple[CampaignSpec, ...]],
-        supervised: bool,
-        context: FleetContext,
-        should_abort: Callable[[], bool] | None,
-    ) -> list["CampaignSummary | None"]:
-        stats = SupervisionStats()
-        self.last_supervision = stats
-        if self.workers == 1:
-            # Inline: no pool, no serialisation tax, same code path the
-            # workers run (summaries included) for identical results.
-            # Nothing to supervise — a failure propagates to the caller.
-            blobs: list[bytes] = []
-            for done, shard in enumerate(shards):
-                self._check_abort(should_abort, pending=len(shards) - done)
-                blobs.extend(run_shard(context, shard))
-            return [decode_summary(blob) for blob in blobs]
-        if not supervised:
-            shard_results = self._ensure_pool().map(
-                partial(run_shard, context, in_process_worker=True), shards
-            )
-            return [
-                decode_summary(blob)
-                for shard_blobs in shard_results
-                for blob in shard_blobs
-            ]
-        results = self._run_supervised(
-            shards, stats, context=context, should_abort=should_abort
-        )
-        return [results.get(spec[0]) for spec in specs]
-
-    def _check_abort(
+    def _abort(
         self, should_abort: Callable[[], bool] | None, pending: int
-    ) -> None:
-        if should_abort is not None and should_abort():
-            self._emit("dispatch_abort", pending=pending)
-            raise AbortRequested(
-                f"fleet dispatch aborted with {pending} shard(s) pending"
-            )
+    ) -> AbortRequested | None:
+        """The abort to raise once in-flight work is committed, if asked."""
+        if should_abort is None or not should_abort():
+            return None
+        self._emit("dispatch_abort", pending=pending)
+        return AbortRequested(
+            f"fleet dispatch aborted with {pending} shard(s) pending"
+        )
 
     def shard_size(self, spec_count: int) -> int:
         """Auto batch size: ~4 shards per worker, at least 1 campaign.
 
         One worker gets several shards too, so an abort check runs
-        between them and each finished shard leaves its checkpoints.
+        between them and each finished shard's campaigns are committed
+        and checkpointed.
         """
         return max(1, spec_count // (self.workers * 4))
 
@@ -979,15 +1001,17 @@ class FleetRuntime:
         shards: list[tuple[CampaignSpec, ...]],
         stats: SupervisionStats,
         context: FleetContext,
-        should_abort: Callable[[], bool] | None = None,
-    ) -> dict[int, CampaignSummary]:
+        should_abort: Callable[[], bool] | None,
+        commit: _SpecOrderCommit,
+    ) -> None:
         """Dispatch *shards* as individual futures under supervision.
 
         The loop keeps at most ``workers * 2`` shards in flight (so
         deadlines, measured from submission, track execution rather
         than queue depth), polls for completions, and reacts:
 
-        * **success** — decode, record, feed the latency estimator;
+        * **success** — decode, hand to *commit*, feed the latency
+          estimator;
         * **decode failure** — the shard ran but returned garbage
           (truncated blob, wrong count): requeue with backoff;
         * **worker exception** — requeue with backoff;
@@ -1002,13 +1026,17 @@ class FleetRuntime:
         A shard that exhausts :data:`MAX_ATTEMPTS` is bisected; a singleton
         is re-run with the pool to itself (``require_solo``) and only
         quarantined if it fails *alone* — otherwise it is exonerated.
+
+        An abort drops the pending shards, lets the in-flight ones finish
+        (a failed one is dropped too, not retried), and raises once they
+        are committed.
         """
         pending: list[_ShardJob] = [_ShardJob(shard) for shard in shards]
         in_flight: dict = {}
-        results: dict[int, CampaignSummary] = {}
         latencies: list[float] = []
         max_inflight = self.workers * 2
         solo_active = False
+        aborted: AbortRequested | None = None
 
         def deadline_budget(shard_len: int) -> float:
             if not latencies:
@@ -1017,17 +1045,6 @@ class FleetRuntime:
                 self.shard_timeout,
                 TIMEOUT_FACTOR * median(latencies) * shard_len,
             )
-
-        def record_success(job: _ShardJob, blobs, wall: float) -> None:
-            if len(blobs) != len(job.shard):
-                raise SummaryDecodeError(
-                    f"shard returned {len(blobs)} summaries "
-                    f"for {len(job.shard)} campaign(s)"
-                )
-            decoded = [decode_summary(blob) for blob in blobs]
-            for spec, summary in zip(job.shard, decoded):
-                results[spec[0]] = summary
-            latencies.append(wall / len(job.shard))
 
         def quarantine(job: _ShardJob, reason: str) -> None:
             for spec in job.shard:
@@ -1042,9 +1059,12 @@ class FleetRuntime:
                     attempts=job.attempts,
                     reason=reason,
                 )
+                commit.quarantine(spec)
 
         def requeue_failed(job: _ShardJob, reason: str, now: float) -> None:
             """The shard implicated in a failure: bump and re-plan."""
+            if aborted is not None:
+                return  # dropped, like the pending shards
             job.attempts += 1
             stats.retries += 1
             self._emit(
@@ -1071,20 +1091,33 @@ class FleetRuntime:
             job.not_before = now + retry_backoff(job.attempts)
             pending.append(job)
 
-        def requeue_victims(jobs, now: float) -> None:
-            """Innocent in-flight shards lost to a restart: no bump."""
-            for job in jobs:
-                stats.requeued += 1
-                job.not_before = now
-                pending.append(job)
+        def restart(offender: _ShardJob, reason: str, now: float, victims):
+            """Restart the pool: retry *offender*, and requeue the other
+            in-flight shards it took down with it, unbumped."""
+            nonlocal solo_active
+            victims += [
+                job for job, _ in in_flight.values() if job is not offender
+            ]
+            in_flight.clear()
+            solo_active = False
+            self._restart_pool(stats)
+            requeue_failed(offender, reason, now)
+            if aborted is None:
+                for job in victims:
+                    stats.requeued += 1
+                    job.not_before = now
+                    pending.append(job)
 
         while pending or in_flight:
-            # Abort drops pending shards undispatched and abandons the
-            # in-flight ones — a process-pool task cannot be cancelled,
-            # so they run to completion on their workers (writing their
-            # checkpoints, which the cancelled job's resume picks up)
-            # while the pool stays healthy for the next job.
-            self._check_abort(should_abort, pending=len(pending))
+            # Abort drops pending shards undispatched. A process-pool
+            # task cannot be cancelled, so the in-flight ones run to
+            # completion and are committed (their checkpoints are the
+            # cancelled job's resume trail) before the abort is raised.
+            if aborted is None:
+                aborted = self._abort(should_abort, len(pending))
+                if aborted is not None:
+                    pending.clear()
+                    continue
             now = time.monotonic()
             while (
                 pending and not solo_active and len(in_flight) < max_inflight
@@ -1162,7 +1195,8 @@ class FleetRuntime:
                     )
                     continue
                 try:
-                    record_success(job, blobs, now - submitted)
+                    commit.add(job.shard, blobs)
+                    latencies.append((now - submitted) / len(job.shard))
                 except SummaryDecodeError as error:
                     stats.decode_failures += 1
                     requeue_failed(
@@ -1176,23 +1210,18 @@ class FleetRuntime:
                     specs=[spec[0] for spec in offender.shard],
                     reason=reason,
                 )
-                victims.extend(job for job, _ in in_flight.values())
-                in_flight.clear()
-                solo_active = False
-                self._restart_pool(stats)
-                requeue_failed(offender, reason, now)
-                requeue_victims(victims, now)
+                restart(offender, reason, now, victims)
                 continue
             expired = next(
                 (
-                    (future, job, submitted)
-                    for future, (job, submitted) in in_flight.items()
+                    (job, submitted)
+                    for job, submitted in in_flight.values()
                     if now - submitted > deadline_budget(len(job.shard))
                 ),
                 None,
             )
             if expired is not None:
-                hung_future, hung, submitted = expired
+                hung, submitted = expired
                 stats.timeouts += 1
                 reason = (
                     f"shard exceeded its "
@@ -1204,17 +1233,9 @@ class FleetRuntime:
                     elapsed=round(now - submitted, 3),
                     reason=reason,
                 )
-                bystanders = [
-                    job
-                    for future, (job, _) in in_flight.items()
-                    if future is not hung_future
-                ]
-                in_flight.clear()
-                solo_active = False
                 # The hung worker holds a pool slot hostage — and with
                 # a process pool there is no task-level kill. Restart,
                 # losing (and requeueing) the innocent in-flight work.
-                self._restart_pool(stats)
-                requeue_failed(hung, reason, now)
-                requeue_victims(bystanders, now)
-        return results
+                restart(hung, reason, now, [])
+        if aborted is not None:
+            raise aborted

@@ -12,10 +12,10 @@ corpus directory is one SQLite (WAL) database,
   minimised-trigger hash)`` and deduplicated across runs
   (:mod:`~repro.corpus.findings`);
 * :func:`~repro.corpus.store.campaign_batch` builds one campaign's
-  write-back from its sent packets and
-  :func:`~repro.corpus.store.ingest_batches` writes a fleet shard's
-  batches in one transaction; a directory in the legacy JSON-file
-  layout is refused with :class:`~repro.errors.LegacyCorpusError`;
+  write-back from its sent packets in a fleet worker, and the fleet
+  runtime, the one writer, ingests the batches in spec order; a
+  directory in the legacy JSON-file layout is refused with
+  :class:`~repro.errors.LegacyCorpusError`;
 * :class:`~repro.corpus.scheduler.EnergyScheduler` feeds visit counts
   (campaign-local plus the corpus's state frequencies) back into
   mutation scheduling;

@@ -4,10 +4,11 @@ A corpus directory is served by one
 :class:`~repro.corpus.sqlite_backend.SqliteCorpusBackend`, which owns
 all four persistent collections in ``corpus.sqlite3``: entries,
 finding buckets, the canonical (cmin-minimised) corpus and the
-aggregate stats. Every caller — ``record_campaigns``, the fleet
-runtime's shard write-back, the scheduler prior, replay, the CLI, the
-service's tenant namespaces — opens a corpus with :func:`open_backend`
-and calls the backend directly.
+aggregate stats. Every caller — ``record_campaign``, the fleet
+runtime's spec-order commit (a fleet's one writer; its workers never
+open the corpus), the scheduler prior, replay, the CLI, the service's
+tenant namespaces — opens a corpus with :func:`open_backend` and calls
+the backend directly.
 
 Directories written by older releases hold a JSON-file layout
 (``entries/``, ``findings/``) instead. This release cannot read it:

@@ -12,10 +12,10 @@ through :class:`~repro.corpus.sqlite_backend.SqliteCorpusBackend`
 (:meth:`~repro.corpus.sqlite_backend.SqliteCorpusBackend.ingest`,
 ``finding_records``, ``query_findings``). Recording an already-known bucket
 adds to its occurrence count — that is the cross-run duplicate
-detection, and the count is **exact** under concurrent workers (a
+detection, and the count is **exact** under concurrent writers (a
 transactional ``UPDATE``). The bucket keeps the lowest-ranked record by
 ``(sim_time, device_id, packets)``, so the stored reproducer does not
-depend on which worker wrote first.
+depend on which writer came first.
 :func:`repro.corpus.replay.replay_finding` re-fires stored reproducers
 against a fresh target, which is the regression half: a bucket that no
 longer reproduces (or reproduces differently) is flagged instead of

@@ -22,14 +22,19 @@ the corpus directory:
   ``minimize`` only scans entries inserted since the previous run and
   folds them into the stored winner map (the fold is associative, see
   :func:`cmin_update`), so repeated cmin on a growing corpus is
-  O(new entries), not O(corpus).
+  O(new entries), not O(corpus). ``meta`` also holds each telemetry
+  fleet run's committed campaign prefix
+  (:class:`repro.core.runtime._SpecOrderCommit`).
 
-Every write is one ``BEGIN IMMEDIATE`` transaction, retried as a unit
-on lock contention (:func:`_write_with_retry`); :meth:`ingest` writes a
-whole fleet shard — every campaign's entries and findings — in one.
+Every write is one ``BEGIN IMMEDIATE`` transaction; :meth:`ingest`
+writes a fleet's ready prefix of campaigns — every campaign's entries
+and findings — in one. A fleet has one writer, its runtime; separate
+processes (two CLI runs, the CLI and the service) may share a corpus.
 Concurrency model: WAL journal with a generous busy timeout, one
 connection per (process, thread) via thread-local storage; readers
-never block writers and vice versa.
+never block writers and vice versa. The database file appears whole
+and already in WAL mode (:meth:`SqliteCorpusBackend._create`), so a
+lock error reaches a caller only after the busy timeout.
 """
 
 from __future__ import annotations
@@ -37,18 +42,15 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import logging
+import os
 import sqlite3
 import threading
-import time
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from repro.corpus.entry import CorpusEntry, dict_to_entry, entry_line
 from repro.corpus.findings import FindingRecord, dict_to_record, record_to_dict
-from repro.durability import atomic_write, backoff_delay
-
-_log = logging.getLogger(__name__)
+from repro.durability import atomic_write, temp_path
 
 #: Database file of a corpus directory.
 SQLITE_FILE = "corpus.sqlite3"
@@ -58,13 +60,6 @@ SCHEMA_VERSION = 1
 
 #: How long a writer waits on a locked database before giving up (ms).
 BUSY_TIMEOUT_MS = 30_000
-
-#: Total tries a write transaction gets on a locked database.
-WRITE_RETRY_ATTEMPTS = 6
-
-#: First-retry sleep (doubles per retry) and its ceiling, in seconds.
-WRITE_RETRY_BASE_SECONDS = 0.02
-WRITE_RETRY_CAP_SECONDS = 0.5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,42 +97,6 @@ def cmin_update(
                 winners[token] = cost
                 touched[entry.entry_id] = entry
     return touched
-
-
-def _is_lock_error(error: sqlite3.OperationalError) -> bool:
-    message = str(error).lower()
-    return "locked" in message or "busy" in message
-
-
-def _write_with_retry(operation, describe: str):
-    """Run a write transaction, retrying lock contention with backoff.
-
-    The busy timeout already absorbs waits *within* a statement, but a
-    writer can still surface ``database is locked`` when the timeout
-    elapses under pathological contention. Shard corpus write-back must
-    survive that transient instead of failing a whole shard, so
-    locked/busy errors are retried with capped exponential backoff; any
-    other operational error propagates untouched. *operation* must be a
-    whole transaction: a failed attempt has rolled back, so the retry
-    starts from the committed state.
-    """
-    for attempt in range(1, WRITE_RETRY_ATTEMPTS + 1):
-        try:
-            return operation()
-        except sqlite3.OperationalError as error:
-            if not _is_lock_error(error) or attempt == WRITE_RETRY_ATTEMPTS:
-                raise
-            delay = backoff_delay(
-                attempt - 1, WRITE_RETRY_BASE_SECONDS, WRITE_RETRY_CAP_SECONDS
-            )
-            _log.debug(
-                "%s hit a locked database (attempt %d/%d); retrying in %.3fs",
-                describe,
-                attempt,
-                WRITE_RETRY_ATTEMPTS,
-                delay,
-            )
-            time.sleep(delay)
 
 
 _SCHEMA = """
@@ -227,7 +186,7 @@ class SqliteCorpusBackend:
 
     Every method is safe on a corpus that does not exist yet (reads
     return empty, writes create the database), and every write method
-    is safe under concurrent fleet workers.
+    is safe under concurrent writers in other processes or threads.
     """
 
     name = "sqlite"
@@ -250,7 +209,7 @@ class SqliteCorpusBackend:
         if not self.database_path.is_file():
             if not create:
                 return None
-            self.root.mkdir(parents=True, exist_ok=True)
+            self._create()
         # isolation_level=None: transactions are opened explicitly by
         # _transaction, never implicitly by the driver.
         connection = sqlite3.connect(
@@ -268,6 +227,31 @@ class SqliteCorpusBackend:
         )
         self._local.connection = connection
         return connection
+
+    def _create(self) -> None:
+        """Publish a new database file, or find another process's.
+
+        Switching a file that another process is creating to WAL fails
+        at once with ``database is locked``, without waiting for the
+        busy timeout. So the file is built in WAL mode, schema included,
+        under a private temp name and hard-linked into place: the link
+        never replaces a file, so the first creator's wins and every
+        other creator drops its own.
+        """
+        self.root.mkdir(parents=True, exist_ok=True)
+        temp = temp_path(self.database_path)
+        connection = sqlite3.connect(temp, isolation_level=None)
+        try:
+            connection.execute("PRAGMA journal_mode = WAL")
+            connection.executescript(_SCHEMA)
+        finally:
+            connection.close()
+        try:
+            os.link(temp, self.database_path)
+        except FileExistsError:
+            pass
+        finally:
+            temp.unlink()
 
     @staticmethod
     @contextlib.contextmanager
@@ -294,8 +278,10 @@ class SqliteCorpusBackend:
             connection.close()
             self._local.connection = None
 
-    def _meta(self, connection: sqlite3.Connection, key: str) -> str | None:
-        row = connection.execute(
+    def read_meta(self, key: str) -> str | None:
+        """The ``meta`` row *key*, or None when there is none."""
+        connection = self._connect(create=False)
+        row = connection and connection.execute(
             "SELECT value FROM meta WHERE key = ?", (key,)
         ).fetchone()
         return row[0] if row else None
@@ -307,21 +293,19 @@ class SqliteCorpusBackend:
         batches: Sequence[
             tuple[Sequence[CorpusEntry], Sequence[FindingRecord]]
         ],
+        meta: dict[str, str] | None = None,
     ) -> list[dict]:
         """Write every ``(entries, records)`` batch in one transaction.
 
-        All of it lands or none of it does, and the transaction is
-        retried as a unit on lock contention. Batches are applied in
+        All of it lands or none of it does. Batches are applied in
         order, so a repeat inside the call counts exactly as it would
         in separate calls. A record whose bucket is already stored adds
         its occurrence count to the bucket's, and the bucket keeps the
         lower-ranked of the two records (see :data:`_BUMP_FINDING`).
+        The *meta* rows, if any, are written in the same transaction.
         Returns one dict per batch:
         ``{"entries_added", "findings_new", "findings_duplicate"}``.
         """
-        return _write_with_retry(lambda: self._ingest_once(batches), "ingest")
-
-    def _ingest_once(self, batches) -> list[dict]:
         connection = self._connect(create=True)
         results = []
         with self._transaction(connection):
@@ -350,6 +334,11 @@ class SqliteCorpusBackend:
                         "findings_new": new,
                         "findings_duplicate": duplicate,
                     }
+                )
+            if meta:
+                connection.executemany(
+                    "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
+                    meta.items(),
                 )
         return results
 
@@ -455,19 +444,11 @@ class SqliteCorpusBackend:
         (associativity — entries are never deleted). ``write=False``
         computes the same canonical set without persisting the fold.
         """
-        # Retried as a unit: the fold is associative and the entries
-        # table is append-only, so a rerun after a lock error computes
-        # the identical winner map.
-        return _write_with_retry(
-            lambda: self._minimize_once(write), "minimize"
-        )
-
-    def _minimize_once(self, write: bool) -> list[CorpusEntry]:
         connection = self._connect(create=write)
         if connection is None:
             return []
         with self._transaction(connection, write=write):
-            last_seq = int(self._meta(connection, "cmin_last_seq") or 0)
+            last_seq = int(self.read_meta("cmin_last_seq") or 0)
             winners = self._stored_winners(connection)
             new_rows = connection.execute(
                 "SELECT seq, data FROM entries WHERE seq > ? ORDER BY seq",
@@ -544,8 +525,8 @@ class SqliteCorpusBackend:
         ).fetchone()[0]
         if not has_canonical:
             return False
-        count = self._meta(connection, "cmin_entry_count")
-        max_id = self._meta(connection, "cmin_max_entry_id")
+        count = self.read_meta("cmin_entry_count")
+        max_id = self.read_meta("cmin_max_entry_id")
         if count is None or max_id is None:
             return True
         return (int(count), max_id) != self._census(connection)
@@ -580,26 +561,9 @@ class SqliteCorpusBackend:
 
     # -- findings -----------------------------------------------------------------
 
-    def _records_from_rows(self, rows) -> list[FindingRecord]:
-        records = []
-        for data, occurrences in rows:
-            # The data column keeps the bucket's representative record;
-            # the occurrences column is the transactional truth.
-            payload = json.loads(data)
-            payload["occurrences"] = occurrences
-            records.append(dict_to_record(payload))
-        return records
-
     def finding_records(self) -> list[FindingRecord]:
         """Every bucket, sorted by bucket ID (deterministic order)."""
-        connection = self._connect(create=False)
-        if connection is None:
-            return []
-        return self._records_from_rows(
-            connection.execute(
-                "SELECT data, occurrences FROM findings ORDER BY bucket_id"
-            )
-        )
+        return self.query_findings()
 
     def finding_count(self) -> int:
         connection = self._connect(create=False)
@@ -633,13 +597,16 @@ class SqliteCorpusBackend:
                 clauses.append(f"{column} = ?")
                 params.append(value)
         where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
-        return self._records_from_rows(
-            connection.execute(
+        # The data column keeps the bucket's representative record; the
+        # occurrences column is the transactional truth.
+        return [
+            dict_to_record({**json.loads(data), "occurrences": occurrences})
+            for data, occurrences in connection.execute(
                 "SELECT data, occurrences FROM findings"
                 f"{where} ORDER BY bucket_id",
                 params,
             )
-        )
+        ]
 
     def garbage_dictionary(self) -> tuple[bytes, ...]:
         """Known-crashing garbage tails across all stored reproducers."""
@@ -694,7 +661,6 @@ __all__ = [
     "BUSY_TIMEOUT_MS",
     "SCHEMA_VERSION",
     "SQLITE_FILE",
-    "WRITE_RETRY_ATTEMPTS",
     "CorpusStats",
     "SqliteCorpusBackend",
     "cmin_update",

@@ -1,7 +1,7 @@
 """Campaign write-back: finished campaigns into the shared corpus.
 
 Every consumer of a corpus directory — this write-back, the fleet
-runtime's shards, the scheduler prior, replay, the CLI — opens its
+runtime's commit, the scheduler prior, replay, the CLI — opens its
 database with :func:`~repro.corpus.backend.open_backend` and calls the
 :class:`~repro.corpus.sqlite_backend.SqliteCorpusBackend` directly.
 
@@ -9,11 +9,14 @@ Write-back replays only what the fuzzer *sent*: each campaign's batch
 (:func:`campaign_batch`) is built from its sniffer's
 :meth:`~repro.analysis.sniffer.PacketSniffer.sent_packets`, which the
 sent capture (``retain_trace="sent"``) and the full trace both serve.
-:func:`ingest_batches` then writes a whole shard's batches in one
+Batches are then written by one
+:meth:`~repro.corpus.sqlite_backend.SqliteCorpusBackend.ingest`
 transaction, so the database write lock is never held across a replay
-and a failed write-back leaves the corpus untouched. The fleet runtime
-builds each batch as soon as its campaign ends and drops the campaign;
-:func:`record_campaigns` does both steps for campaigns held in hand.
+and a failed write-back leaves the corpus untouched. Fleet workers
+build each batch as soon as its campaign ends, drop the campaign and
+return the batch; the fleet runtime, the fleet's one writer, ingests
+them in spec order. :func:`record_campaign` does both steps for one
+campaign held in hand.
 """
 
 from __future__ import annotations
@@ -28,41 +31,13 @@ def record_campaign(root, profile, fuzzer, report, armed: bool = True) -> dict:
 
     Persists every coverage-unlock prefix the fuzzer logged as a corpus
     entry, and every finding as a crash bucket (minimised to its
-    essential trigger). Returns a small summary dict
+    essential trigger), in one transaction after every replay. Returns
     ``{"entries_added", "findings_new", "findings_duplicate"}``.
     """
-    return record_campaigns(root, [(profile, fuzzer, report)], armed)[0]
-
-
-def record_campaigns(root, campaigns, armed: bool = True) -> list[dict]:
-    """Shard write-back: many campaigns, one transaction.
-
-    *campaigns* is an iterable of ``(profile, fuzzer, report)`` triples.
-    Every entry and every shrunk finding record of the batch is built
-    first — all replays happen before the database is touched — and
-    then written by :func:`ingest_batches`. Returns one stats dict per
-    campaign, in input order.
-    """
-    return ingest_batches(
-        root,
-        [
-            campaign_batch(profile, fuzzer, report, armed)
-            for profile, fuzzer, report in campaigns
-        ],
-    )
-
-
-def ingest_batches(root, batches) -> list[dict]:
-    """Write :func:`campaign_batch` results in one transaction.
-
-    The transaction is retried as a unit on lock contention. Counts are
-    per batch and exactly what campaign-by-campaign writes would
-    report, repeats inside the call included. Returns one stats dict
-    per batch, in input order.
-    """
+    batch = campaign_batch(profile, fuzzer, report, armed)
     backend = open_backend(root)
     try:
-        return backend.ingest(batches)
+        return backend.ingest([batch])[0]
     finally:
         backend.close()
 
@@ -134,7 +109,5 @@ def campaign_batch(profile, fuzzer, report, armed: bool):
 
 __all__ = [
     "campaign_batch",
-    "ingest_batches",
     "record_campaign",
-    "record_campaigns",
 ]

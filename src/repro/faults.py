@@ -20,9 +20,11 @@ to the workers in :attr:`~repro.core.runtime.FleetContext.fault_plan`.
 * ``corrupt`` at ``shard.summary`` — the shard completes but the target
   campaign's summary blob comes back truncated, exercising the
   :class:`~repro.core.runtime.SummaryDecodeError` retry path.
-* ``corpus_io`` at ``shard.writeback`` — the shard's corpus write-back
-  raises a transient :class:`InjectedFaultError` before anything is
-  written, exercising requeue without double-writing the corpus.
+* ``corpus_io`` at ``shard.writeback`` — the worker raises a transient
+  :class:`InjectedFaultError` after its campaigns' write-back batches
+  are built and before it returns them to the runtime, the corpus's
+  one writer. Nothing has been written, so the supervisor's requeue
+  re-runs the shard and its rows are committed exactly once.
 
 Service faults (:data:`SERVICE_FAULT_KINDS`) strike the control plane
 at any of the six :data:`SERVICE_FAULT_SITES`. ``repro serve`` installs

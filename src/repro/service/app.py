@@ -540,7 +540,8 @@ class ControlPlane:
         """Close the server and stop the scheduler (and its pool).
 
         With ``drain`` the stop is the graceful-shutdown path: admission
-        is already closed, the in-flight job checkpoints and lands
+        is already closed, the in-flight job's runtime commits and
+        checkpoints its ready prefix of campaigns and the job lands
         ``aborted(resumable)``, queued jobs stay queued for the next
         start.
         """
@@ -559,9 +560,10 @@ class ControlPlane:
         """Start, run until shutdown (endpoint or SIGINT/SIGTERM), stop.
 
         Both shutdown signals and the shutdown endpoint take the drain
-        path: stop admission, checkpoint the in-flight job, mark it
-        resumable, exit 0. ``kill -9`` is the *other* durability story —
-        the registry's write-ahead intents make that recoverable too.
+        path: stop admission, commit and checkpoint the in-flight job's
+        ready campaigns, mark it resumable, exit 0. ``kill -9`` is the
+        *other* durability story — the registry's write-ahead intents
+        make that recoverable too.
         """
         await self.start()
         loop = asyncio.get_running_loop()

@@ -29,8 +29,9 @@ retries over a flaky link (or across a service crash) safe.
 
 **Cancel** sets the job's abort event. A queued job flips to
 ``cancelled`` immediately; a running one is interrupted at the
-runtime's next dispatch step (in-flight shards finish and checkpoint
-— the resume trail), surfaces as
+runtime's next dispatch step (the runtime waits for its in-flight
+shards and commits and checkpoints the ready prefix — the resume
+trail), surfaces as
 :class:`~repro.core.runtime.AbortRequested`, and the orchestrator's
 failure path records an ``aborted`` manifest before the job lands in
 ``cancelled``.
@@ -186,8 +187,9 @@ class JobScheduler:
         """Stop dispatching; optionally abort the in-flight job.
 
         With ``abort_running`` (the default) the running job's abort
-        event fires — in-flight shards finish and checkpoint, and the
-        job lands terminal per *reason* (``cancel`` → ``cancelled``,
+        event fires — the runtime waits for its in-flight shards and
+        commits and checkpoints the ready prefix, and the job lands
+        terminal per *reason* (``cancel`` → ``cancelled``,
         ``drain`` → ``aborted`` and resumable). Without it, the
         dispatcher finishes the current job before exiting (queued jobs
         stay queued; they re-enqueue on the next start via the
@@ -212,8 +214,9 @@ class JobScheduler:
         self.draining = True
 
     def drain(self, timeout: float = 30.0) -> None:
-        """Graceful shutdown: no new admissions, in-flight shards
-        checkpoint, the running job lands ``aborted(resumable)``."""
+        """Graceful shutdown: no new admissions, the in-flight shards
+        are committed and checkpointed, the running job lands
+        ``aborted(resumable)``."""
         self.begin_drain()
         self.stop(abort_running=True, timeout=timeout, reason="drain")
 

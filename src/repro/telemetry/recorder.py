@@ -186,7 +186,7 @@ class RunRecorder:
         ``aborted``, but silently; this is the orchestrator-side path
         for a failure it actually caught — the manifest gets the
         exception text, the journal a ``run_abort`` event, and the
-        completed shards' checkpoints stay on disk for ``--resume``.
+        committed campaigns' checkpoints stay on disk for ``--resume``.
         Idempotent with :meth:`close`: whichever runs first wins.
         """
         if self._closed:

@@ -1,21 +1,16 @@
 """Every retry loop waits ``repro.durability.backoff_delay``, unchanged.
 
-The four callers number their attempts differently: shard supervision
+The three callers number their attempts differently: shard supervision
 passes the failures so far (0 and 1 both mean the first retry), the
 service's auto-resume passes resumes already made (0 means resume at
-once), the HTTP client passes a 0-based retry, and the corpus write
-loop counts tries from 1. The table pins each caller's delay, at its
-default knobs, to the formula it used before sharing the helper.
+once), and the HTTP client passes a 0-based retry. The table pins
+each caller's delay, at its default knobs, to the formula it used
+before sharing the helper.
 """
 
 from __future__ import annotations
 
-import sqlite3
-
-import pytest
-
 from repro.core.runtime import retry_backoff
-from repro.corpus import sqlite_backend
 from repro.durability import backoff_delay
 from repro.service import client as client_module
 from repro.service.client import ServiceClient
@@ -61,20 +56,3 @@ def test_client_retry_ceiling_keeps_full_jitter(monkeypatch):
         client._sleep_before_retry(attempt)
     assert ceilings == [min(2.0, 0.05 * (2**a)) for a in ATTEMPTS]
     assert sleeps == [ceiling / 2 for ceiling in ceilings]
-
-
-def test_corpus_write_retry_delays(monkeypatch):
-    sleeps = []
-    monkeypatch.setattr(sqlite_backend.time, "sleep", sleeps.append)
-    monkeypatch.setattr(sqlite_backend, "WRITE_RETRY_ATTEMPTS", len(ATTEMPTS) + 1)
-
-    def locked():
-        raise sqlite3.OperationalError("database is locked")
-
-    with pytest.raises(sqlite3.OperationalError):
-        sqlite_backend._write_with_retry(locked, "test write")
-    # Try n (1-based) failed; the wait before try n + 1.
-    assert sleeps == [
-        min(0.5, 0.02 * (2 ** (attempt - 1)))
-        for attempt in range(1, len(ATTEMPTS) + 1)
-    ]

@@ -506,7 +506,7 @@ class TestSqliteIncrementalMinimize:
         backend.ingest([([_entry(["OPEN"], ident=20)], ())])
         backend.minimize()
         connection = backend._connect(create=False)
-        cursor = int(backend._meta(connection, "cmin_last_seq"))
+        cursor = int(backend.read_meta("cmin_last_seq"))
         max_seq = connection.execute(
             "SELECT MAX(seq) FROM entries"
         ).fetchone()[0]
@@ -516,17 +516,17 @@ class TestSqliteIncrementalMinimize:
         backend = SqliteCorpusBackend(tmp_path)
         backend.ingest([([_entry(["CLOSED"])], ())])
         backend.minimize(write=False)
-        connection = backend._connect(create=False)
-        assert backend._meta(connection, "cmin_last_seq") is None
+        assert backend.read_meta("cmin_last_seq") is None
         assert backend.canonical_entries() == []
 
 
 class TestCampaignWriteBackParity:
     def test_identical_campaign_writes_identical_corpora(self, tmp_path):
-        """The session write-back (one campaign) and the shard write-back
-        (``record_campaigns``) store the same campaign identically."""
+        """The session write-back (one campaign) and the fleet's
+        (``campaign_batch`` + ``ingest``) store the same campaign
+        identically."""
         from repro.core.config import FuzzConfig
-        from repro.corpus.store import record_campaigns
+        from repro.corpus.store import campaign_batch
         from repro.testbed.profiles import D2
         from repro.testbed.session import FuzzSession
 
@@ -537,9 +537,8 @@ class TestCampaignWriteBackParity:
         ).run()
         assert report.vulnerability_found
         session = FuzzSession(D2, FuzzConfig(max_packets=50_000))
-        (counts,) = record_campaigns(
-            shard_dir, [(D2, session.fuzzer, session.run())]
-        )
+        batch = campaign_batch(D2, session.fuzzer, session.run(), armed=True)
+        (counts,) = open_backend(shard_dir).ingest([batch])
         assert counts["findings_new"] == 1
         assert open_backend(session_dir).entries() == open_backend(
             shard_dir

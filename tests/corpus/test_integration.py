@@ -8,6 +8,7 @@ coverage with fewer mutated packets.
 
 from __future__ import annotations
 
+import json
 import sqlite3
 
 import pytest
@@ -18,7 +19,7 @@ from repro.analysis.state_coverage import (
 )
 from repro.core.config import FuzzConfig
 from repro.core.fleet import FleetOrchestrator
-from repro.core.runtime import CHECKPOINTS_DIRNAME
+from repro.core.runtime import CHECKPOINTS_DIRNAME, AbortRequested
 from repro.corpus import (
     SqliteCorpusBackend,
     open_backend,
@@ -26,7 +27,7 @@ from repro.corpus import (
     replay_entry,
     replay_finding,
 )
-from repro.corpus.store import record_campaigns
+from repro.corpus.store import campaign_batch
 from repro.testbed.profiles import ALL_PROFILES, D2, PROFILES_BY_ID
 from repro.testbed.session import FuzzSession
 
@@ -218,8 +219,19 @@ class _FailingConnection:
         return getattr(self._connection, name)
 
 
+def record_campaigns(root, campaigns) -> list[dict]:
+    """Write finished campaigns the way the fleet runtime commits a
+    ready prefix: every batch built first, then one ``ingest``."""
+    batches = [campaign_batch(*campaign, armed=True) for campaign in campaigns]
+    backend = open_backend(root)
+    try:
+        return backend.ingest(batches)
+    finally:
+        backend.close()
+
+
 class TestShardWriteBack:
-    """``record_campaigns`` writes a shard in one all-or-nothing transaction."""
+    """One ``ingest`` writes many campaigns all-or-nothing."""
 
     @pytest.fixture(scope="class")
     def shard(self):
@@ -288,25 +300,10 @@ class TestShardWriteBack:
         (record,) = open_backend(root).finding_records()
         assert record.occurrences == 1 + len(shard)
 
-    def test_lock_error_retries_the_whole_shard(self, shard, tmp_path, monkeypatch):
-        from repro.corpus import sqlite_backend
-
-        monkeypatch.setattr(sqlite_backend.time, "sleep", lambda _s: None)
-        expected = record_campaigns(tmp_path / "clean", shard)
-        with monkeypatch.context() as patch:
-            self._fail_finding_write(
-                patch, 3, sqlite3.OperationalError("database is locked")
-            )
-            counts = record_campaigns(tmp_path / "retried", shard)
-        assert counts == expected
-        assert self._snapshot(tmp_path / "retried") == self._snapshot(
-            tmp_path / "clean"
-        )
-
 
 class TestResumeWriteBack:
-    """What a resume keeps when a shard's corpus write committed but its
-    checkpoint was never written (the worker died between the two)."""
+    """What a resume keeps when a campaign's corpus rows committed but
+    its checkpoint was never written (the run died between the two)."""
 
     @staticmethod
     def _fleet(tmp_path, corpus, **kwargs):
@@ -350,13 +347,109 @@ class TestResumeWriteBack:
         assert stores["resumed"].entries() == stores["direct"].entries()
         assert stores["direct"].finding_count() == 1
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the resume re-runs the campaign and ingests its finding"
-        " a second time, doubling the bucket's occurrence count",
-    )
     def test_occurrence_counts_are_the_same(self, runs):
         _, _, stores = runs
         assert [r.occurrences for r in stores["resumed"].finding_records()] == [
             r.occurrences for r in stores["direct"].finding_records()
         ]
+
+
+def _checkpointed(run_dir) -> list[int]:
+    return sorted(
+        int(path.stem.split("-")[1])
+        for path in (run_dir / CHECKPOINTS_DIRNAME).glob("campaign-*.bin")
+    )
+
+
+def _committed(root, run_id) -> dict:
+    backend = open_backend(root)
+    try:
+        return json.loads(backend.read_meta(f"committed:{run_id}"))
+    finally:
+        backend.close()
+
+
+def _tables(root) -> list[str]:
+    """The database dump, less the runs' committed-prefix rows."""
+    connection = sqlite3.connect(root / "corpus.sqlite3")
+    try:
+        return [
+            line
+            for line in connection.iterdump()
+            if not line.startswith("INSERT INTO \"meta\" VALUES('committed:")
+        ]
+    finally:
+        connection.close()
+
+
+class TestCommittedPrefix:
+    """A checkpoint never exists without its corpus rows: every
+    checkpointed campaign lies below the run's committed prefix, also
+    after an abort, and the resume completes the uninterrupted corpus."""
+
+    @staticmethod
+    def _fleet(tmp_path, name, workers, **kwargs):
+        return FleetOrchestrator(
+            ALL_PROFILES[:4],
+            ["sequential", "targeted"],
+            fleet_seed=5,
+            workers=workers,
+            batch=1,
+            base_config=FuzzConfig(max_packets=2_000),
+            corpus_dir=str(tmp_path / name),
+            telemetry_dir=str(tmp_path / "runs"),
+            **kwargs,
+        )
+
+    @pytest.fixture(scope="class")
+    def direct(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("direct")
+        fleet = self._fleet(tmp_path, "corpus", workers=1)
+        with fleet:
+            report = fleet.run()
+        return tmp_path, fleet.run_id, report
+
+    def test_finished_run_commits_every_campaign(self, direct):
+        tmp_path, run_id, report = direct
+        assert _committed(tmp_path / "corpus", run_id) == {
+            "prefix": 8,
+            "skipped": [],
+        }
+        assert _checkpointed(tmp_path / "runs" / run_id) == list(range(8))
+        assert report.findings
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_abort_keeps_checkpoints_below_the_prefix(
+        self, tmp_path, direct, workers
+    ):
+        polls = []
+
+        def abort_on_third_poll() -> bool:
+            polls.append(1)
+            return len(polls) == 3
+
+        aborted = self._fleet(
+            tmp_path, "corpus", workers, abort_check=abort_on_third_poll
+        )
+        with aborted:
+            with pytest.raises(AbortRequested):
+                aborted.run()
+        run_dir = tmp_path / "runs" / aborted.run_id
+        committed = _committed(tmp_path / "corpus", aborted.run_id)
+        checkpointed = _checkpointed(run_dir)
+        assert checkpointed, "the abort committed nothing"
+        assert committed["skipped"] == []
+        assert all(index < committed["prefix"] for index in checkpointed)
+        assert committed["prefix"] < 8
+
+        resumed = self._fleet(
+            tmp_path, "corpus", workers, resume_run_id=aborted.run_id
+        )
+        with resumed:
+            report = resumed.run()
+        direct_root, direct_run, direct_report = direct
+        assert report.campaigns == direct_report.campaigns
+        assert report.findings == direct_report.findings
+        assert _committed(tmp_path / "corpus", aborted.run_id)["prefix"] == 8
+        assert _checkpointed(run_dir) == list(range(8))
+        assert _tables(tmp_path / "corpus") == _tables(direct_root / "corpus")

@@ -139,8 +139,6 @@ class TestChaosRecovery:
         assert stats.retries >= 1
 
     def test_transient_corpus_io_error_retried(self, tmp_path):
-        from repro.corpus import open_backend
-
         contents = []
         reports = []
         for label, plan in (
@@ -162,20 +160,15 @@ class TestChaosRecovery:
                 reports.append(_rendered(orchestrator.run()))
                 if plan is not None:
                     assert orchestrator.last_supervision.retries >= 1
-            contents.append(
-                (
-                    {entry.entry_id for entry in open_backend(root).entries()},
-                    {
-                        record.bucket_id
-                        for record in open_backend(root).finding_records()
-                    },
-                )
-            )
+            connection = sqlite3.connect(root / "corpus.sqlite3")
+            contents.append(list(connection.iterdump()))
+            connection.close()
         assert reports[0] == reports[1]
-        # The fault fires before anything is written, so the retried
-        # shard's write-back must not duplicate or drop corpus entries.
+        # The fault fires in the worker before its batches reach the
+        # runtime, so the requeued shard is written exactly once: the
+        # whole database, occurrence counts included, is the clean one.
         assert contents[0] == contents[1]
-        assert contents[0][0]
+        assert any(line.startswith('INSERT INTO "entries"') for line in contents[0])
 
     def test_seeded_chaos_plan_is_deterministic(self, tmp_path):
         first = seeded_plan(1202, 16, FAULT_KINDS, tmp_path / "a")
@@ -233,6 +226,61 @@ class TestPoisonQuarantine:
         # The diagnostic survives serialisation.
         assert report.to_dict()["quarantined"][0]["index"] == poison
         assert "Quarantined campaigns" in report.to_markdown()
+
+    def test_resume_ingests_the_quarantined_campaign_once(self, tmp_path):
+        """The committed prefix moves past a quarantined campaign but
+        records it as skipped, so the resume that re-runs it writes its
+        rows, and nothing else twice."""
+        from repro.corpus import open_backend
+
+        poison = 2
+
+        def fleet(name, **kwargs) -> FleetOrchestrator:
+            return FleetOrchestrator(
+                profiles=ALL_PROFILES[:4],
+                strategies=("sequential",),
+                fleet_seed=7,
+                workers=2,
+                batch=4,
+                base_config=FuzzConfig(max_packets=BUDGET),
+                corpus_dir=str(tmp_path / name),
+                telemetry_dir=str(tmp_path / "runs"),
+                **kwargs,
+            )
+
+        def committed(run_id) -> dict:
+            backend = open_backend(tmp_path / "resumed")
+            try:
+                return json.loads(backend.read_meta(f"committed:{run_id}"))
+            finally:
+                backend.close()
+
+        def contents(name):
+            backend = open_backend(tmp_path / name)
+            try:
+                return backend.entries(), backend.finding_records()
+            finally:
+                backend.close()
+
+        with fleet("direct") as direct:
+            direct_report = direct.run()
+        plan = _plan(
+            tmp_path,
+            FaultSpec(
+                kind="crash", site="shard.start", spec_index=poison, times=999
+            ),
+        )
+        with fleet("resumed", fault_plan=plan) as poisoned:
+            report = poisoned.run()
+        assert [item.index for item in report.quarantined] == [poison]
+        assert committed(poisoned.run_id) == {"prefix": 4, "skipped": [poison]}
+        with fleet("resumed", resume_run_id=poisoned.run_id) as resumed:
+            resumed_report = resumed.run()
+        assert committed(poisoned.run_id) == {"prefix": 4, "skipped": []}
+        assert _rendered(resumed_report) == _rendered(direct_report)
+        entries, findings = contents("resumed")
+        assert entries and findings
+        assert (entries, findings) == contents("direct")
 
 
 class TestCheckpointResume:
@@ -460,21 +508,13 @@ class TestCheckpointResume:
 
 class TestCheckpointFiles:
     def test_round_trip(self, tmp_path, sample_summary):
-        write_checkpoints(
-            tmp_path,
-            [(5, "D1", "sequential", 7, "l2cap")],
-            [encode_summary(sample_summary)],
-        )
+        write_checkpoints(tmp_path, {5: encode_summary(sample_summary)})
         restored = load_checkpoints(tmp_path)
         assert set(restored) == {5}
         assert restored[5] == sample_summary
 
     def test_truncated_checkpoint_skipped(self, tmp_path, sample_summary):
-        write_checkpoints(
-            tmp_path,
-            [(5, "D1", "sequential", 7, "l2cap")],
-            [encode_summary(sample_summary)],
-        )
+        write_checkpoints(tmp_path, {5: encode_summary(sample_summary)})
         checkpoint_dir = tmp_path / CHECKPOINTS_DIRNAME
         (checkpoint_dir / "campaign-000006.bin").write_bytes(
             encode_summary(sample_summary)[:10]
@@ -535,9 +575,7 @@ class TestSummaryDecodeError:
             flipped[bit // 8] ^= 1 << (bit % 8)
             with pytest.raises(SummaryDecodeError):
                 decode_summary(bytes(flipped))
-        write_checkpoints(
-            tmp_path, [(5, "D1", "sequential", 7, "l2cap")], [blob]
-        )
+        write_checkpoints(tmp_path, {5: blob})
         flipped = bytearray(blob)
         flipped[len(blob) // 2] ^= 0x10
         (tmp_path / CHECKPOINTS_DIRNAME / "campaign-000006.bin").write_bytes(
@@ -613,84 +651,93 @@ class TestBothPoolPaths:
         assert runtime.last_supervision.quarantined == []
 
 
-class TestSqliteWriteRetry:
-    def _locked(self) -> sqlite3.OperationalError:
-        return sqlite3.OperationalError("database is locked")
+class TestCorpusCreation:
+    """A corpus file appears whole and in WAL mode, so writers that
+    create one at the same moment both commit, without a retry."""
 
-    def test_lock_contention_retried(self, tmp_path, monkeypatch):
-        from repro.corpus import sqlite_backend
-
-        monkeypatch.setattr(sqlite_backend.time, "sleep", lambda _s: None)
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise self._locked()
-            return "ok"
-
-        assert sqlite_backend._write_with_retry(flaky, "test") == "ok"
-        assert len(attempts) == 3
-
-    def test_non_lock_error_propagates_immediately(self, monkeypatch):
-        from repro.corpus import sqlite_backend
-
-        monkeypatch.setattr(sqlite_backend.time, "sleep", lambda _s: None)
-        attempts = []
-
-        def broken():
-            attempts.append(1)
-            raise sqlite3.OperationalError("no such table: entries")
-
-        with pytest.raises(sqlite3.OperationalError, match="no such table"):
-            sqlite_backend._write_with_retry(broken, "test")
-        assert len(attempts) == 1
-
-    def test_persistent_lock_gives_up(self, monkeypatch):
-        from repro.corpus import sqlite_backend
-
-        monkeypatch.setattr(sqlite_backend.time, "sleep", lambda _s: None)
-        attempts = []
-
-        def wedged():
-            attempts.append(1)
-            raise self._locked()
-
-        with pytest.raises(sqlite3.OperationalError, match="locked"):
-            sqlite_backend._write_with_retry(wedged, "test")
-        assert len(attempts) == sqlite_backend.WRITE_RETRY_ATTEMPTS
-
-    def test_ingest_survives_transient_lock(self, tmp_path, monkeypatch):
-        from repro.corpus import sqlite_backend
+    @staticmethod
+    def _entry(seed: int):
         from repro.corpus.entry import entry_from_packets
         from repro.l2cap.packets import echo_request
 
-        monkeypatch.setattr(sqlite_backend.time, "sleep", lambda _s: None)
-        backend = sqlite_backend.SqliteCorpusBackend(tmp_path)
-        original = sqlite_backend.SqliteCorpusBackend._ingest_once
-        failures = iter([self._locked(), self._locked()])
-
-        def flaky(self, batches):
-            error = next(failures, None)
-            if error is not None:
-                raise error
-            return original(self, batches)
-
-        monkeypatch.setattr(
-            sqlite_backend.SqliteCorpusBackend, "_ingest_once", flaky
-        )
-        entry = entry_from_packets(
-            packets=[echo_request(b"x", identifier=1)],
+        return entry_from_packets(
+            packets=[echo_request(bytes([seed]), identifier=1)],
             unlocked=["OPEN"],
             covered=["OPEN"],
             device_id="D2",
             strategy="sequential",
-            seed=7,
+            seed=seed,
             armed=False,
             target="l2cap",
         )
-        assert backend.ingest([([entry], ())])[0]["entries_added"] == 1
-        assert backend.stats().entry_count == 1
+
+    def test_losing_creator_writes_into_the_winners_file(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.corpus import sqlite_backend
+
+        import threading
+
+        root = tmp_path / "corpus"
+        link = os.link
+
+        def winner() -> None:
+            backend = sqlite_backend.SqliteCorpusBackend(root)
+            backend.ingest([([self._entry(1)], ())])
+            backend.close()
+
+        def raced(source, target):
+            # Another writer publishes its database first.
+            monkeypatch.setattr(sqlite_backend.os, "link", link)
+            thread = threading.Thread(target=winner)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            link(source, target)
+
+        monkeypatch.setattr(sqlite_backend.os, "link", raced)
+        loser = sqlite_backend.SqliteCorpusBackend(root)
+        assert loser.ingest([([self._entry(2)], ())])[0]["entries_added"] == 1
+        assert loser.entry_count() == 2
+        assert sorted(path.name for path in root.iterdir()) == [
+            "corpus.sqlite3",
+            "corpus.sqlite3-shm",
+            "corpus.sqlite3-wal",
+        ]
+        mode = loser._connect(create=False).execute("PRAGMA journal_mode")
+        assert mode.fetchone() == ("wal",)
+        loser.close()
+
+    def test_simultaneous_creators_both_commit(self, tmp_path):
+        import threading
+
+        from repro.corpus.sqlite_backend import SqliteCorpusBackend
+
+        for trial in range(20):
+            root = tmp_path / f"corpus-{trial}"
+            barrier = threading.Barrier(2, timeout=60)
+            errors: list = []
+
+            def write(seed: int) -> None:
+                backend = SqliteCorpusBackend(root)
+                barrier.wait()
+                try:
+                    backend.ingest([([self._entry(seed)], ())])
+                except sqlite3.OperationalError as error:
+                    errors.append(error)
+                finally:
+                    backend.close()
+
+            threads = [
+                threading.Thread(target=write, args=(seed,)) for seed in (1, 2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert errors == []
+            assert SqliteCorpusBackend(root).entry_count() == 2
 
 
 class TestCliFaultFlags:

@@ -148,14 +148,17 @@ class TestPersistentRuntime:
 
 class TestBatchedCorpusWriteBack:
     def test_corpus_contents_independent_of_workers_and_batch(self, tmp_path):
+        import sqlite3
+
         from repro.corpus import open_backend
 
         contents = []
-        for index, (workers, batch) in enumerate(((1, None), (2, 1), (2, 3))):
+        configs = ((1, None), (2, None), (2, 1), (2, 3))
+        for index, (workers, batch) in enumerate(configs):
             root = tmp_path / f"corpus-{index}"
             orchestrator = FleetOrchestrator(
-                profiles=ALL_PROFILES[:2],
-                strategies=("sequential",),
+                profiles=ALL_PROFILES[:4],
+                strategies=("sequential", "targeted"),
                 fleet_seed=7,
                 workers=workers,
                 batch=batch,
@@ -164,6 +167,7 @@ class TestBatchedCorpusWriteBack:
             )
             with orchestrator:
                 orchestrator.run()
+            connection = sqlite3.connect(root / "corpus.sqlite3")
             contents.append(
                 (
                     {entry.entry_id for entry in open_backend(root).entries()},
@@ -171,10 +175,14 @@ class TestBatchedCorpusWriteBack:
                         record.bucket_id
                         for record in open_backend(root).finding_records()
                     },
+                    # The runtime commits campaigns in spec order, so the
+                    # whole database, rowids included, is the same too.
+                    list(connection.iterdump()),
                 )
             )
-        assert contents[0] == contents[1] == contents[2]
-        entries, buckets = contents[0]
+            connection.close()
+        assert all(content == contents[0] for content in contents)
+        entries, buckets, _ = contents[0]
         assert entries and buckets
 
     def test_summary_carries_corpus_stats(self, tmp_path):
