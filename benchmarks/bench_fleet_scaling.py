@@ -24,7 +24,9 @@ identical across all pool sizes, batch granularities included.
 
 The supervised dispatch loop (deadlines, retry bookkeeping, futures
 instead of ``pool.map``) is also priced here: the same warm fleet is
-dispatched supervised and unsupervised, median of three each, and the
+dispatched through ``run_specs`` and as a bare ``pool.map`` of
+``run_shard`` over the runtime's pool (the reference side, kept here
+because src has one dispatch path), median of three each, and the
 overhead is gated at <3% (plus a 50 ms absolute allowance for
 sub-second dispatches).
 """
@@ -35,10 +37,12 @@ import datetime
 import json
 import statistics
 import time
+from functools import partial
 from pathlib import Path
 
 from repro.core.config import FuzzConfig
 from repro.core.fleet import FleetOrchestrator
+from repro.core.runtime import decode_summary, run_shard
 from repro.testbed.profiles import ALL_PROFILES
 
 from benchmarks.bench_helpers import print_table, run_once, scaled
@@ -81,6 +85,20 @@ def _run_fleet(workers: int, budget: int):
     return report, cold, warm
 
 
+def _bare_map(runtime, context, specs) -> None:
+    """The unsupervised reference: ``pool.map`` of ``run_shard`` over
+    the runtime's pool, shards sized as ``run_specs`` sizes them, then
+    a decode of every blob. The context has no corpus and no telemetry,
+    so that is all ``run_specs``'s commit does with the results too."""
+    batch = runtime.shard_size(len(specs))
+    shards = [specs[start : start + batch] for start in range(0, len(specs), batch)]
+    for results, _ in runtime._ensure_pool().map(
+        partial(run_shard, context, in_process_worker=True), shards
+    ):
+        for blob, _ in results:
+            decode_summary(blob)
+
+
 def _measure_supervision_overhead(budget: int) -> tuple[float, float]:
     """Median warm dispatch time: supervised vs bare ``pool.map``.
 
@@ -105,9 +123,10 @@ def _measure_supervision_overhead(budget: int) -> tuple[float, float]:
         for _ in range(3):
             for supervised in (False, True):
                 started = time.perf_counter()
-                runtime.run_specs(
-                    specs, supervised=supervised, context=context
-                )
+                if supervised:
+                    runtime.run_specs(specs, context=context)
+                else:
+                    _bare_map(runtime, context, specs)
                 timings[supervised].append(time.perf_counter() - started)
     return statistics.median(timings[True]), statistics.median(timings[False])
 

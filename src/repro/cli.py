@@ -1070,7 +1070,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=120.0,
         metavar="SECONDS",
         help="watchdog aborts (resumable) a running job with no observable "
-        "progress for this long",
+        "progress for this long; the run directory changes when a shard is "
+        "dispatched or committed, not per campaign",
     )
     serve.add_argument(
         "--auto-resume",

@@ -490,7 +490,8 @@ class FleetOrchestrator:
         reproducers.
     :param telemetry_dir: telemetry root directory. When set, the fleet
         records a run under ``<telemetry_dir>/<run_id>/`` — structured
-        event journal (per-worker segments merged at run boundaries),
+        event journal (workers return their shards' events, and the
+        runtime appends them in spec order as it commits campaigns),
         metrics registry with JSON + Prometheus exposition, and a run
         manifest ``repro runs`` can list/tail. None (the default) runs
         without any telemetry — observation is strictly opt-in and
@@ -698,8 +699,8 @@ class FleetOrchestrator:
     def close(self) -> None:
         """Shut the persistent runtime down (idempotent).
 
-        Also finishes the telemetry run: leftover journal segments are
-        merged and the manifest flips to ``finished``. (A recorder that
+        Also finishes the telemetry run: the journal gets ``run_close``
+        and the manifest flips to ``finished``. (A recorder that
         never reaches here — killed process, leaked orchestrator —
         still flushes via its interpreter-exit finalizer, leaving an
         ``aborted`` manifest and a readable partial journal.)
@@ -766,7 +767,7 @@ class FleetOrchestrator:
                     missing,
                     batch=self.batch,
                     context=self._build_context(),
-                    on_event=recorder.emit if recorder is not None else None,
+                    journal=recorder,
                     should_abort=self.abort_check,
                 )
             finally:

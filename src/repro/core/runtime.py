@@ -13,23 +13,23 @@ simulated fleet:
 * **Compact binary summaries** — workers return :class:`CampaignSummary`
   blobs (``marshal`` of plain tuples behind a versioned, checksummed
   header), the one campaign result from worker to exported report.
-* **One corpus writer** — a worker builds each campaign's corpus
-  write-back batch as the campaign ends and returns it with the
-  summary blob. The runtime commits campaigns strictly in spec order
-  (:class:`_SpecOrderCommit`): one transaction per ready prefix, then
-  that prefix's checkpoints. Workers write neither.
+* **One writer** — a worker builds each campaign's corpus write-back
+  batch as the campaign ends, journals its shard in memory, and returns
+  both with the summary blobs. The runtime commits campaigns strictly
+  in spec order (:class:`_SpecOrderCommit`): one transaction per ready
+  prefix, then that prefix's journal lines, then its checkpoints.
+  Workers write none of the three.
 
 Campaigns are pure functions of their derived seed and results are
 committed by spec index, so the merged fleet report, and the corpus
 database byte for byte, are the same for any worker count and batch
-size, and after any recovery or resume.
+size, and after any recovery or resume; the journal holds each
+committed campaign's events once.
 
 One worker runs every shard inline, in the calling process; more
 workers run shards over a supervised process pool
 (:meth:`FleetRuntime._run_supervised`: deadlines, pool restarts,
-requeue with backoff, bisect-to-quarantine). ``run_specs(supervised=
-False)`` — a bare ``pool.map`` — remains only as the reference the
-supervision-overhead benchmark compares against.
+requeue with backoff, bisect-to-quarantine).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from functools import partial
 from pathlib import Path
 from statistics import median
 from typing import NamedTuple
@@ -334,7 +333,7 @@ class FleetContext:
     #: Telemetry root directory; None runs the fleet without telemetry
     #: (the default — observation is strictly opt-in).
     telemetry_dir: str | None = None
-    #: The fleet run every worker journal segment correlates to.
+    #: The fleet run every worker journal line correlates to.
     run_id: str | None = None
     #: Dump a cProfile per worker shard under the run's profiles/ dir.
     profile_workers: bool = False
@@ -412,12 +411,13 @@ def run_shard(
     context: FleetContext,
     shard: Sequence[CampaignSpec],
     in_process_worker: bool = False,
-) -> list[tuple[bytes, tuple | None]]:
+) -> tuple[list[tuple[bytes, tuple | None]], list[str]]:
     """Run every campaign of *shard* back to back; return its results.
 
-    One ``(summary blob, write-back batch)`` pair per campaign, in shard
-    order. The worker writes neither the corpus nor checkpoints: the
-    runtime commits what it returns (:class:`_SpecOrderCommit`).
+    ``(results, lines)``: one ``(summary blob, write-back batch)`` pair
+    per campaign, in shard order, and the shard's encoded journal lines.
+    The worker writes neither the corpus, checkpoints nor the journal:
+    the runtime commits what it returns (:class:`_SpecOrderCommit`).
 
     With a corpus, campaigns run on the sent capture
     (``retain_trace="sent"``), and each campaign's write-back batch —
@@ -426,26 +426,24 @@ def run_shard(
     campaign ends and the session dropped, so a worker holds one
     campaign's capture at a time. Without a corpus the batch is None.
 
-    With telemetry on the context, the shard writes its own journal
-    segment — shard spans, per-campaign start/end events with the
-    sniffer/engine counters, findings and the bridged Logfile records —
-    which the orchestrator merges at run boundaries: no new IPC, no
-    locks, nothing on the packet hot path.
+    With telemetry on the context, the shard journals in memory — shard
+    spans, per-campaign start/end events with the sniffer/engine
+    counters, findings and the bridged Logfile records — each line
+    encoded once and returned with the results (``lines`` is empty
+    without telemetry): no file, no locks, nothing on the packet hot
+    path. A shard whose results are discarded leaves no event behind.
     """
     fault_plan = context.fault_plan
     if fault_plan is not None:
         # Shard-boundary fault injection: planned crashes die and hangs
-        # stall *here*, before any journal side effect, so a requeued
-        # shard re-runs from a clean slate.
+        # stall *here*, before the shard runs.
         campaigns = {spec[0] for spec in shard}
         fault_plan.fire("shard.start", campaigns, in_process_worker)
     journal = None
     if context.telemetry_dir is not None and context.run_id is not None:
-        from repro.telemetry import shard_journal
+        from repro.telemetry import JournalWriter
 
-        journal = shard_journal(
-            context.telemetry_dir, context.run_id, shard[0][0]
-        )
+        journal = JournalWriter(None, context.run_id, os.getpid())
     profiler = None
     if context.profile_workers and journal is not None:
         import cProfile
@@ -527,7 +525,6 @@ def run_shard(
             campaigns=len(shard),
             wall_seconds=round(time.perf_counter() - shard_started, 6),
         )
-        journal.close()
     if profiler is not None:
         profiler.disable()
         from repro.telemetry import PROFILES_DIRNAME
@@ -548,7 +545,7 @@ def run_shard(
             blob[: max(1, len(blob) // 3)] if spec[0] in corrupt else blob
             for spec, blob in zip(shard, blobs)
         ]
-    return list(zip(blobs, batches))
+    return list(zip(blobs, batches)), [] if journal is None else journal.lines
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +608,12 @@ class _SpecOrderCommit:
 
     A finished campaign waits until every campaign before it in *specs*
     has arrived or been quarantined; then that ready prefix is committed:
-    one ``ingest`` transaction for its write-back batches, the
-    ``corpus_writeback`` events, then its checkpoints. So corpus rows
-    follow spec order, and a checkpoint never exists without its rows.
+    one ``ingest`` transaction for its write-back batches; its shards'
+    journal lines and the ``corpus_writeback`` events, appended to
+    *journal*; then its checkpoints. So corpus rows and journal lines
+    follow spec order, a checkpoint never exists without its rows and
+    events, and a discarded shard attempt leaves nothing behind. A
+    shard's campaigns arrive together, so they commit together.
 
     With a telemetry run the transaction also stores the corpus ``meta``
     row ``committed:<run_id>``, ``{"prefix": n, "skipped": [...]}``:
@@ -622,9 +622,10 @@ class _SpecOrderCommit:
     checkpoint is missing without ingesting it again.
     """
 
-    def __init__(self, context: FleetContext, specs, emit) -> None:
-        self._specs, self._emit = list(reversed(specs)), emit
+    def __init__(self, context: FleetContext, specs, journal) -> None:
+        self._specs, self._journal = list(reversed(specs)), journal
         self._arrived: dict[int, tuple | None] = {}  # None: quarantined
+        self._lines: dict[int, list[str]] = {}  # by a shard's first index
         self.summaries: dict[int, CampaignSummary] = {}
         self._run_dir = self._backend = self._key = None
         if context.telemetry_dir is not None and context.run_id is not None:
@@ -640,12 +641,13 @@ class _SpecOrderCommit:
         stored = json.loads(stored or '{"prefix": 0, "skipped": []}')
         self._prefix, self._skipped = stored["prefix"], set(stored["skipped"])
 
-    def add(self, shard: Sequence[CampaignSpec], results) -> None:
-        """Take a shard's :func:`run_shard` results; commit what is ready.
+    def add(self, shard: Sequence[CampaignSpec], returned) -> None:
+        """Take a shard's :func:`run_shard` return; commit what is ready.
 
         :raises SummaryDecodeError: taking none, when a result does not
             decode or the count is wrong.
         """
+        results, lines = returned
         if len(results) != len(shard):
             raise SummaryDecodeError(
                 f"shard returned {len(results)} summaries "
@@ -655,6 +657,7 @@ class _SpecOrderCommit:
             (decode_summary(blob), blob, batch) for blob, batch in results
         ]
         self._arrived.update(zip((spec[0] for spec in shard), decoded))
+        self._lines[shard[0][0]] = lines
         self._commit_ready()
 
     def quarantine(self, spec: CampaignSpec) -> None:
@@ -682,6 +685,7 @@ class _SpecOrderCommit:
         }
         self._prefix = max(self._prefix, ready[-1][0] + 1)
         done = {index: result[:2] for index, result in ready if result}
+        counts = []
         if self._backend is not None and (fresh or self._key):
             state = {"prefix": self._prefix, "skipped": sorted(self._skipped)}
             counts = self._backend.ingest(
@@ -689,13 +693,21 @@ class _SpecOrderCommit:
                 self._key and {self._key: json.dumps(state)},
             )
             for (index, _), stats in zip(fresh, counts):
-                if self._emit is not None:
-                    self._emit("corpus_writeback", campaign=index, **stats)
                 summary = dataclasses.replace(
                     done[index][0],
                     **{f"corpus_{key}": count for key, count in stats.items()},
                 )
                 done[index] = (summary, encode_summary(summary))
+        if self._journal is not None:
+            self._journal.append(
+                [
+                    line
+                    for index, _ in ready
+                    for line in self._lines.pop(index, ())
+                ]
+            )
+            for (index, _), stats in zip(fresh, counts):
+                self._journal.emit("corpus_writeback", campaign=index, **stats)
         if self._run_dir is not None and done:
             blobs = {index: blob for index, (_, blob) in done.items()}
             write_checkpoints(self._run_dir, blobs)
@@ -795,7 +807,7 @@ class FleetRuntime:
     survives between runs, so repeated fleets pay the process start-up
     cost once, whatever context each call runs.
 
-    Multi-worker dispatch is supervised by default: per-shard deadlines,
+    Multi-worker dispatch is supervised: per-shard deadlines,
     pool restart on worker death or hang, capped-backoff requeue, and
     bisect-to-quarantine for poison campaigns (see the module
     docstring). The runtime stays usable after any recovery — including
@@ -821,8 +833,8 @@ class FleetRuntime:
         self.shard_timeout = shard_timeout
         #: Stats from the most recent :meth:`run_specs` call.
         self.last_supervision: SupervisionStats | None = None
-        #: Supervision-event sink of the :meth:`run_specs` call in progress.
-        self._on_event: Callable | None = None
+        #: The journal of the :meth:`run_specs` call in progress.
+        self._journal = None
         self._pool = None
         # Dispatch is exclusive: the supervision loop owns the pool
         # (deadlines, restarts). Concurrent run_specs callers — service
@@ -877,10 +889,9 @@ class FleetRuntime:
         self,
         specs: Sequence[CampaignSpec],
         batch: int | None = None,
-        supervised: bool = True,
         *,
         context: FleetContext | None = None,
-        on_event: Callable | None = None,
+        journal=None,
         should_abort: Callable[[], bool] | None = None,
     ) -> list["CampaignSummary | None"]:
         """Run *specs* over the pool; summaries come back in spec order.
@@ -892,18 +903,19 @@ class FleetRuntime:
         :param batch: campaigns per worker message. None auto-sizes so
             every worker gets work without starving the tail: roughly
             four shards per worker, minimum one campaign per shard.
-        :param supervised: False bypasses the supervision loop for bare
-            ``pool.map`` dispatch — no deadlines, no retry, first
-            failure propagates. Kept for overhead benchmarking.
         :param context: the campaign context, shipped with every shard
             message — how the control plane runs many jobs, each with
             its own config, corpus namespace and telemetry run, on one
             warm pool. None uses the constructor's context.
-        :param on_event: optional callable ``(event, **fields)``
-            receiving this call's supervision events (``worker_crash``,
-            ``shard_retry``, ``shard_timeout``, ``shard_quarantined``,
-            ``dispatch_abort``) and ``corpus_writeback`` events — the
-            orchestrator wires the telemetry journal in here.
+        :param journal: the run's journal, the
+            :class:`~repro.telemetry.RunRecorder` the orchestrator wires
+            in, or None. It gets one ``shard_dispatch`` event (spec
+            indices and ``device/target/strategy`` labels) per shard
+            handed to a worker or run inline, the supervision events
+            (``worker_crash``, ``shard_retry``, ``shard_timeout``,
+            ``shard_quarantined``, ``dispatch_abort``) through ``emit``,
+            and, as campaigns commit, their shards' worker lines through
+            ``append`` and the ``corpus_writeback`` events.
         :param should_abort: polled before each shard is dispatched;
             when it returns True the call raises
             :class:`AbortRequested` — pending shards are dropped
@@ -938,8 +950,8 @@ class FleetRuntime:
         )
         with self._dispatch_lock:
             stats = self.last_supervision = SupervisionStats()
-            commit = _SpecOrderCommit(context, specs, on_event)
-            self._on_event = on_event
+            commit = _SpecOrderCommit(context, specs, journal)
+            self._journal = journal
             try:
                 if self.workers == 1:
                     # Inline: no pool, no serialisation tax, the code
@@ -948,21 +960,15 @@ class FleetRuntime:
                         aborted = self._abort(should_abort, len(shards) - done)
                         if aborted is not None:
                             raise aborted
+                        self._dispatched(shard)
                         commit.add(shard, run_shard(context, shard))
-                elif not supervised:
-                    shard_results = self._ensure_pool().map(
-                        partial(run_shard, context, in_process_worker=True),
-                        shards,
-                    )
-                    for shard, results in zip(shards, shard_results):
-                        commit.add(shard, results)
                 else:
                     self._run_supervised(
                         shards, stats, context, should_abort, commit
                     )
             finally:
                 commit.close()
-                self._on_event = None
+                self._journal = None
         return [commit.summaries.get(spec[0]) for spec in specs]
 
     def _abort(
@@ -993,8 +999,21 @@ class FleetRuntime:
             event,
             " ".join(f"{key}={value}" for key, value in fields.items()),
         )
-        if self._on_event is not None:
-            self._on_event(event, **fields)
+        if self._journal is not None:
+            self._journal.emit(event, **fields)
+
+    def _dispatched(self, shard: Sequence[CampaignSpec]) -> None:
+        """Journal that *shard* went to a worker (``run_status`` shows
+        its campaigns in flight until they commit)."""
+        if self._journal is not None:
+            self._journal.emit(
+                "shard_dispatch",
+                specs=[spec[0] for spec in shard],
+                labels=[
+                    f"{device}/{target}/{strategy}"
+                    for _, device, strategy, _, target in shard
+                ],
+            )
 
     def _run_supervised(
         self,
@@ -1156,6 +1175,7 @@ class FleetRuntime:
                     self._restart_pool(stats)
                     continue
                 in_flight[future] = (job, time.monotonic())
+                self._dispatched(job.shard)
                 if job.require_solo:
                     solo_active = True
             if not in_flight:

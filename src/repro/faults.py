@@ -13,7 +13,9 @@ to the workers in :attr:`~repro.core.runtime.FleetContext.fault_plan`.
 * ``crash`` at ``shard.start`` — the worker dies mid-shard. In a
   process-pool worker this is a hard ``os._exit`` (the orchestrator
   observes ``BrokenProcessPool``); on the inline path it raises
-  :class:`WorkerCrashError`.
+  :class:`WorkerCrashError`. The worker has written nothing: its
+  journal lines, like its write-back batches, reach the run only
+  through the runtime's commit.
 * ``hang`` at ``shard.start`` — the worker sleeps for
   :attr:`FaultSpec.hang_seconds` before running the shard, exercising
   the supervisor's deadline and pool-restart path.

@@ -70,11 +70,12 @@ from repro.service.scheduler import JobScheduler
 from repro.service.tenants import TenantManager, TenantQuota
 from repro.service.watchdog import Watchdog
 from repro.telemetry import (
+    EVENTS_FILENAME,
     list_runs,
     load_manifest,
+    read_events,
     run_info_dict,
     run_status,
-    scan_events,
     status_to_dict,
 )
 from repro.telemetry.recorder import (
@@ -357,9 +358,12 @@ class ControlPlane:
         )
 
     async def _event_stream(self, run_dir: Path, job_id: str, follow: bool):
+        # The journal is append-only, so the events already sent are
+        # always its first *emitted* ones.
+        journal = run_dir / EVENTS_FILENAME
         emitted = 0
         while True:
-            events = await asyncio.to_thread(scan_events, run_dir)
+            events = await asyncio.to_thread(read_events, journal)
             for event in events[emitted:]:
                 yield json.dumps(event, sort_keys=True) + "\n"
             emitted = len(events)
@@ -371,7 +375,7 @@ class ControlPlane:
             if not record.active and manifest_status != "running":
                 # Final drain: anything emitted between the scan above
                 # and the job going terminal.
-                events = await asyncio.to_thread(scan_events, run_dir)
+                events = await asyncio.to_thread(read_events, journal)
                 for event in events[emitted:]:
                     yield json.dumps(event, sort_keys=True) + "\n"
                 return

@@ -7,11 +7,14 @@ Three jobs, one small loop:
   a job that was running under the dead dispatcher is flipped to
   ``aborted(resumable)`` first so the restart cannot strand it.
 * **Wedge detection** — the running job must make *observable*
-  progress: its telemetry run directory (journal segments, merged
-  events, checkpoints, run manifest) must change within
-  ``wedge_deadline`` seconds. A wedged job — hung worker the pool
-  supervision could not unstick, dead pool, livelock — is aborted with
-  a watchdog reason and lands ``aborted(resumable)``.
+  progress: its telemetry run directory (journal, checkpoints, run
+  manifest) must change within ``wedge_deadline`` seconds. The journal
+  grows when the runtime dispatches a shard and when it commits one,
+  not per campaign, so the deadline must cover one shard's run (with
+  auto batch a shard is at most a quarter of a worker's share). A
+  wedged job — hung worker the pool supervision could not unstick,
+  dead pool, livelock — is aborted with a watchdog reason and lands
+  ``aborted(resumable)``.
 * **Deferred auto-resumes** — capped-backoff resumes queued by the
   scheduler fire from here too, so they run even while the dispatcher
   is blocked inside a job.
@@ -37,17 +40,15 @@ _log = logging.getLogger(__name__)
 def _progress_signature(run_dir: Path) -> tuple:
     """A cheap fingerprint that changes whenever the run advances.
 
-    Folds (name, size, mtime_ns) over the run's journal, segments,
-    checkpoints and manifest. Any packet dispatched, shard finished or
-    checkpoint written perturbs at least one of these; a wedged run
-    perturbs none.
+    Folds (name, size, mtime_ns) over the run's journal, checkpoints
+    and manifest. Any shard dispatched or committed perturbs at least
+    one of these; a wedged run perturbs none.
     """
     entries: list[tuple[str, int, int]] = []
     candidates: list[Path] = [run_dir / "events.jsonl", run_dir / "run.json"]
-    for sub in ("segments", "checkpoints"):
-        directory = run_dir / sub
-        if directory.is_dir():
-            candidates.extend(sorted(directory.iterdir()))
+    checkpoints = run_dir / "checkpoints"
+    if checkpoints.is_dir():
+        candidates.extend(sorted(checkpoints.iterdir()))
     for path in candidates:
         try:
             stat = path.stat()

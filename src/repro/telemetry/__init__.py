@@ -5,8 +5,9 @@ a thin API over. Three pieces, all versioned like the fleet summary
 codec:
 
 * :mod:`repro.telemetry.journal` — append-only JSONL event journal per
-  fleet run, written process-safely from pool workers via per-worker
-  segments merged at run boundaries.
+  fleet run, with one writer: pool workers return their shard's
+  encoded events, and the runtime appends them as it commits the
+  shard's campaigns.
 * :mod:`repro.telemetry.metrics` — hot-path-safe counters, gauges and
   histograms, flushed in batches at campaign/run boundaries and exposed
   as JSON snapshots and Prometheus text format.
@@ -25,12 +26,8 @@ from repro.telemetry.adapter import (
 from repro.telemetry.journal import (
     EVENT_SCHEMA_VERSION,
     EVENTS_FILENAME,
-    SEGMENTS_DIRNAME,
     JournalWriter,
-    merge_segments,
     read_events,
-    scan_events,
-    shard_journal,
 )
 from repro.telemetry.metrics import (
     METRICS_SCHEMA_VERSION,
@@ -67,12 +64,10 @@ __all__ = [
     "PROFILES_DIRNAME",
     "RunInfo",
     "RunRecorder",
-    "SEGMENTS_DIRNAME",
     "journal_fuzz_log",
     "list_runs",
     "load_manifest",
     "log_entries_from_events",
-    "merge_segments",
     "new_run_id",
     "read_events",
     "read_manifest",
@@ -81,8 +76,6 @@ __all__ = [
     "run_info",
     "run_info_dict",
     "run_status",
-    "scan_events",
-    "shard_journal",
     "status_to_dict",
     "tail_run",
 ]

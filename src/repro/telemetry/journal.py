@@ -1,19 +1,21 @@
 """Append-only structured event journal (JSONL, one file per fleet run).
 
 Every fleet run owns a directory — ``<telemetry root>/<run_id>/`` — with
-one merged ``events.jsonl`` journal. During the run, each pool worker
-writes its own *segment* file under ``segments/`` (one writer per file,
-so no cross-process locking or new IPC is needed — the same flow the
-compact summary blobs use); segments are folded into the merged journal
-at run boundaries and on close.
+one ``events.jsonl`` journal and one writer: the orchestrator. A pool
+worker journals its shard in memory (a :class:`JournalWriter` without a
+path) and returns the encoded lines with the shard's results; the
+runtime appends them, in spec order, when it commits the shard's
+campaigns. So the file is only ever extended, and it holds the events
+of committed campaigns only.
 
 Event schema (versioned, one JSON object per line):
 
 * ``v`` — :data:`EVENT_SCHEMA_VERSION`.
-* ``seq`` — per-writer monotonic sequence number.
+* ``seq`` — per-writer monotonic sequence number (per shard, for a
+  worker's lines).
 * ``ts`` — wall-clock epoch seconds, monotonic *within a writer*
   (a backwards clock step never produces out-of-order timestamps in
-  one segment).
+  one writer's lines).
 * ``event`` — event type name (``run_start``, ``campaign_end``, ...).
 * ``run_id`` — the fleet run this event belongs to.
 * ``worker`` — emitting writer (worker pid, or ``"orchestrator"``).
@@ -23,15 +25,15 @@ events carry ``campaign`` (the spec index), finding events additionally
 ``finding`` (the per-campaign ordinal), so the chain
 ``run_id → campaign → finding`` is recoverable from any line.
 
-Writers flush per event, so a killed run leaves every completed line
-readable; readers skip a torn trailing line instead of failing.
+Writes are flushed as they are made, so a killed run leaves every
+completed line readable; readers skip a torn trailing line instead of
+failing.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 import time
 from pathlib import Path
 
@@ -46,25 +48,30 @@ EVENT_SCHEMA_VERSION = 1
 #: Keys the writer owns; payload fields may not collide with them.
 _RESERVED_KEYS = frozenset({"v", "seq", "ts", "event", "run_id", "worker"})
 
-#: Merged journal filename inside a run directory.
+#: Journal filename inside a run directory.
 EVENTS_FILENAME = "events.jsonl"
-
-#: Per-writer segment directory inside a run directory.
-SEGMENTS_DIRNAME = "segments"
 
 
 class JournalWriter:
     """Append-only JSONL event writer; exactly one writer per file.
 
-    The file is opened lazily on the first :meth:`emit` and every event
-    is flushed immediately — the journal is observability output, so a
+    The file is opened lazily on the first write and every write is
+    flushed immediately — the journal is observability output, so a
     crash must never cost more than the line being written.
+
+    With *path* None nothing touches a file: each event's line is kept
+    in :attr:`lines`, encoded once, for the one writer of the run's file
+    to :meth:`append` — how a pool worker journals its shard.
     """
 
-    def __init__(self, path: str | Path, run_id: str, worker: str | int) -> None:
-        self.path = Path(path)
+    def __init__(
+        self, path: str | Path | None, run_id: str, worker: str | int
+    ) -> None:
+        self.path = None if path is None else Path(path)
         self.run_id = run_id
         self.worker = worker
+        #: The encoded events of a writer without a path.
+        self.lines: list[str] = []
         self._seq = 0
         self._last_ts = 0.0
         self._handle = None
@@ -91,6 +98,19 @@ class JournalWriter:
             **payload,
         }
         self._seq += 1
+        if self.path is None:
+            self.lines.append(json.dumps(record))
+        else:
+            self.append([json.dumps(record)])
+        return record
+
+    def append(self, lines: list[str]) -> None:
+        """Append already-encoded events, one JSON object per line.
+
+        :raises JournalWriteError: when the file cannot take them.
+        """
+        if self._closed:
+            raise ValueError(f"journal writer for {self.path} is closed")
         try:
             service_fault("journal.emit")
         except OSError as error:
@@ -99,13 +119,12 @@ class JournalWriter:
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(json.dumps(record) + "\n")
+            self._handle.write("".join(line + "\n" for line in lines))
             self._handle.flush()
         except OSError as error:
             # Typed: ENOSPC/EIO on the journal must surface as a clean
-            # resumable abort, never a raw traceback in a worker.
+            # resumable abort, never a raw traceback.
             raise JournalWriteError(self.path, error) from error
-        return record
 
     def close(self) -> None:
         """Flush and release the file handle (idempotent)."""
@@ -122,22 +141,6 @@ class JournalWriter:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-def shard_journal(root: str | Path, run_id: str, shard_key: int) -> JournalWriter:
-    """Open the segment writer for one worker shard.
-
-    Segment names carry the worker pid and the shard's first spec index,
-    which is unique across one run's shards — so concurrent workers (and
-    one worker running many shards) never share a file.
-    """
-    path = (
-        Path(root)
-        / run_id
-        / SEGMENTS_DIRNAME
-        / f"worker-{os.getpid()}-shard-{shard_key:06d}.jsonl"
-    )
-    return JournalWriter(path, run_id=run_id, worker=os.getpid())
 
 
 def _parse_lines(raw: str, source: str) -> list[dict]:
@@ -178,7 +181,7 @@ def _parse_lines(raw: str, source: str) -> list[dict]:
 
 
 def read_events(path: str | Path) -> list[dict]:
-    """Parse one journal (or segment) file; [] when it does not exist.
+    """Parse one journal file; [] when it does not exist.
 
     Equal string values (event names, the run id, log levels, phases
     and messages) come back as one shared object each, as keys already
@@ -206,72 +209,4 @@ def _share_strings(events: list[dict]) -> list[dict]:
                 for inner_key, inner in value.items():
                     if inner.__class__ is str:
                         value[inner_key] = share(inner, inner)
-    return events
-
-
-def _segment_sort_key(item: tuple) -> tuple:
-    """Order ``(event, segment name, ...)`` items across writers."""
-    event, name = item[0], item[1]
-    return (event.get("ts", 0.0), name, event.get("seq", 0))
-
-
-def merge_segments(run_dir: str | Path) -> list[dict]:
-    """Fold every segment file into the run's merged ``events.jsonl``.
-
-    Segment events are appended to the merged journal ordered by
-    ``(ts, segment name, seq)`` — timestamps order across writers,
-    sequence numbers keep each writer's own order exact even under
-    clock jitter — and the segment files are removed. Returns the
-    events that were appended (already parsed, for metric folds).
-
-    Append-only by design: the merged journal is only ever extended, so
-    a live reader (``repro runs tail``) never sees it rewritten.
-    """
-    run_dir = Path(run_dir)
-    segments_dir = run_dir / SEGMENTS_DIRNAME
-    if not segments_dir.is_dir():
-        return []
-    ordered: list[tuple[dict, str, str]] = []
-    segment_paths = sorted(segments_dir.glob("*.jsonl"))
-    for path in segment_paths:
-        raw = path.read_text(encoding="utf-8")
-        # Each line is already json.dumps of its event, so it is copied,
-        # not re-encoded. The only line _parse_lines drops is a torn
-        # last one, which zip() drops from the lines too.
-        lines = [line for line in raw.split("\n") if line.strip()]
-        for event, line in zip(_parse_lines(raw, str(path)), lines):
-            ordered.append((event, path.name, line))
-    ordered.sort(key=_segment_sort_key)
-    events = [event for event, _, _ in ordered]
-    if events:
-        with open(run_dir / EVENTS_FILENAME, "a", encoding="utf-8") as handle:
-            handle.write("".join(line + "\n" for _, _, line in ordered))
-    for path in segment_paths:
-        path.unlink()
-    _log.debug(
-        "merged %d event(s) from %d segment(s) into %s",
-        len(events),
-        len(segment_paths),
-        run_dir / EVENTS_FILENAME,
-    )
-    return events
-
-
-def scan_events(run_dir: str | Path) -> list[dict]:
-    """All events currently readable for a run: merged journal + live segments.
-
-    This is the live view ``repro runs tail`` polls — segment events are
-    included *without* merging them, ordered after the merged journal by
-    the same ``(ts, segment, seq)`` key.
-    """
-    run_dir = Path(run_dir)
-    events = read_events(run_dir / EVENTS_FILENAME)
-    segments_dir = run_dir / SEGMENTS_DIRNAME
-    if segments_dir.is_dir():
-        live: list[tuple[dict, str]] = []
-        for path in sorted(segments_dir.glob("*.jsonl")):
-            for event in read_events(path):
-                live.append((event, path.name))
-        live.sort(key=_segment_sort_key)
-        events.extend(event for event, _ in live)
     return events

@@ -4,24 +4,25 @@ A :class:`RunRecorder` owns one fleet run's telemetry directory::
 
     <root>/<run_id>/
         run.json        manifest (status, totals — cheap `runs list`)
-        events.jsonl    merged event journal
-        segments/       live per-worker journal segments (merged away)
+        events.jsonl    event journal (this recorder is its one writer)
         metrics.json    versioned metrics snapshot (JSON exposition)
         metrics.prom    Prometheus text-format exposition
         profiles/       optional per-worker cProfile dumps (--profile)
 
-The recorder is the aggregation side of the telemetry split: workers
-emit their own journal segments (:func:`repro.core.runtime.run_shard`),
-and the recorder folds everything — campaign summaries, worker shard
-spans, the merged fleet report — into the metrics registry in batched
-flushes at run boundaries.
+The recorder is the run journal's one writer and the aggregation side
+of the telemetry split: workers journal their shards in memory
+(:func:`repro.core.runtime.run_shard`) and the runtime hands the lines
+to :meth:`RunRecorder.append` as it commits the shard's campaigns. The
+recorder folds worker metrics (shard spans, structural rejects) as
+those lines are appended, and campaign summaries and the merged fleet
+report into the metrics registry at run boundaries.
 
 Lifecycle is crash-safe: a :func:`weakref.finalize` hook fires at
 garbage collection or interpreter exit, so a run that is never
 :meth:`~RunRecorder.close`\\ d (killed CLI, forgotten context manager)
-still merges its journal segments and records a terminal
-``run_abort`` event instead of leaving silence — the manifest says
-``aborted``, and every completed line stays readable.
+still records a terminal ``run_abort`` event instead of leaving
+silence — the manifest says ``aborted``, and every completed line
+stays readable.
 """
 
 from __future__ import annotations
@@ -37,12 +38,7 @@ from pathlib import Path
 
 from repro.durability import atomic_write
 from repro.errors import JournalWriteError
-from repro.telemetry.journal import (
-    EVENTS_FILENAME,
-    SEGMENTS_DIRNAME,
-    JournalWriter,
-    merge_segments,
-)
+from repro.telemetry.journal import EVENTS_FILENAME, JournalWriter
 from repro.telemetry.metrics import MetricsRegistry
 
 _log = logging.getLogger(__name__)
@@ -96,7 +92,6 @@ def _finalize_abandoned(run_dir_text: str) -> None:
     if manifest is None or manifest.get("status") != "running":
         return
     try:
-        merge_segments(run_dir)
         writer = JournalWriter(
             run_dir / EVENTS_FILENAME,
             run_id=manifest.get("run_id", run_dir.name),
@@ -130,7 +125,7 @@ class RunRecorder:
         self.run_id = run_id if run_id is not None else new_run_id()
         self.root = Path(root)
         self.run_dir = self.root / self.run_id
-        (self.run_dir / SEGMENTS_DIRNAME).mkdir(parents=True, exist_ok=True)
+        self.run_dir.mkdir(parents=True, exist_ok=True)
         self.workers = workers
         self.metrics = MetricsRegistry()
         self._journal = JournalWriter(
@@ -166,11 +161,10 @@ class RunRecorder:
     # -- lifecycle -------------------------------------------------------------------
 
     def close(self) -> None:
-        """Merge leftovers, mark the run finished, release the journal."""
+        """Mark the run finished and release the journal."""
         if self._closed:
             return
         self._closed = True
-        merge_segments(self.run_dir)
         self._journal.emit("run_close", runs_recorded=self._runs_recorded)
         self._journal.close()
         self._manifest["status"] = "finished"
@@ -196,7 +190,6 @@ class RunRecorder:
         # journal): best-effort every step, so a sick journal can never
         # stop the manifest from flipping to ``aborted``.
         try:
-            merge_segments(self.run_dir)
             self._journal.emit("run_abort", reason=reason)
         except (JournalWriteError, OSError, ValueError) as error:
             _log.warning(
@@ -228,8 +221,18 @@ class RunRecorder:
     # -- journal ---------------------------------------------------------------------
 
     def emit(self, event: str, **payload) -> dict:
-        """Append one orchestrator event to the merged journal."""
+        """Append one orchestrator event to the journal."""
         return self._journal.emit(event, **payload)
+
+    def append(self, lines: list[str]) -> None:
+        """Append committed worker events, and fold their metrics.
+
+        *lines* are encoded events as :func:`repro.core.runtime.run_shard`
+        returns them; they are written as they are, not re-encoded.
+        """
+        if lines:
+            self._journal.append(lines)
+            self._fold_worker_events(json.loads("[" + ",".join(lines) + "]"))
 
     def run_started(self, specs, workers: int, batch: int | None) -> None:
         """Record the start of one :meth:`FleetOrchestrator.run` call."""
@@ -262,9 +265,9 @@ class RunRecorder:
     ) -> None:
         """Fold one finished fleet run into journal + metrics.
 
-        Per-campaign events come from the workers' own journal
-        segments; the report's ``(spec, summary)`` campaign pairs feed
-        the counters.
+        The per-campaign events are already in the journal (the runtime
+        appends them as it commits); the report's ``(spec, summary)``
+        campaign pairs feed the counters.
 
         :param supervision: the runtime's
             :class:`~repro.core.runtime.SupervisionStats` for this run,
@@ -272,8 +275,6 @@ class RunRecorder:
             of the fleet report — supervision activity varies with
             faults, the report must not.
         """
-        merged = merge_segments(self.run_dir)
-        self._fold_worker_events(merged)
         for spec, summary in fleet_report.campaigns:
             self._fold_campaign(spec, summary, profiles_by_id)
         if supervision is not None:
@@ -366,7 +367,7 @@ class RunRecorder:
         )
 
     def _fold_worker_events(self, events) -> None:
-        """Shard spans and engine counters from merged worker segments."""
+        """Shard spans and engine counters from appended worker events."""
         metrics = self.metrics
         busy: dict[str, float] = {}
         for event in events:

@@ -1,9 +1,9 @@
 """Run introspection: list recorded runs, render live fleet status.
 
-Everything here reads the on-disk telemetry artifacts only — manifest,
-merged journal, live segments — so it works identically against a
-finished run, a run in another process, and a half-written directory a
-killed run left behind. ``repro runs tail`` is a poll loop over
+Everything here reads the on-disk telemetry artifacts only — manifest
+and journal — so it works identically against a finished run, a run in
+another process, and a half-written directory a killed run left
+behind. ``repro runs tail`` is a poll loop over
 :func:`run_status` / :func:`render_status`; the same functions are what
 a future control-plane API would serve over HTTP.
 """
@@ -14,7 +14,7 @@ import dataclasses
 import time
 from pathlib import Path
 
-from repro.telemetry.journal import scan_events
+from repro.telemetry.journal import EVENTS_FILENAME, read_events
 from repro.telemetry.recorder import MANIFEST_FILENAME, read_manifest
 
 
@@ -147,12 +147,14 @@ class _WorkerRow:
 def run_status(run_dir: str | Path) -> dict:
     """Aggregate a run's journal into one live status structure.
 
-    Reads the merged journal *and* any live worker segments, so the
-    view updates while workers are still mid-shard.
+    Worker events reach the journal when their campaigns commit, so
+    ``in_flight`` is read off the runtime's ``shard_dispatch`` events:
+    the dispatched campaigns with no ``campaign_end`` (and not
+    quarantined) yet.
     """
     run_dir = Path(run_dir)
     manifest = load_manifest(run_dir) or {}
-    events = scan_events(run_dir)
+    events = read_events(run_dir / EVENTS_FILENAME)
     workers: dict[str, _WorkerRow] = {}
     total_campaigns: int | None = None
     coverage: dict[str, set[str]] = {}
@@ -172,11 +174,10 @@ def run_status(run_dir: str | Path) -> dict:
             )
         if kind == "run_start":
             total_campaigns = (total_campaigns or 0) + event.get("campaigns", 0)
-        elif kind == "campaign_start":
-            open_campaigns[event.get("campaign")] = (
-                f"{event.get('device')}/{event.get('target')}"
-                f"/{event.get('strategy')}"
-            )
+        elif kind == "shard_dispatch":
+            open_campaigns.update(zip(event["specs"], event["labels"]))
+        elif kind == "shard_quarantined":
+            open_campaigns.pop(event["specs"][0], None)
         elif kind == "campaign_end":
             open_campaigns.pop(event.get("campaign"), None)
             finished_campaigns += 1

@@ -41,7 +41,7 @@ from repro.faults import (
     WorkerCrashError,
     seeded_plan,
 )
-from repro.telemetry import read_manifest, scan_events
+from repro.telemetry import EVENTS_FILENAME, read_events, read_manifest
 from repro.testbed.profiles import ALL_PROFILES
 
 BUDGET = 600
@@ -378,7 +378,7 @@ class TestCheckpointResume:
         ) == ["campaign-000000.bin", "campaign-000001.bin"]
         (abort,) = [
             event
-            for event in scan_events(run_dir)
+            for event in read_events(run_dir / EVENTS_FILENAME)
             if event["event"] == "dispatch_abort"
         ]
         assert abort["pending"] == 3

@@ -13,13 +13,18 @@ The two contracts pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
+import threading
+from collections import Counter
 
 import pytest
 
-from repro.core.config import FuzzConfig
+from repro.core.config import FleetSpec, FuzzConfig
 from repro.core.fleet import FleetOrchestrator
+from repro.core.runtime import FleetRuntime
+from repro.faults import seeded_plan
 from repro.telemetry import (
     EVENTS_FILENAME,
     PROFILES_DIRNAME,
@@ -149,6 +154,130 @@ class TestJournalMatchesReport:
         (info,) = list_runs(run_dir.parent)
         assert info.run_id == run_dir.name
         assert info.status == "finished"
+
+
+#: The fleet of ``repro fleet --profiles 2 --strategies
+#: sequential,targeted --targets l2cap,rfcomm --workers 2 --budget 300
+#: --seed 3 --corpus C --telemetry T``, run below with and without
+#: ``--chaos``.
+CHAOS_SPEC = FleetSpec(
+    profiles=("D1", "D2"),
+    strategies=("sequential", "targeted"),
+    targets=("l2cap", "rfcomm"),
+    budget=300,
+    seed=3,
+)
+
+
+def _chaos_run(tmp_path, kinds=(), spec=CHAOS_SPEC):
+    """*spec* on 2 workers with a corpus and telemetry, under the fault
+    plan ``--chaos`` builds for *kinds* (none: the fault-free run)."""
+    plan = None
+    if kinds:
+        plan = seeded_plan(
+            seed=1202,
+            spec_count=spec.campaigns,
+            kinds=kinds,
+            ledger_dir=str(tmp_path / "ledger"),
+        )
+    orchestrator = FleetOrchestrator.from_spec(
+        spec,
+        workers=2,
+        corpus_dir=str(tmp_path / "corpus"),
+        telemetry_dir=str(tmp_path / "runs"),
+        fault_plan=plan,
+    )
+    with orchestrator:
+        report = orchestrator.run()
+    return report, orchestrator.run_dir, orchestrator.last_supervision
+
+
+def _worker_event_counts(run_dir) -> Counter:
+    """How often the workers journaled each (event, campaign) pair."""
+    return Counter(
+        (event["event"], event.get("campaign"))
+        for event in read_events(run_dir / EVENTS_FILENAME)
+        if isinstance(event["worker"], int)
+    )
+
+
+class TestChaosRunJournal:
+    """A retried shard leaves one account of each committed campaign:
+    the journal holds only the attempt whose results were committed."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        return _chaos_run(tmp_path_factory.mktemp("clean"))
+
+    @pytest.fixture(
+        scope="class", params=[("corrupt", "corpus_io"), ("crash",)], ids="-".join
+    )
+    def chaos(self, request, tmp_path_factory):
+        report, run_dir, supervision = _chaos_run(
+            tmp_path_factory.mktemp("chaos"), request.param
+        )
+        assert supervision.retries >= 1, "the planned faults never fired"
+        return report, run_dir
+
+    def test_run_status_view_agrees(self, chaos, clean):
+        report, run_dir = chaos
+        assert report.to_json() == clean[0].to_json()
+        status = run_status(run_dir)
+        assert status["finished_campaigns"] == len(report.campaigns) == 8
+        assert status["packets"] == report.total_packets
+        assert status["findings"] == sum(
+            len(summary.findings) for _, summary in report.campaigns
+        )
+        assert status["in_flight"] == {}
+
+    def test_each_campaign_is_journaled_once(self, chaos, clean):
+        _, run_dir = chaos
+        counts = _worker_event_counts(run_dir)
+        for index in range(CHAOS_SPEC.campaigns):
+            assert counts["campaign_start", index] == 1
+            assert counts["campaign_end", index] == 1
+        # Findings and Logfile records too: the same events as the
+        # fault-free run, campaign for campaign.
+        assert counts == _worker_event_counts(clean[1])
+
+    def test_shard_metrics_count_committed_shards(self, chaos):
+        _, run_dir = chaos
+        snapshot = json.loads((run_dir / "metrics.json").read_text())
+        shards = sum(
+            row["value"] for row in snapshot["counters"]["repro_shards_total"]
+        )
+        batch = FleetRuntime(workers=2).shard_size(CHAOS_SPEC.campaigns)
+        assert shards == CHAOS_SPEC.campaigns // batch
+
+
+def test_in_flight_shows_dispatched_campaigns(tmp_path):
+    """Worker events reach the journal only when their campaigns commit,
+    so a live poll sees the running campaigns through ``shard_dispatch``."""
+    spec = dataclasses.replace(CHAOS_SPEC, budget=3_000)
+    seen: list[dict] = []
+    done = threading.Event()
+    runs = tmp_path / "runs"
+
+    def poll() -> None:
+        while not done.is_set():
+            for run_dir in runs.glob("*"):
+                seen.append(run_status(run_dir)["in_flight"])
+            done.wait(0.01)
+
+    poller = threading.Thread(target=poll)
+    poller.start()
+    try:
+        report, run_dir, _ = _chaos_run(tmp_path, spec=spec)
+    finally:
+        done.set()
+        poller.join()
+    assert any(seen), "no poll saw a campaign in flight"
+    labels = {label for in_flight in seen for label in in_flight.values()}
+    assert labels <= {
+        f"{campaign.device_id}/{campaign.target}/{campaign.strategy}"
+        for campaign, _ in report.campaigns
+    }
+    assert run_status(run_dir)["in_flight"] == {}
 
 
 class TestTelemetryParity:

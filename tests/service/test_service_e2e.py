@@ -25,6 +25,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
 )
+from repro.telemetry import EVENTS_FILENAME, read_events
 from repro.testbed.profiles import PROFILES_BY_ID
 
 POOL_WORKERS = 2
@@ -122,6 +123,35 @@ class TestOverlappingTenants:
         assert "service_jobs_finished_total" in service_prom
         runs = alpha.runs()
         assert final["run_id"] in {row["run_id"] for row in runs}
+
+
+class TestLiveEvents:
+    def test_follow_stream_is_the_final_journal(self, alpha, server):
+        """``/events?follow=1`` over a running 2-worker corpus job sends
+        every journal line once, in journal order: worker events and
+        the parent's ``corpus_writeback`` events alike."""
+        record = alpha.submit(
+            {
+                "profiles": ["D1", "D2"],
+                "strategies": ["sequential", "targeted"],
+                "targets": ["l2cap", "rfcomm", "sdp"],
+                "budget": 4000,
+                "seed": 5,
+                "use_corpus": True,
+            }
+        )
+        job_id = record["job_id"]
+        deadline = time.monotonic() + 60
+        while (job := alpha.job(job_id))["run_id"] is None:
+            assert time.monotonic() < deadline, "job never published a run"
+            time.sleep(0.01)
+        assert job["status"] in ("queued", "running")
+        streamed = list(alpha.events(job_id, follow=True))
+        assert alpha.job(job_id)["status"] == "finished"
+        journal = server.app.tenants.runs_dir("alpha") / job["run_id"]
+        assert streamed == read_events(journal / EVENTS_FILENAME)
+        kinds = [event["event"] for event in streamed]
+        assert kinds.count("corpus_writeback") == kinds.count("campaign_end") == 12
 
 
 class TestCancelResume:

@@ -1,22 +1,15 @@
-"""Tests for the append-only event journal and its segment merge."""
+"""Tests for the append-only event journal and its writers."""
 
 from __future__ import annotations
 
 import json
-import multiprocessing
-import threading
 
 import pytest
 
 from repro.telemetry import (
     EVENT_SCHEMA_VERSION,
-    EVENTS_FILENAME,
-    SEGMENTS_DIRNAME,
     JournalWriter,
-    merge_segments,
     read_events,
-    scan_events,
-    shard_journal,
 )
 
 
@@ -55,6 +48,35 @@ class TestJournalWriter:
         with pytest.raises(ValueError, match="closed"):
             writer.emit("tick")
 
+    def test_writer_without_path_keeps_encoded_lines(self, tmp_path):
+        """A worker's shard journal: the lines, encoded once, no file."""
+        writer = JournalWriter(None, run_id="r1", worker=4242)
+        records = [writer.emit("tick", n=n) for n in range(3)]
+        assert writer.lines == [json.dumps(record) for record in records]
+        assert [record["seq"] for record in records] == [0, 1, 2]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_append_writes_lines_as_they_are(self, tmp_path):
+        """Appended worker lines land byte for byte, in order, between
+        the writer's own events."""
+        worker = JournalWriter(None, run_id="r1", worker=4242)
+        worker.emit("campaign_end", campaign=0, covered_states=["OPEN"])
+        worker.emit("shard_end", campaigns=1)
+        path = tmp_path / "events.jsonl"
+        writer = JournalWriter(path, run_id="r1", worker="orchestrator")
+        writer.emit("run_start")
+        writer.append(worker.lines)
+        writer.emit("run_end")
+        writer.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1:3] == worker.lines
+        assert [event["event"] for event in read_events(path)] == [
+            "run_start",
+            "campaign_end",
+            "shard_end",
+            "run_end",
+        ]
+
     def test_every_event_is_flushed_immediately(self, tmp_path):
         writer = JournalWriter(tmp_path / "j.jsonl", run_id="r1", worker="w1")
         writer.emit("tick", n=1)
@@ -85,180 +107,3 @@ class TestReaders:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="corrupt journal line 2"):
             read_events(path)
-
-
-class TestMergeSegments:
-    def _run_dir(self, tmp_path):
-        run_dir = tmp_path / "run"
-        (run_dir / SEGMENTS_DIRNAME).mkdir(parents=True)
-        return run_dir
-
-    def test_merge_appends_sorted_and_removes_segments(self, tmp_path):
-        run_dir = self._run_dir(tmp_path)
-        for name, count in (("worker-b.jsonl", 3), ("worker-a.jsonl", 2)):
-            writer = JournalWriter(
-                run_dir / SEGMENTS_DIRNAME / name, run_id="r1", worker=name
-            )
-            for n in range(count):
-                writer.emit("tick", n=n)
-            writer.close()
-        merged = merge_segments(run_dir)
-        assert len(merged) == 5
-        on_disk = read_events(run_dir / EVENTS_FILENAME)
-        assert on_disk == merged
-        timestamps = [event["ts"] for event in on_disk]
-        assert timestamps == sorted(timestamps)
-        # Each writer's own order survives the global sort.
-        for name in ("worker-a.jsonl", "worker-b.jsonl"):
-            seqs = [e["seq"] for e in on_disk if e["worker"] == name]
-            assert seqs == sorted(seqs)
-        assert list((run_dir / SEGMENTS_DIRNAME).iterdir()) == []
-
-    def test_merge_is_append_only(self, tmp_path):
-        run_dir = self._run_dir(tmp_path)
-        orchestrator = JournalWriter(
-            run_dir / EVENTS_FILENAME, run_id="r1", worker="orchestrator"
-        )
-        orchestrator.emit("run_start")
-        writer = JournalWriter(
-            run_dir / SEGMENTS_DIRNAME / "w.jsonl", run_id="r1", worker="w"
-        )
-        writer.emit("tick")
-        writer.close()
-        merge_segments(run_dir)
-        # The orchestrator's open O_APPEND handle still lands after the
-        # merged events — the merge never rewrites the file under it.
-        orchestrator.emit("run_end")
-        orchestrator.close()
-        events = [e["event"] for e in read_events(run_dir / EVENTS_FILENAME)]
-        assert events == ["run_start", "tick", "run_end"]
-
-    def test_merge_copies_lines_as_reencoding_would_write_them(
-        self, tmp_path, monkeypatch
-    ):
-        """Real 2-worker segments plus a torn tail merge to the bytes a
-        parse-and-``json.dumps`` merge writes."""
-        import shutil
-
-        from repro.core.config import FuzzConfig
-        from repro.core.fleet import FleetOrchestrator
-        from repro.telemetry import recorder
-        from repro.testbed.profiles import ALL_PROFILES
-
-        kept = tmp_path / "kept"
-
-        def keep_segments(run_dir):
-            shutil.copytree(run_dir / SEGMENTS_DIRNAME, kept, dirs_exist_ok=True)
-            return merge_segments(run_dir)
-
-        monkeypatch.setattr(recorder, "merge_segments", keep_segments)
-        with FleetOrchestrator(
-            profiles=ALL_PROFILES[:2],
-            strategies=["sequential"],
-            workers=2,
-            base_config=FuzzConfig(max_packets=600),
-            targets=("l2cap", "sdp"),
-            telemetry_dir=str(tmp_path / "runs"),
-        ) as orchestrator:
-            orchestrator.run()
-        segments = sorted(kept.glob("*.jsonl"))
-        assert len(segments) >= 2
-        with open(segments[0], "a", encoding="utf-8") as handle:
-            handle.write('{"event": "torn", "ts": 0.')
-        run_dir = self._run_dir(tmp_path)
-        for segment in segments:
-            shutil.copy(segment, run_dir / SEGMENTS_DIRNAME / segment.name)
-
-        merged = merge_segments(run_dir)
-        ordered = [
-            (event, segment.name)
-            for segment in segments
-            for event in read_events(segment)
-        ]
-        ordered.sort(
-            key=lambda item: (item[0]["ts"], item[1], item[0]["seq"])
-        )
-        expected = "".join(json.dumps(event) + "\n" for event, _ in ordered)
-        assert len(merged) == len(ordered) > 0
-        assert (run_dir / EVENTS_FILENAME).read_text(encoding="utf-8") == expected
-
-    def test_merge_without_segments_dir_is_noop(self, tmp_path):
-        assert merge_segments(tmp_path / "nowhere") == []
-
-    def test_scan_events_includes_live_segments(self, tmp_path):
-        run_dir = self._run_dir(tmp_path)
-        orchestrator = JournalWriter(
-            run_dir / EVENTS_FILENAME, run_id="r1", worker="orchestrator"
-        )
-        orchestrator.emit("run_start")
-        orchestrator.close()
-        live = JournalWriter(
-            run_dir / SEGMENTS_DIRNAME / "w.jsonl", run_id="r1", worker="w"
-        )
-        live.emit("campaign_start", campaign=0)
-        # Segment intentionally not closed / not merged: a worker
-        # mid-shard. The live view must still see its events.
-        events = scan_events(run_dir)
-        assert [e["event"] for e in events] == ["run_start", "campaign_start"]
-        live.close()
-
-
-def _segment_worker(run_dir: str, worker: int, count: int) -> None:
-    writer = shard_journal(run_dir, run_id="r1", shard_key=worker)
-    for n in range(count):
-        writer.emit("tick", n=n, origin=worker)
-    writer.close()
-
-
-class TestConcurrentWriters:
-    def test_multiprocess_segments_merge_without_torn_lines(self, tmp_path):
-        """Four processes × 200 events each: exact counts, valid JSON."""
-        count = 200
-        context = multiprocessing.get_context("spawn")
-        procs = [
-            context.Process(
-                target=_segment_worker, args=(str(tmp_path), worker, count)
-            )
-            for worker in range(4)
-        ]
-        for proc in procs:
-            proc.start()
-        for proc in procs:
-            proc.join()
-            assert proc.exitcode == 0
-        run_dir = tmp_path / "r1"
-        merged = merge_segments(run_dir)
-        assert len(merged) == 4 * count
-        by_origin: dict[int, list[int]] = {}
-        for event in merged:
-            by_origin.setdefault(event["origin"], []).append(event["n"])
-        assert set(by_origin) == {0, 1, 2, 3}
-        for ns in by_origin.values():
-            assert sorted(ns) == list(range(count))
-        # Round-trip through disk parses cleanly line by line.
-        raw = (run_dir / EVENTS_FILENAME).read_text().splitlines()
-        assert len(raw) == 4 * count
-        for line in raw:
-            json.loads(line)
-
-    def test_threaded_writers_on_distinct_segments(self, tmp_path):
-        run_dir = tmp_path / "run"
-        count = 300
-
-        def work(worker: int) -> None:
-            writer = JournalWriter(
-                run_dir / SEGMENTS_DIRNAME / f"t{worker}.jsonl",
-                run_id="r1",
-                worker=f"t{worker}",
-            )
-            for n in range(count):
-                writer.emit("tick", n=n)
-            writer.close()
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        merged = merge_segments(run_dir)
-        assert len(merged) == 4 * count

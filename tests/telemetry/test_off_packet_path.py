@@ -1,7 +1,8 @@
 """Telemetry stays off the packet path, checked by counting, not timing.
 
-A worker shard with telemetry on writes its journal and touches the
-metrics registry only at shard and campaign boundaries. So the number
+A worker shard with telemetry on journals (in memory, returning the
+lines with its results) and touches the metrics registry only at shard
+and campaign boundaries. So the number
 of boundary events and of registry calls must not change with the
 packet budget, and the only events that grow with it are the bridged
 Logfile records (``campaign_log``), one per entry of the campaign's own
@@ -10,18 +11,14 @@ log.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
 
 from repro.core.config import FuzzConfig
 from repro.core.runtime import FleetContext, run_shard
-from repro.telemetry import (
-    SEGMENTS_DIRNAME,
-    MetricsRegistry,
-    log_entries_from_events,
-    read_events,
-)
+from repro.telemetry import MetricsRegistry, log_entries_from_events
 from repro.testbed.session import FuzzSession
 
 BUDGETS = (500, 2_000, 8_000)
@@ -37,8 +34,9 @@ BOUNDARY_EVENTS = Counter(
 def _run_telemetry_shard(tmp_path, budget):
     """One disarmed D1 campaign through ``run_shard`` with telemetry on.
 
-    Returns the shard's journal events, the campaign's Logfile entries
-    and the number of registry ``inc``/``observe`` calls it made.
+    Returns the journal events the shard returned, the campaign's
+    Logfile entries and the number of registry ``inc``/``observe`` calls
+    it made.
     """
     sessions = []
     registry_calls = Counter()
@@ -73,12 +71,12 @@ def _run_telemetry_shard(tmp_path, budget):
             telemetry_dir=str(tmp_path),
             run_id=f"budget-{budget}",
         )
-        run_shard(context, ((0, "D1", "sequential", 7, "l2cap"),))
-    (segment,) = (tmp_path / f"budget-{budget}" / SEGMENTS_DIRNAME).glob(
-        "*.jsonl"
-    )
+        _, lines = run_shard(context, ((0, "D1", "sequential", 7, "l2cap"),))
+    # The worker writes no file: its journal is what it returns.
+    assert not any(tmp_path.iterdir())
     (session,) = sessions
-    return read_events(segment), session.fuzzer.log.entries, registry_calls
+    events = [json.loads(line) for line in lines]
+    return events, session.fuzzer.log.entries, registry_calls
 
 
 @pytest.fixture(scope="module")
