@@ -129,12 +129,36 @@ _NONZERO_RESULT_REJECTS = frozenset(
 )
 
 
-#: Received commands that allocate or release a target CID.
+class _NonZero:
+    """The refusal "set" of the credit-based responses: every non-zero
+    result."""
+
+    def __contains__(self, result) -> bool:
+        return bool(result)
+
+
+#: What makes a received command a rejection, keyed by command-code
+#: value: True for a Command Reject, else the results that refuse. A
+#: code absent here is never a rejection.
+_REFUSALS_BY_CODE: dict[int, object] = {
+    int(CommandCode.COMMAND_REJECT): True,
+    **_RESULT_REFUSALS,
+    int(CommandCode.INFORMATION_RSP): frozenset({InfoResult.NOT_SUPPORTED}),
+    **dict.fromkeys(_NONZERO_RESULT_REJECTS, _NonZero()),
+}
+
+
+#: Received commands that allocate or release a target CID, bound once
+#: for the per-frame reads of :meth:`PacketSniffer._learn_from_received`.
+_CONNECTION_RSP = int(CommandCode.CONNECTION_RSP)
+_CREATE_CHANNEL_RSP = int(CommandCode.CREATE_CHANNEL_RSP)
+_DISCONNECTION_RSP = int(CommandCode.DISCONNECTION_RSP)
+_CONNECTION_SUCCESS = int(ConnectionResult.SUCCESS)
 _CID_LEARNING_CODES = frozenset(
     {
-        int(CommandCode.CONNECTION_RSP),
-        int(CommandCode.CREATE_CHANNEL_RSP),
-        int(CommandCode.DISCONNECTION_RSP),
+        _CONNECTION_RSP,
+        _CREATE_CHANNEL_RSP,
+        _DISCONNECTION_RSP,
         int(CommandCode.DISCONNECTION_REQ),
     }
 )
@@ -142,17 +166,10 @@ _CID_LEARNING_CODES = frozenset(
 
 def is_rejection(packet: L2capPacket) -> bool:
     """Classify a received packet as a rejection (PR-Ratio numerator)."""
-    code = packet.code
-    if code == CommandCode.COMMAND_REJECT:
-        return True
-    refusals = _RESULT_REFUSALS.get(code)
-    if refusals is not None:
-        return packet.fields.get("result") in refusals
-    if code == CommandCode.INFORMATION_RSP:
-        return packet.fields.get("result") == InfoResult.NOT_SUPPORTED
-    if code in _NONZERO_RESULT_REJECTS:
-        return bool(packet.fields.get("result"))
-    return False
+    refusals = _REFUSALS_BY_CODE.get(packet.code)
+    if refusals is None:
+        return False
+    return refusals is True or packet.fields.get("result") in refusals
 
 
 _StateCoverageAnalyzer = None
@@ -291,18 +308,18 @@ class PacketSniffer:
         code = packet.code
         result = packet.fields.get("result")
         cids = self._target_cids
-        if code in (CommandCode.CONNECTION_RSP, CommandCode.CREATE_CHANNEL_RSP):
-            if result == ConnectionResult.SUCCESS:
+        if code == _CONNECTION_RSP or code == _CREATE_CHANNEL_RSP:
+            if result == _CONNECTION_SUCCESS:
                 dcid = packet.fields.get("dcid", 0)
                 if dcid and dcid not in cids:
                     cids.add(dcid)
                     self._target_cids_view = frozenset(cids)
-        elif code == CommandCode.DISCONNECTION_RSP:
+        elif code == _DISCONNECTION_RSP:
             dcid = packet.fields.get("dcid", 0)
             if dcid in cids:
                 cids.discard(dcid)
                 self._target_cids_view = frozenset(cids)
-        elif code == CommandCode.DISCONNECTION_REQ:
+        else:  # a Disconnection Request
             scid = packet.fields.get("scid", 0)
             if scid in cids:
                 cids.discard(scid)

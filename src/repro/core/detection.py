@@ -104,11 +104,21 @@ class Finding:
         )
 
 
-#: The two liveness probes, from the signalling template table: an Echo
-#: Request carrying the caller's payload and an Information Request for
-#: the extended features (the spec default info type).
+#: The default payload of a liveness ping (``FuzzConfig.echo_payload``).
+PING_PAYLOAD = b"l2fuzz-ping"
+
+#: The liveness probes, from the signalling template table: the Echo
+#: Request of the default payload and the Information Request for the
+#: extended features (the spec default info type) are fixed templates,
+#: which hand out one shared packet per identifier; an Echo Request with
+#: any other payload is built around it.
+_PING_PROBE = signal_template(CommandCode.ECHO_REQ, tail=PING_PAYLOAD)
 _ECHO_PROBE = signal_template(CommandCode.ECHO_REQ, tail=None)
 _INFORMATION_PROBE = signal_template(CommandCode.INFORMATION_REQ)
+#: Response codes that show the target alive.
+_LIVENESS_CODES = frozenset(
+    {int(CommandCode.ECHO_RSP), int(CommandCode.INFORMATION_RSP)}
+)
 
 
 class VulnerabilityDetector:
@@ -128,7 +138,7 @@ class VulnerabilityDetector:
         self.queue = queue
         self.dump_probe = dump_probe
 
-    def ping_test(self, payload: bytes = b"l2fuzz-ping") -> bool:
+    def ping_test(self, payload: bytes = PING_PAYLOAD) -> bool:
         """Probe target liveness with an Echo plus an Information Request.
 
         Both are valid connection-scoped commands every state accepts;
@@ -146,15 +156,19 @@ class VulnerabilityDetector:
         # survived (auto-reset campaigns see the same ID stream).
         queue = self.queue
         try:
-            responses = queue.send(
-                _ECHO_PROBE.build(queue.take_identifier(), payload)
-            ) + queue.send(_INFORMATION_PROBE.build(queue.take_identifier()))
+            if payload == PING_PAYLOAD:
+                echo = _PING_PROBE.build(queue.take_identifier())
+            else:
+                echo = _ECHO_PROBE.build(queue.take_identifier(), payload)
+            responses = queue.send(echo) + queue.send(
+                _INFORMATION_PROBE.build(queue.take_identifier())
+            )
         except TransportError:
             return False
-        return any(
-            response.code in (CommandCode.ECHO_RSP, CommandCode.INFORMATION_RSP)
-            for response in responses
-        )
+        for response in responses:
+            if response.code in _LIVENESS_CODES:
+                return True
+        return False
 
     def fetch_crash_dump(self) -> str | None:
         """Pull the most recent crash dump, when a side channel exists."""

@@ -36,7 +36,7 @@ from repro.l2cap.fields import (
     random_abnormal_psm,
     random_normal_cidp,
 )
-from repro.l2cap.packets import COMMAND_SPECS, L2capPacket
+from repro.l2cap.packets import COMMAND_SPECS, L2capPacket, _packet
 from repro.l2cap.validation import Violation
 
 #: Offset of the identifier byte inside an encoded signaling frame
@@ -213,8 +213,12 @@ class CoreFieldMutator:
 
         Each frame is the code's plan patched (identifier byte and core
         fields written into the wire image, garbage appended), and the
-        packet is built around it with its encode cache, structural facts
-        and loopback eligibility primed (:meth:`L2capPacket.from_wire_parts`).
+        packet is built around it by the codec's one builder,
+        :func:`~repro.l2cap.packets._packet`, with its encode cache,
+        structural facts and loopback eligibility primed: no constructor
+        pass and no later encode. The wire is what :meth:`~L2capPacket.encode`
+        would produce for these parts; the wire-fast-path equivalence tests
+        pin that per target.
 
         Structural safety gate: the fast path only covers the paper's
         default mutation plan (``MC`` only). The BFuzz-style ablation
@@ -231,7 +235,6 @@ class CoreFieldMutator:
         spec, base, mutations, defaults, limit, tail_bits, dictionary, facts = plan
         rng = self.rng
         getrandbits = rng.getrandbits
-        from_wire_parts = L2capPacket.from_wire_parts
         batch = []
         for identifier in identifiers:
             values = dict(defaults)
@@ -276,15 +279,17 @@ class CoreFieldMutator:
                 length += 1
                 garbage = getrandbits(32 * length).to_bytes(4 * length, "little")[3::4]
             batch.append(
-                from_wire_parts(
+                _packet(
                     code,
                     identifier,
                     values,
                     b"",
                     garbage,
-                    bytes(frame) + garbage,
-                    spec,
                     SIGNALING_CID,
+                    None,
+                    None,
+                    spec,
+                    bytes(frame) + garbage,
                     facts[1] if garbage else facts[0],
                     0 <= identifier <= 0xFF,
                 )

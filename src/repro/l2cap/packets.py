@@ -33,6 +33,7 @@ from repro.l2cap.constants import (
     SIGNALING_CID,
     CommandCode,
     ConfigOptionType,
+    RejectReason,
 )
 
 @dataclasses.dataclass(frozen=True)
@@ -347,6 +348,13 @@ class L2capPacket:
         construction. The decoder turns this off so that truncated
         packets stay truncated.
 
+    :meth:`encode` is a function of these parts, so equal packets put
+    equal bytes on the wire: an absent field (a decoded frame whose data
+    region stops short) is encoded as no bytes, while derived length
+    headers still describe the command's full layout, as :meth:`decode`
+    reads them. Any copy or rebuild of a decoded packet's parts encodes
+    to the bytes it was parsed from.
+
     A built packet never changes: assigning an attribute raises, and a
     fuzzer builds each malformed packet with its final values (or
     derives one with :meth:`replace`). ``fields`` is a plain dict that
@@ -481,7 +489,12 @@ class L2capPacket:
         if self.header_cid != SIGNALING_CID:
             return L2CAP_HEADER_LEN + len(self.tail) + len(self.garbage)
         spec = self.spec
-        fixed = spec.fixed_size if spec is not None else 2 * len(self.fields)
+        if spec is None:
+            fixed = 2 * len(self.fields)
+        elif self._loopback:  # a round-tripping packet has every field
+            fixed = spec.fixed_size
+        else:
+            fixed = sum(field.size for field in spec.fields if field.name in self.fields)
         return (
             L2CAP_HEADER_LEN
             + COMMAND_HEADER_LEN
@@ -546,13 +559,13 @@ class L2capPacket:
                     self.code & 0xFF,
                     self.identifier & 0xFF,
                     data_len,
-                    *[fields.get(field.name, field.default) for field in spec.fields],
+                    *[fields[field.name] for field in spec.fields],
                 )
                 return head + self.tail + self.garbage
-            except struct.error:
-                # A field value does not fit its width (or a non-int
-                # header slipped in): fall through to the field-by-field
-                # path, which names the offender.
+            except (KeyError, struct.error):
+                # A field is absent, or a value does not fit its width (or
+                # a non-int header slipped in): fall through to the
+                # field-by-field path, which names the offender.
                 pass
         return (
             struct.pack(
@@ -572,21 +585,22 @@ class L2capPacket:
         spec = self.spec
         fields = self.fields
         if spec is None:
-            # Unknown command: encode whatever fields exist as u16 in
-            # insertion order so deliberately-invalid codes still fuzz.
+            # Unknown command: encode whatever fields exist as u16 in name
+            # order so deliberately-invalid codes still fuzz.
             return b"".join(
-                struct.pack("<H", value & 0xFFFF) for value in fields.values()
+                struct.pack("<H", value & 0xFFFF) for _, value in sorted(fields.items())
             )
+        # Only the fields the packet has: a short data region stays short.
+        present = [field for field in spec.fields if field.name in fields]
         try:
-            return struct.pack(
-                spec.pack_format,
-                *[fields.get(field.name, field.default) for field in spec.fields],
+            return b"".join(
+                struct.pack("<B" if field.size == 1 else "<H", fields[field.name])
+                for field in present
             )
         except struct.error:
-            # Some value does not fit its width: redo field by field to
-            # name the offender in the error.
-            for field in spec.fields:
-                value = fields.get(field.name, field.default)
+            # Some value does not fit its width: name the offender.
+            for field in present:
+                value = fields[field.name]
                 if not 0 <= value <= field.max_value:
                     raise PacketEncodeError(
                         f"{self.command_name}.{field.name}={value:#x} does not "
@@ -729,54 +743,6 @@ class L2capPacket:
         return self if eligible else None
 
     @classmethod
-    def from_wire_parts(
-        cls,
-        code: int,
-        identifier: int,
-        field_values: dict[str, int],
-        tail: bytes,
-        garbage: bytes,
-        wire: bytes,
-        spec: CommandSpec | None,
-        header_cid: int = SIGNALING_CID,
-        intrinsic: tuple | None = None,
-        loopback: bool | None = None,
-    ) -> "L2capPacket":
-        """Build a packet around already-assembled *wire* bytes.
-
-        The bytes-level mutation fast path serialises the frame itself
-        (template patching instead of a field walk), so the constructor
-        and :meth:`encode` would each redo work the caller has in hand.
-        This bypasses both: *field_values* becomes the packet's
-        :attr:`fields` as is (not copied) and the encode cache is primed
-        with *wire*, exactly as :meth:`decode` primes a parsed packet.
-        The caller guarantees that *wire* is what :meth:`encode` would
-        produce for these parts — the wire-fast-path equivalence tests
-        pin that contract per target.
-
-        A template builder that also knows the packet's structural
-        validation facts (*intrinsic*, see
-        :mod:`repro.l2cap.validation`) and its loopback eligibility
-        (*loopback*, see :meth:`loopback_view`) primes them here; None
-        leaves them to be computed on first use. The parity tests pin
-        primed values to the freshly computed ones.
-        """
-        return _packet(
-            code,
-            identifier,
-            field_values,
-            tail,
-            garbage,
-            header_cid,
-            None,
-            None,
-            spec,
-            wire,
-            intrinsic,
-            loopback,
-        )
-
-    @classmethod
     def data_frame(
         cls, header_cid: int, payload: bytes, wire: bytes | None = None
     ) -> "L2capPacket":
@@ -854,7 +820,9 @@ def _packet(
 ) -> L2capPacket:
     """The packet of these parts and caches, every slot set once.
 
-    *fields* is adopted, not copied. Every constructor ends here.
+    *fields* is adopted, not copied. Every constructor ends here, and so
+    does the mutator's bytes-level fast path, which primes *wire*,
+    *intrinsic* and *loopback* with what it already knows.
     """
     packet = _new_instance(_Draft)
     packet.code = code
@@ -905,6 +873,11 @@ class SignalTemplate:
     :data:`SIGNAL_TEMPLATES`. The spec, the field order, the structural
     validation facts and the loopback verdict of the constant parts are
     settled here; :meth:`build` checks only what changes per call.
+
+    A *fixed* template (no per-call field, a constant tail) makes one
+    frame per identifier: :attr:`shared` keeps the packet built for each
+    int identifier 0..255, filled on first use, and :meth:`build` hands
+    out that one immutable packet every time (None on other templates).
     """
 
     __slots__ = (
@@ -916,6 +889,7 @@ class SignalTemplate:
         "loopback",
         "spec",
         "intrinsic",
+        "shared",
     )
 
     def __init__(self, code, fixed: Mapping[str, int], per_call, tail) -> None:
@@ -943,6 +917,7 @@ class SignalTemplate:
         # A PSM's validity is a structural fact; a constant one is judged
         # on first use like any packet's.
         self.intrinsic = None if "psm" in spec.defaults else _CLEAN_FACTS
+        self.shared = {} if not per_call and tail is not None else None
 
     def build(self, identifier: int, *values) -> L2capPacket:
         """The frame with *identifier* and this call's *values*.
@@ -952,8 +927,14 @@ class SignalTemplate:
         echoes one. Equal to ``L2capPacket(code, identifier, fields,
         tail)`` with *fields* in spec order, including the loopback
         verdict; the identifier, the per-call values and an echoed
-        tail's length are checked here.
+        tail's length are checked here. A fixed template returns its
+        shared packet for an int identifier 0..255.
         """
+        shared = self.shared
+        if shared is not None and identifier.__class__ is int:
+            packet = shared.get(identifier)
+            if packet is not None:
+                return packet
         fields = self.fields.copy()
         loopback = self.loopback and (
             identifier.__class__ is int and 0 <= identifier <= 0xFF
@@ -970,7 +951,7 @@ class SignalTemplate:
         if tail is None:
             tail = values[-1]
             loopback = loopback and tail.__class__ is bytes and len(tail) <= self.room
-        return _packet(
+        packet = _packet(
             self.code,
             identifier,
             fields,
@@ -984,6 +965,9 @@ class SignalTemplate:
             self.intrinsic,
             loopback,
         )
+        if shared is not None and identifier.__class__ is int and 0 <= identifier <= 0xFF:
+            shared[identifier] = packet
+        return packet
 
 
 #: Every signalling template, keyed by what its call site fixes. Call
@@ -1148,14 +1132,18 @@ def move_channel_request(icid: int, cont_id: int = 1, identifier: int = 1) -> L2
     )
 
 
-def command_reject(reason: int, identifier: int, data: bytes = b"") -> L2capPacket:
-    """Build a Command Reject response (from the signalling template)."""
-    return _COMMAND_REJECT.build(identifier, reason, data)
+def command_reject(reason: int, identifier: int) -> L2capPacket:
+    """Build a Command Reject response for a :class:`RejectReason`: the
+    shared packet of its fixed signalling template."""
+    return COMMAND_REJECTS[reason].build(identifier)
 
 
-_COMMAND_REJECT = signal_template(
-    CommandCode.COMMAND_REJECT, per_call=("reason",), tail=None
-)
+#: The fixed Command Reject of each reason (a Command Reject's optional
+#: data is never sent).
+COMMAND_REJECTS: dict[int, SignalTemplate] = {
+    reason: signal_template(CommandCode.COMMAND_REJECT, {"reason": reason})
+    for reason in RejectReason
+}
 
 
 def default_packet(code: CommandCode, identifier: int = 1, **fields: int) -> L2capPacket:

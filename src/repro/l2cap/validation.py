@@ -169,18 +169,27 @@ def structural_reject_reason(
     """
     wire = packet._wire
     if (packet.wire_length if wire is None else len(wire)) > signaling_mtu:
-        return RejectReason.SIGNALING_MTU_EXCEEDED
+        return _MTU_EXCEEDED
     facts = packet._intrinsic
     if facts is None:
         facts = _structural_facts(packet)
     structural = facts[0]
     if structural and (
-        Violation.UNKNOWN_CODE in structural
-        or Violation.LENGTH_MISMATCH in structural
-        or Violation.TRUNCATED_FIELDS in structural
+        _UNKNOWN_CODE in structural
+        or _LENGTH_MISMATCH in structural
+        or _TRUNCATED_FIELDS in structural
     ):
-        return RejectReason.COMMAND_NOT_UNDERSTOOD
+        return _NOT_UNDERSTOOD
     return None
+
+
+# The members structural_reject_reason reads per frame, bound once
+# (a module global costs a tenth of an enum member read).
+_MTU_EXCEEDED = RejectReason.SIGNALING_MTU_EXCEEDED
+_NOT_UNDERSTOOD = RejectReason.COMMAND_NOT_UNDERSTOOD
+_UNKNOWN_CODE = Violation.UNKNOWN_CODE
+_LENGTH_MISMATCH = Violation.LENGTH_MISMATCH
+_TRUNCATED_FIELDS = Violation.TRUNCATED_FIELDS
 
 
 def is_malformed(packet: L2capPacket, allocated_cids: frozenset[int] = frozenset()) -> bool:

@@ -15,7 +15,6 @@ discipline matters at all.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 from collections.abc import Callable
 
 from repro.errors import ChannelError, PacketDecodeError, TargetCrashedError
@@ -37,6 +36,7 @@ from repro.l2cap.constants import (
 )
 from repro.l2cap.jobs import job_of
 from repro.l2cap.packets import (
+    COMMAND_REJECTS,
     L2capPacket,
     command_reject,
     configuration_request,
@@ -125,8 +125,10 @@ class HostStackEngine:
         #: measure (§V cites Frankenstein's firmware-emulation
         #: approach); each key approximates one branch of the command
         #: dispatcher of a real stack. Keys hold the raw command code;
-        #: the readers below attach command names.
-        self.transition_hits: Counter = Counter()
+        #: the readers below attach command names. A plain dict: its
+        #: subscripts take the interpreter's dict fast path, a Counter's
+        #: do not.
+        self.transition_hits: dict[tuple[int, str, str], int] = {}
 
     def fork(self, clock: SimClock, data_handlers: dict) -> HostStackEngine:
         """An independent copy of this stack, running on *clock*.
@@ -207,7 +209,7 @@ class HostStackEngine:
         # Hardened parsers also discard anything past the declared length.
         reason = structural_reject_reason(packet, self._signaling_mtu)
         if reason is None and self._rejects_garbage_tail and packet.garbage:
-            reason = RejectReason.COMMAND_NOT_UNDERSTOOD
+            reason = _NOT_UNDERSTOOD
         if reason is not None:
             responses = [command_reject(reason, packet.identifier)]
             outcome = "structural-reject"
@@ -218,14 +220,16 @@ class HostStackEngine:
                 "silent"
                 if not responses
                 else "reject"
-                if responses[0].code == CommandCode.COMMAND_REJECT
+                if responses[0].code == _COMMAND_REJECT
                 else "handled"
             )
         # Keyed by the ambient state the packet left behind.
         cache = self._ambient_cache
         if cache[0] != self.channels.version:
             cache = self._refresh_ambient()
-        self.transition_hits[(packet.code, cache[2], outcome)] += 1
+        hits = self.transition_hits
+        key = (packet.code, cache[2], outcome)
+        hits[key] = hits.get(key, 0) + 1
         return responses
 
     def reset(self) -> None:
@@ -364,7 +368,7 @@ class HostStackEngine:
             if self._bug_models:
                 self._check_bugs(packet, None)
             return []  # the Android quirk of paper §III.C: silently eaten
-        return [command_reject(RejectReason.COMMAND_NOT_UNDERSTOOD, packet.identifier)]
+        return [_REJECT_NOT_UNDERSTOOD.build(packet.identifier)]
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -388,10 +392,10 @@ class HostStackEngine:
             return [_CONNECTION_RSP.build(packet.identifier, 0, scid, result)]
 
         if not is_valid_psm(psm):
-            return refuse(ConnectionResult.REFUSED_PSM_NOT_SUPPORTED)
+            return refuse(_REFUSED_PSM)
         record = self.services.lookup(psm)
         if record is None:
-            return refuse(ConnectionResult.REFUSED_PSM_NOT_SUPPORTED)
+            return refuse(_REFUSED_PSM)
         if record.requires_pairing:
             # Unpaired peer: refused without parsing further (paper §III.B).
             return refuse(ConnectionResult.REFUSED_SECURITY_BLOCK)
@@ -430,12 +434,10 @@ class HostStackEngine:
         def refuse(result: ConnectionResult) -> list[L2capPacket]:
             return [_CREATE_CHANNEL_RSP.build(packet.identifier, 0, scid, result)]
 
-        if not self.personality.supports_amp:
-            return refuse(ConnectionResult.REFUSED_CONTROLLER_ID_NOT_SUPPORTED)
-        if cont_id not in (0, 1):
-            return refuse(ConnectionResult.REFUSED_CONTROLLER_ID_NOT_SUPPORTED)
+        if not self.personality.supports_amp or cont_id not in (0, 1):
+            return refuse(_REFUSED_CONTROLLER)
         if not is_valid_psm(psm) or not self.services.supports(psm):
-            return refuse(ConnectionResult.REFUSED_PSM_NOT_SUPPORTED)
+            return refuse(_REFUSED_PSM)
         record = self.services.lookup(psm)
         if record.requires_pairing:
             return refuse(ConnectionResult.REFUSED_SECURITY_BLOCK)
@@ -502,13 +504,11 @@ class HostStackEngine:
                 # lookup returned — the D1/D2 bug path.
                 if self._bug_models:
                     self._check_bugs(packet, None)
-                return [
-                    _CONFIGURATION_RSP.build(packet.identifier, 0, ConfigResult.SUCCESS)
-                ]
-            return [command_reject(RejectReason.INVALID_CID, packet.identifier)]
+                return [_CONFIGURATION_RSP.build(packet.identifier, 0, _CONFIG_SUCCESS)]
+            return [_REJECT_INVALID_CID.build(packet.identifier)]
 
         if block.state not in CONFIGURATION_STATES and block.state is not ChannelState.OPEN:
-            return [command_reject(RejectReason.COMMAND_NOT_UNDERSTOOD, packet.identifier)]
+            return [_REJECT_NOT_UNDERSTOOD.build(packet.identifier)]
 
         if self._bug_models:
             self._check_bugs(packet, block.state)
@@ -579,7 +579,7 @@ class HostStackEngine:
         if block is None or (block.remote_cid != scid and scid != 0):
             if self._bug_models:
                 self._check_bugs(packet, None)
-            return [command_reject(RejectReason.INVALID_CID, packet.identifier)]
+            return [_REJECT_INVALID_CID.build(packet.identifier)]
         if self._bug_models:
             self._check_bugs(packet, block.state)
         self.channels.release(block.local_cid)
@@ -606,8 +606,10 @@ class HostStackEngine:
         if self._bug_models:
             self._check_bugs(packet, None)
         info_type = packet.fields.get("info_type", 0)
-        template = _INFORMATION_RSPS.get(info_type, _INFORMATION_UNSUPPORTED)
-        return [template.build(packet.identifier, info_type)]
+        template = _INFORMATION_RSPS.get(info_type)
+        if template is None:
+            return [_INFORMATION_UNSUPPORTED.build(packet.identifier, info_type)]
+        return [template.build(packet.identifier)]
 
     def _on_move_channel_req(self, packet: L2capPacket) -> list[L2capPacket]:
         icid = packet.fields.get("icid", 0)
@@ -616,12 +618,12 @@ class HostStackEngine:
             return [_MOVE_CHANNEL_RSP.build(packet.identifier, icid, result)]
 
         if not self.personality.supports_amp:
-            return respond(MoveResult.REFUSED_NOT_ALLOWED)
+            return respond(_MOVE_NOT_ALLOWED)
         block = self.channels.get(icid)
         if block is None:
             if self._bug_models:
                 self._check_bugs(packet, None)
-            return [command_reject(RejectReason.INVALID_CID, packet.identifier)]
+            return [_REJECT_INVALID_CID.build(packet.identifier)]
         if block.state is not ChannelState.OPEN:
             return respond(MoveResult.REFUSED_COLLISION)
         if self._bug_models:
@@ -636,9 +638,9 @@ class HostStackEngine:
         if not self.personality.supports_amp or block is None:
             if self._bug_models:
                 self._check_bugs(packet, None)
-            return [command_reject(RejectReason.INVALID_CID, packet.identifier)]
+            return [_REJECT_INVALID_CID.build(packet.identifier)]
         if block.state is not ChannelState.WAIT_MOVE_CONFIRM:
-            return [command_reject(RejectReason.COMMAND_NOT_UNDERSTOOD, packet.identifier)]
+            return [_REJECT_NOT_UNDERSTOOD.build(packet.identifier)]
         if self._bug_models:
             self._check_bugs(packet, block.state)
         self._set_state(block, ChannelState.OPEN)
@@ -651,7 +653,7 @@ class HostStackEngine:
         them but refuse the operations on a BR/EDR link.
         """
         if not self.personality.supports_le_signaling:
-            return [command_reject(RejectReason.COMMAND_NOT_UNDERSTOOD, packet.identifier)]
+            return [_REJECT_NOT_UNDERSTOOD.build(packet.identifier)]
         if self._bug_models:
             self._check_bugs(packet, None)
         template = _LE_FAMILY_RSPS.get(packet.code)
@@ -706,14 +708,24 @@ _MOVE_CHANNEL_RSP = signal_template(
 _MOVE_CONFIRMATION_RSP = signal_template(
     CommandCode.MOVE_CHANNEL_CONFIRMATION_RSP, per_call=("icid",)
 )
+_REJECT_NOT_UNDERSTOOD = COMMAND_REJECTS[RejectReason.COMMAND_NOT_UNDERSTOOD]
+_REJECT_INVALID_CID = COMMAND_REJECTS[RejectReason.INVALID_CID]
+
+# The enum members the per-frame paths read, bound once: reading a
+# member off its class costs ~10x a module global.
+_COMMAND_REJECT = int(CommandCode.COMMAND_REJECT)
+_NOT_UNDERSTOOD = RejectReason.COMMAND_NOT_UNDERSTOOD
+_REFUSED_PSM = ConnectionResult.REFUSED_PSM_NOT_SUPPORTED
+_REFUSED_CONTROLLER = ConnectionResult.REFUSED_CONTROLLER_ID_NOT_SUPPORTED
+_CONFIG_SUCCESS = ConfigResult.SUCCESS
+_MOVE_NOT_ALLOWED = MoveResult.REFUSED_NOT_ALLOWED
 
 #: Information Responses keyed by InfoType value, each with its payload
 #: (Core 5.2 Vol 3 Part A §4.10); a miss answers NOT_SUPPORTED.
 _INFORMATION_RSPS: dict[int, SignalTemplate] = {
     info_type.value: signal_template(
         CommandCode.INFORMATION_RSP,
-        {"result": InfoResult.SUCCESS},
-        ("info_type",),
+        {"info_type": info_type.value, "result": InfoResult.SUCCESS},
         tail=payload,
     )
     for info_type, payload in (

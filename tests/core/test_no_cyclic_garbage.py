@@ -130,16 +130,22 @@ def _every_packet() -> list[L2capPacket]:
         if wire is not None:
             made.append(wire)
     made += [L2capPacket.decode(packet.encode()) for packet in list(made)]
+    # The builder every constructor ends in, with the encode cache
+    # primed the way the mutator's bytes-level fast path primes it.
     made += [
-        L2capPacket.from_wire_parts(
-            code=packet.code,
-            identifier=packet.identifier,
-            field_values=dict(packet.fields),
-            tail=packet.tail,
-            garbage=packet.garbage,
-            wire=packet.encode(),
-            spec=packet.spec,
-            header_cid=packet.header_cid,
+        codec._packet(
+            packet.code,
+            packet.identifier,
+            dict(packet.fields),
+            packet.tail,
+            packet.garbage,
+            packet.header_cid,
+            None,
+            None,
+            packet.spec,
+            packet.encode(),
+            None,
+            None,
         )
         for packet in list(made)
     ]

@@ -301,7 +301,7 @@ class TestCopiesAreIndependentValues:
             return
         name = names[0]
         # A truncated original: loopback off, a structural reject within
-        # the MTU, and the absent field encoded as its default.
+        # the MTU, and no bytes for the absent field.
         packet = _mutated(3, packet)
         original = _prime(packet, mtu)
         wire = packet._wire
@@ -516,15 +516,14 @@ class TestSignalTemplatesMatchConstructor:
         _assert_same_packet(built, _reference(template, identifier, values))
 
     @given(
-        st.one_of(st.sampled_from(list(RejectReason)), _ECHOED_VALUES),
+        st.sampled_from([*RejectReason, *(int(reason) for reason in RejectReason)]),
         _IDENTIFIERS,
-        st.binary(max_size=8),
     )
     @settings(max_examples=200)
-    def test_every_reject_reason(self, reason, identifier, data):
+    def test_every_reject_reason(self, reason, identifier):
         _assert_same_packet(
-            command_reject(reason, identifier, data),
-            L2capPacket(CommandCode.COMMAND_REJECT, identifier, {"reason": reason}, tail=data),
+            command_reject(reason, identifier),
+            L2capPacket(CommandCode.COMMAND_REJECT, identifier, {"reason": reason}),
         )
 
 
@@ -584,7 +583,7 @@ def _built_by_every_path(draw):
             [
                 "constructor",
                 "decode",
-                "from_wire_parts",
+                "mutate_wire",
                 "template",
                 "data_frame",
                 "replace",
@@ -603,7 +602,7 @@ def _built_by_every_path(draw):
             return path, L2capPacket.decode(raw), raw
         except (PacketEncodeError, PacketDecodeError):
             return path, base
-    if path == "from_wire_parts":
+    if path == "mutate_wire":
         # The mutator's bytes-level fast path is the caller.
         mutator = CoreFieldMutator(
             FuzzConfig(append_garbage=draw(st.booleans())),
@@ -649,13 +648,11 @@ class TestEveryConstructionPathPrimesFreshCaches:
         assert _caches(fresh) == (None, None, None)
         expected = _filled(fresh)
         primed = _caches(packet)
-        if parsed and expected[0] != parsed[0]:
-            # A data region that truncates the command's fields: the
-            # fresh build encodes the absent fields as their defaults,
-            # while decode keeps the bytes it parsed (the byte-faithful
-            # round trip).
-            assert Violation.TRUNCATED_FIELDS in expected[1][0]
-            expected = (parsed[0], *expected[1:])
+        if parsed:
+            # encode() is a function of the parts: a fresh build of a
+            # decoded packet's parts encodes to the bytes it was parsed
+            # from, a truncated data region included.
+            assert expected[0] == parsed[0], path
         if primed[0] is not None:
             assert primed[0] == expected[0], path
         if primed[1] is not None:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PacketDecodeError, PacketEncodeError
 from repro.l2cap.constants import CommandCode, ConfigOptionType, SIGNALING_CID
@@ -124,6 +128,65 @@ class TestEncodeDecodeRoundTrip:
         raw = bytes.fromhex("0600010002010200" + "0100")
         decoded = L2capPacket.decode(raw)
         assert decoded.fields == {"psm": 0x0001}
+
+    def test_rebuilt_parts_encode_to_the_parsed_bytes(self):
+        """encode() is a function of the parts, so equal packets have
+        equal bytes. The counterexample that once broke it: a Command
+        Reject with Data Length 0 and a 2-byte garbage tail, whose
+        rebuilt parts encoded the absent reason as its default (12
+        bytes, not 10)."""
+        raw = bytes.fromhex("04000100" "01070000" "AABB")
+        decoded = L2capPacket.decode(raw)
+        assert decoded.fields == {} and decoded.garbage == b"\xAA\xBB"
+        parts = {
+            name: getattr(decoded, name)
+            for name in (
+                "code",
+                "identifier",
+                "fields",
+                "tail",
+                "garbage",
+                "header_cid",
+                "declared_payload_len",
+                "declared_data_len",
+            )
+        }
+        rebuilt = L2capPacket(**parts, fill_defaults=False)
+        assert rebuilt == decoded
+        assert rebuilt.encode() == decoded.encode() == raw
+        assert rebuilt.wire_length == len(raw)
+        for clone in (copy.copy(decoded), pickle.loads(pickle.dumps(decoded))):
+            assert clone == decoded and clone.encode() == raw
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_any_decoded_frame_rebuilds_to_its_bytes(self, data):
+        # Signalling frames of any code whose Data Length may cut the
+        # command's fields short, and raw bytes of any channel.
+        body = data.draw(st.binary(max_size=16))
+        raw = data.draw(
+            st.one_of(
+                st.binary(min_size=4, max_size=24),
+                st.builds(
+                    lambda payload_len, code, identifier, data_len: struct.pack(
+                        "<HHBBH", payload_len, SIGNALING_CID, code, identifier, data_len
+                    )
+                    + body,
+                    st.integers(min_value=0, max_value=0xFFFF),
+                    st.sampled_from([*COMMAND_SPECS, 0x00, 0x7F]),
+                    st.integers(min_value=0, max_value=0xFF),
+                    st.integers(min_value=0, max_value=len(body)),
+                ),
+            )
+        )
+        try:
+            decoded = L2capPacket.decode(raw)
+        except PacketDecodeError:
+            return
+        clone = copy.copy(decoded)
+        assert clone._wire is None
+        assert clone.wire_length == len(raw)
+        assert clone.encode() == raw
 
     def test_field_value_too_large_raises_on_encode(self):
         packet = connection_request(psm=0x10000, scid=0)

@@ -215,9 +215,14 @@ class TestCancelAndResume:
             scheduler.cancel(record.job_id, "alpha")
 
     def test_cancelled_running_job_leaves_resumable_checkpoints(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
-        """Cancel mid-run: checkpoints on disk, resume finishes the job."""
+        """Cancel mid-run: checkpoints on disk, resume finishes the job.
+
+        The cancel is issued from the runtime's first checkpoint write,
+        so it always lands while the job runs, with campaigns left.
+        """
+        from repro.core import runtime
         from repro.core.runtime import CHECKPOINTS_DIRNAME
 
         scheduler = make_scheduler(tmp_path)
@@ -229,34 +234,23 @@ class TestCancelAndResume:
                 batch=1,
             )
         )
+        write_checkpoints = runtime.write_checkpoints
+        cancelled = threading.Event()
+
+        def cancel_on_first_write(run_dir, blobs):
+            write_checkpoints(run_dir, blobs)
+            if not cancelled.is_set():
+                cancelled.set()
+                scheduler.cancel(record.job_id, "alpha")
+
+        monkeypatch.setattr(runtime, "write_checkpoints", cancel_on_first_write)
         scheduler.start()
         try:
-            # Wait until at least one checkpoint exists, then cancel.
-            import time
-
-            run_dir = None
-            deadline = time.monotonic() + 120
-            while time.monotonic() < deadline:
-                current = scheduler.registry.get(record.job_id)
-                if current.run_id is not None:
-                    run_dir = (
-                        scheduler.tenants.runs_dir("alpha") / current.run_id
-                    )
-                    if list(
-                        (run_dir / CHECKPOINTS_DIRNAME).glob("*.bin")
-                    ):
-                        break
-                if not current.active:
-                    break  # finished before we could cancel
-                time.sleep(0.01)
-            current = scheduler.registry.get(record.job_id)
-            if current.status == "running":
-                scheduler.cancel(record.job_id, "alpha")
             final = scheduler.wait(record.job_id, timeout=120)
-            if final.status == "finished":
-                pytest.skip("job finished before cancel landed")
+            assert cancelled.is_set()
             assert final.status == "cancelled"
             assert final.resumable
+            run_dir = scheduler.tenants.runs_dir("alpha") / final.run_id
             assert list((run_dir / CHECKPOINTS_DIRNAME).glob("*.bin"))
 
             resumed = scheduler.resume(record.job_id, "alpha")
